@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ..arrayops import has_duplicates
 from ..errors import PlanError
 
 __all__ = ["CommPattern", "PatternDelta", "PatternStats"]
@@ -83,7 +84,7 @@ class CommPattern:
             if size.min() < 0:
                 raise PlanError("message sizes must be non-negative")
             key = src * K + dst
-            if np.unique(key).size != key.size:
+            if has_duplicates(key):
                 raise PlanError(
                     "pattern contains duplicate (src, dst) pairs; "
                     "merge them with CommPattern.from_arrays(..., merge=True)"
@@ -106,7 +107,7 @@ class CommPattern:
         Only for arrays whose invariants are already guaranteed — e.g.
         the output of :meth:`apply_delta`, where survivors were valid
         and additions were checked against the survivor key set.  The
-        public constructor's ``np.unique`` duplicate scan is the single
+        public constructor's sort-based duplicate scan is the single
         most expensive step of an incremental plan repair, and it would
         re-prove what the delta validation already established.
         """
@@ -543,7 +544,7 @@ class PatternDelta:
                 if (s == d).any():
                     raise PlanError(f"{name} edges contain self messages (src == dst)")
                 key = s * np.int64(K) + d
-                if np.unique(key).size != key.size:
+                if has_duplicates(key):
                     raise PlanError(f"{name} edges contain duplicate (src, dst) pairs")
             return s, d
 

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..arrayops import run_starts
 from ..errors import PlanError
 from .pattern import CommPattern, PatternDelta
 from .vpt import VirtualProcessTopology
@@ -48,8 +49,8 @@ class StageSchedule:
     header (destination id etc.) if the plan was built with one.
 
     ``route_key`` optionally carries the strictly increasing
-    ``sender * K + receiver`` array of a coalesced build (the
-    ``np.unique`` output the stage was aggregated on).  It is derived
+    ``sender * K + receiver`` array of a coalesced build (the sorted,
+    deduplicated keys the stage was aggregated on).  It is derived
     data — not serialized, not compared — kept so the incremental
     repair path can skip recomputing and re-verifying the canonical
     key order on every drift step.
@@ -466,9 +467,10 @@ class PlanBuilder:
             mkey = senders * np.int64(K) + receivers
             order = np.argsort(mkey, kind="stable")
             key_sorted = mkey[order]
-            uniq = np.unique(key_sorted)
+            first = run_starts(key_sorted)
+            uniq = key_sorted[first]
             inv = np.empty(mkey.size, dtype=np.int64)
-            inv[order] = np.searchsorted(uniq, key_sorted)
+            inv[order] = np.cumsum(first) - 1
             nsub = np.bincount(inv, minlength=uniq.size).astype(np.int64)
             payload = np.bincount(inv, weights=sizes, minlength=uniq.size).astype(np.int64)
             msg_sender = (uniq // K).astype(np.int64)

@@ -908,11 +908,16 @@ def _default_payloads(pattern: CommPattern) -> list[dict[int, np.ndarray]]:
     """Per-rank SendSets with synthetic verifiable payloads.
 
     Message ``m_ij`` carries the words ``[i * K + j] * size`` so that a
-    delivered payload identifies its (source, destination) pair.
+    delivered payload identifies its (source, destination) pair.  The
+    payloads are non-overlapping views of one int64 buffer: copy one
+    before mutating it or keeping it for long.
     """
+    src, dst, size = pattern.src, pattern.dst, pattern.size
+    words = np.repeat(src * pattern.K + dst, size)
+    ends = np.cumsum(size).tolist()
     send_data: list[dict[int, np.ndarray]] = [{} for _ in range(pattern.K)]
-    for s, t, w in zip(pattern.src, pattern.dst, pattern.size):
-        send_data[int(s)][int(t)] = np.full(int(w), int(s) * pattern.K + int(t), dtype=np.int64)
+    for s, t, a, b in zip(src.tolist(), dst.tolist(), [0] + ends, ends):
+        send_data[s][t] = words[a:b]
     return send_data
 
 
@@ -1086,10 +1091,14 @@ def run_exchange(
     ``tracer`` is an optional :class:`repro.obs.Tracer` receiving
     engine events plus per-stage spans and ``stfw.*`` counters.
 
-    ``engine`` selects the simulation backend (``"event"`` or
-    ``"sharded"``; see :mod:`repro.simmpi.engine`) and ``workers`` the
-    sharded backend's process count; both forward to
-    :func:`~repro.simmpi.runtime.run_spmd`.  ``on_fault="partial"``
+    ``engine`` selects the simulation backend (``"event"``,
+    ``"sharded"`` or ``"batch"``; see :mod:`repro.simmpi.engine`) and
+    ``workers`` the sharded backend's process count; the first two run
+    through :func:`~repro.simmpi.runtime.run_spmd`, while ``"batch"``
+    executes the planned schedule as whole-stage sweeps, bit-identical
+    to the event engine, and refuses by name what it cannot (no
+    ``machine``, ``mode="dynamic"``, ``on_fault="tolerate"``, fault
+    plans, jitter).  ``on_fault="partial"``
     requires the event engine: the salvage path reads deliveries out
     of engine-side sinks that live in the coordinator's address space,
     which forked shard workers cannot fill.  Extra keyword arguments

@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from ..arrayops import sorted_unique
 from ..errors import MatrixGenerationError
 
 __all__ = ["lognormal_degree_sequence", "configuration_matrix", "generate_matrix"]
@@ -137,29 +138,39 @@ def configuration_matrix(
         return sp.identity(n, format="csr", dtype=np.float64)
 
     window = max((1.0 - locality) * n, 2.0)
-    keys = stubs + rng.uniform(0.0, window, size=stubs.size)
+    # two helpers, so that each step's stub-sized temporaries die when it returns: held
+    # to the end of this body they were 100 bytes a stub of heap churn (USAGE "Performance")
+    stubs = _shuffle_stubs(stubs, window, n, rng, global_rows)
+    rows, cols = _edge_coordinates(stubs, n)
+    data = np.ones(rows.size, dtype=np.float64)
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
+def _shuffle_stubs(stubs, window, n, rng, global_rows) -> np.ndarray:
+    """``stubs`` in the order of their locality-limited random sort keys."""
+    keys = rng.uniform(0.0, window, size=stubs.size)
+    keys += stubs
     if global_rows is not None and len(global_rows) > 0:
         is_global = np.isin(stubs, np.asarray(global_rows, dtype=np.int64))
         keys[is_global] = rng.uniform(0.0, float(n), size=int(is_global.sum()))
-    order = np.argsort(keys, kind="stable")
-    stubs = stubs[order]
+    return stubs[np.argsort(keys, kind="stable")]
 
+
+def _edge_coordinates(stubs, n) -> tuple[np.ndarray, np.ndarray]:
+    """COO rows and columns of the symmetric pattern that pairs up consecutive
+    ``stubs``: self-loops and duplicate edges dropped, unit diagonal added."""
     u = stubs[0::2]
     v = stubs[1::2]
     keep = u != v
     u, v = u[keep], v[keep]
     # canonicalize and dedupe
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    key = lo * np.int64(n) + hi
-    uniq = np.unique(key)
-    lo = (uniq // n).astype(np.int64)
-    hi = (uniq % n).astype(np.int64)
-
-    rows = np.concatenate([lo, hi, np.arange(n, dtype=np.int64)])
-    cols = np.concatenate([hi, lo, np.arange(n, dtype=np.int64)])
-    data = np.ones(rows.size, dtype=np.float64)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    key = np.minimum(u, v)
+    key *= np.int64(n)
+    key += np.maximum(u, v)
+    lo, hi = np.divmod(sorted_unique(key), np.int64(n))
+    idx = sp.get_index_dtype(maxval=n)  # what csr_matrix would convert them to
+    diag = np.arange(n, dtype=idx)
+    return np.concatenate([lo, hi, diag], dtype=idx), np.concatenate([hi, lo, diag], dtype=idx)
 
 
 def _top_up_rows(
@@ -200,7 +211,7 @@ def _top_up_rows(
         shape=A.shape,
     )
     out = (A + extra).tocsr()
-    out.data = np.ones_like(out.data)
+    out.data.fill(1.0)  # in place: the sum is ours, no second nnz-sized array
     return out
 
 

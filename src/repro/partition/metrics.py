@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from ..arrayops import sorted_unique
 from ..errors import PartitionError
 from .base import Partition
 
@@ -67,7 +68,7 @@ def connectivity_volume(A: sp.spmatrix, partition: Partition) -> int:
     key = coo.col.astype(np.int64) * np.int64(partition.K) + parts[coo.row]
     owner_key = np.arange(n, dtype=np.int64) * np.int64(partition.K) + parts
     lam = np.zeros(n, dtype=np.int64)
-    uniq = np.unique(np.concatenate([key, owner_key]))
+    uniq = sorted_unique(np.concatenate([key, owner_key]))
     np.add.at(lam, (uniq // partition.K).astype(np.int64), 1)
     # columns with no nonzeros contribute lambda=1 (owner only) -> 0
     return int(np.maximum(lam - 1, 0).sum())

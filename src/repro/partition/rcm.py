@@ -36,6 +36,9 @@ def rcm_order(A: sp.spmatrix, *, dense_row_factor: float | None = 10.0) -> np.nd
     A = sp.csr_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise PartitionError("RCM ordering needs a square matrix")
+    # only the structure is ordered: int8 ones keep the symmetrized copies at
+    # 5 bytes an entry, where A's float64 values made them 12
+    A = sp.csr_matrix((np.ones(A.indices.shape, dtype=np.int8), A.indices, A.indptr), shape=A.shape)
     pattern = sp.csr_matrix(A + A.T)
     if dense_row_factor is not None:
         deg = np.diff(pattern.indptr)
@@ -43,7 +46,7 @@ def rcm_order(A: sp.spmatrix, *, dense_row_factor: float | None = 10.0) -> np.nd
         dense = deg > threshold
         if dense.any() and not dense.all():
             keep = ~dense
-            mask = sp.diags(keep.astype(np.float64), format="csr")
+            mask = sp.diags(keep.astype(np.int8), format="csr", dtype=np.int8)
             pattern = sp.csr_matrix(mask @ pattern @ mask)
     return np.asarray(
         reverse_cuthill_mckee(sp.csr_matrix(pattern), symmetric_mode=True),

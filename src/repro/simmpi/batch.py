@@ -49,6 +49,7 @@ runs — never silently mis-simulated.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -64,34 +65,46 @@ __all__ = ["BatchSimMPI"]
 
 def _edges_from_payloads(
     payloads: Sequence[Mapping[int, Any]], K: int
-) -> tuple[list[int], list[int], list[Any], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Flatten per-rank payload dicts into edge arrays, dict order kept.
 
-    The flat order — ranks ascending, and within a rank the dict's
+    Returns ``(source, destination, payload, words)`` per edge, the
+    payloads as an object array that delivery gathers by index.  The
+    flat order — ranks ascending, and within a rank the dict's
     insertion order — is exactly the order the event engine's process
     functions iterate ``send_data.items()``, which is what makes the
     per-sender send sequence (and hence every ``seq`` tie-break)
     reproducible.
     """
-    esrc: list[int] = []
-    edst: list[int] = []
-    epay: list[Any] = []
     if len(payloads) != K:
         raise SimMPIError(
             f"engine='batch' got {len(payloads)} payload dicts for K={K} ranks"
         )
-    for r, send_data in enumerate(payloads):
-        for dst, payload in send_data.items():
-            esrc.append(r)
-            edst.append(int(dst))
-            epay.append(payload)
-    sizes = np.empty(len(epay), dtype=np.int64)
-    for i, payload in enumerate(epay):
-        try:
-            sizes[i] = len(payload)
-        except TypeError as exc:
-            raise PlanError("payloads must be sized (len()-able) objects") from exc
+    counts = np.fromiter(map(len, payloads), np.int64, count=K)
+    esrc = np.repeat(np.arange(K, dtype=np.int64), counts)
+    edst = np.fromiter(chain.from_iterable(payloads), np.int64, count=esrc.size)
+    epay = np.fromiter(
+        chain.from_iterable(p.values() for p in payloads), object, count=esrc.size
+    )
+    try:
+        sizes = np.fromiter(map(len, epay), np.int64, count=esrc.size)
+    except TypeError as exc:
+        raise PlanError("payloads must be sized (len()-able) objects") from exc
     return esrc, edst, epay, sizes
+
+
+def _delivery_lists(
+    esrc: np.ndarray, epay: np.ndarray, order: np.ndarray, counts: np.ndarray
+) -> list[list[tuple[int, Any]]]:
+    """Per-rank ``(origin, payload)`` lists from edges in delivery order.
+
+    ``order`` holds edge indices grouped by receiver, ranks ascending,
+    each rank's edges in its delivery order; ``counts[r]`` is rank
+    ``r``'s share.
+    """
+    pairs = list(zip(esrc[order].tolist(), epay[order]))
+    ends = np.cumsum(counts).tolist()
+    return [pairs[a:b] for a, b in zip([0] + ends, ends)]
 
 
 class BatchSimMPI(SimMPI):
@@ -369,10 +382,8 @@ class BatchSimMPI(SimMPI):
         if vpt.K != K:
             raise SimMPIError(f"vpt K={vpt.K} does not match engine K={K}")
         n = vpt.n
-        esrc_l, edst_l, epay, esize = _edges_from_payloads(payloads, K)
+        esrc, edst, epay, esize = _edges_from_payloads(payloads, K)
         E = len(epay)
-        esrc = np.asarray(esrc_l, dtype=np.int64)
-        edst = np.asarray(edst_l, dtype=np.int64)
 
         # payload dicts must agree with the planned pattern — on any
         # mismatch the event engine would stall mid-exchange, so refuse
@@ -543,12 +554,8 @@ class BatchSimMPI(SimMPI):
             dr = np.concatenate(del_rank_parts)
             de = np.concatenate(del_edge_parts)
             gord = np.argsort(dr, kind="stable")
-            gb = np.searchsorted(dr[gord], np.arange(K + 1)).tolist()
-            de_l = de[gord].tolist()
-            delivered: list[list[tuple[int, Any]]] = [
-                [(esrc_l[e], epay[e]) for e in de_l[gb[q] : gb[q + 1]]]
-                for q in range(K)
-            ]
+            cnt = np.bincount(dr, minlength=K)
+            delivered = _delivery_lists(esrc, epay, de[gord], cnt)
         else:
             delivered = [[] for _ in range(K)]
 
@@ -587,9 +594,7 @@ class BatchSimMPI(SimMPI):
         mismatch would stall the event engine, so it is refused by name.
         """
         K = self.K
-        esrc_l, edst_l, epay, esize = _edges_from_payloads(payloads, K)
-        snd = np.asarray(esrc_l, dtype=np.int64)
-        rcv = np.asarray(edst_l, dtype=np.int64)
+        snd, rcv, epay, esize = _edges_from_payloads(payloads, K)
         expected = np.asarray(expected_counts, dtype=np.int64)
         if expected.shape != (K,):
             raise SimMPIError(
@@ -619,9 +624,7 @@ class BatchSimMPI(SimMPI):
             dord, cnt_r = self._sweep_recvs(clocks, snd, rcv, esize, arrive, seq)
             if self._trace_enabled:
                 trace_parts.append((snd, rcv, 0, esize, start, arrive))
-            rcv_l = rcv.tolist()
-            for m in dord.tolist():
-                delivered[rcv_l[m]].append((esrc_l[m], epay[m]))
+            delivered = _delivery_lists(snd, epay, dord, cnt_r)
             if obs is not None:
                 obs.count("direct.messages", int(nm))
                 obs.count("direct.words", int(esize.sum()))

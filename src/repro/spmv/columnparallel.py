@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ..arrayops import sorted_unique
 from ..core.pattern import CommPattern
 from ..core.plan import build_plan
 from ..core.stfw import recv_counts_from_plan, stfw_process
@@ -96,7 +97,7 @@ def columnparallel_pattern(A: sp.spmatrix, partition: Partition) -> CommPattern:
         return CommPattern.from_arrays(K, [], [], [])
     n = A.shape[0]
     key = (src * np.int64(K) + dst) * np.int64(n) + row
-    uniq = np.unique(key)
+    uniq = sorted_unique(key)
     pair = uniq // n
     pair_uniq, counts = np.unique(pair, return_counts=True)
     return CommPattern.from_arrays(

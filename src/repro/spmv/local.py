@@ -144,8 +144,9 @@ def checked_spmv(
     communication — and counts one caught flip.
 
     The tolerance ``atol + rtol * (|u| @ |x|)`` sits ~7 orders of
-    magnitude above float64 roundoff for any realistic local size, and
-    the comparison is written so a NaN/Inf-poisoned sum also fails it.
+    magnitude above float64 roundoff for any realistic local size; a
+    ``y`` holding any non-finite entry fails the check outright (a flip
+    can leave both ``+inf`` and ``-inf``, whose sum is an invalid reduce).
     """
     x_full = np.asarray(x_full, dtype=np.float64)
     u = abft_checksum(block) if checksum is None else checksum
@@ -158,7 +159,7 @@ def checked_spmv(
         y = _inject_compute_flip(y, flip_seed, block.rank, iteration)
     lhs = float(u @ x_full)
     tol = atol + rtol * float(np.abs(u) @ np.abs(x_full))
-    if abs(float(np.sum(y)) - lhs) <= tol:
+    if np.isfinite(y).all() and abs(float(np.sum(y)) - lhs) <= tol:
         return y, 0
     # checksum mismatch: silent corruption caught, recompute locally
     return block.A_local @ x_full, 1

@@ -160,6 +160,18 @@ class TestRcmPartition:
         order = rcm_order(A)
         assert sorted(order) == list(range(128))
 
+    @pytest.mark.parametrize("dense_row_factor", [10.0, 0.5, None])
+    def test_order_depends_on_structure_only(self, dense_row_factor):
+        # the ordering graph is built from int8 ones, not from A's values: values that
+        # cancel in A + A.T (a skew-symmetric part) must not drop edges from it
+        A = sp.csr_matrix(generate_matrix(300, 300 * 8, 120, 0.8, locality=0.6, seed=3))
+        want = rcm_order(A, dense_row_factor=dense_row_factor)
+        skew = sp.triu(A, k=1) - sp.tril(A, k=-1) + sp.eye(300)
+        assert (skew + skew.T).nnz < A.nnz  # the off-diagonal values do cancel
+        for B in (skew, A.astype(np.float32), A * -3.5):
+            got = rcm_order(sp.csr_matrix(B), dense_row_factor=dense_row_factor)
+            assert np.array_equal(got, want)
+
     def test_rectangular_rejected(self):
         with pytest.raises(PartitionError):
             rcm_order(sp.random(4, 5, density=0.5, format="csr"))

@@ -18,7 +18,8 @@ from repro.network import BGQ, CRAY_XC40, CRAY_XK7
 from repro.obs import Tracer
 from repro.simmpi import FaultPlan, SimMPI, engine_names, run_spmd
 from repro.simmpi.analysis import to_chrome_trace
-from repro.simmpi.batch import BatchSimMPI
+from repro.core.stfw import _default_payloads
+from repro.simmpi.batch import BatchSimMPI, _edges_from_payloads
 
 
 def deep_eq(x, y):
@@ -54,6 +55,11 @@ def counter_keys(tracer):
          tuple(sorted(labels.items())) if labels else (), value)
         for name, track, labels, value in tracer.counter_rows()
     )
+
+
+def edge_triples(pattern):
+    """``(src, dst, words)`` of every message, as Python ints, in pattern order."""
+    return zip(pattern.src.tolist(), pattern.dst.tolist(), pattern.size.tolist())
 
 
 MACHINES = {"bgq": BGQ, "xc40": CRAY_XC40, "xk7": CRAY_XK7}
@@ -128,6 +134,30 @@ class TestExchangeEquivalence:
             pattern, vpt, machine=CRAY_XK7, trace=True, engine="batch"
         )
         assert_same_result(base.run, got.run, "(K=96)")
+
+    @pytest.mark.parametrize("kind", ["list", "tuple", "ndarray"])
+    def test_non_power_of_two_K_user_payloads(self, kind):
+        pattern = CommPattern.random(96, avg_degree=5, seed=9, words=3)
+        vpt = make_vpt(96, 2)
+        make = {
+            "list": lambda s, t, w: [s, t] * (w // 2) + [w] * (w % 2),
+            "tuple": lambda s, t, w: (float(s - t),) * w,
+            "ndarray": lambda s, t, w: np.arange(w, dtype=np.float32) + s,
+        }[kind]
+        payloads = [{} for _ in range(96)]
+        for s, t, w in edge_triples(pattern):
+            payloads[s][t] = make(s, t, w)
+        base = run_exchange(
+            pattern, vpt, machine=CRAY_XK7, trace=True, payloads=payloads
+        )
+        got = run_exchange(
+            pattern, vpt, machine=CRAY_XK7, trace=True, payloads=payloads,
+            engine="batch",
+        )
+        assert_same_result(base.run, got.run, f"(K=96, {kind} payloads)")
+        # user payloads are delivered as the objects that were passed
+        for r, msgs in enumerate(got.delivered):
+            assert all(p is payloads[s][r] for s, p in msgs)
 
     def test_rerun_is_deterministic(self, pattern):
         vpt = make_vpt(64, 2)
@@ -257,6 +287,51 @@ class TestEagerRefusals:
                 pattern, make_vpt(16, 2), machine=BGQ, payloads=payloads,
                 engine="batch",
             )
+
+
+class TestPayloadContract:
+    """Default payloads and the payload-dict flattening of the batch path."""
+
+    @pytest.fixture(scope="class")
+    def pattern(self):
+        # shuffled so per-rank dict order is not destination order
+        base = CommPattern.random(24, avg_degree=4, seed=5, words=3)
+        src, dst, size = base.src, base.dst, base.size
+        order = np.random.default_rng(0).permutation(src.size)
+        return CommPattern(24, src[order], dst[order], size[order] + order % 3)
+
+    def test_default_payloads_match_per_message_fill(self, pattern):
+        K = pattern.K
+        want = [{} for _ in range(K)]
+        for s, t, w in edge_triples(pattern):
+            want[s][t] = np.full(w, s * K + t, dtype=np.int64)
+        got = _default_payloads(pattern)
+        assert [list(d) for d in got] == [list(d) for d in want]
+        assert deep_eq(got, want)
+
+    def test_delivered_default_payloads_do_not_overlap(self, pattern):
+        out = run_exchange(pattern, dims=2, machine=BGQ, engine="batch")
+        pairs = [(s, r, p) for r, msgs in enumerate(out.delivered) for s, p in msgs]
+        for i, (_, _, p) in enumerate(pairs):
+            p[:] = -1 - i
+        for i, (s, r, p) in enumerate(pairs):
+            assert p.size == pattern.size[pattern.edge_rows([s], [r])[0]]
+            assert (p == -1 - i).all()
+
+    def test_flattening_keeps_rank_and_dict_order(self):
+        payloads = [{2: "ab", 1: (7,)}, {}, {0: [1, 2, 3]}]
+        esrc, edst, epay, words = _edges_from_payloads(payloads, 3)
+        assert esrc.tolist() == [0, 0, 2] and edst.tolist() == [2, 1, 0]
+        assert epay.tolist() == ["ab", (7,), [1, 2, 3]]
+        assert words.tolist() == [2, 1, 3] and words.dtype == np.int64
+
+    def test_wrong_dict_count_refused(self):
+        with pytest.raises(SimMPIError, match="2 payload dicts for K=3"):
+            _edges_from_payloads([{}, {}], 3)
+
+    def test_unsized_payload_refused(self):
+        with pytest.raises(PlanError, match="sized"):
+            _edges_from_payloads([{1: 3.5}, {}], 2)
 
 
 class TestEngineRegistry:
