@@ -2,14 +2,13 @@
 
 Besides the plain data records (:class:`Envelope`, :class:`TraceRecord`,
 :class:`RunResult`) this module owns :class:`Mailbox` — the per-rank
-message store the event-driven engine matches receives against.  It
-replaces the seed engine's linear-scan ``deque`` with four indexes so a
-``recv`` completes in O(log n) regardless of how many unrelated
-messages are queued:
+message store the event-driven engine matches receives against.  Its
+indexes make a ``recv`` complete in O(log n) regardless of how many
+unrelated messages are queued:
 
-* a ``(source, tag) -> deque`` map for fully-specified receives (per
-  source, posting order equals virtual arrival order, so a plain FIFO
-  is already arrival-ordered);
+* a ``(source, tag) -> channel slot`` map for fully-specified receives
+  (per source, posting order equals virtual arrival order, so a plain
+  FIFO is already arrival-ordered);
 * a per-source heap for ``recv(source=s, tag=ANY_TAG)``;
 * a per-tag heap for ``recv(source=ANY_SOURCE, tag=t)`` (the hot path
   of the store-and-forward stage loop);
@@ -22,10 +21,10 @@ envelope with the **earliest virtual arrival time**, ties broken by
 sender rank and then sender program order.  The key depends only on
 *what was sent*, never on the order the engine discovered it, so the
 serial and sharded backends match wildcards identically even at exact
-arrival-time ties.  The wildcard heaps are created lazily, per flavor,
-on first use; an envelope may live in several indexes at once, so
-consuming it through one marks it ``consumed`` and the stale entries
-elsewhere are skipped lazily on their next pop.
+arrival-time ties.  An in-flight message owns a constant number of small
+objects (the envelope, its key and one entry per active heap) and a
+receive releases them; see :class:`Mailbox` for the ownership and
+lazy-invalidation rules.
 """
 
 from __future__ import annotations
@@ -79,8 +78,8 @@ class Envelope:
     sender's send sequence number — unique per ``(source, dest)`` and
     identical across engine backends, which makes the wildcard
     tie-break key ``(arrive_time, source, seq)`` canonical.
-    ``consumed`` flips when a receive matches the envelope; stale index
-    entries check it.
+    ``consumed`` flips when a receive matches the envelope; an entry for
+    it left in another wildcard index is recognised by it and discarded.
     """
 
     source: int
@@ -97,19 +96,34 @@ class Envelope:
 class Mailbox:
     """Per-rank message store with indexed, arrival-ordered matching.
 
-    The per-``(source, tag)`` FIFO deques are always maintained (a post
-    is one dict lookup plus an append).  The three wildcard heap
-    indexes are **activated lazily**, per flavor, the first time a
-    matching wildcard receive runs — a rank that only ever posts fully
-    specified receives (or only ``recv(tag=d)``, the STFW stage loop)
-    never pays for indexes it does not use.  Once a heap exists it is
-    kept current by subsequent posts.
+    **Who owns an envelope when.**  From :meth:`post` until the receive
+    that takes it, an envelope is owned by its ``(source, tag)``
+    *channel slot* in the by-key index: the bare envelope while it is
+    the only one in flight on that channel (the common case — no
+    container is allocated for it), a FIFO ``deque`` once a second one
+    arrives.  :meth:`match` releases the slot whichever flavour of
+    receive took the envelope, so a delivered message leaves nothing
+    behind: an idle mailbox has ``len() == 0`` and an empty index.
+    Because a sender's clock is monotone, the head of a channel is also
+    the earliest envelope of that channel in every arrival-ordered
+    index, so "remove the channel head" is always the right release.
+
+    The three wildcard heap indexes are **activated lazily**, per
+    flavour, the first time a matching wildcard receive runs — a rank
+    that only ever posts fully specified receives (or only
+    ``recv(tag=d)``, the STFW stage loop) never pays for indexes it does
+    not use.  Once a heap exists it is kept current by subsequent posts.
+    **Lazy-invalidation rule:** the index a receive matched through
+    drops its entry at once; an entry for the same envelope in *another*
+    active index (mixed receive flavours on one mailbox) is marked by
+    ``Envelope.consumed`` and discarded when it reaches the top of that
+    heap.
     """
 
     __slots__ = ("_by_key", "_src_heaps", "_tag_heaps", "_any_heap", "_wild", "_len")
 
     def __init__(self) -> None:
-        self._by_key: dict[tuple[int, int], deque[Envelope]] = {}
+        self._by_key: dict[tuple[int, int], Envelope | deque[Envelope]] = {}
         #: lazily-activated wildcard indexes; a missing entry means no
         #: wildcard receive of that flavor has run yet
         self._src_heaps: dict[int, list[tuple[float, int, int, Envelope]]] = {}
@@ -126,18 +140,22 @@ class Mailbox:
     def post(self, env: Envelope) -> None:
         """File one envelope; updates whichever indexes are active."""
         key = (env.source, env.tag)
-        q = self._by_key.get(key)
-        if q is None:
-            q = self._by_key[key] = deque()
-        q.append(env)
+        slot = self._by_key.get(key)
+        if slot is None:
+            self._by_key[key] = env
+        elif slot.__class__ is deque:
+            slot.append(env)
+        else:
+            self._by_key[key] = deque((slot, env))
         if self._wild:
             entry = (env.arrive_time, env.source, env.seq, env)
-            heap = self._src_heaps.get(env.source)
-            if heap is not None:
-                heappush(heap, entry)
             heap = self._tag_heaps.get(env.tag)
             if heap is not None:
                 heappush(heap, entry)
+            if self._src_heaps:
+                heap = self._src_heaps.get(env.source)
+                if heap is not None:
+                    heappush(heap, entry)
             if self._any_heap is not None:
                 heappush(self._any_heap, entry)
         self._len += 1
@@ -149,7 +167,7 @@ class Mailbox:
         before: float | None = None,
         horizon: float | None = None,
     ) -> Envelope | None:
-        """Pop the envelope a ``recv(source, tag)`` should receive.
+        """Remove and return the envelope a ``recv(source, tag)`` should receive.
 
         Fully-specified receives are FIFO per (source, tag); wildcard
         receives take the earliest ``arrive_time`` among the matching
@@ -168,10 +186,33 @@ class Mailbox:
         instant.  Candidates are arrival-ordered in every index, so
         checking only the head is exact.
         """
-        env = self._select(source, tag, before, horizon, pop=True)
-        if env is not None:
-            env.consumed = True
-            self._len -= 1
+        heap = None
+        if source != ANY_SOURCE and tag != ANY_TAG:
+            slot = self._by_key.get((source, tag))
+            if slot is None:
+                return None
+            env = slot[0] if slot.__class__ is deque else slot
+        else:
+            heap = self._heap(source, tag)
+            if not heap:
+                return None
+            env = heap[0][3]
+        if (before is not None and env.arrive_time > before) or (
+            horizon is not None and env.arrive_time >= horizon
+        ):
+            return None
+        if heap is not None:
+            heappop(heap)
+        key = (env.source, env.tag)
+        slot = self._by_key[key]
+        if slot is env:
+            del self._by_key[key]
+        else:
+            slot.popleft()
+            if not slot:
+                del self._by_key[key]
+        env.consumed = True
+        self._len -= 1
         return env
 
     def peek_arrival(
@@ -179,47 +220,54 @@ class Mailbox:
     ) -> float | None:
         """Arrival time of the envelope :meth:`match` would return.
 
-        Nothing is consumed.  Conservative engines use this to compute
-        a blocked rank's time floor: the earliest instant at which the
-        rank could possibly resume (and therefore send again).
+        Nothing is consumed.  Conservative engines call this where a
+        rank blocks, to learn its time floor: the earliest instant at
+        which the rank could possibly resume (and therefore send again).
         """
-        env = self._select(source, tag, before, None, pop=False)
-        return None if env is None else env.arrive_time
-
-    def _select(
-        self,
-        source: int,
-        tag: int,
-        before: float | None,
-        horizon: float | None,
-        *,
-        pop: bool,
-    ) -> Envelope | None:
         if source != ANY_SOURCE and tag != ANY_TAG:
-            return self._scan_deque(self._by_key.get((source, tag)), before, horizon, pop)
-        if source == ANY_SOURCE and tag == ANY_TAG:
-            if self._any_heap is None:
-                self._any_heap = self._build_heap(lambda s, t: True)
-            return self._scan_heap(self._any_heap, before, horizon, pop)
-        if source == ANY_SOURCE:
+            slot = self._by_key.get((source, tag))
+            if slot is None:
+                return None
+            env = slot[0] if slot.__class__ is deque else slot
+        else:
+            heap = self._heap(source, tag)
+            if not heap:
+                return None
+            env = heap[0][3]
+        if before is not None and env.arrive_time > before:
+            return None
+        return env.arrive_time
+
+    def _heap(self, source: int, tag: int) -> list[tuple[float, int, int, Envelope]]:
+        """The arrival heap of one wildcard flavour, a live entry on top.
+
+        Built (backfilled from the channel slots) on first use; entries
+        consumed through another index are discarded here.
+        """
+        if source != ANY_SOURCE:
+            heap = self._src_heaps.get(source)
+            if heap is None:
+                heap = self._src_heaps[source] = self._build_heap(lambda s, t: s == source)
+        elif tag != ANY_TAG:
             heap = self._tag_heaps.get(tag)
             if heap is None:
                 heap = self._tag_heaps[tag] = self._build_heap(lambda s, t: t == tag)
-            return self._scan_heap(heap, before, horizon, pop)
-        heap = self._src_heaps.get(source)
-        if heap is None:
-            heap = self._src_heaps[source] = self._build_heap(lambda s, t: s == source)
-        return self._scan_heap(heap, before, horizon, pop)
+        else:
+            heap = self._any_heap
+            if heap is None:
+                heap = self._any_heap = self._build_heap(lambda s, t: True)
+        while heap and heap[0][3].consumed:
+            heappop(heap)
+        return heap
 
     def _build_heap(self, want) -> list[tuple[float, int, int, Envelope]]:
-        """Activate a wildcard index: backfill from the live deques."""
+        """Activate a wildcard index: backfill from the channel slots."""
         self._wild = True
         heap = [
             (env.arrive_time, env.source, env.seq, env)
-            for (s, t), q in self._by_key.items()
+            for (s, t), slot in self._by_key.items()
             if want(s, t)
-            for env in q
-            if not env.consumed
+            for env in (slot if slot.__class__ is deque else (slot,))
         ]
         heapify(heap)
         return heap
@@ -227,16 +275,10 @@ class Mailbox:
     def purge(self) -> int:
         """Drop every unconsumed envelope (a shrink's revoke step).
 
-        Returns the number of envelopes discarded.  Envelopes are
-        marked consumed so stale references in previously-built heaps
-        can never resurface, then all indexes are reset.
+        Returns the number of envelopes discarded; every index is reset,
+        so nothing keeps a reference to them.
         """
-        dropped = 0
-        for q in self._by_key.values():
-            for env in q:
-                if not env.consumed:
-                    env.consumed = True
-                    dropped += 1
+        dropped = self._len
         self._by_key.clear()
         self._src_heaps.clear()
         self._tag_heaps.clear()
@@ -244,48 +286,6 @@ class Mailbox:
         self._wild = False
         self._len = 0
         return dropped
-
-    @staticmethod
-    def _scan_deque(
-        q: deque[Envelope] | None,
-        before: float | None,
-        horizon: float | None,
-        pop: bool,
-    ) -> Envelope | None:
-        while q:
-            env = q[0]
-            if env.consumed:
-                q.popleft()
-                continue
-            if before is not None and env.arrive_time > before:
-                return None
-            if horizon is not None and env.arrive_time >= horizon:
-                return None
-            if pop:
-                q.popleft()
-            return env
-        return None
-
-    @staticmethod
-    def _scan_heap(
-        heap: list[tuple[float, int, int, Envelope]] | None,
-        before: float | None,
-        horizon: float | None,
-        pop: bool,
-    ) -> Envelope | None:
-        while heap:
-            env = heap[0][3]
-            if env.consumed:
-                heappop(heap)
-                continue
-            if before is not None and env.arrive_time > before:
-                return None
-            if horizon is not None and env.arrive_time >= horizon:
-                return None
-            if pop:
-                heappop(heap)
-            return env
-        return None
 
 
 @dataclass(frozen=True)
@@ -321,6 +321,12 @@ class RunResult:
         Injected-fault log (:class:`~repro.simmpi.faults.FaultEvent`);
         empty when no fault fired, so a run under a trivial plan
         compares equal to one with no plan at all.
+    engine_stats:
+        Deterministic counts of the engine's own bookkeeping (quiescent
+        rounds, wakes, match attempts, ... — see
+        :data:`repro.simmpi.runtime.ENGINE_STATS`).  Excluded from
+        equality, so results still compare equal across backends; empty
+        for the batch engine, which has no event loop.
     """
 
     returns: list[Any]
@@ -329,3 +335,4 @@ class RunResult:
     trace: list[TraceRecord] = field(default_factory=list)
     crashed: list[int] = field(default_factory=list)
     fault_events: list = field(default_factory=list)
+    engine_stats: dict = field(default_factory=dict, compare=False)

@@ -11,37 +11,69 @@ state dump.
 
 Engine architecture
 -------------------
-The scheduler is **event-driven**, not a round-robin scan:
+The scheduler is **event-driven**, and does work only for events that
+can occur:
 
 * A **ready deque** holds exactly the ranks that can make progress.
   Each pop drives one rank until it blocks or finishes; a rank blocked
   on a receive or a collective costs *nothing* until the event that
   unblocks it occurs, so an engine step is O(work done), not O(K).
-* Each rank owns an indexed :class:`~repro.simmpi.message.Mailbox`
-  instead of a linear-scan list: fully-specified receives pop a
-  per-``(source, tag)`` FIFO, and wildcard receives pop an
-  arrival-time-ordered heap — O(log n) either way.
-* A rank blocked on a receive registers its ``(source, tag)`` interest
-  (the wait-map is the op itself, since a rank blocks on at most one
-  receive); :meth:`SimMPI._post_send` checks the destination's posted
-  interest and **wakes the receiver directly** when the new envelope
-  matches it.  No other rank is ever inspected on a send.
+* Each rank owns an indexed :class:`~repro.simmpi.message.Mailbox`:
+  fully-specified receives take the head of a per-``(source, tag)``
+  channel, wildcard receives the top of an arrival-time-ordered heap —
+  O(log n) either way.  The mailbox owns an envelope from the send
+  until the receive that takes it, which releases every index slot the
+  message occupied; nothing per message outlives its delivery.
+* A rank blocked on a receive is its own wait-map entry (a rank blocks
+  on at most one receive): :meth:`SimMPI._enqueue` inspects only the
+  destination's posted ``(source, tag)`` interest and wakes it **iff the
+  new envelope is one it can take now**.  No other rank is ever
+  inspected on a send.
+* Quiescence (the ready deque drained) is arbitrated from two lazily
+  invalidated heaps — held wildcard candidates and receive deadlines —
+  pushed where a rank blocks or a post is held, so raising the horizon
+  and finding the next timer cost O(released * log K), not O(K).  An
+  entry is never searched for and removed: it is *live* iff it still
+  describes its rank (same deadline, same earliest candidate, still
+  blocked), and a dead one is dropped when it surfaces at the top.
 * Collective completion is counter-driven: the engine tracks how many
   live ranks are blocked on which collective kind, so the
   "all K ranks have entered the same collective" check is O(1) and only
   runs when the ready deque drains.
+
+``RunResult.engine_stats`` (:data:`ENGINE_STATS`) counts these steps —
+rounds, wakes, match attempts, deliveries — exactly, for any run.
 
 Wildcard matching semantics
 ---------------------------
 ``recv(ANY_SOURCE, ...)`` / ``recv(..., ANY_TAG)`` receives are
 **arrival-time ordered**: among the waiting envelopes that match, the
 one with the earliest virtual ``arrive_time`` is delivered first (ties
-broken by engine posting order).  The seed engine matched wildcard
-receives in engine posting order, which could deliver a message that
-arrives *later* in virtual time than another waiting envelope and
-inflate makespans; the indexed matcher fixes that.  Fully-specified
-receives remain FIFO per ``(source, tag)`` (which per source is the
-same as arrival order, since a sender's clock is monotone).
+broken by sender rank, then sender program order).  Fully-specified
+receives are FIFO per ``(source, tag)`` (which per source is the same
+as arrival order, since a sender's clock is monotone).
+
+With a machine attached matching is **conservative**: every send costs
+at least the lookahead ``L``, so a wildcard receive may only take an
+envelope arriving strictly before the safe **horizon** — a rival not
+yet sent must arrive at or after it.  That makes delivery a pure
+function of virtual time, and it gives the engine the invariant the
+three mechanisms above share:
+
+    *a rank blocked in a wildcard receive never holds a matching
+    envelope that arrives before the horizon.*
+
+It holds when the rank blocks (the match that failed was gated by the
+horizon), it is kept by a post (an envelope arriving before the horizon
+wakes the receiver; one at or after it is only recorded as the rank's
+held candidate — waking would find nothing to take), and it is restored
+by a horizon raise to ``H2``, which wakes exactly the ranks whose
+earliest held candidate is ``< H2``, in ascending rank order.  So at
+quiescence a blocked rank's floor — the earliest time it can resume —
+is its earliest held candidate or its deadline, both already on the
+heaps, and the horizon rises to ``min floor + L`` without visiting a
+rank.  Machine-less runs have no positive ``L``; they keep the eager
+rule (a matching post always wakes) and never consult the horizon.
 
 Time model
 ----------
@@ -82,9 +114,10 @@ deadlock, reported as :class:`~repro.errors.DeadlockError` carrying a
 machine-readable :class:`~repro.errors.PendingOp` list.
 
 Determinism: the ready deque is seeded in rank order, ranks are woken
-in posting order, message matching follows the rules above, and timer
-events fire in (time, kind, rank) order, so a run is a pure function
-of its inputs (including the fault plan's seed).
+in posting order (a horizon raise wakes in rank order), message matching
+follows the rules above, and timer events fire in (time, kind, rank)
+order, so a run is a pure function of its inputs (including the fault
+plan's seed).
 """
 
 from __future__ import annotations
@@ -92,6 +125,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
@@ -125,6 +159,7 @@ __all__ = [
     "SimMPI",
     "run_spmd",
     "RECV_ALPHA_FRACTION",
+    "ENGINE_STATS",
     "collective_outcome",
     "engine_lookahead",
     "shrink_cost",
@@ -152,6 +187,24 @@ RECV_ALPHA_FRACTION = 0.4
 #: wholesale — real patterns re-warm the few hundred hot pairs in one
 #: exchange round, so eviction policy does not matter.
 _HOPS_CACHE_MAX = 65536
+
+#: names of the deterministic bookkeeping counts a run reports as
+#: ``RunResult.engine_stats``: drained-deque arbitration rounds; ranks
+#: put on the ready deque after the initial seeding; wakes that found
+#: nothing to receive; wildcard receivers released by a horizon raise;
+#: timer events fired; mailbox match calls; messages delivered; hop-count
+#: memo misses; and the largest number of envelopes in flight at once
+ENGINE_STATS = (
+    "quiescent_rounds",
+    "wakes",
+    "stale_wakes",
+    "held_released",
+    "timer_fires",
+    "match_attempts",
+    "deliveries",
+    "hop_memo_misses",
+    "mailbox_peak_live",
+)
 
 _RecvOp = RecvRequest
 _BarrierOp = BarrierOp
@@ -337,10 +390,12 @@ class Comm:
                 raise SimMPIError(
                     f"rank {self.rank}: payload has no len(); pass words= explicitly"
                 ) from exc
+        elif type(words) is not int:
+            words = self._check_words("send", words)
         # fast path: one combined range check covers the overwhelmingly
         # common valid call; the specific errors live on the cold path
         if 0 <= dest < self.size and tag >= 0 and words >= 0:
-            self._engine._post_send(self.rank, dest, tag, payload, int(words))
+            self._engine._post_send(self.rank, dest, tag, payload, words)
             return
         if not 0 <= dest < self.size:
             raise SimMPIError(
@@ -371,7 +426,7 @@ class Comm:
         return _RecvOp(source, tag, timeout_us)
 
     def _check_words(self, op_name: str, words: Any) -> int:
-        """Eagerly validate a collective's ``words=`` argument.
+        """Eagerly validate a ``words=`` argument that is not a plain ``int``.
 
         Errors name the rank and the argument (``words``) so a typo'd
         size fails at the call site, not deep inside the cost model.
@@ -507,6 +562,7 @@ class _ProcState:
         "resume_value",
         "queued",
         "send_seq",
+        "held",
     )
 
     def __init__(self, gen: Generator | None):
@@ -522,6 +578,9 @@ class _ProcState:
         self.resume_value: Any = None
         #: True while the rank sits in the engine's ready deque
         self.queued = False
+        #: while blocked in a conservative wildcard receive: arrival time
+        #: of the earliest matching envelope it holds (inf if none)
+        self.held = math.inf
 
 
 class SimMPI:
@@ -635,7 +694,18 @@ class SimMPI:
             self._map_list = []
             self._hops_cache = {}
         self._procs: list[_ProcState] = []
+        #: the ranks this engine runs (a shard worker runs a sub-range)
+        self._owned = range(self.K)
         self._ready: deque[int] = deque()
+        #: lazily invalidated min-heaps kept where a rank blocks or a post
+        #: is held: ``(candidate arrival, rank)`` of blocked wildcard
+        #: receivers and ``(deadline, rank)`` of blocked timed receives.
+        #: An entry is live iff it still describes its rank (see
+        #: :meth:`_recv_floors`); dead ones are dropped when they surface.
+        self._held: list[tuple[float, int]] = []
+        self._deadlines: list[tuple[float, int]] = []
+        self._stats = dict.fromkeys(ENGINE_STATS, 0)
+        self._live = 0
         self._num_finished = 0
         #: ranks currently blocked on a collective, and a kind -> count
         #: map over them; together they make the completion check O(1)
@@ -661,6 +731,7 @@ class SimMPI:
             if len(cache) >= _HOPS_CACHE_MAX:
                 cache.clear()
             hops = cache[pair] = self._topology.hops(*pair)
+            self._stats["hop_memo_misses"] += 1
         cost = m.alpha_us + m.alpha_hop_us * hops + m.beta_us_per_word * words
         if (
             self.rendezvous_threshold_words is not None
@@ -726,32 +797,14 @@ class SimMPI:
                         "fault.flip", start, track=source, cat="fault",
                         dest=dest, tag=tag, words=words,
                     )
-        env = Envelope(
-            source=source,
-            dest=dest,
-            tag=tag,
-            payload=payload,
-            words=words,
-            send_time=start,
-            arrive_time=sender.clock,
-            seq=sender.send_seq,
-        )
+        arrive = sender.clock
+        self._enqueue(Envelope(source, dest, tag, payload, words, start, arrive, sender.send_seq))
         sender.send_seq += 1
-        dest_state = self._procs[dest]
-        dest_state.mailbox.post(env)
         if duplicate:
-            twin = Envelope(
-                source=source,
-                dest=dest,
-                tag=tag,
-                payload=payload,
-                words=words,
-                send_time=start,
-                arrive_time=env.arrive_time,
-                seq=sender.send_seq,
+            self._enqueue(
+                Envelope(source, dest, tag, payload, words, start, arrive, sender.send_seq)
             )
             sender.send_seq += 1
-            dest_state.mailbox.post(twin)
         if obs is not None:
             obs.count("engine.sends", 1, track=source)
             obs.count("engine.sent_words", words, track=source)
@@ -760,28 +813,57 @@ class SimMPI:
                     "fault.duplicate", start, track=source, cat="fault",
                     dest=dest, tag=tag,
                 )
-        # wait-map lookup: wake the receiver iff it posted a matching
-        # (source, tag) interest — no other rank is ever inspected.  A
-        # timed receive is only woken by envelopes arriving within its
-        # deadline; a later arrival belongs to some future receive and
-        # the pending one resolves via its timer.
-        op = dest_state.blocked_on
-        if (
-            isinstance(op, _RecvOp)
-            and (op.source == ANY_SOURCE or op.source == source)
-            and (op.tag == ANY_TAG or op.tag == tag)
-            and (op.deadline is None or env.arrive_time <= op.deadline)
-        ):
-            self._wake(dest)
+
+    def _enqueue(self, env: Envelope) -> None:
+        """File ``env`` at its destination and tell a receiver it can unblock.
+
+        Wait-map lookup: only the destination's posted ``(source, tag)``
+        interest is inspected, never another rank.  A timed receive
+        ignores envelopes arriving after its deadline (they belong to
+        some future receive; the pending one resolves via its timer).
+        A conservative wildcard receive cannot take an envelope arriving
+        at or after the horizon, so the rank is not woken for one: the
+        arrival is recorded as its held candidate and the horizon raise
+        that passes it does the waking.
+        """
+        dest = env.dest
+        state = self._procs[dest]
+        state.mailbox.post(env)
+        self._live = live = self._live + 1
+        if live > self._stats["mailbox_peak_live"]:
+            self._stats["mailbox_peak_live"] = live
+        op = state.blocked_on
+        if op.__class__ is _RecvOp:
+            source = op.source
+            tag = op.tag
+            arrive = env.arrive_time
+            if (
+                (source == ANY_SOURCE or source == env.source)
+                and (tag == ANY_TAG or tag == env.tag)
+                and (op.deadline is None or arrive <= op.deadline)
+            ):
+                if (
+                    self._conservative
+                    and (source == ANY_SOURCE or tag == ANY_TAG)
+                    and arrive >= self._horizon
+                ):
+                    if arrive < state.held:
+                        state.held = arrive
+                        heappush(self._held, (arrive, dest))
+                else:
+                    self._wake(dest)
 
     def _wake(self, rank: int) -> None:
         state = self._procs[rank]
         if not state.queued:
             state.queued = True
             self._ready.append(rank)
+            self._stats["wakes"] += 1
 
     def _deliver(self, rank: int, state: _ProcState, env: Envelope) -> tuple[int, int, Any]:
         state.clock = max(state.clock, env.arrive_time) + self._recv_cost(rank, env.words)
+        self._live -= 1
+        self._stats["deliveries"] += 1
         if self._trace_enabled:
             self.trace.append(
                 TraceRecord(
@@ -808,7 +890,12 @@ class SimMPI:
         self.trace = []
         self._procs = [_ProcState(None) for _ in range(self.K)]
         self._ready = ready = deque()
-        self._num_finished = 0
+        self._held = []
+        self._deadlines = []
+        self._stats = dict.fromkeys(ENGINE_STATS, 0)
+        self._live = 0
+        #: ranks run elsewhere stay finished placeholders
+        self._num_finished = self.K - len(self._owned)
         self._coll_blocked = 0
         self._coll_kinds = {}
         self._acked_dead = set()
@@ -816,9 +903,8 @@ class SimMPI:
         self._faults = (
             None if self.fault_plan is None else FaultState(self.fault_plan, self.K)
         )
-        comms = [Comm(self, r) for r in range(self.K)]
-        for r in range(self.K):
-            out = proc_factory(comms[r])
+        for r in self._owned:
+            out = proc_factory(Comm(self, r))
             state = self._procs[r]
             if isinstance(out, Generator):
                 state.gen = out
@@ -839,6 +925,7 @@ class SimMPI:
         Fully-specified receives need no gate — a channel's FIFO order
         is arrival order regardless of discovery interleaving.
         """
+        self._stats["match_attempts"] += 1
         if self._conservative and (op.source == ANY_SOURCE or op.tag == ANY_TAG):
             return state.mailbox.match(op.source, op.tag, op.deadline, self._horizon)
         return state.mailbox.match(op.source, op.tag, op.deadline)
@@ -858,7 +945,8 @@ class SimMPI:
                     continue  # collectives resume via _complete_collective
                 env = self._match_recv(state, op)
                 if env is None:
-                    continue  # stale wake; stay blocked
+                    self._stats["stale_wakes"] += 1
+                    continue  # stay blocked
                 state.blocked_on = None
                 state.resume_value = self._deliver(r, state, env)
             self._drive(r, state)
@@ -883,6 +971,7 @@ class SimMPI:
             trace=trace,
             crashed=[] if fs is None else sorted(fs.crashed),
             fault_events=[] if fs is None else sorted(fs.events, key=fault_sort_key),
+            engine_stats=dict(self._stats),
         )
 
     def run(self, proc_factory: Callable[[Comm], Generator | Any]) -> RunResult:
@@ -909,6 +998,7 @@ class SimMPI:
             # held envelopes land before any collective or timer
             # resolves — which is what keeps the backends bit-identical.
             alive_count = self.K - self._num_finished
+            self._stats["quiescent_rounds"] += 1
             if self._conservative and self._raise_horizon_at_quiescence():
                 continue
             if self._coll_blocked == alive_count and len(self._coll_kinds) == 1:
@@ -955,53 +1045,73 @@ class SimMPI:
         resume only through a completion, which raises the horizon
         itself).  Any future send then arrives at or after
         ``min_floor + lookahead``, so the horizon may rise to that
-        bound; if the raise releases a held wildcard candidate, the
-        blocked receivers are woken and the caller must re-drain before
+        bound; if the raise releases a held wildcard candidate, its
+        receiver is woken and the caller must re-drain before
         arbitrating collectives or timers.  Returns True iff a held
         envelope was released.
         """
-        min_floor = math.inf
-        min_held = math.inf
-        for r in range(self.K):
-            state = self._procs[r]
-            if state.finished:
-                continue
-            op = state.blocked_on
-            if not isinstance(op, _RecvOp):
-                continue
-            floor = math.inf if op.deadline is None else op.deadline
-            cand = state.mailbox.peek_arrival(op.source, op.tag, op.deadline)
-            if cand is not None:
-                if cand < floor:
-                    floor = cand
-                if (
-                    (op.source == ANY_SOURCE or op.tag == ANY_TAG)
-                    and cand >= self._horizon
-                    and cand < min_held
-                ):
-                    min_held = cand
-            if floor < min_floor:
-                min_floor = floor
+        min_floor = min(self._recv_floors())
         if min_floor == math.inf:
             # nothing recv-blocked: the horizon must NOT jump to
             # infinity — collective completion raises it finitely
             return False
         H2 = min_floor + self._lookahead
-        if H2 <= self._horizon:
-            return False
+        return H2 > self._horizon and self._raise_horizon(H2) > 0
+
+    def _recv_floors(self) -> tuple[float, float]:
+        """``(earliest deadline, earliest held candidate)`` of the blocked receives.
+
+        Valid when nothing is runnable.  At that point a blocked rank
+        never holds a matching envelope it could take (the invariant in
+        the module docstring), so the minimum over ranks of "earliest
+        matchable arrival capped by the deadline" is the smaller of the
+        two heap tops — no rank is visited.  A heap entry is live iff
+        its rank is still blocked in a receive with that very deadline /
+        that very earliest candidate; anything else on top is a leftover
+        of a receive that completed, and is dropped here.
+        """
+        procs = self._procs
+        deadlines = self._deadlines
+        while deadlines:
+            t, r = deadlines[0]
+            op = procs[r].blocked_on
+            if op.__class__ is _RecvOp and op.deadline == t:
+                break
+            heappop(deadlines)
+        held = self._held
+        while held:
+            t, r = held[0]
+            state = procs[r]
+            if state.blocked_on.__class__ is _RecvOp and state.held == t:
+                break
+            heappop(held)
+        return (
+            deadlines[0][0] if deadlines else math.inf,
+            held[0][0] if held else math.inf,
+        )
+
+    def _raise_horizon(self, H2: float) -> int:
+        """Set the horizon to ``H2``; wake the receivers that releases.
+
+        Exactly the blocked wildcard receivers whose earliest candidate
+        arrives before ``H2`` are woken, in ascending rank order.
+        Returns how many.
+        """
         self._horizon = H2
-        if min_held >= H2:
-            return False
-        for r in range(self.K):
-            state = self._procs[r]
-            if state.finished:
-                continue
-            op = state.blocked_on
-            if isinstance(op, _RecvOp) and (
-                op.source == ANY_SOURCE or op.tag == ANY_TAG
-            ):
-                self._wake(r)
-        return True
+        procs = self._procs
+        held = self._held
+        ranks: list[int] = []
+        while held and held[0][0] < H2:
+            t, r = heappop(held)
+            state = procs[r]
+            if state.blocked_on.__class__ is _RecvOp and state.held == t:
+                state.held = math.inf  # a second entry of this rank is dead now
+                ranks.append(r)
+        ranks.sort()
+        for r in ranks:
+            self._wake(r)
+        self._stats["held_released"] += len(ranks)
+        return len(ranks)
 
     def _peek_next_timer(self) -> tuple[float, int, int] | None:
         """Earliest pending virtual-time event as ``(time, kind, rank)``.
@@ -1014,28 +1124,25 @@ class SimMPI:
         is reported at the rank's current clock.  Returns ``None`` when
         no event is pending.
         """
-        fs = self._faults
         best: tuple[float, int, int] | None = None
-        for r in range(self.K):
-            state = self._procs[r]
-            if state.finished:
-                continue
-            if fs is not None:
-                ct = fs.crash_time(r)
-                if ct is not None:
+        if self.fault_plan is not None:
+            for r, ct in self.fault_plan.crashes.items():
+                state = self._procs[r]
+                if not state.finished:
                     key = (max(ct, state.clock), 0, r)
                     if best is None or key < best:
                         best = key
-            op = state.blocked_on
-            if isinstance(op, _RecvOp) and op.deadline is not None:
-                key = (op.deadline, 1, r)
-                if best is None or key < best:
-                    best = key
+        self._recv_floors()  # leaves a live deadline on top, if there is one
+        if self._deadlines:
+            t, r = self._deadlines[0]
+            if best is None or (t, 1, r) < best:
+                best = (t, 1, r)
         return best
 
     def _fire_timer(self, t: float, kind: int, r: int) -> None:
         """Apply one timer event from :meth:`_peek_next_timer`."""
         state = self._procs[r]
+        self._stats["timer_fires"] += 1
         if kind == 0:
             self._kill_rank(r, state, at=t)
         else:
@@ -1119,7 +1226,7 @@ class SimMPI:
                 obs.add_span("shrink", p.clock, t, track=r, cat="collective", dead=len(dead))
             p.clock = t
             p.blocked_on = None
-            p.mailbox.purge()
+            self._live -= p.mailbox.purge()
             p.resume_value = dead
             self._wake(r)
         if count and obs is not None:
@@ -1210,7 +1317,16 @@ class SimMPI:
                 if env is not None:
                     state.resume_value = self._deliver(rank, state, env)
                     continue
+                # block, leaving the rank's floor where quiescence finds it
                 state.blocked_on = op
+                if op.deadline is not None:
+                    heappush(self._deadlines, (op.deadline, rank))
+                state.held = math.inf
+                if self._conservative and (op.source == ANY_SOURCE or op.tag == ANY_TAG):
+                    held = state.mailbox.peek_arrival(op.source, op.tag, op.deadline)
+                    if held is not None:
+                        state.held = held
+                        heappush(self._held, (held, rank))
                 return
             if isinstance(op, _COLLECTIVE_OPS):
                 state.blocked_on = op

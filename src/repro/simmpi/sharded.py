@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import math
 import pickle
-from collections import deque
 from typing import Any, Callable, Generator
 
 import numpy as np
@@ -64,15 +63,14 @@ from ..errors import DeadlockError, ExperimentError, PendingOp, SimMPIError, for
 from ..network.machines import Machine
 from ..parallel import pool_context, resolve_jobs
 from .collectives import ShrinkOp
-from .faults import FaultPlan, FaultState
-from .message import ANY_SOURCE, ANY_TAG, Envelope, RunResult
+from .faults import FaultPlan
+from .message import Envelope, RunResult
 from .runtime import (
     _COLLECTIVE_OPS,
+    ENGINE_STATS,
     Comm,
     SimMPI,
     _ProcState,
-    _RankCrashed,
-    _RecvOp,
     collective_outcome,
     fault_sort_key,
     shrink_cost,
@@ -162,43 +160,17 @@ class _ShardEngine(SimMPI):
     # conservative whenever a machine is present, and a shard always
     # has one — the coordinator drives ``_horizon`` via advance windows
 
-    def _post_send(self, source: int, dest: int, tag: int, payload: Any, words: int) -> None:
-        if self._shard_of[dest] == self._my_shard:
-            super()._post_send(source, dest, tag, payload, words)
+    def _enqueue(self, env: Envelope) -> None:
+        shard = self._shard_of[env.dest]
+        if shard == self._my_shard:
+            super()._enqueue(env)
             return
-        # cross-shard: charge the sender exactly as the serial engine
-        # does, then buffer the envelope for the window barrier
-        if not 0 <= dest < self.K:
-            raise SimMPIError(f"send to rank {dest} outside [0, {self.K})")
-        if words < 0:
-            raise SimMPIError("message words must be non-negative")
-        fs = self._faults
-        sender = self._procs[source]
-        if fs is not None:
-            ct = fs.crash_time(source)
-            if ct is not None and sender.clock >= ct:
-                raise _RankCrashed(source)
-        obs = self._obs
-        start = sender.clock
-        sender.clock += self._send_cost(source, dest, words)
-        if fs is not None:
-            fate = fs.outcome(source, dest, tag, words, start)
-            if fate == "drop":
-                if obs is not None:
-                    obs.instant(
-                        "fault.drop", start, track=source, cat="fault",
-                        dest=dest, tag=tag, words=words,
-                    )
-                return  # the sender paid the cost; the message is gone
-            # duplicate/flip are probabilistic-only and rejected at
-            # construction, so "deliver" is the only other fate here
-        self._outbox[self._shard_of[dest]].append(
-            (source, dest, tag, payload, words, start, sender.clock, sender.send_seq)
+        # cross-shard: the sender was charged exactly as in the serial
+        # engine; buffer the envelope for the window barrier
+        self._outbox[shard].append(
+            (env.source, env.dest, env.tag, env.payload, env.words,
+             env.send_time, env.arrive_time, env.seq)
         )
-        sender.send_seq += 1
-        if obs is not None:
-            obs.count("engine.sends", 1, track=source)
-            obs.count("engine.sent_words", words, track=source)
 
     def _kill_rank(self, rank: int, state: _ProcState, *, at: float) -> None:
         super()._kill_rank(rank, state, at=at)
@@ -206,35 +178,10 @@ class _ShardEngine(SimMPI):
 
     # -- worker-side commands --------------------------------------------
 
-    def _reset_shard(self, proc_factory: Callable[[Comm], Generator | Any]) -> None:
-        """Per-run state for one shard; factories run for owned ranks only."""
-        self.trace = []
-        self._procs = [_ProcState(None) for _ in range(self.K)]
-        self._ready = ready = deque()
-        self._num_finished = 0
-        self._coll_blocked = 0
-        self._coll_kinds = {}
-        self._acked_dead = set()
-        self._horizon = 0.0
+    def _reset(self, proc_factory: Callable[[Comm], Generator | Any]) -> None:
+        super()._reset(proc_factory)
         self._outbox = [[] for _ in range(self._nshards)]
         self._new_crashes = []
-        self._faults = (
-            None if self.fault_plan is None else FaultState(self.fault_plan, self.K)
-        )
-        for r in range(self.K):
-            state = self._procs[r]
-            if self._shard_of[r] != self._my_shard:
-                self._num_finished += 1  # placeholder; never runs here
-                continue
-            out = proc_factory(Comm(self, r))
-            if isinstance(out, Generator):
-                state.gen = out
-                state.finished = False
-                state.queued = True
-                ready.append(r)
-            else:
-                state.retval = out
-                self._num_finished += 1
 
     def _cmd_advance(
         self, H: float, inbound: list[bytes], new_crashes: tuple[int, ...]
@@ -242,18 +189,7 @@ class _ShardEngine(SimMPI):
         if new_crashes and self._faults is not None:
             self._faults.crashed.update(new_crashes)
         if H > self._horizon:
-            self._horizon = H
-            # a higher horizon can release held wildcard candidates;
-            # stale wakes are tolerated by the drain loop
-            for r in self._owned:
-                state = self._procs[r]
-                if state.finished:
-                    continue
-                op = state.blocked_on
-                if isinstance(op, _RecvOp) and (
-                    op.source == ANY_SOURCE or op.tag == ANY_TAG
-                ):
-                    self._wake(r)
+            self._raise_horizon(H)
         if inbound:
             envs: list[tuple] = []
             for blob in inbound:
@@ -261,27 +197,8 @@ class _ShardEngine(SimMPI):
             # per-source order (= sender program order) must survive the
             # merge so each (source, tag) FIFO stays in channel order
             envs.sort(key=lambda e: (e[6], e[0], e[7]))
-            for source, dest, tag, payload, words, send_time, arrive_time, src_seq in envs:
-                env = Envelope(
-                    source=source,
-                    dest=dest,
-                    tag=tag,
-                    payload=payload,
-                    words=words,
-                    send_time=send_time,
-                    arrive_time=arrive_time,
-                    seq=src_seq,
-                )
-                dest_state = self._procs[dest]
-                dest_state.mailbox.post(env)
-                op = dest_state.blocked_on
-                if (
-                    isinstance(op, _RecvOp)
-                    and (op.source == ANY_SOURCE or op.source == source)
-                    and (op.tag == ANY_TAG or op.tag == tag)
-                    and (op.deadline is None or env.arrive_time <= op.deadline)
-                ):
-                    self._wake(dest)
+            for fields in envs:
+                self._enqueue(Envelope(*fields))
         progressed = bool(self._ready)
         self._drain_ready()
         return self._report(progressed)
@@ -294,8 +211,6 @@ class _ShardEngine(SimMPI):
                 self._outbox[s] = []
         num_live = 0
         finished_not_acked = 0
-        min_floor = _INF
-        min_held = _INF
         max_clock = -_INF
         for r in self._owned:
             state = self._procs[r]
@@ -306,21 +221,7 @@ class _ShardEngine(SimMPI):
             num_live += 1
             if state.clock > max_clock:
                 max_clock = state.clock
-            op = state.blocked_on
-            if isinstance(op, _RecvOp):
-                floor = _INF if op.deadline is None else op.deadline
-                cand = state.mailbox.peek_arrival(op.source, op.tag, op.deadline)
-                if cand is not None:
-                    if cand < floor:
-                        floor = cand
-                    if (
-                        (op.source == ANY_SOURCE or op.tag == ANY_TAG)
-                        and cand >= self._horizon
-                        and cand < min_held
-                    ):
-                        min_held = cand
-                if floor < min_floor:
-                    min_floor = floor
+        min_deadline, min_held = self._recv_floors()
         coll = {_NAME_BY_KIND[k]: n for k, n in self._coll_kinds.items()}
         new_crashes = tuple(self._new_crashes)
         self._new_crashes = []
@@ -330,7 +231,7 @@ class _ShardEngine(SimMPI):
             num_live,
             finished_not_acked,
             coll,
-            min_floor,
+            min(min_deadline, min_held),
             min_held,
             self._peek_next_timer(),
             max_clock,
@@ -373,6 +274,7 @@ class _ShardEngine(SimMPI):
             [] if fs is None else list(fs.events),
             set() if fs is None else set(fs.crashed),
             self.tracer if self._obs is not None else None,
+            self._stats,
         )
 
 
@@ -383,7 +285,7 @@ def _worker_main(engine: _ShardEngine, conn, proc_factory) -> None:
             # the fork copied the session tracer; keep only worker-side
             # records so the parent's merge does not double count
             engine.tracer.reset()
-        engine._reset_shard(proc_factory)
+        engine._reset(proc_factory)
         while True:
             msg = conn.recv()
             cmd = msg[0]
@@ -581,6 +483,7 @@ class ShardedSimMPI(SimMPI):
         new_crashes: tuple[int, ...] = ()
         crashed: set[int] = set()
         obs = self._obs
+        rounds = 0
 
         while True:
             reports = self._rpc(
@@ -622,6 +525,7 @@ class ShardedSimMPI(SimMPI):
                 continue
             if total_live == 0:
                 break
+            rounds += 1
 
             # quiescent: arbitrate exactly like the serial drained-deque
             # step — a held envelope the raised bound releases must land
@@ -686,7 +590,7 @@ class ShardedSimMPI(SimMPI):
                 continue
             self._raise_sharded_deadlock(conns, total_live)
 
-        return self._finish(conns)
+        return self._finish(conns, rounds)
 
     def _rpc_one(self, conns, shard_of: list[int], timer: tuple[float, int, int]) -> None:
         """Fire one timer event on the worker owning its rank."""
@@ -723,15 +627,20 @@ class ShardedSimMPI(SimMPI):
             clocks=tuple(clocks),
         )
 
-    def _finish(self, conns) -> RunResult:
+    def _finish(self, conns, rounds: int) -> RunResult:
+        """Merge the shards' results; ``engine_stats`` are summed over
+        the workers, with the coordinator's own quiescent-round count."""
         replies = self._rpc(conns, [("finish",)] * len(conns))
+        stats = dict.fromkeys(ENGINE_STATS, 0)
         returns: list[Any] = [None] * self.K
         clocks = [0.0] * self.K
         trace = []
         events = []
         crashed: set[int] = set()
         for reply in replies:
-            rets, clks, tr, evs, crs, tracer = reply
+            rets, clks, tr, evs, crs, tracer, shard_stats = reply
+            for name, n in shard_stats.items():
+                stats[name] += n
             for r, v in rets:
                 returns[r] = v
             for r, c in clks:
@@ -741,6 +650,7 @@ class ShardedSimMPI(SimMPI):
             crashed |= crs
             if tracer is not None and self._obs is not None:
                 self.tracer.merge(tracer)
+        stats["quiescent_rounds"] = rounds
         trace.sort(key=trace_sort_key)
         self.trace = trace
         return RunResult(
@@ -750,4 +660,5 @@ class ShardedSimMPI(SimMPI):
             trace=trace,
             crashed=sorted(crashed),
             fault_events=sorted(events, key=fault_sort_key),
+            engine_stats=stats,
         )

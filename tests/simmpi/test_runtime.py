@@ -1,5 +1,6 @@
 """Unit tests for the simulated MPI runtime."""
 
+import numpy as np
 import pytest
 
 from repro.errors import DeadlockError, SimMPIError
@@ -181,6 +182,37 @@ class TestBasicSendRecv:
 
         with pytest.raises(SimMPIError):
             run_spmd(2, worker)
+
+    @pytest.mark.parametrize("words", [2.5, True, "3", np.float64(4.0)])
+    @pytest.mark.parametrize("call", ["send", "isend", "sendrecv"])
+    def test_non_integer_words_rejected_at_the_call_site(self, call, words):
+        def worker(comm):
+            if comm.rank == 1:
+                getattr(comm, call)(0, "x", words=words)
+            return None
+
+        with pytest.raises(
+            SimMPIError, match=rf"rank 1: send words= must be an int, got {type(words).__name__}"
+        ):
+            run_spmd(2, worker)
+
+    def test_negative_words_names_the_rank(self):
+        def worker(comm):
+            comm.send(0, "x", words=np.int64(-2))
+            return None
+
+        with pytest.raises(SimMPIError, match="rank 0: send words= must be non-negative, got -2"):
+            run_spmd(2, worker)
+
+    def test_numpy_integer_words_charged_as_int(self):
+        def worker(comm):
+            if comm.rank == 0:
+                comm.send(1, "x", words=np.int32(5))
+                return None
+            return (yield comm.recv(0))
+
+        res = run_spmd(2, worker, machine=BGQ, trace=True)
+        assert res.trace[0].words == 5 and type(res.trace[0].words) is int
 
     def test_invalid_yield_rejected(self):
         def worker(comm):
