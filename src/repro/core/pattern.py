@@ -648,6 +648,13 @@ class PatternDelta:
         distribution; reweights scale an edge by a factor in
         ``[0.5, 2)``.  Deterministic for a given ``(pattern, rate,
         seed)``.
+
+        Up to ``K * K <= 4_000_000`` (K = 2000) added edges are drawn
+        from an enumeration of every absent pair, 8 bytes a pair and so
+        at most 32 MB; past it, by rejection.  The two draw different
+        random streams, so the cut-off is part of what a seed means and
+        moving it would change every seeded delta between the old and
+        the new value.
         """
         if not 0.0 < rate <= 1.0:
             raise PlanError(f"drift rate {rate} outside (0, 1]")
@@ -672,9 +679,10 @@ class PatternDelta:
         keys = src * np.int64(K) + dst
         alive = np.delete(keys, rem_rows)
         if K * K <= 4_000_000:
-            universe = np.arange(K * K, dtype=np.int64)
-            universe = universe[universe // K != universe % K]
-            free = np.setdiff1d(universe, alive, assume_unique=False)
+            absent = np.ones(K * K, dtype=bool)
+            absent[alive] = False
+            absent[:: K + 1] = False  # self pairs
+            free = np.flatnonzero(absent)
             n_add = min(n_add, free.size)
             new_keys = rng.choice(free, size=n_add, replace=False)
         else:  # pragma: no cover - large-K fallback

@@ -15,9 +15,25 @@ locality-aware configuration model:
 2. Materialize edges by stub matching (configuration model), with a
    *locality* knob: stubs are sorted by row index and shuffled only
    within a window, so structural-mechanics matrices stay banded
-   (partitioners find locality) while social networks scatter.
+   (partitioners find locality) while social networks scatter.  The
+   shuffle is the order of (random float key, stub position); stubs are
+   listed row by row, so that is (key, row) order, which
+   :func:`repro.arrayops.take_by_key` reaches from any sort by key —
+   the fast default kernel, not the stable one — by sorting the rows
+   inside each run of equal keys.  The result does not depend on which
+   kernel NumPy dispatches to.  Consecutive stubs pair up into edges
+   ``lo < hi``, packed as ``(lo << bits) | hi`` int64 keys (the order of
+   the pairs, a shift and a mask to unpack) and deduplicated by one
+   value sort.
 3. Symmetrize the pattern and add the unit diagonal (the matrices are
-   structurally symmetric with full diagonals in SpMV use).
+   structurally symmetric with full diagonals in SpMV use): the packed
+   (row, col) keys of the upper, lower and diagonal entries, sorted once
+   by value, *are* the CSR arrays — ``indices`` the low bits,
+   ``indptr`` where the high bits change, nothing to merge or reorder.
+
+Every array is thus sorted once, by value.  The matrices are, byte for
+byte, those of the earlier stable-argsort / COO -> CSR formulation, which
+``tests/matrices/test_generator_identity.py`` keeps as the reference.
 
 The real degree sequence is deformed slightly by duplicate/self-edge
 removal; the test suite pins the achieved statistics within tolerances
@@ -29,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..arrayops import sorted_unique
+from ..arrayops import sorted_unique, take_by_key
 from ..errors import MatrixGenerationError
 
 __all__ = ["lognormal_degree_sequence", "configuration_matrix", "generate_matrix"]
@@ -126,51 +142,74 @@ def configuration_matrix(
     added.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
+    return _assemble(_matched_edges(degrees, locality, rng, global_rows), degrees.size)
+
+
+def _key_bits(n: int) -> int:
+    """Bits per coordinate of a packed ``(row << bits) | col`` int64 key."""
+    bits = (n - 1).bit_length()
+    if 2 * bits > 62:
+        raise MatrixGenerationError(f"n={n}: two {bits}-bit coordinates do not fit one int64 key")
+    return bits
+
+
+def _matched_edges(degrees, locality, rng, global_rows) -> np.ndarray:
+    """The distinct edges ``lo < hi`` of one stub matching, as sorted packed keys."""
     n = degrees.size
     if n < 2:
         raise MatrixGenerationError("need at least 2 rows")
     if not 0.0 <= locality <= 1.0:
         raise MatrixGenerationError(f"locality={locality} outside [0, 1]")
-    stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    if stubs.size % 2 == 1:
-        stubs = stubs[:-1]
-    if stubs.size == 0:
-        return sp.identity(n, format="csr", dtype=np.float64)
-
+    bits = _key_bits(n)
     window = max((1.0 - locality) * n, 2.0)
     # two helpers, so that each step's stub-sized temporaries die when it returns: held
     # to the end of this body they were 100 bytes a stub of heap churn (USAGE "Performance")
-    stubs = _shuffle_stubs(stubs, window, n, rng, global_rows)
-    rows, cols = _edge_coordinates(stubs, n)
-    data = np.ones(rows.size, dtype=np.float64)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    return _edge_keys(_shuffle_stubs(degrees, window, rng, global_rows), bits)
 
 
-def _shuffle_stubs(stubs, window, n, rng, global_rows) -> np.ndarray:
-    """``stubs`` in the order of their locality-limited random sort keys."""
+def _shuffle_stubs(degrees, window, rng, global_rows) -> np.ndarray:
+    """An even number of stubs, row ``r`` owning ``degrees[r]`` of them, in the order of
+    their locality-limited random sort keys."""
+    # int32 (the key-bits check has bounded n): half the bytes of each stub-sized gather
+    rows = np.arange(degrees.size, dtype=np.int32)
+    stubs = np.repeat(rows, degrees)
+    stubs = stubs[: stubs.size & ~1]
     keys = rng.uniform(0.0, window, size=stubs.size)
     keys += stubs
     if global_rows is not None and len(global_rows) > 0:
-        is_global = np.isin(stubs, np.asarray(global_rows, dtype=np.int64))
-        keys[is_global] = rng.uniform(0.0, float(n), size=int(is_global.sum()))
-    return stubs[np.argsort(keys, kind="stable")]
+        is_global = np.isin(rows, np.asarray(global_rows, dtype=np.int64))
+        is_global = np.repeat(is_global, degrees)[: stubs.size]  # per stub, from n tests
+        keys[is_global] = rng.uniform(0.0, float(degrees.size), size=int(is_global.sum()))
+    return take_by_key(stubs, keys)
 
 
-def _edge_coordinates(stubs, n) -> tuple[np.ndarray, np.ndarray]:
-    """COO rows and columns of the symmetric pattern that pairs up consecutive
-    ``stubs``: self-loops and duplicate edges dropped, unit diagonal added."""
+def _edge_keys(stubs, bits) -> np.ndarray:
+    """Consecutive ``stubs`` paired up into edges, self-loops and duplicates dropped."""
     u = stubs[0::2]
     v = stubs[1::2]
-    keep = u != v
-    u, v = u[keep], v[keep]
-    # canonicalize and dedupe
-    key = np.minimum(u, v)
-    key *= np.int64(n)
-    key += np.maximum(u, v)
-    lo, hi = np.divmod(sorted_unique(key), np.int64(n))
-    idx = sp.get_index_dtype(maxval=n)  # what csr_matrix would convert them to
-    diag = np.arange(n, dtype=idx)
-    return np.concatenate([lo, hi, diag], dtype=idx), np.concatenate([hi, lo, diag], dtype=idx)
+    key = np.minimum(u, v, dtype=np.int64)
+    key <<= bits
+    key |= np.maximum(u, v)
+    key = sorted_unique(key)
+    return key[key >> bits != key & ((1 << bits) - 1)]  # self-loops go last: few keys left to test
+
+
+def _assemble(edges, n) -> sp.csr_matrix:
+    """The symmetric pattern of ``edges`` plus a unit diagonal.
+
+    One value sort of the packed (row, col) keys of every stored entry puts
+    them in CSR order with no duplicates, so the arrays are canonical as built.
+    """
+    bits = _key_bits(n)
+    mask = (1 << bits) - 1
+    diag = np.arange(n, dtype=np.int64)
+    entries = np.concatenate([edges, (edges & mask) << bits | edges >> bits, diag << bits | diag])
+    entries.sort()
+    # the index dtype scipy's own COO -> CSR conversion settles on
+    idx = sp.get_index_dtype(maxval=max(entries.size, n))
+    indptr = np.searchsorted(entries, np.arange(n + 1, dtype=np.int64) << bits).astype(idx)
+    entries &= mask
+    return sp.csr_matrix((np.ones(entries.size), entries.astype(idx), indptr), shape=(n, n))
 
 
 def _top_up_rows(
@@ -194,9 +233,9 @@ def _top_up_rows(
         missing = int(target) - have.size
         if missing <= 0:
             continue
-        candidates = np.setdiff1d(
-            np.arange(n, dtype=np.int64), have, assume_unique=False
-        )
+        absent = np.ones(n, dtype=bool)
+        absent[have] = False
+        candidates = np.flatnonzero(absent)
         if candidates.size < missing:
             missing = candidates.size
         chosen = rng.choice(candidates, size=missing, replace=False)
@@ -265,17 +304,19 @@ def generate_matrix(
     else:
         hot = None
         top_rows = None
-    A = configuration_matrix(stub_degrees, locality=locality, rng=rng, global_rows=hot)
+    edges = _matched_edges(stub_degrees, locality, rng, hot)
     # Stub matching drops duplicate edges, losing up to ~25% of the
     # target nonzeros in dense windows; one corrective pass with
     # inflated degrees recovers the Table 1 nnz within tolerance.
-    retention = A.nnz / max(nnz, 1)
+    # Each edge is stored twice, beside n diagonal entries.
+    retention = (2 * edges.size + n) / max(nnz, 1)
     if retention < 0.85:
         inflate = min(1.0 / max(retention, 0.25), 1.6)
         boosted = np.minimum(
             np.rint(stub_degrees * inflate).astype(np.int64), max(max_degree - 1, 1)
         )
-        A = configuration_matrix(boosted, locality=locality, rng=rng, global_rows=hot)
+        edges = _matched_edges(boosted, locality, rng, hot)
+    A = _assemble(edges, n)
     if top_rows is None:
         top_rows = [int(np.argmax(np.diff(A.indptr)))]
     A = _top_up_rows(A, rows=top_rows, target=max_degree, rng=rng)

@@ -8,10 +8,12 @@ Each (owner, needer) pair exchanges one message carrying the *distinct*
 x-entries needed — exactly the ``SendSet`` structure Algorithm 1
 regularizes.
 
-Everything here is vectorized over the COO triplets, so million-nonzero
-matrices and 16K-way partitions reduce to a few sorts: one sorted-run
-dedup of the (needer, column) keys (:func:`repro.arrayops.sorted_unique`)
-and one counted ``np.unique`` of the (owner, needer) pairs.
+Everything here is vectorized over the stored entries, so million-nonzero
+matrices and 16K-way partitions reduce to two value sorts of int64 keys
+that pack a pair as ``(a << bits) | b`` (the order of the pairs, a shift
+and a mask to unpack): one sorted-run dedup of the (needer, column) keys
+(:func:`repro.arrayops.sorted_unique`) and one counted ``np.unique`` of
+the (owner, needer) keys.
 """
 
 from __future__ import annotations
@@ -27,6 +29,14 @@ from ..partition.base import Partition
 __all__ = ["spmv_pattern", "spmv_needed_entries", "nnz_per_part"]
 
 
+def _key_bits(bound: int) -> int:
+    """Bits per coordinate of an int64 key ``(a << bits) | b``, both coordinates below ``bound``."""
+    bits = (bound - 1).bit_length()
+    if 2 * bits > 62:
+        raise PlanError(f"two coordinates below {bound} do not fit one int64 key")
+    return bits
+
+
 def _needed_pairs(A: sp.spmatrix, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
     """Distinct (needer process, x index) pairs with off-process owner."""
     A = sp.csr_matrix(A)
@@ -35,18 +45,17 @@ def _needed_pairs(A: sp.spmatrix, partition: Partition) -> tuple[np.ndarray, np.
         raise PlanError("row-parallel SpMV needs a square matrix")
     if partition.n != n:
         raise PlanError(f"partition covers {partition.n} rows, matrix has {n}")
-    coo = A.tocoo(copy=False)  # read only: no second copy of the values
     parts = partition.parts
-    remote = parts[coo.row] != parts[coo.col]
-    row, col = coo.row[remote], coo.col[remote]
-    if row.size == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    # one nnz-sized int64 array, made in place: needer * n + col
-    key = parts[row]
-    key *= np.int64(n)
-    key += col
-    del coo, remote, row, col  # 15 bytes a nonzero, dead weight under the sort
-    return np.divmod(sorted_unique(key), np.int64(n))
+    bits = _key_bits(max(n, partition.K))
+    needer = np.repeat(parts, np.diff(A.indptr))  # of every stored entry, row by row
+    remote = needer != parts[A.indices]
+    # one int64 array the size of the remote entries, made in place: (needer, col) packed
+    key = needer[remote]
+    key <<= bits
+    key |= A.indices[remote]
+    del needer, remote  # 9 bytes a nonzero, dead weight under the sort
+    key = sorted_unique(key)
+    return key >> bits, key & ((1 << bits) - 1)
 
 
 def spmv_pattern(A: sp.spmatrix, partition: Partition) -> CommPattern:
@@ -58,14 +67,12 @@ def spmv_pattern(A: sp.spmatrix, partition: Partition) -> CommPattern:
     """
     needer, col = _needed_pairs(A, partition)
     K = partition.K
-    if needer.size == 0:
-        return CommPattern.from_arrays(K, [], [], [])
-    owner = partition.parts[col]
-    pair_key = owner * np.int64(K) + needer
+    bits = _key_bits(K)
+    pair_key = partition.parts[col]  # the owner, then (owner, needer) packed
+    pair_key <<= bits
+    pair_key |= needer
     uniq, counts = np.unique(pair_key, return_counts=True)
-    src = (uniq // K).astype(np.int64)
-    dst = (uniq % K).astype(np.int64)
-    return CommPattern.from_arrays(K, src, dst, counts.astype(np.int64))
+    return CommPattern.from_arrays(K, uniq >> bits, uniq & ((1 << bits) - 1), counts)
 
 
 def spmv_needed_entries(

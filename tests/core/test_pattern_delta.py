@@ -194,6 +194,28 @@ class TestRandomDelta:
         np.testing.assert_array_equal(a.add_size, b.add_size)
         np.testing.assert_array_equal(a.reweight_size, b.reweight_size)
 
+    @pytest.mark.parametrize("K, avg_degree, rate", [(64, 6, 0.2), (64, 40, 1.0), (300, 8, 0.3)])
+    def test_added_edges_equal_the_setdiff_formulation(self, K, avg_degree, rate):
+        # how the free pairs were enumerated before the boolean mask: a hashed
+        # setdiff1d over the K*K universe, 540x slower at K=2000
+        p = CommPattern.random(K, avg_degree=avg_degree, seed=3)
+        M = p.num_messages
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            n = max(1, int(round(rate * M)))
+            n_rw = n // 3
+            n_rem = (n - n_rw) // 2
+            touch = rng.choice(M, size=min(n_rem + n_rw, M), replace=False)
+            alive = np.delete(p.src * np.int64(K) + p.dst, touch[:n_rem])
+            universe = np.arange(K * K, dtype=np.int64)
+            universe = universe[universe // K != universe % K]
+            free = np.setdiff1d(universe, alive, assume_unique=False)
+            want = rng.choice(free, size=min(n - n_rw - n_rem, free.size), replace=False)
+            d = PatternDelta.random(p, rate, seed=seed)
+            assert d.add_src.dtype == want.dtype
+            np.testing.assert_array_equal(d.add_src * K + d.add_dst, want)
+            np.testing.assert_array_equal(d.add_size, rng.choice(p.size, size=want.size))
+
     def test_touches_about_rate(self):
         p = CommPattern.random(64, avg_degree=6, seed=0)
         d = PatternDelta.random(p, 0.25, seed=1)

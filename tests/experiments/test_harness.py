@@ -69,6 +69,51 @@ class TestInstanceCache:
         assert (p.parts[:-1] <= p.parts[1:]).all()  # contiguous blocks
 
 
+#: (makespan us, max messages of a process, physical messages, volume in words) per scheme on
+#: BlueGene/Q, recorded before the generator and ``spmv_pattern`` were rewritten around
+#: value sorts: the whole cell path, matrix generation to makespan, has to keep them.
+CELL_GOLDEN = {
+    ("human_gene2", 16): {
+        "BL": (63.734400000000015, 15, 240, 9385),
+        "STFW2": (46.176, 6, 96, 14959),
+        "STFW3": (48.903999999999996, 5, 80, 17385),
+        "STFW4": (52.42400000000001, 4, 64, 19820),
+    },
+    ("F1", 32): {
+        "BL": (118.71839999999999, 20, 400, 71383),
+        "STFW2": (141.9712, 10, 255, 104826),
+        "STFW3": (203.3648, 7, 198, 129575),
+        "STFW4": (209.03200000000004, 6, 175, 143157),
+        "STFW5": (231.45440000000002, 5, 143, 163608),
+    },
+    ("coPapersCiteseer", 64): {
+        "BL": (169.64, 39, 1826, 136809),
+        "STFW2": (150.35040000000004, 12, 667, 225637),
+        "STFW3": (182.12320000000003, 9, 482, 277269),
+        "STFW4": (224.4144, 8, 481, 293566),
+        "STFW5": (248.3408, 7, 417, 328170),
+        "STFW6": (268.2896, 6, 353, 363264),
+    },
+}
+
+
+def test_cell_path_golden():
+    from repro.network import BGQ
+
+    cache = InstanceCache(ExperimentConfig(seed=0, scale=0.05))
+    cells = cache.cells([(name, K, BGQ) for name, K in CELL_GOLDEN], jobs=1)
+    for exp, want in zip(cells, CELL_GOLDEN.values()):
+        got = {
+            scheme: (r.stats.comm_time_us, r.plan.max_message_count,
+                     r.plan.num_physical_messages, r.plan.total_volume)
+            for scheme, r in exp.results.items()
+        }
+        assert list(got) == list(want)
+        for scheme in want:
+            assert got[scheme][1:] == want[scheme][1:], scheme
+            assert got[scheme][0] == pytest.approx(want[scheme][0], rel=1e-12), scheme
+
+
 class TestPaperDimSelection:
     def test_16k(self):
         # lg2(16384) = 14 -> {2,3,4} + {8,9} + {13,14}

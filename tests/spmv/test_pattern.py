@@ -79,6 +79,55 @@ class TestSpmvPattern:
             spmv_pattern(A, block_partition(4, 2))
 
 
+def reference_pattern_arrays(A, partition):
+    """``spmv_pattern`` as it was before the keys were shift-packed: COO triplets,
+    ``a * bound + b`` keys, ``divmod``."""
+    coo = sp.csr_matrix(A).tocoo()
+    n, K, parts = A.shape[0], partition.K, partition.parts
+    remote = parts[coo.row] != parts[coo.col]
+    needer, col = np.divmod(np.unique(parts[coo.row[remote]] * np.int64(n) + coo.col[remote]), n)
+    uniq, counts = np.unique(parts[col] * np.int64(K) + needer, return_counts=True)
+    return uniq // K, uniq % K, counts
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize(
+        "n, K, make",
+        [
+            (300, 8, random_partition),
+            (300, 7, block_partition),
+            (257, 256, random_partition),
+            (64, 1, block_partition),
+        ],
+    )
+    def test_same_arrays(self, n, K, make):
+        A = generate_matrix(n, 12 * n, n // 4, 1.5, seed=n + K, dense_rows=2)
+        partition = make(n, K)
+        pat = spmv_pattern(A, partition)
+        for got, want in zip((pat.src, pat.dst, pat.size), reference_pattern_arrays(A, partition)):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+    def test_more_parts_than_rows_and_duplicate_entries(self):
+        # K > n, and a non-canonical matrix: entry (0, 3) is stored twice, (1, 1) is a stored zero
+        A = sp.csr_matrix((4, 4))
+        A.indptr = np.array([0, 3, 4, 5, 6], np.int32)
+        A.indices = np.array([3, 3, 1, 1, 0, 2], np.int32)
+        A.data = np.array([1.0, 2.0, 1.0, 0.0, 1.0, 1.0])
+        partition = Partition(np.array([9, 2, 9, 5]), 11)
+        pat = spmv_pattern(A, partition)
+        for got, want in zip((pat.src, pat.dst, pat.size), reference_pattern_arrays(A, partition)):
+            np.testing.assert_array_equal(got, want)
+        assert pat.sendset(5) == {9: 1} and pat.sendset(2) == {9: 1} and pat.sendset(9) == {5: 1}
+
+    def test_key_bits_guard(self):
+        from repro.spmv.pattern import _key_bits
+
+        assert _key_bits(1) == 0 and _key_bits(2) == 1 and _key_bits(2**31) == 31
+        with pytest.raises(PlanError, match=str(2**31 + 1)):
+            _key_bits(2**31 + 1)
+
+
 class TestNeededEntries:
     def test_matches_pattern_sizes(self):
         A = generate_matrix(200, 2400, 50, 1.2, seed=2)
