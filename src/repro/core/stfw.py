@@ -358,12 +358,11 @@ def stfw_process(
 
     # fwbuf[d][digit] = submessages to forward in stage d to the
     # neighbor whose dimension-d coordinate is `digit`; slots are
-    # preallocated per digit (None while empty) so the stage loop does
-    # no per-payload dict churn and needs no sort to walk digits in
-    # ascending order
-    fwbuf: list[list[list[tuple[int, int, Any]] | None]] = [
-        [None] * dim_sizes[d] for d in range(n)
-    ]
+    # preallocated per digit so the stage loop does no per-payload dict
+    # churn and needs no sort to walk digits in ascending order.  A slot
+    # is None while empty, the bare (dst, src, payload) tuple while it
+    # holds one submessage (the common case), a list from the second on
+    fwbuf: list[list[Any]] = [[None] * dim_sizes[d] for d in range(n)]
     delivered: list[tuple[int, Any]] = [] if out is None else out
 
     # Algorithm 1 lines 4-6: bucket my own SendSet; the routing digit
@@ -377,10 +376,14 @@ def stfw_process(
         while delta % weights[d + 1] == 0:
             d += 1
         digit = (dst // weights[d]) % dim_sizes[d]
-        bucket = fwbuf[d][digit]
+        row = fwbuf[d]
+        bucket = row[digit]
         if bucket is None:
-            bucket = fwbuf[d][digit] = []
-        bucket.append((dst, rank, payload))
+            row[digit] = (dst, rank, payload)
+        elif bucket.__class__ is list:
+            bucket.append((dst, rank, payload))
+        else:
+            row[digit] = [bucket, (dst, rank, payload)]
 
     # Algorithm 1 lines 7-17: the stage loop
     for d in range(n):
@@ -391,23 +394,25 @@ def stfw_process(
         else:
             expect = int(recv_counts[d])
 
-        # send one coalesced message per non-empty buffer (lines 9-12)
+        # send one coalesced message per non-empty buffer (lines 9-12):
+        # a tuple of submessage tuples, which the collector stops tracking
         w = weights[d]
         w_next = weights[d + 1]
         own_base = rank - ((rank // w) % dim_sizes[d]) * w
         for digit in range(dim_sizes[d]):
             subs = stage_buf[digit]
-            if not subs:
+            if subs is None:
                 continue
             stage_buf[digit] = None
+            subs = tuple(subs) if subs.__class__ is list else (subs,)
+            words = header_words * len(subs)
             try:
-                words = sum(len(p) for _, _, p in subs)
+                for sub in subs:
+                    words += len(sub[2])
             except TypeError as exc:
                 raise PlanError(
                     "payloads must be sized (len()-able) objects"
                 ) from exc
-            if header_words:
-                words += header_words * len(subs)
             comm.send(own_base + digit * w, subs, tag=d, words=words)
             if obs is not None:
                 obs.count("stfw.stage_messages", 1, stage=d)
@@ -422,8 +427,9 @@ def stfw_process(
         # receive and scatter (lines 13-17); the wildcard-source recv
         # delivers stage-d messages in virtual arrival order.  Received
         # submessage tuples are rebucketed as-is, never rebuilt.
+        recv = comm.recv(tag=d)  # untimed: no per-use state, so re-yielded
         for _ in range(expect):
-            _, _, subs = yield comm.recv(tag=d)
+            _, _, subs = yield recv
             for sub in subs:
                 dst = sub[0]
                 if dst == rank:
@@ -442,9 +448,6 @@ def stfw_process(
                 while delta % weights[c + 1] == 0:
                     c += 1
                 digit = (dst // weights[c]) % dim_sizes[c]
-                bucket = fwbuf[c][digit]
-                if bucket is None:
-                    bucket = fwbuf[c][digit] = []
                 if corrupt_p > 0.0 and corrupt_draw(
                     flip_seed, rank, sub[1], dst, d
                 ) < corrupt_p:
@@ -457,7 +460,14 @@ def stfw_process(
                         sub = (sub[0], sub[1], flipped)
                         if obs is not None:
                             obs.count("integrity.forwarder_flips", 1, track=rank)
-                bucket.append(sub)
+                row = fwbuf[c]
+                bucket = row[digit]
+                if bucket is None:
+                    row[digit] = sub
+                elif bucket.__class__ is list:
+                    bucket.append(sub)
+                else:
+                    row[digit] = [bucket, sub]
         if obs is not None:
             obs.add_span(
                 f"stfw.stage{d}", stage_t0, comm.time, track=rank,
@@ -478,7 +488,7 @@ def _exchange_counts(
     comm: Comm,
     vpt: VirtualProcessTopology,
     d: int,
-    stage_buf: Sequence[list | None],
+    stage_buf: Sequence[Any],
 ) -> Generator:
     """Dynamic mode: tell every dimension-``d`` neighbor whether to expect data."""
     rank = comm.rank
@@ -510,8 +520,9 @@ def direct_process(
         if obs is not None:
             obs.count("direct.messages", 1)
             obs.count("direct.words", words)
+    recv = comm.recv(tag=0)
     for _ in range(expect):
-        src, _, payload = yield comm.recv(tag=0)
+        src, _, payload = yield recv
         delivered.append((src, payload))
     if obs is not None:
         obs.add_span("direct.exchange", t0, comm.time, track=comm.rank,

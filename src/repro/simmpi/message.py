@@ -1,10 +1,25 @@
 """Messages, the indexed mailbox, and trace records of the simulated MPI runtime.
 
-Besides the plain data records (:class:`Envelope`, :class:`TraceRecord`,
-:class:`RunResult`) this module owns :class:`Mailbox` — the per-rank
-message store the event-driven engine matches receives against.  Its
-indexes make a ``recv`` complete in O(log n) regardless of how many
-unrelated messages are queued:
+A message in flight is **one plain tuple**, the *envelope* (built by the
+engine as a tuple display, by :func:`Envelope` elsewhere; read by index)::
+
+    (arrive_time, source, seq, tag, words, send_time, payload, dest)
+     0            1       2    3    4      5          6        7
+
+It is ordered so that the envelope *is* its own wildcard key: envelopes
+compare by ``(arrive_time, source, seq)`` — ``seq`` being the
+**sender-side** send sequence number, unique per ``(source, dest)``, so
+a comparison never reaches the payload.  The key depends only on *what
+was sent*, never on the order the engine discovered it, so the serial
+and sharded backends match wildcards identically even at exact
+arrival-time ties.  It must stay an exact ``tuple`` (a ``NamedTuple`` or
+any subclass stays tracked): CPython's cyclic collector stops tracking
+an exact tuple whose items are all untracked, one level of nesting per
+pass that sees it, so messages with array or atomic payloads cost the
+collector nothing and its old generations hold per-rank state only.
+
+:class:`Mailbox` is the per-rank store the event-driven engine matches
+receives against, in O(log n) however many unrelated messages wait:
 
 * a ``(source, tag) -> channel slot`` map for fully-specified receives
   (per source, posting order equals virtual arrival order, so a plain
@@ -14,17 +29,10 @@ unrelated messages are queued:
   of the store-and-forward stage loop);
 * a global heap for ``recv(ANY_SOURCE, ANY_TAG)``.
 
-All heaps are keyed by ``(arrive_time, source, seq)`` — ``seq`` being
-the **sender-side** send sequence number — which gives the engine its
-documented wildcard guarantee: a wildcard receive matches the waiting
-envelope with the **earliest virtual arrival time**, ties broken by
-sender rank and then sender program order.  The key depends only on
-*what was sent*, never on the order the engine discovered it, so the
-serial and sharded backends match wildcards identically even at exact
-arrival-time ties.  An in-flight message owns a constant number of small
-objects (the envelope, its key and one entry per active heap) and a
-receive releases them; see :class:`Mailbox` for the ownership and
-lazy-invalidation rules.
+The heaps hold the envelopes themselves, the same objects as the channel
+slots, which gives the documented wildcard guarantee: a wildcard receive
+matches the waiting envelope with the **earliest virtual arrival time**,
+ties broken by sender rank and then sender program order.
 """
 
 from __future__ import annotations
@@ -67,30 +75,24 @@ class _Timeout:
 TIMEOUT = _Timeout()
 
 
-@dataclass(slots=True)
-class Envelope:
-    """An in-flight message inside the engine.
+def Envelope(
+    source: int, dest: int, tag: int, payload: Any, words: int,
+    send_time: float = 0.0, arrive_time: float = 0.0, seq: int = 0,
+) -> tuple:
+    """The envelope tuple of an in-flight message (layout: module docstring).
 
     ``words`` is the charged size in 8-byte words (independent of the
     Python payload object, so tests can exercise the cost model with
     symbolic payloads).  ``send_time``/``arrive_time`` are virtual
-    microseconds on the sender's/receiver's clock.  ``seq`` is the
-    sender's send sequence number — unique per ``(source, dest)`` and
-    identical across engine backends, which makes the wildcard
-    tie-break key ``(arrive_time, source, seq)`` canonical.
-    ``consumed`` flips when a receive matches the envelope; an entry for
-    it left in another wildcard index is recognised by it and discarded.
+    microseconds on the sender's/receiver's clock; ``seq`` is identical
+    across engine backends.
     """
+    return (arrive_time, source, seq, tag, words, send_time, payload, dest)
 
-    source: int
-    dest: int
-    tag: int
-    payload: Any
-    words: int
-    send_time: float = 0.0
-    arrive_time: float = 0.0
-    seq: int = 0
-    consumed: bool = field(default=False, compare=False, repr=False)
+
+#: ``Mailbox._wild``: no wildcard index yet; the one receive flavour that
+#: has indexes; or receives of two kinds have run (heap tops may be dead)
+_NONE, _SRC, _TAG, _BOTH, _MIXED = range(5)
 
 
 class Mailbox:
@@ -104,42 +106,47 @@ class Mailbox:
     arrives.  :meth:`match` releases the slot whichever flavour of
     receive took the envelope, so a delivered message leaves nothing
     behind: an idle mailbox has ``len() == 0`` and an empty index.
-    Because a sender's clock is monotone, the head of a channel is also
-    the earliest envelope of that channel in every arrival-ordered
-    index, so "remove the channel head" is always the right release.
+    Because a sender's clock is monotone (and ``seq`` increases), the
+    head of a channel is also the earliest envelope of that channel in
+    every arrival-ordered index, so "remove the channel head" is always
+    the right release.
 
     The three wildcard heap indexes are **activated lazily**, per
     flavour, the first time a matching wildcard receive runs — a rank
     that only ever posts fully specified receives (or only
     ``recv(tag=d)``, the STFW stage loop) never pays for indexes it does
-    not use.  Once a heap exists it is kept current by subsequent posts.
-    **Lazy-invalidation rule:** the index a receive matched through
-    drops its entry at once; an entry for the same envelope in *another*
-    active index (mixed receive flavours on one mailbox) is marked by
-    ``Envelope.consumed`` and discarded when it reaches the top of that
-    heap.
+    not use.  Once a heap exists it is kept current by subsequent posts,
+    and the index a receive matched through drops its entry at once.
+    **Lazy-invalidation rule:** *the top of a wildcard heap is live iff
+    it is the head of its channel slot*, by identity.  Every live
+    matching envelope is in the index (backfill at activation, then
+    every post) and inside one channel heap order is FIFO order, so a
+    top that is not its channel's head was taken through another index.
+    Heaps of one flavour share no envelope, so the check is off until
+    the mailbox sees a second wildcard flavour activated or a fully
+    specified receive run while an index exists (``_wild == _MIXED``).
     """
 
     __slots__ = ("_by_key", "_src_heaps", "_tag_heaps", "_any_heap", "_wild", "_len")
 
     def __init__(self) -> None:
-        self._by_key: dict[tuple[int, int], Envelope | deque[Envelope]] = {}
+        self._by_key: dict[tuple[int, int], tuple | deque[tuple]] = {}
         #: lazily-activated wildcard indexes; a missing entry means no
         #: wildcard receive of that flavor has run yet
-        self._src_heaps: dict[int, list[tuple[float, int, int, Envelope]]] = {}
-        self._tag_heaps: dict[int, list[tuple[float, int, int, Envelope]]] = {}
-        self._any_heap: list[tuple[float, int, int, Envelope]] | None = None
-        #: True once any wildcard index is active — one flag check in
+        self._src_heaps: dict[int, list[tuple]] = {}
+        self._tag_heaps: dict[int, list[tuple]] = {}
+        self._any_heap: list[tuple] | None = None
+        #: truthy once any wildcard index is active — one flag check in
         #: post() instead of three container probes
-        self._wild = False
+        self._wild = _NONE
         self._len = 0
 
     def __len__(self) -> int:
         return self._len
 
-    def post(self, env: Envelope) -> None:
+    def post(self, env: tuple) -> None:
         """File one envelope; updates whichever indexes are active."""
-        key = (env.source, env.tag)
+        key = (env[1], env[3])
         slot = self._by_key.get(key)
         if slot is None:
             self._by_key[key] = env
@@ -148,16 +155,15 @@ class Mailbox:
         else:
             self._by_key[key] = deque((slot, env))
         if self._wild:
-            entry = (env.arrive_time, env.source, env.seq, env)
-            heap = self._tag_heaps.get(env.tag)
+            heap = self._tag_heaps.get(env[3])
             if heap is not None:
-                heappush(heap, entry)
+                heappush(heap, env)
             if self._src_heaps:
-                heap = self._src_heaps.get(env.source)
+                heap = self._src_heaps.get(env[1])
                 if heap is not None:
-                    heappush(heap, entry)
+                    heappush(heap, env)
             if self._any_heap is not None:
-                heappush(self._any_heap, entry)
+                heappush(self._any_heap, env)
         self._len += 1
 
     def match(
@@ -166,7 +172,7 @@ class Mailbox:
         tag: int,
         before: float | None = None,
         horizon: float | None = None,
-    ) -> Envelope | None:
+    ) -> tuple | None:
         """Remove and return the envelope a ``recv(source, tag)`` should receive.
 
         Fully-specified receives are FIFO per (source, tag); wildcard
@@ -196,14 +202,16 @@ class Mailbox:
             heap = self._heap(source, tag)
             if not heap:
                 return None
-            env = heap[0][3]
-        if (before is not None and env.arrive_time > before) or (
-            horizon is not None and env.arrive_time >= horizon
+            env = heap[0]
+        if (before is not None and env[0] > before) or (
+            horizon is not None and env[0] >= horizon
         ):
             return None
         if heap is not None:
             heappop(heap)
-        key = (env.source, env.tag)
+        elif self._wild:
+            self._wild = _MIXED  # taken behind the wildcard indexes' back
+        key = (env[1], env[3])
         slot = self._by_key[key]
         if slot is env:
             del self._by_key[key]
@@ -211,7 +219,6 @@ class Mailbox:
             slot.popleft()
             if not slot:
                 del self._by_key[key]
-        env.consumed = True
         self._len -= 1
         return env
 
@@ -233,38 +240,45 @@ class Mailbox:
             heap = self._heap(source, tag)
             if not heap:
                 return None
-            env = heap[0][3]
-        if before is not None and env.arrive_time > before:
+            env = heap[0]
+        if before is not None and env[0] > before:
             return None
-        return env.arrive_time
+        return env[0]
 
-    def _heap(self, source: int, tag: int) -> list[tuple[float, int, int, Envelope]]:
+    def _heap(self, source: int, tag: int) -> list[tuple]:
         """The arrival heap of one wildcard flavour, a live entry on top.
 
-        Built (backfilled from the channel slots) on first use; entries
-        consumed through another index are discarded here.
+        Built (backfilled from the channel slots) on first use; on a
+        mailbox with mixed receives, tops that are no longer the head of
+        their channel are discarded here.
         """
         if source != ANY_SOURCE:
             heap = self._src_heaps.get(source)
             if heap is None:
-                heap = self._src_heaps[source] = self._build_heap(lambda s, t: s == source)
+                heap = self._src_heaps[source] = self._build_heap(_SRC, lambda s, t: s == source)
         elif tag != ANY_TAG:
             heap = self._tag_heaps.get(tag)
             if heap is None:
-                heap = self._tag_heaps[tag] = self._build_heap(lambda s, t: t == tag)
+                heap = self._tag_heaps[tag] = self._build_heap(_TAG, lambda s, t: t == tag)
         else:
             heap = self._any_heap
             if heap is None:
-                heap = self._any_heap = self._build_heap(lambda s, t: True)
-        while heap and heap[0][3].consumed:
-            heappop(heap)
+                heap = self._any_heap = self._build_heap(_BOTH, lambda s, t: True)
+        if self._wild == _MIXED:
+            by_key = self._by_key
+            while heap:
+                top = heap[0]
+                slot = by_key.get((top[1], top[3]))
+                if (slot[0] if slot.__class__ is deque else slot) is top:
+                    break
+                heappop(heap)
         return heap
 
-    def _build_heap(self, want) -> list[tuple[float, int, int, Envelope]]:
+    def _build_heap(self, flavour: int, want) -> list[tuple]:
         """Activate a wildcard index: backfill from the channel slots."""
-        self._wild = True
+        self._wild = flavour if self._wild in (_NONE, flavour) else _MIXED
         heap = [
-            (env.arrive_time, env.source, env.seq, env)
+            env
             for (s, t), slot in self._by_key.items()
             if want(s, t)
             for env in (slot if slot.__class__ is deque else (slot,))
@@ -283,7 +297,7 @@ class Mailbox:
         self._src_heaps.clear()
         self._tag_heaps.clear()
         self._any_heap = None
-        self._wild = False
+        self._wild = _NONE
         self._len = 0
         return dropped
 

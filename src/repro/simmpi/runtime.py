@@ -21,9 +21,11 @@ can occur:
 * Each rank owns an indexed :class:`~repro.simmpi.message.Mailbox`:
   fully-specified receives take the head of a per-``(source, tag)``
   channel, wildcard receives the top of an arrival-time-ordered heap —
-  O(log n) either way.  The mailbox owns an envelope from the send
-  until the receive that takes it, which releases every index slot the
-  message occupied; nothing per message outlives its delivery.
+  O(log n) either way.  A message in flight is one plain tuple (the
+  envelope, which is also its own heap entry) that the cyclic collector
+  stops tracking; the mailbox owns it from the send until the receive
+  that takes it, which releases every index slot the message occupied,
+  so nothing per message outlives its delivery.
 * A rank blocked on a receive is its own wait-map entry (a rank blocks
   on at most one receive): :meth:`SimMPI._enqueue` inspects only the
   destination's posted ``(source, tag)`` interest and wakes it **iff the
@@ -152,7 +154,7 @@ from .collectives import (
     ShrinkOp,
 )
 from .faults import FaultPlan, FaultState
-from .message import ANY_SOURCE, ANY_TAG, TIMEOUT, Envelope, Mailbox, RunResult, TraceRecord
+from .message import ANY_SOURCE, ANY_TAG, TIMEOUT, Mailbox, RunResult, TraceRecord
 
 __all__ = [
     "Comm",
@@ -181,19 +183,22 @@ class _RankCrashed(BaseException):
 #: fraction of alpha charged on the receive side of a match
 RECV_ALPHA_FRACTION = 0.4
 
-#: upper bound on the (src_node, dst_node) -> hops memo; long-lived
-#: services at K = 16K would otherwise grow it across epochs without
-#: bound (up to num_nodes**2 entries).  On overflow the memo is cleared
-#: wholesale — real patterns re-warm the few hundred hot pairs in one
-#: exchange round, so eviction policy does not matter.
-_HOPS_CACHE_MAX = 65536
+#: upper bound, in entries (rows x num_nodes), on the source node -> hop
+#: row memo.  A row is a byte per entry (a list, 8 bytes per entry, only
+#: past diameter 255), so the bound is 16 MB and the whole table of
+#: K = 65536 on BlueGene/Q (4096 nodes, 2**24 entries) still fits.  Past
+#: it the memo is cleared wholesale; a thrashing run pays one ~40 us row
+#: per clear-and-miss, never worse than the scalar walks it replaces once
+#: a row serves 10 sends (a rank posts a stage's sends in one drive).
+_HOP_ROWS_MAX_ENTRIES = 1 << 24
 
 #: names of the deterministic bookkeeping counts a run reports as
 #: ``RunResult.engine_stats``: drained-deque arbitration rounds; ranks
 #: put on the ready deque after the initial seeding; wakes that found
 #: nothing to receive; wildcard receivers released by a horizon raise;
 #: timer events fired; mailbox match calls; messages delivered; hop-count
-#: memo misses; and the largest number of envelopes in flight at once
+#: rows built (memo misses, at most one per source node unless the memo
+#: overflowed); and the largest number of envelopes in flight at once
 ENGINE_STATS = (
     "quiescent_rounds",
     "wakes",
@@ -646,7 +651,7 @@ class SimMPI:
         #: per-message multiplicative slowdown ~ U(0, jitter); models OS
         #: noise / stragglers.  Deterministic per (seed, message order).
         self.jitter = float(jitter)
-        self._jitter_rng = np.random.default_rng(jitter_seed)
+        self._jitter_seed = jitter_seed
         #: messages at or above this size pay one extra alpha for the
         #: rendezvous handshake (MPI's eager/rendezvous protocol switch)
         self.rendezvous_threshold_words = rendezvous_threshold_words
@@ -681,18 +686,17 @@ class SimMPI:
                 mapping = block_mapping(K, machine.cores_per_node)
             self._mapping = validate_mapping(mapping, K, self._topology.num_nodes)
             #: rank -> node as plain ints (skips per-send numpy scalar
-            #: boxing) and a (src_node, dst_node) -> hops memo: the hop
-            #: count is pure in the node pair, and real patterns send
-            #: along few distinct pairs many times
+            #: boxing) and a source node -> hops-to-every-node memo: one
+            #: vector call per sending node instead of one scalar walk
+            #: per node pair (a sparse pattern sees each pair about once)
             self._map_list: list[int] = [int(x) for x in self._mapping]
-            self._hops_cache: dict[tuple[int, int], float] = {}
         else:
             if mapping is not None:
                 raise SimMPIError("mapping given without a machine")
             self._topology = None
             self._mapping = None
             self._map_list = []
-            self._hops_cache = {}
+        self._hop_rows: dict[int, bytes | list[int]] = {}
         self._procs: list[_ProcState] = []
         #: the ranks this engine runs (a shard worker runs a sub-range)
         self._owned = range(self.K)
@@ -724,15 +728,20 @@ class SimMPI:
         if self.machine is None:
             return 0.0
         m = self.machine
-        pair = (self._map_list[source], self._map_list[dest])
-        cache = self._hops_cache
-        hops = cache.get(pair)
-        if hops is None:
-            if len(cache) >= _HOPS_CACHE_MAX:
-                cache.clear()
-            hops = cache[pair] = self._topology.hops(*pair)
+        nodes = self._map_list
+        node = nodes[source]
+        rows = self._hop_rows
+        row = rows.get(node)
+        if row is None:
+            n = self._topology.num_nodes
+            if (len(rows) + 1) * n > _HOP_ROWS_MAX_ENTRIES:
+                rows.clear()
+            # indexing a row gives the very int the scalar hops() returns
+            hops = self._topology.hops_array(node, np.arange(n))
+            row = hops.astype(np.uint8).tobytes() if hops.max() < 256 else hops.tolist()
+            rows[node] = row
             self._stats["hop_memo_misses"] += 1
-        cost = m.alpha_us + m.alpha_hop_us * hops + m.beta_us_per_word * words
+        cost = m.alpha_us + m.alpha_hop_us * row[nodes[dest]] + m.beta_us_per_word * words
         if (
             self.rendezvous_threshold_words is not None
             and words >= self.rendezvous_threshold_words
@@ -762,10 +771,7 @@ class SimMPI:
     # ------------------------------------------------------------------
 
     def _post_send(self, source: int, dest: int, tag: int, payload: Any, words: int) -> None:
-        if not 0 <= dest < self.K:
-            raise SimMPIError(f"send to rank {dest} outside [0, {self.K})")
-        if words < 0:
-            raise SimMPIError("message words must be non-negative")
+        """Charge and post one send; :meth:`Comm.send` has validated the arguments."""
         fs = self._faults
         sender = self._procs[source]
         if fs is not None:
@@ -797,13 +803,12 @@ class SimMPI:
                         "fault.flip", start, track=source, cat="fault",
                         dest=dest, tag=tag, words=words,
                     )
+        # the envelope tuple; its layout is documented in message.py
         arrive = sender.clock
-        self._enqueue(Envelope(source, dest, tag, payload, words, start, arrive, sender.send_seq))
+        self._enqueue((arrive, source, sender.send_seq, tag, words, start, payload, dest))
         sender.send_seq += 1
         if duplicate:
-            self._enqueue(
-                Envelope(source, dest, tag, payload, words, start, arrive, sender.send_seq)
-            )
+            self._enqueue((arrive, source, sender.send_seq, tag, words, start, payload, dest))
             sender.send_seq += 1
         if obs is not None:
             obs.count("engine.sends", 1, track=source)
@@ -814,7 +819,7 @@ class SimMPI:
                     dest=dest, tag=tag,
                 )
 
-    def _enqueue(self, env: Envelope) -> None:
+    def _enqueue(self, env: tuple) -> None:
         """File ``env`` at its destination and tell a receiver it can unblock.
 
         Wait-map lookup: only the destination's posted ``(source, tag)``
@@ -826,7 +831,7 @@ class SimMPI:
         arrival is recorded as its held candidate and the horizon raise
         that passes it does the waking.
         """
-        dest = env.dest
+        arrive, env_source, _, env_tag, _, _, _, dest = env
         state = self._procs[dest]
         state.mailbox.post(env)
         self._live = live = self._live + 1
@@ -836,10 +841,9 @@ class SimMPI:
         if op.__class__ is _RecvOp:
             source = op.source
             tag = op.tag
-            arrive = env.arrive_time
             if (
-                (source == ANY_SOURCE or source == env.source)
-                and (tag == ANY_TAG or tag == env.tag)
+                (source == ANY_SOURCE or source == env_source)
+                and (tag == ANY_TAG or tag == env_tag)
                 and (op.deadline is None or arrive <= op.deadline)
             ):
                 if (
@@ -860,26 +864,18 @@ class SimMPI:
             self._ready.append(rank)
             self._stats["wakes"] += 1
 
-    def _deliver(self, rank: int, state: _ProcState, env: Envelope) -> tuple[int, int, Any]:
-        state.clock = max(state.clock, env.arrive_time) + self._recv_cost(rank, env.words)
+    def _deliver(self, rank: int, state: _ProcState, env: tuple) -> tuple[int, int, Any]:
+        arrive, source, _, tag, words, send_time, payload, _ = env
+        state.clock = max(state.clock, arrive) + self._recv_cost(rank, words)
         self._live -= 1
         self._stats["deliveries"] += 1
         if self._trace_enabled:
-            self.trace.append(
-                TraceRecord(
-                    source=env.source,
-                    dest=rank,
-                    tag=env.tag,
-                    words=env.words,
-                    send_time=env.send_time,
-                    arrive_time=env.arrive_time,
-                )
-            )
+            self.trace.append(TraceRecord(source, rank, tag, words, send_time, arrive))
         obs = self._obs
         if obs is not None:
             obs.count("engine.recvs", 1, track=rank)
-            obs.count("engine.recv_words", env.words, track=rank)
-        return (env.source, env.tag, env.payload)
+            obs.count("engine.recv_words", words, track=rank)
+        return (source, tag, payload)
 
     # ------------------------------------------------------------------
     # Run loop
@@ -900,6 +896,8 @@ class SimMPI:
         self._coll_kinds = {}
         self._acked_dead = set()
         self._horizon = self._lookahead
+        # like the fault state, the jitter stream restarts with every run
+        self._jitter_rng = np.random.default_rng(self._jitter_seed)
         self._faults = (
             None if self.fault_plan is None else FaultState(self.fault_plan, self.K)
         )
@@ -915,7 +913,7 @@ class SimMPI:
                 state.retval = out
                 self._num_finished += 1
 
-    def _match_recv(self, state: _ProcState, op: _RecvOp) -> Envelope | None:
+    def _match_recv(self, state: _ProcState, op: _RecvOp) -> tuple | None:
         """Match a blocked receive against the rank's mailbox.
 
         Under conservative matching (any run with a machine), wildcard

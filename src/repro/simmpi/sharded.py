@@ -64,7 +64,7 @@ from ..network.machines import Machine
 from ..parallel import pool_context, resolve_jobs
 from .collectives import ShrinkOp
 from .faults import FaultPlan
-from .message import Envelope, RunResult
+from .message import RunResult
 from .runtime import (
     _COLLECTIVE_OPS,
     ENGINE_STATS,
@@ -160,17 +160,14 @@ class _ShardEngine(SimMPI):
     # conservative whenever a machine is present, and a shard always
     # has one — the coordinator drives ``_horizon`` via advance windows
 
-    def _enqueue(self, env: Envelope) -> None:
-        shard = self._shard_of[env.dest]
+    def _enqueue(self, env: tuple) -> None:
+        shard = self._shard_of[env[7]]
         if shard == self._my_shard:
             super()._enqueue(env)
             return
         # cross-shard: the sender was charged exactly as in the serial
         # engine; buffer the envelope for the window barrier
-        self._outbox[shard].append(
-            (env.source, env.dest, env.tag, env.payload, env.words,
-             env.send_time, env.arrive_time, env.seq)
-        )
+        self._outbox[shard].append(env)
 
     def _kill_rank(self, rank: int, state: _ProcState, *, at: float) -> None:
         super()._kill_rank(rank, state, at=at)
@@ -195,10 +192,11 @@ class _ShardEngine(SimMPI):
             for blob in inbound:
                 envs.extend(pickle.loads(blob))
             # per-source order (= sender program order) must survive the
-            # merge so each (source, tag) FIFO stays in channel order
-            envs.sort(key=lambda e: (e[6], e[0], e[7]))
-            for fields in envs:
-                self._enqueue(Envelope(*fields))
+            # merge so each (source, tag) FIFO stays in channel order; an
+            # envelope sorts by its own (arrive, source, seq) head
+            envs.sort(key=lambda e: e[:3])
+            for env in envs:
+                self._enqueue(env)
         progressed = bool(self._ready)
         self._drain_ready()
         return self._report(progressed)

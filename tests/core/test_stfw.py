@@ -11,8 +11,11 @@ from repro.core import (
     recv_counts_from_plan,
     run_exchange,
 )
+from repro.core.stfw import _default_payloads, _exchange_counts, stfw_process
 from repro.errors import PlanError
 from repro.network import BGQ
+from repro.simmpi import run_spmd
+from repro.simmpi.integrity import corrupt_draw, flip_payload
 
 
 def expected_deliveries(pattern):
@@ -158,3 +161,107 @@ class TestTiming:
         payloads[0] = {0: [1]}  # illegal self message smuggled into payloads
         with pytest.raises(PlanError):
             run_exchange(p, vpt, payloads=payloads)
+
+
+def stfw_process_with_list_buckets(
+    comm, vpt, send_data, recv_counts=None, *, header_words=0, corrupt_p=0.0, flip_seed=0
+):
+    """Algorithm 1 as it was before the bare-slot buckets: a list per bucket,
+    a list as the message payload, one receive request per message."""
+    rank, n, weights, dim_sizes = comm.rank, vpt.n, vpt.weights, vpt.dim_sizes
+    fwbuf = [[None] * dim_sizes[d] for d in range(n)]
+    delivered = []
+
+    def bucket(first_dim, sub):
+        d = first_dim
+        while (rank - sub[0]) % weights[d + 1] == 0:
+            d += 1
+        digit = (sub[0] // weights[d]) % dim_sizes[d]
+        if fwbuf[d][digit] is None:
+            fwbuf[d][digit] = []
+        fwbuf[d][digit].append(sub)
+
+    for dst, payload in send_data.items():
+        bucket(0, (dst, rank, payload))
+    for d in range(n):
+        if recv_counts is None:
+            expect = yield from _exchange_counts(comm, vpt, d, fwbuf[d])
+        else:
+            expect = int(recv_counts[d])
+        w = weights[d]
+        own_base = rank - ((rank // w) % dim_sizes[d]) * w
+        for digit in range(dim_sizes[d]):
+            subs, fwbuf[d][digit] = fwbuf[d][digit], None
+            if subs:
+                words = sum(len(p) for _, _, p in subs) + header_words * len(subs)
+                comm.send(own_base + digit * w, subs, tag=d, words=words)
+        for _ in range(expect):
+            _, _, subs = yield comm.recv(tag=d)
+            for sub in subs:
+                if sub[0] == rank:
+                    delivered.append((sub[1], sub[2]))
+                    continue
+                if corrupt_p > 0.0 and corrupt_draw(flip_seed, rank, sub[1], sub[0], d) < corrupt_p:
+                    flipped, changed = flip_payload(sub[2], flip_seed, rank, sub[1], sub[0], d)
+                    if changed:
+                        sub = (sub[0], sub[1], flipped)
+                bucket(d + 1, sub)
+    return delivered
+
+
+class TestBucketSlots:
+    """A forward-buffer slot is None, one bare submessage or a list; a message's
+    payload is a tuple.  Same run as with a list per bucket, count for count."""
+
+    CASES = {
+        "sparse": (CommPattern.random(64, 2, words=3, seed=1), {}),
+        "dense": (CommPattern.random(16, 6, words=2, seed=2), {}),
+        "all_to_all": (CommPattern.all_to_all(16, words=1), {}),
+        "header_words": (CommPattern.random(16, 6, words=2, seed=3), dict(header_words=2)),
+        "dynamic": (CommPattern.random(16, 5, words=2, seed=4), dict(dynamic=True)),
+        "corrupt_forwarders": (
+            CommPattern.random(16, 6, words=4, seed=5),
+            dict(corrupt={3: 1.0, 6: 0.5, 9: 1.0}, flip_seed=11),
+        ),
+    }
+
+    def test_cases_cover_one_two_and_many_submessages_per_bucket(self):
+        plans = [build_plan(p, make_vpt(p.K, 2)) for p, _ in self.CASES.values()]
+        nsub = np.concatenate([st.nsub for plan in plans for st in plan.stages])
+        assert (nsub == 1).any() and (nsub == 2).any() and (nsub > 2).any()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_run_as_a_list_per_bucket(self, case):
+        pattern, opts = self.CASES[case]
+        K, vpt = pattern.K, make_vpt(pattern.K, 2)
+        payloads = _default_payloads(pattern)
+        header, corrupt = opts.get("header_words", 0), opts.get("corrupt", {})
+        counts = None
+        if not opts.get("dynamic"):
+            counts = recv_counts_from_plan(build_plan(pattern, vpt, header_words=header))
+
+        def rc(comm):
+            return None if counts is None else counts[:, comm.rank]
+
+        def now(comm):
+            return stfw_process(
+                comm, vpt, payloads[comm.rank], rc(comm), header_words=header,
+                corrupt_forwarders=corrupt, flip_seed=opts.get("flip_seed", 0),
+            )
+
+        def before(comm):
+            return stfw_process_with_list_buckets(
+                comm, vpt, payloads[comm.rank], rc(comm), header_words=header,
+                corrupt_p=corrupt.get(comm.rank, 0.0), flip_seed=opts.get("flip_seed", 0),
+            )
+
+        got = run_spmd(K, now, machine=BGQ, trace=True)
+        want = run_spmd(K, before, machine=BGQ, trace=True)
+        for part in ("clocks", "makespan_us", "trace", "engine_stats"):
+            assert getattr(got, part) == getattr(want, part), part
+        flips = 0
+        for rank, (a, b) in enumerate(zip(got.returns, want.returns)):
+            assert [s for s, _ in a] == [s for s, _ in b], f"rank {rank}"
+            assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(a, b)), f"rank {rank}"
+            flips += sum(not np.array_equal(x, payloads[s][rank]) for s, x in a)
+        assert (flips > 0) == bool(corrupt)

@@ -7,8 +7,10 @@ taken at the commit *before* the engine stopped waking receivers that
 cannot match: they pin that the cheaper engine simulates the same run.
 """
 
+import gc
 import hashlib
 import json
+from collections import deque
 
 import numpy as np
 import pytest
@@ -147,13 +149,137 @@ class TestMailbox:
         for seq in range(3):
             mb.post(env(1, 2, float(seq), seq))
         mb.post(env(5, 2, 0.5))
-        assert mb.match(ANY_SOURCE, 2).source == 1
+        assert mb.match(ANY_SOURCE, 2)[1] == 1  # the source
         assert mb.purge() == 3
         assert len(mb) == 0 and mb._by_key == {}
         assert mb.match(ANY_SOURCE, 2) is None and mb.match(1, 2) is None
         late = env(1, 2, 9.0, 7)
         mb.post(late)
         assert mb.match(ANY_SOURCE, 2) is late
+
+
+# two sources x two tags keep the channels few and the flavours colliding;
+# most receives are unbounded so that they consume, and a purge is rare
+PEER = st.sampled_from([ANY_SOURCE, 0, 1])
+BOUND = st.sampled_from([None, None, None, 0.0, 1.0, 2.5])
+# a sender's clock is monotone: its arrivals advance by dt >= 0
+POST = st.tuples(st.just("post"), st.integers(0, 1), st.integers(0, 1),
+                 st.sampled_from([0.0, 0.0, 1.0, 1.5]))
+MATCH = st.tuples(st.just("match"), PEER, PEER, BOUND, BOUND)
+PEEK = st.tuples(st.just("peek"), PEER, PEER, BOUND)
+MAILBOX_OPS = st.lists(
+    st.one_of(*[POST] * 5, *[MATCH] * 6, PEEK, PEEK, st.tuples(st.just("purge"))),
+    min_size=10,
+    max_size=40,
+)
+
+
+class TestMailboxAgainstAScan:
+    """The indexes and the channel-head liveness rule, against a list that
+    is scanned for the earliest ``(arrive, source, seq)`` match."""
+
+    @staticmethod
+    def earliest(live, source, tag):
+        return min(
+            (e for e in live if source in (ANY_SOURCE, e[1]) and tag in (ANY_TAG, e[3])),
+            key=lambda e: e[:3],
+            default=None,
+        )
+
+    @given(MAILBOX_OPS)
+    @settings(max_examples=500, deadline=None)
+    def test_same_envelope_by_identity(self, ops):
+        mb, live = Mailbox(), []
+        clock, seq = [0.0, 0.0], [0, 0]
+        for op, *args in ops:
+            if op == "post":
+                source, tag, dt = args
+                clock[source] += dt
+                # an array payload: a comparison that reached it would raise
+                e = Envelope(source, 9, tag, np.arange(3), 1, 0.0, clock[source], seq[source])
+                seq[source] += 1
+                mb.post(e)
+                live.append(e)
+            elif op == "purge":
+                assert mb.purge() == len(live)
+                live.clear()
+            else:
+                source, tag, before, *horizon = args
+                want = self.earliest(live, source, tag)
+                if want is not None and before is not None and want[0] > before:
+                    want = None
+                if op == "peek":
+                    assert mb.peek_arrival(source, tag, before) == (want and want[0])
+                    continue
+                if want is not None and horizon[0] is not None and want[0] >= horizon[0]:
+                    want = None
+                assert mb.match(source, tag, before, horizon[0]) is want
+                if want is not None:
+                    live.remove(want)
+            assert len(mb) == len(live)
+        live.sort(key=lambda e: e[:3])
+        assert all(mb.match(ANY_SOURCE, ANY_TAG) is e for e in live)
+        assert len(mb) == 0 and mb._by_key == {}
+
+    def test_one_flavour_never_turns_the_check_on(self):
+        from repro.simmpi import message
+
+        mb = Mailbox()
+        for tag in (0, 1, 0, 1):
+            mb.post(env(tag, tag, 1.0, seq=len(mb)))
+            assert mb.match(3, 3) is None and mb.match(ANY_SOURCE, tag) is not None
+        assert mb._wild == message._TAG  # the STFW loop: recv(tag=d) only
+        mb.post(env(0, 0, 2.0, seq=9))
+        assert mb.match(0, 0) is not None and mb._wild == message._MIXED
+
+    def test_a_second_wildcard_flavour_turns_the_check_on(self):
+        mb = Mailbox()
+        a, b = env(1, 1, 1.0, seq=0), env(1, 2, 2.0, seq=1)
+        mb.post(a)
+        mb.post(b)
+        assert mb.match(1, ANY_TAG) is a
+        assert mb.match(ANY_SOURCE, 2) is b  # leaves b dead in the source index
+        assert mb.match(1, ANY_TAG) is None and mb.peek_arrival(ANY_SOURCE, ANY_TAG) is None
+        assert len(mb) == 0 and mb._by_key == {}
+
+
+class TestInFlightIsInvisibleToTheCollector:
+    """A waiting message is exact tuples over untracked leaves, so the cyclic
+    collector stops tracking it: its population does not grow with the mail.
+    A pass visits a container before what only it refers to, so it untracks
+    one level of nesting: envelope, payload, submessage take three passes."""
+
+    @staticmethod
+    def waiting(n):
+        sim = SimMPI(2)  # machine-less: rank 0 runs to completion first
+
+        def program(comm):
+            if comm.rank == 0:
+                for i in range(n):
+                    comm.send(1, ((1, 0, np.arange(4)),), tag=i % 3, words=4)
+                return None
+            for _ in range(3):
+                gc.collect()
+            tracked = len(gc.get_objects())
+            slots = sim._procs[1].mailbox._by_key.values()
+            envs = [e for s in slots for e in (s if type(s) is deque else (s,))]
+            loose = [e for e in envs if any(map(gc.is_tracked, (e, e[6], e[6][0], e[6][0][2])))]
+            recv = [comm.recv(tag=t) for t in range(3)]
+            for i in range(n):
+                yield recv[i % 3]
+            return len(envs), len(loose), tracked
+
+        return sim.run(program).returns[1]
+
+    def test_tracked_population_does_not_grow_with_the_mail(self):
+        self.waiting(10)  # warm caches that allocate on first use
+        few, loose_few, tracked_few = self.waiting(10)
+        many, loose_many, tracked_many = self.waiting(2010)
+        assert (few, many) == (10, 2010)
+        assert loose_few == loose_many == 0
+        # three channel deques either way; at the parent commit one
+        # tracked Envelope per message made this difference >= 2000
+        assert abs(tracked_many - tracked_few) < 50
 
 
 @st.composite

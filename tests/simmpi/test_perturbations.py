@@ -35,6 +35,13 @@ class TestJitter:
         assert a.clocks == b.clocks
         assert a.clocks != c.clocks
 
+    def test_repeated_runs_on_one_engine_are_identically_seeded(self):
+        sim = SimMPI(2, machine=BGQ, jitter=0.5, jitter_seed=3)
+        first, second = sim.run(pingpong), sim.run(pingpong)
+        fresh = SimMPI(2, machine=BGQ, jitter=0.5, jitter_seed=3).run(pingpong)
+        assert first == second == fresh
+        assert first.makespan_us > run_spmd(2, pingpong, machine=BGQ).makespan_us
+
     def test_negative_jitter_rejected(self):
         with pytest.raises(SimMPIError):
             SimMPI(2, machine=BGQ, jitter=-0.1)

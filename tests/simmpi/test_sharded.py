@@ -10,12 +10,14 @@ object sharing, so whole-structure pickle bytes legitimately differ
 while every individual value is identical.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import CommPattern, make_vpt, run_exchange
 from repro.errors import ExperimentError, PlanError, SimMPIError
-from repro.network import BGQ
+from repro.network import BGQ, DragonflyTopology, FlatTopology, TorusTopology
 from repro.simmpi import (
     ANY_SOURCE,
     ANY_TAG,
@@ -240,20 +242,49 @@ class TestEngineSelectionAPI:
 
 
 class TestHopCostMemo:
+    """``_send_cost`` memoizes one row of hop counts per source node."""
+
     def test_cache_is_instance_scoped(self):
         a = SimMPI(8, machine=BGQ)
         b = SimMPI(8, machine=BGQ)
         a._send_cost(0, 7, 4)
-        assert a._hops_cache and not b._hops_cache
+        assert a._hop_rows and not b._hop_rows
 
     def test_cache_is_bounded(self, monkeypatch):
         from repro.simmpi import runtime
 
-        monkeypatch.setattr(runtime, "_HOPS_CACHE_MAX", 8)
-        mpi = SimMPI(64, machine=BGQ)
-        for dest in range(1, 64):
-            mpi._send_cost(0, dest, 4)
-        assert len(mpi._hops_cache) <= 8
+        mpi = SimMPI(64, machine=BGQ)  # 16 cores per node: 4 sending nodes
+        n = mpi._topology.num_nodes
+        monkeypatch.setattr(runtime, "_HOP_ROWS_MAX_ENTRIES", 2 * n)
+        want = [mpi._send_cost(src, 63 - src, 4) for src in range(64)]
+        assert mpi._stats["hop_memo_misses"] == 4  # one row per sending node
+        assert len(mpi._hop_rows) * n <= 2 * n  # ... two of them kept
+        # a cleared row is rebuilt with the same costs
+        assert [mpi._send_cost(src, 63 - src, 4) for src in range(64)] == want
+        assert len(mpi._hop_rows) * n <= 2 * n
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            TorusTopology((3, 4, 2)),
+            DragonflyTopology(3, 2, 2),
+            FlatTopology(7),
+            TorusTopology((600,)),  # diameter 300: does not fit a byte row
+        ],
+        ids=["torus", "dragonfly", "flat", "ring600"],
+    )
+    def test_row_equals_the_scalar_hops(self, topology):
+        machine = replace(BGQ, cores_per_node=1, topology_factory=lambda nodes: topology)
+        mpi = SimMPI(topology.num_nodes, machine=machine)
+        for src in range(0, topology.num_nodes, 1 if topology.num_nodes < 100 else 97):
+            cost = mpi._send_cost(src, topology.num_nodes - 1, 5)
+            row = mpi._hop_rows[src]
+            want = [topology.hops(src, dst) for dst in range(topology.num_nodes)]
+            assert list(row) == want
+            assert all(type(h) is int for h in (row[0], row[-1]))
+            assert cost == (
+                machine.alpha_us + machine.alpha_hop_us * want[-1] + machine.beta_us_per_word * 5
+            )
 
 
 class TestEngineBenchDocument:
