@@ -465,7 +465,8 @@ class PlanBuilder:
             route_key = None  # duplicate routes: not repairable in place
         elif senders.size:
             mkey = senders * np.int64(K) + receivers
-            order = np.argsort(mkey, kind="stable")
+            # nothing below sees the order inside a run of equal keys
+            order = np.argsort(mkey)
             key_sorted = mkey[order]
             first = run_starts(key_sorted)
             uniq = key_sorted[first]

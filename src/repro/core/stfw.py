@@ -70,6 +70,7 @@ from typing import Any, Generator, Mapping, Sequence
 import numpy as np
 
 from ..errors import DeadlockError, PendingOp, PlanError
+from ..simmpi.batch import EdgePayloads
 from ..simmpi.faults import FaultPlan
 from ..simmpi.integrity import corrupt_draw, flip_payload, payload_checksum
 from ..simmpi.message import TIMEOUT, RunResult
@@ -915,21 +916,17 @@ def direct_ft_process(
 # ----------------------------------------------------------------------
 
 
-def _default_payloads(pattern: CommPattern) -> list[dict[int, np.ndarray]]:
-    """Per-rank SendSets with synthetic verifiable payloads.
+def _default_payloads(pattern: CommPattern) -> EdgePayloads:
+    """Per-rank SendSets with synthetic verifiable payloads, by columns.
 
     Message ``m_ij`` carries the words ``[i * K + j] * size`` so that a
     delivered payload identifies its (source, destination) pair.  The
-    payloads are non-overlapping views of one int64 buffer: copy one
-    before mutating it or keeping it for long.
+    table indexes like the list of ``{dst: payload}`` dicts an event
+    engine reads (built on first use); the batch engine reads its
+    columns and builds none.  Payloads are non-overlapping views of one
+    int64 buffer: copy one before mutating it or keeping it for long.
     """
-    src, dst, size = pattern.src, pattern.dst, pattern.size
-    words = np.repeat(src * pattern.K + dst, size)
-    ends = np.cumsum(size).tolist()
-    send_data: list[dict[int, np.ndarray]] = [{} for _ in range(pattern.K)]
-    for s, t, a, b in zip(src.tolist(), dst.tolist(), [0] + ends, ends):
-        send_data[s][t] = words[a:b]
-    return send_data
+    return EdgePayloads.synthetic(pattern.K, pattern.src, pattern.dst, pattern.size)
 
 
 def _run_spmd_on_fault(
@@ -1085,8 +1082,10 @@ def run_exchange(
       e-cube detours, END receipts) and always terminates, filling
       ``reports`` with per-rank :class:`FTRankReport` accounting.
 
-    ``payloads`` defaults to synthetic verifiable arrays sized by the
-    pattern.  ``mode`` is ``"planned"`` (receive counts precomputed
+    ``payloads`` is one ``{dst: payload}`` dict per rank, or an
+    :class:`~repro.simmpi.batch.EdgePayloads` table; it defaults to the
+    table of synthetic verifiable arrays sized by the pattern, which the
+    batch engine reads by columns without building a dict.  ``mode`` is ``"planned"`` (receive counts precomputed
     from the plan; the amortized-setup path the paper times) or
     ``"dynamic"`` (per-stage count exchange; no global knowledge) —
     STFW only, as is ``header_words``.  The FT knobs (``timeout_us``,

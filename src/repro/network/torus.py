@@ -63,10 +63,9 @@ class TorusTopology(Topology):
             raise NetworkModelError(f"invalid torus dims {dims}")
         self._dims = dims
         self._num_nodes = _prod(dims)
-        weights = [1]
-        for d in dims:
-            weights.append(weights[-1] * d)
-        self._weights = tuple(weights)
+        # per dimension, every node's coordinate (what hops_array gathers)
+        nodes = np.arange(self._num_nodes)
+        self._coords = np.stack(np.unravel_index(nodes, dims, order="F")).astype(np.int32)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -101,18 +100,14 @@ class TorusTopology(Topology):
     def hops_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if a.size and (a.min() < 0 or a.max() >= self._num_nodes):
-            raise NetworkModelError("node array outside torus")
-        if b.size and (b.min() < 0 or b.max() >= self._num_nodes):
-            raise NetworkModelError("node array outside torus")
-        total = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        for i, d in enumerate(self._dims):
-            w = self._weights[i]
-            ca = (a // w) % d
-            cb = (b // w) % d
-            delta = np.abs(ca - cb)
+        for x in (a, b):
+            if x.size and (x.min() < 0 or x.max() >= self._num_nodes):
+                raise NetworkModelError("node array outside torus")
+        total = np.zeros(np.broadcast(a, b).shape, dtype=np.int32)
+        for coord, d in zip(self._coords, self._dims):
+            delta = np.abs(coord.take(a) - coord.take(b))
             total += np.minimum(delta, d - delta)
-        return total
+        return total.astype(np.int64)
 
     def diameter(self) -> int:
         """Closed form: sum of ``floor(k_d / 2)`` over dimensions."""

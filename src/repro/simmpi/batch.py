@@ -8,7 +8,12 @@ array sweeps instead of per-message Python events:
 
 * per-stage send/recv message arrays come straight from the
   :class:`~repro.core.plan.CommPlan`'s coalesced stage arrays (BL is a
-  single implicit stage built from the payload dicts);
+  single implicit stage: the rows of the payload table);
+* payloads travel as an :class:`EdgePayloads` table — ``src``, ``dst``,
+  ``size`` columns and the payload objects or one flat buffer — so no
+  ``{dst: payload}`` dict is built or read unless the caller passed
+  dicts, and a default payload's view is made once: when it is
+  delivered, or when an event engine first asks the table for dicts;
 * arrival times come from the vectorized machine cost model
   (:func:`repro.network.timing.send_cost_many` /
   :func:`~repro.network.timing.recv_cost_many` — the same hop-cost
@@ -26,10 +31,15 @@ approximately.  Three facts make that possible:
    wildcard gate, which makes per-``(rank, tag)`` wildcard delivery a
    pure function of virtual time: envelopes are matched in
    ``(arrive_time, source, seq)`` order.  That order is computable in
-   closed form (one ``np.lexsort``), so the batch engine never needs to
-   discover it event by event.  Machine-less runs keep the event
-   engine's eager match-on-post behavior — an artifact of engine
-   interleaving that cannot be batch-scheduled — so they are refused.
+   closed form, so the batch engine never needs to discover it event by
+   event: a stage's arrays are sorted by (sender, send order) with one
+   message per (sender, receiver), so equal arrival times at a receiver
+   already stand in ``(source, seq)`` order and one *stable*
+   ``np.lexsort((arrive, receiver))`` is the whole four-key order (the
+   receiver as 16-bit digits, which NumPy radix-sorts).  Machine-less
+   runs keep the event engine's eager match-on-post behavior — an
+   artifact of interleaving that cannot be batch-scheduled — so they
+   are refused.
 2. The per-element vector cost expressions use the same IEEE-754
    operation sequence as the scalar cost model (same term order, same
    association, integer hop counts from ``hops_array`` equal to the
@@ -44,13 +54,15 @@ approximately.  Three facts make that possible:
 refused by name at construction or entry — wildcard/timeout receives
 and shrinks (any :meth:`run` with an arbitrary process function),
 dynamic NBX-style count discovery, fault plans, jitter, machine-less
-runs — never silently mis-simulated.
+runs, plans whose stages repeat a route (``build_plan(...,
+coalesce=False)``), payloads that disagree with the plan or name a
+destination outside ``[0, K)`` — never silently mis-simulated.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -60,49 +72,115 @@ from ..network.timing import recv_cost_many, send_cost_many
 from .message import RunResult, TraceRecord
 from .runtime import RECV_ALPHA_FRACTION, SimMPI, trace_sort_key
 
-__all__ = ["BatchSimMPI"]
+__all__ = ["BatchSimMPI", "EdgePayloads"]
 
 
-def _edges_from_payloads(
-    payloads: Sequence[Mapping[int, Any]], K: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten per-rank payload dicts into edge arrays, dict order kept.
+def digits16(x: np.ndarray, bound: int) -> list[np.ndarray]:
+    """``x`` (integers in ``[0, bound)``) as 16-bit digits, least significant first.
 
-    Returns ``(source, destination, payload, words)`` per edge, the
-    payloads as an object array that delivery gathers by index.  The
-    flat order — ranks ascending, and within a rank the dict's
-    insertion order — is exactly the order the event engine's process
-    functions iterate ``send_data.items()``, which is what makes the
-    per-sender send sequence (and hence every ``seq`` tie-break)
-    reproducible.
+    ``np.lexsort(digits16(x, bound))`` is ``np.argsort(x, kind="stable")``
+    done by NumPy's radix sort, which it only has for 16-bit keys: one
+    pass up to ``bound = 2**16``, two up to ``2**32``, and so on.
     """
-    if len(payloads) != K:
-        raise SimMPIError(
-            f"engine='batch' got {len(payloads)} payload dicts for K={K} ranks"
-        )
-    counts = np.fromiter(map(len, payloads), np.int64, count=K)
-    esrc = np.repeat(np.arange(K, dtype=np.int64), counts)
-    edst = np.fromiter(chain.from_iterable(payloads), np.int64, count=esrc.size)
-    epay = np.fromiter(
-        chain.from_iterable(p.values() for p in payloads), object, count=esrc.size
-    )
-    try:
-        sizes = np.fromiter(map(len, epay), np.int64, count=esrc.size)
-    except TypeError as exc:
-        raise PlanError("payloads must be sized (len()-able) objects") from exc
-    return esrc, edst, epay, sizes
+    bits = max(int(bound) - 1, 1).bit_length()
+    return [(x >> shift).astype(np.uint16) for shift in range(0, bits, 16)]
+
+
+def rounds(counts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(ranks, slots)`` of round ``j = 0, 1, ...`` until none is left.
+
+    Rank ``r`` owns the slots ``off[r] .. off[r] + counts[r] - 1`` of an
+    array grouped by rank (``off`` the exclusive prefix sum); round ``j``
+    holds the ``j``-th slot of every rank that has one, each rank once.
+    With the ranks ordered by descending count a round is a prefix, so
+    the only sort is over the ``len(counts)`` ranks.
+    """
+    by_count = np.argsort(counts)[::-1]
+    first = (np.cumsum(counts) - counts)[by_count]
+    # live[j]: how many ranks hold more than j slots
+    live = np.searchsorted(-counts[by_count], -np.arange(counts.max(initial=0)))
+    for j, n in enumerate(live.tolist()):
+        yield by_count[:n], first[:n] + j
+
+
+class EdgePayloads:
+    """The payloads of one exchange by columns, one row per message.
+
+    Rows are grouped by source rank ascending and, inside a rank, kept
+    in send order — a dict's insertion order, the order the event
+    engine's process functions iterate ``send_data.items()``.  ``src``,
+    ``dst`` and ``size`` (words) are int64 columns; the payloads are the
+    caller's objects (:meth:`from_dicts`) or slices of one flat buffer
+    (:meth:`synthetic`) that become views only when asked for:
+    :meth:`take` makes those of the rows it is given, ``table[rank]``
+    (what an event engine reads) builds all ``K`` ``{dst: payload}``
+    dicts on first use.  A view aliases the buffer: copy it to keep it.
+    """
+
+    def __init__(self, K, src, dst, size, payload, ends=None, dicts=None):
+        self.K, self.src, self.dst, self.size = K, src, dst, size
+        self._payload = payload  # object array, or the flat buffer cut at ``ends``
+        self._ends = ends
+        self._dicts = dicts
+
+    @classmethod
+    def from_dicts(cls, payloads: Sequence[Mapping[int, Any]], K: int) -> "EdgePayloads":
+        """Flatten per-rank ``{dst: payload}`` dicts (a table passes through)."""
+        if len(payloads) != K:
+            raise SimMPIError(f"engine='batch' got {len(payloads)} payload dicts for K={K} ranks")
+        if isinstance(payloads, cls):
+            return payloads
+        counts = np.fromiter(map(len, payloads), np.int64, count=K)
+        src = np.repeat(np.arange(K, dtype=np.int64), counts)
+        dst = np.fromiter(chain.from_iterable(payloads), np.int64, count=src.size)
+        if dst.size and not 0 <= dst.min() <= dst.max() < K:
+            bad = int(np.nonzero((dst < 0) | (dst >= K))[0][0])
+            raise SimMPIError(f"rank {int(src[bad])}: send to rank {int(dst[bad])} outside [0, {K})")
+        values = chain.from_iterable(p.values() for p in payloads)
+        objects = np.fromiter(values, object, count=src.size)
+        try:
+            size = np.fromiter(map(len, objects), np.int64, count=src.size)
+        except TypeError as exc:
+            raise PlanError("payloads must be sized (len()-able) objects") from exc
+        return cls(K, src, dst, size, objects, dicts=payloads)
+
+    @classmethod
+    def synthetic(cls, K: int, src: np.ndarray, dst: np.ndarray, size: np.ndarray) -> "EdgePayloads":
+        """Message ``(s, t)`` carries the words ``[s * K + t] * size``; the sort
+        is stable, so a rank's rows keep the order given (a fill's dict order)."""
+        order = np.lexsort(digits16(src, K))
+        src, dst, size = src[order], dst[order], size[order]
+        return cls(K, src, dst, size, np.repeat(src * K + dst, size), np.cumsum(size))
+
+    def take(self, rows) -> Sequence[Any]:
+        """The payload objects of ``rows``, in that order."""
+        if self._ends is None:
+            return self._payload[rows]
+        ends = self._ends[rows]
+        buf = self._payload
+        return [buf[a:b] for a, b in zip((ends - self.size[rows]).tolist(), ends.tolist())]
+
+    def __len__(self) -> int:
+        return self.K
+
+    def __getitem__(self, rank: int) -> Mapping[int, Any]:
+        if self._dicts is None:
+            self._dicts = dicts = [{} for _ in range(self.K)]
+            for s, t, p in zip(self.src.tolist(), self.dst.tolist(), self.take(slice(None))):
+                dicts[s][t] = p
+        return self._dicts[rank]
 
 
 def _delivery_lists(
-    esrc: np.ndarray, epay: np.ndarray, order: np.ndarray, counts: np.ndarray
+    table: EdgePayloads, order: np.ndarray, counts: np.ndarray
 ) -> list[list[tuple[int, Any]]]:
-    """Per-rank ``(origin, payload)`` lists from edges in delivery order.
+    """Per-rank ``(origin, payload)`` lists from table rows in delivery order.
 
-    ``order`` holds edge indices grouped by receiver, ranks ascending,
-    each rank's edges in its delivery order; ``counts[r]`` is rank
-    ``r``'s share.
+    ``order`` holds rows grouped by receiver, ranks ascending, each
+    rank's rows in its delivery order; ``counts[r]`` is rank ``r``'s
+    share.
     """
-    pairs = list(zip(esrc[order].tolist(), epay[order]))
+    pairs = list(zip(table.src[order].tolist(), table.take(order)))
     ends = np.cumsum(counts).tolist()
     return [pairs[a:b] for a, b in zip([0] + ends, ends)]
 
@@ -217,21 +295,18 @@ class BatchSimMPI(SimMPI):
     def _sweep_sends(
         self,
         clocks: np.ndarray,
-        base_seq: np.ndarray,
         snd: np.ndarray,
         rcv: np.ndarray,
         words: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Advance sender clocks for one stage; return start/arrive/seq.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Advance sender clocks for one stage; return start/arrive/counts.
 
         ``snd`` must be sorted ascending with each sender's messages in
         its program send order (true for plan stage arrays and for the
-        rank-major payload-dict flattening).  The ``j``-th send of every
+        rows of an :class:`EdgePayloads`).  The ``j``-th send of every
         rank is one vector op, so the per-element float sequence
         ``start = clock; clock += cost`` matches the scalar engine.
         """
-        K = self.K
-        nm = snd.size
         map_arr = self._mapping
         cost = send_cost_many(
             self.machine,
@@ -241,56 +316,39 @@ class BatchSimMPI(SimMPI):
             words,
             rendezvous_threshold_words=self.rendezvous_threshold_words,
         )
-        cnt_s = np.bincount(snd, minlength=K)
-        off_s = np.cumsum(cnt_s) - cnt_s
-        pos = np.arange(nm, dtype=np.int64) - off_s[snd]
-        start = np.empty(nm, dtype=np.float64)
-        arrive = np.empty(nm, dtype=np.float64)
-        porder = np.argsort(pos, kind="stable")
-        bounds = np.searchsorted(pos[porder], np.arange(int(pos.max()) + 2))
-        for j in range(len(bounds) - 1):
-            idx = porder[bounds[j] : bounds[j + 1]]
-            senders = snd[idx]
+        cnt_s = np.bincount(snd, minlength=self.K)
+        start = np.empty(snd.size, dtype=np.float64)
+        arrive = np.empty(snd.size, dtype=np.float64)
+        for senders, idx in rounds(cnt_s):
             before = clocks[senders]
             after = before + cost[idx]
             clocks[senders] = after
             start[idx] = before
             arrive[idx] = after
-        seq = base_seq[snd] + pos
-        base_seq += cnt_s
-        return start, arrive, seq, cnt_s
+        return start, arrive, cnt_s
 
     def _sweep_recvs(
         self,
         clocks: np.ndarray,
-        snd: np.ndarray,
         rcv: np.ndarray,
         words: np.ndarray,
         arrive: np.ndarray,
-        seq: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Fold one stage's deliveries into receiver clocks.
 
         Returns the message indices in global delivery order (receivers
         ascending, then the conservative gate's canonical
-        ``(arrive_time, source, seq)`` match order) plus per-rank
-        receive counts.  The ``j``-th delivery of every rank is one
-        Lindley fold ``clock = max(clock, arrive) + recv_cost`` — the
+        ``(arrive_time, source, seq)`` match order, which a stable sort
+        of the sender-sorted input gives: module docstring, fact 1) plus
+        per-rank receive counts.  The ``j``-th delivery of every rank is
+        one Lindley fold ``clock = max(clock, arrive) + recv_cost`` — the
         scalar engine's ``_deliver`` elementwise.
         """
-        K = self.K
-        nm = snd.size
         rc = recv_cost_many(self.machine, words, alpha_fraction=RECV_ALPHA_FRACTION)
-        dord = np.lexsort((seq, snd, arrive, rcv))
-        cnt_r = np.bincount(rcv, minlength=K)
-        off_r = np.cumsum(cnt_r) - cnt_r
-        posr = np.arange(nm, dtype=np.int64) - off_r[rcv[dord]]
-        rorder = np.argsort(posr, kind="stable")
-        bounds = np.searchsorted(posr[rorder], np.arange(int(posr.max()) + 2))
-        for j in range(len(bounds) - 1):
-            sel = rorder[bounds[j] : bounds[j + 1]]
-            m = dord[sel]
-            receivers = rcv[m]
+        dord = np.lexsort((arrive, *digits16(rcv, self.K)))
+        cnt_r = np.bincount(rcv, minlength=self.K)
+        for receivers, slots in rounds(cnt_r):
+            m = dord[slots]
             clocks[receivers] = np.maximum(clocks[receivers], arrive[m]) + rc[m]
         return dord, cnt_r
 
@@ -372,20 +430,21 @@ class BatchSimMPI(SimMPI):
 
         ``plan`` must be the :func:`~repro.core.plan.build_plan` output
         for ``(plan.pattern, vpt)`` with the desired ``header_words``;
-        ``payloads[r]`` is rank ``r``'s ``{destination: payload}`` dict
-        (insertion order = the rank's send order, as in
-        ``stfw_process``).  Returns the bit-identical ``RunResult`` of
-        the event engine; ``returns[r]`` is rank ``r``'s delivered
-        ``(origin, payload)`` list.
+        ``payloads`` is an :class:`EdgePayloads` table or, per rank, a
+        ``{destination: payload}`` dict (insertion order = the rank's
+        send order, as in ``stfw_process``).  Returns the bit-identical
+        ``RunResult`` of the event engine; ``returns[r]`` is rank
+        ``r``'s delivered ``(origin, payload)`` list.
         """
         K = self.K
         if vpt.K != K:
             raise SimMPIError(f"vpt K={vpt.K} does not match engine K={K}")
         n = vpt.n
-        esrc, edst, epay, esize = _edges_from_payloads(payloads, K)
-        E = len(epay)
+        table = EdgePayloads.from_dicts(payloads, K)
+        esrc, edst, esize = table.src, table.dst, table.size
+        E = esrc.size
 
-        # payload dicts must agree with the planned pattern — on any
+        # payloads must agree with the planned pattern — on any
         # mismatch the event engine would stall mid-exchange, so refuse
         # up front instead of mis-simulating
         pat = plan.pattern
@@ -408,36 +467,27 @@ class BatchSimMPI(SimMPI):
         # differing dimensions and the holder rank before each hop
         w_arr = np.asarray(vpt.weights[:n], dtype=np.int64)
         dsz = np.asarray(vpt.dim_sizes, dtype=np.int64)
-        if E:
-            sdig = (esrc[None, :] // w_arr[:, None]) % dsz[:, None]
-            ddig = (edst[None, :] // w_arr[:, None]) % dsz[:, None]
-            diff = sdig != ddig
-            nmov = diff.sum(axis=0)
-            if (nmov == 0).any():
-                bad = int(esrc[np.nonzero(nmov == 0)[0][0]])
-                raise PlanError(f"rank {bad} has a self message in its SendSet")
-            e_idx, m_dims = np.nonzero(diff.T)
-            moff = np.zeros(E + 1, dtype=np.int64)
-            moff[1:] = np.cumsum(nmov)
-            delta_flat = (ddig[m_dims, e_idx] - sdig[m_dims, e_idx]) * w_arr[m_dims]
-            incl = np.cumsum(delta_flat)
-            excl = incl - delta_flat
-            hop_sender = esrc[e_idx] + (excl - np.repeat(excl[moff[:-1]], nmov))
-            hop_recv = hop_sender + delta_flat
-            hop_stage = m_dims
-            sorder = np.argsort(hop_stage, kind="stable")
-            sbounds = np.searchsorted(hop_stage[sorder], np.arange(n + 1))
-        else:
-            nmov = np.zeros(0, dtype=np.int64)
-            e_idx = m_dims = hop_sender = hop_recv = np.zeros(0, dtype=np.int64)
-            moff = np.zeros(1, dtype=np.int64)
-            sorder = np.zeros(0, dtype=np.int64)
-            sbounds = np.zeros(n + 1, dtype=np.int64)
+        sdig = (esrc[None, :] // w_arr[:, None]) % dsz[:, None]
+        ddig = (edst[None, :] // w_arr[:, None]) % dsz[:, None]
+        diff = sdig != ddig
+        nmov = diff.sum(axis=0)
+        if (nmov == 0).any():
+            bad = int(esrc[np.nonzero(nmov == 0)[0][0]])
+            raise PlanError(f"rank {bad} has a self message in its SendSet")
+        e_idx, m_dims = np.nonzero(diff.T)
+        moff = np.zeros(E + 1, dtype=np.int64)
+        moff[1:] = np.cumsum(nmov)
+        delta_flat = (ddig[m_dims, e_idx] - sdig[m_dims, e_idx]) * w_arr[m_dims]
+        incl = np.cumsum(delta_flat)
+        excl = incl - delta_flat
+        hop_sender = esrc[e_idx] + (excl - np.repeat(excl[moff[:-1]], nmov))
+        hop_recv = hop_sender + delta_flat
+        sorder = np.lexsort(digits16(m_dims, n))
+        sbounds = np.searchsorted(m_dims[sorder], np.arange(n + 1))
 
         obs = self._obs
         trace_on = self._trace_enabled
         clocks = np.zeros(K, dtype=np.float64)
-        base_seq = np.zeros(K, dtype=np.int64)
         trace_parts: list = []
         total_sends = np.zeros(K, dtype=np.int64)
         total_sent_words = np.zeros(K, dtype=np.float64)
@@ -456,12 +506,19 @@ class BatchSimMPI(SimMPI):
         # arrival key) reproduces the event engine's bundle order
         # exactly — setup entries first in dict order, then forwarded
         # arrivals in delivery order — without a per-message Python walk.
+        # Arrival keys are unique and below ``key_span``, so the pair is
+        # sorted as one packed integer.
         nhops = e_idx.shape[0]
+        key_span = E + nhops
+        if max((st.num_messages for st in plan.stages), default=0) * key_span >= 2**62:
+            raise SimMPIError(
+                f"engine='batch': {key_span} arrival keys times the largest "
+                "stage's message count does not fit the packed 64-bit routing key"
+            )
         hop_key = np.empty(nhops, dtype=np.int64)
         last_hop = np.zeros(nhops, dtype=bool)
-        if E:
-            hop_key[moff[:-1]] = np.arange(E, dtype=np.int64)
-            last_hop[moff[1:] - 1] = True
+        hop_key[moff[:-1]] = np.arange(E, dtype=np.int64)
+        last_hop[moff[1:] - 1] = True
         next_key = E
         del_rank_parts: list[np.ndarray] = []
         del_edge_parts: list[np.ndarray] = []
@@ -481,11 +538,19 @@ class BatchSimMPI(SimMPI):
             snd = st.sender.astype(np.int64, copy=False)
             rcv = st.receiver.astype(np.int64, copy=False)
             words = st.total_words.astype(np.int64, copy=False)
+            # sweeps and replay rely on (sender, send order) order and one
+            # message per route: a repeated route would take all its hops
+            mkey = snd * K + rcv
+            if not (mkey[1:] > mkey[:-1]).all():
+                raise SimMPIError(
+                    f"engine='batch': stage {d} of the plan is not strictly "
+                    "increasing in (sender, receiver) — a plan built with "
+                    "coalesce=False repeats routes and cannot be replayed; "
+                    "use build_plan(..., coalesce=True)"
+                )
 
-            start, arrive, seq, cnt_s = self._sweep_sends(
-                clocks, base_seq, snd, rcv, words
-            )
-            dord, cnt_r = self._sweep_recvs(clocks, snd, rcv, words, arrive, seq)
+            start, arrive, cnt_s = self._sweep_sends(clocks, snd, rcv, words)
+            dord, cnt_r = self._sweep_recvs(clocks, rcv, words, arrive)
 
             hsel = sorder[sbounds[d] : sbounds[d + 1]]
             if trace_on:
@@ -514,22 +579,16 @@ class BatchSimMPI(SimMPI):
             # bundle in buffer order".  Final hops land in the per-rank
             # delivery lists; the rest hand their edge the next arrival
             # key, which seeds the bundle order of the next stage.
-            mkey = snd * K + rcv
-            mord = np.argsort(mkey, kind="stable")
             hkey = hop_sender[hsel] * K + hop_recv[hsel]
-            ins = np.searchsorted(mkey, hkey, sorter=mord)
-            if hkey.size:
-                m_of_hop = mord[np.minimum(ins, nm - 1)]
-                if ((ins >= nm) | (mkey[m_of_hop] != hkey)).any():
-                    raise SimMPIError(
-                        f"engine='batch' internal error: stage {d} routes "
-                        "a hop with no matching planned message"
-                    )
-            else:
-                m_of_hop = ins
+            m_of_hop = np.minimum(np.searchsorted(mkey, hkey), nm - 1)
+            if (mkey[m_of_hop] != hkey).any():
+                raise SimMPIError(
+                    f"engine='batch' internal error: stage {d} routes "
+                    "a hop with no matching planned message"
+                )
             pos = np.empty(nm, dtype=np.int64)
             pos[dord] = np.arange(nm, dtype=np.int64)
-            order = np.lexsort((hop_key[hsel], pos[m_of_hop]))
+            order = np.argsort(pos[m_of_hop] * key_span + hop_key[hsel])
             hs = hsel[order]
             fin = last_hop[hs]
             hop_key[hs[~fin] + 1] = next_key + np.nonzero(~fin)[0]
@@ -549,13 +608,14 @@ class BatchSimMPI(SimMPI):
         # per-rank delivery lists: arrival keys grow monotonically across
         # stages, so concatenating the per-stage final hops (already in
         # delivery order) and grouping stably by receiver reproduces each
-        # rank's exact append order
+        # rank's exact append order (``dr`` is one sorted run per stage,
+        # which the stable kernel merges in linear time)
         if del_edge_parts:
             dr = np.concatenate(del_rank_parts)
             de = np.concatenate(del_edge_parts)
             gord = np.argsort(dr, kind="stable")
             cnt = np.bincount(dr, minlength=K)
-            delivered = _delivery_lists(esrc, epay, de[gord], cnt)
+            delivered = _delivery_lists(table, de[gord], cnt)
         else:
             delivered = [[] for _ in range(K)]
 
@@ -594,7 +654,8 @@ class BatchSimMPI(SimMPI):
         mismatch would stall the event engine, so it is refused by name.
         """
         K = self.K
-        snd, rcv, epay, esize = _edges_from_payloads(payloads, K)
+        table = EdgePayloads.from_dicts(payloads, K)
+        snd, rcv, esize = table.src, table.dst, table.size
         expected = np.asarray(expected_counts, dtype=np.int64)
         if expected.shape != (K,):
             raise SimMPIError(
@@ -613,18 +674,15 @@ class BatchSimMPI(SimMPI):
 
         obs = self._obs
         clocks = np.zeros(K, dtype=np.float64)
-        base_seq = np.zeros(K, dtype=np.int64)
         delivered: list[list[tuple[int, Any]]] = [[] for _ in range(K)]
         trace_parts: list = []
         nm = snd.size
         if nm:
-            start, arrive, seq, cnt_s = self._sweep_sends(
-                clocks, base_seq, snd, rcv, esize
-            )
-            dord, cnt_r = self._sweep_recvs(clocks, snd, rcv, esize, arrive, seq)
+            start, arrive, cnt_s = self._sweep_sends(clocks, snd, rcv, esize)
+            dord, cnt_r = self._sweep_recvs(clocks, rcv, esize, arrive)
             if self._trace_enabled:
                 trace_parts.append((snd, rcv, 0, esize, start, arrive))
-            delivered = _delivery_lists(snd, epay, dord, cnt_r)
+            delivered = _delivery_lists(table, dord, cnt_r)
             if obs is not None:
                 obs.count("direct.messages", int(nm))
                 obs.count("direct.words", int(esize.sum()))
@@ -635,11 +693,8 @@ class BatchSimMPI(SimMPI):
                     np.bincount(rcv, weights=esize, minlength=K),
                 )
         if obs is not None:
-            t1_l = clocks.tolist()
-            exp_l = expected.tolist()
-            for r in range(K):
-                obs.add_span(
-                    "direct.exchange", 0.0, t1_l[r],
-                    track=r, cat="stage", expected=exp_l[r],
-                )
+            obs.add_span_batch(
+                "direct.exchange", [0.0] * K, clocks.tolist(), range(K),
+                [(("expected", c),) for c in expected.tolist()], cat="stage",
+            )
         return self._finalize_run(delivered, clocks, trace_parts)

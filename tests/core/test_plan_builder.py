@@ -39,6 +39,33 @@ class TestPlanBuilder:
                 build_plan(p, vpt, header_words=2),
             )
 
+    def test_stage_arrays_equal_the_stable_sort_formulation(self):
+        # hot rows give long runs of equal route keys, where an unstable
+        # sort is free to differ — and nothing downstream may notice
+        p = CommPattern.random(180, avg_degree=5, hot_processes=3, seed=7, words=3)
+        p = CommPattern(p.K, p.src, p.dst, p.size + np.arange(p.size.size) % 7)
+        vpt = make_vpt(180, 2)
+        builder = PlanBuilder(p)
+        for d in range(vpt.n):
+            w0, w1 = vpt.weights[d], vpt.weights[d + 1]
+            moved = builder._holder(w0) != builder._holder(w1)
+            mkey = builder._holder(w0)[moved] * np.int64(p.K) + builder._holder(w1)[moved]
+            order = np.argsort(mkey, kind="stable")
+            uniq, inv_sorted = np.unique(mkey[order], return_inverse=True)
+            assert (np.bincount(inv_sorted) > 1).any()
+            inv = np.empty(mkey.size, dtype=np.int64)
+            inv[order] = inv_sorted
+            want = (
+                uniq // p.K,
+                uniq % p.K,
+                np.bincount(inv, minlength=uniq.size).astype(np.int64),
+                np.bincount(inv, weights=p.size[moved], minlength=uniq.size).astype(np.int64),
+                uniq,
+            )
+            got = builder._stage_arrays(w0, w1, True)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
     def test_reuse_does_not_leak_between_header_words(self):
         p = CommPattern.random(32, avg_degree=4, seed=3, words=2)
         vpt = make_vpt(32, 2)

@@ -65,6 +65,16 @@ class TestTorusTopology:
         for x, y, h in zip(a, b, arr):
             assert h == t.hops(int(x), int(y))
 
+    @pytest.mark.parametrize("dims", [(3, 5, 2), (2, 3, 1, 4, 5)])
+    def test_hops_array_matches_scalar_on_every_pair(self, dims):
+        t = TorusTopology(dims)
+        nodes = np.arange(t.num_nodes)
+        arr = t.hops_array(nodes[:, None], nodes[None, :])
+        assert arr.dtype == np.int64 and arr.shape == (t.num_nodes, t.num_nodes)
+        assert arr.tolist() == [[t.hops(a, b) for b in nodes.tolist()] for a in nodes.tolist()]
+        # one node against all: the event engine's hop rows
+        assert np.array_equal(t.hops_array(7, nodes), arr[7])
+
     def test_diameter_closed_form(self):
         t = TorusTopology((4, 5))
         brute = max(

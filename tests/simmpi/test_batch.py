@@ -11,15 +11,16 @@ refused eagerly by name, never silently mis-simulated.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import CommPattern, make_vpt, run_exchange
+from repro.core import CommPattern, build_plan, make_vpt, run_exchange
 from repro.errors import EngineConfigError, PlanError, SimMPIError
 from repro.network import BGQ, CRAY_XC40, CRAY_XK7
 from repro.obs import Tracer
 from repro.simmpi import FaultPlan, SimMPI, engine_names, run_spmd
 from repro.simmpi.analysis import to_chrome_trace
 from repro.core.stfw import _default_payloads
-from repro.simmpi.batch import BatchSimMPI, _edges_from_payloads
+from repro.simmpi.batch import BatchSimMPI, EdgePayloads, digits16, rounds
 
 
 def deep_eq(x, y):
@@ -159,6 +160,33 @@ class TestExchangeEquivalence:
         for r, msgs in enumerate(got.delivered):
             assert all(p is payloads[s][r] for s, p in msgs)
 
+    def test_K_above_65536_takes_the_two_digit_receiver_path(self):
+        K = 66000
+        assert len(digits16(np.arange(3), K)) == 2
+        # degree 1 keeps the event engine's side of this to ~10 s
+        pattern = CommPattern.random(K, avg_degree=1, seed=4, words=2)
+        base = run_exchange(pattern, dims=2, machine=BGQ, trace=True)
+        got = run_exchange(pattern, dims=2, machine=BGQ, trace=True, engine="batch")
+        assert_same_result(base.run, got.run, f"(K={K})")
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        K=st.sampled_from([12, 16, 27, 36]),
+        degree=st.integers(1, 6),
+        dims=st.sampled_from([None, 2, 3]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_uniform_sizes_tie_many_arrivals(self, K, degree, dims, seed):
+        # equal words on a small torus: most arrival times collide, so
+        # the delivery order (and through it every bundle order) rests
+        # on the tie-breaks — stability in the receiver sort, unique
+        # arrival keys in the routing sort
+        pattern = CommPattern.random(K, avg_degree=degree, seed=seed, words=3)
+        kw = {"scheme": "direct"} if dims is None else {"dims": dims}
+        base = run_exchange(pattern, machine=BGQ, trace=True, **kw)
+        got = run_exchange(pattern, machine=BGQ, trace=True, engine="batch", **kw)
+        assert_same_result(base.run, got.run, f"(K={K}, {kw}, seed={seed})")
+
     def test_rerun_is_deterministic(self, pattern):
         vpt = make_vpt(64, 2)
         runs = [
@@ -289,6 +317,30 @@ class TestEagerRefusals:
             )
 
 
+    def test_uncoalesced_plan_refused(self):
+        # duplicate routes used to run and file every hop under the
+        # first message of its route: makespan 94.84 us against 55.94
+        pattern = CommPattern.random(64, 8, words=4, seed=1)
+        vpt = make_vpt(64, 2)
+        sim = SimMPI(64, machine=BGQ, engine="batch")
+        with pytest.raises(SimMPIError, match="stage 0.*coalesce=True"):
+            sim.run_planned_stfw(
+                vpt, build_plan(pattern, vpt, coalesce=False), _default_payloads(pattern)
+            )
+        assert run_exchange(pattern, vpt, machine=BGQ, engine="batch").makespan_us == (
+            run_exchange(pattern, vpt, machine=BGQ).makespan_us
+        )
+
+    @pytest.mark.parametrize("scheme", [{"scheme": "direct"}, {"dims": 2}])
+    @pytest.mark.parametrize("bad", [16, -1])
+    def test_destination_outside_ranks_refused(self, scheme, bad):
+        pattern = CommPattern.random(16, avg_degree=3, seed=2, words=2)
+        payloads = [dict(d) for d in _default_payloads(pattern)]
+        payloads[5][bad] = np.zeros(2)
+        with pytest.raises(SimMPIError, match=rf"rank 5: send to rank {bad} outside \[0, 16\)"):
+            run_exchange(pattern, machine=BGQ, payloads=payloads, engine="batch", **scheme)
+
+
 class TestPayloadContract:
     """Default payloads and the payload-dict flattening of the batch path."""
 
@@ -307,7 +359,7 @@ class TestPayloadContract:
             want[s][t] = np.full(w, s * K + t, dtype=np.int64)
         got = _default_payloads(pattern)
         assert [list(d) for d in got] == [list(d) for d in want]
-        assert deep_eq(got, want)
+        assert deep_eq(list(got), want)
 
     def test_delivered_default_payloads_do_not_overlap(self, pattern):
         out = run_exchange(pattern, dims=2, machine=BGQ, engine="batch")
@@ -318,20 +370,111 @@ class TestPayloadContract:
             assert p.size == pattern.size[pattern.edge_rows([s], [r])[0]]
             assert (p == -1 - i).all()
 
+    def test_table_reads_as_the_same_dicts_before_and_after_a_batch_run(self, pattern):
+        table = _default_payloads(pattern)
+        before = [dict(d) for d in table]
+        out = run_exchange(pattern, dims=2, machine=BGQ, engine="batch", payloads=table)
+        assert EdgePayloads.from_dicts(table, pattern.K) is table
+        assert deep_eq([dict(d) for d in table], before)
+        # and the delivered views carry what the dicts hold
+        for r, msgs in enumerate(out.delivered):
+            assert all(np.array_equal(p, table[s][r]) for s, p in msgs)
+
+    def test_table_of_user_dicts_hands_back_the_users_objects(self):
+        payloads = [{2: "ab", 1: (7,)}, {}, {0: [1, 2, 3]}]
+        table = EdgePayloads.from_dicts(payloads, 3)
+        assert all(table[r] is payloads[r] for r in range(3)) and len(table) == 3
+        assert all(p is q for p, q in zip(table.take([2, 0]), (payloads[2][0], payloads[0][2])))
+
     def test_flattening_keeps_rank_and_dict_order(self):
         payloads = [{2: "ab", 1: (7,)}, {}, {0: [1, 2, 3]}]
-        esrc, edst, epay, words = _edges_from_payloads(payloads, 3)
+        table = EdgePayloads.from_dicts(payloads, 3)
+        esrc, edst, words = table.src, table.dst, table.size
+        epay = table.take(np.arange(3))
         assert esrc.tolist() == [0, 0, 2] and edst.tolist() == [2, 1, 0]
         assert epay.tolist() == ["ab", (7,), [1, 2, 3]]
         assert words.tolist() == [2, 1, 3] and words.dtype == np.int64
 
     def test_wrong_dict_count_refused(self):
         with pytest.raises(SimMPIError, match="2 payload dicts for K=3"):
-            _edges_from_payloads([{}, {}], 3)
+            EdgePayloads.from_dicts([{}, {}], 3)
 
     def test_unsized_payload_refused(self):
         with pytest.raises(PlanError, match="sized"):
-            _edges_from_payloads([{1: 3.5}, {}], 2)
+            EdgePayloads.from_dicts([{1: 3.5}, {}], 2)
+
+
+class TestSortHelpers:
+    """The radix digits, the rounds generator and the two stage orders, each
+    against the formulation it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bound=st.sampled_from(
+            [1, 2, 255, 2**16 - 1, 2**16, 2**16 + 1, 70000, 2**32 - 1, 2**32, 2**32 + 1, 2**40]
+        ),
+        n=st.integers(0, 300),
+        seed=st.integers(0, 10_000),
+    )
+    def test_lexsort_of_digits_is_the_stable_argsort(self, bound, n, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct values near both ends of the range: ties and the top digit
+        pool = np.unique(np.concatenate([rng.integers(0, bound, 8), [0, bound - 1]]))
+        x = rng.choice(pool, size=n).astype(np.int64)
+        digits = digits16(x, bound)
+        assert len(digits) == max(1, -(-(bound - 1).bit_length() // 16))
+        assert all(d.dtype == np.uint16 for d in digits)
+        assert np.array_equal(np.lexsort(digits), np.argsort(x, kind="stable"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        counts=st.one_of(
+            st.lists(st.integers(0, 6), min_size=0, max_size=40),
+            st.lists(st.just(0), min_size=1, max_size=10),
+            st.tuples(st.lists(st.integers(0, 3), max_size=20), st.integers(50, 400)).map(
+                lambda t: t[0] + [t[1]] + t[0]  # one giant rank
+            ),
+        )
+    )
+    def test_rounds_visit_every_slot_once_in_ascending_j(self, counts):
+        counts = np.asarray(counts, dtype=np.int64)
+        off = np.cumsum(counts) - counts
+        seen = []
+        for j, (ranks, slots) in enumerate(rounds(counts)):
+            assert np.unique(ranks).size == ranks.size > 0  # each rank at most once per round
+            assert np.array_equal(slots, off[ranks] + j)  # a rank's slots in ascending j
+            assert (counts[ranks] > j).all()
+            seen.append(slots)
+        assert len(seen) == counts.max(initial=0)
+        visited = np.sort(np.concatenate(seen)) if seen else np.empty(0, np.int64)
+        assert np.array_equal(visited, np.arange(counts.sum()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(K=st.sampled_from([8, 30, 300]), nm=st.integers(1, 400), seed=st.integers(0, 10_000))
+    def test_receiver_order_is_the_four_key_lexsort(self, K, nm, seed):
+        rng = np.random.default_rng(seed)
+        # a stage as the engine gets it: sorted by (sender, send order), one
+        # message per route, arrival times drawn from a handful of values
+        routes = np.sort(rng.choice(K * K, size=min(nm, K * K), replace=False))
+        snd, rcv = routes // K, routes % K
+        words = rng.integers(0, 5, size=snd.size)
+        arrive = rng.choice(np.array([1.5, 2.25, 2.25 + 2**-40, 7.0]), size=snd.size)
+        seq = rng.integers(0, 9, size=K)[snd] + np.arange(snd.size)  # grows with send order
+        sim = SimMPI(K, machine=BGQ, engine="batch")
+        dord, cnt_r = sim._sweep_recvs(np.zeros(K), rcv, words, arrive)
+        assert np.array_equal(dord, np.lexsort((seq, snd, arrive, rcv)))
+        assert np.array_equal(cnt_r, np.bincount(rcv, minlength=K))
+
+    @settings(max_examples=40, deadline=None)
+    @given(nm=st.integers(1, 60), nhops=st.integers(0, 500), seed=st.integers(0, 10_000))
+    def test_packed_bundle_order_is_the_two_key_lexsort(self, nm, nhops, seed):
+        rng = np.random.default_rng(seed)
+        span = 3 * nhops + 5
+        pos_of_hop = rng.integers(0, nm, size=nhops)  # many hops per delivered message
+        hop_key = rng.choice(span, size=nhops, replace=False)  # arrival keys are unique
+        assert np.array_equal(
+            np.argsort(pos_of_hop * span + hop_key), np.lexsort((hop_key, pos_of_hop))
+        )
 
 
 class TestEngineRegistry:
