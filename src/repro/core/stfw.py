@@ -112,7 +112,10 @@ class ExchangeResult:
     """Outcome of a full exchange on the emulator (any scheme).
 
     ``delivered[i]`` lists ``(source, payload)`` pairs received by rank
-    ``i`` (in arrival order); ``run`` carries clocks and the optional
+    ``i`` (in arrival order) — a ``Sequence``: a list of lists from the
+    event engines, a :class:`~repro.simmpi.batch.Deliveries` (the same
+    lists, built on first read, over ``ptr``/``src``/``rows`` columns)
+    from the batch engine; ``run`` carries clocks and the optional
     trace; ``plan`` is present when the exchange ran in planned mode.
     ``completed`` is False when the run was cut short by injected
     faults (``on_fault="partial"``); ``pending`` then holds the
@@ -125,7 +128,7 @@ class ExchangeResult:
     ``None`` for non-tolerant runs.
     """
 
-    delivered: list[list[tuple[int, Any]]]
+    delivered: Sequence[Sequence[tuple[int, Any]]]
     run: RunResult
     plan: CommPlan | None = None
     completed: bool = True

@@ -14,11 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
+from ..arrayops import sorted_unique
 from ..core.pattern import CommPattern
+from ..simmpi.batch import Deliveries
 from .report import Table
 
 __all__ = [
     "ResilienceStats",
+    "expected_keys",
+    "delivered_keys",
+    "key_pairs",
     "expected_pairs",
     "delivered_pairs",
     "resilience_stats",
@@ -63,38 +70,48 @@ class ResilienceStats:
         return self.delivered / self.expected
 
 
-def expected_pairs(
-    pattern: CommPattern, crashed: Iterable[int] = ()
-) -> set[tuple[int, int]]:
-    """The pattern's ``(source, destination)`` pairs that remain countable.
+def expected_keys(pattern: CommPattern, crashed: Iterable[int] = ()) -> np.ndarray:
+    """The pattern's countable pairs as sorted ``source * K + destination`` keys.
 
     Pairs whose origin or destination crashed are excluded: no scheme,
     however tolerant, can deliver to (or source from) a dead rank.
     """
-    dead = set(int(r) for r in crashed)
-    return {
-        (int(s), int(t))
-        for s, t in zip(pattern.src, pattern.dst)
-        if int(s) not in dead and int(t) not in dead
-    }
+    gone = np.zeros(pattern.K, dtype=bool)
+    gone[[int(r) for r in crashed]] = True
+    live = ~(gone[pattern.src] | gone[pattern.dst])
+    return sorted_unique(pattern.src[live] * pattern.K + pattern.dst[live])
+
+
+def delivered_keys(delivered: Sequence[Sequence[tuple[int, Any]] | None]) -> np.ndarray:
+    """The pairs present in per-rank delivery lists, as sorted unique keys.
+
+    ``delivered[i]`` holds rank ``i``'s received ``(source, payload)``
+    pairs — the shape of ``ExchangeResult.delivered``, by lists or by
+    columns (:class:`~repro.simmpi.batch.Deliveries`).  A crashed
+    rank's entry may be ``None`` (it returned nothing); that counts as
+    no deliveries.
+    """
+    got = Deliveries.from_lists(delivered)
+    return sorted_unique(got.src * len(got) + got.dst)
+
+
+def key_pairs(keys: np.ndarray, K: int) -> tuple[tuple[int, int], ...]:
+    """``(source, destination)`` of every ``source * K + destination`` key, in order."""
+    return tuple(zip((keys // K).tolist(), (keys % K).tolist()))
+
+
+def expected_pairs(
+    pattern: CommPattern, crashed: Iterable[int] = ()
+) -> set[tuple[int, int]]:
+    """:func:`expected_keys` as a set of ``(source, destination)`` pairs."""
+    return set(key_pairs(expected_keys(pattern, crashed), pattern.K))
 
 
 def delivered_pairs(
-    delivered: Sequence[Sequence[tuple[int, Any]]],
+    delivered: Sequence[Sequence[tuple[int, Any]] | None],
 ) -> set[tuple[int, int]]:
-    """``(source, destination)`` pairs present in per-rank delivery lists.
-
-    ``delivered[i]`` holds rank ``i``'s received ``(source, payload)``
-    pairs — the shape of both ``ExchangeResult.delivered`` and
-    ``FTExchangeResult.delivered``.  A crashed rank's entry may be
-    ``None`` (it returned nothing); that counts as no deliveries.
-    """
-    return {
-        (int(src), dst)
-        for dst, msgs in enumerate(delivered)
-        if msgs
-        for src, _ in msgs
-    }
+    """:func:`delivered_keys` as a set of ``(source, destination)`` pairs."""
+    return set(key_pairs(delivered_keys(delivered), len(delivered)))
 
 
 def resilience_stats(
@@ -112,18 +129,17 @@ def resilience_stats(
     ``reference_makespan_us`` is the same scheme's fault-free makespan;
     inflation falls back to 1.0 when it is missing or zero.
     """
-    expected = expected_pairs(pattern, crashed)
-    got = delivered_pairs(delivered)
-    stranded = tuple(sorted(expected - got))
+    expected = expected_keys(pattern, crashed)
+    arrived = np.isin(expected, delivered_keys(delivered), assume_unique=True)
     if reference_makespan_us and reference_makespan_us > 0:
         inflation = makespan_us / reference_makespan_us
     else:
         inflation = 1.0
     return ResilienceStats(
         scheme=scheme,
-        expected=len(expected),
-        delivered=len(expected & got),
-        stranded=stranded,
+        expected=expected.size,
+        delivered=int(arrived.sum()),
+        stranded=key_pairs(expected[~arrived], pattern.K),
         crashed=tuple(sorted(set(int(r) for r in crashed))),
         completed=completed,
         makespan_us=makespan_us,

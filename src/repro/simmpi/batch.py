@@ -12,8 +12,14 @@ array sweeps instead of per-message Python events:
 * payloads travel as an :class:`EdgePayloads` table — ``src``, ``dst``,
   ``size`` columns and the payload objects or one flat buffer — so no
   ``{dst: payload}`` dict is built or read unless the caller passed
-  dicts, and a default payload's view is made once: when it is
-  delivered, or when an event engine first asks the table for dicts;
+  dicts, and a default payload's view is made only for whoever reads
+  it as an object: the list form of the deliveries, or an event engine
+  that asks the table for dicts;
+* what every rank received comes back the same way, as one
+  :class:`Deliveries` — CSR-by-receiver ``ptr``, origin ``src`` and
+  table ``rows`` in delivery order — that reads like the event engine's
+  per-rank ``[(origin, payload), ...]`` lists and builds them only when
+  someone does read it that way;
 * arrival times come from the vectorized machine cost model
   (:func:`repro.network.timing.send_cost_many` /
   :func:`~repro.network.timing.recv_cost_many` — the same hop-cost
@@ -35,8 +41,10 @@ approximately.  Three facts make that possible:
    event: a stage's arrays are sorted by (sender, send order) with one
    message per (sender, receiver), so equal arrival times at a receiver
    already stand in ``(source, seq)`` order and one *stable*
-   ``np.lexsort((arrive, receiver))`` is the whole four-key order (the
-   receiver as 16-bit digits, which NumPy radix-sorts).  Machine-less
+   ``np.lexsort((arrive, receiver))`` is the whole four-key order (both
+   keys as 16-bit digits, which NumPy radix-sorts: the receiver's, and
+   the arrival time's bit pattern, which orders like the time itself
+   because arrival times are positive and finite).  Machine-less
    runs keep the event engine's eager match-on-post behavior — an
    artifact of interleaving that cannot be batch-scheduled — so they
    are refused.
@@ -56,11 +64,13 @@ and shrinks (any :meth:`run` with an arbitrary process function),
 dynamic NBX-style count discovery, fault plans, jitter, machine-less
 runs, plans whose stages repeat a route (``build_plan(...,
 coalesce=False)``), payloads that disagree with the plan or name a
-destination outside ``[0, K)`` — never silently mis-simulated.
+destination outside ``[0, K)``, arrival times that are not positive
+finite floats — never silently mis-simulated.
 """
 
 from __future__ import annotations
 
+from collections import abc
 from itertools import chain
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -72,7 +82,11 @@ from ..network.timing import recv_cost_many, send_cost_many
 from .message import RunResult, TraceRecord
 from .runtime import RECV_ALPHA_FRACTION, SimMPI, trace_sort_key
 
-__all__ = ["BatchSimMPI", "EdgePayloads"]
+__all__ = ["BatchSimMPI", "Deliveries", "EdgePayloads"]
+
+
+#: bit pattern of ``+inf``: every positive finite double is below it
+_INF_BITS = 0x7FF0_0000_0000_0000
 
 
 def digits16(x: np.ndarray, bound: int) -> list[np.ndarray]:
@@ -115,6 +129,9 @@ class EdgePayloads:
     :meth:`take` makes those of the rows it is given, ``table[rank]``
     (what an event engine reads) builds all ``K`` ``{dst: payload}``
     dicts on first use.  A view aliases the buffer: copy it to keep it.
+    :meth:`columns` reads payloads without making objects of them.
+    ``size`` is ``None`` for a table flattened from received payloads
+    (:meth:`Deliveries.from_lists`), which may not be sized at all.
     """
 
     def __init__(self, K, src, dst, size, payload, ends=None, dicts=None):
@@ -160,6 +177,27 @@ class EdgePayloads:
         buf = self._payload
         return [buf[a:b] for a, b in zip((ends - self.size[rows]).tolist(), ends.tolist())]
 
+    def columns(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The payloads of ``rows`` by columns: ``(length, is_int64, words)``.
+
+        ``length[i]`` is the word count of payload ``i`` (-1 unless it
+        is one-dimensional), ``is_int64[i]`` whether its dtype is int64,
+        and ``words`` the int64 payloads with a length, end to end in
+        row order.  Slices of the flat buffer cost no per-payload work;
+        caller objects are read once each through ``np.asarray``.
+        """
+        if self._ends is not None:
+            length = self.size[rows]
+            shift = self._ends[rows] - np.cumsum(length)  # buffer position minus output position
+            words = self._payload[np.repeat(shift, length) + np.arange(length.sum())]
+            return length, np.ones(length.size, dtype=bool), words
+        arrays = [np.asarray(p) for p in self._payload[rows]]
+        n = len(arrays)
+        length = np.fromiter((a.shape[0] if a.ndim == 1 else -1 for a in arrays), np.int64, count=n)
+        is_int64 = np.fromiter((a.dtype == np.int64 for a in arrays), bool, count=n)
+        whole = [arrays[i] for i in np.flatnonzero(is_int64 & (length >= 0)).tolist()]
+        return length, is_int64, np.concatenate(whole) if whole else np.empty(0, dtype=np.int64)
+
     def __len__(self) -> int:
         return self.K
 
@@ -172,17 +210,75 @@ class EdgePayloads:
 
 
 def _delivery_lists(
-    table: EdgePayloads, order: np.ndarray, counts: np.ndarray
+    table: EdgePayloads, src: np.ndarray, rows: np.ndarray, ptr: np.ndarray
 ) -> list[list[tuple[int, Any]]]:
     """Per-rank ``(origin, payload)`` lists from table rows in delivery order.
 
-    ``order`` holds rows grouped by receiver, ranks ascending, each
-    rank's rows in its delivery order; ``counts[r]`` is rank ``r``'s
-    share.
+    ``rows`` are grouped by receiver, ranks ascending, each rank's rows
+    in its delivery order: rank ``r`` owns ``rows[ptr[r]:ptr[r + 1]]``.
     """
-    pairs = list(zip(table.src[order].tolist(), table.take(order)))
-    ends = np.cumsum(counts).tolist()
-    return [pairs[a:b] for a, b in zip([0] + ends, ends)]
+    pairs = list(zip(src.tolist(), table.take(rows)))
+    ends = ptr.tolist()
+    return [pairs[a:b] for a, b in zip(ends, ends[1:])]
+
+
+class Deliveries(abc.Sequence):
+    """What every rank received, by columns, in the engine's delivery order.
+
+    CSR by receiver over the rows of an :class:`EdgePayloads` table:
+    rank ``r`` received ``rows[ptr[r]:ptr[r + 1]]``, in that order, from
+    the origins ``src[ptr[r]:ptr[r + 1]]``.  It is also the ``Sequence``
+    an event engine's ``returns`` is — ``deliveries[r]`` is rank ``r``'s
+    ``[(origin, payload), ...]`` list — and builds all ``K`` lists, once,
+    the first time one is read.  The payloads in them are the caller's
+    own objects or, for a synthetic table, views of its flat buffer:
+    copy a view to keep it.
+    """
+
+    def __init__(self, table: EdgePayloads, rows: np.ndarray, counts: np.ndarray, lists=None):
+        self.table = table
+        self.rows = rows
+        self.ptr = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.ptr[1:])
+        self.src = table.src[rows]
+        self._lists = lists
+
+    @classmethod
+    def from_lists(cls, delivered: Sequence[Sequence[tuple[int, Any]] | None]) -> "Deliveries":
+        """Flatten per-rank ``(origin, payload)`` lists, one table row per delivery.
+
+        ``None`` (a crashed rank returned nothing) counts as no
+        deliveries; a :class:`Deliveries` passes through.  The payloads
+        were received, possibly damaged, so the table has no ``size``:
+        :meth:`EdgePayloads.columns` records what each one is.
+        """
+        if isinstance(delivered, cls):
+            return delivered
+        K = len(delivered)
+        counts = np.fromiter((len(msgs or ()) for msgs in delivered), np.int64, count=K)
+        n = int(counts.sum())
+        pairs = [pair for msgs in delivered if msgs for pair in msgs]
+        src = np.fromiter((s for s, _ in pairs), np.int64, count=n)
+        objects = np.fromiter((p for _, p in pairs), object, count=n)
+        dst = np.repeat(np.arange(K, dtype=np.int64), counts)
+        table = EdgePayloads(K, src, dst, None, objects)
+        return cls(table, np.arange(n), counts, lists=delivered)
+
+    @property
+    def dst(self) -> np.ndarray:
+        """The receiving rank of every delivery."""
+        return np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.ptr))
+
+    def __len__(self) -> int:
+        return self.ptr.size - 1
+
+    def __getitem__(self, rank):
+        if self._lists is None:
+            self._lists = _delivery_lists(self.table, self.src, self.rows, self.ptr)
+        return self._lists[rank]
+
+    def __iter__(self):
+        return iter(self[:])  # one pass over the lists, not K index calls
 
 
 class BatchSimMPI(SimMPI):
@@ -340,12 +436,23 @@ class BatchSimMPI(SimMPI):
         ascending, then the conservative gate's canonical
         ``(arrive_time, source, seq)`` match order, which a stable sort
         of the sender-sorted input gives: module docstring, fact 1) plus
-        per-rank receive counts.  The ``j``-th delivery of every rank is
-        one Lindley fold ``clock = max(clock, arrive) + recv_cost`` — the
-        scalar engine's ``_deliver`` elementwise.
+        per-rank receive counts; ``arrive`` must not be empty.  The
+        ``j``-th delivery of every rank is one Lindley fold ``clock =
+        max(clock, arrive) + recv_cost`` — the scalar engine's
+        ``_deliver`` elementwise.
         """
         rc = recv_cost_many(self.machine, words, alpha_fraction=RECV_ALPHA_FRACTION)
-        dord = np.lexsort((arrive, *digits16(rcv, self.K)))
+        # positive finite doubles order like their bit patterns, and those
+        # radix-sort as four 16-bit digits where the floats would be compared
+        bits = arrive.view(np.int64)
+        if not 0 < bits.min() <= bits.max() < _INF_BITS:
+            raise SimMPIError(
+                "engine='batch': a message arrives at a time that is not a "
+                "positive finite float (a machine whose send costs are zero, "
+                "negative, infinite or NaN); the delivery order cannot be "
+                "sorted by bit pattern — use engine='event'"
+            )
+        dord = np.lexsort((*digits16(bits, 2**63), *digits16(rcv, self.K)))
         cnt_r = np.bincount(rcv, minlength=self.K)
         for receivers, slots in rounds(cnt_r):
             m = dord[slots]
@@ -381,7 +488,7 @@ class BatchSimMPI(SimMPI):
 
     def _finalize_run(
         self,
-        returns: list[Any],
+        returns: Sequence[Any],
         clocks: np.ndarray,
         trace_parts: list[tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray, np.ndarray]],
     ) -> RunResult:
@@ -433,8 +540,9 @@ class BatchSimMPI(SimMPI):
         ``payloads`` is an :class:`EdgePayloads` table or, per rank, a
         ``{destination: payload}`` dict (insertion order = the rank's
         send order, as in ``stfw_process``).  Returns the bit-identical
-        ``RunResult`` of the event engine; ``returns[r]`` is rank
-        ``r``'s delivered ``(origin, payload)`` list.
+        ``RunResult`` of the event engine, its ``returns`` a
+        :class:`Deliveries`: ``returns[r]`` is rank ``r``'s delivered
+        ``(origin, payload)`` list.
         """
         K = self.K
         if vpt.K != K:
@@ -610,14 +718,11 @@ class BatchSimMPI(SimMPI):
         # delivery order) and grouping stably by receiver reproduces each
         # rank's exact append order (``dr`` is one sorted run per stage,
         # which the stable kernel merges in linear time)
-        if del_edge_parts:
-            dr = np.concatenate(del_rank_parts)
-            de = np.concatenate(del_edge_parts)
-            gord = np.argsort(dr, kind="stable")
-            cnt = np.bincount(dr, minlength=K)
-            delivered = _delivery_lists(table, de[gord], cnt)
-        else:
-            delivered = [[] for _ in range(K)]
+        empty = np.empty(0, dtype=np.int64)
+        dr = np.concatenate(del_rank_parts or [empty])
+        de = np.concatenate(del_edge_parts or [empty])
+        gord = np.argsort(dr, kind="stable")
+        delivered = Deliveries(table, de[gord], np.bincount(dr, minlength=K))
 
         if obs is not None:
             r_o = np.nonzero(origin_words)[0]
@@ -674,7 +779,7 @@ class BatchSimMPI(SimMPI):
 
         obs = self._obs
         clocks = np.zeros(K, dtype=np.float64)
-        delivered: list[list[tuple[int, Any]]] = [[] for _ in range(K)]
+        dord, cnt_r = np.empty(0, dtype=np.int64), np.zeros(K, dtype=np.int64)
         trace_parts: list = []
         nm = snd.size
         if nm:
@@ -682,7 +787,6 @@ class BatchSimMPI(SimMPI):
             dord, cnt_r = self._sweep_recvs(clocks, rcv, esize, arrive)
             if self._trace_enabled:
                 trace_parts.append((snd, rcv, 0, esize, start, arrive))
-            delivered = _delivery_lists(table, dord, cnt_r)
             if obs is not None:
                 obs.count("direct.messages", int(nm))
                 obs.count("direct.words", int(esize.sum()))
@@ -697,4 +801,4 @@ class BatchSimMPI(SimMPI):
                 "direct.exchange", [0.0] * K, clocks.tolist(), range(K),
                 [(("expected", c),) for c in expected.tolist()], cat="stage",
             )
-        return self._finalize_run(delivered, clocks, trace_parts)
+        return self._finalize_run(Deliveries(table, dord, cnt_r), clocks, trace_parts)

@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace as _dc_replace
 import numpy as np
 import scipy.sparse as sp
 
+from ..arrayops import sorted_unique
 from ..core.pattern import CommPattern, PatternDelta
 from ..core.plan import CommPlan, build_plan, plans_identical, repair_plan
 from ..core.stfw import (
@@ -43,8 +44,9 @@ from ..core.stfw import (
 )
 from ..core.vpt import VirtualProcessTopology
 from ..errors import DeadlockError, PlanError
-from ..metrics.resilience import delivered_pairs, expected_pairs
+from ..metrics.resilience import delivered_keys, expected_keys, key_pairs
 from ..partition.base import Partition
+from ..simmpi.batch import Deliveries
 from ..simmpi.discovery import DiscoveryStats, nbx_discover
 from ..simmpi.faults import FaultPlan
 from ..simmpi.policy import EscalationPolicy, PolicyConfig
@@ -318,7 +320,9 @@ class PersistentExchangeService:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _corrupt_delivered(result: ExchangeResult, pat: CommPattern):
+    def _corrupt_delivered(
+        result: ExchangeResult, pat: CommPattern
+    ) -> tuple[tuple[int, int], ...]:
         """Pairs whose delivered content fails the self-describing check.
 
         The service's synthetic payloads carry ``[src * K + dst] *
@@ -328,30 +332,49 @@ class PersistentExchangeService:
         checksum over its own traffic.  This is the only integrity
         check the unchecksummed planned fast path has, and the
         ground-truth oracle for the checked paths.
+
+        The check reads the deliveries by columns (list-form results
+        are flattened first) and fails a delivery on any of four
+        counts: its pair is not in the pattern, its length or its dtype
+        is not the pattern's, a word differs from ``src * K + dst``.
+        Returns the failing ``(src, dst)`` pairs, sorted.
         """
         K = pat.K
-        sizes = {
-            (int(s), int(t)): int(w)
-            for s, t, w in zip(pat.src, pat.dst, pat.size)
-        }
-        bad = set()
-        for dst, msgs in enumerate(result.delivered):
-            if not msgs:
-                # dead (crash-masked) ranks deliver nothing: their slot
-                # is None, and they have no countable pairs to check
-                continue
-            for src, payload in msgs:
-                src = int(src)
-                want = sizes.get((src, dst))
-                p = np.asarray(payload)
-                if (
-                    want is None
-                    or p.shape != (want,)
-                    or p.dtype != np.int64
-                    or not bool((p == src * K + dst).all())
-                ):
-                    bad.add((src, dst))
-        return tuple(sorted(bad))
+        got = Deliveries.from_lists(result.delivered)
+        key = got.src * K + got.dst
+        length, is_int64, words = got.table.columns(got.rows)
+        pkey = pat.src * K + pat.dst
+        order = np.argsort(pkey)
+        # the pattern's keys in order, closed by one no delivery can have
+        pkey = np.append(pkey[order], -1)
+        want = np.append(pat.size[order], -1)
+        row = np.searchsorted(pkey[:-1], key)
+        bad = (pkey[row] != key) | (want[row] != length) | ~is_int64
+        carried = np.where(is_int64 & (length >= 0), length, 0)
+        wrong = words != np.repeat(key, carried)
+        if wrong.any():
+            bad[np.repeat(np.arange(key.size), carried)[wrong]] = True
+        return key_pairs(sorted_unique(key[bad]), K)
+
+    @staticmethod
+    def _account(result: ExchangeResult, pat: CommPattern, corrupt, uncountable: set[int]):
+        """One result against its pattern: ``(corrupt_pairs, missing, expected, delivered)``.
+
+        ``corrupt`` is :meth:`_corrupt_delivered`'s verdict on
+        ``result``.  Pairs touching an ``uncountable`` rank are left out
+        of all four; a countable pair is ``delivered`` when it arrived
+        and its content held, ``missing`` (named, in order) otherwise.
+        """
+        K = pat.K
+        corrupt_pairs = tuple(
+            (s, d) for s, d in corrupt if s not in uncountable and d not in uncountable
+        )
+        expected = expected_keys(pat, uncountable)
+        arrived = np.isin(expected, delivered_keys(result.delivered), assume_unique=True)
+        if corrupt_pairs:
+            arrived &= ~np.isin(expected, [s * K + d for s, d in corrupt_pairs])
+        missing = key_pairs(expected[~arrived], K)
+        return corrupt_pairs, missing, expected.size, int(arrived.sum())
 
     def _planned_blocked(self) -> bool:
         """True when a dead rank still participates in a planned stage.
@@ -436,6 +459,7 @@ class PersistentExchangeService:
 
         action = "healthy"
         detected = 0
+        corrupt: tuple[tuple[int, int], ...] = ()
         result: ExchangeResult | None = None
         if not suspects and not corrupt_watch and not self._planned_blocked():
             # the event engine salvages a fault hang as a partial
@@ -459,16 +483,13 @@ class PersistentExchangeService:
                 result = None
             if result is not None:
                 new_crashes = set(int(r) for r in result.crashed) - set(dead_before)
-                bad = (
-                    self._corrupt_delivered(result, pat)
-                    if result.completed
-                    else ()
-                )
-                if not result.completed or new_crashes or bad:
+                if result.completed:
+                    corrupt = self._corrupt_delivered(result, pat)
+                    detected += len(corrupt)
+                if not result.completed or new_crashes or corrupt:
                     # escalate within the epoch: the fast path has no
                     # inline detection, so a failed endpoint check means
                     # re-running the epoch on the checked tolerant path
-                    detected += len(bad)
                     result = None
         faulty: set[int] = set()
         implicated_events: list[int] = []
@@ -494,6 +515,7 @@ class PersistentExchangeService:
                 workers=self.workers,
                 **knobs,
             )
+            corrupt = self._corrupt_delivered(result, pat)
             crashed_now = set(int(r) for r in result.crashed) - set(dead_before)
             reported = set()
             if result.reports:
@@ -526,14 +548,11 @@ class PersistentExchangeService:
             sorted(set(int(r) for r in result.crashed) - set(dead_before))
         )
         uncountable = set(dead_before) | set(crashed_now) | self.policy.dead
-        corrupt_pairs = tuple(
-            (s, d)
-            for s, d in self._corrupt_delivered(result, pat)
-            if s not in uncountable and d not in uncountable
+        # ``corrupt`` is the verdict on the result that stands: the fast
+        # path's (empty, or it would not stand) or the tolerant re-run's
+        corrupt_pairs, missing, expected, delivered = self._account(
+            result, pat, corrupt, uncountable
         )
-        expected = expected_pairs(pat, uncountable)
-        got = delivered_pairs(result.delivered) - set(corrupt_pairs)
-        missing = tuple(sorted(expected - got))
         if missing or corrupt_pairs:
             action = "degraded"
             self.degraded_epochs += 1
@@ -541,8 +560,8 @@ class PersistentExchangeService:
         report = EpochReport(
             epoch=self.epoch,
             action=action,
-            expected=len(expected),
-            delivered=len(expected & got),
+            expected=expected,
+            delivered=delivered,
             missing=missing,
             makespan_us=result.run.makespan_us,
             dead=tuple(sorted(self.policy.dead)),

@@ -20,7 +20,7 @@ from repro.obs import Tracer
 from repro.simmpi import FaultPlan, SimMPI, engine_names, run_spmd
 from repro.simmpi.analysis import to_chrome_trace
 from repro.core.stfw import _default_payloads
-from repro.simmpi.batch import BatchSimMPI, EdgePayloads, digits16, rounds
+from repro.simmpi.batch import BatchSimMPI, Deliveries, EdgePayloads, digits16, rounds
 
 
 def deep_eq(x, y):
@@ -37,12 +37,34 @@ def deep_eq(x, y):
 
 
 def assert_same_result(base, got, context=""):
-    assert deep_eq(base.returns, got.returns), f"returns diverge {context}"
+    # deep_eq compares by exact type, so a Deliveries is read as the lists it stands for
+    assert deep_eq(list(base.returns), list(got.returns)), f"returns diverge {context}"
+    if isinstance(got.returns, Deliveries):
+        assert_columns_flatten(base.returns, got.returns, context)
     assert base.clocks == got.clocks, f"clocks diverge {context}"
     assert base.makespan_us == got.makespan_us, f"makespan diverges {context}"
     assert base.trace == got.trace, f"trace diverges {context}"
     assert base.crashed == got.crashed, f"crashed diverges {context}"
     assert base.fault_events == got.fault_events, f"fault events diverge {context}"
+
+
+def assert_columns_flatten(lists, deliveries, context=""):
+    """The ``Deliveries`` columns themselves — not only the list view built from
+    them — are what an event engine's per-rank lists flatten to."""
+    K = len(lists)
+    assert len(deliveries) == K
+    counts = [len(msgs) for msgs in lists]
+    ptr, src, rows, table = deliveries.ptr, deliveries.src, deliveries.rows, deliveries.table
+    assert ptr.dtype == src.dtype == np.int64
+    assert ptr.tolist() == [0] + np.cumsum(counts).tolist(), f"ptr {context}"
+    assert src.tolist() == [s for msgs in lists for s, _ in msgs], f"src {context}"
+    # a row is the message (src -> receiving rank) of the payload table
+    assert np.array_equal(table.src[rows], src), f"rows {context}"
+    assert table.dst[rows].tolist() == np.repeat(np.arange(K), counts).tolist(), f"rows {context}"
+    assert np.array_equal(deliveries.dst, table.dst[rows])
+    assert deep_eq(list(table.take(rows)), [p for msgs in lists for _, p in msgs]), (
+        f"row payloads {context}"
+    )
 
 
 def span_key(s):
@@ -84,7 +106,7 @@ class TestExchangeEquivalence:
             pattern, vpt, machine=machine, trace=True, tracer=got_tr, engine="batch"
         )
         assert_same_result(base.run, got.run, f"(T_{dims}, {mname})")
-        assert deep_eq(base.delivered, got.delivered)
+        assert deep_eq(base.delivered, list(got.delivered))
         assert to_chrome_trace(base.run) == to_chrome_trace(got.run)
         assert counter_keys(base_tr) == counter_keys(got_tr)
         assert sorted(map(span_key, base_tr.spans)) == sorted(
@@ -101,7 +123,7 @@ class TestExchangeEquivalence:
             engine="batch",
         )
         assert_same_result(base.run, got.run, "(direct)")
-        assert deep_eq(base.delivered, got.delivered)
+        assert deep_eq(base.delivered, list(got.delivered))
         assert to_chrome_trace(base.run) == to_chrome_trace(got.run)
         assert counter_keys(base_tr) == counter_keys(got_tr)
         assert sorted(map(span_key, base_tr.spans)) == sorted(
@@ -194,6 +216,57 @@ class TestExchangeEquivalence:
             for _ in range(2)
         ]
         assert_same_result(runs[0].run, runs[1].run, "(repeat)")
+
+
+class TestConsumersReadDeliveries:
+    """Code written for per-rank lists reads a ``Deliveries`` to the same answer."""
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        from repro.core.regularizer import Regularizer
+
+        pattern = CommPattern.random(32, avg_degree=5, hot_processes=2, seed=11, words=3)
+        reg = Regularizer(pattern, dimension=2, remap=True)
+        assert not np.array_equal(reg.position, np.arange(32))
+        event, batch = (
+            run_exchange(reg.pattern, reg.vpt, machine=BGQ, engine=engine)
+            for engine in ("event", "batch")
+        )
+        assert isinstance(batch.delivered, Deliveries)
+        return reg, event, batch
+
+    def test_regularizer_untranslate(self, results):
+        reg, event, batch = results
+        base, got = reg._untranslate(event), reg._untranslate(batch)
+        assert deep_eq(base.delivered, got.delivered)
+        original = reg.original_pattern
+        sent = set(zip(original.src.tolist(), original.dst.tolist()))
+        assert {(s, r) for r, msgs in enumerate(got.delivered) for s, _ in msgs} == sent
+
+    def test_soak_oracles(self, results):
+        from repro.experiments import chaos, corrupt
+
+        reg, event, batch = results
+        K, pat = reg.K, reg.pattern
+        assert all(
+            chaos._delivery_key(batch.delivered[r]) == chaos._delivery_key(event.delivered[r])
+            for r in range(K)
+        )
+        assert chaos._verify_payloads(batch, K, pat) == pat.num_messages
+        assert corrupt._oracle(batch, K, pat, ()) == (0, pat.num_messages)
+
+    def test_resilience_accounting(self, results):
+        from repro.metrics import delivered_pairs, expected_pairs, resilience_stats
+
+        reg, event, batch = results
+        assert delivered_pairs(batch.delivered) == delivered_pairs(event.delivered)
+        assert delivered_pairs(batch.delivered) == expected_pairs(reg.pattern)
+        stats = [
+            resilience_stats("STFW2", reg.pattern, r.delivered, makespan_us=r.makespan_us)
+            for r in (event, batch)
+        ]
+        assert stats[0] == stats[1] and stats[1].stranded == ()
+        assert stats[1].delivered == stats[1].expected == reg.pattern.num_messages
 
 
 class TestSpMVEquivalence:
@@ -332,6 +405,14 @@ class TestEagerRefusals:
         )
 
     @pytest.mark.parametrize("scheme", [{"scheme": "direct"}, {"dims": 2}])
+    @pytest.mark.parametrize("beta", [float("inf"), float("nan"), -10.0])
+    def test_arrival_times_that_do_not_sort_by_bit_pattern_refused(self, scheme, beta):
+        pattern = CommPattern.random(16, avg_degree=3, seed=2, words=2)
+        machine = BGQ.with_params(beta_us_per_word=beta)
+        with pytest.raises(SimMPIError, match="not a positive finite float"):
+            run_exchange(pattern, machine=machine, engine="batch", **scheme)
+
+    @pytest.mark.parametrize("scheme", [{"scheme": "direct"}, {"dims": 2}])
     @pytest.mark.parametrize("bad", [16, -1])
     def test_destination_outside_ranks_refused(self, scheme, bad):
         pattern = CommPattern.random(16, avg_degree=3, seed=2, words=2)
@@ -458,12 +539,19 @@ class TestSortHelpers:
         routes = np.sort(rng.choice(K * K, size=min(nm, K * K), replace=False))
         snd, rcv = routes // K, routes % K
         words = rng.integers(0, 5, size=snd.size)
-        arrive = rng.choice(np.array([1.5, 2.25, 2.25 + 2**-40, 7.0]), size=snd.size)
+        # neighbours in the last bit, a subnormal and the largest double: the
+        # order is taken from the bit patterns
+        times = np.array([5e-324, 1.5, 2.25, 2.25 + 2**-40, 7.0, np.finfo(np.float64).max])
+        arrive = rng.choice(times, size=snd.size)
         seq = rng.integers(0, 9, size=K)[snd] + np.arange(snd.size)  # grows with send order
         sim = SimMPI(K, machine=BGQ, engine="batch")
         dord, cnt_r = sim._sweep_recvs(np.zeros(K), rcv, words, arrive)
         assert np.array_equal(dord, np.lexsort((seq, snd, arrive, rcv)))
         assert np.array_equal(cnt_r, np.bincount(rcv, minlength=K))
+        for bad in (0.0, -0.0, -1.5, np.inf, np.nan):
+            arrive[-1] = bad
+            with pytest.raises(SimMPIError, match="not a positive finite float"):
+                sim._sweep_recvs(np.zeros(K), rcv, words, arrive)
 
     @settings(max_examples=40, deadline=None)
     @given(nm=st.integers(1, 60), nhops=st.integers(0, 500), seed=st.integers(0, 10_000))

@@ -1,0 +1,176 @@
+"""The batch engine's ``Deliveries``: its list view against the formulation
+it replaced, and its flattening constructor.
+
+``reference_delivery_lists`` is the eager builder every batch run used to
+end with.  The view a ``Deliveries`` builds on first read must be that
+structure exactly — same origins, the caller's own payload objects, or the
+same slices of the flat buffer for default payloads.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import CommPattern, run_exchange
+from repro.core.stfw import _default_payloads
+from repro.network import BGQ
+from repro.simmpi.batch import Deliveries, EdgePayloads
+
+
+def reference_delivery_lists(table, order, counts):
+    """Per-rank ``(origin, payload)`` lists from table rows in delivery order."""
+    pairs = list(zip(table.src[order].tolist(), table.take(order)))
+    ends = np.cumsum(counts).tolist()
+    return [pairs[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def scenario(K, degree, seed, silent=0.25):
+    """A pattern with sizes 0-39, shuffled rows, and ranks that send or receive nothing."""
+    rng = np.random.default_rng(seed)
+    base = CommPattern.random(K, avg_degree=degree, seed=seed)
+    quiet = rng.random(K) < silent
+    keep = ~(quiet[base.src] & (rng.random(base.src.size) < 0.5)) & ~quiet[base.dst]
+    order = rng.permutation(np.flatnonzero(keep))
+    return CommPattern(K, base.src[order], base.dst[order], rng.integers(0, 40, order.size))
+
+
+def user_payloads(pattern, kind):
+    make = {
+        "list": lambda s, t, w: [s, t, w][:w] + [7] * max(w - 3, 0),
+        "ndarray": lambda s, t, w: np.arange(w, dtype=np.float32) + s,
+    }[kind]
+    payloads = [{} for _ in range(pattern.K)]
+    for s, t, w in zip(pattern.src.tolist(), pattern.dst.tolist(), pattern.size.tolist()):
+        payloads[s][t] = make(s, t, w)
+    return payloads
+
+
+def address(a):
+    return a.__array_interface__["data"][0]
+
+
+def assert_view_is_reference(pattern, out, payloads):
+    d = out.delivered
+    assert isinstance(d, Deliveries) and out.run.returns is d
+    assert len(d) == pattern.K and d.ptr[-1] == d.rows.size == pattern.num_messages
+    want = reference_delivery_lists(d.table, d.rows, np.diff(d.ptr))
+    got = list(d)
+    assert len(got) == len(want) == pattern.K
+    for r, (ref, msgs) in enumerate(zip(want, got)):
+        assert type(msgs) is list and len(msgs) == len(ref)
+        for (s, p), (t, q) in zip(ref, msgs):
+            assert type(t) is int and s == t
+            if payloads is None:
+                buf = d.table._payload
+                # a slice of the one buffer (an empty slice shares no byte of it)
+                assert q.dtype == np.int64 and q.base is buf
+                assert np.shares_memory(q, buf) == (q.size > 0)
+                assert (address(q), q.shape) == (address(p), p.shape)
+                assert (q == s * pattern.K + r).all()
+            else:
+                assert q is p and q is payloads[s][r]
+    # built once: reading again, by index or by iteration, hands out the same lists
+    assert all(a is b for a, b in zip(got, d)) and all(d[r] is got[r] for r in range(len(d)))
+    assert d[-1] is got[-1] and d[1:3] == got[1:3]
+    received = sorted((s, r) for r, msgs in enumerate(got) for s, _ in msgs)
+    assert received == sorted(zip(pattern.src.tolist(), pattern.dst.tolist()))
+
+
+class TestListViewIsTheReferenceFormulation:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        K=st.sampled_from([12, 16, 27, 36, 96]),
+        degree=st.integers(0, 5),
+        scheme=st.sampled_from([{"scheme": "direct"}, {"dims": 2}, {"dims": 3}]),
+        kind=st.sampled_from(["default", "list", "ndarray"]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_generated_scenarios(self, K, degree, scheme, kind, seed):
+        pattern = scenario(K, degree, seed)
+        payloads = None if kind == "default" else user_payloads(pattern, kind)
+        out = run_exchange(pattern, machine=BGQ, engine="batch", payloads=payloads, **scheme)
+        assert_view_is_reference(pattern, out, payloads)
+
+    @pytest.mark.parametrize("scheme", [{"scheme": "direct"}, {"dims": 2}])
+    def test_no_message_at_all(self, scheme):
+        empty = np.empty(0, dtype=np.int64)
+        pattern = CommPattern(9, empty, empty, empty)
+        out = run_exchange(pattern, machine=BGQ, engine="batch", **scheme)
+        assert_view_is_reference(pattern, out, None)
+        assert list(out.delivered) == [[] for _ in range(9)]
+        assert len({id(msgs) for msgs in out.delivered}) == 9  # nine lists, not one nine times
+
+    @pytest.mark.parametrize("scheme", [{"scheme": "direct"}, {"dims": 2}])
+    def test_K_above_65536(self, scheme):
+        K = 66000
+        rng = np.random.default_rng(8)
+        src = rng.choice(K, size=3000, replace=False)
+        dst = (src + rng.integers(1, K, size=src.size)) % K
+        pattern = CommPattern(K, src, dst, rng.integers(0, 40, src.size))
+        out = run_exchange(pattern, machine=BGQ, engine="batch", **scheme)
+        assert_view_is_reference(pattern, out, None)
+
+    def test_a_view_aliases_the_buffer_until_copied(self):
+        pattern = scenario(16, 4, seed=3, silent=0.0)
+        table = _default_payloads(pattern)
+        out = run_exchange(pattern, dims=2, machine=BGQ, engine="batch", payloads=table)
+        r = int(pattern.dst[0])
+        s, view = out.delivered[r][0]
+        kept = view.copy()
+        table._payload[:] = -1
+        assert (view == -1).all() and (kept == s * 16 + r).all()
+
+
+class TestFlatteningConstructor:
+    def test_a_deliveries_passes_through(self):
+        pattern = scenario(16, 3, seed=1)
+        d = run_exchange(pattern, dims=2, machine=BGQ, engine="batch").delivered
+        assert Deliveries.from_lists(d) is d
+
+    @pytest.mark.parametrize("engine", ["event", "batch"])
+    def test_lists_flatten_to_the_columns_they_came_from(self, engine):
+        pattern = scenario(27, 4, seed=6)
+        d = run_exchange(pattern, dims=3, machine=BGQ, engine=engine).delivered
+        lists = list(d)
+        flat = Deliveries.from_lists(lists)
+        assert flat.ptr.tolist() == [0] + np.cumsum([len(m) for m in lists]).tolist()
+        assert flat.src.tolist() == [s for msgs in lists for s, _ in msgs]
+        assert flat.dst.tolist() == [r for r, msgs in enumerate(lists) for _ in msgs]
+        assert all(p is q for p, (_, q) in zip(
+            flat.table.take(flat.rows), (pair for msgs in lists for pair in msgs)))
+        assert all(a is b for a, b in zip(flat, lists))  # the view is the lists given
+
+    def test_none_slots_count_as_no_deliveries(self):
+        flat = Deliveries.from_lists([[(2, "ab")], None, [], [(0, "c"), (1, "d")]])
+        assert flat.ptr.tolist() == [0, 1, 1, 1, 3] and len(flat) == 4
+        assert flat.src.tolist() == [2, 0, 1] and flat.dst.tolist() == [0, 3, 3]
+
+    def test_payload_columns_of_caller_objects(self):
+        payloads = [
+            np.array([5, 6], dtype=np.int64),  # well formed
+            [7, 8, 9],  # a list of ints reads as int64
+            np.array([1.0]),  # wrong dtype
+            np.zeros((2, 2), dtype=np.int64),  # not one-dimensional
+            None,
+            np.empty(0, dtype=np.int64),
+        ]
+        flat = Deliveries.from_lists([[(i, p) for i, p in enumerate(payloads)]])
+        length, is_int64, words = flat.table.columns(flat.rows)
+        assert length.tolist() == [2, 3, 1, -1, -1, 0]
+        assert is_int64.tolist() == [True, True, False, True, False, True]
+        assert words.tolist() == [5, 6, 7, 8, 9] and words.dtype == np.int64
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(0, 40))
+    def test_payload_columns_of_a_synthetic_table(self, seed, n):
+        rng = np.random.default_rng(seed)
+        K = 50
+        keys = rng.choice(K * K, size=n, replace=False)
+        keys = keys[keys // K != keys % K]
+        table = EdgePayloads.synthetic(K, keys // K, keys % K, rng.integers(0, 9, keys.size))
+        rows = rng.integers(0, max(keys.size, 1), size=rng.integers(0, 60) if keys.size else 0)
+        length, is_int64, words = table.columns(rows)
+        views = table.take(rows)
+        assert length.tolist() == [v.size for v in views] and is_int64.all()
+        assert words.dtype == np.int64
+        assert words.tolist() == [int(x) for v in views for x in v]

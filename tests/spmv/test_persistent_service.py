@@ -307,6 +307,28 @@ class TestCorruptionRung:
             for src, payload in msgs:
                 assert (np.asarray(payload) == src * K + dst).all()
 
+    @pytest.mark.parametrize("engine", ["event", "batch"])
+    def test_endpoint_check_runs_once_per_result(self, corrupt_setup, monkeypatch, engine):
+        """A healthy epoch checks its one result once (it used to check it
+        again for the report); an escalated epoch checks the fast path's
+        result and then the tolerant re-run's, which is the one reported."""
+        checked = []
+        real = PersistentExchangeService._corrupt_delivered
+
+        def counting(result, pat):
+            checked.append(result)
+            return real(result, pat)
+
+        monkeypatch.setattr(PersistentExchangeService, "_corrupt_delivered", staticmethod(counting))
+        healthy = make_service(engine=engine).run_epoch()
+        assert healthy.action == "healthy" and checked == [healthy.result]
+        if engine == "event":
+            del checked[:]
+            svc, cf, plan = corrupt_setup
+            escalated = svc.run_epoch(fault_plan=plan)
+            assert escalated.detected_corruptions > 0 and len(checked) == 2
+            assert checked[0] is not checked[1] and checked[1] is escalated.result
+
     def test_epoch_report_integrity_fields_default_clean(self):
         svc = make_service()
         r = svc.run_epoch()
