@@ -15,18 +15,9 @@ The sweep is pinned to explicit :class:`ExperimentConfig` defaults —
 across checkouts.  Results are written as a ``repro-bench-v1`` JSON
 document; ``BENCH_baseline.json`` in the repo root maps sweep name
 (``full``/``quick``, plus ``drift`` from ``repro drift``, ``chaos``
-from ``repro chaos``, ``corruption`` from ``repro corrupt`` and
-``engine`` from ``repro bench --sweep engine``)
+from ``repro chaos`` and ``corruption`` from ``repro corrupt``)
 to the reference document, and ``--check`` fails
 when the current run regresses more than a tolerance below it.
-
-``repro bench --sweep engine`` (:func:`run_engine_bench`) compares
-every registered SimMPI backend on one acceptance-scale STFW exchange
-and reports per-backend events/sec plus the sharded-over-event
-speedup.  The document pins ``cpus`` so a baseline is judged on the
-hardware that produced it — on a multi-core host the sharded backend
-is expected to win (that is the point of it); on a single-core host
-the same sweep measures pure sharding overhead instead.
 """
 
 from __future__ import annotations
@@ -46,14 +37,11 @@ __all__ = [
     "DRIFT_SCHEMA",
     "CHAOS_SCHEMA",
     "CORRUPT_SCHEMA",
-    "ENGINE_SCHEMA",
     "FULL_SWEEP",
     "QUICK_SWEEP",
     "run_bench",
-    "run_engine_bench",
     "validate_bench_json",
     "compare_bench",
-    "bench_check_notes",
     "merge_baseline",
     "load_baseline",
     "format_result",
@@ -74,12 +62,8 @@ CHAOS_SCHEMA = "repro-chaos-bench-v1"
 #: ``repro corrupt -o`` and stored under the ``"corruption"`` sweep key
 CORRUPT_SCHEMA = "repro-corrupt-bench-v1"
 
-#: schema tag of an engine-comparison document; produced by
-#: ``repro bench --sweep engine`` and stored under the ``"engine"`` key
-ENGINE_SCHEMA = "repro-engine-bench-v1"
-
 #: sweep names allowed to coexist in ``BENCH_baseline.json``
-_BASELINE_SWEEPS = ("full", "quick", "drift", "chaos", "corruption", "engine")
+_BASELINE_SWEEPS = ("full", "quick", "drift", "chaos", "corruption")
 
 #: the pinned full sweep — artifact-heavy cells (large matrices at a
 #: modest K) where generation, partitioning and planning dominate the
@@ -103,15 +87,6 @@ QUICK_SWEEP: tuple[tuple[str, int], ...] = (
 #: process count and degree of the engine microbenchmark
 _ENGINE_K = 256
 _ENGINE_DEGREE = 8
-
-#: process counts of the engine-comparison sweep: the acceptance-scale
-#: run (large enough to amortize the batch engine's per-stage setup)
-#: and the CI smoke size ``--quick`` shrinks it to
-_ENGINE_SWEEP_K = 65536
-_ENGINE_SWEEP_QUICK_K = 1024
-
-#: shard count of the engine-comparison sweep's sharded row
-_ENGINE_SWEEP_WORKERS = 4
 
 #: metrics compared against the baseline (higher is better)
 _COMPARE_KEYS: tuple[str, ...] = ("cells_per_sec", "engine_events_per_sec", "speedup")
@@ -165,28 +140,24 @@ def _run_cold_isolated(sweep, cache_root: str) -> float:
         return pool.apply(_cold_pass, ((sweep, cache_root),))
 
 
-def _time_exchange(pattern, *, engine: str, workers: int | None, repeats: int = 1):
-    """Time ``run_exchange`` on ``pattern``; returns an event-rate row.
+def _bench_engine(engine: str = "event") -> dict[str, float]:
+    """Raw event-loop throughput on a synthetic 2-D STFW exchange.
 
     ``events`` counts the engine's sends plus receives (the tracer's
-    ``engine.sends``/``engine.recvs`` counters), which both backends
-    report identically — a cheap cross-check that the timed runs did
-    the same work.
+    ``engine.sends``/``engine.recvs`` counters).
     """
+    from .core.pattern import CommPattern
     from .core.stfw import run_exchange
     from .network.machines import BGQ
     from .obs import Tracer
 
-    # best-of-N tames scheduler noise on sub-100ms microbenchmarks;
-    # the acceptance-scale sweep times a single multi-second pass
+    pattern = CommPattern.random(_ENGINE_K, avg_degree=_ENGINE_DEGREE, seed=1, words=16)
+    # best-of-3 tames scheduler noise on a sub-100ms microbenchmark
     elapsed = float("inf")
-    for _ in range(repeats):
+    for _ in range(3):
         tracer = Tracer(f"bench.engine.{engine}")
         t0 = time.perf_counter()
-        run_exchange(
-            pattern, dims=2, machine=BGQ, tracer=tracer,
-            engine=engine, workers=workers,
-        )
+        run_exchange(pattern, dims=2, machine=BGQ, tracer=tracer, engine=engine)
         elapsed = min(elapsed, time.perf_counter() - t0)
     events = sum(
         value
@@ -197,71 +168,7 @@ def _time_exchange(pattern, *, engine: str, workers: int | None, repeats: int = 
         "events": int(events),
         "elapsed_s": elapsed,
         "events_per_sec": events / elapsed if elapsed > 0 else 0.0,
-    }
-
-
-def _bench_engine(engine: str = "event", workers: int | None = None) -> dict[str, float]:
-    """Raw event-loop throughput on a synthetic 2-D STFW exchange."""
-    from .core.pattern import CommPattern
-
-    pattern = CommPattern.random(_ENGINE_K, avg_degree=_ENGINE_DEGREE, seed=1, words=16)
-    row = _time_exchange(pattern, engine=engine, workers=workers, repeats=3)
-    row["backend"] = engine
-    return row
-
-
-def run_engine_bench(
-    *,
-    quick: bool = False,
-    K: int | None = None,
-    workers: int = _ENGINE_SWEEP_WORKERS,
-    degree: int = _ENGINE_DEGREE,
-    words: int = 16,
-) -> dict[str, Any]:
-    """Compare every registered engine on one acceptance-scale exchange.
-
-    Runs the same planned 2-D STFW exchange once per registered engine
-    backend (``workers`` shards for the sharded backend; the other
-    backends are single-process) and reports per-backend events/sec
-    plus the sharded-over-event ``speedup`` and the batch-over-event
-    ``batch_speedup``.  The document records ``cpus`` — the host's core
-    count — because the sharded speedup is a property of the machine as
-    much as of the code: a baseline recorded on a single-core host
-    documents pure sharding overhead (speedup < 1), and
-    :func:`compare_bench` only gates the parallel metrics against a
-    baseline from a same-core-count host.  The batch metrics are
-    instead a property of the problem *size* (the vectorized sweeps
-    amortize per-stage setup over K), so they only gate against a
-    baseline recorded at the same ``K``.
-    """
-    from .core.pattern import CommPattern
-    from .simmpi import engine_names
-
-    K = K if K is not None else (_ENGINE_SWEEP_QUICK_K if quick else _ENGINE_SWEEP_K)
-    pattern = CommPattern.random(K, avg_degree=degree, seed=1, words=words)
-    rows: dict[str, dict[str, float]] = {}
-    for name in engine_names():
-        rows[name] = _time_exchange(
-            pattern,
-            engine=name,
-            workers=workers if name == "sharded" else None,
-        )
-    event_rate = rows.get("event", {}).get("events_per_sec", 0.0)
-    sharded_rate = rows.get("sharded", {}).get("events_per_sec", 0.0)
-    batch_rate = rows.get("batch", {}).get("events_per_sec", 0.0)
-    return {
-        "schema": ENGINE_SCHEMA,
-        "version": __version__,
-        "sweep": "engine",
-        "quick": quick,
-        "K": K,
-        "degree": degree,
-        "words": words,
-        "workers": workers,
-        "cpus": os.cpu_count() or 1,
-        "rows": rows,
-        "speedup": sharded_rate / event_rate if event_rate > 0 else 0.0,
-        "batch_speedup": batch_rate / event_rate if event_rate > 0 else 0.0,
+        "backend": engine,
     }
 
 
@@ -271,14 +178,13 @@ def run_bench(
     jobs: int = 4,
     cache_root: str | None = None,
     engine: str = "event",
-    workers: int | None = None,
 ) -> dict[str, Any]:
     """Run the benchmark and return the ``repro-bench-v1`` document.
 
     With ``cache_root=None`` a temporary directory is used and removed
     afterwards; pass a path to inspect the populated cache.  ``engine``
-    and ``workers`` pick the backend the engine microbenchmark row
-    times (the cell sweep itself never touches the emulator).
+    picks the backend the engine microbenchmark row times (the cell
+    sweep itself never touches the emulator).
     """
     from .obs import Tracer
 
@@ -307,7 +213,7 @@ def run_bench(
         if cache_root is None:
             shutil.rmtree(root, ignore_errors=True)
 
-    engine_row = _bench_engine(engine, workers)
+    engine_row = _bench_engine(engine)
     lookups = hits + misses
     return {
         "schema": BENCH_SCHEMA,
@@ -453,49 +359,6 @@ def _validate_corrupt_json(doc: dict[str, Any]) -> list[str]:
     return problems
 
 
-def _validate_engine_json(doc: dict[str, Any]) -> list[str]:
-    """Structural problems of a ``repro-engine-bench-v1`` document."""
-    problems: list[str] = []
-    for key, typ in (
-        ("version", str),
-        ("quick", bool),
-        ("K", int),
-        ("degree", int),
-        ("words", int),
-        ("workers", int),
-        ("cpus", int),
-        ("rows", dict),
-        ("speedup", (int, float)),
-        ("batch_speedup", (int, float)),
-    ):
-        if key not in doc:
-            problems.append(f"missing key {key!r}")
-        elif not isinstance(doc[key], typ):
-            problems.append(f"{key!r} is {type(doc[key]).__name__}")
-    if doc.get("sweep") != "engine":
-        problems.append(f"sweep is {doc.get('sweep')!r}, expected 'engine'")
-    if isinstance(doc.get("rows"), dict):
-        for backend in ("batch", "event", "sharded"):
-            row = doc["rows"].get(backend)
-            if not isinstance(row, dict):
-                problems.append(f"rows[{backend!r}] missing or not an object")
-                continue
-            for key in ("events", "elapsed_s", "events_per_sec"):
-                if not isinstance(row.get(key), (int, float)):
-                    problems.append(f"rows[{backend!r}].{key!r} missing or non-numeric")
-        counts = {
-            backend: row["events"]
-            for backend, row in doc["rows"].items()
-            if isinstance(row, dict) and isinstance(row.get("events"), int)
-        }
-        if len(set(counts.values())) > 1:
-            problems.append(
-                "rows disagree on the event count — the backends did not run "
-                f"the same exchange: {counts}"
-            )
-    return problems
-
-
 def validate_bench_json(doc: Any) -> list[str]:
     """Structural problems of one result document (empty = valid)."""
     problems: list[str] = []
@@ -507,8 +370,6 @@ def validate_bench_json(doc: Any) -> list[str]:
         return _validate_chaos_json(doc)
     if doc.get("schema") == CORRUPT_SCHEMA:
         return _validate_corrupt_json(doc)
-    if doc.get("schema") == ENGINE_SCHEMA:
-        return _validate_engine_json(doc)
     if doc.get("schema") != BENCH_SCHEMA:
         problems.append(f"schema is {doc.get('schema')!r}, expected {BENCH_SCHEMA!r}")
     for key, typ in (
@@ -622,42 +483,6 @@ def compare_bench(
                 "current never reached the quarantine rung"
             )
         return regressions
-    if current.get("schema") == ENGINE_SCHEMA:
-        # the serial event rate gates everywhere; the sharded rate and
-        # the speedup are properties of the host's core count as much
-        # as of the code, so they only gate against a baseline recorded
-        # on a same-core-count host; the batch metrics are a property
-        # of the problem size (vectorized sweeps amortize per-stage
-        # setup over K), so they only gate against a same-K baseline.
-        # Skipped gates are reported by :func:`bench_check_notes`.
-        pairs = [("event events/s", "event")]
-        ratio_pairs = []
-        if current.get("cpus") == baseline.get("cpus"):
-            pairs.append(("sharded events/s", "sharded"))
-            ratio_pairs.append(("speedup", "speedup", "sharded over event"))
-        if current.get("K") == baseline.get("K"):
-            pairs.append(("batch events/s", "batch"))
-            ratio_pairs.append(("batch_speedup", "batch_speedup", "batch over event"))
-        for label, backend in pairs:
-            cur = float(current.get("rows", {}).get(backend, {}).get("events_per_sec", 0.0))
-            base = float(baseline.get("rows", {}).get(backend, {}).get("events_per_sec", 0.0))
-            floor = base * (1.0 - tolerance)
-            if cur < floor:
-                regressions.append(
-                    f"{label}: {cur:.0f} is {100.0 * (1.0 - cur / base):.0f}% "
-                    f"below baseline {base:.0f} (tolerance {100.0 * tolerance:.0f}%)"
-                )
-        for label, key, desc in ratio_pairs:
-            cur = float(current.get(key, 0.0))
-            base = float(baseline.get(key, 0.0))
-            floor = base * (1.0 - tolerance)
-            if cur < floor:
-                regressions.append(
-                    f"{label}: {cur:.2f}x ({desc}) is "
-                    f"{100.0 * (1.0 - cur / base):.0f}% below baseline "
-                    f"{base:.2f}x (tolerance {100.0 * tolerance:.0f}%)"
-                )
-        return regressions
     for key in _COMPARE_KEYS:
         cur, base = _metric(current, key), _metric(baseline, key)
         floor = base * (1.0 - tolerance)
@@ -667,42 +492,6 @@ def compare_bench(
                 f"baseline {base:.2f} (tolerance {100.0 * tolerance:.0f}%)"
             )
     return regressions
-
-
-def bench_check_notes(
-    current: dict[str, Any],
-    baseline: dict[str, Any],
-) -> list[str]:
-    """Warnings about gates :func:`compare_bench` silently skipped.
-
-    A skipped gate is not a pass: when the host's core count differs
-    from the baseline's, the sharded metrics are incomparable and go
-    unchecked; when the sweep's ``K`` differs, the batch metrics do.
-    ``repro bench --check`` prints these so a skipped gate is visible
-    in the CI log instead of looking like a clean bill of health.
-    """
-    notes: list[str] = []
-    if current.get("schema") != ENGINE_SCHEMA:
-        return notes
-    if current.get("sweep") != baseline.get("sweep"):
-        return notes
-    cur_cpus, base_cpus = current.get("cpus"), baseline.get("cpus")
-    if cur_cpus != base_cpus:
-        notes.append(
-            f"sharded events/s and speedup NOT checked: host has "
-            f"{cur_cpus} core(s) but the baseline was recorded on "
-            f"{base_cpus} — re-record the baseline on this host to "
-            f"gate the parallel metrics"
-        )
-    cur_k, base_k = current.get("K"), baseline.get("K")
-    if cur_k != base_k:
-        notes.append(
-            f"batch events/s and batch_speedup NOT checked: this run "
-            f"used K={cur_k} but the baseline was recorded at "
-            f"K={base_k} — batch throughput scales with K, so the "
-            f"rates are incomparable"
-        )
-    return notes
 
 
 def merge_baseline(path: str, doc: dict[str, Any]) -> dict[str, Any]:
@@ -736,7 +525,6 @@ def load_baseline(path: str, sweep: str) -> dict[str, Any]:
         DRIFT_SCHEMA,
         CHAOS_SCHEMA,
         CORRUPT_SCHEMA,
-        ENGINE_SCHEMA,
     ):
         doc = data  # a bare result document is accepted as its own sweep
     elif isinstance(data, dict) and sweep in data:
@@ -751,35 +539,6 @@ def load_baseline(path: str, sweep: str) -> dict[str, Any]:
 
 def format_result(doc: dict[str, Any]) -> str:
     """Human-readable summary of one result document."""
-    if doc.get("schema") == ENGINE_SCHEMA:
-        lines = [
-            f"repro bench — sweep=engine, K={doc['K']}, degree={doc['degree']}, "
-            f"workers={doc['workers']}, cpus={doc['cpus']}",
-        ]
-        for backend, row in sorted(doc["rows"].items()):
-            on_cores = (
-                f" on {doc['cpus']} core(s)" if backend == "sharded" else ""
-            )
-            lines.append(
-                f"  {backend:<8}: {row['events_per_sec']:.0f} events/s "
-                f"({row['events']} events in {row['elapsed_s']:.2f}s{on_cores})"
-            )
-        lines.append(
-            f"  speedup : {doc['speedup']:.2f}x (sharded over event, "
-            f"{doc['cpus']} core(s))"
-        )
-        if "batch_speedup" in doc:
-            lines.append(
-                f"  batch   : {doc['batch_speedup']:.2f}x over event "
-                f"(K={doc['K']})"
-            )
-        if doc["cpus"] < doc["workers"]:
-            lines.append(
-                f"  note    : {doc['workers']} shard workers on {doc['cpus']} "
-                f"core(s) — the speedup measures sharding overhead here, not "
-                f"parallelism"
-            )
-        return "\n".join(lines)
     lines = [
         f"repro bench — sweep={doc['sweep']}, {doc['n_cells']} cells, "
         f"jobs={doc['jobs']}",

@@ -8,9 +8,7 @@ Examples::
     python -m repro run figure9 -j 2       # generic experiment runner
     python -m repro cache stats            # inspect the artifact cache
     python -m repro bench --quick          # performance smoke benchmark
-    python -m repro bench --sweep engine   # event-vs-sharded engine comparison
     python -m repro drift --cache          # plan-repair drift benchmark
-    python -m repro chaos --engine sharded --workers 4   # soak on the sharded backend
     python -m repro chaos --epochs 60      # self-healing service soak
     python -m repro corrupt --check BENCH_baseline.json  # SDC gates
     python -m repro instances              # list the Table 1 registry
@@ -21,10 +19,10 @@ synthetic matrices (communication-preserving, see DESIGN.md).
 ``-j/--jobs`` fans independent experiment cells over worker processes
 and ``--cache`` persists generated artifacts (matrices, partitions,
 patterns, plans) across runs; both leave results byte-identical.
-``--engine``/``--workers`` select the SimMPI backend of emulator-backed
-commands (``run faults|recover``, ``bench``, ``drift``, ``chaos``,
-``corrupt``); the sharded backend is bit-identical to the default
-event engine, so these flags also never change a result.
+``--engine`` selects the SimMPI backend of emulator-backed commands
+(``run faults|recover``, ``bench``, ``drift``, ``chaos``, ``corrupt``);
+the batch backend is bit-identical to the default event engine on what
+it accepts, so the flag also never changes a result.
 """
 
 from __future__ import annotations
@@ -115,13 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--quick", action="store_true", help="run the small CI smoke sweep"
-    )
-    p.add_argument(
-        "--sweep",
-        choices=("cells", "engine"),
-        default="cells",
-        help="what to benchmark: the experiment-cell sweep (default) or the "
-        "engine comparison (every SimMPI backend on one STFW exchange)",
     )
     p.add_argument(
         "-j",
@@ -360,23 +351,8 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _positive_int(value: str) -> int:
-    """Argparse type for ``--workers``: a strictly positive integer."""
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid workers count {value!r}: not an integer"
-        ) from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(
-            f"invalid workers count {value!r}: must be >= 1"
-        )
-    return n
-
-
 def _add_engine_args(p: argparse.ArgumentParser) -> None:
-    """The shared ``--engine``/``--workers`` backend-selection flags."""
+    """The shared ``--engine`` backend-selection flag."""
     from .simmpi.engine import engine_names
 
     p.add_argument(
@@ -385,35 +361,12 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
         default=None,
         help="SimMPI backend for emulator-backed runs (default event)",
     )
-    p.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="shard worker processes (requires --engine sharded)",
-    )
 
 
 def _engine_kwargs(args: argparse.Namespace) -> dict:
-    """Validated ``engine=``/``workers=`` kwargs from the CLI flags.
-
-    Bad combinations fail here, before any experiment work starts, with
-    the offending value named (``--engine`` itself is validated by
-    argparse against the registered backend names).
-    """
-    kwargs: dict = {}
+    """``engine=`` kwarg from the CLI flag (argparse validated the name)."""
     engine = getattr(args, "engine", None)
-    workers = getattr(args, "workers", None)
-    if engine is not None:
-        kwargs["engine"] = engine
-    if workers is not None:
-        if workers != 1 and (engine or "event") != "sharded":
-            raise SystemExit(
-                f"error: --workers {workers} requires --engine sharded "
-                f"(the {engine or 'event'} engine is single-process)"
-            )
-        kwargs["workers"] = workers
-    return kwargs
+    return {} if engine is None else {"engine": engine}
 
 
 def _artifact_cache(args: argparse.Namespace):
@@ -438,11 +391,11 @@ def _run_experiment(
         # fault models are event-engine-only)
         result = run_fn(cfg, jobs=jobs, **ekw)
     else:
-        if ekw.get("engine", "event") != "event" or ekw.get("workers", 1) != 1:
+        if ekw.get("engine", "event") != "event":
             raise SystemExit(
                 f"error: experiment {name!r} evaluates the analytic cost "
-                f"model and never starts the emulator, so --engine/--workers "
-                f"do not apply (emulator-backed commands: repro run "
+                f"model and never starts the emulator, so --engine "
+                f"does not apply (emulator-backed commands: repro run "
                 f"faults|recover, repro bench, repro drift, repro chaos, "
                 f"repro corrupt)"
             )
@@ -507,29 +460,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     """``repro bench`` — run, report, persist and optionally gate."""
     from .bench import (
-        bench_check_notes,
         compare_bench,
         format_result,
         load_baseline,
         merge_baseline,
         run_bench,
-        run_engine_bench,
         validate_bench_json,
     )
 
-    if args.sweep == "engine":
-        if args.engine is not None:
-            raise SystemExit(
-                "error: --engine does not combine with --sweep engine (the "
-                "sweep compares every registered backend); use --workers to "
-                "size the sharded row"
-            )
-        doc = run_engine_bench(
-            quick=args.quick,
-            **({"workers": args.workers} if args.workers is not None else {}),
-        )
-    else:
-        doc = run_bench(quick=args.quick, jobs=args.jobs, **_engine_kwargs(args))
+    doc = run_bench(quick=args.quick, jobs=args.jobs, **_engine_kwargs(args))
     problems = validate_bench_json(doc)
     if problems:  # pragma: no cover - guards bench.py itself
         print("invalid bench document: " + "; ".join(problems), file=sys.stderr)
@@ -547,8 +486,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"cannot load baseline: {exc}", file=sys.stderr)
             return 1
         regressions = compare_bench(doc, baseline)
-        for note in bench_check_notes(doc, baseline):
-            print(f"WARNING {note}", file=sys.stderr)
         if regressions:
             for line in regressions:
                 print(f"REGRESSION {line}", file=sys.stderr)

@@ -51,17 +51,12 @@ from .serialize import load_pattern, load_plan, save_pattern, save_plan
 from .routing import Hop, holder_after_stage, holder_after_stage_array, route, route_length
 from .stfw import (
     ExchangeResult,
-    FTExchangeResult,
     FTRankReport,
     direct_ft_process,
     direct_process,
     recv_counts_from_plan,
     repair_side_tables,
-    run_direct_exchange,
-    run_direct_ft_exchange,
     run_exchange,
-    run_stfw_exchange,
-    run_stfw_ft_exchange,
     side_tables_from_plan,
     SideTables,
     stfw_ft_process,
@@ -107,13 +102,8 @@ __all__ = [
     "side_tables_from_plan",
     "repair_side_tables",
     "run_exchange",
-    "run_stfw_exchange",
-    "run_direct_exchange",
-    "run_stfw_ft_exchange",
-    "run_direct_ft_exchange",
     "ExchangeResult",
     "FTRankReport",
-    "FTExchangeResult",
     "locality_vpt_mapping",
     "apply_mapping",
     "communication_matrix",

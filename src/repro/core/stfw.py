@@ -55,15 +55,11 @@ The non-tolerant :func:`stfw_process` under the same
 :func:`run_exchange` is the single whole-system driver — scheme
 (STFW via ``vpt``/``dims`` or the direct baseline via
 ``scheme="direct"``) and fault policy (``on_fault`` of ``"raise"`` /
-``"partial"`` / ``"tolerate"``) are orthogonal arguments.  The former
-per-variant entry points (``run_stfw_exchange``,
-``run_direct_exchange``, ``run_stfw_ft_exchange``,
-``run_direct_ft_exchange``) survive as deprecated shims.
+``"partial"`` / ``"tolerate"``) are orthogonal arguments.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Generator, Mapping, Sequence
 
@@ -90,13 +86,8 @@ __all__ = [
     "side_tables_from_plan",
     "repair_side_tables",
     "run_exchange",
-    "run_stfw_exchange",
-    "run_direct_exchange",
-    "run_stfw_ft_exchange",
-    "run_direct_ft_exchange",
     "ExchangeResult",
     "FTRankReport",
-    "FTExchangeResult",
 ]
 
 #: tag offset separating per-stage count messages from data messages
@@ -1065,7 +1056,6 @@ def run_exchange(
     end_wait_us: float | None = None,
     max_recovery_rounds: int = 2,
     engine: str = "event",
-    workers: int | None = None,
     **engine_kwargs,
 ) -> ExchangeResult:
     """Execute one full exchange for ``pattern`` on the emulator.
@@ -1104,18 +1094,16 @@ def run_exchange(
     ``tracer`` is an optional :class:`repro.obs.Tracer` receiving
     engine events plus per-stage spans and ``stfw.*`` counters.
 
-    ``engine`` selects the simulation backend (``"event"``,
-    ``"sharded"`` or ``"batch"``; see :mod:`repro.simmpi.engine`) and
-    ``workers`` the sharded backend's process count; the first two run
+    ``engine`` selects the simulation backend (``"event"`` or
+    ``"batch"``; see :mod:`repro.simmpi.engine`): the first runs
     through :func:`~repro.simmpi.runtime.run_spmd`, while ``"batch"``
     executes the planned schedule as whole-stage sweeps, bit-identical
     to the event engine, and refuses by name what it cannot (no
     ``machine``, ``mode="dynamic"``, ``on_fault="tolerate"``, fault
-    plans, jitter).  ``on_fault="partial"``
-    requires the event engine: the salvage path reads deliveries out
-    of engine-side sinks that live in the coordinator's address space,
-    which forked shard workers cannot fill.  Extra keyword arguments
-    (``jitter``, ``rendezvous_threshold_words``, ...) forward to the
+    plans, jitter).  ``on_fault="partial"`` requires the event engine:
+    the salvage path reads deliveries out of per-rank sinks that only
+    it fills as it goes.  Extra keyword arguments (``jitter``,
+    ``rendezvous_threshold_words``, ...) forward to the
     :class:`~repro.simmpi.runtime.SimMPI` engine.
     """
     vpt, kind = _resolve_scheme(pattern, vpt, scheme, dims)
@@ -1132,7 +1120,7 @@ def run_exchange(
             "event engine fills as it goes"
         )
     planned_only = False
-    if engine not in ("event", "sharded"):
+    if engine != "event":
         from ..simmpi.engine import resolve_engine
 
         planned_only = bool(getattr(resolve_engine(engine), "planned_only", False))
@@ -1144,13 +1132,13 @@ def run_exchange(
             raise PlanError(
                 f"mode='dynamic' is refused by engine={engine!r}: NBX-style "
                 "count discovery decides receive counts message by message; "
-                "use mode='planned' or engine='event'/'sharded'"
+                "use mode='planned' or engine='event'"
             )
         if on_fault == "tolerate":
             raise PlanError(
                 f"on_fault='tolerate' is refused by engine={engine!r}: the "
                 "fault-tolerant protocol's timeouts, retries and detours are "
-                "per-event control flow; use engine='event' or 'sharded'"
+                "per-event control flow; use engine='event'"
             )
     ft_knobs = {
         "timeout_us": timeout_us,
@@ -1208,7 +1196,6 @@ def run_exchange(
             fault_plan=fault_plan,
             tracer=tracer,
             engine=engine,
-            workers=workers,
             **engine_kwargs,
         )
         reports = _ft_reports(result)
@@ -1229,7 +1216,6 @@ def run_exchange(
             fault_plan=fault_plan,
             tracer=tracer,
             engine=engine,
-            workers=workers,
             **engine_kwargs,
         )
         if kind == "stfw":
@@ -1272,7 +1258,6 @@ def run_exchange(
             fault_plan=fault_plan,
             tracer=tracer,
             engine=engine,
-            workers=workers,
             **engine_kwargs,
         )
         result.plan = plan
@@ -1291,69 +1276,11 @@ def run_exchange(
         trace=trace,
         fault_plan=fault_plan,
         engine=engine,
-        workers=workers,
         tracer=tracer,
         **engine_kwargs,
     )
 
 
-# ----------------------------------------------------------------------
-# Deprecated entry points (thin shims over run_exchange)
-# ----------------------------------------------------------------------
-
-#: merged into :class:`ExchangeResult`; the alias keeps old isinstance
-#: checks and annotations working
-FTExchangeResult = ExchangeResult
-
-
 def _ft_reports(result: RunResult) -> list[FTRankReport | None]:
     """Harvest rank reports, leaving ``None`` for crashed ranks."""
     return [r if isinstance(r, FTRankReport) else None for r in result.returns]
-
-
-def run_stfw_exchange(
-    pattern: CommPattern, vpt: VirtualProcessTopology, **kwargs
-) -> ExchangeResult:
-    """Deprecated: use ``run_exchange(pattern, vpt, ...)``."""
-    warnings.warn(
-        "run_stfw_exchange is deprecated; use run_exchange(pattern, vpt, ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_exchange(pattern, vpt, **kwargs)
-
-
-def run_direct_exchange(pattern: CommPattern, **kwargs) -> ExchangeResult:
-    """Deprecated: use ``run_exchange(pattern, scheme="direct", ...)``."""
-    warnings.warn(
-        "run_direct_exchange is deprecated; use "
-        "run_exchange(pattern, scheme='direct', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_exchange(pattern, scheme="direct", **kwargs)
-
-
-def run_stfw_ft_exchange(
-    pattern: CommPattern, vpt: VirtualProcessTopology, **kwargs
-) -> ExchangeResult:
-    """Deprecated: use ``run_exchange(pattern, vpt, on_fault="tolerate", ...)``."""
-    warnings.warn(
-        "run_stfw_ft_exchange is deprecated; use "
-        "run_exchange(pattern, vpt, on_fault='tolerate', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_exchange(pattern, vpt, on_fault="tolerate", **kwargs)
-
-
-def run_direct_ft_exchange(pattern: CommPattern, **kwargs) -> ExchangeResult:
-    """Deprecated: use ``run_exchange(pattern, scheme="direct",
-    on_fault="tolerate", ...)``."""
-    warnings.warn(
-        "run_direct_ft_exchange is deprecated; use "
-        "run_exchange(pattern, scheme='direct', on_fault='tolerate', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_exchange(pattern, scheme="direct", on_fault="tolerate", **kwargs)

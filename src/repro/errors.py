@@ -17,7 +17,6 @@ __all__ = [
     "RoutingError",
     "PlanError",
     "SimMPIError",
-    "EngineConfigError",
     "DeadlockError",
     "FaultError",
     "RecoveryError",
@@ -50,17 +49,6 @@ class PlanError(ReproError):
 
 class SimMPIError(ReproError):
     """Generic failure inside the simulated MPI runtime."""
-
-
-class EngineConfigError(SimMPIError, ValueError):
-    """Invalid engine configuration caught eagerly at the API layer.
-
-    Raised before any simulation work happens — e.g. ``workers=`` passed
-    to a single-process backend (``event``/``batch``).  Derives from
-    both :class:`SimMPIError` (so existing ``except SimMPIError``
-    handlers keep working) and :class:`ValueError` (the conventional
-    class for a bad argument value, matching the CLI's eager check).
-    """
 
 
 @dataclass(frozen=True)

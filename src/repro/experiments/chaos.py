@@ -286,7 +286,6 @@ def run(
     artifacts=None,
     tracer=None,
     engine: str = "event",
-    workers: int | None = None,
 ) -> ChaosResult:
     """Soak the self-healing service; return the degradation record.
 
@@ -310,7 +309,7 @@ def run(
             f"the chaos soak requires a fault-capable engine (got {engine!r}): "
             "its episodes inject crashes, stragglers and drops that change "
             "the message schedule mid-exchange, which a planned-only backend "
-            "refuses; use engine='event' or engine='sharded'"
+            "refuses; use engine='event'"
         )
     cfg = cfg if cfg is not None else default_config()
     seed = int(cfg.seed if seed is None else seed)
@@ -349,7 +348,6 @@ def run(
         artifacts=artifacts,
         tracer=tracer,
         engine=engine,
-        workers=workers,
     )
     # scale crash times off a fault-free probe of the initial pattern
     probe = run_exchange(
@@ -358,7 +356,6 @@ def run(
         payloads=_default_payloads(pattern),
         machine=machine,
         engine=engine,
-        workers=workers,
     )
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC8A05)))
     forwarder = busiest_forwarder(pattern, vpt) if corruption else None
@@ -405,7 +402,6 @@ def run(
         payloads=_default_payloads(service.pattern),
         machine=machine,
         engine=engine,
-        workers=workers,
     )
     dead = set(service.dead)
     reference_identical = all(

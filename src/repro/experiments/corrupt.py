@@ -147,7 +147,6 @@ def _exchange_episode(
     *,
     require_quarantine: bool = False,
     engine: str = "event",
-    workers: int | None = None,
 ) -> EpisodeResult:
     """Soak one service instance under ``plan_for(epoch)`` fault plans."""
     pattern = CommPattern.random(K, avg_degree=degree, seed=seed)
@@ -166,7 +165,6 @@ def _exchange_episode(
         config=policy,
         validate=False,
         engine=engine,
-        workers=workers,
     )
     reports = []
     undetected = 0
@@ -197,9 +195,7 @@ def _exchange_episode(
     )
 
 
-def _compute_episode(
-    seed: int, *, engine: str = "event", workers: int | None = None
-) -> tuple[EpisodeResult, int, int]:
+def _compute_episode(seed: int, *, engine: str = "event") -> tuple[EpisodeResult, int, int]:
     """ABFT episode: seeded compute flips through a persistent SpMV.
 
     Returns ``(episode, injected, caught)``.  The injection sites are
@@ -212,9 +208,7 @@ def _compute_episode(
     n = 16 * K
     A = generate_matrix(n, 14 * n, 24, 1.0, seed=seed, values="random")
     part = block_partition(n, K)
-    spmv = PersistentSpMV(
-        A, part, verify=False, abft=True, engine=engine, workers=workers
-    )
+    spmv = PersistentSpMV(A, part, verify=False, abft=True, engine=engine)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0F1)))
     x = rng.normal(size=n)
     flip_ranks = {r: _COMPUTE_FLIP_P for r in range(K)}
@@ -272,14 +266,13 @@ def run(
     seed: int | None = None,
     machine: Machine = BGQ,
     engine: str = "event",
-    workers: int | None = None,
 ) -> CorruptResult:
     """Run the three-episode corruption sweep; everything derives from
     ``seed``, so two same-seed sweeps are identical.
 
     ``engine`` must currently be ``"event"``: the transient episode
     injects probabilistic in-transit flips (``default_flip``), which
-    the sharded backend rejects by design.  The parameter exists so
+    no other backend draws.  The parameter exists so
     callers address every experiment driver uniformly and get the
     refusal eagerly, by name."""
     from ..simmpi.engine import resolve_engine
@@ -289,7 +282,7 @@ def run(
         raise ExperimentError(
             f"the corruption sweep requires engine='event' (got {engine!r}): "
             "its transient episode injects probabilistic in-transit flips "
-            "(default_flip), which engine='sharded' cannot reproduce"
+            "(default_flip), which only the event engine draws"
         )
     cfg = cfg if cfg is not None else default_config()
     seed = int(cfg.seed if seed is None else seed)
@@ -323,7 +316,6 @@ def run(
         machine,
         transient_plan,
         engine=engine,
-        workers=workers,
     )
 
     # persistent corrupt forwarder: corrupt long enough to be implicated
@@ -351,12 +343,9 @@ def run(
         forwarder_plan,
         require_quarantine=True,
         engine=engine,
-        workers=workers,
     )
 
-    compute, abft_injected, abft_caught = _compute_episode(
-        seed, engine=engine, workers=workers
-    )
+    compute, abft_injected, abft_caught = _compute_episode(seed, engine=engine)
 
     episodes = [transient, forwarder, compute]
     return CorruptResult(

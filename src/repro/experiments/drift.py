@@ -202,7 +202,6 @@ def _run_service(
     validate: bool,
     tracer=None,
     engine: str = "event",
-    workers: int | None = None,
 ) -> ServiceSummary:
     """Drive one delta stream through the *persistent* exchange service.
 
@@ -226,7 +225,6 @@ def _run_service(
         validate=validate,
         tracer=tracer,
         engine=engine,
-        workers=workers,
     )
     frames = rounds = matched = 0
     makespan = 0.0
@@ -247,15 +245,13 @@ def _run_service(
         pat = service.pattern
 
         def worker(comm):
-            # stats ride the return value so the sharded engine's forked
-            # workers report them too (parent-side lists stay untouched)
             st = DiscoveryStats()
             recvset = yield from nbx_discover(
                 comm, pat.sendset(comm.rank), tracer=tracer, stats=st
             )
             return (recvset, st)
 
-        res = run_spmd(K, worker, machine=machine, engine=engine, workers=workers)
+        res = run_spmd(K, worker, machine=machine, engine=engine)
         src, dst, size = pat.src, pat.dst, pat.size
         for r in range(K):
             want = {
@@ -277,7 +273,6 @@ def _run_service(
             machine=machine,
             trace=True,
             engine=engine,
-            workers=workers,
         )
         if report.result.run.trace == ref_run.run.trace:
             matched += 1
@@ -318,7 +313,6 @@ def run(
     tracer=None,
     jobs: int | None = 1,
     engine: str = "event",
-    workers: int | None = None,
 ) -> DriftResult:
     """Run the drift sweep (and service); deterministic in ``cfg.seed``.
 
@@ -338,7 +332,7 @@ def run(
             f"(got {engine!r}): NBX rediscovery is a per-message counter "
             "protocol a planned-only backend refuses; pass service=False "
             "(CLI: --no-service) to time plan repair only, or use "
-            "engine='event' or engine='sharded'"
+            "engine='event'"
         )
     cfg = cfg or default_config()
     cache_root = None if artifacts is None else artifacts.root
@@ -354,7 +348,6 @@ def run(
             K=service_K,
             seed=cfg.seed,
             engine=engine,
-            workers=workers,
             epochs=service_epochs,
             machine=machine,
             validate=validate,

@@ -127,7 +127,6 @@ def run(
     tracer=None,
     jobs: int | None = 1,
     engine: str = "event",
-    workers: int | None = None,
 ) -> FaultsResult:
     """Run the resilience sweep; deterministic in ``cfg.seed``.
 
@@ -137,8 +136,8 @@ def run(
     rows (and any traced counters) are identical to a serial run.
 
     ``engine`` must currently be ``"event"``: the drop-rate scenarios
-    draw probabilistic link faults (``default_drop``), which the
-    sharded backend rejects by design.  The parameter exists so
+    draw probabilistic link faults (``default_drop``), which no
+    other backend draws.  The parameter exists so
     callers address every experiment driver uniformly and get the
     refusal eagerly, by name.
     """
@@ -150,12 +149,7 @@ def run(
         raise ExperimentError(
             f"the resilience sweep requires engine='event' (got {engine!r}): "
             "its drop-rate scenarios draw probabilistic link faults "
-            "(default_drop), which engine='sharded' cannot reproduce"
-        )
-    if workers not in (None, 1):
-        raise ExperimentError(
-            f"workers={workers!r} requires engine='sharded'; the resilience "
-            "sweep runs the single-process event engine"
+            "(default_drop), which only the event engine draws"
         )
     cfg = cfg or default_config()
     pattern = CommPattern.random(K, avg_degree=4, seed=cfg.seed)

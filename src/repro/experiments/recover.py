@@ -110,7 +110,6 @@ def run(
     tracer=None,
     jobs: int | None = 1,
     engine: str = "event",
-    workers: int | None = None,
 ) -> RecoverResult:
     """Run the BL-vs-STFW recovery sweep; deterministic in ``cfg.seed``.
 
@@ -133,12 +132,7 @@ def run(
         raise ExperimentError(
             f"the recovery sweep requires engine='event' (got {engine!r}): "
             "iterative recovery mutates a coordinated checkpoint store "
-            "mid-run, which the forked sharded workers cannot share"
-        )
-    if workers not in (None, 1):
-        raise ExperimentError(
-            f"workers={workers!r} requires engine='sharded'; the recovery "
-            "sweep runs the single-process event engine"
+            "mid-run, which only the event engine's generators can"
         )
     cfg = cfg or default_config()
 

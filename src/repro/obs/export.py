@@ -5,8 +5,7 @@ Three views of the same :class:`~repro.obs.tracer.Tracer`:
 * :func:`chrome_trace` — a ``chrome://tracing`` / Perfetto document.
   Integer tracks become rank rows (pid 0); named tracks (``"harness"``,
   ``"driver"``) become host rows (pid 1).  Pass ``run=`` to overlay the
-  engine's per-message records (duration + flow events) exactly as the
-  classic :func:`repro.simmpi.analysis.to_chrome_trace` dump did.
+  engine's per-message records (duration + flow events).
 * :func:`jsonl_events` — one JSON object per line, time-ordered, with
   final counter totals at the end; greppable and streamable.
 * :func:`summary_table` — a per-track/per-counter text table built on

@@ -135,9 +135,6 @@ class NullTracer:
         """Always 0.0 — a disabled tracer accumulates nothing."""
         return 0.0
 
-    def reset(self) -> None:
-        """No-op."""
-
     def merge(self, other) -> None:
         """No-op."""
 
@@ -315,20 +312,6 @@ class Tracer:
         ]
         rows.sort(key=lambda r: (r[0], str(r[1]), sorted((k, str(v)) for k, v in r[2].items())))
         return rows
-
-    def reset(self) -> None:
-        """Clear every record in place, preserving identity and name.
-
-        The sharded SimMPI engine's forked workers inherit the session
-        tracer (process functions captured it in closures); each worker
-        resets its copy right after the fork so only worker-side records
-        accumulate and the parent's later :meth:`merge` cannot double
-        count the pre-fork history.
-        """
-        self.spans.clear()
-        self.instants.clear()
-        self.samples.clear()
-        self._counters.clear()
 
     # ------------------------------------------------------------------
     # Merging (parallel workers)

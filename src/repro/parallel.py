@@ -37,7 +37,7 @@ from typing import Any, Callable, Iterable, TypeVar
 
 from .errors import ExperimentError
 
-__all__ = ["parallel_map", "pool_context", "resolve_jobs", "worker_state"]
+__all__ = ["parallel_map", "resolve_jobs", "worker_state"]
 
 T = TypeVar("T")
 
@@ -77,20 +77,10 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def pool_context() -> multiprocessing.context.BaseContext:
-    """Fork where available (cheap, shares loaded modules), else spawn.
-
-    Public so other process-parallel subsystems (the sharded SimMPI
-    engine) pick their start method by the same rule; callers that
-    *require* fork (to inherit unpicklable closures) check
-    ``pool_context().get_start_method() == "fork"`` and fail eagerly
-    otherwise.
-    """
+def _pool_context() -> multiprocessing.context.BaseContext:
+    """Fork where available (cheap, shares loaded modules), else spawn."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-_pool_context = pool_context
 
 
 def _run_task(payload: tuple) -> tuple[Any, Any]:

@@ -1,6 +1,6 @@
 """Deterministic discrete-event MPI emulator (the library's MPI substrate)."""
 
-from .analysis import RankSummary, rank_summary, stage_breakdown, to_chrome_trace
+from .analysis import RankSummary, rank_summary, stage_breakdown
 from .collectives import (
     REDUCTIONS,
     AllGatherOp,
@@ -72,5 +72,4 @@ __all__ = [
     "RankSummary",
     "rank_summary",
     "stage_breakdown",
-    "to_chrome_trace",
 ]

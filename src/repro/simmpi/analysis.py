@@ -1,12 +1,13 @@
-"""Trace analysis: timelines, per-rank summaries, Chrome-trace export.
+"""Trace analysis: per-rank summaries and per-stage traffic.
 
 ``run_spmd(..., trace=True)`` records every delivered message; this
 module turns those records into things a performance engineer can use:
 
 * :func:`rank_summary` — per-rank message/word counts and busy spans,
-* :func:`stage_breakdown` — per-tag (= per-stage for STFW) traffic,
-* :func:`to_chrome_trace` — a ``chrome://tracing`` / Perfetto JSON
-  document with one row per rank and one flow event per message.
+* :func:`stage_breakdown` — per-tag (= per-stage for STFW) traffic.
+
+:func:`repro.obs.chrome_trace` (``run=``) renders the same records as a
+``chrome://tracing`` / Perfetto document.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable
 
 from .message import RunResult, TraceRecord
 
-__all__ = ["RankSummary", "rank_summary", "stage_breakdown", "to_chrome_trace"]
+__all__ = ["RankSummary", "rank_summary", "stage_breakdown"]
 
 
 @dataclass(frozen=True)
@@ -76,25 +77,3 @@ def stage_breakdown(records: Iterable[TraceRecord]) -> dict[int, dict[str, float
         row["words"] += rec.words
         row["span_end"] = max(row["span_end"], rec.arrive_time)
     return dict(sorted(out.items()))
-
-
-def to_chrome_trace(result: RunResult, *, name: str = "simmpi run") -> str:
-    """Render a traced run as Chrome-trace (Perfetto) JSON.
-
-    One process row per rank; each message becomes a duration event on
-    the sender's row spanning [send, arrival] plus flow arrows from
-    sender to receiver.  Open the output in ``chrome://tracing`` or
-    https://ui.perfetto.dev.
-
-    Timestamps (``ts``/``dur``) are virtual microseconds — the Chrome
-    trace format's native unit — and ``displayTimeUnit`` is ``"ms"``
-    (the format only allows ``"ms"`` or ``"ns"``; declaring ``"ns"``
-    would make Perfetto render every duration 1000x too long).
-
-    This is the message-only view; :func:`repro.obs.chrome_trace` is
-    the full exporter (it also renders tracer spans/counters and is
-    what this function delegates to).
-    """
-    from ..obs.export import chrome_trace
-
-    return chrome_trace(run=result, name=name)

@@ -76,7 +76,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import EngineConfigError, PlanError, SimMPIError
+from ..errors import PlanError, SimMPIError
 from ..network.machines import Machine
 from ..network.timing import recv_cost_many, send_cost_many
 from .message import RunResult, TraceRecord
@@ -310,7 +310,6 @@ class BatchSimMPI(SimMPI):
         fault_plan=None,
         tracer=None,
         engine: str = "batch",
-        workers: int | None = None,
     ):
         if engine != "batch":
             raise SimMPIError(
@@ -335,12 +334,7 @@ class BatchSimMPI(SimMPI):
                 "fault_plan is refused by engine='batch': crashes, drops, "
                 "duplicates, flips, stragglers and outages are decided per "
                 "event and change the message schedule mid-run; use "
-                "engine='event' (or engine='sharded' for deterministic plans)"
-            )
-        if workers is not None and workers != 1:
-            raise EngineConfigError(
-                f"workers={workers} requires engine='sharded'; "
-                "engine='batch' is single-process"
+                "engine='event'"
             )
         super().__init__(
             K,
@@ -360,7 +354,6 @@ class BatchSimMPI(SimMPI):
                 "virtual time; use engine='event'"
             )
         self.engine_name = "batch"
-        self.workers = 1
 
     # ------------------------------------------------------------------
     # Arbitrary SPMD programs: refused by name
@@ -373,15 +366,14 @@ class BatchSimMPI(SimMPI):
         shrinks and NBX-style dynamic discovery message by message —
         control flow the whole-stage sweep cannot replay.  Planned
         exchanges go through ``run_exchange(..., engine='batch')`` (or
-        the SpMV drivers); everything else needs ``engine='event'`` or
-        ``engine='sharded'``.
+        the SpMV drivers); everything else needs ``engine='event'``.
         """
         raise SimMPIError(
             "engine='batch' cannot run arbitrary process functions: wildcard "
             "receives, timeouts, shrink and NBX discovery are decided message "
             "by message and cannot be batch-scheduled; use "
             "run_exchange(..., engine='batch') for planned exchanges, or "
-            "engine='event'/'sharded'"
+            "engine='event'"
         )
 
     # ------------------------------------------------------------------

@@ -108,9 +108,7 @@ class ReduceOp:
 class AllToAllOp:
     """Each rank contributes a length-K list; resumes with its column.
 
-    ``words`` is the charged size of each per-peer value (the old
-    ``words_per_peer`` spelling survives only as the deprecated
-    ``Comm.alltoall`` keyword).
+    ``words`` is the charged size of each per-peer value.
     """
 
     __slots__ = ("values", "words")

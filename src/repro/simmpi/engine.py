@@ -1,14 +1,12 @@
 """Engine selection: the backend protocol and the engine registry.
 
-Every simulation backend — the serial event-driven engine
-(:class:`~repro.simmpi.runtime.SimMPI` itself), the conservative
-parallel sharded engine (:class:`~repro.simmpi.sharded.ShardedSimMPI`)
-and the vectorized planned-exchange engine
-(:class:`~repro.simmpi.batch.BatchSimMPI`) — is selected by name
-through one surface::
+Both simulation backends — the event-driven engine
+(:class:`~repro.simmpi.runtime.SimMPI` itself) and the vectorized
+planned-exchange engine (:class:`~repro.simmpi.batch.BatchSimMPI`) —
+are selected by name through one surface::
 
-    sim = SimMPI(K, engine="sharded", workers=4, machine=BGQ)
-    res = run_spmd(K, fn, machine=BGQ, engine="sharded", workers=4)
+    sim = SimMPI(K, engine="batch", machine=BGQ)
+    res = run_spmd(K, fn, machine=BGQ, engine="event")
 
 ``SimMPI.__new__`` consults :func:`resolve_engine` and returns an
 instance of the registered backend class, so callers never import a
@@ -16,10 +14,10 @@ backend module directly and every backend accepts the same constructor
 keywords and returns the same
 :class:`~repro.simmpi.message.RunResult`.
 
-Third-party or experimental backends (a vectorized batch engine, say)
-plug in via :func:`register_engine`; they must subclass ``SimMPI`` (the
-dispatch relies on ``__init__`` compatibility) and satisfy the
-:class:`Engine` protocol.
+Third-party or experimental backends plug in via
+:func:`register_engine`; they must subclass ``SimMPI`` (the dispatch
+relies on ``__init__`` compatibility) and satisfy the :class:`Engine`
+protocol.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ class Engine(Protocol):
 
 
 #: built-in backend names
-_BUILTIN = ("batch", "event", "sharded")
+_BUILTIN = ("batch", "event")
 
 #: extension backends registered at runtime
 _EXTRA: dict[str, type] = {}
@@ -61,8 +59,8 @@ def engine_names() -> tuple[str, ...]:
     """Every known backend name, sorted.
 
     The order is deterministic (plain lexicographic sort over built-ins
-    and extensions together) so CLI ``choices=``, error messages and
-    the bench sweep's row order never depend on registration order.
+    and extensions together) so CLI ``choices=`` and error messages
+    never depend on registration order.
     """
     return tuple(sorted(_BUILTIN + tuple(_EXTRA)))
 
@@ -100,16 +98,12 @@ def resolve_engine(name: str) -> type:
     value and the known engines — the eager-validation choke point for
     every ``engine=`` surface (constructor, ``run_spmd``, CLI flags).
     Backend modules import lazily so selecting ``engine="event"`` never
-    pays for the parallel machinery.
+    imports the batch engine.
     """
     if name == "event":
         from .runtime import SimMPI
 
         return SimMPI
-    if name == "sharded":
-        from .sharded import ShardedSimMPI
-
-        return ShardedSimMPI
     if name == "batch":
         from .batch import BatchSimMPI
 

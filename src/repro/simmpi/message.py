@@ -10,8 +10,8 @@ It is ordered so that the envelope *is* its own wildcard key: envelopes
 compare by ``(arrive_time, source, seq)`` — ``seq`` being the
 **sender-side** send sequence number, unique per ``(source, dest)``, so
 a comparison never reaches the payload.  The key depends only on *what
-was sent*, never on the order the engine discovered it, so the serial
-and sharded backends match wildcards identically even at exact
+was sent*, never on the order the engine discovered it, so wildcard
+matching is a function of the messages alone even at exact
 arrival-time ties.  It must stay an exact ``tuple`` (a ``NamedTuple`` or
 any subclass stays tracked): CPython's cyclic collector stops tracking
 an exact tuple whose items are all untracked, one level of nesting per

@@ -125,20 +125,13 @@ plan's seed).
 from __future__ import annotations
 
 import math
-import warnings
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
 
-from ..errors import (
-    DeadlockError,
-    EngineConfigError,
-    PendingOp,
-    SimMPIError,
-    format_pending,
-)
+from ..errors import DeadlockError, PendingOp, SimMPIError, format_pending
 from ..network.machines import Machine
 from ..network.mapping import block_mapping, validate_mapping
 from .collectives import (
@@ -232,8 +225,9 @@ def trace_sort_key(rec: TraceRecord) -> tuple:
 
     The key covers every field, so any two traces holding the same
     *multiset* of records sort to the same sequence — the property that
-    lets the sharded engine (which discovers deliveries in per-shard
-    order) produce byte-identical ``RunResult.trace`` lists.
+    lets a backend that discovers deliveries in another order (the batch
+    engine sweeps them stage by stage) produce byte-identical
+    ``RunResult.trace`` lists.
     """
     return (rec.dest, rec.arrive_time, rec.source, rec.tag, rec.send_time, rec.words)
 
@@ -260,9 +254,7 @@ def collective_outcome(
     must iterate in ascending rank order (value folds and gather order
     depend on it).  Returns ``(results, cost)``: the per-rank resume
     values and the virtual-time cost added on top of the participants'
-    aligned clock.  Shared verbatim by the serial engine and the
-    sharded coordinator so both backends resolve collectives with
-    bit-identical values and times.
+    aligned clock.
     """
     P = len(waiting)
     lg = math.ceil(math.log2(max(P, 2)))
@@ -360,8 +352,7 @@ class Comm:
     ``words``: the per-unit size in 8-byte words.  "Per unit" means per
     message for ``send``/``isend``/``sendrecv``, per rank contribution
     for ``allgather``/``allreduce``/``reduce``/``bcast``, and per peer
-    value for ``alltoall`` (whose old ``words_per_peer`` spelling is a
-    deprecated alias).  ``words`` must be a non-negative integer; the
+    value for ``alltoall``.  ``words`` must be a non-negative integer; the
     check happens eagerly at the call site and the error names the rank
     and the offending argument.
     """
@@ -496,23 +487,12 @@ class Comm:
             raise SimMPIError(f"root {root} outside [0, {self.size})")
         return ReduceOp(value, self._check_words("reduce", words), op, root)
 
-    def alltoall(
-        self, values: list, *, words: int = 1, words_per_peer: int | None = None
-    ) -> AllToAllOp:
+    def alltoall(self, values: list, *, words: int = 1) -> AllToAllOp:
         """Blocking all-to-all; ``values[j]`` goes to rank ``j``; yields
         the list of values addressed to this rank.
 
-        ``words`` is the charged size of each per-peer value (the
-        standard size keyword — ``words_per_peer`` is a deprecated
-        alias kept for one release).
+        ``words`` is the charged size of each per-peer value.
         """
-        if words_per_peer is not None:
-            warnings.warn(
-                "alltoall(words_per_peer=...) is deprecated; use words=",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            words = words_per_peer
         if len(values) != self.size:
             raise SimMPIError(
                 f"alltoall needs one value per rank ({self.size}), got {len(values)}"
@@ -591,10 +571,10 @@ class _ProcState:
 class SimMPI:
     """The engine: owns ranks, mailboxes, clocks and the cost model.
 
-    ``SimMPI`` is both the serial event-driven backend and the unified
+    ``SimMPI`` is both the event-driven backend and the unified
     construction surface for every backend: ``SimMPI(K,
-    engine="sharded", workers=4, ...)`` returns a
-    :class:`~repro.simmpi.sharded.ShardedSimMPI` instance (dispatch
+    engine="batch", ...)`` returns a
+    :class:`~repro.simmpi.batch.BatchSimMPI` instance (dispatch
     happens in ``__new__`` via the :mod:`repro.simmpi.engine`
     registry), so callers select a backend without importing it.  All
     backends run the same process functions and return the same
@@ -621,7 +601,6 @@ class SimMPI:
         fault_plan: FaultPlan | None = None,
         tracer=None,
         engine: str = "event",
-        workers: int | None = None,
     ):
         if K < 1:
             raise SimMPIError(f"K={K} must be positive")
@@ -635,13 +614,7 @@ class SimMPI:
                 f"SimMPI.__init__ only builds engine='event'; construct "
                 f"engine={engine!r} via SimMPI(K, engine={engine!r})"
             )
-        if workers is not None and workers != 1:
-            raise EngineConfigError(
-                f"workers={workers} requires engine='sharded'; "
-                "engine='event' is single-process"
-            )
         self.engine_name = "event"
-        self.workers = 1
         if jitter < 0:
             raise SimMPIError("jitter must be non-negative")
         if rendezvous_threshold_words is not None and rendezvous_threshold_words < 1:
@@ -667,8 +640,8 @@ class SimMPI:
         #: not-yet-sent rival must arrive at or after it.  This makes
         #: wildcard delivery a pure function of virtual time (earliest
         #: arrival wins) instead of an artifact of engine interleaving,
-        #: which is what lets the sharded backend reproduce serial runs
-        #: bit for bit.  Machine-less runs have no positive cost bound
+        #: which is what lets the batch backend reproduce these runs bit
+        #: for bit.  Machine-less runs have no positive cost bound
         #: and keep the eager match-on-post behavior.
         self._lookahead = engine_lookahead(machine, fault_plan)
         self._conservative = self._lookahead > 0.0
@@ -689,7 +662,7 @@ class SimMPI:
             #: boxing) and a source node -> hops-to-every-node memo: one
             #: vector call per sending node instead of one scalar walk
             #: per node pair (a sparse pattern sees each pair about once)
-            self._map_list: list[int] = [int(x) for x in self._mapping]
+            self._map_list: list[int] = self._mapping.tolist()
         else:
             if mapping is not None:
                 raise SimMPIError("mapping given without a machine")
@@ -698,8 +671,6 @@ class SimMPI:
             self._map_list = []
         self._hop_rows: dict[int, bytes | list[int]] = {}
         self._procs: list[_ProcState] = []
-        #: the ranks this engine runs (a shard worker runs a sub-range)
-        self._owned = range(self.K)
         self._ready: deque[int] = deque()
         #: lazily invalidated min-heaps kept where a rank blocks or a post
         #: is held: ``(candidate arrival, rank)`` of blocked wildcard
@@ -890,8 +861,7 @@ class SimMPI:
         self._deadlines = []
         self._stats = dict.fromkeys(ENGINE_STATS, 0)
         self._live = 0
-        #: ranks run elsewhere stay finished placeholders
-        self._num_finished = self.K - len(self._owned)
+        self._num_finished = 0
         self._coll_blocked = 0
         self._coll_kinds = {}
         self._acked_dead = set()
@@ -901,7 +871,7 @@ class SimMPI:
         self._faults = (
             None if self.fault_plan is None else FaultState(self.fault_plan, self.K)
         )
-        for r in self._owned:
+        for r in range(self.K):
             out = proc_factory(Comm(self, r))
             state = self._procs[r]
             if isinstance(out, Generator):
@@ -991,10 +961,8 @@ class SimMPI:
             # may release held wildcard envelopes), then either every
             # live rank sits in one uniform collective (counter check,
             # O(1)), a virtual-time timer (recv timeout / scheduled
-            # crash) fires, or we deadlocked.  The sharded coordinator
-            # arbitrates its quiescent windows in exactly this order —
-            # held envelopes land before any collective or timer
-            # resolves — which is what keeps the backends bit-identical.
+            # crash) fires, or we deadlocked.  Held envelopes land
+            # before any collective or timer resolves.
             alive_count = self.K - self._num_finished
             self._stats["quiescent_rounds"] += 1
             if self._conservative and self._raise_horizon_at_quiescence():
@@ -1204,18 +1172,6 @@ class SimMPI:
         t = max(self._procs[r].clock for r in waiting) + shrink_cost(
             len(waiting), 0.0 if self.machine is None else self.machine.alpha_us
         )
-        self._apply_shrink(waiting, dead, t)
-
-    def _apply_shrink(
-        self, waiting: list[int], dead: tuple[int, ...], t: float, *, count: bool = True
-    ) -> None:
-        """Apply an agreed shrink to ``waiting``: purge, resume, align to ``t``.
-
-        Split from the agreement math so the sharded engine's workers
-        can apply a coordinator-computed outcome to their local ranks;
-        ``count=False`` suppresses the global ``engine.shrinks`` counter
-        there (the coordinator counts it once).
-        """
         self._acked_dead.update(dead)
         obs = self._obs
         for r in waiting:
@@ -1227,13 +1183,12 @@ class SimMPI:
             self._live -= p.mailbox.purge()
             p.resume_value = dead
             self._wake(r)
-        if count and obs is not None:
+        if obs is not None:
             obs.count("engine.shrinks", 1)
         self._coll_blocked = 0
         self._coll_kinds.clear()
         # every participant resumes at t, so no future send arrives
-        # before t + lookahead; the sharded coordinator raises its
-        # global horizon the same way
+        # before t + lookahead
         if self._conservative and t + self._lookahead > self._horizon:
             self._horizon = t + self._lookahead
 
@@ -1249,24 +1204,6 @@ class SimMPI:
             0.0 if m is None else m.beta_us_per_word,
         )
         t = max(self._procs[r].clock for r in waiting) + cost
-        self._apply_collective(kind, waiting, results, t)
-
-    def _apply_collective(
-        self,
-        kind: type,
-        waiting: list[int],
-        results: dict[int, Any],
-        t: float,
-        *,
-        count: bool = True,
-    ) -> None:
-        """Resume ``waiting`` from a resolved collective at time ``t``.
-
-        Split from the completion math so the sharded engine's workers
-        can apply a coordinator-computed outcome to their local ranks;
-        ``count=False`` suppresses the global ``engine.collectives``
-        counter there (the coordinator counts it once).
-        """
         obs = self._obs
         cname = kind.__name__.removesuffix("Op").lower() if obs is not None else ""
         for r in waiting:
@@ -1277,7 +1214,7 @@ class SimMPI:
             p.blocked_on = None
             p.resume_value = results[r]
             self._wake(r)
-        if count and obs is not None:
+        if obs is not None:
             obs.count("engine.collectives", 1, kind=cname)
         self._coll_blocked = 0
         self._coll_kinds.clear()
@@ -1396,7 +1333,6 @@ def run_spmd(
     fault_plan: FaultPlan | None = None,
     tracer=None,
     engine: str = "event",
-    workers: int | None = None,
 ) -> RunResult:
     """Convenience wrapper: run ``fn(comm, *args)`` on every rank.
 
@@ -1407,11 +1343,9 @@ def run_spmd(
     fault injection); ``tracer`` is an optional :class:`repro.obs.Tracer`
     receiving engine spans/counters in virtual time.
 
-    ``engine`` selects the simulation backend (``"event"`` — the
-    serial event-driven engine — or ``"sharded"``, the conservative
-    parallel engine; see :mod:`repro.simmpi.engine`); ``workers`` sets
-    the sharded engine's process count.  Every backend returns a
-    bit-identical :class:`~repro.simmpi.message.RunResult`.
+    ``engine`` selects the simulation backend by name (see
+    :mod:`repro.simmpi.engine`; only ``"event"`` runs arbitrary process
+    functions).
     """
     sim = SimMPI(
         K,
@@ -1424,6 +1358,5 @@ def run_spmd(
         fault_plan=fault_plan,
         tracer=tracer,
         engine=engine,
-        workers=workers,
     )
     return sim.run(lambda comm: fn(comm, *args))

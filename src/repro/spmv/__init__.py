@@ -1,6 +1,6 @@
 """Row-parallel SpMV: pattern extraction, emulated execution, cost driver."""
 
-from .columnparallel import ColSpMVResult, columnparallel_pattern, distributed_spmv_colparallel
+from .columnparallel import ColSpMVResult, columnparallel_pattern
 from .distributed import DistributedSpMVResult, distributed_spmv
 from .driver import (
     IterativeRecoveryResult,
@@ -40,7 +40,6 @@ __all__ = [
     "PersistentExchangeService",
     "EpochReport",
     "columnparallel_pattern",
-    "distributed_spmv_colparallel",
     "ColSpMVResult",
     "IterativeRecoveryResult",
     "run_iterative_with_recovery",

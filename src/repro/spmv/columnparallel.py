@@ -19,7 +19,6 @@ inside payloads.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,37 +33,7 @@ from ..errors import PlanError
 from ..partition.base import Partition
 from ..simmpi.runtime import run_spmd
 
-__all__ = ["columnparallel_pattern", "distributed_spmv_colparallel", "ColSpMVResult"]
-
-
-def distributed_spmv_colparallel(
-    A: sp.spmatrix,
-    partition: Partition,
-    x: np.ndarray,
-    *,
-    vpt: VirtualProcessTopology | None = None,
-    machine=None,
-    verify: bool = True,
-    engine: str = "event",
-    workers: int | None = None,
-) -> "ColSpMVResult":
-    """Deprecated alias of ``distributed_spmv(..., layout="column")``."""
-    warnings.warn(
-        "distributed_spmv_colparallel is deprecated; use "
-        "distributed_spmv(..., layout='column')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _colparallel_impl(
-        A,
-        partition,
-        x,
-        vpt=vpt,
-        machine=machine,
-        verify=verify,
-        engine=engine,
-        workers=workers,
-    )
+__all__ = ["columnparallel_pattern", "ColSpMVResult"]
 
 
 def _contribution_pairs(A: sp.csc_matrix, partition: Partition):
@@ -126,7 +95,6 @@ def _colparallel_impl(
     machine=None,
     verify: bool = True,
     engine: str = "event",
-    workers: int | None = None,
 ) -> ColSpMVResult:
     """Run one column-parallel SpMV on the emulator (BL or STFW fold).
 
@@ -187,7 +155,7 @@ def _colparallel_impl(
         counts = recv_counts_from_plan(plan)
 
     planned_only = False
-    if engine not in ("event", "sharded"):
+    if engine != "event":
         from ..simmpi.engine import resolve_engine
 
         planned_only = bool(getattr(resolve_engine(engine), "planned_only", False))
@@ -197,7 +165,7 @@ def _colparallel_impl(
         # delivery order (the += fold is float-order-sensitive)
         from ..simmpi.runtime import SimMPI
 
-        sim = SimMPI(K, machine=machine, engine=engine, workers=workers)
+        sim = SimMPI(K, machine=machine, engine=engine)
         sized_payloads = [
             {q: _SizedPair(send_rows[p][q], send_vals[p][q]) for q in send_rows[p]}
             for p in range(K)
@@ -244,9 +212,7 @@ def _colparallel_impl(
         mine = partition.rows_of(p)
         return y_local[mine]
 
-    run = run_spmd(
-        K, lambda comm: rank_fn(comm), machine=machine, engine=engine, workers=workers
-    )
+    run = run_spmd(K, lambda comm: rank_fn(comm), machine=machine, engine=engine)
     return _assemble_col_result(
         A, partition, x, n, K, pattern, run.returns, run, verify
     )

@@ -88,7 +88,6 @@ def distributed_spmv(
     verify: bool = True,
     layout: str = "row",
     engine: str = "event",
-    workers: int | None = None,
 ):
     """Run one distributed SpMV on the emulator.
 
@@ -102,8 +101,8 @@ def distributed_spmv(
     (the fold-phase dual; returns
     :class:`~repro.spmv.columnparallel.ColSpMVResult` — the per-layout
     result types are intentionally distinct, matching what each run
-    can report).  ``engine``/``workers`` select the simulation backend
-    (see :mod:`repro.simmpi.engine`).
+    can report).  ``engine`` selects the simulation backend (see
+    :mod:`repro.simmpi.engine`).
     """
     if layout == "column":
         from .columnparallel import _colparallel_impl
@@ -116,7 +115,6 @@ def distributed_spmv(
             machine=machine,
             verify=verify,
             engine=engine,
-            workers=workers,
         )
     if layout != "row":
         raise PlanError(f"unknown layout {layout!r}; use 'row' or 'column'")
@@ -146,7 +144,7 @@ def distributed_spmv(
         counts = recv_counts_from_plan(plan)
 
     planned_only = False
-    if engine not in ("event", "sharded"):
+    if engine != "event":
         from ..simmpi.engine import resolve_engine
 
         planned_only = bool(getattr(resolve_engine(engine), "planned_only", False))
@@ -156,7 +154,7 @@ def distributed_spmv(
         # (x_full[idx] = payload writes disjoint slots, order-free)
         from ..simmpi.runtime import SimMPI
 
-        sim = SimMPI(K, machine=machine, engine=engine, workers=workers)
+        sim = SimMPI(K, machine=machine, engine=engine)
         payloads = [
             {dst: values for dst, (idx, values) in send_plans[p].items()}
             for p in range(K)
@@ -193,13 +191,7 @@ def distributed_spmv(
                 rc,
             )
 
-        run = run_spmd(
-            K,
-            lambda comm: factory(comm),
-            machine=machine,
-            engine=engine,
-            workers=workers,
-        )
+        run = run_spmd(K, lambda comm: factory(comm), machine=machine, engine=engine)
         rank_returns = run.returns
 
     y = np.zeros(n, dtype=np.float64)

@@ -550,7 +550,6 @@ def run_iterative_with_recovery(
     x0: np.ndarray | None = None,
     tracer=None,
     engine: str = "event",
-    workers: int | None = None,
 ) -> IterativeRecoveryResult:
     """Run an iterative SpMV that survives rank crashes by shrinking.
 
@@ -576,8 +575,8 @@ def run_iterative_with_recovery(
     if engine != "event":
         raise ExperimentError(
             f"iterative recovery requires engine='event' (got {engine!r}): "
-            "its coordinated checkpoint store is shared coordinator-side "
-            "state that forked shard workers cannot see"
+            "heartbeats, shrink agreement and rollback are decided "
+            "message by message"
         )
     A = sp.csr_matrix(A)
     n = A.shape[0]
@@ -628,7 +627,6 @@ def run_iterative_with_recovery(
             fault_plan=fault_plan,
             tracer=tracer,
             engine=engine,
-            workers=workers,
         )
     except DeadlockError as exc:
         raise RecoveryError(

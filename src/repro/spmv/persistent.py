@@ -156,7 +156,6 @@ class PersistentExchangeService:
         artifacts=None,
         tracer=None,
         engine: str = "event",
-        workers: int | None = None,
     ):
         if vpt.K != pattern.K:
             raise PlanError(f"pattern K={pattern.K} != vpt K={vpt.K}")
@@ -169,7 +168,6 @@ class PersistentExchangeService:
 
         resolve_engine(engine)
         self.engine = engine
-        self.workers = workers
         self.validate = bool(validate)
         self.policy = EscalationPolicy(config)
         self.tracer = tracer
@@ -463,9 +461,8 @@ class PersistentExchangeService:
         result: ExchangeResult | None = None
         if not suspects and not corrupt_watch and not self._planned_blocked():
             # the event engine salvages a fault hang as a partial
-            # result; the sharded engine cannot fill the salvage sinks
-            # (they live in the coordinator), so there a hang raises
-            # and escalation happens through the except arm instead
+            # result; on another engine a hang raises and escalation
+            # happens through the except arm instead
             try:
                 result = run_exchange(
                     pat,
@@ -477,7 +474,6 @@ class PersistentExchangeService:
                     trace=trace,
                     tracer=self.tracer,
                     engine=self.engine,
-                    workers=self.workers,
                 )
             except DeadlockError:
                 result = None
@@ -512,7 +508,6 @@ class PersistentExchangeService:
                 trace=trace,
                 tracer=self.tracer,
                 engine=self.engine,
-                workers=self.workers,
                 **knobs,
             )
             corrupt = self._corrupt_delivered(result, pat)
@@ -604,9 +599,6 @@ class PersistentExchangeService:
 
         def worker(comm):
             agreed = yield comm.shrink()
-            # stats ride the worker's return value (not a parent-side
-            # list): with the sharded engine the generator runs in a
-            # forked process whose mutations the parent never sees
             st = DiscoveryStats()
             recvset = yield from nbx_discover(
                 comm,
@@ -624,7 +616,6 @@ class PersistentExchangeService:
             fault_plan=FaultPlan(crashes={r: 0.0 for r in all_dead}),
             tracer=tracer,
             engine=self.engine,
-            workers=self.workers,
         )
         gone = set(all_dead)
         src, dst, size = pat.src, pat.dst, pat.size
@@ -706,7 +697,6 @@ class PersistentSpMV:
         verify: bool = True,
         abft: bool = False,
         engine: str = "event",
-        workers: int | None = None,
     ):
         A = sp.csr_matrix(A)
         if A.shape[0] != A.shape[1]:
@@ -725,7 +715,6 @@ class PersistentSpMV:
 
         resolve_engine(engine)
         self.engine = engine
-        self.workers = workers
         self.verify = verify
         self.abft = bool(abft)
         #: compute flips the ABFT check caught (and recovered locally)
@@ -748,7 +737,6 @@ class PersistentSpMV:
                 machine=machine,
                 validate=False,
                 engine=engine,
-                workers=workers,
             )
             self.plan = self.service.plan
             self._counts = self.service.tables.recv_counts
@@ -828,8 +816,6 @@ class PersistentSpMV:
                     x_full[needed[comm.rank][src]] = payload
             p = flips.get(comm.rank, 0.0)
             if abft or p > 0.0:
-                # the caught count rides the return value: a parent-side
-                # list would stay zero under the sharded (forked) engine
                 y_local, c = checked_spmv(
                     block,
                     x_full,
@@ -841,13 +827,7 @@ class PersistentSpMV:
                 return (y_local, c)
             return (local_spmv(block, x_full), 0)
 
-        run = run_spmd(
-            self.K,
-            rank_fn,
-            machine=self.machine,
-            engine=self.engine,
-            workers=self.workers,
-        )
+        run = run_spmd(self.K, rank_fn, machine=self.machine, engine=self.engine)
         y = np.zeros(n, dtype=np.float64)
         caught = 0
         for p in range(self.K):

