@@ -7,10 +7,9 @@ Examples::
     python -m repro table3 -j 4 --cache    # 4 workers + on-disk artifacts
     python -m repro run figure9 -j 2       # generic experiment runner
     python -m repro cache stats            # inspect the artifact cache
-    python -m repro bench --quick          # performance smoke benchmark
     python -m repro drift --cache          # plan-repair drift benchmark
     python -m repro chaos --epochs 60      # self-healing service soak
-    python -m repro corrupt --check BENCH_baseline.json  # SDC gates
+    python -m repro corrupt --seed 11      # silent-data-corruption sweep
     python -m repro instances              # list the Table 1 registry
     python -m repro report -o results.md   # run everything, write markdown
 
@@ -20,9 +19,10 @@ synthetic matrices (communication-preserving, see DESIGN.md).
 and ``--cache`` persists generated artifacts (matrices, partitions,
 patterns, plans) across runs; both leave results byte-identical.
 ``--engine`` selects the SimMPI backend of emulator-backed commands
-(``run faults|recover``, ``bench``, ``drift``, ``chaos``, ``corrupt``);
-the batch backend is bit-identical to the default event engine on what
-it accepts, so the flag also never changes a result.
+(``run faults|recover``, ``drift``, ``chaos``, ``corrupt``); the batch
+backend is bit-identical to the default event engine on what it
+accepts, so the flag also never changes a result.  ``chaos`` and
+``corrupt`` exit 1 when their run misses an acceptance predicate.
 """
 
 from __future__ import annotations
@@ -108,34 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "bench",
-        help="run the pinned performance benchmark and write its JSON document",
-    )
-    p.add_argument(
-        "--quick", action="store_true", help="run the small CI smoke sweep"
-    )
-    p.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=4,
-        help="worker processes of the warm pass (default 4)",
-    )
-    _add_engine_args(p)
-    p.add_argument(
-        "-o",
-        "--output",
-        default="BENCH_baseline.json",
-        help="baseline file to merge the result into ('-' = print only)",
-    )
-    p.add_argument(
-        "--check",
-        metavar="BASELINE",
-        default=None,
-        help="fail (exit 1) when >20%% below this baseline's same-sweep entry",
-    )
-
-    p = sub.add_parser(
         "drift",
         help="dynamic-exchange drift benchmark: incremental plan repair vs "
         "full rebuild, plus an NBX-discovery service smoke",
@@ -185,23 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the end-to-end NBX-discovery service phase",
     )
     _add_engine_args(p)
-    p.add_argument(
-        "-o",
-        "--output",
-        default="-",
-        help="baseline file to merge the drift document into ('-' = print only)",
-    )
-    p.add_argument(
-        "--check",
-        metavar="BASELINE",
-        default=None,
-        help="fail (exit 1) when >20%% below this baseline's drift entry",
-    )
 
     p = sub.add_parser(
         "chaos",
         help="chaos soak: the self-healing persistent exchange service "
-        "under combined drift and fault streams",
+        "under combined drift and fault streams; exits 1 unless it "
+        "converges with zero full rebuilds",
     )
     p.add_argument(
         "--K", type=int, default=None, help="process count of the soak"
@@ -246,25 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
         "persistent corrupt forwarder the policy must quarantine",
     )
     _add_engine_args(p)
-    p.add_argument(
-        "-o",
-        "--output",
-        default="-",
-        help="baseline file to merge the chaos document into ('-' = print only)",
-    )
-    p.add_argument(
-        "--check",
-        metavar="BASELINE",
-        default=None,
-        help="fail (exit 1) on completion-rate regression, lost convergence "
-        "or any full plan rebuild vs this baseline's chaos entry",
-    )
 
     p = sub.add_parser(
         "corrupt",
         help="silent-data-corruption sweep: transient flips, a persistent "
         "corrupt forwarder and ABFT-checked compute flips; reports "
-        "detection latency and the undetected-corruption rate",
+        "detection latency and the undetected-corruption rate, and exits "
+        "1 on any undetected corruption, ABFT miss, unrecovered episode "
+        "or missed quarantine",
     )
     p.add_argument(
         "--K", type=int, default=None, help="process count per episode"
@@ -277,21 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=None, help="base RNG seed")
     _add_engine_args(p)
-    p.add_argument(
-        "-o",
-        "--output",
-        default="-",
-        help="baseline file to merge the corruption document into "
-        "('-' = print only)",
-    )
-    p.add_argument(
-        "--check",
-        metavar="BASELINE",
-        default=None,
-        help="fail (exit 1) on any undetected corruption, any ABFT miss, "
-        "lost recovery or a never-reached quarantine rung vs this "
-        "baseline's corruption entry",
-    )
 
     p = sub.add_parser(
         "trace",
@@ -396,8 +331,7 @@ def _run_experiment(
                 f"error: experiment {name!r} evaluates the analytic cost "
                 f"model and never starts the emulator, so --engine "
                 f"does not apply (emulator-backed commands: repro run "
-                f"faults|recover, repro bench, repro drift, repro chaos, "
-                f"repro corrupt)"
+                f"faults|recover, repro drift, repro chaos, repro corrupt)"
             )
         from .experiments.harness import InstanceCache
 
@@ -457,46 +391,18 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench`` — run, report, persist and optionally gate."""
-    from .bench import (
-        compare_bench,
-        format_result,
-        load_baseline,
-        merge_baseline,
-        run_bench,
-        validate_bench_json,
-    )
-
-    doc = run_bench(quick=args.quick, jobs=args.jobs, **_engine_kwargs(args))
-    problems = validate_bench_json(doc)
-    if problems:  # pragma: no cover - guards bench.py itself
-        print("invalid bench document: " + "; ".join(problems), file=sys.stderr)
-        return 1
-    print(format_result(doc))
-
-    if args.output != "-":
-        merge_baseline(args.output, doc)
-        print(f"wrote {args.output}", file=sys.stderr)
-
-    if args.check:
-        try:
-            baseline = load_baseline(args.check, doc["sweep"])
-        except (OSError, ValueError) as exc:
-            print(f"cannot load baseline: {exc}", file=sys.stderr)
-            return 1
-        regressions = compare_bench(doc, baseline)
-        if regressions:
-            for line in regressions:
-                print(f"REGRESSION {line}", file=sys.stderr)
-            return 1
-        print(f"no regression vs {args.check}", file=sys.stderr)
-    return 0
+def _acceptance(checks: Sequence[tuple[bool, str]]) -> int:
+    """Exit status of a resilience run from its ``(failed, reason)``
+    acceptance predicates: 1, naming each miss on stderr, if any failed."""
+    missed = [reason for failed, reason in checks if failed]
+    for reason in missed:
+        print(f"FAIL {reason}", file=sys.stderr)
+    return 1 if missed else 0
 
 
 def _cmd_drift(args: argparse.Namespace) -> int:
-    """``repro drift`` — run, report, persist and optionally gate."""
-    from .bench import compare_bench, load_baseline, merge_baseline
+    """``repro drift`` — run and report; a repair that diverges from
+    its rebuild raises :class:`~repro.errors.ExperimentError`."""
     from .experiments import drift
 
     kwargs = {}
@@ -506,13 +412,8 @@ def _cmd_drift(args: argparse.Namespace) -> int:
         kwargs["degree"] = args.degree
     if args.rates is not None:
         kwargs["rates"] = tuple(args.rates)
-    cfg = default_config()
-    if args.seed is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, seed=args.seed)
     result = drift.run(
-        cfg,
+        _config_from(args),
         epochs=args.epochs,
         artifacts=_artifact_cache(args),
         validate=not args.no_validate,
@@ -522,30 +423,12 @@ def _cmd_drift(args: argparse.Namespace) -> int:
         **kwargs,
     )
     print(drift.format_result(result))
-
-    doc = drift.to_bench_doc(result)
-    if args.output != "-":
-        merge_baseline(args.output, doc)
-        print(f"wrote {args.output}", file=sys.stderr)
-
-    if args.check:
-        try:
-            baseline = load_baseline(args.check, "drift")
-        except (OSError, ValueError) as exc:
-            print(f"cannot load baseline: {exc}", file=sys.stderr)
-            return 1
-        regressions = compare_bench(doc, baseline)
-        if regressions:
-            for line in regressions:
-                print(f"REGRESSION {line}", file=sys.stderr)
-            return 1
-        print(f"no regression vs {args.check}", file=sys.stderr)
     return 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    """``repro chaos`` — run the soak, report, persist, optionally gate."""
-    from .bench import compare_bench, load_baseline, merge_baseline
+    """``repro chaos`` — run the soak, report, exit 1 unless it converged
+    on the incremental repair path."""
     from .experiments import chaos
 
     kwargs = {}
@@ -561,43 +444,28 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         kwargs["tail"] = args.tail
     if args.corruption:
         kwargs["corruption"] = True
-    cfg = default_config()
-    if args.seed is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, seed=args.seed)
     result = chaos.run(
-        cfg,
+        _config_from(args),
         artifacts=_artifact_cache(args),
         validate=not args.no_validate,
         **_engine_kwargs(args),
         **kwargs,
     )
     print(chaos.format_result(result))
-
-    doc = chaos.to_bench_doc(result)
-    if args.output != "-":
-        merge_baseline(args.output, doc)
-        print(f"wrote {args.output}", file=sys.stderr)
-
-    if args.check:
-        try:
-            baseline = load_baseline(args.check, "chaos")
-        except (OSError, ValueError) as exc:
-            print(f"cannot load baseline: {exc}", file=sys.stderr)
-            return 1
-        regressions = compare_bench(doc, baseline)
-        if regressions:
-            for line in regressions:
-                print(f"REGRESSION {line}", file=sys.stderr)
-            return 1
-        print(f"no regression vs {args.check}", file=sys.stderr)
-    return 0
+    return _acceptance(
+        [
+            (not result.converged, "soak did not converge"),
+            (
+                result.full_rebuilds > 0,
+                f"{result.full_rebuilds} full plan rebuild(s), expected 0",
+            ),
+        ]
+    )
 
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
-    """``repro corrupt`` — run the SDC sweep, report, persist, gate."""
-    from .bench import compare_bench, load_baseline, merge_baseline
+    """``repro corrupt`` — run the SDC sweep, report, exit 1 on any
+    missed integrity predicate."""
     from .experiments import corrupt
 
     kwargs = {}
@@ -607,34 +475,27 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
         kwargs["degree"] = args.degree
     if args.epochs is not None:
         kwargs["epochs"] = args.epochs
-    cfg = default_config()
-    if args.seed is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, seed=args.seed)
-    result = corrupt.run(cfg, **_engine_kwargs(args), **kwargs)
+    result = corrupt.run(_config_from(args), **_engine_kwargs(args), **kwargs)
     print(corrupt.format_result(result))
-
-    doc = corrupt.to_bench_doc(result)
-    if args.output != "-":
-        merge_baseline(args.output, doc)
-        print(f"wrote {args.output}", file=sys.stderr)
-
-    if args.check:
-        try:
-            baseline = load_baseline(args.check, "corruption")
-        except (OSError, ValueError) as exc:
-            print(f"cannot load baseline: {exc}", file=sys.stderr)
-            return 1
-        regressions = compare_bench(doc, baseline)
-        if regressions:
-            for line in regressions:
-                print(f"REGRESSION {line}", file=sys.stderr)
-            return 1
-        print(f"no regression vs {args.check}", file=sys.stderr)
-    if result.undetected_total > 0 or not result.converged:
-        return 1
-    return 0
+    # ``converged`` already requires the last two (the compute episode
+    # recovers only if ABFT caught every flip, the forwarder episode only
+    # if it quarantined); each is named so a failure says which one
+    return _acceptance(
+        [
+            (
+                result.undetected_total > 0,
+                f"{result.undetected_total} corruption(s) reached a consumer "
+                f"undetected",
+            ),
+            (not result.converged, "an injection episode did not recover"),
+            (
+                result.abft_caught < result.abft_injected,
+                f"ABFT caught {result.abft_caught} of {result.abft_injected} "
+                f"injected compute flips",
+            ),
+            (not result.quarantined, "the corrupt forwarder was never quarantined"),
+        ]
+    )
 
 
 def _cmd_trace(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
@@ -755,9 +616,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "cache":
         return _cmd_cache(args)
-
-    if args.command == "bench":
-        return _cmd_bench(args)
 
     if args.command == "drift":
         return _cmd_drift(args)

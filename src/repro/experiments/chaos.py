@@ -7,7 +7,7 @@ hundreds of epochs under a seeded, scripted composition of
 
 * **pattern drift** — a :class:`~repro.core.pattern.PatternDelta`
   stream at ≤ 10% per epoch, absorbed by incremental plan + side-table
-  repair (never a full rebuild; ``full_rebuilds`` is gated at zero);
+  repair (never a full rebuild; ``full_rebuilds`` must stay zero);
 * **fault chaos** — transient mid-epoch crashes, a repeated-crash
   episode that hardens into a shrink, a flaky node whose inbound links
   all drop (tripping the circuit breaker), random frame drops, and
@@ -25,10 +25,8 @@ against a from-scratch rebuild.  The soak ends in a quiet (fault- and
 drift-free) tail; **convergence** means every tail epoch delivered
 every countable pair and the final epoch's survivor rows are
 bit-identical to a fault-free reference exchange of the final pattern.
-
-The resulting ``repro-chaos-bench-v1`` document lands in
-``BENCH_baseline.json`` next to the ``full``/``quick``/``drift``
-sweeps and is gated by ``repro chaos --check``.
+``repro chaos`` exits 1 unless the soak converged with zero full
+rebuilds.
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ __all__ = [
     "ChaosResult",
     "run",
     "format_result",
-    "to_bench_doc",
     "main",
 ]
 
@@ -509,50 +506,6 @@ def format_result(result: ChaosResult, *, events: int = 24) -> str:
         f"reference: {'yes' if result.reference_identical else 'NO'})",
     ]
     return "\n".join(lines)
-
-
-def to_bench_doc(result: ChaosResult) -> dict:
-    """The ``repro-chaos-bench-v1`` document for ``BENCH_baseline.json``.
-
-    ``mean_completion_rate`` is the gated headline; ``converged`` and
-    ``full_rebuilds == 0`` are gated absolutely (a soak that stops
-    converging, or that fell back to a from-scratch rebuild, fails the
-    ``--check`` gate regardless of tolerance).
-    """
-    from .. import __version__
-    from ..bench import CHAOS_SCHEMA
-
-    return {
-        "schema": CHAOS_SCHEMA,
-        "version": __version__,
-        "sweep": "chaos",
-        "K": result.K,
-        "dims": result.dims,
-        "degree": result.degree,
-        "epochs": result.epochs,
-        "drift_rate": result.drift_rate,
-        "seed": result.seed,
-        "warmup": result.warmup,
-        "tail": result.tail,
-        "mean_completion_rate": result.overall.mean_completion_rate,
-        "min_completion_rate": result.overall.min_completion_rate,
-        "faulty_epochs": result.overall.faulty_epochs,
-        "degraded_epochs": result.overall.degraded_epochs,
-        "mean_makespan_inflation": result.overall.mean_makespan_inflation,
-        "actions": result.overall.actions_dict,
-        "repairs": result.repairs,
-        "full_rebuilds": result.full_rebuilds,
-        "side_table_checks": result.side_table_checks,
-        "shrink_replans": result.shrink_replans,
-        "payload_checks": result.payload_checks,
-        "dead": list(result.dead),
-        "breaker_trips": result.breaker_trips,
-        "converged": bool(result.converged),
-        "corruption": bool(result.corruption),
-        "detected_corruptions": result.detected_corruptions,
-        "quarantine_epochs": result.quarantine_epochs,
-        "quarantined_peers": list(result.quarantined_peers),
-    }
 
 
 def main() -> None:  # pragma: no cover - CLI entry

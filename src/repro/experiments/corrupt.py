@@ -20,8 +20,8 @@ Every episode is scored against an *external oracle* the injected
 machinery never touches: exchange payloads are a pure function of
 ``(src, dst, words)`` and SpMV results are checked against a sequential
 ``A @ x``.  ``undetected`` counts corruption that reached a consumer
-with no check firing — the headline number, gated at **zero** by
-``repro corrupt --check``.  Detection latency (epochs from first
+with no check firing — the headline number, which must be **zero**
+(``repro corrupt`` exits 1 otherwise).  Detection latency (epochs from first
 injection to first check firing) and quarantine latency (epochs of
 implication evidence the policy needed) are reported per episode.
 """
@@ -54,7 +54,6 @@ __all__ = [
     "CorruptResult",
     "run",
     "format_result",
-    "to_bench_doc",
     "main",
 ]
 
@@ -395,45 +394,6 @@ def format_result(result: CorruptResult) -> str:
         f"converged: {'yes' if result.converged else 'NO'}",
     ]
     return "\n".join(lines)
-
-
-def to_bench_doc(result: CorruptResult) -> dict:
-    """The ``repro-corrupt-bench-v1`` doc for ``BENCH_baseline.json``.
-
-    ``undetected_total == 0``, ``converged`` and ``abft_caught ==
-    abft_injected`` are gated absolutely by ``repro corrupt --check``.
-    """
-    from .. import __version__
-    from ..bench import CORRUPT_SCHEMA
-
-    return {
-        "schema": CORRUPT_SCHEMA,
-        "version": __version__,
-        "sweep": "corruption",
-        "K": result.K,
-        "dims": result.dims,
-        "degree": result.degree,
-        "epochs": result.epochs,
-        "seed": result.seed,
-        "detected_total": result.detected_total,
-        "undetected_total": result.undetected_total,
-        "payload_checks": result.payload_checks,
-        "quarantined": list(result.quarantined),
-        "detection_latency": result.detection_latency,
-        "quarantine_latency": result.quarantine_latency,
-        "abft_injected": result.abft_injected,
-        "abft_caught": result.abft_caught,
-        "converged": bool(result.converged),
-        "episodes": {
-            ep.name: {
-                "detected": ep.stats.detected,
-                "undetected": ep.stats.undetected,
-                "unrecovered_pairs": ep.stats.unrecovered_pairs,
-                "recovered": bool(ep.recovered),
-            }
-            for ep in result.episodes
-        },
-    }
 
 
 def main() -> None:  # pragma: no cover - CLI entry

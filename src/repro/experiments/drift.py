@@ -56,7 +56,6 @@ __all__ = [
     "plans_identical",
     "run",
     "format_result",
-    "to_bench_doc",
 ]
 
 #: fraction of edges touched per epoch, swept from mild to violent drift
@@ -400,38 +399,6 @@ def format_result(result: DriftResult) -> str:
             f"last makespan {s.makespan_us:.1f}us"
         )
     return "\n".join(lines)
-
-
-def to_bench_doc(result: DriftResult) -> dict:
-    """The ``repro-drift-bench-v1`` document for ``BENCH_baseline.json``.
-
-    ``median_speedup_le_10pct`` — the median repair-vs-rebuild speedup
-    over the rates at or below 10% drift — is the gated headline metric.
-    """
-    from .. import __version__
-    from ..bench import DRIFT_SCHEMA
-
-    low = [r.speedup for r in result.rows if r.rate <= 0.10]
-    return {
-        "schema": DRIFT_SCHEMA,
-        "version": __version__,
-        "sweep": "drift",
-        "K": result.K,
-        "num_messages": result.num_messages,
-        "dims": result.dims,
-        "epochs": result.epochs,
-        "validated": bool(result.validated),
-        "rows": [
-            {
-                "rate": r.rate,
-                "repair_ms": r.repair_ms,
-                "rebuild_ms": r.rebuild_ms,
-                "speedup": r.speedup,
-            }
-            for r in result.rows
-        ],
-        "median_speedup_le_10pct": float(np.median(low)) if low else 0.0,
-    }
 
 
 def main() -> None:  # pragma: no cover - CLI entry

@@ -1,8 +1,10 @@
 """Tests for the chaos soak harness (``repro.experiments.chaos``)."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.bench import validate_bench_json
+from repro.cli import main
 from repro.errors import ExperimentError
 from repro.experiments import chaos
 
@@ -53,13 +55,6 @@ class TestSoak:
         assert sum(st.epochs for _, st in soak.phases) == soak.epochs
         assert soak.overall.epochs == soak.epochs
 
-    def test_bench_doc_validates(self, soak):
-        doc = chaos.to_bench_doc(soak)
-        validate_bench_json(doc)
-        assert doc["sweep"] == "chaos"
-        assert doc["converged"] is True
-        assert doc["full_rebuilds"] == 0
-
     def test_format_result_mentions_the_verdict(self, soak):
         text = chaos.format_result(soak)
         assert "converged: yes" in text
@@ -67,20 +62,42 @@ class TestSoak:
         assert "side-table" in text
 
 
+class TestExitStatus:
+    """``repro chaos`` exits 1 unless the soak converged on the
+    incremental repair path."""
+
+    @pytest.fixture
+    def exit_status(self, monkeypatch, capsys):
+        def run_cli(result):
+            monkeypatch.setattr(chaos, "run", lambda *args, **kwargs: result)
+            rc = main(["chaos"])
+            return rc, capsys.readouterr().err
+
+        return run_cli
+
+    def test_converged_soak_exits_zero(self, soak, exit_status):
+        assert exit_status(soak) == (0, "")
+
+    def test_unconverged_soak_exits_one(self, soak, exit_status):
+        rc, err = exit_status(replace(soak, converged=False))
+        assert rc == 1 and "did not converge" in err
+
+    def test_full_rebuild_exits_one(self, soak, exit_status):
+        rc, err = exit_status(replace(soak, full_rebuilds=1))
+        assert rc == 1 and "1 full plan rebuild(s)" in err
+
+
 class TestDeterminism:
     def test_same_seed_same_record(self):
         a = chaos.run(K=16, epochs=16, degree=3.0, seed=4)
         b = chaos.run(K=16, epochs=16, degree=3.0, seed=4)
-        assert chaos.to_bench_doc(a) == chaos.to_bench_doc(b)
-        assert [r.action for r in a.reports] == [
-            r.action for r in b.reports
-        ]
-        assert a.makespan_us == b.makespan_us
+        assert a == b  # every field, every per-epoch report
 
     def test_different_seed_differs(self):
         a = chaos.run(K=16, epochs=16, degree=3.0, seed=4)
         b = chaos.run(K=16, epochs=16, degree=3.0, seed=5)
-        assert chaos.to_bench_doc(a) != chaos.to_bench_doc(b)
+        # the records differ beyond the seed they were given
+        assert replace(b, seed=a.seed) != a
 
 
 class TestCorruptionSchedule:
@@ -98,13 +115,6 @@ class TestCorruptionSchedule:
     def test_corrupt_forwarder_quarantined(self, corrupted):
         assert corrupted.quarantine_epochs >= 1
         assert len(corrupted.quarantined_peers) >= 1
-
-    def test_bench_doc_carries_integrity_fields(self, corrupted):
-        doc = chaos.to_bench_doc(corrupted)
-        validate_bench_json(doc)
-        assert doc["corruption"] is True
-        assert doc["detected_corruptions"] == corrupted.detected_corruptions
-        assert doc["quarantined_peers"] == list(corrupted.quarantined_peers)
 
     def test_corruption_off_schedule_unchanged(self, soak):
         """The corruption knob must not perturb the corruption-off RNG

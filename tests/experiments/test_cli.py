@@ -51,12 +51,27 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["trace", "nonsense"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench"],
+            ["drift", "--check", "x"],
+            ["chaos", "-o", "x"],
+            ["corrupt", "--check", "x"],
+        ],
+    )
+    def test_removed_benchmark_spellings_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "usage: repro" in capsys.readouterr().err
+
 
 class TestEngineFlags:
     """The shared ``--engine`` backend-selection flag."""
 
     @pytest.mark.parametrize(
-        "cmd", [["run", "faults"], ["bench"], ["drift"], ["chaos"], ["corrupt"]]
+        "cmd", [["run", "faults"], ["drift"], ["chaos"], ["corrupt"]]
     )
     def test_every_emulator_command_takes_the_flags(self, cmd):
         args = build_parser().parse_args(cmd + ["--engine", "batch"])
@@ -124,50 +139,23 @@ class TestDriftCommand:
     def test_parse_defaults(self):
         args = build_parser().parse_args(["drift"])
         assert args.command == "drift"
-        assert args.output == "-"
         assert args.K is None and args.rates is None
         assert not args.no_validate and not args.no_service
 
     def test_parse_full_flags(self):
         args = build_parser().parse_args(
             ["drift", "--K", "64", "--degree", "6", "--rates", "0.05", "0.25",
-             "--epochs", "2", "--cache", "--no-service", "-o", "b.json",
-             "--check", "b.json"]
+             "--epochs", "2", "--cache", "--no-service"]
         )
         assert args.K == 64
         assert args.rates == [0.05, 0.25]
         assert args.cache == ""
         assert args.no_service
 
-    def test_run_writes_and_gates(self, tmp_path, capsys):
-        out = str(tmp_path / "baseline.json")
+    def test_run_prints_the_latency_table(self, capsys):
         rc = main(
             ["drift", "--K", "32", "--degree", "4", "--rates", "0.1",
-             "--epochs", "1", "--no-service", "-o", out]
+             "--epochs", "1", "--no-service"]
         )
         assert rc == 0
-        text = capsys.readouterr().out
-        assert "Dynamic exchange under drift" in text
-        # self-check against the baseline just written must pass; lower
-        # the stored headline metric first so tiny-scale timing noise
-        # cannot flip the 20% gate
-        import json
-
-        with open(out) as fh:
-            doc = json.load(fh)
-        doc["drift"]["median_speedup_le_10pct"] *= 0.01
-        with open(out, "w") as fh:
-            json.dump(doc, fh)
-        rc = main(
-            ["drift", "--K", "32", "--degree", "4", "--rates", "0.1",
-             "--epochs", "1", "--no-service", "-o", "-", "--check", out]
-        )
-        assert rc == 0
-
-    def test_check_missing_baseline_fails(self, tmp_path):
-        rc = main(
-            ["drift", "--K", "32", "--degree", "4", "--rates", "0.1",
-             "--epochs", "1", "--no-service",
-             "--check", str(tmp_path / "absent.json")]
-        )
-        assert rc == 1
+        assert "Dynamic exchange under drift" in capsys.readouterr().out

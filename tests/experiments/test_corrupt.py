@@ -1,8 +1,10 @@
 """Tests for the silent-data-corruption sweep (``repro.experiments.corrupt``)."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.bench import compare_bench, validate_bench_json
+from repro.cli import main
 from repro.errors import ExperimentError
 from repro.experiments import corrupt
 
@@ -35,14 +37,6 @@ class TestSweep:
         assert sweep.abft_injected > 0
         assert sweep.abft_caught == sweep.abft_injected
 
-    def test_bench_doc_validates(self, sweep):
-        doc = corrupt.to_bench_doc(sweep)
-        validate_bench_json(doc)
-        assert doc["sweep"] == "corruption"
-        assert doc["undetected_total"] == 0
-        assert doc["converged"] is True
-        assert set(doc["episodes"]) == {ep.name for ep in sweep.episodes}
-
     def test_format_result_reports_pass(self, sweep):
         text = corrupt.format_result(sweep)
         assert "0 undetected corruption(s) (PASS: must be 0)" in text
@@ -51,45 +45,47 @@ class TestSweep:
 
 
 class TestCompareGates:
-    """The ``--check`` gates are absolute: no tolerance excuses them."""
+    """``repro corrupt`` exits 1 when the sweep misses any of its
+    absolute integrity predicates; no tolerance excuses one."""
 
-    def test_clean_doc_passes_against_itself(self, sweep):
-        doc = corrupt.to_bench_doc(sweep)
-        assert compare_bench(doc, doc) == []
+    @pytest.fixture
+    def exit_status(self, monkeypatch, capsys):
+        def run_cli(result):
+            monkeypatch.setattr(corrupt, "run", lambda *args, **kwargs: result)
+            rc = main(["corrupt"])
+            return rc, capsys.readouterr().err
 
-    def test_undetected_corruption_is_a_regression(self, sweep):
-        base = corrupt.to_bench_doc(sweep)
-        cur = dict(base, undetected_total=1)
-        regs = compare_bench(cur, base)
-        assert any("undetected" in r for r in regs)
+        return run_cli
 
-    def test_abft_miss_is_a_regression(self, sweep):
-        base = corrupt.to_bench_doc(sweep)
-        cur = dict(base, abft_caught=base["abft_injected"] - 1)
-        regs = compare_bench(cur, base)
-        assert any("abft" in r for r in regs)
+    def test_clean_sweep_exits_zero(self, sweep, exit_status):
+        assert exit_status(sweep) == (0, "")
 
-    def test_lost_convergence_is_a_regression(self, sweep):
-        base = corrupt.to_bench_doc(sweep)
-        cur = dict(base, converged=False)
-        regs = compare_bench(cur, base)
-        assert any("converged" in r for r in regs)
+    def test_undetected_corruption_is_a_regression(self, sweep, exit_status):
+        rc, err = exit_status(replace(sweep, undetected_total=1))
+        assert rc == 1 and "undetected" in err
 
-    def test_lost_quarantine_is_a_regression(self, sweep):
-        base = corrupt.to_bench_doc(sweep)
-        cur = dict(base, quarantined=[])
-        regs = compare_bench(cur, base)
-        assert any("quarantine" in r for r in regs)
+    def test_abft_miss_is_a_regression(self, sweep, exit_status):
+        rc, err = exit_status(replace(sweep, abft_caught=sweep.abft_injected - 1))
+        assert rc == 1 and "ABFT" in err
+
+    def test_lost_convergence_is_a_regression(self, sweep, exit_status):
+        rc, err = exit_status(replace(sweep, converged=False))
+        assert rc == 1 and "did not recover" in err
+
+    def test_lost_quarantine_is_a_regression(self, sweep, exit_status):
+        rc, err = exit_status(replace(sweep, quarantined=()))
+        assert rc == 1 and "quarantined" in err
 
 
 class TestDeterminism:
-    def test_same_seed_same_doc(self, sweep):
+    def test_same_seed_same_record(self, sweep):
         again = corrupt.run(K=16, degree=3.0, epochs=12, seed=11)
-        assert corrupt.to_bench_doc(again) == corrupt.to_bench_doc(sweep)
+        assert again == sweep  # every field, every episode
 
     def test_different_seed_differs(self, sweep):
         other = corrupt.run(K=16, degree=3.0, epochs=12, seed=12)
-        assert corrupt.to_bench_doc(other) != corrupt.to_bench_doc(sweep)
+        # the sweeps differ beyond the seed they were given
+        assert replace(other, seed=sweep.seed) != sweep
 
 
 class TestValidation:

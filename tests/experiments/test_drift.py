@@ -1,17 +1,7 @@
-"""Tests for the dynamic-exchange drift experiment and its bench doc."""
+"""Tests for the dynamic-exchange drift experiment."""
 
-import json
-
-import numpy as np
 import pytest
 
-from repro.bench import (
-    DRIFT_SCHEMA,
-    compare_bench,
-    load_baseline,
-    merge_baseline,
-    validate_bench_json,
-)
 from repro.cache import ArtifactCache
 from repro.core import CommPattern, PatternDelta, build_plan, make_vpt, repair_plan
 from repro.errors import ExperimentError
@@ -97,48 +87,6 @@ class TestRun:
         assert "10%" in text and "25%" in text
 
 
-class TestBenchDoc:
-    def test_doc_validates(self):
-        doc = drift.to_bench_doc(tiny_run())
-        assert doc["schema"] == DRIFT_SCHEMA
-        assert doc["sweep"] == "drift"
-        assert validate_bench_json(doc) == []
-
-    def test_headline_metric_is_low_rate_median(self):
-        r = tiny_run(rates=(0.05, 0.1, 0.5))
-        doc = drift.to_bench_doc(r)
-        low = [row.speedup for row in r.rows if row.rate <= 0.10]
-        assert doc["median_speedup_le_10pct"] == pytest.approx(float(np.median(low)))
-
-    def test_validate_catches_missing_rows(self):
-        doc = drift.to_bench_doc(tiny_run())
-        del doc["rows"]
-        assert any("rows" in p for p in validate_bench_json(doc))
-
-    def test_validate_catches_wrong_sweep(self):
-        doc = drift.to_bench_doc(tiny_run())
-        doc["sweep"] = "full"
-        assert any("sweep" in p for p in validate_bench_json(doc))
-
-    def test_compare_gates_on_headline_metric(self):
-        doc = drift.to_bench_doc(tiny_run())
-        baseline = dict(doc)
-        baseline["median_speedup_le_10pct"] = doc["median_speedup_le_10pct"] * 10
-        regressions = compare_bench(doc, baseline)
-        assert regressions and "median_speedup_le_10pct" in regressions[0]
-        assert compare_bench(doc, doc) == []
-
-    def test_merge_coexists_with_bench_sweeps(self, tmp_path):
-        path = str(tmp_path / "baseline.json")
-        other = {"full": {"sweep": "full"}, "quick": {"sweep": "quick"}}
-        with open(path, "w") as fh:
-            json.dump(other, fh)
-        doc = drift.to_bench_doc(tiny_run())
-        merged = merge_baseline(path, doc)
-        assert sorted(merged) == ["drift", "full", "quick"]
-        assert load_baseline(path, "drift")["schema"] == DRIFT_SCHEMA
-
-
 class TestValidationFailure:
     def test_divergence_raises(self, monkeypatch):
         """A repair that disagrees with the rebuild must abort the run."""
@@ -158,9 +106,10 @@ class TestValidationFailure:
 
 class TestRepairSpeedupDirection:
     def test_repair_beats_rebuild_at_scale(self):
-        """At a bench-like size, low-rate repair must be faster than the
-        full rebuild (the BENCH gate asserts >=5x at K=4096; here a
-        smaller, CI-friendly instance just pins the direction)."""
+        """Low-rate repair must be faster than the full rebuild.  The
+        speedup itself is what ``repro drift`` prints (~10x/5x at 1%/10%
+        drift for K=4096, docs/USAGE.md); this CI-sized instance only pins
+        the direction."""
         import time
 
         pattern = CommPattern.random(512, avg_degree=24, seed=0)

@@ -595,11 +595,14 @@ class TestEngineRegistry:
             SimMPI(4, workers=2)
         with pytest.raises(TypeError, match="workers"):
             run_exchange(CommPattern.random(4, avg_degree=2, seed=0), dims=2, workers=2)
-        for argv in (["bench", "--sweep", "engine"], ["drift", "--workers", "2"]):
+        for argv, why in (
+            (["bench", "--sweep", "engine"], "invalid choice: 'bench'"),
+            (["drift", "--workers", "2"], "unrecognized arguments"),
+        ):
             with pytest.raises(SystemExit) as exc:
                 build_parser().parse_args(argv)
             assert exc.value.code == 2
-            assert "unrecognized arguments" in capsys.readouterr().err
+            assert why in capsys.readouterr().err
 
     def test_unknown_engine_error_lists_available(self):
         with pytest.raises(SimMPIError, match="unknown engine 'warp'") as exc:
