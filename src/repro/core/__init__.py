@@ -51,15 +51,14 @@ from .serialize import load_pattern, load_plan, save_pattern, save_plan
 from .routing import Hop, holder_after_stage, holder_after_stage_array, route, route_length
 from .stfw import (
     ExchangeResult,
+    FaultPolicy,
     FTRankReport,
-    direct_ft_process,
     direct_process,
     recv_counts_from_plan,
     repair_side_tables,
     run_exchange,
     side_tables_from_plan,
     SideTables,
-    stfw_ft_process,
     stfw_process,
 )
 from .tradeoff import TradeoffPoint, recommend_dimension, tradeoff_curve
@@ -95,8 +94,7 @@ __all__ = [
     "holder_after_stage_array",
     "stfw_process",
     "direct_process",
-    "stfw_ft_process",
-    "direct_ft_process",
+    "FaultPolicy",
     "recv_counts_from_plan",
     "SideTables",
     "side_tables_from_plan",

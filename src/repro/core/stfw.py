@@ -26,8 +26,10 @@ Fault tolerance
 ---------------
 STFW concentrates risk that the direct scheme does not have: one dead
 forwarder in stage ``d`` strands the coalesced submessages of many
-(source, destination) pairs.  :func:`stfw_ft_process` is the
-fault-tolerant variant, built on the reliable delivery layer
+(source, destination) pairs.  ``run_exchange(...,
+on_fault=FaultPolicy(...))`` (or ``on_fault="tolerate"`` for the
+default :class:`FaultPolicy`) runs the fault-tolerant variant, built on
+the reliable delivery layer
 (:class:`~repro.simmpi.reliable.ReliableComm`):
 
 * every hop is acked, retried with exponential backoff, and
@@ -55,7 +57,10 @@ The non-tolerant :func:`stfw_process` under the same
 :func:`run_exchange` is the single whole-system driver — scheme
 (STFW via ``vpt``/``dims`` or the direct baseline via
 ``scheme="direct"``) and fault policy (``on_fault`` of ``"raise"`` /
-``"partial"`` / ``"tolerate"``) are orthogonal arguments.
+``"partial"`` / ``"tolerate"`` / a :class:`FaultPolicy`) are orthogonal
+arguments.  The plain and the tolerant process bodies are separate
+protocols — staged receive counts versus quiesce-terminated reliable
+hops — behind one engine call.
 """
 
 from __future__ import annotations
@@ -79,8 +84,7 @@ from .vpt import VirtualProcessTopology
 __all__ = [
     "stfw_process",
     "direct_process",
-    "stfw_ft_process",
-    "direct_ft_process",
+    "FaultPolicy",
     "recv_counts_from_plan",
     "SideTables",
     "side_tables_from_plan",
@@ -112,7 +116,8 @@ class ExchangeResult:
     faults (``on_fault="partial"``); ``pending`` then holds the
     machine-readable blocked-rank dump and ``crashed`` the dead ranks.
 
-    Fault-tolerant exchanges (``on_fault="tolerate"``) additionally
+    Fault-tolerant exchanges (``on_fault="tolerate"`` or a
+    :class:`FaultPolicy`) additionally
     fill ``reports``: ``reports[i]`` is rank ``i``'s
     :class:`FTRankReport` (``None`` for a crashed rank), and
     ``delivered`` mirrors the reports' delivered lists.  ``reports`` is
@@ -503,12 +508,18 @@ def direct_process(
     send_data: Mapping[int, Any],
     expect: int,
     *,
+    out: list | None = None,
     tracer=None,
 ) -> Generator:
-    """The baseline (BL): plain point-to-point sends, no regularization."""
+    """The baseline (BL): plain point-to-point sends, no regularization.
+
+    ``out`` is an optional external delivery sink, as in
+    :func:`stfw_process`: a deadlocked run's partial deliveries stay
+    readable from it.
+    """
     obs = tracer if (tracer is not None and tracer.enabled) else None
     t0 = comm.time
-    delivered: list[tuple[int, Any]] = []
+    delivered: list[tuple[int, Any]] = [] if out is None else out
     for dst, payload in send_data.items():
         words = _payload_words(payload)
         comm.send(dst, payload, tag=0, words=words)
@@ -529,6 +540,68 @@ def direct_process(
 # Fault-tolerant exchange (reliable hops, e-cube detours, end-to-end
 # receipts)
 # ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FaultPolicy:
+    """The fault-tolerant protocol's knobs: ``on_fault=FaultPolicy(...)``.
+
+    ``timeout_us``/``max_retries``/``backoff`` bound each reliable hop,
+    ``jitter``/``seed`` stretch its backoff deterministically (see
+    :func:`~repro.simmpi.reliable.retry_jitter`).  ``suspected`` ranks
+    are presumed dead from hop one and ``quarantined`` ranks are never
+    chosen as forwarders while staying valid destinations
+    (corrupt-forwarder containment).  ``quiesce_us`` and
+    ``end_wait_us`` default (``None``) to three retry cycles and one
+    (see :meth:`windows`); an origin re-sends unconfirmed payloads
+    directly for at most ``max_recovery_rounds`` rounds.
+    """
+
+    timeout_us: float = 150.0
+    max_retries: int = 3
+    backoff: float = 2.0
+    jitter: float = 0.0
+    seed: int = 0
+    suspected: tuple[int, ...] = ()
+    quarantined: tuple[int, ...] = ()
+    quiesce_us: float | None = None
+    end_wait_us: float | None = None
+    max_recovery_rounds: int = 2
+
+    def __post_init__(self) -> None:
+        for name in ("suspected", "quarantined"):
+            ranks = tuple(sorted(int(r) for r in getattr(self, name)))
+            object.__setattr__(self, name, ranks)
+
+    def reliable_comm(self, comm: Comm, tracer=None) -> ReliableComm:
+        """The rank's reliable layer, with ``suspected`` already dead.
+
+        Peers suspected by, say, the escalation policy of a long-lived
+        service are detoured around from hop one instead of being
+        rediscovered through a full retry cycle each.
+        """
+        rc = ReliableComm(
+            comm, timeout_us=self.timeout_us, max_retries=self.max_retries,
+            backoff=self.backoff, jitter=self.jitter, seed=self.seed,
+            tracer=tracer,
+        )
+        rc.dead.update(r for r in self.suspected if r != comm.rank)
+        return rc
+
+    def windows(self) -> tuple[float, float]:
+        """``(quiesce_us, end_wait_us)`` with the defaults resolved.
+
+        Quiesce defaults to three full retry cycles, enough to sit out
+        a neighbor discovering a dead rank; the end-wait to **one**, so
+        recovery re-sends land while their receivers are still inside
+        their own quiesce windows.
+        """
+        cycle = self.timeout_us * sum(
+            self.backoff**k for k in range(self.max_retries + 1)
+        )
+        quiesce = 3.0 * cycle if self.quiesce_us is None else self.quiesce_us
+        end_wait = cycle if self.end_wait_us is None else self.end_wait_us
+        return quiesce, end_wait
 
 
 @dataclass
@@ -650,21 +723,12 @@ def _ft_ship(
                 remaining.extend(bundle)
 
 
-def stfw_ft_process(
+def _stfw_ft_process(
     comm: Comm,
     vpt: VirtualProcessTopology,
     send_data: Mapping[int, Any],
+    policy: FaultPolicy,
     *,
-    timeout_us: float = 150.0,
-    max_retries: int = 3,
-    backoff: float = 2.0,
-    retry_jitter: float = 0.0,
-    retry_seed: int = 0,
-    suspected: Sequence[int] = (),
-    quarantined: Sequence[int] = (),
-    quiesce_us: float | None = None,
-    end_wait_us: float | None = None,
-    max_recovery_rounds: int = 2,
     header_words: int = 0,
     corrupt_forwarders: Mapping[int, float] | None = None,
     flip_seed: int = 0,
@@ -676,20 +740,16 @@ def stfw_ft_process(
     hop is acked/retried/deduplicated, dead forwarders are routed
     around (see :func:`_ft_next_hop`), and each delivery is confirmed
     end-to-end with an ``END`` receipt from the final destination to
-    the origin.  An origin whose receipts stop arriving for
-    ``end_wait_us`` re-sends unconfirmed payloads directly (up to
-    ``max_recovery_rounds`` rounds — the case where a forwarder acked a
-    bundle and then died holding it), then reports anything still
-    unconfirmed as lost.
+    the origin.  An origin whose receipts stop arriving for the
+    policy's end-wait re-sends unconfirmed payloads directly (up to
+    ``policy.max_recovery_rounds`` rounds — the case where a forwarder
+    acked a bundle and then died holding it), then reports anything
+    still unconfirmed as lost.
 
     Termination is quiesce-based — per-stage receive counts would be
     wrong in both directions under faults (a dead forwarder strands
     planned messages; detours create unplanned ones), so no global
-    knowledge is assumed at all.  ``quiesce_us`` defaults to three
-    full retry cycles, enough to sit out a neighbor discovering a dead
-    rank; ``end_wait_us`` defaults to **one** retry cycle so recovery
-    re-sends land while their receivers are still inside their own
-    quiesce windows.
+    knowledge is assumed at all (see :meth:`FaultPolicy.windows`).
 
     **Integrity.**  Every submessage carries a content checksum stamped
     at its origin and verified at *every* hop.  The reliable layer's
@@ -708,23 +768,11 @@ def stfw_ft_process(
     """
     rank = comm.rank
     obs = tracer if (tracer is not None and tracer.enabled) else None
-    rc = ReliableComm(
-        comm, timeout_us=timeout_us, max_retries=max_retries, backoff=backoff,
-        jitter=retry_jitter, seed=retry_seed, tracer=tracer,
-    )
-    # peers already suspected dead (by the escalation policy of a
-    # long-lived service, say) are detoured around from hop one instead
-    # of being rediscovered through a full retry cycle each
-    for peer in suspected:
-        if peer != rank:
-            rc.dead.add(int(peer))
-    avoid = frozenset(int(r) for r in quarantined if r != rank)
+    rc = policy.reliable_comm(comm, tracer)
+    avoid = frozenset(r for r in policy.quarantined if r != rank)
     corrupt_p = (corrupt_forwarders or {}).get(rank, 0.0)
-    retry_cycle = timeout_us * sum(backoff**k for k in range(max_retries + 1))
-    if quiesce_us is None:
-        quiesce_us = 3.0 * retry_cycle
-    if end_wait_us is None:
-        end_wait_us = retry_cycle
+    quiesce_us, end_wait_us = policy.windows()
+    max_recovery_rounds = policy.max_recovery_rounds
     ttl0 = 2 * vpt.n + 4  # hop budget: detours add at most one hop per dimension
 
     delivered: list[tuple[int, Any]] = []
@@ -852,36 +900,23 @@ def stfw_ft_process(
     )
 
 
-def direct_ft_process(
+def _direct_ft_process(
     comm: Comm,
     send_data: Mapping[int, Any],
+    policy: FaultPolicy,
     *,
-    timeout_us: float = 150.0,
-    max_retries: int = 3,
-    backoff: float = 2.0,
-    retry_jitter: float = 0.0,
-    retry_seed: int = 0,
-    suspected: Sequence[int] = (),
-    quiesce_us: float | None = None,
     tracer=None,
 ) -> Generator:
     """Fault-tolerant baseline: direct reliable sends, quiesce receive.
 
-    The BL counterpart of :func:`stfw_ft_process` — no forwarding, so a
-    hop-level ack already is an end-to-end receipt.  Returns an
+    The BL counterpart of :func:`_stfw_ft_process` — no forwarding, so
+    a hop-level ack already is an end-to-end receipt, and the policy's
+    quarantine, end-wait and recovery rounds do not apply.  Returns an
     :class:`FTRankReport`.
     """
     rank = comm.rank
-    rc = ReliableComm(
-        comm, timeout_us=timeout_us, max_retries=max_retries, backoff=backoff,
-        jitter=retry_jitter, seed=retry_seed, tracer=tracer,
-    )
-    for peer in suspected:
-        if peer != rank:
-            rc.dead.add(int(peer))
-    if quiesce_us is None:
-        retry_cycle = timeout_us * sum(backoff**k for k in range(max_retries + 1))
-        quiesce_us = 3.0 * retry_cycle
+    rc = policy.reliable_comm(comm, tracer)
+    quiesce_us, _ = policy.windows()
 
     delivered: list[tuple[int, Any]] = []
     lost: list[tuple[int, int]] = []
@@ -923,80 +958,33 @@ def _default_payloads(pattern: CommPattern) -> EdgePayloads:
     return EdgePayloads.synthetic(pattern.K, pattern.src, pattern.dst, pattern.size)
 
 
-def _run_spmd_on_fault(
-    K: int,
-    factory,
-    sinks: list[list[tuple[int, Any]]],
-    on_fault: str,
-    **spmd_kwargs,
-) -> ExchangeResult:
-    """Run an SPMD exchange, optionally salvaging a fault deadlock.
-
-    With ``on_fault="raise"`` a fault-induced hang propagates as
-    :class:`~repro.errors.DeadlockError`.  With ``"partial"`` it is
-    caught and converted into an incomplete :class:`ExchangeResult`
-    whose deliveries come from the externally-owned ``sinks`` and whose
-    ``pending``/``crashed`` carry the structured deadlock state.
-    """
-    if on_fault not in ("raise", "partial"):
-        raise PlanError(f"unknown on_fault {on_fault!r}")
-    try:
-        result = run_spmd(K, factory, **spmd_kwargs)
-    except DeadlockError as exc:
-        if on_fault == "raise":
-            raise
-        clocks = list(exc.clocks) if exc.clocks else [0.0] * K
-        run = RunResult(
-            returns=[None] * K,
-            clocks=clocks,
-            makespan_us=max(clocks),
-            crashed=list(exc.crashed),
-        )
-        return ExchangeResult(
-            delivered=[list(s) for s in sinks],
-            run=run,
-            plan=None,
-            completed=False,
-            pending=exc.pending,
-            crashed=exc.crashed,
-        )
-    return ExchangeResult(
-        delivered=result.returns,
-        run=result,
-        plan=None,
-        crashed=tuple(result.crashed),
-    )
-
-
-#: fault-tolerance knob defaults, used both as ``run_exchange`` defaults
-#: and to detect FT knobs passed to a non-tolerant run
-_FT_DEFAULTS = {
-    "timeout_us": 150.0,
-    "max_retries": 3,
-    "backoff": 2.0,
-    "retry_jitter": 0.0,
-    "retry_seed": 0,
-    "suspected": (),
-    "quarantined": (),
-    "quiesce_us": None,
-    "end_wait_us": None,
-    "max_recovery_rounds": 2,
-}
-
-
 def _resolve_scheme(
     pattern: CommPattern,
     vpt: VirtualProcessTopology | None,
     scheme: str | None,
     dims: int | None,
+    mode: str,
+    header_words: int,
+    tolerant: bool,
 ) -> tuple[VirtualProcessTopology | None, str]:
     """Normalize the (vpt, scheme, dims) triple of :func:`run_exchange`.
 
     Returns ``(vpt, kind)`` with ``kind`` in ``{"stfw", "direct"}``;
     ``vpt`` is ``None`` exactly for the direct scheme.  Accepts the
     canonical report labels (``"BL"``, ``"STFW3"``) as scheme strings
-    so CLI/report code can round-trip them.
+    so CLI/report code can round-trip them.  Refuses by name the
+    arguments the chosen protocol would silently ignore:
+    ``header_words`` and ``mode="dynamic"`` with the direct scheme, and
+    ``mode="dynamic"`` with a tolerant policy.
     """
+    if mode not in ("planned", "dynamic"):
+        raise PlanError(f"unknown mode {mode!r}")
+    if mode == "dynamic" and tolerant:
+        raise PlanError(
+            "mode='dynamic' does not apply with a tolerant on_fault: the "
+            "fault-tolerant protocol terminates by quiescence, not by "
+            "receive counts"
+        )
     if scheme is not None:
         s = str(scheme).lower()
         if s in ("direct", "bl"):
@@ -1004,6 +992,16 @@ def _resolve_scheme(
                 raise PlanError(f"scheme {scheme!r} does not take a vpt")
             if dims is not None:
                 raise PlanError(f"scheme {scheme!r} does not take dims=")
+            if header_words != 0:
+                raise PlanError(
+                    f"scheme {scheme!r} does not take header_words= "
+                    "(a direct message has no submessages to frame)"
+                )
+            if mode == "dynamic":
+                raise PlanError(
+                    f"scheme {scheme!r} does not take mode='dynamic' "
+                    "(the direct scheme has no stages to count)"
+                )
             return None, "direct"
         if s.startswith("stfw") and s[4:].isdigit():
             n = int(s[4:])
@@ -1044,17 +1042,7 @@ def run_exchange(
     trace: bool = False,
     tracer=None,
     fault_plan: FaultPlan | None = None,
-    on_fault: str = "raise",
-    timeout_us: float = 150.0,
-    max_retries: int = 3,
-    backoff: float = 2.0,
-    retry_jitter: float = 0.0,
-    retry_seed: int = 0,
-    suspected: Sequence[int] = (),
-    quarantined: Sequence[int] = (),
-    quiesce_us: float | None = None,
-    end_wait_us: float | None = None,
-    max_recovery_rounds: int = 2,
+    on_fault: str | FaultPolicy = "raise",
     engine: str = "event",
     **engine_kwargs,
 ) -> ExchangeResult:
@@ -1071,48 +1059,48 @@ def run_exchange(
       ``"raise"`` propagates the :class:`~repro.errors.DeadlockError`
       a non-tolerant exchange produces; ``"partial"`` converts it into
       an incomplete :class:`ExchangeResult` naming the stranded pairs;
-      ``"tolerate"`` runs the fault-tolerant protocol (reliable hops,
-      e-cube detours, END receipts) and always terminates, filling
-      ``reports`` with per-rank :class:`FTRankReport` accounting.
+      a :class:`FaultPolicy` runs the fault-tolerant protocol (reliable
+      hops, e-cube detours, END receipts) under that policy's knobs and
+      always terminates, filling ``reports`` with per-rank
+      :class:`FTRankReport` accounting.  ``"tolerate"`` means
+      ``FaultPolicy()``.
 
     ``payloads`` is one ``{dst: payload}`` dict per rank, or an
     :class:`~repro.simmpi.batch.EdgePayloads` table; it defaults to the
     table of synthetic verifiable arrays sized by the pattern, which the
-    batch engine reads by columns without building a dict.  ``mode`` is ``"planned"`` (receive counts precomputed
-    from the plan; the amortized-setup path the paper times) or
-    ``"dynamic"`` (per-stage count exchange; no global knowledge) —
-    STFW only, as is ``header_words``.  The FT knobs (``timeout_us``,
-    ``max_retries``, ``backoff``, ``retry_jitter``, ``retry_seed``,
-    ``suspected``, ``quarantined``, ``quiesce_us``, ``end_wait_us``,
-    ``max_recovery_rounds``) apply only with ``on_fault="tolerate"``;
-    passing a non-default value otherwise is an error naming the knob.
-    ``quarantined`` ranks are routed around as forwarders while staying
-    valid destinations (corrupt-forwarder containment).  A
-    ``fault_plan`` with ``corrupt_forwarders`` entries additionally
-    arms the application-layer store-and-forward corruption in both the
-    plain and the tolerant STFW processes.
-    ``tracer`` is an optional :class:`repro.obs.Tracer` receiving
-    engine events plus per-stage spans and ``stfw.*`` counters.
+    batch engine reads by columns without building a dict.  ``mode`` is
+    ``"planned"`` (receive counts precomputed from the plan; the
+    amortized-setup path the paper times) or ``"dynamic"`` (per-stage
+    count exchange; no global knowledge) — plain STFW only; the direct
+    scheme also refuses ``header_words``.  A ``fault_plan`` with
+    ``corrupt_forwarders`` entries additionally arms the
+    application-layer store-and-forward corruption in both the plain
+    and the tolerant STFW processes.  ``tracer`` is an optional
+    :class:`repro.obs.Tracer` receiving engine events plus per-stage
+    spans and ``stfw.*`` counters.
 
     ``engine`` selects the simulation backend (``"event"`` or
     ``"batch"``; see :mod:`repro.simmpi.engine`): the first runs
     through :func:`~repro.simmpi.runtime.run_spmd`, while ``"batch"``
     executes the planned schedule as whole-stage sweeps, bit-identical
     to the event engine, and refuses by name what it cannot (no
-    ``machine``, ``mode="dynamic"``, ``on_fault="tolerate"``, fault
+    ``machine``, ``mode="dynamic"``, a tolerant ``on_fault``, fault
     plans, jitter).  ``on_fault="partial"`` requires the event engine:
     the salvage path reads deliveries out of per-rank sinks that only
     it fills as it goes.  Extra keyword arguments (``jitter``,
     ``rendezvous_threshold_words``, ...) forward to the
     :class:`~repro.simmpi.runtime.SimMPI` engine.
     """
-    vpt, kind = _resolve_scheme(pattern, vpt, scheme, dims)
-    if mode not in ("planned", "dynamic"):
-        raise PlanError(f"unknown mode {mode!r}")
-    if on_fault not in ("raise", "partial", "tolerate"):
+    policy = FaultPolicy() if on_fault == "tolerate" else on_fault
+    tolerant = isinstance(policy, FaultPolicy)
+    if not tolerant and policy not in ("raise", "partial"):
         raise PlanError(
-            f"unknown on_fault {on_fault!r}; use 'raise', 'partial' or 'tolerate'"
+            f"unknown on_fault {on_fault!r}; use 'raise', 'partial', "
+            "'tolerate' or a FaultPolicy"
         )
+    vpt, kind = _resolve_scheme(
+        pattern, vpt, scheme, dims, mode, header_words, tolerant
+    )
     if on_fault == "partial" and engine != "event":
         raise PlanError(
             f"on_fault='partial' requires engine='event' (got engine={engine!r}): "
@@ -1128,37 +1116,18 @@ def run_exchange(
         # the batch engine executes the static schedule as whole-stage
         # sweeps; everything decided message by message is refused by
         # name before any work happens
-        if mode == "dynamic" and kind == "stfw":
+        if mode == "dynamic":
             raise PlanError(
                 f"mode='dynamic' is refused by engine={engine!r}: NBX-style "
                 "count discovery decides receive counts message by message; "
                 "use mode='planned' or engine='event'"
             )
-        if on_fault == "tolerate":
+        if tolerant:
             raise PlanError(
                 f"on_fault='tolerate' is refused by engine={engine!r}: the "
                 "fault-tolerant protocol's timeouts, retries and detours are "
                 "per-event control flow; use engine='event'"
             )
-    ft_knobs = {
-        "timeout_us": timeout_us,
-        "max_retries": max_retries,
-        "backoff": backoff,
-        "retry_jitter": retry_jitter,
-        "retry_seed": retry_seed,
-        "suspected": tuple(sorted(int(r) for r in suspected)),
-        "quarantined": tuple(sorted(int(r) for r in quarantined)),
-        "quiesce_us": quiesce_us,
-        "end_wait_us": end_wait_us,
-        "max_recovery_rounds": max_recovery_rounds,
-    }
-    if on_fault != "tolerate":
-        for knob, value in ft_knobs.items():
-            if value != _FT_DEFAULTS[knob]:
-                raise PlanError(
-                    f"{knob}={value!r} only applies with on_fault='tolerate' "
-                    f"(got on_fault={on_fault!r})"
-                )
     if payloads is None:
         payloads = _default_payloads(pattern)
     # application-layer corruption sites travel with the fault plan, not
@@ -1168,44 +1137,6 @@ def run_exchange(
     if fault_plan is not None and fault_plan.corrupt_forwarders:
         corrupt_fw = dict(fault_plan.corrupt_forwarders)
         flip_seed = fault_plan.seed
-
-    if on_fault == "tolerate":
-        if kind == "stfw":
-            factory = lambda comm: stfw_ft_process(  # noqa: E731
-                comm,
-                vpt,
-                payloads[comm.rank],
-                header_words=header_words,
-                corrupt_forwarders=corrupt_fw,
-                flip_seed=flip_seed,
-                tracer=tracer,
-                **ft_knobs,
-            )
-        else:
-            del ft_knobs["end_wait_us"], ft_knobs["max_recovery_rounds"]
-            del ft_knobs["quarantined"]
-            factory = lambda comm: direct_ft_process(  # noqa: E731
-                comm, payloads[comm.rank], tracer=tracer, **ft_knobs
-            )
-        result = run_spmd(
-            pattern.K,
-            factory,
-            machine=machine,
-            mapping=mapping,
-            trace=trace,
-            fault_plan=fault_plan,
-            tracer=tracer,
-            engine=engine,
-            **engine_kwargs,
-        )
-        reports = _ft_reports(result)
-        return ExchangeResult(
-            delivered=[[] if r is None else list(r.delivered) for r in reports],
-            run=result,
-            plan=None,
-            crashed=tuple(result.crashed),
-            reports=reports,
-        )
 
     if planned_only:
         sim = SimMPI(
@@ -1225,13 +1156,30 @@ def run_exchange(
         run = sim.run_planned_direct(payloads, pattern.recv_counts())
         return ExchangeResult(delivered=run.returns, run=run, plan=None)
 
-    if kind == "stfw":
-        plan: CommPlan | None = None
+    plan: CommPlan | None = None
+    # per-rank delivery sinks the plain bodies fill as they go: what a
+    # salvaged deadlock's partial result is read from
+    sinks: list[list[tuple[int, Any]]] = [[] for _ in range(pattern.K)]
+    if tolerant and kind == "stfw":
+        factory = lambda comm: _stfw_ft_process(  # noqa: E731
+            comm,
+            vpt,
+            payloads[comm.rank],
+            policy,
+            header_words=header_words,
+            corrupt_forwarders=corrupt_fw,
+            flip_seed=flip_seed,
+            tracer=tracer,
+        )
+    elif tolerant:
+        factory = lambda comm: _direct_ft_process(  # noqa: E731
+            comm, payloads[comm.rank], policy, tracer=tracer
+        )
+    elif kind == "stfw":
         counts: np.ndarray | None = None
         if mode == "planned":
             plan = build_plan(pattern, vpt, header_words=header_words)
             counts = recv_counts_from_plan(plan)
-        sinks: list[list[tuple[int, Any]]] = [[] for _ in range(vpt.K)]
 
         def factory(comm: Comm):
             rc = None if counts is None else counts[:, comm.rank]
@@ -1247,11 +1195,20 @@ def run_exchange(
                 tracer=tracer,
             )
 
-        result = _run_spmd_on_fault(
-            vpt.K,
+    else:
+        expect = pattern.recv_counts()
+        factory = lambda comm: direct_process(  # noqa: E731
+            comm,
+            payloads[comm.rank],
+            int(expect[comm.rank]),
+            out=sinks[comm.rank],
+            tracer=tracer,
+        )
+
+    try:
+        result = run_spmd(
+            pattern.K,
             factory,
-            sinks,
-            on_fault,
             machine=machine,
             mapping=mapping,
             trace=trace,
@@ -1260,24 +1217,38 @@ def run_exchange(
             engine=engine,
             **engine_kwargs,
         )
-        result.plan = plan
-        return result
-
-    expect = pattern.recv_counts()
-    return _run_spmd_on_fault(
-        pattern.K,
-        lambda comm: direct_process(
-            comm, payloads[comm.rank], int(expect[comm.rank]), tracer=tracer
-        ),
-        [[] for _ in range(pattern.K)],
-        on_fault,
-        machine=machine,
-        mapping=mapping,
-        trace=trace,
-        fault_plan=fault_plan,
-        engine=engine,
-        tracer=tracer,
-        **engine_kwargs,
+    except DeadlockError as exc:
+        if on_fault != "partial":
+            raise
+        clocks = list(exc.clocks) if exc.clocks else [0.0] * pattern.K
+        run = RunResult(
+            returns=[None] * pattern.K,
+            clocks=clocks,
+            makespan_us=max(clocks),
+            crashed=list(exc.crashed),
+        )
+        return ExchangeResult(
+            delivered=[list(s) for s in sinks],
+            run=run,
+            plan=plan,
+            completed=False,
+            pending=exc.pending,
+            crashed=exc.crashed,
+        )
+    if tolerant:
+        reports = _ft_reports(result)
+        return ExchangeResult(
+            delivered=[[] if r is None else list(r.delivered) for r in reports],
+            run=result,
+            plan=None,
+            crashed=tuple(result.crashed),
+            reports=reports,
+        )
+    return ExchangeResult(
+        delivered=result.returns,
+        run=result,
+        plan=plan,
+        crashed=tuple(result.crashed),
     )
 
 

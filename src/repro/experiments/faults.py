@@ -53,10 +53,6 @@ DROP_RATES = (0.0, 0.02, 0.05, 0.1)
 #: crash instant as a fraction of the fault-free STFW makespan
 _CRASH_FRACTION = 0.4
 
-#: reliable-transport knobs (shared by every fault-tolerant run so the
-#: quiesce windows — hence makespans — are comparable across scenarios)
-_FT_KWARGS = dict(timeout_us=150.0, max_retries=3, backoff=2.0)
-
 
 @dataclass
 class FaultsResult:
@@ -103,10 +99,10 @@ def _fault_task(task, tracer=None):
         kwargs["fault_plan"] = FaultPlan(default_drop=drop_rate, seed=seed + 1)
     elif crash is not None:
         kwargs["fault_plan"] = FaultPlan(crashes={crash[0]: crash[1]})
-    if mode == "tolerate":
-        kwargs.update(on_fault="tolerate", **_FT_KWARGS)
-    elif mode == "partial":
-        kwargs["on_fault"] = "partial"
+    if mode in ("tolerate", "partial"):
+        # every tolerant run shares FaultPolicy()'s knobs, so the quiesce
+        # windows — hence makespans — are comparable across scenarios
+        kwargs["on_fault"] = mode
     if scheme == "direct":
         res = run_exchange(pattern, scheme="direct", **kwargs)
     else:

@@ -2,7 +2,7 @@
 
 A persistent exchange that survives a hostile machine needs more than
 mechanisms — the repo already has bounded retry (`ReliableComm`),
-e-cube detours (`stfw_ft_process`), agreement on the dead
+e-cube detours (the tolerant `run_exchange`), agreement on the dead
 (`Comm.shrink`) and rediscovery (`nbx_discover`).  What it lacks is the
 *policy* that decides which mechanism an epoch gets.  This module is
 that decision layer, deliberately free of any engine dependency so it
@@ -142,22 +142,25 @@ class PolicyConfig:
         if self.breaker_cooldown < 1:
             raise SimMPIError("policy breaker_cooldown must be >= 1")
 
-    def ft_knobs(
+    def fault_policy(
         self,
         *,
         suspected: Collection[int] = (),
         quarantined: Collection[int] = (),
-    ) -> dict:
-        """Keyword arguments for a tolerant ``run_exchange`` call."""
-        return {
-            "timeout_us": self.timeout_us,
-            "max_retries": self.max_retries,
-            "backoff": self.backoff,
-            "retry_jitter": self.jitter,
-            "retry_seed": self.seed,
-            "suspected": tuple(sorted(int(r) for r in suspected)),
-            "quarantined": tuple(sorted(int(r) for r in quarantined)),
-        }
+    ):
+        """The :class:`~repro.core.stfw.FaultPolicy` of a tolerant
+        ``run_exchange(..., on_fault=...)`` under these budgets."""
+        from ..core.stfw import FaultPolicy
+
+        return FaultPolicy(
+            timeout_us=self.timeout_us,
+            max_retries=self.max_retries,
+            backoff=self.backoff,
+            jitter=self.jitter,
+            seed=self.seed,
+            suspected=suspected,
+            quarantined=quarantined,
+        )
 
 
 class CircuitBreaker:
@@ -351,10 +354,6 @@ class EscalationPolicy:
             p for p in self.integrity.open_peers() if p not in self.dead
         )
 
-    def to_quarantine(self) -> tuple[int, ...]:
-        """Alias of :meth:`quarantined`, named like :meth:`to_shrink`."""
-        return self.quarantined()
-
     def corrupt_suspects(self) -> tuple[int, ...]:
         """Peers with *any* live integrity evidence, ascending.
 
@@ -391,10 +390,3 @@ class EscalationPolicy:
             self._streak.pop(peer, None)
             self.breaker.forget(peer)
             self.integrity.forget(peer)
-
-    def ft_knobs(self) -> dict:
-        """Tolerant-exchange kwargs with the current suspicion and
-        quarantine sets."""
-        return self.config.ft_knobs(
-            suspected=self.suspects(), quarantined=self.quarantined()
-        )

@@ -495,20 +495,18 @@ class PersistentExchangeService:
                     set(self.policy.breaker.open_peers()) | set(dead_before)
                 )
             )
-            knobs = self.policy.config.ft_knobs(
-                suspected=pre, quarantined=quarantined_now
-            )
             result = run_exchange(
                 pat,
                 self.vpt,
                 payloads=payloads,
                 machine=self.machine,
                 fault_plan=fp,
-                on_fault="tolerate",
+                on_fault=self.policy.config.fault_policy(
+                    suspected=pre, quarantined=quarantined_now
+                ),
                 trace=trace,
                 tracer=self.tracer,
                 engine=self.engine,
-                **knobs,
             )
             corrupt = self._corrupt_delivered(result, pat)
             crashed_now = set(int(r) for r in result.crashed) - set(dead_before)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (
     CommPattern,
+    FaultPolicy,
     VirtualProcessTopology,
     build_plan,
     make_vpt,
@@ -294,8 +295,23 @@ class TestRunExchangeValidation:
             run_exchange(pattern, scheme="STFWx")
 
     def test_ft_knob_needs_tolerate(self, pattern, vpt):
-        with pytest.raises(PlanError, match="max_retries"):
+        """A retry knob lives in ``on_fault=FaultPolicy(...)``; as a
+        keyword of its own it is refused by name."""
+        with pytest.raises(TypeError, match="max_retries"):
             run_exchange(pattern, vpt, max_retries=7)
+
+    def test_direct_refuses_header_words(self, pattern):
+        with pytest.raises(PlanError, match="header_words"):
+            run_exchange(pattern, scheme="direct", machine=BGQ, header_words=2)
+
+    def test_direct_refuses_dynamic_mode(self, pattern):
+        with pytest.raises(PlanError, match="mode='dynamic'"):
+            run_exchange(pattern, scheme="direct", machine=BGQ, mode="dynamic")
+
+    @pytest.mark.parametrize("on_fault", ["tolerate", FaultPolicy(max_retries=1)])
+    def test_tolerant_policy_refuses_dynamic_mode(self, pattern, vpt, on_fault):
+        with pytest.raises(PlanError, match="mode='dynamic'"):
+            run_exchange(pattern, vpt, machine=BGQ, mode="dynamic", on_fault=on_fault)
 
     def test_bad_on_fault_rejected(self, pattern, vpt):
         with pytest.raises(PlanError):

@@ -7,10 +7,13 @@ at the dead rank, while the same plan against plain STFW reports
 stranded submessages — both deterministically from the same seed.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import (
     CommPattern,
+    FaultPolicy,
     make_vpt,
     run_exchange,
 )
@@ -20,8 +23,10 @@ from repro.metrics import delivered_pairs, expected_pairs
 from repro.network import BGQ
 from repro.simmpi import FaultPlan
 
+from ..simmpi.test_engine_counts import run_digest
+
 #: fast reliable-transport knobs shared by the tests
-FT = dict(timeout_us=50.0, max_retries=2, backoff=2.0)
+FT = FaultPolicy(timeout_us=50.0, max_retries=2, backoff=2.0)
 
 
 def all_pairs(pattern):
@@ -32,7 +37,7 @@ class TestFaultFree:
     def test_ft_stfw_delivers_everything(self):
         pattern = CommPattern.random(16, avg_degree=3, seed=3)
         vpt = make_vpt(16, 2)
-        res = run_exchange(pattern, vpt, on_fault="tolerate", machine=BGQ, **FT)
+        res = run_exchange(pattern, vpt, on_fault=FT, machine=BGQ)
         assert res.crashed == ()
         assert delivered_pairs(res.delivered) == all_pairs(pattern)
         assert all(r.lost == [] for r in res.reports)
@@ -40,14 +45,14 @@ class TestFaultFree:
 
     def test_ft_direct_delivers_everything(self):
         pattern = CommPattern.random(16, avg_degree=3, seed=3)
-        res = run_exchange(pattern, scheme="direct", on_fault="tolerate", machine=BGQ, **FT)
+        res = run_exchange(pattern, scheme="direct", on_fault=FT, machine=BGQ)
         assert delivered_pairs(res.delivered) == all_pairs(pattern)
         assert all(r.lost == [] for r in res.reports)
 
     def test_payloads_arrive_intact(self):
         pattern = CommPattern.random(8, avg_degree=2, seed=1)
         vpt = make_vpt(8, 2)
-        res = run_exchange(pattern, vpt, on_fault="tolerate", machine=BGQ, **FT)
+        res = run_exchange(pattern, vpt, on_fault=FT, machine=BGQ)
         for dst, msgs in enumerate(res.delivered):
             for src, payload in msgs:
                 # synthetic payloads encode (src, dst): src * K + dst
@@ -125,26 +130,70 @@ class TestForwarderCrash:
         assert snapshot() == snapshot()
 
 
+class TestPartialSalvage:
+    def test_direct_deadlock_keeps_its_deliveries(self):
+        """A salvaged direct deadlock returns what did arrive: every pair
+        clear of the dead rank, payloads intact — not an empty result."""
+        pattern = CommPattern.random(16, 4, seed=1)
+        res = run_exchange(
+            pattern, scheme="direct", machine=BGQ,
+            fault_plan=FaultPlan(crashes={3: 0.5}), on_fault="partial",
+        )
+        assert not res.completed
+        assert res.crashed == (3,)
+        assert expected_pairs(pattern, res.crashed) <= delivered_pairs(res.delivered)
+        for dst, msgs in enumerate(res.delivered):
+            for src, payload in msgs:
+                assert list(payload) == [src * pattern.K + dst] * len(payload)
+
+
+class TestFaultPolicy:
+    @pytest.mark.parametrize("scheme", ["stfw", "direct"])
+    def test_tolerate_is_the_default_policy(self, scheme):
+        pattern = CommPattern.random(16, avg_degree=3, seed=7)
+        kw = dict(
+            machine=BGQ,
+            fault_plan=FaultPlan(default_drop=0.05, crashes={5: 20.0}, seed=2),
+            **({"dims": 2} if scheme == "stfw" else {"scheme": "direct"}),
+        )
+        by_name = run_exchange(pattern, on_fault="tolerate", **kw)
+        by_value = run_exchange(pattern, on_fault=FaultPolicy(), **kw)
+        assert run_digest(by_name.run) == run_digest(by_value.run)
+        assert by_name.lost == by_value.lost
+
+    def test_rank_sets_are_canonical(self):
+        a = FaultPolicy(suspected=[9, 3], quarantined={5})
+        assert a == FaultPolicy(suspected=(3, 9), quarantined=(5,))
+        assert a.suspected == (3, 9)
+        assert hash(a) == hash(FaultPolicy(suspected=(3, 9), quarantined=(5,)))
+
+    def test_windows_default_to_retry_cycles(self):
+        cycle = 50.0 * (1 + 2 + 4)
+        assert FT.windows() == (3.0 * cycle, cycle)
+        assert replace(FT, quiesce_us=10.0, end_wait_us=4.0).windows() == (10.0, 4.0)
+
+
 class TestLinkDrops:
     def test_ft_stfw_survives_heavy_drops(self):
         pattern = CommPattern.random(16, avg_degree=3, seed=7)
         vpt = make_vpt(16, 2)
         plan = FaultPlan(default_drop=0.1, seed=5)
         res = run_exchange(
-            pattern, vpt, on_fault="tolerate", machine=BGQ, fault_plan=plan, timeout_us=100.0, max_retries=4
+            pattern, vpt, machine=BGQ, fault_plan=plan,
+            on_fault=FaultPolicy(timeout_us=100.0, max_retries=4),
         )
         assert delivered_pairs(res.delivered) == all_pairs(pattern)
 
     def test_makespan_inflates_under_drops(self):
         pattern = CommPattern.random(16, avg_degree=3, seed=7)
         vpt = make_vpt(16, 2)
-        clean = run_exchange(pattern, vpt, on_fault="tolerate", machine=BGQ, **FT)
+        clean = run_exchange(pattern, vpt, on_fault=FT, machine=BGQ)
         noisy = run_exchange(
             pattern,
-            vpt, on_fault="tolerate",
+            vpt,
+            on_fault=FT,
             machine=BGQ,
             fault_plan=FaultPlan(default_drop=0.1, seed=5),
-            **FT,
         )
         assert noisy.makespan_us > clean.makespan_us
 
@@ -194,7 +243,7 @@ class TestNonPowerOfTwoShapes:
 
         # the END-receipt quiesce must terminate (no deadlock, bounded
         # virtual time) despite the mixed-radix stage structure
-        res = run_exchange(pattern, vpt, on_fault="tolerate", machine=BGQ, fault_plan=plan, **FT)
+        res = run_exchange(pattern, vpt, on_fault=FT, machine=BGQ, fault_plan=plan)
         assert res.crashed == (dead,)
 
         # delivered = fault-free pairs minus those touching the corpse
@@ -217,7 +266,7 @@ class TestNonPowerOfTwoShapes:
             K *= k
         pattern = CommPattern.random(K, avg_degree=3, seed=seed)
         vpt = VirtualProcessTopology(dim_sizes)
-        res = run_exchange(pattern, vpt, on_fault="tolerate", machine=BGQ, **FT)
+        res = run_exchange(pattern, vpt, on_fault=FT, machine=BGQ)
         assert res.crashed == ()
         assert delivered_pairs(res.delivered) == all_pairs(pattern)
 
@@ -226,7 +275,7 @@ class TestExchangeResultShape:
     def test_ft_result_properties(self):
         pattern = CommPattern.random(8, avg_degree=2, seed=1)
         vpt = make_vpt(8, 2)
-        res = run_exchange(pattern, vpt, on_fault="tolerate", machine=BGQ, **FT)
+        res = run_exchange(pattern, vpt, on_fault=FT, machine=BGQ)
         assert len(res.reports) == 8
         assert len(res.delivered) == 8
         assert res.makespan_us == res.run.makespan_us
@@ -259,7 +308,7 @@ class TestCorruptForwarder:
     def test_corruption_detected_and_implicated(self, scenario):
         pattern, vpt, cf, plan = scenario
         res = run_exchange(
-            pattern, vpt, on_fault="tolerate", machine=BGQ, fault_plan=plan, **FT
+            pattern, vpt, on_fault=FT, machine=BGQ, fault_plan=plan
         )
         dropped = [p for r in res.reports if r for p in r.corrupt_dropped]
         implicated = {i for r in res.reports if r for i in r.implicated}
@@ -272,7 +321,7 @@ class TestCorruptForwarder:
         so every pair is delivered and every payload is pristine."""
         pattern, vpt, cf, plan = scenario
         res = run_exchange(
-            pattern, vpt, on_fault="tolerate", machine=BGQ, fault_plan=plan, **FT
+            pattern, vpt, on_fault=FT, machine=BGQ, fault_plan=plan
         )
         assert delivered_pairs(res.delivered) == all_pairs(pattern)
         for dst, msgs in enumerate(res.delivered):
@@ -286,11 +335,9 @@ class TestCorruptForwarder:
         res = run_exchange(
             pattern,
             vpt,
-            on_fault="tolerate",
+            on_fault=replace(FT, quarantined=(cf,)),
             machine=BGQ,
             fault_plan=plan,
-            quarantined=(cf,),
-            **FT,
         )
         assert all(not r.corrupt_dropped for r in res.reports if r)
         assert delivered_pairs(res.delivered) == all_pairs(pattern)
@@ -302,11 +349,9 @@ class TestCorruptForwarder:
         res = run_exchange(
             pattern,
             vpt,
-            on_fault="tolerate",
+            on_fault=replace(FT, quarantined=(cf,)),
             machine=BGQ,
             fault_plan=plan,
-            quarantined=(cf,),
-            **FT,
         )
         own = {
             (s, t)
@@ -316,10 +361,9 @@ class TestCorruptForwarder:
         assert own <= delivered_pairs(res.delivered)
 
     def test_quarantine_knob_rejected_without_tolerate(self, scenario):
-        from repro.errors import PlanError
-
+        """Quarantine is a FaultPolicy field, not a run_exchange keyword."""
         pattern, vpt, cf, plan = scenario
-        with pytest.raises(PlanError, match="quarantined"):
+        with pytest.raises(TypeError, match="quarantined"):
             run_exchange(pattern, vpt, machine=BGQ, quarantined=(cf,))
 
     def test_corruption_is_seed_deterministic(self, scenario):
@@ -327,8 +371,7 @@ class TestCorruptForwarder:
 
         def snapshot():
             res = run_exchange(
-                pattern, vpt, on_fault="tolerate", machine=BGQ,
-                fault_plan=plan, **FT,
+                pattern, vpt, on_fault=FT, machine=BGQ, fault_plan=plan
             )
             return (
                 res.makespan_us,

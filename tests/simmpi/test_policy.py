@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import FaultPolicy
 from repro.errors import SimMPIError
 from repro.simmpi import (
     ESCALATION_LADDER,
@@ -45,18 +46,18 @@ class TestConfig:
         with pytest.raises(SimMPIError):
             PolicyConfig(**kwargs)
 
-    def test_ft_knobs_shape(self):
+    def test_fault_policy_shape(self):
         cfg = PolicyConfig(jitter=0.5, seed=7)
-        knobs = cfg.ft_knobs(suspected=(9, 3), quarantined=(5,))
-        assert knobs == {
-            "timeout_us": cfg.timeout_us,
-            "max_retries": cfg.max_retries,
-            "backoff": cfg.backoff,
-            "retry_jitter": 0.5,
-            "retry_seed": 7,
-            "suspected": (3, 9),
-            "quarantined": (5,),
-        }
+        policy = cfg.fault_policy(suspected=(9, 3), quarantined=(5,))
+        assert policy == FaultPolicy(
+            timeout_us=cfg.timeout_us,
+            max_retries=cfg.max_retries,
+            backoff=cfg.backoff,
+            jitter=0.5,
+            seed=7,
+            suspected=(3, 9),
+            quarantined=(5,),
+        )
 
 
 class TestCircuitBreaker:
@@ -164,13 +165,15 @@ class TestEscalationPolicy:
         pol.note_epoch(clean_peers=[6])
         assert 6 in pol.suspects()
 
-    def test_ft_knobs_carry_current_suspects(self):
+    def test_fault_policy_carries_current_suspects(self):
         pol = EscalationPolicy(self.cfg(seed=11))
-        pol.note_epoch(faulty_peers=[2, 9])
-        knobs = pol.ft_knobs()
-        assert knobs["suspected"] == (2, 9)
-        assert knobs["quarantined"] == ()
-        assert knobs["retry_seed"] == 11
+        pol.note_epoch(faulty_peers=[9, 2])
+        policy = pol.config.fault_policy(
+            suspected=pol.suspects(), quarantined=pol.quarantined()
+        )
+        assert policy.suspected == (2, 9)
+        assert policy.quarantined == ()
+        assert policy.seed == 11
 
 
 class TestQuarantine:
@@ -191,7 +194,6 @@ class TestQuarantine:
         assert pol.quarantined() == ()
         pol.note_epoch(corrupt_peers=[5])
         assert pol.quarantined() == (5,)
-        assert pol.to_quarantine() == (5,)
 
     def test_clean_epoch_resets_implication_streak(self):
         pol = EscalationPolicy(self.cfg())
@@ -244,10 +246,12 @@ class TestQuarantine:
         pol.note_epoch(corrupt_peers=[5])
         assert pol.quarantined() == ()
 
-    def test_ft_knobs_carry_quarantine(self):
+    def test_fault_policy_carries_quarantine(self):
         pol = EscalationPolicy(self.cfg())
         pol.note_epoch(corrupt_peers=[5], faulty_peers=[2])
         pol.note_epoch(corrupt_peers=[5])
-        knobs = pol.ft_knobs()
-        assert knobs["quarantined"] == (5,)
-        assert 2 in knobs["suspected"]
+        policy = pol.config.fault_policy(
+            suspected=pol.suspects(), quarantined=pol.quarantined()
+        )
+        assert policy.quarantined == (5,)
+        assert 2 in policy.suspected

@@ -126,7 +126,9 @@ def flip_word(lists, pat, rng):
         r, i = at
         s, p = lists[r][i]
         p = p.copy()
-        p[int(rng.integers(p.size))] ^= 1 << int(rng.integers(63))
+        # one bit of the raw bytes: an earlier ``retype`` may have left an
+        # int32 or float64 payload, which a 64-bit integer mask cannot flip
+        p.view(np.uint8)[int(rng.integers(p.nbytes))] ^= 1 << int(rng.integers(8))
         lists[r][i] = (s, p)
 
 
