@@ -48,12 +48,13 @@ class StageSchedule:
     their total payload; ``total_words`` payload plus per-submessage
     header (destination id etc.) if the plan was built with one.
 
-    ``route_key`` optionally carries the strictly increasing
-    ``sender * K + receiver`` array of a coalesced build (the sorted,
-    deduplicated keys the stage was aggregated on).  It is derived
-    data — not serialized, not compared — kept so the incremental
-    repair path can skip recomputing and re-verifying the canonical
-    key order on every drift step.
+    A coalesced build also carries two derived arrays — not serialized,
+    not compared: ``route_key``, the strictly increasing ``sender * K +
+    receiver`` keys the stage was aggregated on, which spares plan
+    repair re-verifying them on every drift step, and ``members``, per
+    pattern row the message that carries it in this stage (-1: the row
+    does not move), which the batch engine routes by
+    (:meth:`CommPlan.stage_members` derives it when absent).
     """
 
     stage: int
@@ -63,6 +64,7 @@ class StageSchedule:
     payload_words: np.ndarray
     total_words: np.ndarray
     route_key: np.ndarray | None = field(default=None, repr=False, compare=False)
+    members: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_messages(self) -> int:
@@ -174,6 +176,26 @@ class CommPlan:
         """Total physical messages over all stages."""
         return sum(st.num_messages for st in self.stages)
 
+    def stage_members(self, d: int) -> np.ndarray:
+        """Stage ``d``'s ``members``; a repaired, deserialized or hand-built
+        plan derives the same array, looking each moving row's (holder
+        before, holder after) up in the stage's route keys."""
+        st = self.stages[d]
+        if st.members is not None:
+            return st.members
+        pat, w = self.pattern, self.vpt.weights
+        h0 = _holder_of(pat.src, pat.dst, w[d])
+        h1 = _holder_of(pat.src, pat.dst, w[d + 1])
+        moved = np.flatnonzero(h0 != h1)
+        key = stage_route_key(st, self.K, "routing by the plan")
+        hkey = h0[moved] * np.int64(self.K) + h1[moved]
+        m = np.searchsorted(key, hkey)
+        if moved.size and (key.size == 0 or (key[np.minimum(m, key.size - 1)] != hkey).any()):
+            raise PlanError(f"stage {d} of the plan has no message for a submessage it routes")
+        members = np.full(pat.num_messages, -1, dtype=np.int64)
+        members[moved] = m
+        return members
+
     # -- buffer metrics --------------------------------------------------
 
     def buffer_words(self) -> np.ndarray:
@@ -236,6 +258,25 @@ def _holder_of(src: np.ndarray, dst: np.ndarray, w: int) -> np.ndarray:
     if w == 1:
         return src
     return src - src % w + dst % w
+
+
+def stage_route_key(st: StageSchedule, K: int, user: str) -> np.ndarray:
+    """A stage's strictly increasing ``sender * K + receiver`` key array.
+
+    ``route_key`` when the stage carries it; for a deserialized or
+    hand-built stage it is derived and vetted here, and a stage that
+    repeats a route (a ``coalesce=False`` build) is refused in the name
+    of ``user``, what needed the keys.
+    """
+    key = st.route_key
+    if key is None:
+        key = st.sender * np.int64(K) + st.receiver
+        if key.size > 1 and not (key[1:] > key[:-1]).all():
+            raise PlanError(
+                f"{user} requires a coalesced plan; this plan "
+                "repeats a (sender, receiver) route within a stage"
+            )
+    return key
 
 
 class _DeltaRows:
@@ -427,7 +468,8 @@ class PlanBuilder:
         self.pattern = pattern
         #: weight -> holder array after any stage with that weight
         self._holders: dict[int, np.ndarray] = {}
-        #: (w_d, w_{d+1}, coalesce) -> (sender, receiver, nsub, payload)
+        #: (w_d, w_{d+1}, coalesce) -> (sender, receiver, nsub, payload,
+        #: route_key, members)
         self._stages: dict[tuple[int, int, bool], tuple] = {}
         #: w_{d+1} -> per-process in-transit words after the stage
         self._occupancy: dict[int, np.ndarray] = {}
@@ -435,12 +477,7 @@ class PlanBuilder:
     def _holder(self, w: int) -> np.ndarray:
         arr = self._holders.get(w)
         if arr is None:
-            src = self.pattern.src
-            if w == 1:
-                arr = src
-            else:
-                arr = src - src % w + self.pattern.dst % w
-            self._holders[w] = arr
+            arr = self._holders[w] = _holder_of(self.pattern.src, self.pattern.dst, w)
         return arr
 
     def _stage_arrays(self, w0: int, w1: int, coalesce: bool) -> tuple:
@@ -462,7 +499,7 @@ class PlanBuilder:
             msg_receiver = receivers[order]
             payload = sizes[order]
             nsub = np.ones(senders.size, dtype=np.int64)
-            route_key = None  # duplicate routes: not repairable in place
+            route_key = members = None  # duplicate routes: not repairable in place
         elif senders.size:
             mkey = senders * np.int64(K) + receivers
             # nothing below sees the order inside a run of equal keys
@@ -477,14 +514,17 @@ class PlanBuilder:
             msg_sender = (uniq // K).astype(np.int64)
             msg_receiver = (uniq % K).astype(np.int64)
             route_key = uniq
+            members = np.full(moved.size, -1, dtype=np.int64)
+            members[moved] = inv
         else:
             nsub = np.empty(0, dtype=np.int64)
             payload = np.empty(0, dtype=np.int64)
             msg_sender = np.empty(0, dtype=np.int64)
             msg_receiver = np.empty(0, dtype=np.int64)
             route_key = np.empty(0, dtype=np.int64) if coalesce else None
+            members = np.full(moved.size, -1, dtype=np.int64) if coalesce else None
 
-        cached = (msg_sender, msg_receiver, nsub, payload, route_key)
+        cached = (msg_sender, msg_receiver, nsub, payload, route_key, members)
         self._stages[key] = cached
         return cached
 
@@ -523,7 +563,7 @@ class PlanBuilder:
         occupancy = np.zeros((vpt.n, vpt.K), dtype=np.int64)
         weights = vpt.weights
         for d in range(vpt.n):
-            sender, receiver, nsub, payload, route_key = self._stage_arrays(
+            sender, receiver, nsub, payload, route_key, members = self._stage_arrays(
                 weights[d], weights[d + 1], coalesce
             )
             stages.append(
@@ -535,6 +575,7 @@ class PlanBuilder:
                     payload_words=payload,
                     total_words=payload + header_words * nsub,
                     route_key=route_key,
+                    members=members,
                 )
             )
             occupancy[d] = self._occupancy_row(weights[d + 1])
@@ -573,13 +614,12 @@ class PlanBuilder:
         for (w0, w1, coalesce), arrays in self._stages.items():
             if not coalesce:
                 continue
-            sender, receiver, nsub, payload, route_key = arrays
-            if route_key is None:
-                route_key = sender * np.int64(K) + receiver
+            sender, receiver, nsub, payload, route_key, _ = arrays
             dkey, dn, dp = rows.stage_delta(K, w0, w1)
+            # the row -> message map is not repaired: the engine derives it
             stages[(w0, w1, True)] = _merge_stage_arrays(
                 K, route_key, sender, receiver, nsub, payload, dkey, dn, dp
-            )
+            ) + (None,)
         self._stages = stages
         self._occupancy = {
             w1: row + rows.occupancy_delta(K, w1)
@@ -616,17 +656,9 @@ def repair_plan(plan: CommPlan, delta: PatternDelta) -> CommPlan:
     header = plan.header_words
     stages: list[StageSchedule] = []
     for d, st in enumerate(plan.stages):
-        key = st.route_key
-        if key is None:
-            # deserialized or hand-built plan: derive and vet the route
-            # keys once; the repaired stages carry them forward so the
-            # next repair round skips this.
-            key = st.sender * np.int64(K) + st.receiver
-            if key.size > 1 and not (key[1:] > key[:-1]).all():
-                raise PlanError(
-                    "repair_plan requires a coalesced plan; "
-                    "this plan repeats a (sender, receiver) route within a stage"
-                )
+        # the repaired stages carry the keys forward, so only the first
+        # repair of a deserialized or hand-built plan derives them
+        key = stage_route_key(st, K, "repair_plan")
         dkey, dn, dp = rows.stage_delta(K, weights[d], weights[d + 1])
         sender, receiver, nsub, payload, out_key = _merge_stage_arrays(
             K, key, st.sender, st.receiver, st.nsub, st.payload_words, dkey, dn, dp

@@ -78,7 +78,7 @@ from ..simmpi.message import TIMEOUT, RunResult
 from ..simmpi.reliable import ReliableComm
 from ..simmpi.runtime import Comm, SimMPI, run_spmd
 from .pattern import CommPattern, PatternDelta
-from .plan import CommPlan, build_plan
+from .plan import CommPlan, build_plan, stage_route_key
 from .vpt import VirtualProcessTopology
 
 __all__ = [
@@ -205,23 +205,6 @@ def side_tables_from_plan(plan: CommPlan) -> SideTables:
     )
 
 
-def _stage_route_key(st, K: int) -> np.ndarray:
-    """A stage's strictly-increasing ``sender * K + receiver`` key array.
-
-    Derives (and vets) the key for deserialized or hand-built stages
-    that do not carry ``route_key``, mirroring :func:`repro.core.plan.repair_plan`.
-    """
-    key = st.route_key
-    if key is None:
-        key = st.sender * np.int64(K) + st.receiver
-        if key.size > 1 and not (key[1:] > key[:-1]).all():
-            raise PlanError(
-                "side-table repair requires a coalesced plan; this plan "
-                "repeats a (sender, receiver) route within a stage"
-            )
-    return key
-
-
 def _sorted_only_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elements of sorted-unique ``a`` absent from sorted-unique ``b``."""
     if a.size == 0:
@@ -277,8 +260,8 @@ def repair_side_tables(
         )
     recv = tables.recv_counts.copy()
     for d, (old_st, new_st) in enumerate(zip(plan.stages, repaired.stages)):
-        old_key = _stage_route_key(old_st, K)
-        new_key = _stage_route_key(new_st, K)
+        old_key = stage_route_key(old_st, K, "side-table repair")
+        new_key = stage_route_key(new_st, K, "side-table repair")
         gone = _sorted_only_in(old_key, new_key)
         born = _sorted_only_in(new_key, old_key)
         if gone.size:

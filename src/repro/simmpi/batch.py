@@ -52,18 +52,19 @@ approximately.  Three facts make that possible:
    operation sequence as the scalar cost model (same term order, same
    association, integer hop counts from ``hops_array`` equal to the
    scalar ``hops`` memo), so every send/recv cost agrees bit for bit.
-3. Bundle membership and message sizes are order-independent (pure
-   e-cube routing structure, equal to the plan's stage arrays), which
-   breaks the timing/routing circularity: timing is swept first from
-   the plan arrays, then one ordered routing pass replays deliveries in
-   the computed order to assemble the exact per-rank delivery lists.
+3. Bundle membership and message sizes are order-independent — the
+   plan's stage arrays and its row -> message map (``members``) say
+   which submessages every message carries — which breaks the
+   timing/routing circularity: timing is swept first from the plan
+   arrays, then one ordered routing pass replays deliveries in the
+   computed order to assemble the exact per-rank delivery lists.
 
 **Eager refusals.**  Everything the engine cannot do bit-identically is
 refused by name at construction or entry — wildcard/timeout receives
 and shrinks (any :meth:`run` with an arbitrary process function),
 dynamic NBX-style count discovery, fault plans, jitter, machine-less
-runs, plans whose stages repeat a route (``build_plan(...,
-coalesce=False)``), payloads that disagree with the plan or name a
+runs, plans built for another VPT or whose stages repeat a route
+(``build_plan(..., coalesce=False)``), payloads that disagree with the plan or name a
 destination outside ``[0, K)``, arrival times that are not positive
 finite floats — never silently mis-simulated.
 """
@@ -72,7 +73,7 @@ from __future__ import annotations
 
 from collections import abc
 from itertools import chain
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -100,21 +101,23 @@ def digits16(x: np.ndarray, bound: int) -> list[np.ndarray]:
     return [(x >> shift).astype(np.uint16) for shift in range(0, bits, 16)]
 
 
-def rounds(counts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(ranks, slots)`` of round ``j = 0, 1, ...`` until none is left.
+def rounds(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The slots of an array grouped by rank, round-major: ``(ranks, slots, sizes)``.
 
     Rank ``r`` owns the slots ``off[r] .. off[r] + counts[r] - 1`` of an
     array grouped by rank (``off`` the exclusive prefix sum); round ``j``
     holds the ``j``-th slot of every rank that has one, each rank once.
-    With the ranks ordered by descending count a round is a prefix, so
-    the only sort is over the ``len(counts)`` ranks.
+    ``ranks`` orders the ranks by descending count, so round ``j`` is the
+    prefix ``ranks[:sizes[j]]``, and ``slots`` lists round 0's slots, then
+    round 1's, and so on, each round in ``ranks`` order.  The only sort
+    is over the ``len(counts)`` ranks.
     """
-    by_count = np.argsort(counts)[::-1]
-    first = (np.cumsum(counts) - counts)[by_count]
-    # live[j]: how many ranks hold more than j slots
-    live = np.searchsorted(-counts[by_count], -np.arange(counts.max(initial=0)))
-    for j, n in enumerate(live.tolist()):
-        yield by_count[:n], first[:n] + j
+    ranks = np.argsort(counts)[::-1]
+    first = (np.cumsum(counts) - counts)[ranks]
+    # sizes[j]: how many ranks hold more than j slots
+    sizes = np.searchsorted(-counts[ranks], -np.arange(counts.max(initial=0))).tolist()
+    slots = np.concatenate([first[:n] + j for j, n in enumerate(sizes)] or [first[:0]])
+    return ranks, slots, sizes
 
 
 class EdgePayloads:
@@ -393,7 +396,8 @@ class BatchSimMPI(SimMPI):
         its program send order (true for plan stage arrays and for the
         rows of an :class:`EdgePayloads`).  The ``j``-th send of every
         rank is one vector op, so the per-element float sequence
-        ``start = clock; clock += cost`` matches the scalar engine.
+        ``start = clock; clock += cost`` matches the scalar engine (on
+        round-major prefix slices: :func:`rounds`).
         """
         map_arr = self._mapping
         cost = send_cost_many(
@@ -405,14 +409,19 @@ class BatchSimMPI(SimMPI):
             rendezvous_threshold_words=self.rendezvous_threshold_words,
         )
         cnt_s = np.bincount(snd, minlength=self.K)
-        start = np.empty(snd.size, dtype=np.float64)
-        arrive = np.empty(snd.size, dtype=np.float64)
-        for senders, idx in rounds(cnt_s):
-            before = clocks[senders]
-            after = before + cost[idx]
-            clocks[senders] = after
-            start[idx] = before
-            arrive[idx] = after
+        senders, slots, sizes = rounds(cnt_s)
+        cost = cost[slots]
+        t = clocks[senders]
+        before = np.empty(slots.size, dtype=np.float64)
+        lo = 0
+        for n in sizes:
+            before[lo : lo + n] = t[:n]
+            t[:n] += cost[lo : lo + n]
+            lo += n
+        clocks[senders] = t
+        start, arrive = np.empty((2, slots.size), dtype=np.float64)
+        start[slots] = before
+        arrive[slots] = before + cost
         return start, arrive, cnt_s
 
     def _sweep_recvs(
@@ -446,9 +455,16 @@ class BatchSimMPI(SimMPI):
             )
         dord = np.lexsort((*digits16(bits, 2**63), *digits16(rcv, self.K)))
         cnt_r = np.bincount(rcv, minlength=self.K)
-        for receivers, slots in rounds(cnt_r):
-            m = dord[slots]
-            clocks[receivers] = np.maximum(clocks[receivers], arrive[m]) + rc[m]
+        receivers, slots, sizes = rounds(cnt_r)
+        m = dord[slots]
+        arrive, rc = arrive[m], rc[m]
+        t = clocks[receivers]
+        lo = 0
+        for n in sizes:
+            np.maximum(t[:n], arrive[lo : lo + n], out=t[:n])
+            t[:n] += rc[lo : lo + n]
+            lo += n
+        clocks[receivers] = t
         return dord, cnt_r
 
     def _emit_engine_counters(
@@ -539,6 +555,11 @@ class BatchSimMPI(SimMPI):
         K = self.K
         if vpt.K != K:
             raise SimMPIError(f"vpt K={vpt.K} does not match engine K={K}")
+        if plan.vpt.dim_sizes != vpt.dim_sizes:
+            raise SimMPIError(
+                f"engine='batch': the plan was built for the VPT {plan.vpt.dim_sizes}, "
+                f"not for {vpt.dim_sizes}; build the plan for the VPT it runs on"
+            )
         n = vpt.n
         table = EdgePayloads.from_dicts(payloads, K)
         esrc, edst, esize = table.src, table.dst, table.size
@@ -563,27 +584,9 @@ class BatchSimMPI(SimMPI):
                 "rebuild the plan"
             )
 
-        # e-cube hop decomposition: per edge, the ascending list of
-        # differing dimensions and the holder rank before each hop
-        w_arr = np.asarray(vpt.weights[:n], dtype=np.int64)
-        dsz = np.asarray(vpt.dim_sizes, dtype=np.int64)
-        sdig = (esrc[None, :] // w_arr[:, None]) % dsz[:, None]
-        ddig = (edst[None, :] // w_arr[:, None]) % dsz[:, None]
-        diff = sdig != ddig
-        nmov = diff.sum(axis=0)
-        if (nmov == 0).any():
-            bad = int(esrc[np.nonzero(nmov == 0)[0][0]])
-            raise PlanError(f"rank {bad} has a self message in its SendSet")
-        e_idx, m_dims = np.nonzero(diff.T)
-        moff = np.zeros(E + 1, dtype=np.int64)
-        moff[1:] = np.cumsum(nmov)
-        delta_flat = (ddig[m_dims, e_idx] - sdig[m_dims, e_idx]) * w_arr[m_dims]
-        incl = np.cumsum(delta_flat)
-        excl = incl - delta_flat
-        hop_sender = esrc[e_idx] + (excl - np.repeat(excl[moff[:-1]], nmov))
-        hop_recv = hop_sender + delta_flat
-        sorder = np.lexsort(digits16(m_dims, n))
-        sbounds = np.searchsorted(m_dims[sorder], np.arange(n + 1))
+        stays = np.flatnonzero(pat.src == pat.dst)  # the rows that move in no stage
+        if stays.size:
+            raise PlanError(f"rank {int(pat.src[stays[0]])} has a self message in its SendSet")
 
         obs = self._obs
         trace_on = self._trace_enabled
@@ -596,32 +599,32 @@ class BatchSimMPI(SimMPI):
         origin_words = np.zeros(K, dtype=np.float64)
         forwarded_words = np.zeros(K, dtype=np.float64)
 
-        # routing state for the ordered replay, fully vectorized.  Each
-        # (edge, hop) carries an *arrival key*: the global position at
-        # which the edge entered the forward buffer feeding that hop.
-        # Setup-phase first hops use the edge index (payload dicts are
-        # enumerated in rank/dict order before any stage runs); keys
-        # assigned during the stages start at E and grow monotonically,
-        # so sorting a stage's hops by (message delivery position,
-        # arrival key) reproduces the event engine's bundle order
-        # exactly — setup entries first in dict order, then forwarded
-        # arrivals in delivery order — without a per-message Python walk.
-        # Arrival keys are unique and below ``key_span``, so the pair is
-        # sorted as one packed integer.
-        nhops = e_idx.shape[0]
-        key_span = E + nhops
+        # routing by the plan: stage ``d`` carries pattern row ``p`` in
+        # message ``plan.stage_members(d)[p]`` (-1: the row stays put),
+        # and the payload check's two sorts pair pattern rows with table
+        # rows.  Each row carries an *arrival key*: the global position
+        # at which it entered the forward buffer it is next sent from.
+        # Setup uses the table row (payload dicts are enumerated in
+        # rank/dict order before any stage runs); keys assigned during
+        # the stages start at E and grow monotonically, so sorting a
+        # stage's moving rows by (message delivery position, arrival key)
+        # reproduces the event engine's bundle order exactly — setup
+        # entries first in dict order, then forwarded arrivals in
+        # delivery order — without a per-message Python walk.  Arrival
+        # keys are unique and below ``key_span``, so the pair is sorted
+        # as one packed integer.
+        table_row = np.empty(E, dtype=np.int64)
+        table_row[porder] = eorder
+        arrival = table_row.copy()
+        key_span = E + sum(int(st.nsub.sum()) for st in plan.stages)
         if max((st.num_messages for st in plan.stages), default=0) * key_span >= 2**62:
             raise SimMPIError(
                 f"engine='batch': {key_span} arrival keys times the largest "
                 "stage's message count does not fit the packed 64-bit routing key"
             )
-        hop_key = np.empty(nhops, dtype=np.int64)
-        last_hop = np.zeros(nhops, dtype=bool)
-        hop_key[moff[:-1]] = np.arange(E, dtype=np.int64)
-        last_hop[moff[1:] - 1] = True
         next_key = E
         del_rank_parts: list[np.ndarray] = []
-        del_edge_parts: list[np.ndarray] = []
+        del_row_parts: list[np.ndarray] = []
 
         for d in range(n):
             st = plan.stages[d]
@@ -639,7 +642,7 @@ class BatchSimMPI(SimMPI):
             rcv = st.receiver.astype(np.int64, copy=False)
             words = st.total_words.astype(np.int64, copy=False)
             # sweeps and replay rely on (sender, send order) order and one
-            # message per route: a repeated route would take all its hops
+            # message per route: a route key names one message
             mkey = snd * K + rcv
             if not (mkey[1:] > mkey[:-1]).all():
                 raise SimMPIError(
@@ -649,10 +652,19 @@ class BatchSimMPI(SimMPI):
                     "use build_plan(..., coalesce=True)"
                 )
 
+            members = plan.stage_members(d)
+            moving = np.flatnonzero(members >= 0)
+            carrier = members[moving]
+            if not np.array_equal(np.bincount(carrier, minlength=nm), st.nsub):
+                raise SimMPIError(
+                    f"engine='batch': the messages of stage {d} do not carry "
+                    "the submessages the plan counts (nsub); the plan does not "
+                    "belong to its pattern"
+                )
+
             start, arrive, cnt_s = self._sweep_sends(clocks, snd, rcv, words)
             dord, cnt_r = self._sweep_recvs(clocks, rcv, words, arrive)
 
-            hsel = sorder[sbounds[d] : sbounds[d + 1]]
             if trace_on:
                 trace_parts.append((snd, rcv, d, words, start, arrive))
             if obs is not None:
@@ -662,9 +674,9 @@ class BatchSimMPI(SimMPI):
                 total_recv_words += np.bincount(rcv, weights=words, minlength=K)
                 obs.count("stfw.stage_messages", int(nm), stage=d)
                 obs.count("stfw.stage_words", int(words.sum()), stage=d)
-                h_snd = hop_sender[hsel]
-                h_sz = esize[e_idx[hsel]]
-                omask = h_snd == esrc[e_idx[hsel]]
+                h_snd = snd[carrier]
+                h_sz = pat.size[moving]
+                omask = h_snd == pat.src[moving]
                 origin_words += np.bincount(
                     h_snd[omask], weights=h_sz[omask], minlength=K
                 )
@@ -672,29 +684,21 @@ class BatchSimMPI(SimMPI):
                     h_snd[~omask], weights=h_sz[~omask], minlength=K
                 )
 
-            # ordered routing replay: each hop belongs to the bundled
-            # message (hop_sender -> hop_recv); sorting the stage's hops
-            # by (delivery position of that message, arrival key) is
-            # exactly "for each delivered message in delivery order, its
-            # bundle in buffer order".  Final hops land in the per-rank
-            # delivery lists; the rest hand their edge the next arrival
-            # key, which seeds the bundle order of the next stage.
-            hkey = hop_sender[hsel] * K + hop_recv[hsel]
-            m_of_hop = np.minimum(np.searchsorted(mkey, hkey), nm - 1)
-            if (mkey[m_of_hop] != hkey).any():
-                raise SimMPIError(
-                    f"engine='batch' internal error: stage {d} routes "
-                    "a hop with no matching planned message"
-                )
+            # ordered routing replay: sorting the stage's moving rows by
+            # (delivery position of their message, arrival key) is exactly
+            # "for each delivered message in delivery order, its bundle in
+            # buffer order".  Rows the message brings to their destination
+            # land in the per-rank delivery lists; the rest take the next
+            # arrival key, which seeds the bundle order of the next stage.
             pos = np.empty(nm, dtype=np.int64)
             pos[dord] = np.arange(nm, dtype=np.int64)
-            order = np.argsort(pos[m_of_hop] * key_span + hop_key[hsel])
-            hs = hsel[order]
-            fin = last_hop[hs]
-            hop_key[hs[~fin] + 1] = next_key + np.nonzero(~fin)[0]
-            next_key += hs.shape[0]
-            del_rank_parts.append(hop_recv[hs[fin]])
-            del_edge_parts.append(e_idx[hs[fin]])
+            order = np.argsort(pos[carrier] * key_span + arrival[moving])
+            ordered = moving[order]
+            fin = rcv[carrier[order]] == pat.dst[ordered]
+            arrival[ordered[~fin]] = next_key + np.flatnonzero(~fin)
+            next_key += ordered.size
+            del_rank_parts.append(pat.dst[ordered[fin]])
+            del_row_parts.append(table_row[ordered[fin]])
 
             if obs is not None:
                 frozen = [
@@ -712,7 +716,7 @@ class BatchSimMPI(SimMPI):
         # which the stable kernel merges in linear time)
         empty = np.empty(0, dtype=np.int64)
         dr = np.concatenate(del_rank_parts or [empty])
-        de = np.concatenate(del_edge_parts or [empty])
+        de = np.concatenate(del_row_parts or [empty])
         gord = np.argsort(dr, kind="stable")
         delivered = Deliveries(table, de[gord], np.bincount(dr, minlength=K))
 

@@ -5,12 +5,16 @@ across the plans of one pattern; every cached reuse must be
 indistinguishable (down to array contents) from a from-scratch build.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import CommPattern, build_plan, make_vpt, plans_for_dimensions
 from repro.core.dimensioning import VirtualProcessTopology
 from repro.core.plan import PlanBuilder
+from repro.core.routing import holder_after_stage_array
 from repro.errors import PlanError
 
 _STAGE_FIELDS = ("sender", "receiver", "nsub", "payload_words", "total_words")
@@ -122,3 +126,61 @@ class TestPlansForDimensions:
         got = plans_for_dimensions(p, (2, 3, 6))
         for n, plan in got.items():
             assert_plans_equal(plan, build_plan(p, make_vpt(64, n)))
+
+
+class TestStageMembers:
+    """``members`` is derived data: a plan without it derives the builder's array."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        K=st.sampled_from([12, 16, 27, 36, 64, 96, 180]),
+        degree=st.integers(1, 8),
+        hot=st.integers(0, 3),
+        dims=st.integers(1, 3),
+        seed=st.integers(0, 10_000),
+    )
+    def test_derived_members_equal_the_builders(self, K, degree, hot, dims, seed):
+        pattern = CommPattern.random(K, avg_degree=degree, hot_processes=hot, seed=seed, words=3)
+        vpt = make_vpt(K, dims)
+        plan = build_plan(pattern, vpt)
+        stripped = replace(
+            plan, stages=[replace(s, members=None, route_key=None) for s in plan.stages]
+        )
+        for d, stage in enumerate(plan.stages):
+            want = stage.members
+            assert want.dtype == np.int64 and want.shape == (pattern.num_messages,)
+            got = stripped.stage_members(d)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            # a moving row rides the message from its holder before the
+            # stage to its holder after it, and only those rows move
+            h0 = holder_after_stage_array(vpt, pattern.src, pattern.dst, d - 1)
+            h1 = holder_after_stage_array(vpt, pattern.src, pattern.dst, d)
+            moving = want >= 0
+            assert np.array_equal(moving, h0 != h1)
+            assert np.array_equal(stage.sender[want[moving]], h0[moving])
+            assert np.array_equal(stage.receiver[want[moving]], h1[moving])
+            assert np.array_equal(
+                np.bincount(want[moving], minlength=stage.num_messages), stage.nsub
+            )
+
+    def test_members_are_not_compared(self):
+        pattern = CommPattern.random(16, avg_degree=3, seed=2)
+        plan = build_plan(pattern, make_vpt(16, 2))
+        stripped = replace(plan.stages[0], members=None)
+        assert stripped == plan.stages[0] and "members" not in repr(stripped)
+
+    def test_a_plan_for_another_pattern_is_refused(self):
+        pattern = CommPattern.random(16, avg_degree=3, seed=2)
+        other = build_plan(CommPattern.random(16, avg_degree=3, seed=3), make_vpt(16, 2))
+        forged = replace(
+            other, pattern=pattern, stages=[replace(s, members=None) for s in other.stages]
+        )
+        with pytest.raises(PlanError, match="no message for a submessage"):
+            [forged.stage_members(d) for d in range(2)]
+
+    def test_coalesce_false_has_no_members(self):
+        pattern = CommPattern.random(16, avg_degree=3, seed=2)
+        plan = build_plan(pattern, make_vpt(16, 2), coalesce=False)
+        assert all(s.members is None for s in plan.stages)
+        with pytest.raises(PlanError, match="requires a coalesced plan"):
+            plan.stage_members(0)

@@ -9,11 +9,13 @@ programs, dynamic discovery, faults, jitter, machine-less runs) is
 refused eagerly by name, never silently mis-simulated.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CommPattern, build_plan, make_vpt, run_exchange
+from repro.core import CommPattern, PatternDelta, build_plan, make_vpt, repair_plan, run_exchange
 from repro.errors import PlanError, SimMPIError
 from repro.network import BGQ, CRAY_XC40, CRAY_XK7
 from repro.obs import Tracer, chrome_trace
@@ -217,6 +219,56 @@ class TestExchangeEquivalence:
         assert_same_result(runs[0].run, runs[1].run, "(repeat)")
 
 
+class TestRoutingByThePlan:
+    """A plan without ``members`` (repaired, deserialized) runs like a fresh build."""
+
+    @staticmethod
+    def run(plan, tracer=None):
+        K, pattern = plan.K, plan.pattern
+        sim = SimMPI(K, machine=BGQ, engine="batch", trace=True, tracer=tracer)
+        table = EdgePayloads.synthetic(K, pattern.src, pattern.dst, pattern.size)
+        return sim.run_planned_stfw(plan.vpt, plan, table)
+
+    def assert_same_run(self, base, got):
+        assert base.clocks == got.clocks and base.makespan_us == got.makespan_us
+        assert base.trace == got.trace
+        for column in ("ptr", "src", "rows"):
+            assert np.array_equal(getattr(base.returns, column), getattr(got.returns, column))
+
+    @pytest.mark.parametrize("K, dims", [(1000, 3), (180, 2)])
+    def test_repair_equals_rebuild_through_the_engine(self, K, dims):
+        vpt = make_vpt(K, dims)
+        plan = build_plan(CommPattern.random(K, 6, hot_processes=2, seed=5, words=3), vpt)
+        for epoch in range(2):
+            delta = PatternDelta.random(plan.pattern, 0.1, seed=epoch)
+            repaired = repair_plan(plan, delta)
+            assert all(st.members is None for st in repaired.stages)
+            rebuilt = build_plan(plan.pattern.apply_delta(delta), vpt)
+            self.assert_same_run(self.run(rebuilt), self.run(repaired))
+            plan = repaired
+
+    def test_deserialized_plan_runs_like_the_built_one(self, tmp_path):
+        from repro.core import load_plan, save_plan
+
+        plan = build_plan(CommPattern.random(96, 5, seed=9, words=3), make_vpt(96, 2))
+        save_plan(tmp_path / "plan.npz", plan)
+        loaded = load_plan(tmp_path / "plan.npz")
+        assert all(st.members is None and st.route_key is None for st in loaded.stages)
+        base_tr, got_tr = Tracer("built"), Tracer("loaded")
+        self.assert_same_run(self.run(plan, base_tr), self.run(loaded, got_tr))
+        assert counter_keys(base_tr) == counter_keys(got_tr)
+
+    def test_stage_messages_must_carry_what_the_plan_counts(self):
+        from dataclasses import replace
+
+        pattern = CommPattern.random(64, 6, seed=1, words=2)
+        plan = build_plan(pattern, make_vpt(64, 2))
+        st0 = plan.stages[0]
+        forged = replace(plan, stages=[replace(st0, nsub=st0.nsub + 1), *plan.stages[1:]])
+        with pytest.raises(SimMPIError, match="stage 0 do not carry the submessages"):
+            self.run(forged)
+
+
 class TestConsumersReadDeliveries:
     """Code written for per-rank lists reads a ``Deliveries`` to the same answer."""
 
@@ -418,6 +470,17 @@ class TestEagerRefusals:
             run_exchange(pattern, vpt, machine=BGQ).makespan_us
         )
 
+    @pytest.mark.parametrize("dim_sizes", [(4, 16), (16, 4), (4, 4, 4)])
+    def test_plan_for_another_vpt_refused_by_name(self, dim_sizes):
+        from repro.core.dimensioning import VirtualProcessTopology as VPT
+
+        pattern = CommPattern.random(64, 6, words=2, seed=1)
+        sim = SimMPI(64, machine=BGQ, engine="batch")
+        with pytest.raises(SimMPIError, match=re.escape(f"VPT (8, 8), not for {dim_sizes}")):
+            sim.run_planned_stfw(
+                VPT(dim_sizes), build_plan(pattern, VPT((8, 8))), _default_payloads(pattern)
+            )
+
     @pytest.mark.parametrize("scheme", [{"scheme": "direct"}, {"dims": 2}])
     @pytest.mark.parametrize("beta", [float("inf"), float("nan"), -10.0])
     def test_arrival_times_that_do_not_sort_by_bit_pattern_refused(self, scheme, beta):
@@ -534,15 +597,16 @@ class TestSortHelpers:
     def test_rounds_visit_every_slot_once_in_ascending_j(self, counts):
         counts = np.asarray(counts, dtype=np.int64)
         off = np.cumsum(counts) - counts
-        seen = []
-        for j, (ranks, slots) in enumerate(rounds(counts)):
-            assert np.unique(ranks).size == ranks.size > 0  # each rank at most once per round
-            assert np.array_equal(slots, off[ranks] + j)  # a rank's slots in ascending j
-            assert (counts[ranks] > j).all()
-            seen.append(slots)
-        assert len(seen) == counts.max(initial=0)
-        visited = np.sort(np.concatenate(seen)) if seen else np.empty(0, np.int64)
-        assert np.array_equal(visited, np.arange(counts.sum()))
+        ranks, slots, sizes = rounds(counts)
+        assert len(sizes) == counts.max(initial=0) and sum(sizes) == slots.size
+        lo = 0
+        for j, n in enumerate(sizes):
+            live = ranks[:n]  # round j is a prefix of the ranks
+            assert np.unique(live).size == n > 0  # each rank at most once per round
+            assert (counts[live] > j).all() and (counts[ranks[n:]] <= j).all()
+            assert np.array_equal(slots[lo : lo + n], off[live] + j)  # a rank's slots in ascending j
+            lo += n
+        assert np.array_equal(np.sort(slots), np.arange(counts.sum()))
 
     @settings(max_examples=40, deadline=None)
     @given(K=st.sampled_from([8, 30, 300]), nm=st.integers(1, 400), seed=st.integers(0, 10_000))
