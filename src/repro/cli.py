@@ -18,11 +18,11 @@ synthetic matrices (communication-preserving, see DESIGN.md).
 ``-j/--jobs`` fans independent experiment cells over worker processes
 and ``--cache`` persists generated artifacts (matrices, partitions,
 patterns, plans) across runs; both leave results byte-identical.
-``--engine`` selects the SimMPI backend of emulator-backed commands
-(``run faults|recover``, ``drift``, ``chaos``, ``corrupt``); the batch
-backend is bit-identical to the default event engine on what it
-accepts, so the flag also never changes a result.  ``chaos`` and
-``corrupt`` exit 1 when their run misses an acceptance predicate.
+Every emulator-backed command (``run faults|recover``, ``drift``,
+``chaos``, ``corrupt``, ``trace``) runs on the event engine, the only
+one that runs faults, shrink recovery and NBX discovery; there is no
+engine flag.  ``chaos`` and ``corrupt`` exit 1 when their run misses
+an acceptance predicate.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"regenerate the paper's {name}")
         _add_config_args(p)
-        _add_engine_args(p)
         p.add_argument(
             "--svg",
             metavar="DIR",
@@ -92,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment", choices=tuple(EXPERIMENTS), help="which experiment to run"
     )
     _add_config_args(p)
-    _add_engine_args(p)
 
     p = sub.add_parser("report", help="run every experiment, write a markdown report")
     _add_config_args(p)
@@ -156,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the end-to-end NBX-discovery service phase",
     )
-    _add_engine_args(p)
 
     p = sub.add_parser(
         "chaos",
@@ -206,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="add silent-data-corruption chaos: transient bit flips plus a "
         "persistent corrupt forwarder the policy must quarantine",
     )
-    _add_engine_args(p)
 
     p = sub.add_parser(
         "corrupt",
@@ -226,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--epochs", type=int, default=None, help="epochs per episode (default 16)"
     )
     p.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    _add_engine_args(p)
 
     p = sub.add_parser(
         "trace",
@@ -286,24 +281,6 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_args(p: argparse.ArgumentParser) -> None:
-    """The shared ``--engine`` backend-selection flag."""
-    from .simmpi.engine import engine_names
-
-    p.add_argument(
-        "--engine",
-        choices=engine_names(),
-        default=None,
-        help="SimMPI backend for emulator-backed runs (default event)",
-    )
-
-
-def _engine_kwargs(args: argparse.Namespace) -> dict:
-    """``engine=`` kwarg from the CLI flag (argparse validated the name)."""
-    engine = getattr(args, "engine", None)
-    return {} if engine is None else {"engine": engine}
-
-
 def _artifact_cache(args: argparse.Namespace):
     """The CLI-selected :class:`ArtifactCache`, or ``None``."""
     flag = getattr(args, "cache", None)
@@ -320,19 +297,9 @@ def _run_experiment(
     """Run one experiment honoring ``-j``/``--cache``; returns (result, fmt)."""
     run_fn, fmt = EXPERIMENTS[name]
     jobs = getattr(args, "jobs", 1)
-    ekw = _engine_kwargs(args)
     if name in ("faults", "recover"):
-        # both validate engine= themselves, eagerly and by name (their
-        # fault models are event-engine-only)
-        result = run_fn(cfg, jobs=jobs, **ekw)
+        result = run_fn(cfg, jobs=jobs)
     else:
-        if ekw.get("engine", "event") != "event":
-            raise SystemExit(
-                f"error: experiment {name!r} evaluates the analytic cost "
-                f"model and never starts the emulator, so --engine "
-                f"does not apply (emulator-backed commands: repro run "
-                f"faults|recover, repro drift, repro chaos, repro corrupt)"
-            )
         from .experiments.harness import InstanceCache
 
         cache = InstanceCache(cfg, artifacts=_artifact_cache(args))
@@ -419,7 +386,6 @@ def _cmd_drift(args: argparse.Namespace) -> int:
         validate=not args.no_validate,
         service=not args.no_service,
         jobs=args.jobs,
-        **_engine_kwargs(args),
         **kwargs,
     )
     print(drift.format_result(result))
@@ -448,7 +414,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         _config_from(args),
         artifacts=_artifact_cache(args),
         validate=not args.no_validate,
-        **_engine_kwargs(args),
         **kwargs,
     )
     print(chaos.format_result(result))
@@ -475,7 +440,7 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
         kwargs["degree"] = args.degree
     if args.epochs is not None:
         kwargs["epochs"] = args.epochs
-    result = corrupt.run(_config_from(args), **_engine_kwargs(args), **kwargs)
+    result = corrupt.run(_config_from(args), **kwargs)
     print(corrupt.format_result(result))
     # ``converged`` already requires the last two (the compute episode
     # recovers only if ABFT caught every flip, the forwarder episode only

@@ -72,11 +72,12 @@ import numpy as np
 
 from ..errors import DeadlockError, PendingOp, PlanError
 from ..simmpi.batch import EdgePayloads
+from ..simmpi.engine import resolve_engine
 from ..simmpi.faults import FaultPlan
 from ..simmpi.integrity import corrupt_draw, flip_payload, payload_checksum
 from ..simmpi.message import TIMEOUT, RunResult
 from ..simmpi.reliable import ReliableComm
-from ..simmpi.runtime import Comm, SimMPI, run_spmd
+from ..simmpi.runtime import Comm, run_spmd
 from .pattern import CommPattern, PatternDelta
 from .plan import CommPlan, build_plan, stage_route_key
 from .vpt import VirtualProcessTopology
@@ -1084,18 +1085,14 @@ def run_exchange(
     vpt, kind = _resolve_scheme(
         pattern, vpt, scheme, dims, mode, header_words, tolerant
     )
-    if on_fault == "partial" and engine != "event":
+    engine_cls = resolve_engine(engine)
+    if on_fault == "partial" and engine_cls.planned_only:
         raise PlanError(
             f"on_fault='partial' requires engine='event' (got engine={engine!r}): "
             "partial salvage reads per-rank sinks that only the in-process "
             "event engine fills as it goes"
         )
-    planned_only = False
-    if engine != "event":
-        from ..simmpi.engine import resolve_engine
-
-        planned_only = bool(getattr(resolve_engine(engine), "planned_only", False))
-    if planned_only:
+    if engine_cls.planned_only:
         # the batch engine executes the static schedule as whole-stage
         # sweeps; everything decided message by message is refused by
         # name before any work happens
@@ -1121,15 +1118,14 @@ def run_exchange(
         corrupt_fw = dict(fault_plan.corrupt_forwarders)
         flip_seed = fault_plan.seed
 
-    if planned_only:
-        sim = SimMPI(
+    if engine_cls.planned_only:
+        sim = engine_cls(
             pattern.K,
             machine=machine,
             mapping=mapping,
             trace=trace,
             fault_plan=fault_plan,
             tracer=tracer,
-            engine=engine,
             **engine_kwargs,
         )
         if kind == "stfw":
@@ -1197,7 +1193,6 @@ def run_exchange(
             trace=trace,
             fault_plan=fault_plan,
             tracer=tracer,
-            engine=engine,
             **engine_kwargs,
         )
     except DeadlockError as exc:

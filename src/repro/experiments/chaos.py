@@ -59,7 +59,6 @@ __all__ = [
     "ChaosResult",
     "run",
     "format_result",
-    "main",
 ]
 
 #: soak defaults — the acceptance configuration
@@ -282,7 +281,6 @@ def run(
     validate: bool = True,
     artifacts=None,
     tracer=None,
-    engine: str = "event",
 ) -> ChaosResult:
     """Soak the self-healing service; return the degradation record.
 
@@ -299,15 +297,6 @@ def run(
     checked against the bit-identical reference, so any corruption the
     integrity machinery fails to detect raises immediately.
     """
-    from ..simmpi.engine import resolve_engine
-
-    if getattr(resolve_engine(engine), "planned_only", False):
-        raise ExperimentError(
-            f"the chaos soak requires a fault-capable engine (got {engine!r}): "
-            "its episodes inject crashes, stragglers and drops that change "
-            "the message schedule mid-exchange, which a planned-only backend "
-            "refuses; use engine='event'"
-        )
     cfg = cfg if cfg is not None else default_config()
     seed = int(cfg.seed if seed is None else seed)
     if epochs < 10:
@@ -344,7 +333,6 @@ def run(
         validate=validate,
         artifacts=artifacts,
         tracer=tracer,
-        engine=engine,
     )
     # scale crash times off a fault-free probe of the initial pattern
     probe = run_exchange(
@@ -352,7 +340,6 @@ def run(
         vpt,
         payloads=_default_payloads(pattern),
         machine=machine,
-        engine=engine,
     )
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC8A05)))
     forwarder = busiest_forwarder(pattern, vpt) if corruption else None
@@ -398,7 +385,6 @@ def run(
         vpt,
         payloads=_default_payloads(service.pattern),
         machine=machine,
-        engine=engine,
     )
     dead = set(service.dead)
     reference_identical = all(
@@ -506,11 +492,3 @@ def format_result(result: ChaosResult, *, events: int = 24) -> str:
         f"reference: {'yes' if result.reference_identical else 'NO'})",
     ]
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -54,7 +54,6 @@ __all__ = [
     "CorruptResult",
     "run",
     "format_result",
-    "main",
 ]
 
 #: sweep defaults — small enough for a CI smoke, big enough that every
@@ -145,7 +144,6 @@ def _exchange_episode(
     plan_for,
     *,
     require_quarantine: bool = False,
-    engine: str = "event",
 ) -> EpisodeResult:
     """Soak one service instance under ``plan_for(epoch)`` fault plans."""
     pattern = CommPattern.random(K, avg_degree=degree, seed=seed)
@@ -163,7 +161,6 @@ def _exchange_episode(
         machine=machine,
         config=policy,
         validate=False,
-        engine=engine,
     )
     reports = []
     undetected = 0
@@ -194,7 +191,7 @@ def _exchange_episode(
     )
 
 
-def _compute_episode(seed: int, *, engine: str = "event") -> tuple[EpisodeResult, int, int]:
+def _compute_episode(seed: int) -> tuple[EpisodeResult, int, int]:
     """ABFT episode: seeded compute flips through a persistent SpMV.
 
     Returns ``(episode, injected, caught)``.  The injection sites are
@@ -207,7 +204,7 @@ def _compute_episode(seed: int, *, engine: str = "event") -> tuple[EpisodeResult
     n = 16 * K
     A = generate_matrix(n, 14 * n, 24, 1.0, seed=seed, values="random")
     part = block_partition(n, K)
-    spmv = PersistentSpMV(A, part, verify=False, abft=True, engine=engine)
+    spmv = PersistentSpMV(A, part, verify=False, abft=True)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0F1)))
     x = rng.normal(size=n)
     flip_ranks = {r: _COMPUTE_FLIP_P for r in range(K)}
@@ -264,25 +261,9 @@ def run(
     dims: int = CORRUPT_DIMS,
     seed: int | None = None,
     machine: Machine = BGQ,
-    engine: str = "event",
 ) -> CorruptResult:
     """Run the three-episode corruption sweep; everything derives from
-    ``seed``, so two same-seed sweeps are identical.
-
-    ``engine`` must currently be ``"event"``: the transient episode
-    injects probabilistic in-transit flips (``default_flip``), which
-    no other backend draws.  The parameter exists so
-    callers address every experiment driver uniformly and get the
-    refusal eagerly, by name."""
-    from ..simmpi.engine import resolve_engine
-
-    resolve_engine(engine)
-    if engine != "event":
-        raise ExperimentError(
-            f"the corruption sweep requires engine='event' (got {engine!r}): "
-            "its transient episode injects probabilistic in-transit flips "
-            "(default_flip), which only the event engine draws"
-        )
+    ``seed``, so two same-seed sweeps are identical."""
     cfg = cfg if cfg is not None else default_config()
     seed = int(cfg.seed if seed is None else seed)
     if epochs < 10:
@@ -314,7 +295,6 @@ def run(
         seed,
         machine,
         transient_plan,
-        engine=engine,
     )
 
     # persistent corrupt forwarder: corrupt long enough to be implicated
@@ -341,10 +321,9 @@ def run(
         machine,
         forwarder_plan,
         require_quarantine=True,
-        engine=engine,
     )
 
-    compute, abft_injected, abft_caught = _compute_episode(seed, engine=engine)
+    compute, abft_injected, abft_caught = _compute_episode(seed)
 
     episodes = [transient, forwarder, compute]
     return CorruptResult(
@@ -394,11 +373,3 @@ def format_result(result: CorruptResult) -> str:
         f"converged: {'yes' if result.converged else 'NO'}",
     ]
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

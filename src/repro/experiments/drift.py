@@ -200,7 +200,6 @@ def _run_service(
     machine: Machine,
     validate: bool,
     tracer=None,
-    engine: str = "event",
 ) -> ServiceSummary:
     """Drive one delta stream through the *persistent* exchange service.
 
@@ -223,7 +222,6 @@ def _run_service(
         machine=machine,
         validate=validate,
         tracer=tracer,
-        engine=engine,
     )
     frames = rounds = matched = 0
     makespan = 0.0
@@ -250,7 +248,7 @@ def _run_service(
             )
             return (recvset, st)
 
-        res = run_spmd(K, worker, machine=machine, engine=engine)
+        res = run_spmd(K, worker, machine=machine)
         src, dst, size = pat.src, pat.dst, pat.size
         for r in range(K):
             want = {
@@ -271,7 +269,6 @@ def _run_service(
             vpt,
             machine=machine,
             trace=True,
-            engine=engine,
         )
         if report.result.run.trace == ref_run.run.trace:
             matched += 1
@@ -311,7 +308,6 @@ def run(
     service_epochs: int = 3,
     tracer=None,
     jobs: int | None = 1,
-    engine: str = "event",
 ) -> DriftResult:
     """Run the drift sweep (and service); deterministic in ``cfg.seed``.
 
@@ -323,16 +319,6 @@ def run(
     reuse.  ``validate=False`` skips the byte-identity cross-checks
     (timing-only runs).
     """
-    from ..simmpi.engine import resolve_engine
-
-    if service and getattr(resolve_engine(engine), "planned_only", False):
-        raise ExperimentError(
-            f"the drift service phase requires a dynamic-capable engine "
-            f"(got {engine!r}): NBX rediscovery is a per-message counter "
-            "protocol a planned-only backend refuses; pass service=False "
-            "(CLI: --no-service) to time plan repair only, or use "
-            "engine='event'"
-        )
     cfg = cfg or default_config()
     cache_root = None if artifacts is None else artifacts.root
     tasks = [
@@ -346,7 +332,6 @@ def run(
         summary = _run_service(
             K=service_K,
             seed=cfg.seed,
-            engine=engine,
             epochs=service_epochs,
             machine=machine,
             validate=validate,
@@ -399,11 +384,3 @@ def format_result(result: DriftResult) -> str:
             f"last makespan {s.makespan_us:.1f}us"
         )
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -122,7 +122,6 @@ def run(
     drop_rates: tuple[float, ...] = DROP_RATES,
     tracer=None,
     jobs: int | None = 1,
-    engine: str = "event",
 ) -> FaultsResult:
     """Run the resilience sweep; deterministic in ``cfg.seed``.
 
@@ -130,23 +129,7 @@ def run(
     reliable-layer counters across every scenario's exchange.  ``jobs``
     fans the independent scenario exchanges over worker processes; the
     rows (and any traced counters) are identical to a serial run.
-
-    ``engine`` must currently be ``"event"``: the drop-rate scenarios
-    draw probabilistic link faults (``default_drop``), which no
-    other backend draws.  The parameter exists so
-    callers address every experiment driver uniformly and get the
-    refusal eagerly, by name.
     """
-    from ..errors import ExperimentError
-    from ..simmpi.engine import resolve_engine
-
-    resolve_engine(engine)
-    if engine != "event":
-        raise ExperimentError(
-            f"the resilience sweep requires engine='event' (got {engine!r}): "
-            "its drop-rate scenarios draw probabilistic link faults "
-            "(default_drop), which only the event engine draws"
-        )
     cfg = cfg or default_config()
     pattern = CommPattern.random(K, avg_degree=4, seed=cfg.seed)
     vpt = make_vpt(K, 2)
@@ -247,11 +230,3 @@ def format_result(result: FaultsResult) -> str:
         f"{result.crash_rank} at t={result.crash_time_us:.1f}us (BlueGene/Q)"
     )
     return resilience_table(result.rows, title=title)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

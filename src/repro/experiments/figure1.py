@@ -79,11 +79,3 @@ def format_result(rows: list[Figure1Row], *, bins: int = 8) -> str:
                 bar = "#" * int(np.ceil(40 * h / max(hist.max(), 1)))
                 out.append(f"  [{lo:6.0f},{hi:6.0f}) {h:4d} {bar}")
     return "\n".join(out)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

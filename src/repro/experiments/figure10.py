@@ -88,11 +88,3 @@ def format_result(rows: list[Figure10Row]) -> str:
             f"{r.best_improvement:.1f}x",
         )
     return t.render()
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

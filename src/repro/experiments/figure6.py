@@ -51,11 +51,3 @@ def format_result(norm: dict[str, dict[str, float]]) -> str:
             continue
         t.add_row(scheme, *(m[k] for k in FIGURE_KEYS))
     return t.render(float_fmt="{:.2f}")
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -74,11 +74,3 @@ def format_result(panels: list[Figure7Panel]) -> str:
             t.add_row(s, *(panel.values[m][i] for m in MATRICES))
         blocks.append(t.render())
     return "\n".join(blocks)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

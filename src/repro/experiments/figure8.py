@@ -113,11 +113,3 @@ def format_result(series: list[ScalingSeries]) -> str:
             t.add_row(scheme, *vals)
         blocks.append(t.render())
     return "\n".join(blocks)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

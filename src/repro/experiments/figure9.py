@@ -93,11 +93,3 @@ def format_result(blocks: list[Figure9Block]) -> str:
             t.add_row(s, *(b.comm_us[m][i] for m in b.comm_us))
         out.append(t.render())
     return "\n".join(out)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

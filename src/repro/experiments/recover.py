@@ -109,7 +109,6 @@ def run(
     checkpoint_interval: int = CHECKPOINT_INTERVAL,
     tracer=None,
     jobs: int | None = 1,
-    engine: str = "event",
 ) -> RecoverResult:
     """Run the BL-vs-STFW recovery sweep; deterministic in ``cfg.seed``.
 
@@ -117,23 +116,7 @@ def run(
     and replay spans from every scenario's run.  ``jobs`` fans the
     independent scenario runs over worker processes; the rows are
     identical to a serial run.
-
-    ``engine`` must currently be ``"event"``: iterative recovery keeps
-    a coordinated checkpoint store the generators mutate mid-run,
-    which only the in-process event engine supports.  The parameter
-    exists so callers address every experiment driver uniformly and
-    get the refusal eagerly, by name.
     """
-    from ..errors import ExperimentError
-    from ..simmpi.engine import resolve_engine
-
-    resolve_engine(engine)
-    if engine != "event":
-        raise ExperimentError(
-            f"the recovery sweep requires engine='event' (got {engine!r}): "
-            "iterative recovery mutates a coordinated checkpoint store "
-            "mid-run, which only the event engine's generators can"
-        )
     cfg = cfg or default_config()
 
     def task(n_dims, crashes):
@@ -203,11 +186,3 @@ def format_result(result: RecoverResult) -> str:
     for scenario, doc in result.plans:
         out.append(f"  {scenario}: {doc}")
     return "\n".join(out)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

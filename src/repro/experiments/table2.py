@@ -89,11 +89,3 @@ def format_result(cells: list[Table2Cell]) -> str:
             m["buffer_kb"],
         )
     return t.render()
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -102,11 +102,3 @@ def format_result(blocks: list[Table3Block]) -> str:
             f"({b.improvement(b.best_scheme()):.1f}x over BL)"
         )
     return "\n".join(out)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

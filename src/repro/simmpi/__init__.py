@@ -15,7 +15,7 @@ from .collectives import (
 from .checkpoint import HEARTBEAT_TAG, CheckpointStore, RankCheckpoint, heartbeat_round
 from .collectives import ShrinkOp
 from .discovery import DISCOVERY_TAG, DiscoveryStats, nbx_discover
-from .engine import Engine, engine_names, register_engine, resolve_engine
+from .engine import engine_names, resolve_engine
 from .faults import FaultEvent, FaultPlan, LinkOutage
 from .integrity import corrupt_draw, flip_array, flip_payload, payload_checksum
 from .message import ANY_SOURCE, ANY_TAG, TIMEOUT, Envelope, RunResult, TraceRecord
@@ -27,9 +27,7 @@ __all__ = [
     "SimMPI",
     "Comm",
     "run_spmd",
-    "Engine",
     "engine_names",
-    "register_engine",
     "resolve_engine",
     "RunResult",
     "Envelope",

@@ -1,10 +1,11 @@
 """Fully-vectorized NumPy batch engine for *planned* exchanges.
 
-:class:`BatchSimMPI` (``engine="batch"``) is the third registry backend
-(:mod:`repro.simmpi.engine`).  It targets exactly the regime the paper
-times — planned, fault-free STFW/BL exchanges, where the whole message
-schedule is known statically — and executes each stage as dense NumPy
-array sweeps instead of per-message Python events:
+:class:`BatchSimMPI` (``engine="batch"``) is the second engine beside
+the event-driven :class:`~repro.simmpi.runtime.SimMPI`.  It targets
+exactly the regime the paper times — planned, fault-free STFW/BL
+exchanges, where the whole message schedule is known statically — and
+executes each stage as dense NumPy array sweeps instead of per-message
+Python events:
 
 * per-stage send/recv message arrays come straight from the
   :class:`~repro.core.plan.CommPlan`'s coalesced stage arrays (BL is a
@@ -287,12 +288,13 @@ class Deliveries(abc.Sequence):
 class BatchSimMPI(SimMPI):
     """Vectorized planned-exchange backend (``engine="batch"``).
 
-    Construct via ``SimMPI(K, engine="batch", machine=...)`` (the
-    registry dispatch) and drive it through
-    :func:`repro.core.stfw.run_exchange` or the SpMV drivers with
-    ``engine="batch"`` — arbitrary process functions are refused (see
-    :meth:`run`).  Accepts the shared constructor keyword surface and
-    rejects, by name, every option it cannot honor bit-identically.
+    Construct as ``BatchSimMPI(K, machine=...)`` and drive it through
+    :meth:`run_planned_stfw`/:meth:`run_planned_direct`, or select it
+    with ``engine="batch"`` on :func:`repro.core.stfw.run_exchange`,
+    the SpMV drivers or the persistent exchange service — arbitrary
+    process functions are refused (see :meth:`run`).  Accepts
+    ``SimMPI``'s constructor keywords and rejects, by name, every
+    option it cannot honor bit-identically.
     """
 
     #: planned-exchange-only backend: dispatch sites (``run_exchange``,
@@ -312,13 +314,7 @@ class BatchSimMPI(SimMPI):
         rendezvous_threshold_words: int | None = None,
         fault_plan=None,
         tracer=None,
-        engine: str = "batch",
     ):
-        if engine != "batch":
-            raise SimMPIError(
-                f"BatchSimMPI only implements engine='batch', got engine={engine!r}; "
-                "use SimMPI(K, engine=...) for backend dispatch"
-            )
         if machine is None:
             raise SimMPIError(
                 "engine='batch' requires a machine: without one the event engine "
@@ -356,7 +352,6 @@ class BatchSimMPI(SimMPI):
                 "wildcard gate that makes delivery order a pure function of "
                 "virtual time; use engine='event'"
             )
-        self.engine_name = "batch"
 
     # ------------------------------------------------------------------
     # Arbitrary SPMD programs: refused by name

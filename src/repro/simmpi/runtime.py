@@ -571,22 +571,16 @@ class _ProcState:
 class SimMPI:
     """The engine: owns ranks, mailboxes, clocks and the cost model.
 
-    ``SimMPI`` is both the event-driven backend and the unified
-    construction surface for every backend: ``SimMPI(K,
-    engine="batch", ...)`` returns a
-    :class:`~repro.simmpi.batch.BatchSimMPI` instance (dispatch
-    happens in ``__new__`` via the :mod:`repro.simmpi.engine`
-    registry), so callers select a backend without importing it.  All
-    backends run the same process functions and return the same
-    :class:`~repro.simmpi.message.RunResult`.
+    ``SimMPI`` is the event-driven engine (``engine="event"``): it runs
+    any process function.  Its planned-exchange-only subclass
+    :class:`~repro.simmpi.batch.BatchSimMPI` (``engine="batch"``)
+    returns the same :class:`~repro.simmpi.message.RunResult` for the
+    planned exchanges it accepts.
     """
 
-    def __new__(cls, *args, engine: str = "event", **kwargs):
-        if cls is SimMPI and engine != "event":
-            from .engine import resolve_engine
-
-            return object.__new__(resolve_engine(engine))
-        return object.__new__(cls)
+    #: runs arbitrary process functions; dispatch sites (``run_exchange``,
+    #: the SpMV drivers) spawn per-rank processes on this engine
+    planned_only = False
 
     def __init__(
         self,
@@ -600,21 +594,9 @@ class SimMPI:
         rendezvous_threshold_words: int | None = None,
         fault_plan: FaultPlan | None = None,
         tracer=None,
-        engine: str = "event",
     ):
         if K < 1:
             raise SimMPIError(f"K={K} must be positive")
-        if engine != "event":
-            # unreachable through SimMPI(...) (``__new__`` dispatches to
-            # the backend class first); guards direct __init__ calls
-            from .engine import resolve_engine
-
-            resolve_engine(engine)  # raises for unknown names
-            raise SimMPIError(
-                f"SimMPI.__init__ only builds engine='event'; construct "
-                f"engine={engine!r} via SimMPI(K, engine={engine!r})"
-            )
-        self.engine_name = "event"
         if jitter < 0:
             raise SimMPIError("jitter must be non-negative")
         if rendezvous_threshold_words is not None and rendezvous_threshold_words < 1:
@@ -1332,7 +1314,6 @@ def run_spmd(
     rendezvous_threshold_words: int | None = None,
     fault_plan: FaultPlan | None = None,
     tracer=None,
-    engine: str = "event",
 ) -> RunResult:
     """Convenience wrapper: run ``fn(comm, *args)`` on every rank.
 
@@ -1342,10 +1323,6 @@ def run_spmd(
     :class:`SimMPI` (straggler noise, the MPI protocol switch, and
     fault injection); ``tracer`` is an optional :class:`repro.obs.Tracer`
     receiving engine spans/counters in virtual time.
-
-    ``engine`` selects the simulation backend by name (see
-    :mod:`repro.simmpi.engine`; only ``"event"`` runs arbitrary process
-    functions).
     """
     sim = SimMPI(
         K,
@@ -1357,6 +1334,5 @@ def run_spmd(
         rendezvous_threshold_words=rendezvous_threshold_words,
         fault_plan=fault_plan,
         tracer=tracer,
-        engine=engine,
     )
     return sim.run(lambda comm: fn(comm, *args))

@@ -31,6 +31,7 @@ from ..core.stfw import recv_counts_from_plan, stfw_process
 from ..core.vpt import VirtualProcessTopology
 from ..errors import PlanError
 from ..partition.base import Partition
+from ..simmpi.engine import resolve_engine
 from ..simmpi.runtime import run_spmd
 
 __all__ = ["columnparallel_pattern", "ColSpMVResult"]
@@ -154,18 +155,12 @@ def _colparallel_impl(
         plan = build_plan(send_pattern, vpt)
         counts = recv_counts_from_plan(plan)
 
-    planned_only = False
-    if engine != "event":
-        from ..simmpi.engine import resolve_engine
-
-        planned_only = bool(getattr(resolve_engine(engine), "planned_only", False))
-    if planned_only:
+    engine_cls = resolve_engine(engine)
+    if engine_cls.planned_only:
         # vectorized fold: run the exchange through the batch executors,
         # then replay each rank's accumulation in the engine's exact
         # delivery order (the += fold is float-order-sensitive)
-        from ..simmpi.runtime import SimMPI
-
-        sim = SimMPI(K, machine=machine, engine=engine)
+        sim = engine_cls(K, machine=machine)
         sized_payloads = [
             {q: _SizedPair(send_rows[p][q], send_vals[p][q]) for q in send_rows[p]}
             for p in range(K)
@@ -212,7 +207,7 @@ def _colparallel_impl(
         mine = partition.rows_of(p)
         return y_local[mine]
 
-    run = run_spmd(K, lambda comm: rank_fn(comm), machine=machine, engine=engine)
+    run = run_spmd(K, lambda comm: rank_fn(comm), machine=machine)
     return _assemble_col_result(
         A, partition, x, n, K, pattern, run.returns, run, verify
     )

@@ -21,6 +21,7 @@ from ..core.stfw import recv_counts_from_plan, stfw_process
 from ..core.vpt import VirtualProcessTopology
 from ..errors import PlanError
 from ..partition.base import Partition
+from ..simmpi.engine import resolve_engine
 from ..simmpi.runtime import run_spmd
 from .local import LocalBlock, local_spmv, split_matrix
 from .pattern import spmv_needed_entries, spmv_pattern
@@ -143,18 +144,12 @@ def distributed_spmv(
         plan = build_plan(pattern, vpt)
         counts = recv_counts_from_plan(plan)
 
-    planned_only = False
-    if engine != "event":
-        from ..simmpi.engine import resolve_engine
-
-        planned_only = bool(getattr(resolve_engine(engine), "planned_only", False))
-    if planned_only:
+    engine_cls = resolve_engine(engine)
+    if engine_cls.planned_only:
         # batch path: run the exchange as whole-stage sweeps, then do
         # each rank's x assembly and local multiply outside the engine
         # (x_full[idx] = payload writes disjoint slots, order-free)
-        from ..simmpi.runtime import SimMPI
-
-        sim = SimMPI(K, machine=machine, engine=engine)
+        sim = engine_cls(K, machine=machine)
         payloads = [
             {dst: values for dst, (idx, values) in send_plans[p].items()}
             for p in range(K)
@@ -191,7 +186,7 @@ def distributed_spmv(
                 rc,
             )
 
-        run = run_spmd(K, lambda comm: factory(comm), machine=machine, engine=engine)
+        run = run_spmd(K, lambda comm: factory(comm), machine=machine)
         rank_returns = run.returns
 
     y = np.zeros(n, dtype=np.float64)

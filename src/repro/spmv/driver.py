@@ -549,7 +549,6 @@ def run_iterative_with_recovery(
     max_retry_rounds: int = 2,
     x0: np.ndarray | None = None,
     tracer=None,
-    engine: str = "event",
 ) -> IterativeRecoveryResult:
     """Run an iterative SpMV that survives rank crashes by shrinking.
 
@@ -569,15 +568,6 @@ def run_iterative_with_recovery(
     and replay spans plus engine, reliable-layer and checkpoint-store
     counters for the run.
     """
-    from ..simmpi.engine import resolve_engine
-
-    resolve_engine(engine)
-    if engine != "event":
-        raise ExperimentError(
-            f"iterative recovery requires engine='event' (got {engine!r}): "
-            "heartbeats, shrink agreement and rollback are decided "
-            "message by message"
-        )
     A = sp.csr_matrix(A)
     n = A.shape[0]
     if iterations < 1:
@@ -626,7 +616,6 @@ def run_iterative_with_recovery(
             machine=machine,
             fault_plan=fault_plan,
             tracer=tracer,
-            engine=engine,
         )
     except DeadlockError as exc:
         raise RecoveryError(

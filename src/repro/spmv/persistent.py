@@ -613,7 +613,6 @@ class PersistentExchangeService:
             machine=self.machine,
             fault_plan=FaultPlan(crashes={r: 0.0 for r in all_dead}),
             tracer=tracer,
-            engine=self.engine,
         )
         gone = set(all_dead)
         src, dst, size = pat.src, pat.dst, pat.size
@@ -694,7 +693,6 @@ class PersistentSpMV:
         machine=None,
         verify: bool = True,
         abft: bool = False,
-        engine: str = "event",
     ):
         A = sp.csr_matrix(A)
         if A.shape[0] != A.shape[1]:
@@ -709,10 +707,6 @@ class PersistentSpMV:
         self.partition = partition
         self.vpt = vpt
         self.machine = machine
-        from ..simmpi.engine import resolve_engine
-
-        resolve_engine(engine)
-        self.engine = engine
         self.verify = verify
         self.abft = bool(abft)
         #: compute flips the ABFT check caught (and recovered locally)
@@ -734,7 +728,6 @@ class PersistentSpMV:
                 vpt,
                 machine=machine,
                 validate=False,
-                engine=engine,
             )
             self.plan = self.service.plan
             self._counts = self.service.tables.recv_counts
@@ -825,7 +818,7 @@ class PersistentSpMV:
                 return (y_local, c)
             return (local_spmv(block, x_full), 0)
 
-        run = run_spmd(self.K, rank_fn, machine=self.machine, engine=self.engine)
+        run = run_spmd(self.K, rank_fn, machine=self.machine)
         y = np.zeros(n, dtype=np.float64)
         caught = 0
         for p in range(self.K):

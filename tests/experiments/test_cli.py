@@ -58,6 +58,9 @@ class TestParser:
             ["drift", "--check", "x"],
             ["chaos", "-o", "x"],
             ["corrupt", "--check", "x"],
+            ["chaos", "--engine", "event"],
+            ["run", "faults", "--engine", "event"],
+            ["figure8", "--engine", "event"],
         ],
     )
     def test_removed_benchmark_spellings_are_usage_errors(self, argv, capsys):
@@ -65,30 +68,6 @@ class TestParser:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert "usage: repro" in capsys.readouterr().err
-
-
-class TestEngineFlags:
-    """The shared ``--engine`` backend-selection flag."""
-
-    @pytest.mark.parametrize(
-        "cmd", [["run", "faults"], ["drift"], ["chaos"], ["corrupt"]]
-    )
-    def test_every_emulator_command_takes_the_flags(self, cmd):
-        args = build_parser().parse_args(cmd + ["--engine", "batch"])
-        assert args.engine == "batch"
-
-    def test_default_is_no_override(self):
-        args = build_parser().parse_args(["drift"])
-        assert args.engine is None
-
-    def test_unknown_engine_rejected_by_name(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["chaos", "--engine", "warp"])
-        assert "invalid choice: 'warp'" in capsys.readouterr().err
-
-    def test_cost_model_experiments_reject_engine(self):
-        with pytest.raises(SystemExit, match="analytic cost model"):
-            main(["run", "figure8", "--engine", "batch"])
 
 
 class TestCommands:

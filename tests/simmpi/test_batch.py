@@ -1,6 +1,6 @@
 """Cross-engine equivalence and API tests for the batch backend.
 
-The contract under test: ``SimMPI(K, engine="batch")`` is
+The contract under test: ``BatchSimMPI`` (``engine="batch"``) is
 **bit-identical** to the default event engine — same ``RunResult``
 (returns, clocks, makespan, canonical trace), same chrome-trace bytes,
 same obs counters — for every *supported* scenario: planned STFW and
@@ -13,15 +13,19 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.core import CommPattern, PatternDelta, build_plan, make_vpt, repair_plan, run_exchange
 from repro.errors import PlanError, SimMPIError
+from repro.experiments import drift, faults
 from repro.network import BGQ, CRAY_XC40, CRAY_XK7
 from repro.obs import Tracer, chrome_trace
-from repro.simmpi import FaultPlan, SimMPI, engine_names, run_spmd
+from repro.partition import block_partition
+from repro.simmpi import FaultPlan, SimMPI, engine_names, resolve_engine, run_spmd
 from repro.core.stfw import _default_payloads
 from repro.simmpi.batch import BatchSimMPI, Deliveries, EdgePayloads, digits16, rounds
+from repro.spmv.persistent import PersistentSpMV
 
 
 def deep_eq(x, y):
@@ -225,7 +229,7 @@ class TestRoutingByThePlan:
     @staticmethod
     def run(plan, tracer=None):
         K, pattern = plan.K, plan.pattern
-        sim = SimMPI(K, machine=BGQ, engine="batch", trace=True, tracer=tracer)
+        sim = BatchSimMPI(K, machine=BGQ, trace=True, tracer=tracer)
         table = EdgePayloads.synthetic(K, pattern.src, pattern.dst, pattern.size)
         return sim.run_planned_stfw(plan.vpt, plan, table)
 
@@ -356,70 +360,39 @@ class TestSpMVEquivalence:
         if layout == "row":
             assert base.clocks == got.clocks
 
-    def test_run_spmd_refused_for_batch(self):
-        def proc(comm):
-            return comm.rank
-            yield
-
-        with pytest.raises(SimMPIError, match="arbitrary process functions"):
-            run_spmd(8, proc, machine=BGQ, engine="batch")
-
 
 class TestEagerRefusals:
     """Everything unsupported is refused by name before any simulation."""
 
     def test_dispatch_returns_backend_instance(self):
-        mpi = SimMPI(8, machine=BGQ, engine="batch")
+        mpi = resolve_engine("batch")(8, machine=BGQ)
         assert isinstance(mpi, BatchSimMPI)
-        assert mpi.engine_name == "batch"
         assert mpi.planned_only is True
-        assert SimMPI(8, machine=BGQ).engine_name == "event"
+        assert resolve_engine("event") is SimMPI
+        assert SimMPI(8, machine=BGQ).planned_only is False
 
     def test_requires_machine(self):
         with pytest.raises(SimMPIError, match="requires a machine"):
-            SimMPI(8, engine="batch")
+            BatchSimMPI(8)
 
     def test_rejects_jitter(self):
         with pytest.raises(SimMPIError, match="jitter"):
-            SimMPI(8, machine=BGQ, engine="batch", jitter=0.1)
+            BatchSimMPI(8, machine=BGQ, jitter=0.1)
 
     def test_rejects_fault_plan(self):
         plan = FaultPlan(crashes={3: 10.0}, seed=2)
         with pytest.raises(SimMPIError, match="fault_plan is refused"):
-            SimMPI(8, machine=BGQ, engine="batch", fault_plan=plan)
+            BatchSimMPI(8, machine=BGQ, fault_plan=plan)
 
     def test_rejects_zero_lookahead_machine(self):
         flat = BGQ.with_params(alpha_us=0.0)
         with pytest.raises(SimMPIError, match="lookahead"):
-            SimMPI(8, machine=flat, engine="batch")
+            BatchSimMPI(8, machine=flat)
 
     def test_run_refused_by_name(self):
-        mpi = SimMPI(8, machine=BGQ, engine="batch")
+        mpi = BatchSimMPI(8, machine=BGQ)
         with pytest.raises(SimMPIError, match="wildcard"):
             mpi.run(lambda comm: iter(()))
-
-    def test_chaos_soak_refused_eagerly(self):
-        from repro.errors import ExperimentError
-        from repro.experiments import chaos
-
-        with pytest.raises(ExperimentError, match="fault-capable"):
-            chaos.run(K=16, epochs=20, engine="batch")
-
-    def test_drift_service_refused_eagerly(self):
-        from repro.errors import ExperimentError
-        from repro.experiments import drift
-
-        with pytest.raises(ExperimentError, match="NBX rediscovery"):
-            drift.run(K=16, epochs=1, service=True, engine="batch")
-
-    def test_event_only_experiment_drivers_refuse_eagerly(self):
-        from repro.errors import ExperimentError
-        from repro.experiments import faults, recover
-
-        with pytest.raises(ExperimentError, match="engine='event'"):
-            faults.run(K=16, engine="batch")
-        with pytest.raises(ExperimentError, match="engine='event'"):
-            recover.run(K=16, engine="batch")
 
     def test_dynamic_mode_refused(self):
         pattern = CommPattern.random(16, avg_degree=3, seed=2)
@@ -461,7 +434,7 @@ class TestEagerRefusals:
         # first message of its route: makespan 94.84 us against 55.94
         pattern = CommPattern.random(64, 8, words=4, seed=1)
         vpt = make_vpt(64, 2)
-        sim = SimMPI(64, machine=BGQ, engine="batch")
+        sim = BatchSimMPI(64, machine=BGQ)
         with pytest.raises(SimMPIError, match="stage 0.*coalesce=True"):
             sim.run_planned_stfw(
                 vpt, build_plan(pattern, vpt, coalesce=False), _default_payloads(pattern)
@@ -475,7 +448,7 @@ class TestEagerRefusals:
         from repro.core.dimensioning import VirtualProcessTopology as VPT
 
         pattern = CommPattern.random(64, 6, words=2, seed=1)
-        sim = SimMPI(64, machine=BGQ, engine="batch")
+        sim = BatchSimMPI(64, machine=BGQ)
         with pytest.raises(SimMPIError, match=re.escape(f"VPT (8, 8), not for {dim_sizes}")):
             sim.run_planned_stfw(
                 VPT(dim_sizes), build_plan(pattern, VPT((8, 8))), _default_payloads(pattern)
@@ -622,7 +595,7 @@ class TestSortHelpers:
         times = np.array([5e-324, 1.5, 2.25, 2.25 + 2**-40, 7.0, np.finfo(np.float64).max])
         arrive = rng.choice(times, size=snd.size)
         seq = rng.integers(0, 9, size=K)[snd] + np.arange(snd.size)  # grows with send order
-        sim = SimMPI(K, machine=BGQ, engine="batch")
+        sim = BatchSimMPI(K, machine=BGQ)
         dord, cnt_r = sim._sweep_recvs(np.zeros(K), rcv, words, arrive)
         assert np.array_equal(dord, np.lexsort((seq, snd, arrive, rcv)))
         assert np.array_equal(cnt_r, np.bincount(rcv, minlength=K))
@@ -644,7 +617,7 @@ class TestSortHelpers:
 
 
 class TestEngineRegistry:
-    """Registry API: deterministic ordering and named error paths."""
+    """Engine names: a fixed two-entry map, and named error paths."""
 
     def test_names_are_sorted_and_complete(self):
         assert engine_names() == ("batch", "event")
@@ -653,8 +626,9 @@ class TestEngineRegistry:
         from repro.cli import build_parser
 
         removed = "shard" "ed"  # spelled so a word grep for the old name stays empty
+        pattern = CommPattern.random(4, avg_degree=2, seed=0)
         with pytest.raises(SimMPIError, match="known engines: batch, event"):
-            SimMPI(4, engine=removed)
+            run_exchange(pattern, dims=2, machine=BGQ, engine=removed)
         with pytest.raises(TypeError, match="workers"):
             SimMPI(4, workers=2)
         with pytest.raises(TypeError, match="workers"):
@@ -668,35 +642,33 @@ class TestEngineRegistry:
             assert exc.value.code == 2
             assert why in capsys.readouterr().err
 
-    def test_unknown_engine_error_lists_available(self):
+    def test_unknown_engine_error_lists_available(self, monkeypatch):
+        import repro.core.stfw as stfw
+
+        def no_plan(*args, **kwargs):
+            raise AssertionError("a plan was built before the engine name was checked")
+
+        monkeypatch.setattr(stfw, "build_plan", no_plan)
+        pattern = CommPattern.random(16, avg_degree=3, seed=2)
         with pytest.raises(SimMPIError, match="unknown engine 'warp'") as exc:
-            SimMPI(8, machine=BGQ, engine="warp")
+            run_exchange(pattern, dims=2, machine=BGQ, engine="warp")
         msg = str(exc.value)
         for name in engine_names():
             assert name in msg
 
-    def test_duplicate_register_engine_refused(self):
-        from repro.simmpi.engine import _EXTRA, register_engine
-
-        class _Fake(SimMPI):
-            pass
-
-        class _Other(SimMPI):
-            pass
-
-        try:
-            register_engine("fake-dup", _Fake)
-            register_engine("fake-dup", _Fake)  # same class: idempotent
-            with pytest.raises(SimMPIError, match="already registered"):
-                register_engine("fake-dup", _Other)
-        finally:
-            _EXTRA.pop("fake-dup", None)
-
-    def test_builtin_name_collision_refused(self):
-        from repro.simmpi.engine import register_engine
-
-        class _Fake(SimMPI):
-            pass
-
-        with pytest.raises(SimMPIError, match="built in"):
-            register_engine("batch", _Fake)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: faults.run(K=16, engine="event"),
+            lambda: drift.run(K=16, epochs=1, engine="event"),
+            lambda: PersistentSpMV(
+                sp.identity(8, format="csr"), block_partition(8, 2), engine="event"
+            ),
+            lambda: run_spmd(4, lambda comm: iter(()), engine="event"),
+            lambda: SimMPI(4, engine="batch"),
+        ],
+        ids=["faults.run", "drift.run", "PersistentSpMV", "run_spmd", "SimMPI"],
+    )
+    def test_engine_keyword_left_the_event_only_surfaces(self, call):
+        with pytest.raises(TypeError, match="engine"):
+            call()
