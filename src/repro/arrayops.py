@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["run_starts", "sorted_unique", "has_duplicates", "take_by_key"]
+__all__ = ["run_starts", "sorted_unique", "has_duplicates", "take_by_key", "read_only"]
 
 
 def run_starts(sorted_keys: np.ndarray) -> np.ndarray:
@@ -62,3 +62,15 @@ def take_by_key(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
         run_values = out[at]
         out[at] = run_values[np.lexsort((run_values, keys[order[at]]))]
     return out
+
+
+def read_only(*arrays: np.ndarray | None) -> tuple[np.ndarray | None, ...]:
+    """Mark arrays (``None`` passes through) read-only and return them.
+
+    For arrays kept in a cache: a caller that writes into one raises
+    instead of corrupting every later reader.
+    """
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+    return arrays

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..arrayops import has_duplicates
+from ..arrayops import has_duplicates, read_only
 from ..errors import PlanError
 
 __all__ = ["CommPattern", "PatternDelta", "PatternStats"]
@@ -60,7 +60,7 @@ class CommPattern:
         :meth:`from_arrays`'s ``merge=True``).
     """
 
-    __slots__ = ("_K", "_src", "_dst", "_size", "_sendset_csr", "_edge_index")
+    __slots__ = ("_K", "_src", "_dst", "_size", "_sendset_csr", "_edge_index", "_plan_memo")
 
     def __init__(
         self,
@@ -95,8 +95,11 @@ class CommPattern:
         self._size = size
         # lazily-built CSR view grouping messages by sender (sendset())
         self._sendset_csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        # lazily-built sorted (src*K + dst) key index (edge_rows())
+        # lazily-built sorted (src*K + dst) key index (edges())
         self._edge_index: tuple[np.ndarray, np.ndarray] | None = None
+        # stage arrays of the plans built for this pattern
+        # (PlanBuilder.of); they hold no reference back to the pattern
+        self._plan_memo: tuple[dict, dict, dict] | None = None
 
     @classmethod
     def _trusted(
@@ -118,7 +121,12 @@ class CommPattern:
         obj._size = size
         obj._sendset_csr = None
         obj._edge_index = None
+        obj._plan_memo = None
         return obj
+
+    def __reduce__(self):
+        # the pattern, not its caches: a used pattern pickles as a fresh one
+        return CommPattern._trusted, (self._K, self._src, self._dst, self._size)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -313,7 +321,7 @@ class CommPattern:
         want = src * np.int64(self._K) + dst
         if want.size == 0:
             return np.empty(0, dtype=np.int64)
-        skeys, order = self._edges()
+        skeys, order = self.edges()
         pos = np.searchsorted(skeys, want)
         if skeys.size:
             bad = skeys[np.minimum(pos, skeys.size - 1)] != want
@@ -326,14 +334,17 @@ class CommPattern:
             )
         return order[pos]
 
-    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """The lazily-built edge index: (sorted keys, their row indices)."""
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edge index: the sorted ``src * K + dst`` keys and their rows.
+
+        ``keys[i]`` is the key of row ``order[i]``.  Built once and kept
+        (read-only) until the pattern is mutated in place.
+        """
         idx = self._edge_index
         if idx is None:
             keys = self._src * np.int64(self._K) + self._dst
             order = np.argsort(keys, kind="stable")
-            idx = (keys[order], order)
-            self._edge_index = idx
+            idx = self._edge_index = read_only(keys[order], order)
         return idx
 
     def sent_counts(self) -> np.ndarray:
@@ -381,11 +392,13 @@ class CommPattern:
         """Drop derived caches after an in-place mutation.
 
         Every mutation path must route through here: the lazily-built
-        CSR sendset index and sorted edge index (and any future derived
-        cache) would silently serve the pre-mutation pattern otherwise.
+        CSR sendset index, sorted edge index and plan memo (and any
+        future derived cache) would silently serve the pre-mutation
+        pattern otherwise.
         """
         self._sendset_csr = None
         self._edge_index = None
+        self._plan_memo = None
 
     def apply_delta(
         self,
@@ -405,9 +418,10 @@ class CommPattern:
         from-scratch rebuild see literally the same pattern arrays.
 
         With ``inplace=True`` this pattern's own arrays are replaced
-        and its derived caches (the CSR sendset index) invalidated;
-        otherwise a new :class:`CommPattern` is returned and ``self``
-        is untouched.
+        and its derived caches (the CSR sendset index and the plan
+        memo) invalidated, so a plan built for it before must be built
+        again; otherwise a new :class:`CommPattern` is returned and
+        ``self`` is untouched.
         """
         if delta.K != self._K:
             raise PlanError(f"delta K={delta.K} does not match pattern K={self._K}")
@@ -438,7 +452,7 @@ class CommPattern:
         # survivors stay sorted-key indexed; check additions against
         # them here so the result can skip the constructor's full
         # duplicate scan (the delta already proved everything else)
-        skeys, order = self._edges()
+        skeys, order = self.edges()
         skeep = keep[order]
         surv_keys = skeys[skeep]
         add_keys = delta.add_src * K + delta.add_dst
@@ -477,7 +491,7 @@ class CommPattern:
         else:
             new_skeys = surv_keys
             new_order = surv_rows
-        result._edge_index = (new_skeys, new_order)
+        result._edge_index = read_only(new_skeys, new_order)
         if not inplace:
             return result
         self._src = result._src

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..arrayops import run_starts
+from ..arrayops import read_only, run_starts
 from ..errors import PlanError
 from .pattern import CommPattern, PatternDelta
 from .vpt import VirtualProcessTopology
@@ -459,9 +459,13 @@ class PlanBuilder:
     dimensionalities of one pattern (``plans_for_dimensions``, the SpMV
     scheme sweep) recomputes nothing two topologies share.
 
-    Plans produced by one builder are identical — stage arrays, totals
-    and occupancy — to independent :func:`build_plan` calls; the test
-    suite pins this.
+    ``PlanBuilder(pattern)`` starts from nothing; :meth:`of` (what
+    :func:`build_plan` uses) reads and fills the memo the pattern
+    itself keeps, so a pattern builds each stage once however many
+    times its plans are asked for.  Memoized arrays are read-only and
+    are shared by every plan built from them.
+    Plans produced either way are identical — stage arrays, totals and
+    occupancy — to a from-scratch build; the test suite pins this.
     """
 
     def __init__(self, pattern: CommPattern):
@@ -474,10 +478,27 @@ class PlanBuilder:
         #: w_{d+1} -> per-process in-transit words after the stage
         self._occupancy: dict[int, np.ndarray] = {}
 
+    @classmethod
+    def of(cls, pattern: CommPattern) -> "PlanBuilder":
+        """A builder on ``pattern``'s own memo.
+
+        The memo lives in the pattern and holds arrays only, no
+        reference back to it: it goes when the pattern goes, when
+        the pattern is mutated in place, and it is left out of a pickle.
+        """
+        memo = pattern._plan_memo
+        if memo is None:
+            memo = pattern._plan_memo = ({}, {}, {})
+        builder = cls.__new__(cls)
+        builder.pattern = pattern
+        builder._holders, builder._stages, builder._occupancy = memo
+        return builder
+
     def _holder(self, w: int) -> np.ndarray:
         arr = self._holders.get(w)
         if arr is None:
             arr = self._holders[w] = _holder_of(self.pattern.src, self.pattern.dst, w)
+            read_only(arr)
         return arr
 
     def _stage_arrays(self, w0: int, w1: int, coalesce: bool) -> tuple:
@@ -524,7 +545,7 @@ class PlanBuilder:
             route_key = np.empty(0, dtype=np.int64) if coalesce else None
             members = np.full(moved.size, -1, dtype=np.int64) if coalesce else None
 
-        cached = (msg_sender, msg_receiver, nsub, payload, route_key, members)
+        cached = read_only(msg_sender, msg_receiver, nsub, payload, route_key, members)
         self._stages[key] = cached
         return cached
 
@@ -544,6 +565,7 @@ class PlanBuilder:
             else:
                 row = np.zeros(K, dtype=np.int64)
             self._occupancy[w1] = row
+            read_only(row)
         return row
 
     def plan(
@@ -600,7 +622,8 @@ class PlanBuilder:
         ablation arrays are order-dependent and rebuilt lazily).
 
         Returns the drifted pattern, which is byte-identical to
-        ``self.pattern.apply_delta(delta)``.
+        ``self.pattern.apply_delta(delta)``.  The builder's memo becomes
+        its own: the old pattern's (see :meth:`of`) is left as it was.
         """
         rows = _DeltaRows(self.pattern, delta)
         K = self.pattern.K
@@ -625,6 +648,10 @@ class PlanBuilder:
             w1: row + rows.occupancy_delta(K, w1)
             for w1, row in self._occupancy.items()
         }
+        for memo in (self._holders, self._occupancy):
+            read_only(*memo.values())
+        for arrays in stages.values():
+            read_only(*arrays)
         self.pattern = new_pattern
         return new_pattern
 
@@ -718,12 +745,14 @@ def build_plan(
     CommPlan
         Stage-by-stage physical message schedule plus occupancy.
 
-    Callers building plans for several topologies of the *same*
-    pattern should use one :class:`PlanBuilder` (as
-    :func:`plans_for_dimensions` and the SpMV driver do) to share the
-    routing intermediates between topologies.
+    Plans are memoized per pattern (:meth:`PlanBuilder.of`): the first
+    build of a stage sorts and coalesces, every later build of a plan
+    of the same pattern that shares the stage's weights, for this or
+    another topology, only assembles the read-only stage arrays kept
+    from it.  The memo lives exactly as long as the pattern and goes
+    when the pattern is mutated in place.
     """
-    return PlanBuilder(pattern).plan(vpt, header_words=header_words, coalesce=coalesce)
+    return PlanBuilder.of(pattern).plan(vpt, header_words=header_words, coalesce=coalesce)
 
 
 def build_direct_plan(pattern: CommPattern, *, header_words: int = 0) -> CommPlan:
@@ -769,11 +798,10 @@ def plans_for_dimensions(
     """
     from .dimensioning import make_vpt
 
-    builder = PlanBuilder(pattern)
-    out: dict[int, CommPlan] = {}
-    for n in dimensions:
-        out[n] = builder.plan(make_vpt(pattern.K, n), header_words=header_words)
-    return out
+    return {
+        n: build_plan(pattern, make_vpt(pattern.K, n), header_words=header_words)
+        for n in dimensions
+    }
 
 
 def plans_identical(p: CommPlan, q: CommPlan) -> bool:

@@ -185,6 +185,7 @@ class Regularizer:
             result = run_exchange(
                 self.pattern,
                 self.vpt,
+                plan=self._plan,
                 payloads=payloads,
                 machine=machine,
                 header_words=self._header_words,

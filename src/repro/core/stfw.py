@@ -1012,6 +1012,37 @@ def _resolve_scheme(
     return vpt, "stfw"
 
 
+def _vet_plan(
+    plan: CommPlan,
+    pattern: CommPattern,
+    vpt: VirtualProcessTopology | None,
+    kind: str,
+    mode: str,
+    header_words: int,
+    tolerant: bool,
+) -> None:
+    """Refuse by name a ``plan=`` that :func:`run_exchange` would not run.
+
+    The plan must be a coalesced plan built for this very pattern
+    object, this VPT and these ``header_words``, and the exchange must
+    be one that reads a plan: planned, plain STFW.
+    """
+    if kind == "direct":
+        raise PlanError("plan= does not apply to scheme 'direct': it runs no plan")
+    if mode == "dynamic":
+        raise PlanError("plan= does not apply with mode='dynamic': it counts without a plan")
+    if tolerant:
+        raise PlanError("plan= does not apply with a tolerant on_fault: its protocol runs no plan")
+    if plan.pattern is not pattern:
+        raise PlanError("plan= was built for another pattern; build one for this pattern")
+    if plan.vpt.dim_sizes != vpt.dim_sizes:
+        raise PlanError(f"plan= was built for the VPT {plan.vpt.dim_sizes}, not {vpt.dim_sizes}")
+    if plan.header_words != header_words:
+        raise PlanError(f"plan= was built with header_words={plan.header_words}")
+    for st in plan.stages:
+        stage_route_key(st, pattern.K, "plan=")
+
+
 def run_exchange(
     pattern: CommPattern,
     vpt: VirtualProcessTopology | None = None,
@@ -1028,6 +1059,7 @@ def run_exchange(
     fault_plan: FaultPlan | None = None,
     on_fault: str | FaultPolicy = "raise",
     engine: str = "event",
+    plan: CommPlan | None = None,
     **engine_kwargs,
 ) -> ExchangeResult:
     """Execute one full exchange for ``pattern`` on the emulator.
@@ -1048,6 +1080,17 @@ def run_exchange(
       always terminates, filling ``reports`` with per-rank
       :class:`FTRankReport` accounting.  ``"tolerate"`` means
       ``FaultPolicy()``.
+
+    ``plan`` is a :class:`~repro.core.plan.CommPlan` the caller already
+    holds, for this pattern object, VPT and ``header_words``; the
+    exchange then runs on it instead of calling
+    :func:`~repro.core.plan.build_plan` (which memoizes per pattern, so
+    a repeat build is cheap but not free).  It also supplies the VPT
+    when no ``vpt``, ``dims`` or ``scheme`` is given.  It is refused by
+    name for another pattern, VPT or ``header_words``, a
+    ``coalesce=False`` plan, the direct scheme, ``mode="dynamic"`` and
+    a tolerant ``on_fault``.  A plan stays valid as long as its pattern
+    is not mutated in place.
 
     ``payloads`` is one ``{dst: payload}`` dict per rank, or an
     :class:`~repro.simmpi.batch.EdgePayloads` table; it defaults to the
@@ -1082,9 +1125,13 @@ def run_exchange(
             f"unknown on_fault {on_fault!r}; use 'raise', 'partial', "
             "'tolerate' or a FaultPolicy"
         )
+    if plan is not None and vpt is None and dims is None and scheme is None:
+        vpt = plan.vpt
     vpt, kind = _resolve_scheme(
         pattern, vpt, scheme, dims, mode, header_words, tolerant
     )
+    if plan is not None:
+        _vet_plan(plan, pattern, vpt, kind, mode, header_words, tolerant)
     engine_cls = resolve_engine(engine)
     if on_fault == "partial" and engine_cls.planned_only:
         raise PlanError(
@@ -1129,13 +1176,13 @@ def run_exchange(
             **engine_kwargs,
         )
         if kind == "stfw":
-            batch_plan = build_plan(pattern, vpt, header_words=header_words)
-            run = sim.run_planned_stfw(vpt, batch_plan, payloads)
-            return ExchangeResult(delivered=run.returns, run=run, plan=batch_plan)
+            if plan is None:
+                plan = build_plan(pattern, vpt, header_words=header_words)
+            run = sim.run_planned_stfw(vpt, plan, payloads)
+            return ExchangeResult(delivered=run.returns, run=run, plan=plan)
         run = sim.run_planned_direct(payloads, pattern.recv_counts())
         return ExchangeResult(delivered=run.returns, run=run, plan=None)
 
-    plan: CommPlan | None = None
     # per-rank delivery sinks the plain bodies fill as they go: what a
     # salvaged deadlock's partial result is read from
     sinks: list[list[tuple[int, Any]]] = [[] for _ in range(pattern.K)]
@@ -1157,7 +1204,8 @@ def run_exchange(
     elif kind == "stfw":
         counts: np.ndarray | None = None
         if mode == "planned":
-            plan = build_plan(pattern, vpt, header_words=header_words)
+            if plan is None:
+                plan = build_plan(pattern, vpt, header_words=header_words)
             counts = recv_counts_from_plan(plan)
 
         def factory(comm: Comm):

@@ -565,11 +565,10 @@ class BatchSimMPI(SimMPI):
         # up front instead of mis-simulating
         pat = plan.pattern
         ekey = esrc * K + edst
-        pkey = pat.src.astype(np.int64) * K + pat.dst
         eorder = np.argsort(ekey, kind="stable")
-        porder = np.argsort(pkey, kind="stable")
+        pkey, porder = pat.edges()  # the pattern's sorted keys, kept with it
         if not (
-            np.array_equal(ekey[eorder], pkey[porder])
+            np.array_equal(ekey[eorder], pkey)
             and np.array_equal(esize[eorder], pat.size[porder].astype(np.int64))
         ):
             raise SimMPIError(
@@ -596,9 +595,10 @@ class BatchSimMPI(SimMPI):
 
         # routing by the plan: stage ``d`` carries pattern row ``p`` in
         # message ``plan.stage_members(d)[p]`` (-1: the row stays put),
-        # and the payload check's two sorts pair pattern rows with table
-        # rows.  Each row carries an *arrival key*: the global position
-        # at which it entered the forward buffer it is next sent from.
+        # and the payload check's sort and the pattern's edge index pair
+        # pattern rows with table rows.  Each row carries an *arrival
+        # key*: the global position at which it entered the forward
+        # buffer it is next sent from.
         # Setup uses the table row (payload dicts are enumerated in
         # rank/dict order before any stage runs); keys assigned during
         # the stages start at E and grow monotonically, so sorting a

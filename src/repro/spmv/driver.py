@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from ..core.dimensioning import make_vpt
 from ..core.pattern import CommPattern
-from ..core.plan import CommPlan, PlanBuilder, build_direct_plan, build_plan
+from ..core.plan import CommPlan, build_direct_plan, build_plan
 from ..core.recovery import RecoveryPlan, build_recovery
 from ..core.stfw import recv_counts_from_plan
 from ..errors import DeadlockError, ExperimentError, RecoveryError, format_pending
@@ -155,9 +155,8 @@ def run_spmv_schemes(
     nnz_loads = nnz_per_part(A, partition)
     compute_us = spmv_compute_time(nnz_loads, machine)
 
-    # one builder across the dimension sweep: the routing intermediates
+    # build_plan memoizes per pattern: the routing intermediates
     # (holders, stage coalescing, occupancy) are shared between VPTs
-    builder = PlanBuilder(pattern)
     digest = None
     if artifacts is not None:
         from ..cache import pattern_digest
@@ -174,10 +173,10 @@ def run_spmv_schemes(
                     "dim_sizes": vpt.dim_sizes,
                     "header_words": header_words,
                 },
-                lambda: builder.plan(vpt, header_words=header_words),
+                lambda: build_plan(pattern, vpt, header_words=header_words),
             )
         else:
-            plan = builder.plan(vpt, header_words=header_words)
+            plan = build_plan(pattern, vpt, header_words=header_words)
         stats = collect_stats(plan)
         timing = time_plan(plan, machine, contention=contention)
         stats.comm_time_us = timing.total_us

@@ -110,7 +110,8 @@ class PersistentExchangeService:
     """A long-lived, self-healing persistent exchange over one pattern.
 
     Construction is the only from-scratch plan build the service ever
-    performs; everything after is incremental.  Each
+    performs; everything after is incremental, and the planned fast
+    path runs on the held plan (``run_exchange(plan=)``).  Each
     :meth:`run_epoch` optionally absorbs a
     :class:`~repro.core.pattern.PatternDelta` (plan **and** side tables
     repaired, byte-identical to recomputation when ``validate`` is on),
@@ -467,6 +468,7 @@ class PersistentExchangeService:
                 result = run_exchange(
                     pat,
                     self.vpt,
+                    plan=self.plan,
                     payloads=payloads,
                     machine=self.machine,
                     fault_plan=fp,

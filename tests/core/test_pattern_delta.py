@@ -140,7 +140,7 @@ class TestApplyDelta:
         for epoch in range(4):
             d = PatternDelta.random(p, 0.3, seed=epoch)
             p = p.apply_delta(d)
-            keys, order = p._edges()
+            keys, order = p.edges()
             fresh = p.src * np.int64(p.K) + p.dst
             forder = np.argsort(fresh, kind="stable")
             np.testing.assert_array_equal(keys, fresh[forder])
