@@ -19,7 +19,7 @@ Correctness rules:
   miss: the entry is removed, the artifact rebuilt and re-stored; a
   bad cache can cost time but never wrong results;
 * **atomic writes** — entries are written to a temp file and
-  ``os.replace``d into place, so concurrent workers sharing one cache
+  ``os.replace``d into place, so concurrent processes sharing one cache
   directory never observe a half-written entry.
 
 The cache directory is resolved by :func:`default_cache_root`
@@ -218,9 +218,7 @@ class ArtifactCache:
 
     ``tracer`` is an optional :class:`repro.obs.Tracer`; lookups are
     additionally recorded as ``cache.hits`` / ``cache.misses`` counters
-    (labelled by kind), which is how parallel workers report their
-    cache traffic back to the session (tracer snapshots merge, the
-    cache object itself never crosses the process boundary).
+    (labelled by kind).
     """
 
     def __init__(self, root: str | os.PathLike, *, tracer=None):

@@ -4,8 +4,8 @@ Examples::
 
     python -m repro table2                 # Table 2 at the default scale
     python -m repro figure8 --scale 0.5    # bigger matrices
-    python -m repro table3 -j 4 --cache    # 4 workers + on-disk artifacts
-    python -m repro run figure9 -j 2       # generic experiment runner
+    python -m repro table3 --cache         # persist on-disk artifacts
+    python -m repro run figure9            # generic experiment runner
     python -m repro cache stats            # inspect the artifact cache
     python -m repro drift --cache          # plan-repair drift benchmark
     python -m repro chaos --epochs 60      # self-healing service soak
@@ -15,9 +15,10 @@ Examples::
 
 Process counts are always the paper's; ``--scale`` resizes only the
 synthetic matrices (communication-preserving, see DESIGN.md).
-``-j/--jobs`` fans independent experiment cells over worker processes
-and ``--cache`` persists generated artifacts (matrices, partitions,
-patterns, plans) across runs; both leave results byte-identical.
+Every sweep runs in one process, one cell after another, and reduces
+each cell before it makes the next; ``--cache`` persists generated
+artifacts (matrices, partitions, patterns, plans) across runs and
+leaves results byte-identical.
 Every emulator-backed command (``run faults|recover``, ``drift``,
 ``chaos``, ``corrupt``, ``trace``) runs on the event engine, the only
 one that runs faults, shrink recovery and NBX discovery; there is no
@@ -128,13 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--epochs", type=int, default=3, help="drift epochs chained per rate"
     )
     p.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    p.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
-        help="fan per-rate chains over workers (timing runs should stay at 1)",
-    )
     p.add_argument(
         "--cache",
         metavar="DIR",
@@ -265,13 +259,6 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--seed", type=int, default=None, help="base RNG seed")
     p.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for independent cells (0/-1 = all cores)",
-    )
-    p.add_argument(
         "--cache",
         metavar="DIR",
         nargs="?",
@@ -294,16 +281,15 @@ def _artifact_cache(args: argparse.Namespace):
 def _run_experiment(
     name: str, cfg: ExperimentConfig, *, args: argparse.Namespace
 ):
-    """Run one experiment honoring ``-j``/``--cache``; returns (result, fmt)."""
+    """Run one experiment honoring ``--cache``; returns (result, fmt)."""
     run_fn, fmt = EXPERIMENTS[name]
-    jobs = getattr(args, "jobs", 1)
     if name in ("faults", "recover"):
-        result = run_fn(cfg, jobs=jobs)
+        result = run_fn(cfg)
     else:
         from .experiments.harness import InstanceCache
 
         cache = InstanceCache(cfg, artifacts=_artifact_cache(args))
-        result = run_fn(cfg, cache=cache, jobs=jobs)
+        result = run_fn(cfg, cache=cache)
     return result, fmt
 
 
@@ -385,7 +371,6 @@ def _cmd_drift(args: argparse.Namespace) -> int:
         artifacts=_artifact_cache(args),
         validate=not args.no_validate,
         service=not args.no_service,
-        jobs=args.jobs,
         **kwargs,
     )
     print(drift.format_result(result))
@@ -526,14 +511,13 @@ def _cmd_trace(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def run_report(cfg: ExperimentConfig, *, jobs: int | None = 1, artifacts=None) -> str:
+def run_report(cfg: ExperimentConfig, *, artifacts=None) -> str:
     """Run every experiment and render one markdown document.
 
     Opens with a Table 1 fidelity section (how close the synthetics are
     to the published statistics), then one section per paper artifact.
     One :class:`InstanceCache` is shared across every cell experiment,
     so each (matrix, K) pair is generated once for the whole report;
-    ``jobs`` fans independent cells over worker processes and
     ``artifacts`` additionally persists them on disk.
     """
     from .experiments.harness import InstanceCache
@@ -558,9 +542,9 @@ def run_report(cfg: ExperimentConfig, *, jobs: int | None = 1, artifacts=None) -
     for name, (run, fmt) in EXPERIMENTS.items():
         t0 = time.time()
         if name in ("faults", "recover"):
-            result = run(cfg, jobs=jobs)
+            result = run(cfg)
         else:
-            result = run(cfg, cache=cache, jobs=jobs)
+            result = run(cfg, cache=cache)
         elapsed = time.time() - t0
         lines.append(f"## {name}  ({elapsed:.1f}s)")
         lines.append("")
@@ -596,7 +580,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_trace(args, cfg)
 
     if args.command == "report":
-        text = run_report(cfg, jobs=args.jobs, artifacts=_artifact_cache(args))
+        text = run_report(cfg, artifacts=_artifact_cache(args))
         if args.output == "-":
             print(text)
         else:

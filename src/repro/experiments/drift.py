@@ -33,7 +33,7 @@ disk instead of repairing again.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from ..core.stfw import run_exchange
 from ..errors import ExperimentError
 from ..metrics import Table
 from ..network.machines import BGQ, Machine
-from ..parallel import parallel_map, worker_state
 from ..simmpi import DiscoveryStats, nbx_discover, run_spmd
 from .config import ExperimentConfig, default_config
 
@@ -111,26 +110,18 @@ class DriftResult:
     validated: bool = True
 
 
-def _base_pattern(K: int, degree: float, seed: int) -> CommPattern:
-    """Per-process memo of the sweep's base pattern (worker reuse)."""
-    return worker_state(
-        ("drift", K, degree, seed),
-        lambda: CommPattern.random(K, avg_degree=degree, seed=seed),
-    )
-
-
-def _rate_task(task: tuple, tracer=None) -> DriftRateRow:
-    """Chain one drift rate's epochs; returns the timing row."""
-    K, degree, seed, dims, header, rate, epochs, validate, cache_root = task
-    pattern = _base_pattern(K, degree, seed)
-    vpt = make_vpt(K, dims)
-    artifacts = None
+def _rate_row(
+    pattern, vpt, rate, seed, header, epochs, validate, artifacts, tracer
+) -> DriftRateRow:
+    """Chain one drift rate's epochs from ``pattern``; returns the timing row."""
+    K, dims = pattern.K, vpt.n
     base_digest = None
     chain: list[str] = []
-    if cache_root is not None:
+    if artifacts is not None:
         from ..cache import ArtifactCache, pattern_digest
 
-        artifacts = ArtifactCache(cache_root, tracer=tracer)
+        # the same directory, with hit/miss counters of this rate's own
+        artifacts = ArtifactCache(artifacts.root, tracer=tracer)
         base_digest = pattern_digest(pattern)
 
     plan = build_plan(pattern, vpt, header_words=header)
@@ -307,26 +298,20 @@ def run(
     service_K: int = SERVICE_K,
     service_epochs: int = 3,
     tracer=None,
-    jobs: int | None = 1,
 ) -> DriftResult:
     """Run the drift sweep (and service); deterministic in ``cfg.seed``.
 
-    ``jobs`` fans the independent per-rate epoch chains over worker
-    processes; with ``jobs>1`` the latency medians absorb scheduler
-    noise from co-running chains, so benchmark-grade numbers should use
-    the default serial pass.  ``artifacts`` (an
-    :class:`~repro.cache.ArtifactCache`) turns on delta-keyed plan
-    reuse.  ``validate=False`` skips the byte-identity cross-checks
-    (timing-only runs).
+    ``artifacts`` (an :class:`~repro.cache.ArtifactCache`) turns on
+    delta-keyed plan reuse.  ``validate=False`` skips the byte-identity
+    cross-checks (timing-only runs).
     """
     cfg = cfg or default_config()
-    cache_root = None if artifacts is None else artifacts.root
-    tasks = [
-        (K, degree, cfg.seed, dims, header_words, rate, epochs, validate, cache_root)
+    pattern = CommPattern.random(K, avg_degree=degree, seed=cfg.seed)
+    vpt = make_vpt(K, dims)
+    rows = [
+        _rate_row(pattern, vpt, rate, cfg.seed, header_words, epochs, validate, artifacts, tracer)
         for rate in rates
     ]
-    rows = parallel_map(_rate_task, tasks, jobs=jobs, tracer=tracer)
-    pattern = _base_pattern(K, degree, cfg.seed)
     summary = None
     if service:
         summary = _run_service(
@@ -342,7 +327,7 @@ def run(
         num_messages=pattern.num_messages,
         dims=dims,
         epochs=epochs,
-        rows=list(rows),
+        rows=rows,
         service=summary,
         validated=validate,
     )

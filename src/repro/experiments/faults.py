@@ -31,7 +31,6 @@ from ..core.stfw import (
 )
 from ..metrics.resilience import ResilienceStats, resilience_stats, resilience_table
 from ..network.machines import BGQ, Machine
-from ..parallel import parallel_map, worker_state
 from ..simmpi import FaultPlan
 from .config import ExperimentConfig, default_config
 
@@ -82,38 +81,6 @@ def busiest_forwarder(pattern: CommPattern, vpt) -> int:
     return min(r for r, c in fw.items() if c == best)
 
 
-def _fault_pattern(K: int, seed: int):
-    """Per-process (pattern, vpt) pair shared by every scenario task."""
-    return worker_state(
-        ("faults", K, seed),
-        lambda: (CommPattern.random(K, avg_degree=4, seed=seed), make_vpt(K, 2)),
-    )
-
-
-def _fault_task(task, tracer=None):
-    """Run one scenario exchange; returns only small picklable pieces."""
-    K, seed, machine, scheme, mode, drop_rate, crash = task
-    pattern, vpt = _fault_pattern(K, seed)
-    kwargs = dict(machine=machine, tracer=tracer)
-    if drop_rate is not None:
-        kwargs["fault_plan"] = FaultPlan(default_drop=drop_rate, seed=seed + 1)
-    elif crash is not None:
-        kwargs["fault_plan"] = FaultPlan(crashes={crash[0]: crash[1]})
-    if mode in ("tolerate", "partial"):
-        # every tolerant run shares FaultPolicy()'s knobs, so the quiesce
-        # windows — hence makespans — are comparable across scenarios
-        kwargs["on_fault"] = mode
-    if scheme == "direct":
-        res = run_exchange(pattern, scheme="direct", **kwargs)
-    else:
-        res = run_exchange(pattern, vpt, **kwargs)
-    if mode == "partial":
-        return (res.delivered, res.crashed, res.completed, res.run.makespan_us)
-    if mode == "tolerate":
-        return (res.delivered, res.crashed, None, res.makespan_us)
-    return (None, None, None, res.makespan_us)
-
-
 def run(
     cfg: ExperimentConfig | None = None,
     *,
@@ -121,93 +88,81 @@ def run(
     machine: Machine = BGQ,
     drop_rates: tuple[float, ...] = DROP_RATES,
     tracer=None,
-    jobs: int | None = 1,
 ) -> FaultsResult:
     """Run the resilience sweep; deterministic in ``cfg.seed``.
 
     An optional :class:`repro.obs.Tracer` collects stage spans and
-    reliable-layer counters across every scenario's exchange.  ``jobs``
-    fans the independent scenario exchanges over worker processes; the
-    rows (and any traced counters) are identical to a serial run.
+    reliable-layer counters across every scenario's exchange.
     """
     cfg = cfg or default_config()
     pattern = CommPattern.random(K, avg_degree=4, seed=cfg.seed)
     vpt = make_vpt(K, 2)
 
-    rows: list[tuple[str, ResilienceStats]] = []
+    def exchange(scheme, on_fault="raise", fault_plan=None):
+        # every tolerant run shares FaultPolicy()'s knobs, so the quiesce
+        # windows — hence makespans — are comparable across scenarios
+        kwargs = dict(machine=machine, tracer=tracer, fault_plan=fault_plan, on_fault=on_fault)
+        if scheme == "direct":
+            return run_exchange(pattern, scheme="direct", **kwargs)
+        return run_exchange(pattern, vpt, **kwargs)
 
-    # Phase A: every drop-sweep exchange and the fault-free reference
-    # run are mutually independent, so they fan out together.  The
-    # crash scenarios wait for the reference makespan (phase B).
-    tasks = []
-    for rate in drop_rates:
-        tasks.append((K, cfg.seed, machine, "direct", "tolerate", rate, None))
-        tasks.append((K, cfg.seed, machine, "stfw", "tolerate", rate, None))
-    tasks.append((K, cfg.seed, machine, "stfw", "none", None, None))
-    phase_a = iter(parallel_map(_fault_task, tasks, jobs=jobs, tracer=tracer))
+    rows: list[tuple[str, ResilienceStats]] = []
 
     # --- link-drop sweep (fault-tolerant transports) -------------------
     ref: dict[str, float] = {}
     for rate in drop_rates:
         scenario = f"drop {100.0 * rate:g}%"
-        for name in ("BL-FT", "STFW-FT"):
-            delivered, crashed, _, makespan = next(phase_a)
-            ref.setdefault(name, makespan)
+        plan = FaultPlan(default_drop=rate, seed=cfg.seed + 1)
+        for name, scheme in (("BL-FT", "direct"), ("STFW-FT", "stfw")):
+            res = exchange(scheme, "tolerate", plan)
+            ref.setdefault(name, res.makespan_us)
             rows.append(
                 (
                     scenario,
                     resilience_stats(
                         name,
                         pattern,
-                        delivered,
-                        crashed=crashed,
-                        makespan_us=makespan,
+                        res.delivered,
+                        crashed=res.crashed,
+                        makespan_us=res.makespan_us,
                         reference_makespan_us=ref[name],
                     ),
                 )
             )
 
     # --- forwarder-crash scenario --------------------------------------
-    _, _, _, base_makespan = next(phase_a)
+    base_makespan = exchange("stfw").makespan_us
     crash_rank = busiest_forwarder(pattern, vpt)
     crash_time = _CRASH_FRACTION * base_makespan
-    crash = (crash_rank, crash_time)
+    crash = FaultPlan(crashes={crash_rank: crash_time})
     scenario = f"crash rank {crash_rank}"
 
-    tasks = [
-        (K, cfg.seed, machine, "stfw", "partial", None, crash),
-        (K, cfg.seed, machine, "direct", "tolerate", None, crash),
-        (K, cfg.seed, machine, "stfw", "tolerate", None, crash),
-    ]
-    phase_b = parallel_map(_fault_task, tasks, jobs=jobs, tracer=tracer)
-
-    delivered, crashed, completed, makespan = phase_b[0]
+    res = exchange("stfw", "partial", crash)
     rows.append(
         (
             scenario,
             resilience_stats(
                 "STFW",
                 pattern,
-                delivered,
-                crashed=crashed,
-                completed=completed,
-                makespan_us=makespan,
+                res.delivered,
+                crashed=res.crashed,
+                completed=res.completed,
+                makespan_us=res.run.makespan_us,
                 reference_makespan_us=base_makespan,
             ),
         )
     )
-    for name, (delivered, crashed, _, makespan) in zip(
-        ("BL-FT", "STFW-FT"), phase_b[1:]
-    ):
+    for name, scheme in (("BL-FT", "direct"), ("STFW-FT", "stfw")):
+        res = exchange(scheme, "tolerate", crash)
         rows.append(
             (
                 scenario,
                 resilience_stats(
                     name,
                     pattern,
-                    delivered,
-                    crashed=crashed,
-                    makespan_us=makespan,
+                    res.delivered,
+                    crashed=res.crashed,
+                    makespan_us=res.makespan_us,
                     reference_makespan_us=ref[name],
                 ),
             )

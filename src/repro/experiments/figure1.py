@@ -47,15 +47,13 @@ def run(
     matrices: tuple[str, ...] = MATRICES,
     K: int = K_PROCESSES,
     cache: InstanceCache | None = None,
-    jobs: int | None = 1,
 ) -> list[Figure1Row]:
-    """Compute the Figure 1 series (``jobs`` fans patterns over processes)."""
+    """Compute the Figure 1 series."""
     cfg = cfg or default_config()
     cache = cache or InstanceCache(cfg)
-    patterns = cache.patterns([(name, K) for name in matrices], jobs=jobs)
     rows = []
-    for name, pattern in zip(matrices, patterns):
-        counts = pattern.sent_counts()
+    for name in matrices:
+        counts = cache.pattern(name, K).sent_counts()
         rows.append(
             Figure1Row(
                 name=name,

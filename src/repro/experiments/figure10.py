@@ -49,25 +49,21 @@ def run(
     K: int = K_PROCESSES,
     machine: Machine = CRAY_XK7,
     cache: InstanceCache | None = None,
-    jobs: int | None = 1,
 ) -> list[Figure10Row]:
-    """Compute the Figure 10 rows (``jobs`` fans cells over processes)."""
+    """Compute the Figure 10 rows, reducing each cell before the next."""
     cfg = cfg or default_config()
     cache = cache or InstanceCache(cfg)
     dims = [1] + paper_dim_selection(K)
-    exps = cache.cells([(name, K, machine, dims) for name in matrices], jobs=jobs)
     rows = []
-    for name, exp in zip(matrices, exps):
-        stfw = {
-            s: r.stats.comm_time_us for s, r in exp.results.items() if s != "BL"
+    for name in matrices:
+        # the comprehension is the only holder of the cell, so its plans
+        # are freed before the next cell is built
+        comm = {
+            s: r.stats.comm_time_us
+            for s, r in cache.cell(name, K, machine, dims).results.items()
         }
-        rows.append(
-            Figure10Row(
-                name=name,
-                bl_comm_us=exp.results["BL"].stats.comm_time_us,
-                stfw_comm_us=stfw,
-            )
-        )
+        bl = comm.pop("BL")
+        rows.append(Figure10Row(name=name, bl_comm_us=bl, stfw_comm_us=comm))
     return rows
 
 

@@ -30,11 +30,10 @@ def run(
     K: int = K_PROCESSES,
     machine: Machine = BGQ,
     cache: InstanceCache | None = None,
-    jobs: int | None = 1,
 ) -> dict[str, dict[str, float]]:
     """Normalized metric dict per scheme (BL row = all ones)."""
     cfg = cfg or default_config()
-    cells = run_table2(cfg, k_values=(K,), machine=machine, cache=cache, jobs=jobs)
+    cells = run_table2(cfg, k_values=(K,), machine=machine, cache=cache)
     rows = {c.scheme: c.metrics for c in cells}
     return normalize_to(rows, "BL", list(METRIC_KEYS))
 

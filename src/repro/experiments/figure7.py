@@ -47,20 +47,18 @@ def run(
     K: int = K_PROCESSES,
     machine: Machine = BGQ,
     cache: InstanceCache | None = None,
-    jobs: int | None = 1,
 ) -> list[Figure7Panel]:
     """Compute the four Figure 7 panels."""
     cfg = cfg or default_config()
     cache = cache or InstanceCache(cfg)
-    results = cache.cells([(name, K, machine) for name in MATRICES], jobs=jobs)
-    exps = dict(zip(MATRICES, results))
-    schemes = exps[MATRICES[0]].schemes
+    rows: dict[str, list[dict[str, float]]] = {}
+    for name in MATRICES:
+        exp = cache.cell(name, K, machine)
+        schemes = exp.schemes
+        rows[name] = [exp.results[s].as_dict() for s in schemes]
     panels = []
     for key in PANEL_KEYS:
-        values = {
-            name: [exp.results[s].as_dict()[key] for s in schemes]
-            for name, exp in exps.items()
-        }
+        values = {name: [row[key] for row in rws] for name, rws in rows.items()}
         panels.append(Figure7Panel(metric=key, schemes=schemes, values=values))
     return panels
 

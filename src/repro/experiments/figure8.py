@@ -73,23 +73,16 @@ def run(
     scheme_dims: tuple[int, ...] = SCHEME_DIMS,
     machine: Machine = BGQ,
     cache: InstanceCache | None = None,
-    jobs: int | None = 1,
 ) -> list[ScalingSeries]:
-    """Compute every scaling series (``jobs`` fans cells over processes)."""
+    """Compute every scaling series."""
     cfg = cfg or default_config()
     cache = cache or InstanceCache(cfg)
-    requests = [
-        (name, K, machine, [d for d in scheme_dims if d <= int(np.log2(K))])
-        for name in matrices
-        for K in k_values
-    ]
-    exps = iter(cache.cells(requests, jobs=jobs))
     out = []
     for name in matrices:
         times: dict[str, list[float]] = {}
         for K in k_values:
             lg = int(np.log2(K))
-            exp = next(exps)
+            exp = cache.cell(name, K, machine, [d for d in scheme_dims if d <= lg])
             for d in scheme_dims:
                 scheme = "BL" if d == 1 else f"STFW{d}"
                 series = times.setdefault(scheme, [])

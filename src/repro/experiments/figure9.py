@@ -50,18 +50,10 @@ def run(
     k_values: tuple[int, ...] = K_VALUES,
     networks: tuple[Machine, ...] = NETWORKS,
     cache: InstanceCache | None = None,
-    jobs: int | None = 1,
 ) -> list[Figure9Block]:
-    """Compute the Figure 9 blocks (``jobs`` fans cells over processes)."""
+    """Compute the Figure 9 blocks."""
     cfg = cfg or default_config()
     cache = cache or InstanceCache(cfg)
-    requests = [
-        (name, K, machine)
-        for K in k_values
-        for machine in networks
-        for name in matrices
-    ]
-    exps = iter(cache.cells(requests, jobs=jobs))
     blocks = []
     for K in k_values:
         schemes: list[str] | None = None
@@ -69,7 +61,7 @@ def run(
         for machine in networks:
             per_scheme: dict[str, list[float]] = {}
             for name in matrices:
-                exp = next(exps)
+                exp = cache.cell(name, K, machine)
                 if schemes is None:
                     schemes = exp.schemes
                 for s in exp.schemes:

@@ -21,7 +21,6 @@ from ..errors import ExperimentError
 from ..matrices.generators import generate_matrix
 from ..matrices.suite import SUITE, MatrixSpec
 from ..network.machines import Machine
-from ..parallel import parallel_map, resolve_jobs, worker_state
 from ..partition.base import Partition
 from ..partition.rcm import rcm_order
 from ..partition.simple import balanced_blocks_from_order, block_partition, random_partition
@@ -118,18 +117,6 @@ class InstanceCache:
         self._entries: dict[tuple, _CacheEntry] = {}
         self._patterns: dict[tuple, CommPattern] = {}
         self._partitions: dict[tuple, Partition] = {}
-
-    def set_tracer(self, tracer) -> None:
-        """Rebind the tracer (and the artifact cache's) for later calls.
-
-        Parallel workers memoize one :class:`InstanceCache` per process
-        (:func:`repro.parallel.worker_state`) but receive a fresh
-        snapshot tracer per task; they rebind it here before each task.
-        """
-        self.tracer = tracer
-        self._obs = tracer if (tracer is not None and tracer.enabled) else None
-        if self.artifacts is not None:
-            self.artifacts.tracer = tracer
 
     def _span(self, step: str, **labels):
         if self._obs is None:
@@ -268,83 +255,26 @@ class InstanceCache:
                 artifacts=self.artifacts,
             )
 
-    # ------------------------------------------------------------------
-    # Parallel fan-out
-    # ------------------------------------------------------------------
-
     def cells(
         self,
         requests: "list[tuple]",
         *,
-        jobs: int | None = 1,
+        jobs: int = 1,
     ) -> list[SpMVExperiment]:
-        """Run many experiment cells, optionally across worker processes.
+        """Run many experiment cells, in request order.
 
         ``requests`` is a list of ``(name, K, machine)`` or
-        ``(name, K, machine, dims)`` tuples; the result list is in
-        request order and byte-identical to running each cell serially
-        (see :mod:`repro.parallel` for the determinism rules).
+        ``(name, K, machine, dims)`` tuples.  The list holds every
+        cell's plans at once; a sweep that reduces each cell should
+        loop over :meth:`cell` instead.  ``jobs`` is accepted only as
+        1 (the benchmark passes it) and goes with ROADMAP item 1.
         """
-        reqs = [self._normalize_request(r) for r in requests]
-        if resolve_jobs(jobs) <= 1 or len(reqs) <= 1:
-            return [
-                self.cell(name, K, machine, dims=dims)
-                for name, K, machine, dims in reqs
-            ]
-        root = None if self.artifacts is None else self.artifacts.root
-        tasks = [(self.cfg, root) + req for req in reqs]
-        return parallel_map(_cell_task, tasks, jobs=jobs, tracer=self.tracer)
-
-    def patterns(
-        self,
-        requests: "list[tuple]",
-        *,
-        jobs: int | None = 1,
-    ) -> list[CommPattern]:
-        """Build many (name, K) patterns, optionally in parallel."""
-        reqs = [(str(name), int(K)) for name, K in requests]
-        if resolve_jobs(jobs) <= 1 or len(reqs) <= 1:
-            return [self.pattern(name, K) for name, K in reqs]
-        root = None if self.artifacts is None else self.artifacts.root
-        tasks = [(self.cfg, root) + req for req in reqs]
-        return parallel_map(_pattern_task, tasks, jobs=jobs, tracer=self.tracer)
-
-    @staticmethod
-    def _normalize_request(req: tuple) -> tuple:
-        if len(req) == 3:
-            name, K, machine = req
-            dims = None
-        else:
-            name, K, machine, dims = req
-        if dims is not None:
-            dims = tuple(int(d) for d in dims)
-        return (str(name), int(K), machine, dims)
-
-
-def _worker_cache(cfg: ExperimentConfig, root: str | None) -> InstanceCache:
-    """One memoized :class:`InstanceCache` per (worker process, config)."""
-    return worker_state(
-        ("harness", cfg, root),
-        lambda: InstanceCache(
-            cfg, artifacts=None if root is None else ArtifactCache(root)
-        ),
-    )
-
-
-def _cell_task(task: tuple, tracer) -> SpMVExperiment:
-    """Worker task: run one experiment cell (see :meth:`InstanceCache.cells`)."""
-    cfg, root, name, K, machine, dims = task
-    cache = _worker_cache(cfg, root)
-    cache.set_tracer(tracer)
-    return cache.cell(name, K, machine, dims=dims)
-
-
-def _pattern_task(task: tuple, tracer) -> CommPattern:
-    """Worker task: build one (name, K) pattern."""
-    cfg, root, name, K = task
-    cache = _worker_cache(cfg, root)
-    cache.set_tracer(tracer)
-    return cache.pattern(name, K)
+        if jobs != 1:
+            raise ExperimentError(
+                f"jobs={jobs}: cells run in one process; the keyword is kept "
+                "only as jobs=1 until ROADMAP item 1 drops it"
+            )
+        return [self.cell(*req) for req in requests]
 
 
 def paper_dim_selection(K: int) -> list[int]:

@@ -24,7 +24,6 @@ import scipy.sparse as sp
 
 from ..metrics.resilience import RecoveryStats, recovery_stats, recovery_table
 from ..network.machines import BGQ, Machine
-from ..parallel import parallel_map, worker_state
 from ..simmpi import FaultPlan
 from ..spmv.driver import run_iterative_with_recovery
 from .config import ExperimentConfig, default_config
@@ -74,32 +73,6 @@ def _operator(n: int, seed: int) -> sp.csr_matrix:
     return (A + sp.eye(n)).tocsr()
 
 
-def _recover_task(task, tracer=None):
-    """Run one recovery scenario; returns only small picklable pieces.
-
-    The full :class:`IterativeRecoveryResult` carries the checkpoint
-    store, so workers reduce it to ``(stats, makespan, scheme)`` before
-    it crosses the process boundary.
-    """
-    seed, K, machine, iterations, checkpoint_interval, partitioner, n_dims, crashes = task
-    A = worker_state(
-        ("recover", _N_ROWS, seed), lambda: _operator(_N_ROWS, seed)
-    )
-    kwargs = dict(
-        iterations=iterations,
-        n_dims=n_dims,
-        machine=machine,
-        partitioner=partitioner,
-        seed=seed,
-        checkpoint_interval=checkpoint_interval,
-        tracer=tracer,
-    )
-    if crashes:
-        kwargs["fault_plan"] = FaultPlan(crashes=dict(crashes))
-    res = run_iterative_with_recovery(A, K, **kwargs)
-    return (recovery_stats(res), res.makespan_us, res.scheme)
-
-
 def run(
     cfg: ExperimentConfig | None = None,
     *,
@@ -108,64 +81,49 @@ def run(
     iterations: int = ITERATIONS,
     checkpoint_interval: int = CHECKPOINT_INTERVAL,
     tracer=None,
-    jobs: int | None = 1,
 ) -> RecoverResult:
     """Run the BL-vs-STFW recovery sweep; deterministic in ``cfg.seed``.
 
     An optional :class:`repro.obs.Tracer` collects checkpoint, rollback
-    and replay spans from every scenario's run.  ``jobs`` fans the
-    independent scenario runs over worker processes; the rows are
-    identical to a serial run.
+    and replay spans from every scenario's run.
     """
     cfg = cfg or default_config()
+    A = _operator(_N_ROWS, cfg.seed)
 
-    def task(n_dims, crashes):
-        return (
-            cfg.seed,
+    def scenario(n_dims, fault_plan=None):
+        res = run_iterative_with_recovery(
+            A,
             K,
-            machine,
-            iterations,
-            checkpoint_interval,
-            cfg.partitioner,
-            n_dims,
-            crashes,
+            iterations=iterations,
+            n_dims=n_dims,
+            machine=machine,
+            partitioner=cfg.partitioner,
+            seed=cfg.seed,
+            checkpoint_interval=checkpoint_interval,
+            tracer=tracer,
+            fault_plan=fault_plan,
         )
+        return recovery_stats(res)
 
-    # Phase A: the two fault-free runs anchor the crash instants, so
-    # they go first; phase B fans out the four crash scenarios.
-    bases = parallel_map(
-        _recover_task, [task(n, None) for n in (1, 2)], jobs=jobs, tracer=tracer
-    )
-
-    crash_tasks = []
-    crash_specs = []
-    for (_, makespan, _), n_dims in zip(bases, (1, 2)):
-        for n_crashes in (1, 2):
-            crashes = tuple(
-                (r, frac * makespan)
-                for r, frac in zip(_CRASH_RANKS[:n_crashes], _CRASH_FRACTIONS)
-            )
-            crash_tasks.append(task(n_dims, crashes))
-            crash_specs.append((n_crashes, crashes))
-    crashed = iter(
-        zip(
-            crash_specs,
-            parallel_map(_recover_task, crash_tasks, jobs=jobs, tracer=tracer),
-        )
-    )
-
+    # each scheme's fault-free run anchors the crash instants of its
+    # one- and two-crash scenarios
     rows: list[tuple[str, RecoveryStats]] = []
     plans: list[tuple[str, str]] = []
-    for (stats, _, scheme), n_dims in zip(bases, (1, 2)):
-        rows.append(("fault-free", stats))
-        plans.append((f"fault-free/{scheme}", FaultPlan().to_json()))
-        for _ in (1, 2):
-            (n_crashes, crashes), (cstats, _, cscheme) = next(crashed)
-            scenario = f"{n_crashes} crash" + ("es" if n_crashes > 1 else "")
-            rows.append((scenario, cstats))
-            plans.append(
-                (f"{scenario}/{cscheme}", FaultPlan(crashes=dict(crashes)).to_json())
+    for n_dims in (1, 2):
+        base = scenario(n_dims)
+        rows.append(("fault-free", base))
+        plans.append((f"fault-free/{base.scheme}", FaultPlan().to_json()))
+        for n_crashes in (1, 2):
+            crash = FaultPlan(
+                crashes={
+                    r: frac * base.makespan_us
+                    for r, frac in zip(_CRASH_RANKS[:n_crashes], _CRASH_FRACTIONS)
+                }
             )
+            stats = scenario(n_dims, crash)
+            label = f"{n_crashes} crash" + ("es" if n_crashes > 1 else "")
+            rows.append((label, stats))
+            plans.append((f"{label}/{stats.scheme}", crash.to_json()))
     return RecoverResult(
         rows=rows,
         plans=plans,

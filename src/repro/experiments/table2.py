@@ -45,19 +45,15 @@ def run(
     k_values: tuple[int, ...] = K_VALUES,
     machine: Machine = BGQ,
     cache: InstanceCache | None = None,
-    jobs: int | None = 1,
 ) -> list[Table2Cell]:
-    """Compute the Table 2 rows (``jobs`` fans cells over processes)."""
+    """Compute the Table 2 rows."""
     cfg = cfg or default_config()
     cache = cache or InstanceCache(cfg)
-    requests = [(name, K, machine) for K in k_values for name in matrices]
-    exps = iter(cache.cells(requests, jobs=jobs))
     cells: list[Table2Cell] = []
     for K in k_values:
         per_scheme: dict[str, list[dict[str, float]]] = {}
         for name in matrices:
-            exp = next(exps)
-            for scheme, res in exp.results.items():
+            for scheme, res in cache.cell(name, K, machine).results.items():
                 per_scheme.setdefault(scheme, []).append(res.as_dict())
         for scheme, rows in per_scheme.items():
             cells.append(

@@ -60,24 +60,20 @@ def run(
     matrices: tuple[str, ...] = BOTTOM10,
     runs: tuple[tuple[Machine, int], ...] = LARGE_RUNS,
     cache: InstanceCache | None = None,
-    jobs: int | None = 1,
 ) -> list[Table3Block]:
-    """Compute the Table 3 blocks (``jobs`` fans cells over processes)."""
+    """Compute the Table 3 blocks, reducing each cell before the next."""
     cfg = cfg or default_config()
     cache = cache or InstanceCache(cfg)
-    requests = [
-        (name, K, machine, [1] + paper_dim_selection(K))
-        for machine, K in runs
-        for name in matrices
-    ]
-    exps = iter(cache.cells(requests, jobs=jobs))
     blocks = []
     for machine, K in runs:
+        dims = [1] + paper_dim_selection(K)
         per_scheme: dict[str, list[dict[str, float]]] = {}
         for name in matrices:
-            exp = next(exps)
-            for scheme, res in exp.results.items():
-                per_scheme.setdefault(scheme, []).append(res.as_dict())
+            # the comprehension is the only holder of the cell, so its
+            # plans are freed before the next cell is built
+            cell = {s: r.as_dict() for s, r in cache.cell(name, K, machine, dims).results.items()}
+            for scheme, row in cell.items():
+                per_scheme.setdefault(scheme, []).append(row)
         rows = {
             scheme: geometric_mean_rows(rws, METRIC_KEYS)
             for scheme, rws in per_scheme.items()

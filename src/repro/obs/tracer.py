@@ -135,9 +135,6 @@ class NullTracer:
         """Always 0.0 — a disabled tracer accumulates nothing."""
         return 0.0
 
-    def merge(self, other) -> None:
-        """No-op."""
-
 
 #: the process-wide no-op tracer; safe to share (it holds no state)
 NULL_TRACER = NullTracer()
@@ -312,29 +309,6 @@ class Tracer:
         ]
         rows.sort(key=lambda r: (r[0], str(r[1]), sorted((k, str(v)) for k, v in r[2].items())))
         return rows
-
-    # ------------------------------------------------------------------
-    # Merging (parallel workers)
-    # ------------------------------------------------------------------
-
-    def merge(self, other: "Tracer") -> None:
-        """Fold another tracer's records into this one.
-
-        The parallel executor (:mod:`repro.parallel`) gives each worker
-        task a fresh tracer and merges the returned snapshots into the
-        session tracer **in task order**, exactly once per task — so a
-        counter incremented in a worker appears in the session totals
-        without double-counting, and a traced parallel run accumulates
-        the same counter values as the equivalent serial run.
-        """
-        if not getattr(other, "enabled", False):
-            return
-        self.spans.extend(other.spans)
-        self.instants.extend(other.instants)
-        self.samples.extend(other.samples)
-        counters = self._counters
-        for key, val in other._counters.items():
-            counters[key] = counters.get(key, 0.0) + val
 
     # ------------------------------------------------------------------
     # Introspection

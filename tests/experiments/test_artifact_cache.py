@@ -281,31 +281,6 @@ class TestHarnessIntegration:
         # the warm pass rebuilt nothing
         assert warm.artifacts.misses == {}
 
-    def test_parallel_warm_pass_reads_every_artifact_from_disk(self, tmp_path):
-        """A ``jobs=2`` pass over a disk cache that a serial cold pass
-        populated builds nothing in any worker: every lookup hits, and the
-        cells equal the cold pass's."""
-        cfg = quick_config()
-        requests = [("cbuckle", 32, BGQ), ("sparsine", 32, BGQ)]
-        cold = InstanceCache(cfg, artifacts=ArtifactCache(tmp_path)).cells(
-            requests, jobs=1
-        )
-
-        tracer = Tracer("warm")
-        warm = InstanceCache(
-            cfg, tracer=tracer, artifacts=ArtifactCache(tmp_path)
-        ).cells(requests, jobs=2)
-        totals = {"cache.hits": 0.0, "cache.misses": 0.0}
-        for name, _track, _labels, value in tracer.counter_rows():
-            if name in totals:
-                totals[name] += value
-        assert totals["cache.misses"] == 0
-        assert totals["cache.hits"] > 0
-        for a, b in zip(cold, warm):
-            assert b.schemes == a.schemes
-            for s in a.schemes:
-                assert b.results[s].as_dict() == a.results[s].as_dict()
-
     def test_disk_layout(self, tmp_path):
         cfg = quick_config()
         InstanceCache(cfg, artifacts=ArtifactCache(tmp_path)).cell(
