@@ -290,15 +290,16 @@ class BatchSimMPI(SimMPI):
 
     Construct as ``BatchSimMPI(K, machine=...)`` and drive it through
     :meth:`run_planned_stfw`/:meth:`run_planned_direct`, or select it
-    with ``engine="batch"`` on :func:`repro.core.stfw.run_exchange`,
-    the SpMV drivers or the persistent exchange service — arbitrary
-    process functions are refused (see :meth:`run`).  Accepts
+    with ``engine="batch"`` on :func:`repro.core.stfw.run_exchange`
+    (directly, or through ``distributed_spmv`` and the persistent
+    exchange service, which forward it) — arbitrary process functions
+    are refused (see :meth:`run`).  Accepts
     ``SimMPI``'s constructor keywords and rejects, by name, every
     option it cannot honor bit-identically.
     """
 
-    #: planned-exchange-only backend: dispatch sites (``run_exchange``,
-    #: the SpMV drivers) route through the vectorized executors instead
+    #: planned-exchange-only backend: the one dispatch site,
+    #: ``run_exchange``, routes through the vectorized executors instead
     #: of spawning per-rank process functions
     planned_only = True
 
@@ -363,8 +364,8 @@ class BatchSimMPI(SimMPI):
         A general SPMD program decides wildcard receives, timeouts,
         shrinks and NBX-style dynamic discovery message by message —
         control flow the whole-stage sweep cannot replay.  Planned
-        exchanges go through ``run_exchange(..., engine='batch')`` (or
-        the SpMV drivers); everything else needs ``engine='event'``.
+        exchanges go through ``run_exchange(..., engine='batch')``;
+        everything else needs ``engine='event'``.
         """
         raise SimMPIError(
             "engine='batch' cannot run arbitrary process functions: wildcard "

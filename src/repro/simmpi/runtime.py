@@ -578,8 +578,8 @@ class SimMPI:
     planned exchanges it accepts.
     """
 
-    #: runs arbitrary process functions; dispatch sites (``run_exchange``,
-    #: the SpMV drivers) spawn per-rank processes on this engine
+    #: runs arbitrary process functions; the one dispatch site,
+    #: ``run_exchange``, spawns per-rank processes on this engine
     planned_only = False
 
     def __init__(

@@ -26,13 +26,10 @@ import scipy.sparse as sp
 
 from ..arrayops import sorted_unique
 from ..core.pattern import CommPattern
-from ..core.plan import build_plan
-from ..core.stfw import recv_counts_from_plan, stfw_process
+from ..core.stfw import run_exchange
 from ..core.vpt import VirtualProcessTopology
 from ..errors import PlanError
 from ..partition.base import Partition
-from ..simmpi.engine import resolve_engine
-from ..simmpi.runtime import run_spmd
 
 __all__ = ["columnparallel_pattern", "ColSpMVResult"]
 
@@ -99,8 +96,9 @@ def _colparallel_impl(
 ) -> ColSpMVResult:
     """Run one column-parallel SpMV on the emulator (BL or STFW fold).
 
-    Each rank computes its partial products, pre-reduces per output
-    row, ships ``(rows, partials)`` to each row owner (directly or via
+    Each rank computes its partial products and pre-reduces per output
+    row; one :func:`~repro.core.stfw.run_exchange` call ships
+    ``(rows, partials)`` to each row owner (directly or via
     Algorithm 1), and the owners accumulate.  The public entry point is
     :func:`repro.spmv.distributed.distributed_spmv` with
     ``layout="column"``.
@@ -127,8 +125,7 @@ def _colparallel_impl(
         partials.append(np.asarray(yp).ravel())
 
     # per-rank send data: {dest: (row ids, values)} for off-process rows
-    send_rows: list[dict[int, np.ndarray]] = [dict() for _ in range(K)]
-    send_vals: list[dict[int, np.ndarray]] = [dict() for _ in range(K)]
+    payloads: list[dict[int, _SizedPair]] = [dict() for _ in range(K)]
     for p in range(K):
         yp = partials[p]
         touched = np.flatnonzero(yp != 0.0)
@@ -138,94 +135,38 @@ def _colparallel_impl(
             if q == p:
                 continue
             rows_q = touched[owners == q]
-            send_rows[p][int(q)] = rows_q
-            send_vals[p][int(q)] = yp[rows_q]
+            payloads[p][int(q)] = _SizedPair(rows_q, yp[rows_q])
 
     pattern = columnparallel_pattern(A, partition)
-    counts = None
-    if vpt is not None:
-        # the executed message set can be sparser than the structural
-        # pattern (numerical zeros drop out), so plan over what is sent
-        send_pattern = CommPattern.from_sendsets(
-            [
-                {q: len(v) for q, v in send_vals[p].items()}
-                for p in range(K)
-            ]
-        )
-        plan = build_plan(send_pattern, vpt)
-        counts = recv_counts_from_plan(plan)
-
-    engine_cls = resolve_engine(engine)
-    if engine_cls.planned_only:
-        # vectorized fold: run the exchange through the batch executors,
-        # then replay each rank's accumulation in the engine's exact
-        # delivery order (the += fold is float-order-sensitive)
-        sim = engine_cls(K, machine=machine)
-        sized_payloads = [
-            {q: _SizedPair(send_rows[p][q], send_vals[p][q]) for q in send_rows[p]}
-            for p in range(K)
-        ]
-        if vpt is None:
-            dsts = [q for p in range(K) for q in send_rows[p]]
-            expected = np.bincount(
-                np.asarray(dsts, dtype=np.int64), minlength=K
-            ) if dsts else np.zeros(K, dtype=np.int64)
-            run = sim.run_planned_direct(sized_payloads, expected)
-        else:
-            run = sim.run_planned_stfw(vpt, plan, sized_payloads)
-        rank_returns = []
-        for p in range(K):
-            y_local = partials[p].copy()
-            for _, pair in run.returns[p]:
-                y_local[pair.rows] += pair.vals
-            rank_returns.append(y_local[partition.rows_of(p)])
-        return _assemble_col_result(
-            A, partition, x, n, K, pattern, rank_returns, run, verify
-        )
-
-    def rank_fn(comm):
-        p = comm.rank
-        y_local = partials[p].copy()
-        payloads = {
-            q: (send_rows[p][q], send_vals[p][q]) for q in send_rows[p]
-        }
-        if vpt is None:
-            for q, (rows_q, vals_q) in payloads.items():
-                comm.send(q, (rows_q, vals_q), tag=0, words=len(rows_q))
-            expected = sum(1 for s in range(K) if p in send_rows[s])
-            for _ in range(expected):
-                _, _, (rows_q, vals_q) = yield comm.recv(tag=0)
-                y_local[rows_q] += vals_q
-        else:
-            sized = {
-                q: _SizedPair(rows_q, vals_q)
-                for q, (rows_q, vals_q) in payloads.items()
-            }
-            received = yield from stfw_process(comm, vpt, sized, counts[:, p])
-            for _, pair in received:
-                y_local[pair.rows] += pair.vals
-        mine = partition.rows_of(p)
-        return y_local[mine]
-
-    run = run_spmd(K, lambda comm: rank_fn(comm), machine=machine)
-    return _assemble_col_result(
-        A, partition, x, n, K, pattern, run.returns, run, verify
+    # the executed message set can be sparser than the structural
+    # pattern (numerical zeros drop out), so exchange over what is sent
+    send_pattern = CommPattern.from_sendsets(
+        [{q: len(pair) for q, pair in sent.items()} for sent in payloads]
+    )
+    ex = run_exchange(
+        send_pattern,
+        vpt,
+        scheme="direct" if vpt is None else "stfw",
+        payloads=payloads,
+        machine=machine,
+        engine=engine,
     )
 
-
-def _assemble_col_result(
-    A, partition, x, n, K, pattern, rank_returns, run, verify
-) -> ColSpMVResult:
-    """Gather per-rank fold results into the global y and verify."""
+    # each owner folds its contributions into its partials in delivery
+    # order (the += fold is float-order-sensitive), then keeps its rows
     y = np.zeros(n, dtype=np.float64)
     for p in range(K):
-        y[partition.rows_of(p)] = rank_returns[p]
+        y_local = partials[p]
+        for _, pair in ex.delivered[p]:
+            y_local[pair.rows] += pair.vals
+        mine = partition.rows_of(p)
+        y[mine] = y_local[mine]
 
     if verify:
         y_ref = A @ x
         if not np.allclose(y, y_ref, rtol=1e-9, atol=1e-11):
             raise PlanError("column-parallel SpMV mismatch")
-    return ColSpMVResult(y=y, pattern=pattern, makespan_us=run.makespan_us)
+    return ColSpMVResult(y=y, pattern=pattern, makespan_us=ex.makespan_us)
 
 
 class _SizedPair:

@@ -56,6 +56,8 @@ def split_matrix(
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise PlanError("row-parallel SpMV needs a square matrix")
+    if partition.n != n:
+        raise PlanError(f"partition covers {partition.n} rows, matrix has {n}")
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
         raise PlanError(f"x has shape {x.shape}, expected ({n},)")

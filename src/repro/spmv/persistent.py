@@ -1,11 +1,12 @@
 """Persistent-pattern distributed SpMV — the paper's timed kernel.
 
 The paper times "the averages of 100 SpMV iterations": the matrix is
-partitioned once, the communication pattern and (for STFW) the plan and
-per-stage receive counts are set up once, and only the repeated
-exchange + multiply is measured.  :class:`PersistentSpMV` mirrors that
-structure: construction does all amortizable work; :meth:`multiply`
-runs one verified iteration on the emulator; :meth:`average_time_us`
+partitioned once, the communication pattern and (for STFW) the plan are
+set up once, and only the repeated exchange + multiply is measured.
+:class:`PersistentSpMV` mirrors that structure: construction does all
+amortizable work; :meth:`multiply` runs one verified iteration on the
+emulator (one :func:`~repro.core.stfw.run_exchange` call on the held
+plan, then the local multiplies); :meth:`average_time_us`
 reports the mean virtual time over several iterations (deterministic,
 but exercised through the full emulator path each time).
 
@@ -40,7 +41,6 @@ from ..core.stfw import (
     repair_side_tables,
     run_exchange,
     side_tables_from_plan,
-    stfw_process,
 )
 from ..core.vpt import VirtualProcessTopology
 from ..errors import DeadlockError, PlanError
@@ -51,7 +51,7 @@ from ..simmpi.discovery import DiscoveryStats, nbx_discover
 from ..simmpi.faults import FaultPlan
 from ..simmpi.policy import EscalationPolicy, PolicyConfig
 from ..simmpi.runtime import run_spmd
-from .local import checked_spmv, local_spmv, split_matrix
+from .local import abft_checksum, checked_spmv, local_spmv, split_matrix
 from .pattern import spmv_needed_entries, spmv_pattern
 
 __all__ = ["EpochReport", "PersistentExchangeService", "PersistentSpMV"]
@@ -697,12 +697,6 @@ class PersistentSpMV:
         abft: bool = False,
     ):
         A = sp.csr_matrix(A)
-        if A.shape[0] != A.shape[1]:
-            raise PlanError("row-parallel SpMV needs a square matrix")
-        if partition.n != A.shape[0]:
-            raise PlanError(
-                f"partition covers {partition.n} rows, matrix has {A.shape[0]}"
-            )
         if vpt is not None and vpt.K != partition.K:
             raise PlanError(f"vpt has K={vpt.K}, partition has K={partition.K}")
         self.A = A
@@ -715,40 +709,18 @@ class PersistentSpMV:
         self.abft_flips_caught = 0
         self._abft_u: list[np.ndarray] | None = None
 
-        # --- one-time setup (what the paper amortizes) -----------------
+        # --- one-time setup (what the paper amortizes); the pattern
+        # build refuses a non-square matrix or a partition of another size
         self.pattern: CommPattern = spmv_pattern(A, partition)
         self._needed = spmv_needed_entries(A, partition)
-        self._rows = [partition.rows_of(p) for p in range(partition.K)]
-        self.plan: CommPlan | None = None
-        self._counts = None
-        #: the amortized state lives in a persistent exchange service —
-        #: the drift/fault-capable keeper of plan + side tables
-        self.service: PersistentExchangeService | None = None
-        if vpt is not None:
-            self.service = PersistentExchangeService(
-                self.pattern,
-                vpt,
-                machine=machine,
-                validate=False,
-            )
-            self.plan = self.service.plan
-            self._counts = self.service.tables.recv_counts
+        self.plan: CommPlan | None = (
+            None if vpt is None else build_plan(self.pattern, vpt)
+        )
 
     @property
     def K(self) -> int:
         """Number of processes."""
         return self.partition.K
-
-    def _abft_checksums(self) -> list[np.ndarray]:
-        """Per-rank ABFT checksum vectors, computed once and reused."""
-        if self._abft_u is None:
-            self._abft_u = [
-                np.asarray(
-                    self.A[rows, :].sum(axis=0), dtype=np.float64
-                ).ravel()
-                for rows in self._rows
-            ]
-        return self._abft_u
 
     def multiply(
         self,
@@ -759,6 +731,10 @@ class PersistentSpMV:
     ) -> tuple[np.ndarray, float]:
         """One distributed SpMV iteration: returns ``(y, makespan_us)``.
 
+        The communication phase is one
+        :func:`~repro.core.stfw.run_exchange` call on the held
+        :attr:`plan` (direct sends when there is none); each rank's x
+        assembly and local multiply follow from its deliveries.
         ``fault_plan.compute_flips`` injects seed-deterministic silent
         compute corruption into the flagged ranks' local multiplies
         (keyed on ``(rank, iteration)``); any rank with a nonzero flip
@@ -770,70 +746,51 @@ class PersistentSpMV:
         A = self.A
         n = A.shape[0]
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (n,):
-            raise PlanError(f"x has shape {x.shape}, expected ({n},)")
-
-        blocks = split_matrix(A, self.partition, x)
+        blocks = split_matrix(A, self.partition, x)  # refuses a bad x shape
         send_data: list[dict[int, np.ndarray]] = [dict() for _ in range(self.K)]
         for q in range(self.K):
             for p, idx in self._needed[q].items():
                 send_data[p][q] = x[idx]
+        ex = run_exchange(
+            self.pattern,
+            self.vpt,
+            scheme="direct" if self.vpt is None else "stfw",
+            payloads=send_data,
+            machine=self.machine,
+            plan=self.plan,
+        )
 
-        needed = self._needed
-        vpt = self.vpt
-        counts = self._counts
         flips = {} if fault_plan is None else {
             int(r): float(p) for r, p in fault_plan.compute_flips.items()
         }
         flip_seed = 0 if fault_plan is None else fault_plan.seed
-        abft = self.abft
-        checksums = (
-            self._abft_checksums() if (abft or flips) else None
-        )
-
-        def rank_fn(comm):
+        if (self.abft or flips) and self._abft_u is None:
+            self._abft_u = [abft_checksum(block) for block in blocks]
+        y = np.zeros(n, dtype=np.float64)
+        for p, block in enumerate(blocks):
             x_full = np.zeros(n, dtype=np.float64)
-            block = blocks[comm.rank]
             x_full[block.rows] = block.x_own
-            if vpt is None:
-                for dst, payload in send_data[comm.rank].items():
-                    comm.send(dst, payload, tag=0, words=len(payload))
-                for _ in range(len(needed[comm.rank])):
-                    src, _, payload = yield comm.recv(tag=0)
-                    x_full[needed[comm.rank][src]] = payload
-            else:
-                received = yield from stfw_process(
-                    comm, vpt, send_data[comm.rank], counts[:, comm.rank]
-                )
-                for src, payload in received:
-                    x_full[needed[comm.rank][src]] = payload
-            p = flips.get(comm.rank, 0.0)
-            if abft or p > 0.0:
-                y_local, c = checked_spmv(
+            for src, payload in ex.delivered[p]:
+                x_full[self._needed[p][src]] = payload
+            flip_p = flips.get(p, 0.0)
+            if self.abft or flip_p > 0.0:
+                y[block.rows], caught = checked_spmv(
                     block,
                     x_full,
-                    checksum=checksums[comm.rank],
-                    flip_prob=p,
+                    checksum=self._abft_u[p],
+                    flip_prob=flip_p,
                     flip_seed=flip_seed,
                     iteration=iteration,
                 )
-                return (y_local, c)
-            return (local_spmv(block, x_full), 0)
-
-        run = run_spmd(self.K, rank_fn, machine=self.machine)
-        y = np.zeros(n, dtype=np.float64)
-        caught = 0
-        for p in range(self.K):
-            y_p, c_p = run.returns[p]
-            y[self._rows[p]] = y_p
-            caught += c_p
-        self.abft_flips_caught += caught
+                self.abft_flips_caught += caught
+            else:
+                y[block.rows] = local_spmv(block, x_full)
 
         if self.verify:
             y_ref = A @ x
             if not np.allclose(y, y_ref, rtol=1e-10, atol=1e-12):
                 raise PlanError("persistent SpMV result mismatch")
-        return y, run.makespan_us
+        return y, ex.makespan_us
 
     def average_time_us(
         self,

@@ -177,3 +177,93 @@ class TestABFT:
         y, _ = spmv.multiply(x)
         assert spmv.abft_flips_caught == 0
         assert np.allclose(y, sp.csr_matrix(A) @ x)
+
+
+def _kernels(A, x, vpt=None):
+    """Every SpMV kernel as ``partition -> one multiply``."""
+    from repro.spmv import PersistentSpMV
+
+    return {
+        "row": lambda p: distributed_spmv(A, p, x, vpt=vpt),
+        "column": lambda p: distributed_spmv(A, p, x, vpt=vpt, layout="column"),
+        "persistent": lambda p: PersistentSpMV(A, p, vpt=vpt).multiply(x),
+    }
+
+
+class TestPartitionSize:
+    """A partition over more or fewer rows than the matrix is refused by
+    name on every kernel (an oversized one used to reach SciPy's row
+    indexing in ``split_matrix`` and fail there)."""
+
+    @pytest.mark.parametrize("kernel", ["row", "column", "persistent"])
+    @pytest.mark.parametrize("rows", [200, 120])
+    def test_refused_by_name(self, kernel, rows):
+        A = generate_matrix(160, 1800, 40, 1.0, seed=4)
+        run = _kernels(A, np.ones(160))[kernel]
+        with pytest.raises(PlanError, match="partition covers"):
+            run(block_partition(rows, 8))
+
+    def test_split_matrix_checks_it(self):
+        A, x = make_case()
+        with pytest.raises(PlanError, match="partition covers 200 rows"):
+            split_matrix(A, block_partition(200, 8), x)
+
+
+class TestOneExchangePerMultiply:
+    """The communication phase of each kernel is one ``run_exchange``."""
+
+    @pytest.mark.parametrize("kernel", ["row", "column", "persistent"])
+    @pytest.mark.parametrize("dims", [None, 2])
+    def test_one_call(self, monkeypatch, kernel, dims):
+        import repro.spmv.columnparallel as col_mod
+        import repro.spmv.distributed as row_mod
+        import repro.spmv.persistent as persistent_mod
+
+        calls = []
+        for mod in (row_mod, col_mod, persistent_mod):
+            real = mod.run_exchange
+
+            def counting(*args, _real=real, **kwargs):
+                calls.append(kwargs.get("scheme"))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(mod, "run_exchange", counting)
+        A, x = make_case()
+        vpt = None if dims is None else make_vpt(8, dims)
+        _kernels(A, x, vpt)[kernel](block_partition(128, 8))
+        assert calls == ["direct" if dims is None else "stfw"]
+
+    def test_persistent_one_call_each_iteration(self, monkeypatch):
+        import repro.spmv.persistent as persistent_mod
+
+        calls = []
+        real = persistent_mod.run_exchange
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("plan"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(persistent_mod, "run_exchange", counting)
+        A, x = make_case()
+        spmv = persistent_mod.PersistentSpMV(
+            A, block_partition(128, 8), vpt=make_vpt(8, 3)
+        )
+        spmv.average_time_us(x, iterations=3)
+        assert len(calls) == 3
+        assert all(plan is spmv.plan for plan in calls)
+
+
+class TestRowKernelsAgree:
+    """``PersistentSpMV.multiply`` and ``distributed_spmv`` are one kernel."""
+
+    @pytest.mark.parametrize("dims", [None, 2, 3])
+    def test_same_bytes_and_makespan(self, dims):
+        from repro.spmv import PersistentSpMV
+
+        A, x = make_case(n=160, seed=2)
+        p = rcm_partition(A, 8)
+        vpt = None if dims is None else make_vpt(8, dims)
+        ref = distributed_spmv(A, p, x, vpt=vpt, machine=BGQ)
+        y, makespan = PersistentSpMV(A, p, vpt=vpt, machine=BGQ).multiply(x)
+        assert y.tobytes() == ref.y.tobytes()
+        assert makespan == ref.makespan_us
