@@ -47,6 +47,7 @@ from .partition.base import Partition
 __all__ = [
     "ArtifactCache",
     "CacheStats",
+    "DeltaPlanKeys",
     "default_cache_root",
     "delta_digest",
     "pattern_digest",
@@ -130,6 +131,33 @@ def delta_digest(delta) -> str:
     ):
         _hash_array(h, arr)
     return h.hexdigest()
+
+
+class DeltaPlanKeys:
+    """The :meth:`ArtifactCache.plan` keys along one drift history.
+
+    A plan repaired through a chain of deltas is keyed by the base
+    pattern's digest, the chain of delta digests, the topology and the
+    header size — never by the drifted pattern's own arrays — so a
+    service restarted on the same history replays its plans from disk.
+    """
+
+    def __init__(self, base: CommPattern, dim_sizes, header_words: int = 0):
+        self._base = pattern_digest(base)
+        self._chain: list[str] = []
+        self._dim_sizes = dim_sizes
+        self._header_words = header_words
+
+    def next(self, delta) -> dict[str, Any]:
+        """Extend the chain by ``delta``; the key of the plan it yields."""
+        self._chain.append(delta_digest(delta))
+        return {
+            "base_pattern": self._base,
+            "delta_chain": list(self._chain),
+            "dim_sizes": self._dim_sizes,
+            "header_words": self._header_words,
+            "repair": True,
+        }
 
 
 def _canonical(value: Any) -> Any:

@@ -5,7 +5,6 @@ Examples::
     python -m repro table2                 # Table 2 at the default scale
     python -m repro figure8 --scale 0.5    # bigger matrices
     python -m repro table3 --cache         # persist on-disk artifacts
-    python -m repro run figure9            # generic experiment runner
     python -m repro cache stats            # inspect the artifact cache
     python -m repro drift --cache          # plan-repair drift benchmark
     python -m repro chaos --epochs 60      # self-healing service soak
@@ -19,24 +18,27 @@ Every sweep runs in one process, one cell after another, and reduces
 each cell before it makes the next; ``--cache`` persists generated
 artifacts (matrices, partitions, patterns, plans) across runs and
 leaves results byte-identical.
-Every emulator-backed command (``run faults|recover``, ``drift``,
+Every emulator-backed command (``faults``, ``recover``, ``drift``,
 ``chaos``, ``corrupt``, ``trace``) runs on the event engine, the only
 one that runs faults, shrink recovery and NBX discovery; there is no
 engine flag.  ``chaos`` and ``corrupt`` exit 1 when their run misses
-an acceptance predicate.
+an acceptance predicate.  Each subcommand takes only the flags its
+experiment reads.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 import time
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from . import __version__
 from .experiments import (
     ExperimentConfig,
+    InstanceCache,
     default_config,
     faults,
     figure1,
@@ -50,7 +52,7 @@ from .experiments import (
     table3,
 )
 
-__all__ = ["main", "build_parser", "EXPERIMENTS"]
+__all__ = ["main", "build_parser", "EXPERIMENTS", "RESILIENCE"]
 
 #: experiment name -> (run, format) callables
 EXPERIMENTS: dict[str, tuple[Callable, Callable]] = {
@@ -67,6 +69,119 @@ EXPERIMENTS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
+#: experiments that build their own exchanges rather than paper cells
+#: -> the flags their run() reads (the cell experiments read _CELL_FLAGS)
+_OWN_EXCHANGES = {"faults": ("--seed",), "recover": ("--seed", "--partitioner")}
+_CELL_FLAGS = ("--scale", "--partitioner", "--seed", "--cache")
+#: the experiments with a chart adapter in repro.viz.experiment_svgs
+_SVG = ("figure1", "figure8", "figure9", "figure10")
+
+#: Every experiment flag, defined once: flag -> add_argument keywords.
+_FLAGS: dict[str, dict[str, Any]] = {
+    "--scale": dict(
+        type=float,
+        help="matrix linear scale vs Table 1 (default 0.25 or $REPRO_SCALE)",
+    ),
+    "--partitioner": dict(
+        choices=("rcm", "block", "random", "bisection", "multilevel"),
+        help="row partitioner (default rcm)",
+    ),
+    "--seed": dict(type=int, help="base RNG seed"),
+    "--cache": dict(
+        metavar="DIR",
+        nargs="?",
+        const="",
+        help="persist artifacts in DIR (no DIR: $REPRO_CACHE_DIR or .repro-cache)",
+    ),
+    "--svg": dict(metavar="DIR", help="also write SVG chart(s) into DIR"),
+    "--K": dict(type=int, help="process count"),
+    "--degree": dict(type=float, help="mean messages per process"),
+    "--epochs": dict(type=int, help="epochs per drift rate, soak or episode"),
+    "--rates": dict(
+        type=float,
+        nargs="+",
+        metavar="R",
+        help="drift rates as fractions (default 0.01 0.05 0.1 0.25 0.5)",
+    ),
+    "--rate": dict(
+        type=float, help="drift fraction per epoch, at most 0.10 (default 0.08)"
+    ),
+    "--tail": dict(
+        type=int, help="quiet fault- and drift-free epochs ending the soak"
+    ),
+    "--no-validate": dict(
+        action="store_true", help="skip byte-identity cross-checks (timing only)"
+    ),
+    "--no-service": dict(
+        action="store_true",
+        help="skip the end-to-end NBX-discovery service phase",
+    ),
+    "--corruption": dict(
+        action="store_true",
+        help="add silent-data-corruption chaos: transient bit flips plus a "
+        "persistent corrupt forwarder the policy must quarantine",
+    ),
+}
+
+
+def _given(keyword: str, convert: Callable = lambda v: v) -> Callable:
+    """A flag that sets ``keyword`` only when it is given."""
+    return lambda v: {} if v is None else {keyword: convert(v)}
+
+
+#: resilience flag -> the run() keywords it sets from its parsed value
+#: (``--seed`` reaches run() through the config instead)
+_KEYWORDS: dict[str, Callable[[Any], dict[str, Any]]] = {
+    "--K": _given("K"),
+    "--degree": _given("degree"),
+    "--epochs": _given("epochs"),
+    "--rates": _given("rates", tuple),
+    "--rate": _given("drift_rate"),
+    "--tail": _given("tail"),
+    "--cache": lambda d: {"artifacts": _artifact_cache(d)},
+    "--no-validate": lambda off: {"validate": not off},
+    "--no-service": lambda off: {"service": not off},
+    "--corruption": lambda on: {"corruption": True} if on else {},
+}
+
+#: resilience subcommand (a module of repro.experiments) -> (help, the
+#: flags its run() reads, add_argument overrides per flag)
+RESILIENCE: dict[str, tuple[str, tuple[str, ...], dict[str, dict]]] = {
+    "drift": (
+        "dynamic-exchange drift benchmark: incremental plan repair vs "
+        "full rebuild, plus an NBX-discovery service smoke",
+        ("--K", "--degree", "--rates", "--epochs", "--seed", "--cache",
+         "--no-validate", "--no-service"),
+        {"--epochs": dict(default=3)},
+    ),
+    "chaos": (
+        "chaos soak: the self-healing persistent exchange service "
+        "under combined drift and fault streams; exits 1 unless it "
+        "converges with zero full rebuilds",
+        ("--K", "--degree", "--epochs", "--rate", "--tail", "--seed",
+         "--cache", "--no-validate", "--corruption"),
+        {},
+    ),
+    "corrupt": (
+        "silent-data-corruption sweep: transient flips, a persistent "
+        "corrupt forwarder and ABFT-checked compute flips; reports "
+        "detection latency and the undetected-corruption rate, and exits "
+        "1 on any undetected corruption, ABFT miss, unrecovered episode "
+        "or missed quarantine",
+        ("--K", "--degree", "--epochs", "--seed"),
+        {},
+    ),
+}
+
+
+def _add_flags(
+    p: argparse.ArgumentParser, flags: Sequence[str], overrides=None
+) -> None:
+    """Add ``flags`` from :data:`_FLAGS`, with per-flag ``overrides``."""
+    for flag in flags:
+        p.add_argument(flag, **{**_FLAGS[flag], **(overrides or {}).get(flag, {})})
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -79,22 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"regenerate the paper's {name}")
-        _add_config_args(p)
-        p.add_argument(
-            "--svg",
-            metavar="DIR",
-            default=None,
-            help="also write SVG chart(s) into DIR (figure1/8/9/10 only)",
-        )
-
-    p = sub.add_parser("run", help="run one experiment by name (generic runner)")
-    p.add_argument(
-        "experiment", choices=tuple(EXPERIMENTS), help="which experiment to run"
-    )
-    _add_config_args(p)
+        flags = _OWN_EXCHANGES.get(name, _CELL_FLAGS)
+        _add_flags(p, flags + (("--svg",) if name in _SVG else ()))
 
     p = sub.add_parser("report", help="run every experiment, write a markdown report")
-    _add_config_args(p)
+    _add_flags(p, _CELL_FLAGS)
     p.add_argument("-o", "--output", default="-", help="output file ('-' = stdout)")
 
     p = sub.add_parser("cache", help="inspect or clear the on-disk artifact cache")
@@ -106,116 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache directory (default $REPRO_CACHE_DIR or .repro-cache)",
     )
 
-    p = sub.add_parser(
-        "drift",
-        help="dynamic-exchange drift benchmark: incremental plan repair vs "
-        "full rebuild, plus an NBX-discovery service smoke",
-    )
-    p.add_argument(
-        "--K", type=int, default=None, help="process count of the timing sweep"
-    )
-    p.add_argument(
-        "--degree", type=float, default=None, help="mean messages per process"
-    )
-    p.add_argument(
-        "--rates",
-        type=float,
-        nargs="+",
-        metavar="R",
-        default=None,
-        help="drift rates as fractions (default 0.01 0.05 0.1 0.25 0.5)",
-    )
-    p.add_argument(
-        "--epochs", type=int, default=3, help="drift epochs chained per rate"
-    )
-    p.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    p.add_argument(
-        "--cache",
-        metavar="DIR",
-        nargs="?",
-        const="",
-        default=None,
-        help="delta-keyed plan reuse in DIR (no DIR: $REPRO_CACHE_DIR or "
-        ".repro-cache)",
-    )
-    p.add_argument(
-        "--no-validate",
-        action="store_true",
-        help="skip byte-identity cross-checks (timing only)",
-    )
-    p.add_argument(
-        "--no-service",
-        action="store_true",
-        help="skip the end-to-end NBX-discovery service phase",
-    )
-
-    p = sub.add_parser(
-        "chaos",
-        help="chaos soak: the self-healing persistent exchange service "
-        "under combined drift and fault streams; exits 1 unless it "
-        "converges with zero full rebuilds",
-    )
-    p.add_argument(
-        "--K", type=int, default=None, help="process count of the soak"
-    )
-    p.add_argument(
-        "--degree", type=float, default=None, help="mean messages per process"
-    )
-    p.add_argument(
-        "--epochs", type=int, default=None, help="soak length (default 200)"
-    )
-    p.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="drift fraction per epoch, at most 0.10 (default 0.08)",
-    )
-    p.add_argument(
-        "--tail",
-        type=int,
-        default=None,
-        help="quiet fault- and drift-free epochs ending the soak",
-    )
-    p.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    p.add_argument(
-        "--cache",
-        metavar="DIR",
-        nargs="?",
-        const="",
-        default=None,
-        help="delta-keyed plan reuse in DIR (no DIR: $REPRO_CACHE_DIR or "
-        ".repro-cache)",
-    )
-    p.add_argument(
-        "--no-validate",
-        action="store_true",
-        help="skip per-repair byte-identity cross-checks (timing only)",
-    )
-    p.add_argument(
-        "--corruption",
-        action="store_true",
-        help="add silent-data-corruption chaos: transient bit flips plus a "
-        "persistent corrupt forwarder the policy must quarantine",
-    )
-
-    p = sub.add_parser(
-        "corrupt",
-        help="silent-data-corruption sweep: transient flips, a persistent "
-        "corrupt forwarder and ABFT-checked compute flips; reports "
-        "detection latency and the undetected-corruption rate, and exits "
-        "1 on any undetected corruption, ABFT miss, unrecovered episode "
-        "or missed quarantine",
-    )
-    p.add_argument(
-        "--K", type=int, default=None, help="process count per episode"
-    )
-    p.add_argument(
-        "--degree", type=float, default=None, help="mean messages per process"
-    )
-    p.add_argument(
-        "--epochs", type=int, default=None, help="epochs per episode (default 16)"
-    )
-    p.add_argument("--seed", type=int, default=None, help="base RNG seed")
+    for name, (help_text, flags, overrides) in RESILIENCE.items():
+        _add_flags(sub.add_parser(name, help=help_text), flags, overrides)
 
     p = sub.add_parser(
         "trace",
@@ -229,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("exchange", *EXPERIMENTS),
         help="what to trace: a synthetic STFW exchange (default) or an experiment",
     )
-    _add_config_args(p)
+    _add_flags(p, _CELL_FLAGS)
     p.add_argument(
         "--out", metavar="DIR", default=".", help="directory for the trace files"
     )
@@ -244,33 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--scale",
-        type=float,
-        default=None,
-        help="matrix linear scale vs Table 1 (default 0.25 or $REPRO_SCALE)",
-    )
-    p.add_argument(
-        "--partitioner",
-        choices=("rcm", "block", "random", "bisection", "multilevel"),
-        default=None,
-        help="row partitioner (default rcm)",
-    )
-    p.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    p.add_argument(
-        "--cache",
-        metavar="DIR",
-        nargs="?",
-        const="",
-        default=None,
-        help="persist artifacts in DIR (no DIR: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-
-
-def _artifact_cache(args: argparse.Namespace):
-    """The CLI-selected :class:`ArtifactCache`, or ``None``."""
-    flag = getattr(args, "cache", None)
+def _artifact_cache(flag: str | None):
+    """The ``--cache``-selected :class:`ArtifactCache`, or ``None``."""
     if flag is None:
         return None
     from .cache import ArtifactCache, default_cache_root
@@ -278,19 +249,13 @@ def _artifact_cache(args: argparse.Namespace):
     return ArtifactCache(flag or default_cache_root())
 
 
-def _run_experiment(
-    name: str, cfg: ExperimentConfig, *, args: argparse.Namespace
-):
-    """Run one experiment honoring ``--cache``; returns (result, fmt)."""
-    run_fn, fmt = EXPERIMENTS[name]
-    if name in ("faults", "recover"):
-        result = run_fn(cfg)
-    else:
-        from .experiments.harness import InstanceCache
-
-        cache = InstanceCache(cfg, artifacts=_artifact_cache(args))
-        result = run_fn(cfg, cache=cache)
-    return result, fmt
+def _run_experiment(name: str, cfg: ExperimentConfig, cache: InstanceCache):
+    """Run one :data:`EXPERIMENTS` entry; the cell experiments share
+    ``cache``, the others take only its tracer."""
+    run_fn, _ = EXPERIMENTS[name]
+    if name in _OWN_EXCHANGES:
+        return run_fn(cfg, tracer=cache.tracer)
+    return run_fn(cfg, cache=cache)
 
 
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
@@ -344,108 +309,24 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _acceptance(checks: Sequence[tuple[bool, str]]) -> int:
-    """Exit status of a resilience run from its ``(failed, reason)``
-    acceptance predicates: 1, naming each miss on stderr, if any failed."""
+def _cmd_resilience(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
+    """Run one :data:`RESILIENCE` row: its ``run()`` with the keywords
+    its flags set, then print the table.  Exits 1, naming each miss on
+    stderr, if any of the driver's ``acceptance(result)`` predicates
+    failed."""
+    mod = importlib.import_module(f"{__package__}.experiments.{args.command}")
+    flags = RESILIENCE[args.command][1]
+    kwargs: dict[str, Any] = {}
+    for flag, keywords in _KEYWORDS.items():
+        if flag in flags:
+            kwargs.update(keywords(getattr(args, flag.lstrip("-").replace("-", "_"))))
+    result = mod.run(cfg, **kwargs)
+    print(mod.format_result(result))
+    checks = mod.acceptance(result) if hasattr(mod, "acceptance") else ()
     missed = [reason for failed, reason in checks if failed]
     for reason in missed:
         print(f"FAIL {reason}", file=sys.stderr)
     return 1 if missed else 0
-
-
-def _cmd_drift(args: argparse.Namespace) -> int:
-    """``repro drift`` — run and report; a repair that diverges from
-    its rebuild raises :class:`~repro.errors.ExperimentError`."""
-    from .experiments import drift
-
-    kwargs = {}
-    if args.K is not None:
-        kwargs["K"] = args.K
-    if args.degree is not None:
-        kwargs["degree"] = args.degree
-    if args.rates is not None:
-        kwargs["rates"] = tuple(args.rates)
-    result = drift.run(
-        _config_from(args),
-        epochs=args.epochs,
-        artifacts=_artifact_cache(args),
-        validate=not args.no_validate,
-        service=not args.no_service,
-        **kwargs,
-    )
-    print(drift.format_result(result))
-    return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    """``repro chaos`` — run the soak, report, exit 1 unless it converged
-    on the incremental repair path."""
-    from .experiments import chaos
-
-    kwargs = {}
-    if args.K is not None:
-        kwargs["K"] = args.K
-    if args.degree is not None:
-        kwargs["degree"] = args.degree
-    if args.epochs is not None:
-        kwargs["epochs"] = args.epochs
-    if args.rate is not None:
-        kwargs["drift_rate"] = args.rate
-    if args.tail is not None:
-        kwargs["tail"] = args.tail
-    if args.corruption:
-        kwargs["corruption"] = True
-    result = chaos.run(
-        _config_from(args),
-        artifacts=_artifact_cache(args),
-        validate=not args.no_validate,
-        **kwargs,
-    )
-    print(chaos.format_result(result))
-    return _acceptance(
-        [
-            (not result.converged, "soak did not converge"),
-            (
-                result.full_rebuilds > 0,
-                f"{result.full_rebuilds} full plan rebuild(s), expected 0",
-            ),
-        ]
-    )
-
-
-def _cmd_corrupt(args: argparse.Namespace) -> int:
-    """``repro corrupt`` — run the SDC sweep, report, exit 1 on any
-    missed integrity predicate."""
-    from .experiments import corrupt
-
-    kwargs = {}
-    if args.K is not None:
-        kwargs["K"] = args.K
-    if args.degree is not None:
-        kwargs["degree"] = args.degree
-    if args.epochs is not None:
-        kwargs["epochs"] = args.epochs
-    result = corrupt.run(_config_from(args), **kwargs)
-    print(corrupt.format_result(result))
-    # ``converged`` already requires the last two (the compute episode
-    # recovers only if ABFT caught every flip, the forwarder episode only
-    # if it quarantined); each is named so a failure says which one
-    return _acceptance(
-        [
-            (
-                result.undetected_total > 0,
-                f"{result.undetected_total} corruption(s) reached a consumer "
-                f"undetected",
-            ),
-            (not result.converged, "an injection episode did not recover"),
-            (
-                result.abft_caught < result.abft_injected,
-                f"ABFT caught {result.abft_caught} of {result.abft_injected} "
-                f"injected compute flips",
-            ),
-            (not result.quarantined, "the corrupt forwarder was never quarantined"),
-        ]
-    )
 
 
 def _cmd_trace(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
@@ -486,14 +367,8 @@ def _cmd_trace(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
             )
         extras.append(t.render())
     else:
-        run_fn, _ = EXPERIMENTS[args.target]
         with tracer.span(f"experiment.{args.target}", track="host", cat="experiment"):
-            if args.target in ("faults", "recover"):
-                run_fn(cfg, tracer=tracer)
-            else:
-                from .experiments.harness import InstanceCache
-
-                run_fn(cfg, cache=InstanceCache(cfg, tracer=tracer))
+            _run_experiment(args.target, cfg, InstanceCache(cfg, tracer=tracer))
 
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, f"{args.target}.trace.json")
@@ -520,7 +395,6 @@ def run_report(cfg: ExperimentConfig, *, artifacts=None) -> str:
     so each (matrix, K) pair is generated once for the whole report;
     ``artifacts`` additionally persists them on disk.
     """
-    from .experiments.harness import InstanceCache
     from .matrices.calibration import calibrate_suite, format_calibration
 
     cache = InstanceCache(cfg, artifacts=artifacts)
@@ -539,12 +413,9 @@ def run_report(cfg: ExperimentConfig, *, artifacts=None) -> str:
         "```",
         "",
     ]
-    for name, (run, fmt) in EXPERIMENTS.items():
+    for name, (_, fmt) in EXPERIMENTS.items():
         t0 = time.time()
-        if name in ("faults", "recover"):
-            result = run(cfg)
-        else:
-            result = run(cfg, cache=cache)
+        result = _run_experiment(name, cfg, cache)
         elapsed = time.time() - t0
         lines.append(f"## {name}  ({elapsed:.1f}s)")
         lines.append("")
@@ -566,21 +437,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "cache":
         return _cmd_cache(args)
 
-    if args.command == "drift":
-        return _cmd_drift(args)
-
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "corrupt":
-        return _cmd_corrupt(args)
-
     cfg = _config_from(args)
+
+    if args.command in RESILIENCE:
+        return _cmd_resilience(args, cfg)
 
     if args.command == "trace":
         return _cmd_trace(args, cfg)
 
     if args.command == "report":
-        text = run_report(cfg, artifacts=_artifact_cache(args))
+        text = run_report(cfg, artifacts=_artifact_cache(args.cache))
         if args.output == "-":
             print(text)
         else:
@@ -589,13 +455,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"wrote {args.output}", file=sys.stderr)
         return 0
 
-    if args.command == "run":
-        result, fmt = _run_experiment(args.experiment, cfg, args=args)
-        print(fmt(result))
-        return 0
-
-    result, fmt = _run_experiment(args.command, cfg, args=args)
-    print(fmt(result))
+    cache = InstanceCache(cfg, artifacts=_artifact_cache(getattr(args, "cache", None)))
+    result = _run_experiment(args.command, cfg, cache)
+    print(EXPERIMENTS[args.command][1](result))
     if getattr(args, "svg", None):
         from .viz import experiment_svgs
 

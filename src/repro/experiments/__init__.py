@@ -13,10 +13,14 @@ table3    large-scale communication, 4K-16K processes
 figure10  per-instance comm times at 16K on the XK7 torus
 ========  ==========================================================
 
-``faults`` and ``recover`` (not paper artifacts) measure BL vs STFW
-resilience and shrink-recovery cost under the emulator's
-fault-injection subsystem; ``chaos`` soaks the self-healing persistent
-exchange service under combined drift and fault streams.
+Five resilience drivers are not paper artifacts: ``faults`` and
+``recover`` measure BL vs STFW resilience and shrink-recovery cost
+under the emulator's fault-injection subsystem; ``drift`` times
+incremental plan repair against full rebuilds; ``chaos`` soaks the
+self-healing persistent exchange service under combined drift and
+fault streams; ``corrupt`` measures silent-data-corruption detection.
+``chaos`` and ``corrupt`` share one soak loop and one payload oracle
+(:func:`chaos.soak`, :func:`chaos.check_payloads`).
 """
 
 from . import (

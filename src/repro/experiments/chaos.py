@@ -57,7 +57,10 @@ __all__ = [
     "CHAOS_EPOCHS",
     "CHAOS_DRIFT_RATE",
     "ChaosResult",
+    "acceptance",
+    "check_payloads",
     "run",
+    "soak",
     "format_result",
 ]
 
@@ -209,51 +212,80 @@ def _schedule(
     return plans, labels
 
 
-def _verify_payloads(
-    result,
-    K: int,
-    pattern: CommPattern,
-    known_corrupt: frozenset[tuple[int, int]] = frozenset(),
-) -> int:
+def check_payloads(
+    result, K: int, pattern: CommPattern, known=()
+) -> tuple[tuple[tuple[int, int], ...], int]:
     """Check every delivered payload bit-identical to the pure reference.
 
     Payloads are a pure function of ``(src, dst, words)`` — see
     :func:`~repro.core.stfw._default_payloads` — so each delivery can
     be verified against ``np.full(words, src*K + dst, int64)`` without
     trusting any state that travelled through the faulty machine.
-    ``pattern`` is the service's pattern *after* the epoch: it pins
-    each pair's expected length, except for pairs a same-epoch shrink
-    crash-masked away (uncountable — those get the content-and-dtype
-    check at their delivered length).  Returns the number of payloads
-    checked; raises on any mismatch.
+    ``pattern`` pins each pair's expected length; a pair it does not
+    hold (a same-epoch shrink crash-masked it away) gets the
+    content-and-dtype check at its delivered length.  Returns the
+    mismatching ``(src, dst)`` deliveries and the number of payloads
+    checked.
 
-    ``known_corrupt`` pairs are skipped: the service *detected* them
-    (named in ``EpochReport.corrupt_pairs`` and counted missing), so
-    this oracle — which exists to catch **undetected** corruption —
-    must not fail the soak over them.
+    ``known`` pairs are skipped: the service *detected* them (named in
+    ``EpochReport.corrupt_pairs`` and counted missing), and this oracle
+    exists to catch **undetected** corruption.
     """
+    known = {(int(s), int(d)) for s, d in known}
     sizes = {
         (int(s), int(d)): int(w)
         for s, d, w in zip(pattern.src, pattern.dst, pattern.size)
     }
+    bad: list[tuple[int, int]] = []
     checks = 0
     for dst, msgs in enumerate(result.delivered):
         if not msgs:
             continue
         for src, payload in msgs:
             src = int(src)
-            if (src, dst) in known_corrupt:
+            if (src, dst) in known:
                 continue
             got = np.asarray(payload)
             words = sizes.get((src, dst), got.size)
             ref = np.full(words, src * K + dst, dtype=np.int64)
             if got.dtype != ref.dtype or got.tobytes() != ref.tobytes():
-                raise ExperimentError(
-                    f"payload ({src} -> {dst}) diverged from the "
-                    f"bit-identical reference"
-                )
+                bad.append((src, dst))
             checks += 1
-    return checks
+    return tuple(bad), checks
+
+
+def soak(service: PersistentExchangeService, plans, drift=None, *, strict=False):
+    """Run one service epoch per fault plan in ``plans``.
+
+    ``drift(epoch)``, if given, yields each epoch's
+    :class:`~repro.core.pattern.PatternDelta` (or ``None``).  Every
+    epoch's deliveries go through :func:`check_payloads` against the
+    service's pattern after the epoch; ``strict`` raises
+    :class:`~repro.errors.ExperimentError` on the first mismatch.  The
+    reports keep no exchange result, so a long soak's memory stays
+    flat.  Returns ``(reports, mismatches, payloads checked, last
+    epoch's exchange result)``.
+    """
+    reports: list[EpochReport] = []
+    mismatches = checks = 0
+    last = None
+    for e, plan in enumerate(plans, start=1):
+        delta = drift(e) if drift is not None else None
+        report = service.run_epoch(delta, fault_plan=plan)
+        bad, n = check_payloads(
+            report.result, service.K, service.pattern, report.corrupt_pairs
+        )
+        if bad and strict:
+            src, dst = bad[0]
+            raise ExperimentError(
+                f"payload ({src} -> {dst}) diverged from the "
+                f"bit-identical reference"
+            )
+        mismatches += len(bad)
+        checks += n
+        last, report.result = report.result, None
+        reports.append(report)
+    return reports, mismatches, checks, last
 
 
 def _delivery_key(msgs) -> list[tuple[int, bytes]]:
@@ -356,25 +388,16 @@ def run(
     )
     drift_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD81F7)))
 
-    reports: list[EpochReport] = []
-    payload_checks = 0
-    final_result = None
-    for e in range(1, epochs + 1):
-        delta = None
-        if e <= epochs - tail:  # the tail is drift-free as well
-            delta = PatternDelta.random(
-                service.pattern, drift_rate, seed=int(drift_rng.integers(2**31))
-            )
-        report = service.run_epoch(delta, fault_plan=plans[e])
-        payload_checks += _verify_payloads(
-            report.result,
-            K,
-            service.pattern,
-            frozenset((int(s), int(d)) for s, d in report.corrupt_pairs),
+    def drift(e: int) -> PatternDelta | None:
+        if e > epochs - tail:  # the tail is drift-free as well
+            return None
+        return PatternDelta.random(
+            service.pattern, drift_rate, seed=int(drift_rng.integers(2**31))
         )
-        final_result = report.result
-        report.result = None  # keep the soak's memory flat
-        reports.append(report)
+
+    reports, _, payload_checks, final_result = soak(
+        service, plans[1:], drift, strict=True
+    )
 
     # convergence: a quiet tail with nothing missing, and the final
     # epoch bit-identical to a fault-free exchange of the final pattern
@@ -434,6 +457,18 @@ def run(
             sorted({int(p) for r in reports for p in r.quarantined})
         ),
     )
+
+
+def acceptance(result: ChaosResult) -> list[tuple[bool, str]]:
+    """``(failed, reason)`` predicates of ``repro chaos``: the soak
+    converged on the incremental repair path."""
+    return [
+        (not result.converged, "soak did not converge"),
+        (
+            result.full_rebuilds > 0,
+            f"{result.full_rebuilds} full plan rebuild(s), expected 0",
+        ),
+    ]
 
 
 def format_result(result: ChaosResult, *, events: int = 24) -> str:

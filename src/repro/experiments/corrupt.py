@@ -43,6 +43,7 @@ from ..simmpi.faults import FaultPlan
 from ..simmpi.integrity import corrupt_draw
 from ..simmpi.policy import PolicyConfig
 from ..spmv.persistent import PersistentExchangeService, PersistentSpMV
+from .chaos import soak
 from .config import ExperimentConfig, default_config
 from .faults import busiest_forwarder
 
@@ -52,6 +53,7 @@ __all__ = [
     "CORRUPT_EPOCHS",
     "EpisodeResult",
     "CorruptResult",
+    "acceptance",
     "run",
     "format_result",
 ]
@@ -102,37 +104,6 @@ class CorruptResult:
     converged: bool  # every episode recovered and the forwarder was quarantined
 
 
-def _oracle(result, K: int, pattern: CommPattern, corrupt_pairs) -> tuple[int, int]:
-    """Count (undetected corruptions, payloads checked) for one epoch.
-
-    Every delivered payload is compared bit-for-bit against the pure
-    reference ``np.full(words, src*K + dst, int64)``.  Pairs the
-    service *detected* (named in ``corrupt_pairs``) are skipped — this
-    oracle exists to count corruption that slipped past every check.
-    """
-    known = {(int(s), int(d)) for s, d in corrupt_pairs}
-    sizes = {
-        (int(s), int(d)): int(w)
-        for s, d, w in zip(pattern.src, pattern.dst, pattern.size)
-    }
-    undetected = 0
-    checks = 0
-    for dst, msgs in enumerate(result.delivered):
-        if not msgs:
-            continue
-        for src, payload in msgs:
-            src = int(src)
-            if (src, dst) in known:
-                continue
-            got = np.asarray(payload)
-            words = sizes.get((src, dst), got.size)
-            ref = np.full(words, src * K + dst, dtype=np.int64)
-            if got.dtype != ref.dtype or got.tobytes() != ref.tobytes():
-                undetected += 1
-            checks += 1
-    return undetected, checks
-
-
 def _exchange_episode(
     name: str,
     K: int,
@@ -145,7 +116,8 @@ def _exchange_episode(
     *,
     require_quarantine: bool = False,
 ) -> EpisodeResult:
-    """Soak one service instance under ``plan_for(epoch)`` fault plans."""
+    """Soak one service instance under ``plan_for(epoch)`` fault plans,
+    counting the payloads that reached a consumer undetected."""
     pattern = CommPattern.random(K, avg_degree=degree, seed=seed)
     vpt = make_vpt(K, dims)
     policy = PolicyConfig(
@@ -162,16 +134,9 @@ def _exchange_episode(
         config=policy,
         validate=False,
     )
-    reports = []
-    undetected = 0
-    checks = 0
-    for e in range(1, epochs + 1):
-        report = service.run_epoch(None, fault_plan=plan_for(e))
-        u, c = _oracle(report.result, K, pattern, report.corrupt_pairs)
-        undetected += u
-        checks += c
-        report.result = None
-        reports.append(report)
+    reports, undetected, checks, _ = soak(
+        service, [plan_for(e) for e in range(1, epochs + 1)]
+    )
     stats = integrity_stats(reports, undetected=undetected)
     last = reports[-1]
     recovered = not last.missing and not last.corrupt_pairs
@@ -343,6 +308,27 @@ def run(
         abft_caught=abft_caught,
         converged=all(ep.recovered for ep in episodes),
     )
+
+
+def acceptance(result: CorruptResult) -> list[tuple[bool, str]]:
+    """``(failed, reason)`` predicates of ``repro corrupt``."""
+    # ``converged`` already requires the last two (the compute episode
+    # recovers only if ABFT caught every flip, the forwarder episode only
+    # if it quarantined); each is named so a failure says which one
+    return [
+        (
+            result.undetected_total > 0,
+            f"{result.undetected_total} corruption(s) reached a consumer "
+            f"undetected",
+        ),
+        (not result.converged, "an injection episode did not recover"),
+        (
+            result.abft_caught < result.abft_injected,
+            f"ABFT caught {result.abft_caught} of {result.abft_injected} "
+            f"injected compute flips",
+        ),
+        (not result.quarantined, "the corrupt forwarder was never quarantined"),
+    ]
 
 
 def format_result(result: CorruptResult) -> str:

@@ -115,14 +115,12 @@ def _rate_row(
 ) -> DriftRateRow:
     """Chain one drift rate's epochs from ``pattern``; returns the timing row."""
     K, dims = pattern.K, vpt.n
-    base_digest = None
-    chain: list[str] = []
     if artifacts is not None:
-        from ..cache import ArtifactCache, pattern_digest
+        from ..cache import ArtifactCache, DeltaPlanKeys
 
         # the same directory, with hit/miss counters of this rate's own
         artifacts = ArtifactCache(artifacts.root, tracer=tracer)
-        base_digest = pattern_digest(pattern)
+        keys = DeltaPlanKeys(pattern, vpt.dim_sizes, header)
 
     plan = build_plan(pattern, vpt, header_words=header)
     repairs: list[float] = []
@@ -148,19 +146,7 @@ def _rate_row(
                 )
             validated += 1
         if artifacts is not None:
-            from ..cache import delta_digest
-
-            chain.append(delta_digest(delta))
-            cached = artifacts.plan(
-                {
-                    "base_pattern": base_digest,
-                    "delta_chain": list(chain),
-                    "dim_sizes": vpt.dim_sizes,
-                    "header_words": header,
-                    "repair": True,
-                },
-                lambda: repaired,
-            )
+            cached = artifacts.plan(keys.next(delta), lambda: repaired)
             if validate and not plans_identical(cached, repaired):
                 raise ExperimentError(
                     f"delta-keyed cache returned a different plan at rate="

@@ -190,12 +190,10 @@ class PersistentExchangeService:
         #: epochs whose exchange routed around a quarantined forwarder
         self.quarantine_epochs = 0
         self._artifacts = artifacts
-        self._base_digest: str | None = None
-        self._chain: list[str] = []
         if artifacts is not None:
-            from ..cache import pattern_digest
+            from ..cache import DeltaPlanKeys
 
-            self._base_digest = pattern_digest(pattern)
+            self._plan_keys = DeltaPlanKeys(pattern, vpt.dim_sizes)
         #: dead ∩ stage participants memo; None = recompute
         self._blocked: bool | None = False
 
@@ -288,18 +286,8 @@ class PersistentExchangeService:
                 )
             self.side_table_checks += 1
         if self._artifacts is not None:
-            from ..cache import delta_digest
-
-            self._chain.append(delta_digest(delta))
             cached = self._artifacts.plan(
-                {
-                    "base_pattern": self._base_digest,
-                    "delta_chain": list(self._chain),
-                    "dim_sizes": self.vpt.dim_sizes,
-                    "header_words": 0,
-                    "repair": True,
-                },
-                lambda: repaired,
+                self._plan_keys.next(delta), lambda: repaired
             )
             if self.validate and not plans_identical(cached, repaired):
                 raise PlanError(
@@ -425,7 +413,7 @@ class PersistentExchangeService:
         """Absorb ``delta`` (if any), run one exchange, escalate as needed.
 
         The epoch starts on the cheapest viable rung: the planned fast
-        path (precomputed ``tables.recv_counts``) whenever no peer is
+        path (one exchange on the held plan) whenever no peer is
         suspected and no dead rank blocks a planned route.  A fault
         escalates *within the same epoch* to the tolerant exchange —
         jittered retries, e-cube detours around (pre-)suspected peers —

@@ -138,3 +138,113 @@ class TestDriftCommand:
         )
         assert rc == 0
         assert "Dynamic exchange under drift" in capsys.readouterr().out
+
+
+class TestSubcommandFlags:
+    """Each subcommand takes only the flags its experiment reads."""
+
+    @pytest.mark.parametrize("name", ["table2", "figure6", "figure7", "table3"])
+    def test_svg_without_a_chart_adapter_is_a_usage_error(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([name, "--svg", "x"])
+        assert exc.value.code == 2
+        assert "usage: repro" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["figure1", "figure8", "figure9", "figure10"])
+    def test_svg_parses_where_a_chart_adapter_exists(self, name):
+        assert build_parser().parse_args([name, "--svg", "x"]).svg == "x"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["faults", "--scale", "0.1"],
+            ["faults", "--partitioner", "rcm"],
+            ["faults", "--cache"],
+            ["faults", "--svg", "x"],
+            ["recover", "--scale", "0.1"],
+            ["recover", "--cache"],
+            ["recover", "--svg", "x"],
+            ["run", "figure9"],
+        ],
+    )
+    def test_flags_nothing_reads_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "usage: repro" in capsys.readouterr().err
+
+    def test_faults_and_recover_keep_the_flags_they_read(self):
+        assert build_parser().parse_args(["faults", "--seed", "3"]).seed == 3
+        args = build_parser().parse_args(
+            ["recover", "--seed", "3", "--partitioner", "block"]
+        )
+        assert (args.seed, args.partitioner) == (3, "block")
+
+
+class TestResilienceKeywords:
+    """The flag -> ``run()`` keyword mapping of ``drift``, ``chaos`` and
+    ``corrupt``: the keywords each run receives, and the config seed."""
+
+    @pytest.fixture
+    def received(self, monkeypatch):
+        import importlib
+
+        def run_cli(argv):
+            mod = importlib.import_module(f"repro.experiments.{argv[0]}")
+            seen = {}
+
+            def record(cfg, **kwargs):
+                seen.update(seed=cfg.seed, kwargs=kwargs)
+                raise SystemExit(0)  # stop before format_result
+
+            monkeypatch.setattr(mod, "run", record)
+            with pytest.raises(SystemExit):
+                main(argv)
+            artifacts = seen["kwargs"].get("artifacts")
+            if artifacts is not None:
+                seen["kwargs"]["artifacts"] = ("ArtifactCache", artifacts.root)
+            return seen
+
+        return run_cli
+
+    @pytest.mark.parametrize(
+        "argv, seed, kwargs",
+        [
+            (
+                ["drift"],
+                0,
+                dict(epochs=3, artifacts=None, validate=True, service=True),
+            ),
+            (
+                ["drift", "--K", "64", "--degree", "6", "--rates", "0.05", "0.25",
+                 "--epochs", "2", "--seed", "7", "--cache", "DIRX",
+                 "--no-validate", "--no-service"],
+                7,
+                dict(K=64, degree=6.0, rates=(0.05, 0.25), epochs=2,
+                     artifacts=("ArtifactCache", "DIRX"), validate=False,
+                     service=False),
+            ),
+            (["chaos"], 0, dict(artifacts=None, validate=True)),
+            (
+                ["chaos", "--K", "64", "--degree", "3", "--epochs", "40",
+                 "--rate", "0.05", "--tail", "6", "--seed", "5", "--cache",
+                 "DIRX", "--no-validate", "--corruption"],
+                5,
+                dict(K=64, degree=3.0, epochs=40, drift_rate=0.05, tail=6,
+                     artifacts=("ArtifactCache", "DIRX"), validate=False,
+                     corruption=True),
+            ),
+            (["corrupt"], 0, {}),
+            (
+                ["corrupt", "--K", "16", "--degree", "3", "--epochs", "12",
+                 "--seed", "11"],
+                11,
+                dict(K=16, degree=3.0, epochs=12),
+            ),
+        ],
+    )
+    def test_flags_reach_run_as_keywords(self, received, argv, seed, kwargs):
+        seen = received(argv)
+        assert seen["seed"] == seed
+        assert seen["kwargs"] == kwargs
+        assert type(seen["kwargs"].get("rates", ())) is tuple

@@ -1,5 +1,6 @@
 """Tests for the silent-data-corruption sweep (``repro.experiments.corrupt``)."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -36,6 +37,12 @@ class TestSweep:
     def test_abft_caught_every_injection(self, sweep):
         assert sweep.abft_injected > 0
         assert sweep.abft_caught == sweep.abft_injected
+
+    def test_printed_table_is_pinned(self, sweep):
+        text = corrupt.format_result(sweep)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c07d0b22897bfc177117c76247d805bcc62c267fa5be56ceeecf20a857c413cc"
+        )
 
     def test_format_result_reports_pass(self, sweep):
         text = corrupt.format_result(sweep)

@@ -270,3 +270,13 @@ class TestFaults:
         text = faults.format_result(result)
         assert "Resilience" in text
         assert "STFW-FT" in text and "deadlock" in text
+
+    def test_printed_table_is_pinned(self, result):
+        import hashlib
+
+        from repro.experiments import faults
+
+        text = faults.format_result(result)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "07078a1bd62d603adc1e108e445fe972295555b8853a599be2c7599be7162550"
+        )

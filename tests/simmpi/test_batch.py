@@ -307,8 +307,8 @@ class TestConsumersReadDeliveries:
             chaos._delivery_key(batch.delivered[r]) == chaos._delivery_key(event.delivered[r])
             for r in range(K)
         )
-        assert chaos._verify_payloads(batch, K, pat) == pat.num_messages
-        assert corrupt._oracle(batch, K, pat, ()) == (0, pat.num_messages)
+        assert chaos.check_payloads(batch, K, pat)[1] == pat.num_messages
+        assert chaos.check_payloads(batch, K, pat, ()) == ((), pat.num_messages)
 
     def test_resilience_accounting(self, results):
         from repro.metrics import delivered_pairs, expected_pairs, resilience_stats
