@@ -283,17 +283,15 @@ class _DeltaRows:
     """One drift step resolved against a concrete pattern.
 
     Splits a :class:`~repro.core.pattern.PatternDelta` into the three
-    per-row contribution groups every memoized intermediate needs:
+    per-row contribution groups :func:`repair_plan` folds into a plan:
     removed rows with their old sizes, reweighted rows with their size
-    *change*, and added rows.  ``keep`` is the survivor mask over the
-    old pattern's rows (the delete half of the canonical row order).
+    *change*, and added rows.
     """
 
     __slots__ = (
         "rem_src", "rem_dst", "rem_size", "rem_rows",
         "rw_src", "rw_dst", "rw_dsize", "rw_rows",
         "add_src", "add_dst", "add_size",
-        "keep",
     )
 
     def __init__(self, pattern: CommPattern, delta: PatternDelta):
@@ -313,8 +311,6 @@ class _DeltaRows:
         self.add_src = delta.add_src
         self.add_dst = delta.add_dst
         self.add_size = delta.add_size
-        self.keep = np.ones(size.size, dtype=bool)
-        self.keep[rem_rows] = False
 
     def stage_delta(
         self, K: int, w0: int, w1: int
@@ -609,51 +605,6 @@ class PlanBuilder:
             header_words=header_words,
             forward_occupancy=occupancy,
         )
-
-    def apply_delta(self, delta: PatternDelta) -> CommPattern:
-        """Advance the builder to the drifted pattern, repairing memos.
-
-        Every cached holder array, coalesced stage-array entry and
-        occupancy row is updated in place of a recompute: stage repair
-        touches only the routes the delta's edges travel, so a
-        subsequent :meth:`plan` call pays O(changes) per already-warm
-        topology instead of the full sort-and-unique build.  Entries
-        for ``coalesce=False`` plans are dropped (the per-submessage
-        ablation arrays are order-dependent and rebuilt lazily).
-
-        Returns the drifted pattern, which is byte-identical to
-        ``self.pattern.apply_delta(delta)``.  The builder's memo becomes
-        its own: the old pattern's (see :meth:`of`) is left as it was.
-        """
-        rows = _DeltaRows(self.pattern, delta)
-        K = self.pattern.K
-        new_pattern = self.pattern.apply_delta(delta, _rows=(rows.rem_rows, rows.rw_rows))
-        keep = rows.keep
-        self._holders = {
-            w: np.concatenate([arr[keep], _holder_of(rows.add_src, rows.add_dst, w)])
-            for w, arr in self._holders.items()
-        }
-        stages: dict[tuple[int, int, bool], tuple] = {}
-        for (w0, w1, coalesce), arrays in self._stages.items():
-            if not coalesce:
-                continue
-            sender, receiver, nsub, payload, route_key, _ = arrays
-            dkey, dn, dp = rows.stage_delta(K, w0, w1)
-            # the row -> message map is not repaired: the engine derives it
-            stages[(w0, w1, True)] = _merge_stage_arrays(
-                K, route_key, sender, receiver, nsub, payload, dkey, dn, dp
-            ) + (None,)
-        self._stages = stages
-        self._occupancy = {
-            w1: row + rows.occupancy_delta(K, w1)
-            for w1, row in self._occupancy.items()
-        }
-        for memo in (self._holders, self._occupancy):
-            read_only(*memo.values())
-        for arrays in stages.values():
-            read_only(*arrays)
-        self.pattern = new_pattern
-        return new_pattern
 
 
 def repair_plan(plan: CommPlan, delta: PatternDelta) -> CommPlan:

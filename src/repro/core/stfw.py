@@ -1115,7 +1115,7 @@ def run_exchange(
     plans, jitter).  ``on_fault="partial"`` requires the event engine:
     the salvage path reads deliveries out of per-rank sinks that only
     it fills as it goes.  Extra keyword arguments (``jitter``,
-    ``rendezvous_threshold_words``, ...) forward to the
+    ``jitter_seed``, ...) forward to the
     :class:`~repro.simmpi.runtime.SimMPI` engine.
     """
     policy = FaultPolicy() if on_fault == "tolerate" else on_fault

@@ -40,8 +40,6 @@ class ExperimentConfig:
         Row partitioner for pattern extraction.
     seed:
         Base RNG seed (instance generation derives per-name seeds).
-    contention:
-        Enable the network contention factor in timing.
     """
 
     scale: float = 0.25
@@ -49,7 +47,6 @@ class ExperimentConfig:
     nnz_budget: int | None = 6_000_000
     partitioner: str = "rcm"
     seed: int = 0
-    contention: bool = False
     #: cap, in units of rows-per-part, on the generator's locality
     #: window at large K: a row's regular (non-dense) neighborhood
     #: spans at most this many partition blocks.  Real partitioned

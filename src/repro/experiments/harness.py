@@ -249,7 +249,6 @@ class InstanceCache:
                 machine,
                 dims=dims,
                 name=name,
-                contention=self.cfg.contention,
                 partition=self.partition(name, K),
                 pattern=self.pattern(name, K),
                 artifacts=self.artifacts,

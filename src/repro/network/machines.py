@@ -35,7 +35,10 @@ from .dragonfly import DragonflyTopology
 from .model import Topology
 from .torus import TorusTopology, fit_torus_dims
 
-__all__ = ["Machine", "BGQ", "CRAY_XC40", "CRAY_XK7", "MACHINES"]
+__all__ = ["Machine", "RECV_ALPHA_FRACTION", "BGQ", "CRAY_XC40", "CRAY_XK7", "MACHINES"]
+
+#: fraction of alpha charged on the receive side of a match
+RECV_ALPHA_FRACTION = 0.4
 
 
 @dataclass(frozen=True)
@@ -96,33 +99,24 @@ class Machine:
         """
         return self.alpha_us
 
-    def cost_many(
-        self,
-        src_nodes,
-        dst_nodes,
-        words,
-        *,
-        topology: Topology,
-        rendezvous_threshold_words: int | None = None,
-    ):
-        """Batched send cost for message arrays (see ``send_cost_many``).
+    def send_cost(self, hops, words):
+        """Sender-side cost of a message of ``words`` words over ``hops`` hops.
 
-        One vectorized evaluation of the engine's per-send cost for
-        ``src_nodes[i] -> dst_nodes[i]`` carrying ``words[i]`` 8-byte
-        words — the same hop-cost semantics the scalar engine memoizes,
-        bit-identical per element.  ``topology`` must be the instance
-        the caller sized for its rank count (``self.topology(K)``).
+        The one send-cost expression of the simulator: the event engine
+        calls it per message with Python ints, the batch engine and
+        :func:`~repro.network.timing.time_plan` per stage with arrays.
+        One expression, one IEEE-754 operation sequence, so an array
+        element equals the scalar call on it bit for bit.
         """
-        from .timing import send_cost_many
+        return self.alpha_us + self.alpha_hop_us * hops + self.beta_us_per_word * words
 
-        return send_cost_many(
-            self,
-            topology,
-            src_nodes,
-            dst_nodes,
-            words,
-            rendezvous_threshold_words=rendezvous_threshold_words,
-        )
+    def recv_cost(self, words):
+        """Receiver-side cost of matching a message of ``words`` words.
+
+        ``RECV_ALPHA_FRACTION * alpha + beta * words``, on scalars or
+        arrays alike (see :meth:`send_cost`).
+        """
+        return RECV_ALPHA_FRACTION * self.alpha_us + self.beta_us_per_word * words
 
     def with_params(self, **kwargs) -> "Machine":
         """Copy with selected cost parameters overridden."""

@@ -1,4 +1,4 @@
-"""Abstract interconnect topology and the alpha-beta message cost model.
+"""Abstract interconnect topology: the hop counts the message cost reads.
 
 The paper measures communication time on three machines whose networks
 differ in topology (5-D torus, Dragonfly, 3-D torus) and in the ratio
@@ -7,11 +7,11 @@ of message start-up time (*alpha*, latency) to per-word transfer time
 this ratio: it pays extra beta (forwarded volume) to save alpha
 (message count).
 
-A :class:`Topology` maps node pairs to hop counts; a machine's total
-cost of one physical message of ``w`` words between nodes ``a`` and
-``b`` is::
-
-    alpha_us + alpha_hop_us * hops(a, b) + beta_us_per_word * w
+A :class:`Topology` maps node pairs to hop counts; a machine charges
+one physical message of ``w`` words between nodes ``a`` and ``b``
+``machine.send_cost(hops(a, b), w)``
+(:meth:`repro.network.machines.Machine.send_cost`, the one cost
+expression of the simulator).
 
 Per-hop latency is small but distinguishes compact torus placements
 from far-apart ones, which is what the rank-mapping ablation exercises.

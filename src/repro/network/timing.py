@@ -7,19 +7,17 @@ time of one stage is therefore the slowest process's port time::
     stage_time = max over processes p of max(send_time(p), recv_time(p))
 
     send_time(p) = sum over messages m sent by p of
-                   alpha + alpha_hop * hops(node(p), node(dst(m)))
-                   + beta * words(m)
+                   machine.send_cost(hops(node(p), node(dst(m))), words(m))
 
-which is the single-port alpha-beta model standard in collective
-communication analysis (Chan et al. 2007) — each extra message costs a
-full start-up, each extra word a beta, and farther nodes cost slightly
-more start-up.  The baseline (BL) is a one-stage plan under the same
-accounting, so BL time is dominated by ``alpha * mmax`` for
+(``alpha + alpha_hop * hops + beta * words``, the same
+:meth:`~repro.network.machines.Machine.send_cost` both simulation
+engines charge), which is the single-port alpha-beta model standard in
+collective communication analysis (Chan et al. 2007) — each extra
+message costs a full start-up, each extra word a beta, and farther
+nodes cost slightly more start-up.  A receiving port is charged the
+same per-message cost.  The baseline (BL) is a one-stage plan under the
+same accounting, so BL time is dominated by ``alpha * mmax`` for
 latency-bound patterns — precisely the behaviour the paper attacks.
-
-An optional *contention factor* scales beta by the stage's average
-traffic per node, approximating shared-link saturation; it is off by
-default and exercised in the ablation benches.
 """
 
 from __future__ import annotations
@@ -39,61 +37,7 @@ __all__ = [
     "CommTiming",
     "time_plan",
     "spmv_compute_time",
-    "send_cost_many",
-    "recv_cost_many",
 ]
-
-
-def send_cost_many(
-    machine: Machine,
-    topology,
-    src_nodes: np.ndarray,
-    dst_nodes: np.ndarray,
-    words: np.ndarray,
-    *,
-    rendezvous_threshold_words: int | None = None,
-) -> np.ndarray:
-    """Vectorized per-message send cost, bit-identical to the engine.
-
-    Evaluates the event engine's scalar per-send cost
-    (``alpha + alpha_hop * hops + beta * words``, plus one extra alpha
-    for messages at or past the rendezvous threshold) for whole message
-    arrays at once.  The expression tree — term order, association and
-    the separate rendezvous addition — matches the scalar path exactly,
-    and ``hops_array`` returns the same integer hop counts the scalar
-    ``hops`` memo caches, so each element is the identical sequence of
-    IEEE-754 operations and the results agree bit for bit.  This is the
-    cost kernel of the ``batch`` engine's whole-stage sweeps.
-
-    ``src_nodes``/``dst_nodes`` are *node* ids (ranks already passed
-    through the rank-to-node mapping); ``words`` is integer-valued.
-    """
-    hops = topology.hops_array(src_nodes, dst_nodes)
-    cost = machine.alpha_us + machine.alpha_hop_us * hops + machine.beta_us_per_word * words
-    if rendezvous_threshold_words is not None:
-        cost = np.asarray(cost, dtype=np.float64)
-        cost[np.asarray(words) >= rendezvous_threshold_words] += machine.alpha_us
-    return np.asarray(cost, dtype=np.float64)
-
-
-def recv_cost_many(
-    machine: Machine,
-    words: np.ndarray,
-    *,
-    alpha_fraction: float,
-) -> np.ndarray:
-    """Vectorized per-message receive cost, bit-identical to the engine.
-
-    The engine charges ``alpha_fraction * alpha + beta * words`` per
-    delivery (``alpha_fraction`` is
-    :data:`repro.simmpi.runtime.RECV_ALPHA_FRACTION`, passed in to keep
-    :mod:`repro.network` free of engine imports).  Same expression
-    shape as the scalar path, hence bitwise-equal per element.
-    """
-    return np.asarray(
-        alpha_fraction * machine.alpha_us + machine.beta_us_per_word * words,
-        dtype=np.float64,
-    )
 
 
 @dataclass(frozen=True)
@@ -126,7 +70,6 @@ def time_plan(
     machine: Machine,
     *,
     mapping: np.ndarray | None = None,
-    contention: bool = False,
     stage_sync: bool = True,
 ) -> CommTiming:
     """Compute the communication time of ``plan`` on ``machine``.
@@ -140,11 +83,6 @@ def time_plan(
     mapping:
         Rank-to-node mapping; defaults to block placement with the
         machine's ``cores_per_node``.
-    contention:
-        When true, scale each stage's beta by
-        ``max(1, stage_words / (num_nodes * per_node_capacity))`` where
-        the capacity is the words one node can inject during one alpha
-        — a coarse saturation model for bandwidth-heavy stages.
     stage_sync:
         When true (default), every non-empty stage is charged a
         synchronization term ``alpha * lg2(num_nodes)``: the
@@ -161,15 +99,11 @@ def time_plan(
         mapping = block_mapping(K, machine.cores_per_node)
     mapping = validate_mapping(mapping, K, topo.num_nodes)
 
-    alpha = machine.alpha_us
-    alpha_hop = machine.alpha_hop_us
-    beta = machine.beta_us_per_word
-
     sync_us = 0.0
     if stage_sync:
         # straggler cost scales with the nodes actually used, not the
         # (possibly padded) physical topology size
-        sync_us = alpha * math.log2(max(machine.num_nodes(K), 2))
+        sync_us = machine.alpha_us * math.log2(max(machine.num_nodes(K), 2))
 
     stage_timings: list[StageTiming] = []
     total = 0.0
@@ -181,14 +115,7 @@ def time_plan(
             )
             continue
         hops = topo.hops_array(mapping[st.sender], mapping[st.receiver])
-        eff_beta = beta
-        if contention:
-            num_nodes = topo.num_nodes
-            per_node_capacity = alpha / beta if beta > 0 else np.inf
-            words_total = float(st.total_words.sum())
-            load = words_total / (num_nodes * per_node_capacity)
-            eff_beta = beta * max(1.0, load)
-        per_msg = alpha + alpha_hop * hops + eff_beta * st.total_words
+        per_msg = machine.send_cost(hops, st.total_words)
         send_cost = np.bincount(st.sender, weights=per_msg, minlength=K)
         recv_cost = np.bincount(st.receiver, weights=per_msg, minlength=K)
         port_cost = np.maximum(send_cost, recv_cost)

@@ -21,7 +21,7 @@ from .integrity import corrupt_draw, flip_array, flip_payload, payload_checksum
 from .message import ANY_SOURCE, ANY_TAG, TIMEOUT, Envelope, RunResult, TraceRecord
 from .policy import ESCALATION_LADDER, CircuitBreaker, EscalationPolicy, PolicyConfig
 from .reliable import ReliableComm, ReliableStats, retry_jitter
-from .runtime import RECV_ALPHA_FRACTION, Comm, SimMPI, run_spmd
+from .runtime import Comm, SimMPI, run_spmd
 
 __all__ = [
     "SimMPI",
@@ -35,7 +35,6 @@ __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
     "TIMEOUT",
-    "RECV_ALPHA_FRACTION",
     "FaultPlan",
     "FaultEvent",
     "LinkOutage",

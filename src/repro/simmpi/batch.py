@@ -21,10 +21,10 @@ Python events:
   table ``rows`` in delivery order — that reads like the event engine's
   per-rank ``[(origin, payload), ...]`` lists and builds them only when
   someone does read it that way;
-* arrival times come from the vectorized machine cost model
-  (:func:`repro.network.timing.send_cost_many` /
-  :func:`~repro.network.timing.recv_cost_many` — the same hop-cost
-  semantics the scalar engine memoizes, bit-identical per element);
+* arrival times come from the machine's one cost model,
+  :meth:`~repro.network.machines.Machine.send_cost` /
+  :meth:`~repro.network.machines.Machine.recv_cost`, called on whole
+  stage arrays where the event engine calls them per message;
 * per-rank clocks advance by grouped segment sweeps: the ``j``-th send
   of every rank in one vector op (``t += cost``), the ``j``-th delivery
   of every rank as one Lindley fold (``t = max(t, arrive) + recv_cost``).
@@ -49,10 +49,11 @@ approximately.  Three facts make that possible:
    runs keep the event engine's eager match-on-post behavior — an
    artifact of interleaving that cannot be batch-scheduled — so they
    are refused.
-2. The per-element vector cost expressions use the same IEEE-754
-   operation sequence as the scalar cost model (same term order, same
-   association, integer hop counts from ``hops_array`` equal to the
-   scalar ``hops`` memo), so every send/recv cost agrees bit for bit.
+2. Both engines evaluate the same two expressions,
+   ``Machine.send_cost`` and ``Machine.recv_cost``: on arrays here, on
+   Python numbers there, with integer hop counts from ``hops_array``
+   equal to the event engine's hop memo.  One IEEE-754 operation
+   sequence per element, so every send/recv cost agrees bit for bit.
 3. Bundle membership and message sizes are order-independent — the
    plan's stage arrays and its row -> message map (``members``) say
    which submessages every message carries — which breaks the
@@ -80,9 +81,8 @@ import numpy as np
 
 from ..errors import PlanError, SimMPIError
 from ..network.machines import Machine
-from ..network.timing import recv_cost_many, send_cost_many
 from .message import RunResult, TraceRecord
-from .runtime import RECV_ALPHA_FRACTION, SimMPI, trace_sort_key
+from .runtime import SimMPI, trace_sort_key
 
 __all__ = ["BatchSimMPI", "Deliveries", "EdgePayloads"]
 
@@ -312,7 +312,6 @@ class BatchSimMPI(SimMPI):
         trace: bool = False,
         jitter: float = 0.0,
         jitter_seed: int = 0,
-        rendezvous_threshold_words: int | None = None,
         fault_plan=None,
         tracer=None,
     ):
@@ -342,7 +341,6 @@ class BatchSimMPI(SimMPI):
             mapping=mapping,
             trace=trace,
             jitter_seed=jitter_seed,
-            rendezvous_threshold_words=rendezvous_threshold_words,
             tracer=tracer,
         )
         if self._lookahead <= 0.0:
@@ -396,14 +394,8 @@ class BatchSimMPI(SimMPI):
         round-major prefix slices: :func:`rounds`).
         """
         map_arr = self._mapping
-        cost = send_cost_many(
-            self.machine,
-            self._topology,
-            map_arr[snd],
-            map_arr[rcv],
-            words,
-            rendezvous_threshold_words=self.rendezvous_threshold_words,
-        )
+        hops = self._topology.hops_array(map_arr[snd], map_arr[rcv])
+        cost = self.machine.send_cost(hops, words)
         cnt_s = np.bincount(snd, minlength=self.K)
         senders, slots, sizes = rounds(cnt_s)
         cost = cost[slots]
@@ -438,7 +430,7 @@ class BatchSimMPI(SimMPI):
         max(clock, arrive) + recv_cost`` — the scalar engine's
         ``_deliver`` elementwise.
         """
-        rc = recv_cost_many(self.machine, words, alpha_fraction=RECV_ALPHA_FRACTION)
+        rc = self.machine.recv_cost(words)
         # positive finite doubles order like their bit patterns, and those
         # radix-sort as four 16-bit digits where the floats would be compared
         bits = arrive.view(np.int64)

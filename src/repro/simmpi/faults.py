@@ -333,13 +333,6 @@ class FaultPlan:
         """In-transit bit-flip probability of the link ``src -> dst``."""
         return self.link_flip.get((src, dst), self.default_flip)
 
-    def forwarder_flip_prob(self, rank: int) -> float:
-        """Probability ``rank`` corrupts a submessage it relays."""
-        return self.corrupt_forwarders.get(rank, 0.0)
-
-    def compute_flip_prob(self, rank: int) -> float:
-        """Probability of one silent local-compute corruption at ``rank``."""
-        return self.compute_flips.get(rank, 0.0)
 
 
 class FaultState:

@@ -82,11 +82,12 @@ Time model
 Each rank owns a virtual clock in microseconds.  With a
 :class:`~repro.network.machines.Machine` attached:
 
-* a send charges ``alpha + alpha_hop * hops + beta * words`` to the
-  sender's clock; the message's arrival time is the sender's clock
-  after the charge (single-port serialization of sends);
+* a send charges ``machine.send_cost(hops, words)`` (``alpha +
+  alpha_hop * hops + beta * words``) to the sender's clock; the
+  message's arrival time is the sender's clock after the charge
+  (single-port serialization of sends);
 * a matching recv sets the receiver's clock to
-  ``max(own clock, arrival) + RECV_ALPHA_FRACTION * alpha + beta * words``;
+  ``max(own clock, arrival) + machine.recv_cost(words)``;
 * a barrier aligns all clocks to the maximum plus one alpha;
 * an allgather is charged as a tree: ``ceil(lg K) * alpha +
   beta * total_words`` on top of the clock alignment.
@@ -153,7 +154,6 @@ __all__ = [
     "Comm",
     "SimMPI",
     "run_spmd",
-    "RECV_ALPHA_FRACTION",
     "ENGINE_STATS",
     "collective_outcome",
     "engine_lookahead",
@@ -172,9 +172,6 @@ class _RankCrashed(BaseException):
 
     def __init__(self, rank: int):
         self.rank = rank
-
-#: fraction of alpha charged on the receive side of a match
-RECV_ALPHA_FRACTION = 0.4
 
 #: upper bound, in entries (rows x num_nodes), on the source node -> hop
 #: row memo.  A row is a byte per entry (a list, 8 bytes per entry, only
@@ -591,7 +588,6 @@ class SimMPI:
         trace: bool = False,
         jitter: float = 0.0,
         jitter_seed: int = 0,
-        rendezvous_threshold_words: int | None = None,
         fault_plan: FaultPlan | None = None,
         tracer=None,
     ):
@@ -599,17 +595,12 @@ class SimMPI:
             raise SimMPIError(f"K={K} must be positive")
         if jitter < 0:
             raise SimMPIError("jitter must be non-negative")
-        if rendezvous_threshold_words is not None and rendezvous_threshold_words < 1:
-            raise SimMPIError("rendezvous threshold must be positive")
         self.K = int(K)
         self.machine = machine
         #: per-message multiplicative slowdown ~ U(0, jitter); models OS
         #: noise / stragglers.  Deterministic per (seed, message order).
         self.jitter = float(jitter)
         self._jitter_seed = jitter_seed
-        #: messages at or above this size pay one extra alpha for the
-        #: rendezvous handshake (MPI's eager/rendezvous protocol switch)
-        self.rendezvous_threshold_words = rendezvous_threshold_words
         if fault_plan is not None:
             fault_plan.validate(K)
         self.fault_plan = fault_plan
@@ -680,7 +671,6 @@ class SimMPI:
     def _send_cost(self, source: int, dest: int, words: int) -> float:
         if self.machine is None:
             return 0.0
-        m = self.machine
         nodes = self._map_list
         node = nodes[source]
         rows = self._hop_rows
@@ -694,12 +684,7 @@ class SimMPI:
             row = hops.astype(np.uint8).tobytes() if hops.max() < 256 else hops.tolist()
             rows[node] = row
             self._stats["hop_memo_misses"] += 1
-        cost = m.alpha_us + m.alpha_hop_us * row[nodes[dest]] + m.beta_us_per_word * words
-        if (
-            self.rendezvous_threshold_words is not None
-            and words >= self.rendezvous_threshold_words
-        ):
-            cost += m.alpha_us  # handshake round-trip
+        cost = self.machine.send_cost(row[nodes[dest]], words)
         if self.jitter > 0.0:
             cost *= 1.0 + self.jitter * float(self._jitter_rng.random())
         if self._faults is not None:
@@ -711,8 +696,7 @@ class SimMPI:
     def _recv_cost(self, rank: int, words: int) -> float:
         if self.machine is None:
             return 0.0
-        m = self.machine
-        cost = RECV_ALPHA_FRACTION * m.alpha_us + m.beta_us_per_word * words
+        cost = self.machine.recv_cost(words)
         if self._faults is not None:
             slow = self._faults.slowdown(rank)
             if slow != 1.0:
@@ -1311,7 +1295,6 @@ def run_spmd(
     trace: bool = False,
     jitter: float = 0.0,
     jitter_seed: int = 0,
-    rendezvous_threshold_words: int | None = None,
     fault_plan: FaultPlan | None = None,
     tracer=None,
 ) -> RunResult:
@@ -1319,9 +1302,8 @@ def run_spmd(
 
     Returns the :class:`~repro.simmpi.message.RunResult` with per-rank
     return values, final clocks and (optionally) the message trace.
-    ``jitter``/``rendezvous_threshold_words``/``fault_plan`` forward to
-    :class:`SimMPI` (straggler noise, the MPI protocol switch, and
-    fault injection); ``tracer`` is an optional :class:`repro.obs.Tracer`
+    ``jitter``/``fault_plan`` forward to :class:`SimMPI` (straggler
+    noise and fault injection); ``tracer`` is an optional :class:`repro.obs.Tracer`
     receiving engine spans/counters in virtual time.
     """
     sim = SimMPI(
@@ -1331,7 +1313,6 @@ def run_spmd(
         trace=trace,
         jitter=jitter,
         jitter_seed=jitter_seed,
-        rendezvous_threshold_words=rendezvous_threshold_words,
         fault_plan=fault_plan,
         tracer=tracer,
     )

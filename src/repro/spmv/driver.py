@@ -112,7 +112,6 @@ def run_spmv_schemes(
     partitioner: str = "rcm",
     name: str = "",
     seed: int | None = None,
-    contention: bool = False,
     header_words: int = 0,
     partition: Partition | None = None,
     pattern: CommPattern | None = None,
@@ -180,7 +179,7 @@ def run_spmv_schemes(
         else:
             plan = builder.plan(vpt, header_words=header_words)
         stats = collect_stats(plan)
-        timing = time_plan(plan, machine, contention=contention)
+        timing = time_plan(plan, machine)
         stats.comm_time_us = timing.total_us
         stats.total_time_us = timing.total_us + compute_us
         results[stats.scheme] = SchemeResult(

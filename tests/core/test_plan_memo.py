@@ -79,17 +79,6 @@ class TestPlanMemo:
         with pytest.raises(ValueError, match="read-only"):
             order[0] = 0
 
-    def test_builder_delta_leaves_the_pattern_memo(self):
-        p = CommPattern.random(64, avg_degree=5, seed=6, words=2)
-        vpt = make_vpt(p.K, 2)
-        before = build_plan(p, vpt)
-        builder = PlanBuilder.of(p)
-        drifted = builder.apply_delta(PatternDelta.random(p, 0.2, seed=1))
-        assert plans_identical(builder.plan(vpt), build_plan(drifted, vpt))
-        again = build_plan(p, vpt)
-        assert again.stages[0].sender is before.stages[0].sender
-        assert plans_identical(again, PlanBuilder(p).plan(vpt))
-
 
 class TestPatternPickle:
     def test_used_pattern_pickles_as_a_fresh_one(self):

@@ -1,9 +1,8 @@
 """Property sweep: incremental plan repair vs from-scratch rebuild.
 
-``repair_plan`` (and the memoized ``PlanBuilder.apply_delta``) must be
-**byte-identical** to applying the delta and rebuilding: same values and
-same dtypes on every schedule array of every stage, the occupancy
-matrix, and the pattern arrays.  The sweep drives chained random delta
+``repair_plan`` must be **byte-identical** to applying the delta and
+rebuilding: same values and same dtypes on every schedule array of
+every stage, the occupancy matrix, and the pattern arrays.  The sweep drives chained random delta
 streams over the two reference topologies T_2(4,4) and T_3(2,3,4) and
 additionally pins the executed exchange: the message trace of a run on
 the repair-maintained pattern must equal the trace of a run on the
@@ -13,7 +12,7 @@ rebuilt pattern (golden traces).
 import numpy as np
 import pytest
 
-from repro.core import CommPattern, PatternDelta, PlanBuilder, build_plan, repair_plan
+from repro.core import CommPattern, PatternDelta, build_plan, repair_plan
 from repro.core.dimensioning import VirtualProcessTopology
 from repro.core.stfw import run_exchange
 from repro.errors import PlanError
@@ -60,21 +59,6 @@ class TestRepairEqualsRebuild:
             )
             assert_plans_byte_identical(repaired, rebuilt)
             plan = repaired
-
-    @pytest.mark.parametrize("dim_sizes", TOPOLOGIES)
-    def test_builder_apply_delta_matches_rebuild(self, dim_sizes):
-        K = int(np.prod(dim_sizes))
-        vpt = VirtualProcessTopology(dim_sizes)
-        pattern = CommPattern.random(K, avg_degree=3, seed=7)
-        builder = PlanBuilder(pattern)
-        builder.plan(vpt, header_words=2)  # populate the memoized stage arrays
-        for epoch in range(3):
-            delta = PatternDelta.random(builder.pattern, 0.3, seed=epoch)
-            reference = build_plan(
-                builder.pattern.apply_delta(delta), vpt, header_words=2
-            )
-            builder.apply_delta(delta)
-            assert_plans_byte_identical(builder.plan(vpt, header_words=2), reference)
 
     def test_empty_delta_is_identity(self):
         vpt = VirtualProcessTopology((4, 4))

@@ -143,17 +143,6 @@ class TestExchangeEquivalence:
         )
         assert_same_result(base.run, got.run, "(header_words=2)")
 
-    def test_rendezvous_threshold_bit_identical(self, pattern):
-        vpt = make_vpt(64, 2)
-        base = run_exchange(
-            pattern, vpt, machine=BGQ, trace=True, rendezvous_threshold_words=8
-        )
-        got = run_exchange(
-            pattern, vpt, machine=BGQ, trace=True, rendezvous_threshold_words=8,
-            engine="batch",
-        )
-        assert_same_result(base.run, got.run, "(rendezvous)")
-
     def test_non_power_of_two_K(self):
         pattern = CommPattern.random(96, avg_degree=5, seed=9, words=3)
         vpt = make_vpt(96, 2)

@@ -580,6 +580,4 @@ class TestHopCostMemo:
             want = [topology.hops(src, dst) for dst in range(topology.num_nodes)]
             assert list(row) == want
             assert all(type(h) is int for h in (row[0], row[-1]))
-            assert cost == (
-                machine.alpha_us + machine.alpha_hop_us * want[-1] + machine.beta_us_per_word * 5
-            )
+            assert cost == machine.send_cost(want[-1], 5)
