@@ -31,7 +31,7 @@ def test_bench_ablation_stragglers(benchmark, bench_config):
         rows = []
         for jitter in JITTERS:
             bl = run_exchange(
-                pattern, scheme="direct", machine=BGQ, jitter=jitter, jitter_seed=1
+                pattern, machine=BGQ, jitter=jitter, jitter_seed=1
             ).run.makespan_us
             stfw = run_exchange(
                 pattern, vpt, machine=BGQ, jitter=jitter, jitter_seed=1

@@ -707,32 +707,13 @@ def build_plan(
 
 
 def build_direct_plan(pattern: CommPattern, *, header_words: int = 0) -> CommPlan:
-    """The baseline (BL) plan: one stage of direct sends (``T_1``).
+    """The baseline (BL) plan: one stage of direct sends over ``T_1``.
 
-    Equivalent to ``build_plan(pattern, VirtualProcessTopology((K,)))``
-    but also valid for ``K == 1`` (an empty schedule).
+    Exactly ``build_plan(pattern, VirtualProcessTopology((K,)))``, for
+    every ``K >= 1``: a one-process pattern plans over ``T_1(1)``, an
+    empty schedule with ``plan.K == 1``.
     """
-    if pattern.K == 1:
-        vpt = VirtualProcessTopology((2,))  # placeholder topology, no messages possible
-        if pattern.num_messages:
-            raise PlanError("K == 1 pattern cannot contain messages")
-        empty = StageSchedule(
-            stage=0,
-            sender=np.empty(0, np.int64),
-            receiver=np.empty(0, np.int64),
-            nsub=np.empty(0, np.int64),
-            payload_words=np.empty(0, np.int64),
-            total_words=np.empty(0, np.int64),
-        )
-        return CommPlan(
-            vpt=vpt,
-            pattern=pattern,
-            stages=[empty],
-            header_words=header_words,
-            forward_occupancy=np.zeros((1, 1), dtype=np.int64),
-        )
-    vpt = VirtualProcessTopology((pattern.K,))
-    return build_plan(pattern, vpt, header_words=header_words)
+    return build_plan(pattern, VirtualProcessTopology((pattern.K,)), header_words=header_words)
 
 
 def plans_for_dimensions(

@@ -13,7 +13,7 @@ regular topology over the survivors:
    compacted into vid space;
 3. the VPT is re-dimensioned over ``K'`` via the Section 5 balancing
    scheme — with the dimension count clamped to what ``K'`` can
-   support (``K'`` prime forces the flat baseline topology).
+   support (``K'`` prime forces the flat baseline topology ``T_1``).
 
 The resulting :class:`RecoveryPlan` carries everything the iterative
 driver needs to re-derive the communication pattern and regenerate the
@@ -36,21 +36,19 @@ from .vpt import VirtualProcessTopology
 __all__ = ["RecoveryPlan", "shrink_dim_sizes", "build_recovery"]
 
 
-def shrink_dim_sizes(K_new: int, n: int) -> tuple[int, ...] | None:
-    """Balanced dimension sizes for ``K_new`` survivors, or ``None``.
+def shrink_dim_sizes(K_new: int, n: int) -> tuple[int, ...]:
+    """Balanced dimension sizes for ``K_new >= 1`` survivors.
 
     Requests ``n`` dimensions but settles for fewer when ``K_new`` has
     fewer than ``n`` prime factors (every dimension size must be at
-    least 2).  Returns ``None`` when no multi-dimensional topology
-    exists at all — ``K_new < 2``, ``n <= 1``, or ``K_new`` prime —
-    in which case the caller should fall back to direct exchange.
+    least 2).  Where no multi-dimensional topology exists — ``n <= 1``,
+    ``K_new`` prime, or a single survivor — this is ``(K_new,)``, the
+    flat ``T_1`` of the direct baseline.
     """
-    if K_new < 2 or n <= 1:
-        return None
+    if K_new < 1:
+        raise TopologyError(f"no topology over {K_new} survivors")
     n_eff = min(int(n), len(_prime_factors(K_new)))
-    if n_eff <= 1:
-        return None
-    return balanced_dim_sizes(K_new, n_eff)
+    return (K_new,) if n_eff <= 1 else balanced_dim_sizes(K_new, n_eff)
 
 
 @dataclass(frozen=True)
@@ -58,18 +56,17 @@ class RecoveryPlan:
     """Everything needed to resume an exchange over the survivors.
 
     ``partition`` lives in **vid space**: part ``v`` is survivor
-    ``survivors[v]``.  ``vpt`` is ``None`` when the survivor count
-    admits no multi-dimensional topology (fall back to direct sends).
-    ``requested_dims`` records the dimension count the run asked for,
-    which may exceed what ``dim_sizes`` delivers.
+    ``survivors[v]``.  ``vpt`` is the topology over the survivors: the
+    flat ``T_1`` (direct sends) when the survivor count admits no
+    multi-dimensional one.  ``requested_dims`` records the dimension
+    count the run asked for, which may exceed what ``vpt.n`` delivers.
     """
 
     old_K: int
     dead: tuple[int, ...]
     survivors: tuple[int, ...]
     partition: Partition
-    vpt: VirtualProcessTopology | None
-    dim_sizes: tuple[int, ...] | None
+    vpt: VirtualProcessTopology
     requested_dims: int
 
     @property
@@ -91,12 +88,9 @@ class RecoveryPlan:
     def message_bound(self) -> int:
         """Per-process sent-message bound ``sum_d (k'_d - 1)``.
 
-        For the direct fallback this is ``K' - 1`` (the flat-topology
-        bound), so the quantity is always defined.
+        Over ``T_1`` this is ``K' - 1``, the flat-topology bound.
         """
-        if self.dim_sizes is None:
-            return self.new_K - 1
-        return sum(k - 1 for k in self.dim_sizes)
+        return self.vpt.max_message_count_bound()
 
 
 def build_recovery(
@@ -124,14 +118,11 @@ def build_recovery(
     vid_parts = lut[remapped.parts]
     assert (vid_parts >= 0).all()
     new_partition = Partition(vid_parts, len(survivors))
-    dim_sizes = shrink_dim_sizes(len(survivors), n_dims)
-    vpt = None if dim_sizes is None else VirtualProcessTopology(dim_sizes)
     return RecoveryPlan(
         old_K=K,
         dead=dead_t,
         survivors=survivors,
         partition=new_partition,
-        vpt=vpt,
-        dim_sizes=dim_sizes,
+        vpt=VirtualProcessTopology(shrink_dim_sizes(len(survivors), n_dims)),
         requested_dims=int(n_dims),
     )

@@ -29,7 +29,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from ..errors import PlanError
-from ..metrics.collect import CommStats, collect_stats
+from ..metrics.collect import CommStats, collect_stats, scheme_name
 from .dimensioning import make_vpt, valid_dimensions
 from .mapping import apply_mapping, locality_vpt_mapping, refine_vpt_mapping
 from .pattern import CommPattern
@@ -145,8 +145,7 @@ class Regularizer:
         return {int(n): cls(pattern, dimension=int(n), **kwargs) for n in dims}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        scheme = "BL" if self.is_baseline else f"STFW{self.vpt.n}"
-        return f"Regularizer({scheme}, K={self.K}, dims={self.vpt.dim_sizes})"
+        return f"Regularizer({scheme_name(self.vpt.n)}, K={self.K}, dims={self.vpt.dim_sizes})"
 
     # ------------------------------------------------------------------
     # Execution
@@ -172,26 +171,15 @@ class Regularizer:
         """
         if payloads is not None and self.position is not None:
             payloads = self._translate(payloads)
-        if self.is_baseline:
-            result = run_exchange(
-                self.pattern,
-                scheme="direct",
-                payloads=payloads,
-                machine=machine,
-                trace=trace,
-                tracer=tracer,
-            )
-        else:
-            result = run_exchange(
-                self.pattern,
-                self.vpt,
-                plan=self._plan,
-                payloads=payloads,
-                machine=machine,
-                header_words=self._header_words,
-                trace=trace,
-                tracer=tracer,
-            )
+        result = run_exchange(
+            self.pattern,
+            plan=self._plan,
+            payloads=payloads,
+            machine=machine,
+            header_words=self._header_words,
+            trace=trace,
+            tracer=tracer,
+        )
         return self._untranslate(result)
 
     def _translate(self, payloads):

@@ -54,13 +54,14 @@ The non-tolerant :func:`stfw_process` under the same
 :class:`~repro.errors.DeadlockError` into a partial
 :class:`ExchangeResult` that names the stranded pairs.
 
-:func:`run_exchange` is the single whole-system driver — scheme
-(STFW via ``vpt``/``dims`` or the direct baseline via
-``scheme="direct"``) and fault policy (``on_fault`` of ``"raise"`` /
+:func:`run_exchange` is the single whole-system driver — topology
+(a ``vpt``, ``dims`` or a held plan; the direct baseline is the flat
+``T_1``, the default) and fault policy (``on_fault`` of ``"raise"`` /
 ``"partial"`` / ``"tolerate"`` / a :class:`FaultPolicy`) are orthogonal
 arguments.  The plain and the tolerant process bodies are separate
 protocols — staged receive counts versus quiesce-terminated reliable
-hops — behind one engine call.
+hops — behind one engine call; over ``T_1`` each runs its one-stage
+direct form.
 """
 
 from __future__ import annotations
@@ -492,31 +493,37 @@ def direct_process(
     send_data: Mapping[int, Any],
     expect: int,
     *,
+    header_words: int = 0,
     out: list | None = None,
     tracer=None,
 ) -> Generator:
-    """The baseline (BL): plain point-to-point sends, no regularization.
+    """Algorithm 1 over the flat ``T_1`` — the baseline (BL).
 
-    ``out`` is an optional external delivery sink, as in
-    :func:`stfw_process`: a deadlocked run's partial deliveries stay
-    readable from it.
+    ``T_1`` has one stage and no forwarders, so the body needs no
+    forward buffers: each SendSet entry is one message, sent in
+    SendSet order and charged its payload plus ``header_words``, as
+    the ``T_1`` plan counts it.  ``expect`` is the rank's stage-0
+    receive count; ``out`` and ``tracer`` are as in
+    :func:`stfw_process`, and the counters and span are its stage-0 ones.
     """
+    rank = comm.rank
     obs = tracer if (tracer is not None and tracer.enabled) else None
     t0 = comm.time
     delivered: list[tuple[int, Any]] = [] if out is None else out
     for dst, payload in send_data.items():
-        words = _payload_words(payload)
-        comm.send(dst, payload, tag=0, words=words)
+        pw = _payload_words(payload)
+        comm.send(dst, payload, tag=0, words=pw + header_words)
         if obs is not None:
-            obs.count("direct.messages", 1)
-            obs.count("direct.words", words)
+            obs.count("stfw.stage_messages", 1, stage=0)
+            obs.count("stfw.stage_words", pw + header_words, stage=0)
+            obs.count("stfw.origin_words", pw, track=rank)
     recv = comm.recv(tag=0)
     for _ in range(expect):
         src, _, payload = yield recv
         delivered.append((src, payload))
     if obs is not None:
-        obs.add_span("direct.exchange", t0, comm.time, track=comm.rank,
-                     cat="stage", expected=int(expect))
+        obs.add_span("stfw.stage0", t0, comm.time, track=rank,
+                     cat="stage", stage=0, expected=int(expect))
     return delivered
 
 
@@ -889,11 +896,12 @@ def _direct_ft_process(
     send_data: Mapping[int, Any],
     policy: FaultPolicy,
     *,
+    header_words: int = 0,
     tracer=None,
 ) -> Generator:
     """Fault-tolerant baseline: direct reliable sends, quiesce receive.
 
-    The BL counterpart of :func:`_stfw_ft_process` — no forwarding, so
+    The ``T_1`` counterpart of :func:`_stfw_ft_process` — no forwarding, so
     a hop-level ack already is an end-to-end receipt, and the policy's
     quarantine, end-wait and recovery rounds do not apply.  Returns an
     :class:`FTRankReport`.
@@ -909,7 +917,8 @@ def _direct_ft_process(
             raise PlanError(f"rank {rank} has a self message in its SendSet")
         payload = send_data[dst]
         ok = yield from rc.try_send(
-            dst, payload, tag=_FT_BUNDLE_TAG, words=_payload_words(payload)
+            dst, payload, tag=_FT_BUNDLE_TAG,
+            words=_payload_words(payload) + header_words,
         )
         if not ok:
             lost.append((rank, dst))
@@ -942,24 +951,20 @@ def _default_payloads(pattern: CommPattern) -> EdgePayloads:
     return EdgePayloads.synthetic(pattern.K, pattern.src, pattern.dst, pattern.size)
 
 
-def _resolve_scheme(
+def _resolve_vpt(
     pattern: CommPattern,
     vpt: VirtualProcessTopology | None,
-    scheme: str | None,
     dims: int | None,
+    plan: CommPlan | None,
     mode: str,
-    header_words: int,
     tolerant: bool,
-) -> tuple[VirtualProcessTopology | None, str]:
-    """Normalize the (vpt, scheme, dims) triple of :func:`run_exchange`.
+) -> VirtualProcessTopology:
+    """The topology of :func:`run_exchange`.
 
-    Returns ``(vpt, kind)`` with ``kind`` in ``{"stfw", "direct"}``;
-    ``vpt`` is ``None`` exactly for the direct scheme.  Accepts the
-    canonical report labels (``"BL"``, ``"STFW3"``) as scheme strings
-    so CLI/report code can round-trip them.  Refuses by name the
-    arguments the chosen protocol would silently ignore:
-    ``header_words`` and ``mode="dynamic"`` with the direct scheme, and
-    ``mode="dynamic"`` with a tolerant policy.
+    ``vpt``, else ``make_vpt(K, dims)``, else the held plan's, else the
+    flat ``T_1`` of the baseline.  Refuses by name the arguments the
+    chosen protocol would silently ignore: ``mode="dynamic"`` with a
+    tolerant policy or over ``T_1``.
     """
     if mode not in ("planned", "dynamic"):
         raise PlanError(f"unknown mode {mode!r}")
@@ -969,54 +974,31 @@ def _resolve_scheme(
             "fault-tolerant protocol terminates by quiescence, not by "
             "receive counts"
         )
-    if scheme is not None:
-        s = str(scheme).lower()
-        if s in ("direct", "bl"):
-            if vpt is not None:
-                raise PlanError(f"scheme {scheme!r} does not take a vpt")
-            if dims is not None:
-                raise PlanError(f"scheme {scheme!r} does not take dims=")
-            if header_words != 0:
-                raise PlanError(
-                    f"scheme {scheme!r} does not take header_words= "
-                    "(a direct message has no submessages to frame)"
-                )
-            if mode == "dynamic":
-                raise PlanError(
-                    f"scheme {scheme!r} does not take mode='dynamic' "
-                    "(the direct scheme has no stages to count)"
-                )
-            return None, "direct"
-        if s.startswith("stfw") and s[4:].isdigit():
-            n = int(s[4:])
-            if dims is not None and dims != n:
-                raise PlanError(f"scheme {scheme!r} conflicts with dims={dims}")
-            dims = n
-        elif s != "stfw":
-            raise PlanError(
-                f"unknown scheme {scheme!r}; use 'direct'/'BL', 'stfw', or 'STFW<n>'"
-            )
-    elif vpt is None and dims is None:
-        raise PlanError("run_exchange needs a vpt, dims=, or scheme=")
-
     if vpt is None:
-        if dims is None:
-            raise PlanError("scheme 'stfw' needs a vpt or dims=")
         from .dimensioning import make_vpt
 
-        vpt = make_vpt(pattern.K, dims)
+        if dims is not None:
+            vpt = make_vpt(pattern.K, dims)
+        elif plan is not None:
+            vpt = plan.vpt
+        else:
+            vpt = VirtualProcessTopology((pattern.K,))
     elif dims is not None and vpt.n != dims:
         raise PlanError(f"vpt has {vpt.n} dimensions but dims={dims} was given")
     if pattern.K != vpt.K:
         raise PlanError(f"pattern K={pattern.K} != vpt K={vpt.K}")
-    return vpt, "stfw"
+    if mode == "dynamic" and vpt.is_flat():
+        raise PlanError(
+            "mode='dynamic' does not apply to the flat topology T_1 (BL): "
+            "it has no stages to count"
+        )
+    return vpt
 
 
 def _vet_plan(
     plan: CommPlan,
     pattern: CommPattern,
-    vpt: VirtualProcessTopology | None,
-    kind: str,
+    vpt: VirtualProcessTopology,
     mode: str,
     header_words: int,
     tolerant: bool,
@@ -1025,10 +1007,8 @@ def _vet_plan(
 
     The plan must be a coalesced plan built for this very pattern
     object, this VPT and these ``header_words``, and the exchange must
-    be one that reads a plan: planned, plain STFW.
+    be one that reads a plan: planned and not tolerant.
     """
-    if kind == "direct":
-        raise PlanError("plan= does not apply to scheme 'direct': it runs no plan")
     if mode == "dynamic":
         raise PlanError("plan= does not apply with mode='dynamic': it counts without a plan")
     if tolerant:
@@ -1047,7 +1027,6 @@ def run_exchange(
     pattern: CommPattern,
     vpt: VirtualProcessTopology | None = None,
     *,
-    scheme: str | None = None,
     dims: int | None = None,
     payloads: Sequence[Mapping[int, Any]] | None = None,
     machine=None,
@@ -1064,13 +1043,19 @@ def run_exchange(
 ) -> ExchangeResult:
     """Execute one full exchange for ``pattern`` on the emulator.
 
-    The single entry point for every exchange variant; the scheme and
+    The single entry point for every exchange variant; the topology and
     the fault-handling policy are orthogonal axes:
 
-    * **scheme** — STFW when a ``vpt`` (or ``dims=n``, building the
-      balanced ``T_n`` formation) is given; the direct baseline with
-      ``scheme="direct"`` (alias ``"BL"``).  Report labels like
-      ``"STFW3"`` are accepted and imply ``dims``.
+    * **topology** — a ``vpt``, or ``dims=n`` for the balanced ``T_n``
+      formation, or the VPT of a held ``plan``; with none of them, the
+      flat ``T_1``.  The baseline (BL) *is* ``T_1``: no topology,
+      ``dims=1``, a flat ``vpt`` or a
+      :func:`~repro.core.plan.build_direct_plan` plan all run the same
+      one-stage direct body (:func:`direct_process`, or
+      ``BatchSimMPI.run_planned_direct``), which charges
+      ``header_words`` once per message as the ``T_1`` plan does and
+      sends in SendSet order.  ``mode="dynamic"`` over ``T_1`` is
+      refused by name.
     * **on_fault** — what to do when a ``fault_plan`` bites:
       ``"raise"`` propagates the :class:`~repro.errors.DeadlockError`
       a non-tolerant exchange produces; ``"partial"`` converts it into
@@ -1085,12 +1070,10 @@ def run_exchange(
     holds, for this pattern object, VPT and ``header_words``; the
     exchange then runs on it instead of calling
     :func:`~repro.core.plan.build_plan` (which memoizes per pattern, so
-    a repeat build is cheap but not free).  It also supplies the VPT
-    when no ``vpt``, ``dims`` or ``scheme`` is given.  It is refused by
-    name for another pattern, VPT or ``header_words``, a
-    ``coalesce=False`` plan, the direct scheme, ``mode="dynamic"`` and
-    a tolerant ``on_fault``.  A plan stays valid as long as its pattern
-    is not mutated in place.
+    a repeat build is cheap but not free).  It is refused by name for
+    another pattern, VPT or ``header_words``, a ``coalesce=False``
+    plan, ``mode="dynamic"`` and a tolerant ``on_fault``.  A plan stays
+    valid as long as its pattern is not mutated in place.
 
     ``payloads`` is one ``{dst: payload}`` dict per rank, or an
     :class:`~repro.simmpi.batch.EdgePayloads` table; it defaults to the
@@ -1098,8 +1081,7 @@ def run_exchange(
     batch engine reads by columns without building a dict.  ``mode`` is
     ``"planned"`` (receive counts precomputed from the plan; the
     amortized-setup path the paper times) or ``"dynamic"`` (per-stage
-    count exchange; no global knowledge) — plain STFW only; the direct
-    scheme also refuses ``header_words``.  A ``fault_plan`` with
+    count exchange; no global knowledge).  A ``fault_plan`` with
     ``corrupt_forwarders`` entries additionally arms the
     application-layer store-and-forward corruption in both the plain
     and the tolerant STFW processes.  ``tracer`` is an optional
@@ -1125,13 +1107,9 @@ def run_exchange(
             f"unknown on_fault {on_fault!r}; use 'raise', 'partial', "
             "'tolerate' or a FaultPolicy"
         )
-    if plan is not None and vpt is None and dims is None and scheme is None:
-        vpt = plan.vpt
-    vpt, kind = _resolve_scheme(
-        pattern, vpt, scheme, dims, mode, header_words, tolerant
-    )
+    vpt = _resolve_vpt(pattern, vpt, dims, plan, mode, tolerant)
     if plan is not None:
-        _vet_plan(plan, pattern, vpt, kind, mode, header_words, tolerant)
+        _vet_plan(plan, pattern, vpt, mode, header_words, tolerant)
     engine_cls = resolve_engine(engine)
     if on_fault == "partial" and engine_cls.planned_only:
         raise PlanError(
@@ -1164,6 +1142,9 @@ def run_exchange(
     if fault_plan is not None and fault_plan.corrupt_forwarders:
         corrupt_fw = dict(fault_plan.corrupt_forwarders)
         flip_seed = fault_plan.seed
+    flat = vpt.is_flat()
+    if plan is None and mode == "planned" and not tolerant:
+        plan = build_plan(pattern, vpt, header_words=header_words)
 
     if engine_cls.planned_only:
         sim = engine_cls(
@@ -1175,18 +1156,20 @@ def run_exchange(
             tracer=tracer,
             **engine_kwargs,
         )
-        if kind == "stfw":
-            if plan is None:
-                plan = build_plan(pattern, vpt, header_words=header_words)
+        if flat:
+            run = sim.run_planned_direct(payloads, plan)
+        else:
             run = sim.run_planned_stfw(vpt, plan, payloads)
-            return ExchangeResult(delivered=run.returns, run=run, plan=plan)
-        run = sim.run_planned_direct(payloads, pattern.recv_counts())
-        return ExchangeResult(delivered=run.returns, run=run, plan=None)
+        return ExchangeResult(delivered=run.returns, run=run, plan=plan)
 
     # per-rank delivery sinks the plain bodies fill as they go: what a
     # salvaged deadlock's partial result is read from
     sinks: list[list[tuple[int, Any]]] = [[] for _ in range(pattern.K)]
-    if tolerant and kind == "stfw":
+    if tolerant and flat:
+        factory = lambda comm: _direct_ft_process(  # noqa: E731
+            comm, payloads[comm.rank], policy, header_words=header_words, tracer=tracer
+        )
+    elif tolerant:
         factory = lambda comm: _stfw_ft_process(  # noqa: E731
             comm,
             vpt,
@@ -1197,18 +1180,19 @@ def run_exchange(
             flip_seed=flip_seed,
             tracer=tracer,
         )
-    elif tolerant:
-        factory = lambda comm: _direct_ft_process(  # noqa: E731
-            comm, payloads[comm.rank], policy, tracer=tracer
-        )
-    elif kind == "stfw":
-        counts: np.ndarray | None = None
-        if mode == "planned":
-            if plan is None:
-                plan = build_plan(pattern, vpt, header_words=header_words)
-            counts = recv_counts_from_plan(plan)
+    else:
+        counts = None if plan is None else recv_counts_from_plan(plan)
 
         def factory(comm: Comm):
+            if flat:
+                return direct_process(
+                    comm,
+                    payloads[comm.rank],
+                    int(counts[0, comm.rank]),
+                    header_words=header_words,
+                    out=sinks[comm.rank],
+                    tracer=tracer,
+                )
             rc = None if counts is None else counts[:, comm.rank]
             return stfw_process(
                 comm,
@@ -1221,16 +1205,6 @@ def run_exchange(
                 flip_seed=flip_seed,
                 tracer=tracer,
             )
-
-    else:
-        expect = pattern.recv_counts()
-        factory = lambda comm: direct_process(  # noqa: E731
-            comm,
-            payloads[comm.rank],
-            int(expect[comm.rank]),
-            out=sinks[comm.rank],
-            tracer=tracer,
-        )
 
     try:
         result = run_spmd(

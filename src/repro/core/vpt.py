@@ -45,8 +45,9 @@ class VirtualProcessTopology:
     dim_sizes:
         Sequence of per-dimension sizes ``(k_0, ..., k_{n-1})``; every
         size must be at least 2 (a size-1 dimension adds a stage in
-        which nothing can ever be communicated).  The number of
-        processes is ``K = prod(dim_sizes)``.
+        which nothing can ever be communicated).  The one exception is
+        ``(1,)``, the flat topology ``T_1`` of a single process.  The
+        number of processes is ``K = prod(dim_sizes)``.
 
     Examples
     --------
@@ -66,9 +67,10 @@ class VirtualProcessTopology:
         if len(sizes) == 0:
             raise TopologyError("a VPT needs at least one dimension")
         for d, k in enumerate(sizes):
-            if k < 2:
+            if k < 2 and sizes != (1,):
                 raise TopologyError(
-                    f"dimension {d} has size {k}; every dimension size must be >= 2"
+                    f"dimension {d} has size {k}; every dimension size must be >= 2 "
+                    "(only the one-process T_1 may have size 1)"
                 )
         self._dim_sizes = sizes
         # _weights[d] = product of sizes of dimensions < d; the place

@@ -97,14 +97,15 @@ def run(
     cfg = cfg or default_config()
     pattern = CommPattern.random(K, avg_degree=4, seed=cfg.seed)
     vpt = make_vpt(K, 2)
+    tolerant = (("BL-FT", make_vpt(K, 1)), ("STFW-FT", vpt))
 
-    def exchange(scheme, on_fault="raise", fault_plan=None):
+    def exchange(topology, on_fault="raise", fault_plan=None):
         # every tolerant run shares FaultPolicy()'s knobs, so the quiesce
         # windows — hence makespans — are comparable across scenarios
-        kwargs = dict(machine=machine, tracer=tracer, fault_plan=fault_plan, on_fault=on_fault)
-        if scheme == "direct":
-            return run_exchange(pattern, scheme="direct", **kwargs)
-        return run_exchange(pattern, vpt, **kwargs)
+        return run_exchange(
+            pattern, topology, machine=machine, tracer=tracer,
+            fault_plan=fault_plan, on_fault=on_fault,
+        )
 
     rows: list[tuple[str, ResilienceStats]] = []
 
@@ -113,8 +114,8 @@ def run(
     for rate in drop_rates:
         scenario = f"drop {100.0 * rate:g}%"
         plan = FaultPlan(default_drop=rate, seed=cfg.seed + 1)
-        for name, scheme in (("BL-FT", "direct"), ("STFW-FT", "stfw")):
-            res = exchange(scheme, "tolerate", plan)
+        for name, topology in tolerant:
+            res = exchange(topology, "tolerate", plan)
             ref.setdefault(name, res.makespan_us)
             rows.append(
                 (
@@ -131,13 +132,13 @@ def run(
             )
 
     # --- forwarder-crash scenario --------------------------------------
-    base_makespan = exchange("stfw").makespan_us
+    base_makespan = exchange(vpt).makespan_us
     crash_rank = busiest_forwarder(pattern, vpt)
     crash_time = _CRASH_FRACTION * base_makespan
     crash = FaultPlan(crashes={crash_rank: crash_time})
     scenario = f"crash rank {crash_rank}"
 
-    res = exchange("stfw", "partial", crash)
+    res = exchange(vpt, "partial", crash)
     rows.append(
         (
             scenario,
@@ -152,8 +153,8 @@ def run(
             ),
         )
     )
-    for name, scheme in (("BL-FT", "direct"), ("STFW-FT", "stfw")):
-        res = exchange(scheme, "tolerate", crash)
+    for name, topology in tolerant:
+        res = exchange(topology, "tolerate", crash)
         rows.append(
             (
                 scenario,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..metrics.collect import scheme_name
 from ..metrics.report import Table
 from ..network.machines import BGQ, Machine
 from .config import ExperimentConfig, default_config
@@ -84,7 +85,7 @@ def run(
             lg = int(np.log2(K))
             exp = cache.cell(name, K, machine, [d for d in scheme_dims if d <= lg])
             for d in scheme_dims:
-                scheme = "BL" if d == 1 else f"STFW{d}"
+                scheme = scheme_name(d)
                 series = times.setdefault(scheme, [])
                 if d <= lg:
                     series.append(exp.results[scheme].stats.total_time_us)

@@ -155,8 +155,8 @@ class RecoveryEvent:
     back from ``detected_iteration`` to the checkpoint at
     ``rollback_iteration``, rebuilds its topology over ``new_K``
     survivors, and resumes.  ``message_bound`` is the rebuilt plan's
-    ``sum_d (k'_d - 1)`` per-process message bound (``K' - 1`` for the
-    direct fallback).
+    ``sum_d (k'_d - 1)`` per-process message bound (``K' - 1`` over the
+    flat ``T_1``).
     """
 
     epoch: int

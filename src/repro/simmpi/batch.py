@@ -8,8 +8,9 @@ executes each stage as dense NumPy array sweeps instead of per-message
 Python events:
 
 * per-stage send/recv message arrays come straight from the
-  :class:`~repro.core.plan.CommPlan`'s coalesced stage arrays (BL is a
-  single implicit stage: the rows of the payload table);
+  :class:`~repro.core.plan.CommPlan`'s coalesced stage arrays (BL, the
+  flat ``T_1``, is its one stage sent in SendSet order: the rows of the
+  payload table);
 * payloads travel as an :class:`EdgePayloads` table — ``src``, ``dst``,
   ``size`` columns and the payload objects or one flat buffer — so no
   ``{dst: payload}`` dict is built or read unless the caller passed
@@ -727,30 +728,33 @@ class BatchSimMPI(SimMPI):
         return self._finalize_run(delivered, clocks, trace_parts)
 
     # ------------------------------------------------------------------
-    # Planned direct (BL) exchange
+    # Planned flat (T_1, BL) exchange
     # ------------------------------------------------------------------
 
     def run_planned_direct(
         self,
         payloads: Sequence[Mapping[int, Any]],
-        expected_counts: np.ndarray,
+        plan,
     ) -> RunResult:
-        """Execute the direct baseline as one vectorized sweep.
+        """Execute a planned exchange over the flat ``T_1`` as one sweep.
 
-        ``expected_counts[r]`` is the receive count rank ``r`` would be
-        given in ``direct_process`` (from the pattern, or the driver's
-        own accounting); it must agree with the payload dicts — a
-        mismatch would stall the event engine, so it is refused by name.
+        ``plan`` is the :func:`~repro.core.plan.build_direct_plan`
+        output with the desired ``header_words``; each payload is one
+        message charged its size plus ``plan.header_words``, sent in
+        SendSet order (``direct_process``).  The plan's receive counts
+        must agree with the payload dicts — a mismatch would stall the
+        event engine, so it is refused by name.  Counters and span are
+        stage 0's, named as in :meth:`run_planned_stfw`.
         """
         K = self.K
+        if plan.K != K or not plan.vpt.is_flat():
+            raise SimMPIError(
+                f"engine='batch': run_planned_direct runs a T_1 plan over K={K}, "
+                f"got one for the VPT {plan.vpt.dim_sizes}"
+            )
         table = EdgePayloads.from_dicts(payloads, K)
         snd, rcv, esize = table.src, table.dst, table.size
-        expected = np.asarray(expected_counts, dtype=np.int64)
-        if expected.shape != (K,):
-            raise SimMPIError(
-                f"engine='batch': expected_counts must have shape ({K},), "
-                f"got {expected.shape}"
-            )
+        expected = plan.stages[0].recv_counts(K)
         actual = np.bincount(rcv, minlength=K)
         if not np.array_equal(actual, expected):
             bad = int(np.nonzero(actual != expected)[0][0])
@@ -765,24 +769,32 @@ class BatchSimMPI(SimMPI):
         clocks = np.zeros(K, dtype=np.float64)
         dord, cnt_r = np.empty(0, dtype=np.int64), np.zeros(K, dtype=np.int64)
         trace_parts: list = []
-        nm = snd.size
-        if nm:
-            start, arrive, cnt_s = self._sweep_sends(clocks, snd, rcv, esize)
-            dord, cnt_r = self._sweep_recvs(clocks, rcv, esize, arrive)
+        words = esize + plan.header_words
+        if snd.size:
+            start, arrive, cnt_s = self._sweep_sends(clocks, snd, rcv, words)
+            dord, cnt_r = self._sweep_recvs(clocks, rcv, words, arrive)
             if self._trace_enabled:
-                trace_parts.append((snd, rcv, 0, esize, start, arrive))
+                trace_parts.append((snd, rcv, 0, words, start, arrive))
             if obs is not None:
-                obs.count("direct.messages", int(nm))
-                obs.count("direct.words", int(esize.sum()))
+                obs.count("stfw.stage_messages", int(snd.size), stage=0)
+                obs.count("stfw.stage_words", int(words.sum()), stage=0)
+                origin = np.bincount(snd, weights=esize, minlength=K)
+                r_o = np.nonzero(origin)[0]
+                obs.count_batch(
+                    "stfw.origin_words",
+                    r_o.tolist(),
+                    origin[r_o].astype(np.int64).tolist(),
+                )
                 self._emit_engine_counters(
                     cnt_s,
-                    np.bincount(snd, weights=esize, minlength=K),
+                    np.bincount(snd, weights=words, minlength=K),
                     cnt_r,
-                    np.bincount(rcv, weights=esize, minlength=K),
+                    np.bincount(rcv, weights=words, minlength=K),
                 )
         if obs is not None:
             obs.add_span_batch(
-                "direct.exchange", [0.0] * K, clocks.tolist(), range(K),
-                [(("expected", c),) for c in expected.tolist()], cat="stage",
+                "stfw.stage0", [0.0] * K, clocks.tolist(), range(K),
+                [(("expected", c), ("stage", 0)) for c in expected.tolist()],
+                cat="stage",
             )
         return self._finalize_run(Deliveries(table, dord, cnt_r), clocks, trace_parts)

@@ -143,14 +143,7 @@ def _colparallel_impl(
     send_pattern = CommPattern.from_sendsets(
         [{q: len(pair) for q, pair in sent.items()} for sent in payloads]
     )
-    ex = run_exchange(
-        send_pattern,
-        vpt,
-        scheme="direct" if vpt is None else "stfw",
-        payloads=payloads,
-        machine=machine,
-        engine=engine,
-    )
+    ex = run_exchange(send_pattern, vpt, payloads=payloads, machine=machine, engine=engine)
 
     # each owner folds its contributions into its partials in delivery
     # order (the += fold is float-order-sensitive), then keeps its rows

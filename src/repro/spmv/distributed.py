@@ -52,8 +52,8 @@ def distributed_spmv(
     """Run one distributed SpMV on the emulator.
 
     The communication phase is one :func:`~repro.core.stfw.run_exchange`
-    call: ``vpt=None`` selects the baseline (direct sends), otherwise
-    it runs Algorithm 1 on the given topology.  With
+    call on ``vpt``, which defaults to the flat ``T_1`` of the baseline
+    (direct sends); any other topology runs Algorithm 1 on it.  With
     ``verify=True`` the assembled result is checked against the
     sequential product (raising on any mismatch).
 
@@ -95,14 +95,7 @@ def distributed_spmv(
     for q in range(K):
         for p, idx in needed[q].items():
             payloads[p][q] = x_arr[idx]
-    ex = run_exchange(
-        pattern,
-        vpt,
-        scheme="direct" if vpt is None else "stfw",
-        payloads=payloads,
-        machine=machine,
-        engine=engine,
-    )
+    ex = run_exchange(pattern, vpt, payloads=payloads, machine=machine, engine=engine)
 
     # each rank's x assembly and local multiply (x_full[idx] = payload
     # writes disjoint slots, so delivery order does not matter)

@@ -20,11 +20,11 @@ import scipy.sparse as sp
 
 from ..core.dimensioning import make_vpt
 from ..core.pattern import CommPattern
-from ..core.plan import CommPlan, PlanBuilder, build_direct_plan, build_plan
+from ..core.plan import CommPlan, PlanBuilder, build_plan
 from ..core.recovery import RecoveryPlan, build_recovery
 from ..core.stfw import recv_counts_from_plan
 from ..errors import DeadlockError, ExperimentError, RecoveryError, format_pending
-from ..metrics.collect import CommStats, collect_stats
+from ..metrics.collect import CommStats, collect_stats, scheme_name
 from ..metrics.resilience import RecoveryEvent
 from ..network.machines import Machine
 from ..network.timing import spmv_compute_time, time_plan
@@ -235,8 +235,8 @@ class _EpochState:
     Built once per distinct dead-set and shared by every rank (it is
     all derived from globally-agreed inputs): the vid-space partition,
     per-survivor row blocks and CSR slices, the exchange index lists,
-    the communication pattern, and the plan (STFW stages with per-stage
-    receive counts, or the direct fallback).
+    the communication pattern, and the plan over the epoch's topology
+    (``T_1`` for the baseline) with its per-stage receive counts.
     """
 
     def __init__(self, A: sp.csr_matrix, rplan: RecoveryPlan):
@@ -254,14 +254,9 @@ class _EpochState:
                 self.send_idx[p][q] = idx
         self.pattern = spmv_pattern(A, part)
         self.vid_by_rank = {r: v for v, r in enumerate(rplan.survivors)}
-        if rplan.vpt is not None:
-            self.plan = build_plan(self.pattern, rplan.vpt)
-            self.plan.check_stage_bounds()
-            self.stage_counts = recv_counts_from_plan(self.plan)
-        else:
-            self.plan = build_direct_plan(self.pattern)
-            self.stage_counts = None
-        self.direct_expect = self.pattern.recv_counts()
+        self.plan = build_plan(self.pattern, rplan.vpt)
+        self.plan.check_stage_bounds()
+        self.stage_counts = recv_counts_from_plan(self.plan)
         if self.plan.max_message_count > rplan.message_bound():
             raise RecoveryError(
                 f"rebuilt plan sends {self.plan.max_message_count} messages per "
@@ -298,11 +293,12 @@ class _RunContext:
 
 
 def _stfw_iter_exchange(comm, epoch: _EpochState, vid: int, x_full, it: int, timeout_us: float):
-    """One STFW exchange of iteration ``it`` in vid space.
+    """One exchange of iteration ``it`` in vid space.
 
     Algorithm 1's stage loop with iteration-scoped tags and per-receive
     timeouts; returns False as soon as any receive times out (the
-    caller then enters the shrink agreement).
+    caller then enters the shrink agreement).  Over ``T_1`` (the
+    baseline) its one stage sends each SendSet entry directly.
     """
     vpt = epoch.rplan.vpt
     surv = epoch.rplan.survivors
@@ -330,21 +326,6 @@ def _stfw_iter_exchange(comm, epoch: _EpochState, vid: int, x_full, it: int, tim
                     fwbuf[c].setdefault(vpt.digit(dst_vid, c), []).append(
                         (dst_vid, src_vid, payload)
                     )
-    return True
-
-
-def _direct_iter_exchange(comm, epoch: _EpochState, vid: int, x_full, it: int, timeout_us: float):
-    """One baseline (direct) exchange of iteration ``it`` in vid space."""
-    surv = epoch.rplan.survivors
-    tag = _ITER_TAG_STRIDE * it
-    for dst_vid, idx in epoch.send_idx[vid].items():
-        comm.send(surv[dst_vid], x_full[idx], tag=tag, words=len(idx))
-    for _ in range(int(epoch.direct_expect[vid])):
-        got = yield comm.recv(tag=tag, timeout_us=timeout_us)
-        if got is TIMEOUT:
-            return False
-        src_rank, _, payload = got
-        x_full[epoch.needed[vid][epoch.vid_by_rank[src_rank]]] = payload
     return True
 
 
@@ -473,10 +454,7 @@ def _recovery_rank(
                 continue
             if at_end:
                 break
-        if epoch.rplan.vpt is not None:
-            ok = yield from _stfw_iter_exchange(comm, epoch, vid, x_full, it, timeout_us)
-        else:
-            ok = yield from _direct_iter_exchange(comm, epoch, vid, x_full, it, timeout_us)
+        ok = yield from _stfw_iter_exchange(comm, epoch, vid, x_full, it, timeout_us)
         if not ok:
             t_detect = comm.time
             agreed = yield comm.shrink()
@@ -560,9 +538,10 @@ def run_iterative_with_recovery(
     vector equals :func:`iterative_reference` exactly — crashes move
     ownership of rows, never their values.
 
-    ``n_dims=1`` selects the direct baseline exchange; ``n_dims >= 2``
-    the STFW exchange (falling back to direct if a shrink leaves a
-    survivor count with too few prime factors).
+    ``n_dims=1`` selects the direct baseline exchange (``T_1``);
+    ``n_dims >= 2`` the STFW exchange (with fewer dimensions, down to
+    ``T_1``, when a shrink leaves a survivor count with too few prime
+    factors).
 
     An optional :class:`repro.obs.Tracer` records checkpoint, rollback
     and replay spans plus engine, reliable-layer and checkpoint-store
@@ -644,7 +623,7 @@ def run_iterative_with_recovery(
 
     final_epoch = ctx.epoch_for(dead)
     return IterativeRecoveryResult(
-        scheme="BL" if n_dims == 1 else f"STFW{n_dims}",
+        scheme=scheme_name(n_dims),
         K=K,
         final_K=final_epoch.rplan.new_K,
         iterations=int(iterations),

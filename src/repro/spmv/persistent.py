@@ -1,8 +1,8 @@
 """Persistent-pattern distributed SpMV — the paper's timed kernel.
 
 The paper times "the averages of 100 SpMV iterations": the matrix is
-partitioned once, the communication pattern and (for STFW) the plan are
-set up once, and only the repeated exchange + multiply is measured.
+partitioned once, the communication pattern and the plan (``T_1``'s
+for BL) are set up once, and only the repeated exchange + multiply is measured.
 :class:`PersistentSpMV` mirrors that structure: construction does all
 amortizable work; :meth:`multiply` runs one verified iteration on the
 emulator (one :func:`~repro.core.stfw.run_exchange` call on the held
@@ -33,7 +33,7 @@ import scipy.sparse as sp
 
 from ..arrayops import sorted_unique
 from ..core.pattern import CommPattern, PatternDelta
-from ..core.plan import CommPlan, build_plan, plans_identical, repair_plan
+from ..core.plan import CommPlan, build_direct_plan, build_plan, plans_identical, repair_plan
 from ..core.stfw import (
     ExchangeResult,
     SideTables,
@@ -660,8 +660,8 @@ class PersistentSpMV:
     partition:
         Row partition over ``K`` processes.
     vpt:
-        Store-and-forward topology; ``None`` selects the direct (BL)
-        exchange.
+        Store-and-forward topology; ``None`` means the flat ``T_1``,
+        the direct (BL) exchange.
     machine:
         Optional machine model for virtual timing.
     verify:
@@ -701,8 +701,8 @@ class PersistentSpMV:
         # build refuses a non-square matrix or a partition of another size
         self.pattern: CommPattern = spmv_pattern(A, partition)
         self._needed = spmv_needed_entries(A, partition)
-        self.plan: CommPlan | None = (
-            None if vpt is None else build_plan(self.pattern, vpt)
+        self.plan: CommPlan = (
+            build_direct_plan(self.pattern) if vpt is None else build_plan(self.pattern, vpt)
         )
 
     @property
@@ -721,7 +721,7 @@ class PersistentSpMV:
 
         The communication phase is one
         :func:`~repro.core.stfw.run_exchange` call on the held
-        :attr:`plan` (direct sends when there is none); each rank's x
+        :attr:`plan` (direct sends when it is ``T_1``'s); each rank's x
         assembly and local multiply follow from its deliveries.
         ``fault_plan.compute_flips`` injects seed-deterministic silent
         compute corruption into the flagged ranks' local multiplies
@@ -739,14 +739,7 @@ class PersistentSpMV:
         for q in range(self.K):
             for p, idx in self._needed[q].items():
                 send_data[p][q] = x[idx]
-        ex = run_exchange(
-            self.pattern,
-            self.vpt,
-            scheme="direct" if self.vpt is None else "stfw",
-            payloads=send_data,
-            machine=self.machine,
-            plan=self.plan,
-        )
+        ex = run_exchange(self.pattern, payloads=send_data, machine=self.machine, plan=self.plan)
 
         flips = {} if fault_plan is None else {
             int(r): float(p) for r, p in fault_plan.compute_flips.items()

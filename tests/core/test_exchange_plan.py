@@ -77,7 +77,7 @@ def _refusals(pattern):
         ("the VPT (4, 4, 4)", dict(plan=build_plan(pattern, make_vpt(pattern.K, 3)), vpt=vpt)),
         ("header_words=2", dict(plan=build_plan(pattern, vpt, header_words=2), vpt=vpt)),
         ("coalesced plan", dict(plan=build_plan(pattern, vpt, coalesce=False), vpt=vpt)),
-        ("scheme 'direct'", dict(plan=plan, scheme="direct")),
+        ("not (64,)", dict(plan=plan, dims=1)),
         ("mode='dynamic'", dict(plan=plan, vpt=vpt, mode="dynamic")),
         ("tolerant on_fault", dict(plan=plan, vpt=vpt, on_fault="tolerate")),
     ]

@@ -19,12 +19,15 @@ class TestShrinkDimSizes:
         assert shrink_dim_sizes(62, 3) == (31, 2)
 
     def test_prime_forces_direct_fallback(self):
-        assert shrink_dim_sizes(61, 2) is None
-        assert shrink_dim_sizes(7, 3) is None
+        # the direct baseline is the flat T_1
+        assert shrink_dim_sizes(61, 2) == (61,)
+        assert shrink_dim_sizes(7, 3) == (7,)
 
     def test_degenerate_counts(self):
-        assert shrink_dim_sizes(1, 2) is None
-        assert shrink_dim_sizes(8, 1) is None
+        assert shrink_dim_sizes(1, 2) == (1,)
+        assert shrink_dim_sizes(8, 1) == (8,)
+        with pytest.raises(TopologyError, match="0 survivors"):
+            shrink_dim_sizes(0, 2)
 
 
 class TestReassignParts:
@@ -68,7 +71,7 @@ class TestBuildRecovery:
         assert plan.survivors == tuple(range(8))
         assert plan.new_K == 8
         assert plan.partition == p
-        assert plan.dim_sizes == (4, 2)
+        assert plan.vpt.dim_sizes == (4, 2)
         for r in range(8):
             assert plan.vid_of(r) == r and plan.rank_of(r) == r
 
@@ -93,15 +96,19 @@ class TestBuildRecovery:
         p = block_partition(64, 64)
         plan = build_recovery(p, (9, 41), 2)
         assert plan.new_K == 62
-        assert plan.dim_sizes == (31, 2)
-        assert isinstance(plan.vpt, VirtualProcessTopology)
+        assert plan.vpt == VirtualProcessTopology((31, 2))
         assert plan.message_bound() == 31
 
     def test_prime_survivor_count_falls_back_to_direct(self):
         p = block_partition(32, 8)
         plan = build_recovery(p, (3,), 2)  # K' = 7, prime
-        assert plan.vpt is None and plan.dim_sizes is None
+        assert plan.vpt.dim_sizes == (7,) and plan.vpt.is_flat()
         assert plan.message_bound() == 6  # flat-topology bound K' - 1
+
+    def test_single_survivor_is_one_process_t1(self):
+        plan = build_recovery(block_partition(32, 8), (0, 1, 2, 3, 4, 5, 6), 3)
+        assert plan.survivors == (7,)
+        assert plan.vpt.dim_sizes == (1,) and plan.message_bound() == 0
 
     def test_dead_deduplicated_and_sorted(self):
         p = block_partition(24, 6)

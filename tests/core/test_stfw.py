@@ -72,7 +72,7 @@ class TestDeliveryCorrectness:
 
     def test_direct_exchange(self):
         p = CommPattern.random(32, avg_degree=5, hot_processes=1, seed=9, words=4)
-        res = run_exchange(p, scheme="direct")
+        res = run_exchange(p)
         check_delivery(p, res)
 
     def test_nonuniform_vpt(self):
@@ -146,7 +146,7 @@ class TestPlanCrossValidation:
 class TestTiming:
     def test_stfw_beats_bl_on_hotspot_pattern(self):
         p = CommPattern.random(64, avg_degree=2, hot_processes=3, seed=2, words=2)
-        bl = run_exchange(p, scheme="direct", machine=BGQ)
+        bl = run_exchange(p, machine=BGQ)
         stfw = run_exchange(p, make_vpt(64, 3), machine=BGQ)
         assert stfw.makespan_us < bl.makespan_us
 
@@ -277,21 +277,23 @@ class TestRunExchangeValidation:
     def vpt(self):
         return make_vpt(16, 2)
 
-    def test_needs_a_scheme(self, pattern):
-        with pytest.raises(PlanError, match="vpt, dims=, or scheme="):
-            run_exchange(pattern)
+    def test_no_topology_is_t1(self, pattern):
+        res = run_exchange(pattern, machine=BGQ)
+        assert res.plan.vpt.dim_sizes == (16,)
+        assert res.run.clocks == run_exchange(pattern, dims=1, machine=BGQ).run.clocks
 
-    def test_scheme_string_selects_dims(self, pattern, vpt):
-        via_scheme = run_exchange(pattern, scheme="STFW2", machine=BGQ)
+    def test_dims_selects_the_balanced_vpt(self, pattern, vpt):
+        via_dims = run_exchange(pattern, dims=2, machine=BGQ)
         via_vpt = run_exchange(pattern, vpt, machine=BGQ)
-        assert via_scheme.makespan_us == via_vpt.makespan_us
+        assert via_dims.makespan_us == via_vpt.makespan_us
 
     def test_conflicting_dims_rejected(self, pattern, vpt):
         with pytest.raises(PlanError):
             run_exchange(pattern, vpt, dims=3)
 
     def test_unknown_scheme_rejected(self, pattern):
-        with pytest.raises(PlanError, match="STFWx"):
+        """Scheme labels are gone: the topology is the scheme."""
+        with pytest.raises(TypeError, match="scheme"):
             run_exchange(pattern, scheme="STFWx")
 
     def test_ft_knob_needs_tolerate(self, pattern, vpt):
@@ -300,13 +302,15 @@ class TestRunExchangeValidation:
         with pytest.raises(TypeError, match="max_retries"):
             run_exchange(pattern, vpt, max_retries=7)
 
-    def test_direct_refuses_header_words(self, pattern):
-        with pytest.raises(PlanError, match="header_words"):
-            run_exchange(pattern, scheme="direct", machine=BGQ, header_words=2)
+    def test_flat_charges_header_words_once_per_message(self, pattern):
+        res = run_exchange(pattern, machine=BGQ, header_words=2, trace=True)
+        assert sum(rec.words for rec in res.run.trace) == (
+            int(pattern.size.sum()) + 2 * pattern.num_messages
+        )
 
     def test_direct_refuses_dynamic_mode(self, pattern):
         with pytest.raises(PlanError, match="mode='dynamic'"):
-            run_exchange(pattern, scheme="direct", machine=BGQ, mode="dynamic")
+            run_exchange(pattern, machine=BGQ, mode="dynamic")
 
     @pytest.mark.parametrize("on_fault", ["tolerate", FaultPolicy(max_retries=1)])
     def test_tolerant_policy_refuses_dynamic_mode(self, pattern, vpt, on_fault):

@@ -45,7 +45,7 @@ class TestFaultFree:
 
     def test_ft_direct_delivers_everything(self):
         pattern = CommPattern.random(16, avg_degree=3, seed=3)
-        res = run_exchange(pattern, scheme="direct", on_fault=FT, machine=BGQ)
+        res = run_exchange(pattern, on_fault=FT, machine=BGQ)
         assert delivered_pairs(res.delivered) == all_pairs(pattern)
         assert all(r.lost == [] for r in res.reports)
 
@@ -136,7 +136,7 @@ class TestPartialSalvage:
         clear of the dead rank, payloads intact — not an empty result."""
         pattern = CommPattern.random(16, 4, seed=1)
         res = run_exchange(
-            pattern, scheme="direct", machine=BGQ,
+            pattern, machine=BGQ,
             fault_plan=FaultPlan(crashes={3: 0.5}), on_fault="partial",
         )
         assert not res.completed
@@ -154,7 +154,7 @@ class TestFaultPolicy:
         kw = dict(
             machine=BGQ,
             fault_plan=FaultPlan(default_drop=0.05, crashes={5: 20.0}, seed=2),
-            **({"dims": 2} if scheme == "stfw" else {"scheme": "direct"}),
+            **({"dims": 2} if scheme == "stfw" else {}),
         )
         by_name = run_exchange(pattern, on_fault="tolerate", **kw)
         by_value = run_exchange(pattern, on_fault=FaultPolicy(), **kw)

@@ -280,3 +280,23 @@ class TestFaults:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "07078a1bd62d603adc1e108e445fe972295555b8853a599be2c7599be7162550"
         )
+
+
+class TestRecover:
+    @pytest.fixture(scope="class")
+    def result(self):
+        from repro.experiments import recover
+
+        return recover.run(ExperimentConfig())  # what ``repro recover`` runs
+
+    def test_printed_table_is_pinned(self, result):
+        """BL and a prime survivor count run the one exchange body over
+        ``T_1``; the table ``repro recover`` prints must not move."""
+        import hashlib
+
+        from repro.experiments import recover
+
+        text = recover.format_result(result)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c775f9305daf8c2862b1e7b917ea490206fc228d62e37f73f5e08d4e22cd3ec1"
+        )

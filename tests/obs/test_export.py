@@ -140,9 +140,9 @@ class TestNoopPurity:
 
     def test_null_tracer_identical_direct_run(self):
         pattern = CommPattern.random(64, avg_degree=6, seed=11, words=8)
-        base = run_exchange(pattern, scheme="direct", machine=BGQ)
+        base = run_exchange(pattern, machine=BGQ)
         nulled = run_exchange(
-            pattern, scheme="direct", machine=BGQ, tracer=NULL_TRACER
+            pattern, machine=BGQ, tracer=NULL_TRACER
         )
         assert nulled.run.clocks == base.run.clocks
         assert _canon_delivered(nulled.delivered) == _canon_delivered(base.delivered)

@@ -121,10 +121,10 @@ class TestExchangeEquivalence:
     def test_direct_bit_identical(self, pattern):
         base_tr, got_tr = Tracer("eq.event"), Tracer("eq.batch")
         base = run_exchange(
-            pattern, machine=BGQ, scheme="direct", trace=True, tracer=base_tr
+            pattern, machine=BGQ, trace=True, tracer=base_tr
         )
         got = run_exchange(
-            pattern, machine=BGQ, scheme="direct", trace=True, tracer=got_tr,
+            pattern, machine=BGQ, trace=True, tracer=got_tr,
             engine="batch",
         )
         assert_same_result(base.run, got.run, "(direct)")
@@ -198,7 +198,7 @@ class TestExchangeEquivalence:
         # on the tie-breaks — stability in the receiver sort, unique
         # arrival keys in the routing sort
         pattern = CommPattern.random(K, avg_degree=degree, seed=seed, words=3)
-        kw = {"scheme": "direct"} if dims is None else {"dims": dims}
+        kw = {} if dims is None else {"dims": dims}
         base = run_exchange(pattern, machine=BGQ, trace=True, **kw)
         got = run_exchange(pattern, machine=BGQ, trace=True, engine="batch", **kw)
         assert_same_result(base.run, got.run, f"(K={K}, {kw}, seed={seed})")
@@ -443,7 +443,7 @@ class TestEagerRefusals:
                 VPT(dim_sizes), build_plan(pattern, VPT((8, 8))), _default_payloads(pattern)
             )
 
-    @pytest.mark.parametrize("scheme", [{"scheme": "direct"}, {"dims": 2}])
+    @pytest.mark.parametrize("scheme", [{}, {"dims": 2}])
     @pytest.mark.parametrize("beta", [float("inf"), float("nan"), -10.0])
     def test_arrival_times_that_do_not_sort_by_bit_pattern_refused(self, scheme, beta):
         pattern = CommPattern.random(16, avg_degree=3, seed=2, words=2)
@@ -451,7 +451,7 @@ class TestEagerRefusals:
         with pytest.raises(SimMPIError, match="not a positive finite float"):
             run_exchange(pattern, machine=machine, engine="batch", **scheme)
 
-    @pytest.mark.parametrize("scheme", [{"scheme": "direct"}, {"dims": 2}])
+    @pytest.mark.parametrize("scheme", [{}, {"dims": 2}])
     @pytest.mark.parametrize("bad", [16, -1])
     def test_destination_outside_ranks_refused(self, scheme, bad):
         pattern = CommPattern.random(16, avg_degree=3, seed=2, words=2)

@@ -97,7 +97,7 @@ def run_case(label, engine="event"):
     p = fixed_pattern()
     if label == "direct":
         return run_exchange(
-            p, scheme="direct", machine=BGQ, trace=True, engine=engine
+            p, machine=BGQ, trace=True, engine=engine
         )
     return run_exchange(
         p, make_vpt(16, 2), machine=BGQ, mode=label, trace=True, engine=engine

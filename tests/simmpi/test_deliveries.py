@@ -81,7 +81,7 @@ class TestListViewIsTheReferenceFormulation:
     @given(
         K=st.sampled_from([12, 16, 27, 36, 96]),
         degree=st.integers(0, 5),
-        scheme=st.sampled_from([{"scheme": "direct"}, {"dims": 2}, {"dims": 3}]),
+        scheme=st.sampled_from([{}, {"dims": 2}, {"dims": 3}]),
         kind=st.sampled_from(["default", "list", "ndarray"]),
         seed=st.integers(0, 10_000),
     )
@@ -91,7 +91,7 @@ class TestListViewIsTheReferenceFormulation:
         out = run_exchange(pattern, machine=BGQ, engine="batch", payloads=payloads, **scheme)
         assert_view_is_reference(pattern, out, payloads)
 
-    @pytest.mark.parametrize("scheme", [{"scheme": "direct"}, {"dims": 2}])
+    @pytest.mark.parametrize("scheme", [{}, {"dims": 2}])
     def test_no_message_at_all(self, scheme):
         empty = np.empty(0, dtype=np.int64)
         pattern = CommPattern(9, empty, empty, empty)
@@ -100,7 +100,7 @@ class TestListViewIsTheReferenceFormulation:
         assert list(out.delivered) == [[] for _ in range(9)]
         assert len({id(msgs) for msgs in out.delivered}) == 9  # nine lists, not one nine times
 
-    @pytest.mark.parametrize("scheme", [{"scheme": "direct"}, {"dims": 2}])
+    @pytest.mark.parametrize("scheme", [{}, {"dims": 2}])
     def test_K_above_65536(self, scheme):
         K = 66000
         rng = np.random.default_rng(8)

@@ -55,7 +55,7 @@ class TestExchangeProperties:
     @given(small_patterns())
     @settings(max_examples=20, deadline=None)
     def test_direct_equals_stfw_deliveries(self, pattern):
-        direct = run_exchange(pattern, scheme="direct")
+        direct = run_exchange(pattern)
         stfw = run_exchange(pattern, make_vpt(pattern.K, 2))
         assert delivered_set(direct, pattern.K) == delivered_set(stfw, pattern.K)
 

@@ -224,14 +224,16 @@ class TestOneExchangePerMultiply:
             real = mod.run_exchange
 
             def counting(*args, _real=real, **kwargs):
-                calls.append(kwargs.get("scheme"))
-                return _real(*args, **kwargs)
+                result = _real(*args, **kwargs)
+                calls.append(result.plan.vpt.dim_sizes)
+                return result
 
             monkeypatch.setattr(mod, "run_exchange", counting)
         A, x = make_case()
         vpt = None if dims is None else make_vpt(8, dims)
         _kernels(A, x, vpt)[kernel](block_partition(128, 8))
-        assert calls == ["direct" if dims is None else "stfw"]
+        # the baseline is the flat T_1 over the 8 ranks
+        assert calls == [(8,) if dims is None else make_vpt(8, dims).dim_sizes]
 
     def test_persistent_one_call_each_iteration(self, monkeypatch):
         import repro.spmv.persistent as persistent_mod

@@ -202,7 +202,7 @@ class TestListFormResults:
     def test_any_mix_of_faults_and_uncountable_ranks(self, K, seed, faults, dead):
         pat = random_pattern(K, seed)
         rng = np.random.default_rng(seed)
-        lists = [list(m) for m in run_exchange(pat, scheme="direct", machine=BGQ).delivered]
+        lists = [list(m) for m in run_exchange(pat, machine=BGQ).delivered]
         for name in faults:
             FAULTS[name](lists, pat, rng)
         assert_same_verdict(Result(lists), pat, dead)
@@ -242,7 +242,7 @@ class TestColumnarResults:
     @pytest.mark.parametrize("kind", ["twice", "lost", "twice_and_lost"])
     def test_rows_delivered_twice_or_never(self, kind):
         pat = random_pattern(24, seed=7)
-        d = self.delivered(pat, {"scheme": "direct"})
+        d = self.delivered(pat, {"dims": 1})
         rows, counts = d.rows.tolist(), np.diff(d.ptr)
         r = int(np.flatnonzero(counts > 1)[0])
         a = int(d.ptr[r])
