@@ -342,12 +342,11 @@ def stfw_process(
     corrupt_p = (corrupt_forwarders or {}).get(rank, 0.0)
 
     # fwbuf[d][digit] = submessages to forward in stage d to the
-    # neighbor whose dimension-d coordinate is `digit`; slots are
-    # preallocated per digit so the stage loop does no per-payload dict
-    # churn and needs no sort to walk digits in ascending order.  A slot
-    # is None while empty, the bare (dst, src, payload) tuple while it
+    # neighbor whose dimension-d coordinate is `digit`; only occupied
+    # buckets have an entry, so a stage costs O(occupied buckets), not
+    # O(k_d).  A bucket is the bare (dst, src, payload) tuple while it
     # holds one submessage (the common case), a list from the second on
-    fwbuf: list[list[Any]] = [[None] * dim_sizes[d] for d in range(n)]
+    fwbuf: list[dict[int, Any]] = [{} for _ in range(n)]
     delivered: list[tuple[int, Any]] = [] if out is None else out
 
     # Algorithm 1 lines 4-6: bucket my own SendSet; the routing digit
@@ -362,7 +361,7 @@ def stfw_process(
             d += 1
         digit = (dst // weights[d]) % dim_sizes[d]
         row = fwbuf[d]
-        bucket = row[digit]
+        bucket = row.get(digit)
         if bucket is None:
             row[digit] = (dst, rank, payload)
         elif bucket.__class__ is list:
@@ -384,11 +383,7 @@ def stfw_process(
         w = weights[d]
         w_next = weights[d + 1]
         own_base = rank - ((rank // w) % dim_sizes[d]) * w
-        for digit in range(dim_sizes[d]):
-            subs = stage_buf[digit]
-            if subs is None:
-                continue
-            stage_buf[digit] = None
+        for digit, subs in sorted(stage_buf.items()):
             subs = tuple(subs) if subs.__class__ is list else (subs,)
             words = header_words * len(subs)
             try:
@@ -408,6 +403,7 @@ def stfw_process(
                         obs.count("stfw.origin_words", pw, track=rank)
                     else:
                         obs.count("stfw.forwarded_words", pw, track=rank)
+        stage_buf.clear()  # sent; no later stage files into stage d
 
         # receive and scatter (lines 13-17); the wildcard-source recv
         # delivers stage-d messages in virtual arrival order.  Received
@@ -446,7 +442,7 @@ def stfw_process(
                         if obs is not None:
                             obs.count("integrity.forwarder_flips", 1, track=rank)
                 row = fwbuf[c]
-                bucket = row[digit]
+                bucket = row.get(digit)
                 if bucket is None:
                     row[digit] = sub
                 elif bucket.__class__ is list:
@@ -473,13 +469,16 @@ def _exchange_counts(
     comm: Comm,
     vpt: VirtualProcessTopology,
     d: int,
-    stage_buf: Sequence[Any],
+    stage_buf: Mapping[int, Any],
 ) -> Generator:
-    """Dynamic mode: tell every dimension-``d`` neighbor whether to expect data."""
+    """Dynamic mode: tell every dimension-``d`` neighbor whether to expect data.
+
+    ``stage_buf`` maps a neighbor's dimension-``d`` digit to its bucket;
+    only occupied buckets have an entry.
+    """
     rank = comm.rank
     for nb in vpt.neighbors(rank, d):
-        digit = vpt.digit(nb, d)
-        has_data = 1 if stage_buf[digit] else 0
+        has_data = 1 if vpt.digit(nb, d) in stage_buf else 0
         comm.send(nb, has_data, tag=_COUNT_TAG_BASE + d, words=1)
     expect = 0
     for _ in vpt.neighbors(rank, d):

@@ -18,14 +18,14 @@ can occur:
   Each pop drives one rank until it blocks or finishes; a rank blocked
   on a receive or a collective costs *nothing* until the event that
   unblocks it occurs, so an engine step is O(work done), not O(K).
-* Each rank owns an indexed :class:`~repro.simmpi.message.Mailbox`:
-  fully-specified receives take the head of a per-``(source, tag)``
-  channel, wildcard receives the top of an arrival-time-ordered heap —
-  O(log n) either way.  A message in flight is one plain tuple (the
-  envelope, which is also its own heap entry) that the cyclic collector
-  stops tracking; the mailbox owns it from the send until the receive
-  that takes it, which releases every index slot the message occupied,
-  so nothing per message outlives its delivery.
+* Each rank owns a :class:`~repro.simmpi.message.Mailbox` with one
+  index, an arrival-time heap per tag: ``recv(ANY_SOURCE, tag=t)``, the
+  receive the system issues, takes the top of heap ``t`` in O(log n);
+  the flavours only tests use scan the waiting mail.  A message in
+  flight is one plain tuple (the envelope, which is also its own heap
+  entry) that the cyclic collector stops tracking; it sits in one heap
+  from the send until the receive that takes it, so nothing per
+  message outlives its delivery.
 * A rank blocked on a receive is its own wait-map entry (a rank blocks
   on at most one receive): :meth:`SimMPI._enqueue` inspects only the
   destination's posted ``(source, tag)`` interest and wakes it **iff the

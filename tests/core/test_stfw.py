@@ -186,7 +186,8 @@ def stfw_process_with_list_buckets(
         bucket(0, (dst, rank, payload))
     for d in range(n):
         if recv_counts is None:
-            expect = yield from _exchange_counts(comm, vpt, d, fwbuf[d])
+            occupied = {digit: b for digit, b in enumerate(fwbuf[d]) if b}
+            expect = yield from _exchange_counts(comm, vpt, d, occupied)
         else:
             expect = int(recv_counts[d])
         w = weights[d]

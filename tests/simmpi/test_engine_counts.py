@@ -10,7 +10,6 @@ cannot match: they pin that the cheaper engine simulates the same run.
 import gc
 import hashlib
 import json
-from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core import CommPattern, run_exchange
 from repro.network import BGQ, MACHINES
-from repro.simmpi import ANY_SOURCE, ANY_TAG, TIMEOUT, FaultPlan, SimMPI
+from repro.simmpi import ANY_SOURCE, ANY_TAG, TIMEOUT, FaultPlan, SimMPI, run_spmd
 from repro.simmpi.faults import LinkOutage
 from repro.simmpi.message import Envelope, Mailbox
 from repro.simmpi.runtime import ENGINE_STATS
@@ -45,10 +44,14 @@ def engines(monkeypatch):
     return seen
 
 
+def holds_nothing(mb):
+    """No envelope is counted or held by any of the mailbox's heaps."""
+    return len(mb) == 0 and not any(mb._heaps.values())
+
+
 def assert_mailboxes_empty(engine):
     for rank, proc in enumerate(engine._procs):
-        assert len(proc.mailbox) == 0, f"rank {rank} still holds mail"
-        assert proc.mailbox._by_key == {}, f"rank {rank} kept a channel slot"
+        assert holds_nothing(proc.mailbox), f"rank {rank} still holds mail"
 
 
 class TestPlannedExchangeCounts:
@@ -97,20 +100,20 @@ class TestMailbox:
         mb.post(second)
         assert mb.match(ANY_SOURCE, 7) is first
         assert mb.match(3, 7) is second
-        assert len(mb) == 0 and mb._by_key == {}
-        assert mb.match(ANY_SOURCE, 7) is None  # the tag index kept nothing alive
+        assert holds_nothing(mb)
+        assert mb.match(ANY_SOURCE, 7) is None
 
     def test_specific_then_every_wildcard_flavour(self):
         mb = Mailbox()
         envs = [env(1, 5, 4.0), env(2, 5, 3.0), env(2, 6, 2.0), env(4, 9, 1.0)]
         for e in envs:
             mb.post(e)
-        assert mb.match(ANY_SOURCE, 5) is envs[1]  # activates the tag index
-        assert mb.match(2, ANY_TAG) is envs[2]  # ... and the source index
-        assert mb.match(1, 5) is envs[0]  # leaves a dead entry in the tag index
+        assert mb.match(ANY_SOURCE, 5) is envs[1]  # the top of tag 5's heap
+        assert mb.match(2, ANY_TAG) is envs[2]  # a scan over every heap
+        assert mb.match(1, 5) is envs[0]  # a scan of tag 5's heap
         assert mb.peek_arrival(ANY_SOURCE, 5) is None
         assert mb.match(ANY_SOURCE, ANY_TAG) is envs[3]
-        assert len(mb) == 0 and mb._by_key == {}
+        assert holds_nothing(mb)
 
     def test_two_envelopes_on_one_key_then_one(self):
         mb = Mailbox()
@@ -120,7 +123,7 @@ class TestMailbox:
         assert mb.match(0, 0) is a
         mb.post(c)
         assert [mb.match(0, 0), mb.match(0, 0), mb.match(0, 0)] == [b, c, None]
-        assert mb._by_key == {}
+        assert holds_nothing(mb)
 
     @pytest.mark.parametrize("source,tag", [(2, 1), (ANY_SOURCE, 1), (ANY_SOURCE, ANY_TAG)])
     def test_bounds_leave_the_head_in_place(self, source, tag):
@@ -142,19 +145,19 @@ class TestMailbox:
         mb.post(env(5, 2, 0.5))
         assert mb.match(ANY_SOURCE, 2)[1] == 1  # the source
         assert mb.purge() == 3
-        assert len(mb) == 0 and mb._by_key == {}
+        assert holds_nothing(mb)
         assert mb.match(ANY_SOURCE, 2) is None and mb.match(1, 2) is None
         late = env(1, 2, 9.0, 7)
         mb.post(late)
         assert mb.match(ANY_SOURCE, 2) is late
 
 
-# two sources x two tags keep the channels few and the flavours colliding;
+# three sources x three tags keep the channels few and the flavours colliding;
 # most receives are unbounded so that they consume, and a purge is rare
-PEER = st.sampled_from([ANY_SOURCE, 0, 1])
+PEER = st.sampled_from([ANY_SOURCE, 0, 1, 2])
 BOUND = st.sampled_from([None, None, None, 0.0, 1.0, 2.5])
 # a sender's clock is monotone: its arrivals advance by dt >= 0
-POST = st.tuples(st.just("post"), st.integers(0, 1), st.integers(0, 1),
+POST = st.tuples(st.just("post"), st.integers(0, 2), st.integers(0, 2),
                  st.sampled_from([0.0, 0.0, 1.0, 1.5]))
 MATCH = st.tuples(st.just("match"), PEER, PEER, BOUND, BOUND)
 PEEK = st.tuples(st.just("peek"), PEER, PEER, BOUND)
@@ -166,8 +169,8 @@ MAILBOX_OPS = st.lists(
 
 
 class TestMailboxAgainstAScan:
-    """The indexes and the channel-head liveness rule, against a list that
-    is scanned for the earliest ``(arrive, source, seq)`` match."""
+    """The tag heaps and their scans, against a list that is scanned for
+    the earliest ``(arrive, source, seq)`` match."""
 
     @staticmethod
     def earliest(live, source, tag):
@@ -181,7 +184,7 @@ class TestMailboxAgainstAScan:
     @settings(max_examples=500, deadline=None)
     def test_same_envelope_by_identity(self, ops):
         mb, live = Mailbox(), []
-        clock, seq = [0.0, 0.0], [0, 0]
+        clock, seq = [0.0, 0.0, 0.0], [0, 0, 0]
         for op, *args in ops:
             if op == "post":
                 source, tag, dt = args
@@ -210,28 +213,7 @@ class TestMailboxAgainstAScan:
             assert len(mb) == len(live)
         live.sort(key=lambda e: e[:3])
         assert all(mb.match(ANY_SOURCE, ANY_TAG) is e for e in live)
-        assert len(mb) == 0 and mb._by_key == {}
-
-    def test_one_flavour_never_turns_the_check_on(self):
-        from repro.simmpi import message
-
-        mb = Mailbox()
-        for tag in (0, 1, 0, 1):
-            mb.post(env(tag, tag, 1.0, seq=len(mb)))
-            assert mb.match(3, 3) is None and mb.match(ANY_SOURCE, tag) is not None
-        assert mb._wild == message._TAG  # the STFW loop: recv(tag=d) only
-        mb.post(env(0, 0, 2.0, seq=9))
-        assert mb.match(0, 0) is not None and mb._wild == message._MIXED
-
-    def test_a_second_wildcard_flavour_turns_the_check_on(self):
-        mb = Mailbox()
-        a, b = env(1, 1, 1.0, seq=0), env(1, 2, 2.0, seq=1)
-        mb.post(a)
-        mb.post(b)
-        assert mb.match(1, ANY_TAG) is a
-        assert mb.match(ANY_SOURCE, 2) is b  # leaves b dead in the source index
-        assert mb.match(1, ANY_TAG) is None and mb.peek_arrival(ANY_SOURCE, ANY_TAG) is None
-        assert len(mb) == 0 and mb._by_key == {}
+        assert holds_nothing(mb)
 
 
 class TestInFlightIsInvisibleToTheCollector:
@@ -252,8 +234,7 @@ class TestInFlightIsInvisibleToTheCollector:
             for _ in range(3):
                 gc.collect()
             tracked = len(gc.get_objects())
-            slots = sim._procs[1].mailbox._by_key.values()
-            envs = [e for s in slots for e in (s if type(s) is deque else (s,))]
+            envs = [e for heap in sim._procs[1].mailbox._heaps.values() for e in heap]
             loose = [e for e in envs if any(map(gc.is_tracked, (e, e[6], e[6][0], e[6][0][2])))]
             recv = [comm.recv(tag=t) for t in range(3)]
             for i in range(n):
@@ -268,9 +249,67 @@ class TestInFlightIsInvisibleToTheCollector:
         many, loose_many, tracked_many = self.waiting(2010)
         assert (few, many) == (10, 2010)
         assert loose_few == loose_many == 0
-        # three channel deques either way; at the parent commit one
-        # tracked Envelope per message made this difference >= 2000
+        # three tag heaps either way; a tracked NamedTuple envelope,
+        # one per message, made this difference >= 2000
         assert abs(tracked_many - tracked_few) < 50
+
+
+def mixed_receives(seed):
+    """(K, program): every rank sends first, then drains its mail with
+    receives of each flavour, a third of them timed.
+
+    A rank knows what it is owed and only posts a receive that some owed
+    message matches; all sends precede all receives, so no run deadlocks.
+    """
+    rng = np.random.default_rng(seed)
+    K = int(rng.integers(3, 9))
+    sends = []
+    for r in range(K):
+        n = int(rng.integers(0, 7))
+        dst = rng.integers(0, K - 1, n)
+        dst += dst >= r  # never r itself
+        sends.append(list(zip(dst.tolist(), rng.integers(0, 3, n).tolist(),
+                              rng.integers(1, 40, n).tolist())))
+    owed = [[(r, t) for r in range(K) for d, t, _ in sends[r] if d == rank] for rank in range(K)]
+
+    def program(comm):
+        rank = comm.rank
+        for dst, tag, words in sends[rank]:
+            comm.send(dst, (rank, tag, words), tag=tag, words=words)
+        pick = np.random.default_rng([seed, rank])
+        waiting, got = list(owed[rank]), []
+        while waiting:
+            s, t = waiting[pick.integers(len(waiting))]
+            kind = int(pick.integers(4))  # specific, tag only, source only, any
+            timeout = float(pick.choice([0.5, 2.0, 8.0])) if pick.random() < 0.3 else None
+            m = yield comm.recv(s if kind in (0, 2) else ANY_SOURCE,
+                                t if kind in (0, 1) else ANY_TAG, timeout_us=timeout)
+            if m is TIMEOUT:
+                got.append("timeout")
+                continue
+            got.append(m)
+            waiting.remove(m[:2])
+        return got
+
+    return K, program
+
+
+class TestMixedReceivesPin:
+    """Twenty generated programs over BGQ mixing every receive flavour with
+    timeouts: clocks and each rank's delivery order, hashed, are the ones
+    recorded when the mailbox kept a channel index beside its heaps."""
+
+    DIGEST = "9b26b93d1407ea61ef52e00f0bd0be1162e4f32cd83ea31aebb2d35f78f3f2fa"
+
+    def test_clocks_and_delivery_order_are_the_recorded_ones(self, engines):
+        doc = []
+        for seed in range(20):
+            K, program = mixed_receives(seed)
+            run = run_spmd(K, program, machine=BGQ)
+            assert_mailboxes_empty(engines[-1])
+            doc.append([run.clocks, run.returns])
+        assert "timeout" in str(doc)  # some timed receive did time out
+        assert hashlib.sha256(json.dumps(canon(doc)).encode()).hexdigest() == self.DIGEST
 
 
 @st.composite
