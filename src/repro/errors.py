@@ -55,8 +55,8 @@ class SimMPIError(ReproError):
 class PendingOp:
     """Machine-readable description of one blocked rank in a deadlock dump.
 
-    ``kind`` is the blocking operation family (``"recv"``, ``"barrier"``,
-    ``"allgather"``, ...); ``source``/``tag`` are only meaningful for
+    ``kind`` is the blocking operation (``"recv"``, ``"allreduce"`` or
+    ``"shrink"``); ``source``/``tag`` are only meaningful for
     receives (``None`` otherwise, with wildcards reported as ``-1``).
     ``mailbox`` is the number of unconsumed envelopes waiting at the
     rank — a non-empty mailbox on a blocked receive usually means a

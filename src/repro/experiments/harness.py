@@ -114,7 +114,7 @@ class InstanceCache:
         self.artifacts = artifacts
         if artifacts is not None and artifacts.tracer is None:
             artifacts.tracer = tracer
-        self._entries: dict[tuple, _CacheEntry] = {}
+        self._entries: dict[MatrixSpec, _CacheEntry] = {}
         self._patterns: dict[tuple, CommPattern] = {}
         self._partitions: dict[tuple, Partition] = {}
 
@@ -147,8 +147,7 @@ class InstanceCache:
 
     def _entry(self, name: str, K: int) -> _CacheEntry:
         s = effective_spec(name, K, self.cfg)
-        key = (s.name, s.n, s.nnz, s.max_degree)
-        if key not in self._entries:
+        if s not in self._entries:
             seed = self._gen_seed(name)
 
             def build() -> sp.csr_matrix:
@@ -167,8 +166,8 @@ class InstanceCache:
                 A = self.artifacts.matrix(self._matrix_inputs(s, seed), build)
             else:
                 A = build()
-            self._entries[key] = _CacheEntry(spec=s, matrix=A)
-        return self._entries[key]
+            self._entries[s] = _CacheEntry(spec=s, matrix=A)
+        return self._entries[s]
 
     def matrix(self, name: str, K: int) -> sp.csr_matrix:
         """The generated matrix for a (name, K) cell."""
@@ -181,7 +180,7 @@ class InstanceCache:
     def partition(self, name: str, K: int) -> Partition:
         """Row partition for a (name, K) cell, ordering cached per matrix."""
         entry = self._entry(name, K)
-        pkey = (entry.spec.name, entry.spec.n, entry.spec.nnz, K, self.cfg.partitioner)
+        pkey = (entry.spec, K, self.cfg.partitioner)
         if pkey in self._partitions:
             return self._partitions[pkey]
         A = entry.matrix
@@ -220,7 +219,7 @@ class InstanceCache:
     def pattern(self, name: str, K: int) -> CommPattern:
         """SpMV communication pattern for a (name, K) cell."""
         entry = self._entry(name, K)
-        key = (entry.spec.name, entry.spec.n, entry.spec.nnz, K, self.cfg.partitioner)
+        key = (entry.spec, K, self.cfg.partitioner)
         if key not in self._patterns:
 
             def build() -> CommPattern:

@@ -1,19 +1,7 @@
 """Deterministic discrete-event MPI emulator (the library's MPI substrate)."""
 
 from .analysis import RankSummary, rank_summary, stage_breakdown
-from .collectives import (
-    REDUCTIONS,
-    AllGatherOp,
-    AllReduceOp,
-    AllToAllOp,
-    BarrierOp,
-    BcastOp,
-    RecvRequest,
-    ReduceOp,
-    SendRequest,
-)
 from .checkpoint import HEARTBEAT_TAG, CheckpointStore, RankCheckpoint, heartbeat_round
-from .collectives import ShrinkOp
 from .discovery import DISCOVERY_TAG, DiscoveryStats, nbx_discover
 from .engine import engine_names, resolve_engine
 from .faults import FaultEvent, FaultPlan, LinkOutage
@@ -21,7 +9,7 @@ from .integrity import corrupt_draw, flip_array, flip_payload, payload_checksum
 from .message import ANY_SOURCE, ANY_TAG, TIMEOUT, Envelope, RunResult, TraceRecord
 from .policy import ESCALATION_LADDER, CircuitBreaker, EscalationPolicy, PolicyConfig
 from .reliable import ReliableComm, ReliableStats, retry_jitter
-from .runtime import Comm, SimMPI, run_spmd
+from .runtime import AllReduceOp, Comm, RecvOp, ShrinkOp, SimMPI, run_spmd
 
 __all__ = [
     "SimMPI",
@@ -52,20 +40,13 @@ __all__ = [
     "DISCOVERY_TAG",
     "DiscoveryStats",
     "nbx_discover",
-    "REDUCTIONS",
-    "BarrierOp",
-    "AllGatherOp",
+    "RecvOp",
     "AllReduceOp",
-    "ReduceOp",
-    "AllToAllOp",
-    "BcastOp",
     "ShrinkOp",
     "CheckpointStore",
     "RankCheckpoint",
     "heartbeat_round",
     "HEARTBEAT_TAG",
-    "SendRequest",
-    "RecvRequest",
     "RankSummary",
     "rank_summary",
     "stage_breakdown",

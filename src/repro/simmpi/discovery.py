@@ -172,7 +172,7 @@ def nbx_discover(
         # the consensus counter: globally, live frames sent minus
         # unique frames delivered.  Zero means no frame is still in
         # flight anywhere, so every rank's recvset is complete.
-        outstanding = yield comm.allreduce(st.frames_sent - delivered, op="sum", words=1)
+        outstanding = yield comm.allreduce(st.frames_sent - delivered, words=1)
         if outstanding <= 0:
             break
     if obs is not None:

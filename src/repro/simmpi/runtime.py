@@ -1,13 +1,13 @@
 """A deterministic discrete-event MPI emulator.
 
-``K`` virtual processes run as Python generators; blocking operations
-(``recv``, ``barrier``, ``allgather``, ...) are ``yield`` points at
-which the engine regains control, matches messages and advances virtual
-clocks.  Sends are *eager*: they never block (as MPI eager-protocol
-sends of small messages do not), so the classic send-send deadlock
-cannot occur, while recv cycles and collective mismatches are detected
-and reported as :class:`~repro.errors.DeadlockError` with a per-rank
-state dump.
+``K`` virtual processes run as Python generators; the three blocking
+operations (``recv``, ``allreduce`` and ``shrink``) are ``yield`` points
+at which the engine regains control, matches messages and advances
+virtual clocks.  Sends are *eager*: they never block (as MPI
+eager-protocol sends of small messages do not), so the classic
+send-send deadlock cannot occur, while recv cycles and collective
+mismatches are detected and reported as
+:class:`~repro.errors.DeadlockError` with a per-rank state dump.
 
 Engine architecture
 -------------------
@@ -41,7 +41,9 @@ can occur:
 * Collective completion is counter-driven: the engine tracks how many
   live ranks are blocked on which collective kind, so the
   "all K ranks have entered the same collective" check is O(1) and only
-  runs when the ready deque drains.
+  runs when the ready deque drains.  A mismatch (some ranks in
+  ``allreduce``, others in ``shrink``) is a deadlock, the hang a real
+  MPI program would produce.
 
 ``RunResult.engine_stats`` (:data:`ENGINE_STATS`) counts these steps —
 rounds, wakes, match attempts, deliveries — exactly, for any run.
@@ -88,9 +90,12 @@ Each rank owns a virtual clock in microseconds.  With a
   (single-port serialization of sends);
 * a matching recv sets the receiver's clock to
   ``max(own clock, arrival) + machine.recv_cost(words)``;
-* a barrier aligns all clocks to the maximum plus one alpha;
-* an allgather is charged as a tree: ``ceil(lg K) * alpha +
-  beta * total_words`` on top of the clock alignment.
+* an allreduce over ``P`` ranks aligns their clocks to the maximum
+  plus a tree's ``2 * ceil(lg P) * (alpha + beta * words)`` and sums
+  the values;
+* a shrink over ``P`` survivors aligns their clocks to the maximum plus
+  one revoke round and two tree sweeps, ``(1 + 2 * ceil(lg P)) *
+  alpha`` (:func:`shrink_cost`).
 
 Without a machine the run is purely functional (all clocks stay 0) —
 useful for semantics tests.
@@ -135,18 +140,6 @@ import numpy as np
 from ..errors import DeadlockError, PendingOp, SimMPIError, format_pending
 from ..network.machines import Machine
 from ..network.mapping import block_mapping, validate_mapping
-from .collectives import (
-    REDUCTIONS,
-    AllGatherOp,
-    AllReduceOp,
-    AllToAllOp,
-    BarrierOp,
-    BcastOp,
-    RecvRequest,
-    ReduceOp,
-    SendRequest,
-    ShrinkOp,
-)
 from .faults import FaultPlan, FaultState
 from .message import ANY_SOURCE, ANY_TAG, TIMEOUT, Mailbox, RunResult, TraceRecord
 
@@ -155,7 +148,9 @@ __all__ = [
     "SimMPI",
     "run_spmd",
     "ENGINE_STATS",
-    "collective_outcome",
+    "RecvOp",
+    "AllReduceOp",
+    "ShrinkOp",
     "engine_lookahead",
     "shrink_cost",
     "trace_sort_key",
@@ -201,20 +196,59 @@ ENGINE_STATS = (
     "mailbox_peak_live",
 )
 
-_RecvOp = RecvRequest
-_BarrierOp = BarrierOp
-_AllGatherOp = AllGatherOp
 
-#: every collective op type, used for uniform-kind completion checks
-_COLLECTIVE_OPS = (
-    BarrierOp,
-    AllGatherOp,
-    AllReduceOp,
-    ReduceOp,
-    AllToAllOp,
-    BcastOp,
-    ShrinkOp,
-)
+class RecvOp:
+    """A receive returned by :meth:`Comm.recv`.
+
+    Yield it to complete it; the generator resumes with ``(source, tag,
+    payload)``.  A ``timeout_us`` makes the receive resumable by a
+    virtual-time timer: if no matching message arrives within that many
+    microseconds of blocking, the generator resumes with the
+    :data:`~repro.simmpi.message.TIMEOUT` sentinel instead.
+    ``deadline`` is the absolute expiry time, filled in by the engine at
+    block time.
+    """
+
+    __slots__ = ("source", "tag", "timeout_us", "deadline")
+
+    def __init__(self, source: int, tag: int, timeout_us: float | None = None):
+        self.source = source
+        self.tag = tag
+        self.timeout_us = timeout_us
+        self.deadline: float | None = None
+
+    def describe(self) -> str:
+        """Human-readable form for deadlock state dumps."""
+        src = "ANY_SOURCE" if self.source == ANY_SOURCE else self.source
+        tag = "ANY_TAG" if self.tag == ANY_TAG else self.tag
+        base = f"recv(source={src}, tag={tag}"
+        if self.timeout_us is not None:
+            base += f", timeout_us={self.timeout_us}"
+        return base + ")"
+
+
+class AllReduceOp:
+    """A sum over all ranks, returned by :meth:`Comm.allreduce`."""
+
+    __slots__ = ("value", "words")
+
+    def __init__(self, value: Any, words: int):
+        self.value = value
+        self.words = words
+
+    def describe(self) -> str:
+        """Human-readable form for deadlock state dumps."""
+        return f"allreduce(words={self.words})"
+
+
+class ShrinkOp:
+    """A revoke-and-agree shrink, returned by :meth:`Comm.shrink`."""
+
+    __slots__ = ()
+
+    def describe(self) -> str:
+        """Human-readable form for deadlock state dumps."""
+        return "shrink"
 
 
 def trace_sort_key(rec: TraceRecord) -> tuple:
@@ -232,75 +266,6 @@ def trace_sort_key(rec: TraceRecord) -> tuple:
 def fault_sort_key(ev) -> tuple:
     """Canonical ordering of :class:`~repro.simmpi.faults.FaultEvent`s."""
     return (ev.time_us, ev.kind, ev.rank, ev.dest, ev.tag, ev.words, ev.reason)
-
-
-def _check_uniform(ops: dict, attr: str, name: str) -> None:
-    vals = {getattr(op, attr) for op in ops.values()}
-    if len(vals) > 1:
-        raise SimMPIError(
-            f"{name} called with mismatched {attr} across ranks: {sorted(map(str, vals))}"
-        )
-
-
-def collective_outcome(
-    kind: type, ops: dict[int, Any], waiting: list[int], alpha: float, beta: float
-) -> tuple[dict[int, Any], float]:
-    """Pure completion math of a uniform collective.
-
-    ``ops`` maps each participating rank to its blocked operation and
-    must iterate in ascending rank order (value folds and gather order
-    depend on it).  Returns ``(results, cost)``: the per-rank resume
-    values and the virtual-time cost added on top of the participants'
-    aligned clock.
-    """
-    P = len(waiting)
-    lg = math.ceil(math.log2(max(P, 2)))
-
-    if kind is BarrierOp:
-        cost = alpha
-        results = {r: None for r in waiting}
-    elif kind is AllGatherOp:
-        total_words = sum(op.words for op in ops.values())
-        cost = lg * alpha + beta * total_words
-        values = [ops[r].value for r in waiting]
-        results = {r: list(values) for r in waiting}
-    elif kind is AllReduceOp:
-        _check_uniform(ops, "op", "allreduce")
-        words = max(op.words for op in ops.values())
-        cost = 2 * lg * (alpha + beta * words)
-        fn = REDUCTIONS[next(iter(ops.values())).op]
-        acc = None
-        for r in waiting:
-            acc = ops[r].value if acc is None else fn(acc, ops[r].value)
-        results = {r: acc for r in waiting}
-    elif kind is ReduceOp:
-        _check_uniform(ops, "op", "reduce")
-        _check_uniform(ops, "root", "reduce")
-        words = max(op.words for op in ops.values())
-        cost = lg * (alpha + beta * words)
-        fn = REDUCTIONS[next(iter(ops.values())).op]
-        root = next(iter(ops.values())).root
-        if root not in ops:
-            raise SimMPIError(f"reduce root {root} is not a live rank")
-        acc = None
-        for r in waiting:
-            acc = ops[r].value if acc is None else fn(acc, ops[r].value)
-        results = {r: (acc if r == root else None) for r in waiting}
-    elif kind is AllToAllOp:
-        words = max(op.words for op in ops.values())
-        cost = (P - 1) * (alpha + beta * words)
-        results = {r: [ops[q].values[r] for q in waiting] for r in waiting}
-    elif kind is BcastOp:
-        _check_uniform(ops, "root", "bcast")
-        root = next(iter(ops.values())).root
-        if root not in ops:
-            raise SimMPIError(f"bcast root {root} is not a live rank")
-        words = ops[root].words
-        cost = lg * (alpha + beta * words)
-        results = {r: ops[root].value for r in waiting}
-    else:  # pragma: no cover - defensive
-        raise SimMPIError(f"unknown collective {kind!r}")
-    return results, cost
 
 
 def shrink_cost(P: int, alpha: float) -> float:
@@ -332,11 +297,12 @@ def engine_lookahead(machine: Machine | None, fault_plan: FaultPlan | None) -> f
 class Comm:
     """Per-rank communicator handle passed to every process function.
 
-    Mirrors the mpi4py lowercase (pickle-style, any-object) API surface
-    that the paper's communication layer needs: ``send`` / ``recv`` /
-    ``barrier`` / ``allgather``.  Blocking calls return *operation
-    objects* that the process generator must ``yield``; the engine
-    resumes the generator with the result::
+    Mirrors the part of the mpi4py lowercase (pickle-style, any-object)
+    API that the system runs: eager ``send``, ``recv`` (with wildcards
+    and an optional timeout), ``allreduce`` (the sum that ends NBX
+    discovery) and the ULFM-style ``shrink``.  Blocking calls return
+    *operation objects* that the process generator must ``yield``; the
+    engine resumes the generator with the result::
 
         def worker(comm):
             comm.send(1 - comm.rank, b"hi", words=1)
@@ -345,13 +311,11 @@ class Comm:
 
     Size-keyword convention
     -----------------------
-    Every operation that charges message volume takes the same keyword,
-    ``words``: the per-unit size in 8-byte words.  "Per unit" means per
-    message for ``send``/``isend``/``sendrecv``, per rank contribution
-    for ``allgather``/``allreduce``/``reduce``/``bcast``, and per peer
-    value for ``alltoall``.  ``words`` must be a non-negative integer; the
-    check happens eagerly at the call site and the error names the rank
-    and the offending argument.
+    Both operations that charge message volume take the same keyword,
+    ``words``: the size in 8-byte words of one message for ``send`` and
+    of one rank's contribution for ``allreduce``.  ``words`` must be a
+    non-negative integer; the check happens eagerly at the call site and
+    the error names the rank and the offending argument.
     """
 
     __slots__ = ("_engine", "rank", "size")
@@ -406,7 +370,7 @@ class Comm:
         tag: int = ANY_TAG,
         *,
         timeout_us: float | None = None,
-    ) -> _RecvOp:
+    ) -> RecvOp:
         """Blocking receive; yield it to obtain ``(source, tag, payload)``.
 
         With ``timeout_us``, the receive gives up after that much
@@ -416,7 +380,7 @@ class Comm:
         """
         if timeout_us is not None and timeout_us <= 0:
             raise SimMPIError(f"rank {self.rank}: timeout_us must be positive")
-        return _RecvOp(source, tag, timeout_us)
+        return RecvOp(source, tag, timeout_us)
 
     def _check_words(self, op_name: str, words: Any) -> int:
         """Eagerly validate a ``words=`` argument that is not a plain ``int``.
@@ -435,66 +399,10 @@ class Comm:
             )
         return int(words)
 
-    def barrier(self) -> _BarrierOp:
-        """Blocking barrier; yield it (resumes with ``None``)."""
-        return _BarrierOp()
-
-    def allgather(self, value: Any, *, words: int = 1) -> AllGatherOp:
-        """Blocking allgather; yield it to obtain the list of all values."""
-        return AllGatherOp(value, self._check_words("allgather", words))
-
-    def isend(
-        self, dest: int, payload: Any, *, tag: int = 0, words: int | None = None
-    ) -> SendRequest:
-        """Non-blocking send; eager, so the request is already complete."""
-        self.send(dest, payload, tag=tag, words=words)
-        return SendRequest()
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
-        """Non-blocking receive; yield the request to complete it."""
-        return RecvRequest(source, tag)
-
-    def sendrecv(
-        self,
-        dest: int,
-        payload: Any,
-        *,
-        source: int = ANY_SOURCE,
-        sendtag: int = 0,
-        recvtag: int = ANY_TAG,
-        words: int | None = None,
-    ) -> RecvRequest:
-        """Combined send + receive; yield the result to get the message."""
-        self.send(dest, payload, tag=sendtag, words=words)
-        return RecvRequest(source, recvtag)
-
-    def allreduce(self, value: Any, *, op: str = "sum", words: int = 1) -> AllReduceOp:
-        """Blocking allreduce; yield it to obtain the reduced value."""
-        if op not in REDUCTIONS:
-            raise SimMPIError(f"unknown reduction {op!r}; known: {', '.join(REDUCTIONS)}")
-        return AllReduceOp(value, self._check_words("allreduce", words), op)
-
-    def reduce(
-        self, value: Any, *, root: int = 0, op: str = "sum", words: int = 1
-    ) -> ReduceOp:
-        """Blocking reduce-to-root; yields the result at root, None elsewhere."""
-        if op not in REDUCTIONS:
-            raise SimMPIError(f"unknown reduction {op!r}; known: {', '.join(REDUCTIONS)}")
-        if not 0 <= root < self.size:
-            raise SimMPIError(f"root {root} outside [0, {self.size})")
-        return ReduceOp(value, self._check_words("reduce", words), op, root)
-
-    def alltoall(self, values: list, *, words: int = 1) -> AllToAllOp:
-        """Blocking all-to-all; ``values[j]`` goes to rank ``j``; yields
-        the list of values addressed to this rank.
-
-        ``words`` is the charged size of each per-peer value.
-        """
-        if len(values) != self.size:
-            raise SimMPIError(
-                f"alltoall needs one value per rank ({self.size}), got {len(values)}"
-            )
-        return AllToAllOp(list(values), self._check_words("alltoall", words))
+    def allreduce(self, value: Any, *, words: int = 1) -> AllReduceOp:
+        """Blocking allreduce; yield it to obtain the sum of every rank's
+        ``value``, folded in ascending rank order."""
+        return AllReduceOp(value, self._check_words("allreduce", words))
 
     def shrink(self) -> ShrinkOp:
         """Blocking revoke-and-agree shrink; yield it to obtain the
@@ -504,33 +412,9 @@ class Comm:
         call it (it completes like a collective, but over the live
         ranks only).  On completion each survivor's mailbox is purged —
         in-flight messages from before the agreement are revoked — and
-        from then on ordinary collectives complete over the survivor
-        set, so a shrunk run can keep using barriers and reductions.
+        from then on an ``allreduce`` completes over the survivor set.
         """
         return ShrinkOp()
-
-    def bcast(self, value: Any, *, root: int = 0, words: int = 1) -> BcastOp:
-        """Blocking broadcast from ``root``; yields the root's value."""
-        if not 0 <= root < self.size:
-            raise SimMPIError(f"root {root} outside [0, {self.size})")
-        return BcastOp(value, self._check_words("bcast", words), root)
-
-    def waitall(self, requests: list) -> Generator:
-        """Complete a list of requests; yields once per pending receive.
-
-        Use as ``results = yield from comm.waitall(reqs)``; send
-        requests resolve to ``None``, receive requests to their
-        ``(source, tag, payload)`` triple, in the order given.
-        """
-        results = []
-        for req in requests:
-            if isinstance(req, SendRequest):
-                results.append(None)
-            elif isinstance(req, RecvRequest):
-                results.append((yield req))
-            else:
-                raise SimMPIError(f"waitall got a non-request object: {req!r}")
-        return results
 
 
 class _ProcState:
@@ -775,7 +659,7 @@ class SimMPI:
         if live > self._stats["mailbox_peak_live"]:
             self._stats["mailbox_peak_live"] = live
         op = state.blocked_on
-        if op.__class__ is _RecvOp:
+        if op.__class__ is RecvOp:
             source = op.source
             tag = op.tag
             if (
@@ -849,7 +733,7 @@ class SimMPI:
                 state.retval = out
                 self._num_finished += 1
 
-    def _match_recv(self, state: _ProcState, op: _RecvOp) -> tuple | None:
+    def _match_recv(self, state: _ProcState, op: RecvOp) -> tuple | None:
         """Match a blocked receive against the rank's mailbox.
 
         Under conservative matching (any run with a machine), wildcard
@@ -875,7 +759,7 @@ class SimMPI:
                 continue
             op = state.blocked_on
             if op is not None:
-                if not isinstance(op, _RecvOp):
+                if not isinstance(op, RecvOp):
                     continue  # collectives resume via _complete_collective
                 env = self._match_recv(state, op)
                 if env is None:
@@ -935,29 +819,23 @@ class SimMPI:
                 continue
             if self._coll_blocked == alive_count and len(self._coll_kinds) == 1:
                 kind = next(iter(self._coll_kinds))
+                alive = [r for r in range(self.K) if not self._procs[r].finished]
                 if kind is ShrinkOp:
                     # crash timers due by the agreement point fire
                     # before it (the shrink cannot miss a rank already
                     # due to die), but the agreement never warps time
                     # forward: crashes scheduled after it stay pending
-                    horizon = max(
-                        self._procs[r].clock
-                        for r in range(self.K)
-                        if not self._procs[r].finished
-                    )
+                    horizon = max(self._procs[r].clock for r in alive)
                     if self._fire_next_timer(horizon=horizon):
                         continue
-                    self._complete_shrink()
+                    self._complete_collective(kind, alive)
                     continue
-                # ordinary collectives need every rank — or, after a
-                # shrink, every survivor (finished ranks all being
+                # an allreduce needs every rank — or, after a shrink,
+                # every survivor (finished ranks all being
                 # shrink-acknowledged crashes)
                 finished = {r for r in range(self.K) if self._procs[r].finished}
                 if alive_count == self.K or finished <= self._acked_dead:
-                    self._complete_collective(
-                        kind,
-                        [r for r in range(self.K) if not self._procs[r].finished],
-                    )
+                    self._complete_collective(kind, alive)
                     continue
             if self._fire_next_timer():
                 continue
@@ -1007,14 +885,14 @@ class SimMPI:
         while deadlines:
             t, r = deadlines[0]
             op = procs[r].blocked_on
-            if op.__class__ is _RecvOp and op.deadline == t:
+            if op.__class__ is RecvOp and op.deadline == t:
                 break
             heappop(deadlines)
         held = self._held
         while held:
             t, r = held[0]
             state = procs[r]
-            if state.blocked_on.__class__ is _RecvOp and state.held == t:
+            if state.blocked_on.__class__ is RecvOp and state.held == t:
                 break
             heappop(held)
         return (
@@ -1036,7 +914,7 @@ class SimMPI:
         while held and held[0][0] < H2:
             t, r = heappop(held)
             state = procs[r]
-            if state.blocked_on.__class__ is _RecvOp and state.held == t:
+            if state.blocked_on.__class__ is RecvOp and state.held == t:
                 state.held = math.inf  # a second entry of this rank is dead now
                 ranks.append(r)
         ranks.sort()
@@ -1104,7 +982,7 @@ class SimMPI:
     def _kill_rank(self, rank: int, state: _ProcState, *, at: float) -> None:
         """Crash ``rank`` at virtual time ``at`` (fault injection)."""
         state.clock = max(state.clock, at)
-        if state.blocked_on is not None and not isinstance(state.blocked_on, _RecvOp):
+        if state.blocked_on is not None and not isinstance(state.blocked_on, RecvOp):
             # dying inside a collective: release the completion counters
             kind = type(state.blocked_on)
             self._coll_blocked -= 1
@@ -1124,66 +1002,56 @@ class SimMPI:
             self._obs.instant("fault.crash", state.clock, track=rank, cat="fault")
             self._obs.count("engine.crashes", 1)
 
-    def _complete_shrink(self) -> None:
-        """Resolve a shrink: agree on the dead set, revoke in-flight mail.
+    def _complete_collective(self, kind: type, waiting: list[int]) -> None:
+        """Resolve the collective every rank in ``waiting`` is blocked on.
 
-        Completes over the live ranks only.  Costs one revoke round
-        plus two tree sweeps over the survivors (the agreement), after
-        which every survivor's mailbox is purged and each resumes with
-        the agreed tuple of crashed ranks.
+        An allreduce sums the values in ascending rank order and costs a
+        tree's ``2 * ceil(lg P) * (alpha + beta * words)``.  A shrink
+        costs :func:`shrink_cost`, agrees on the tuple of crashed ranks
+        and revokes in-flight mail: every survivor's mailbox is purged.
+        Each participant resumes at the latest clock plus the cost.
         """
-        waiting = [r for r in range(self.K) if not self._procs[r].finished]
-        fs = self._faults
-        dead = () if fs is None else tuple(sorted(fs.crashed))
-        t = max(self._procs[r].clock for r in waiting) + shrink_cost(
-            len(waiting), 0.0 if self.machine is None else self.machine.alpha_us
-        )
-        self._acked_dead.update(dead)
+        procs = self._procs
+        m = self.machine
+        alpha = 0.0 if m is None else m.alpha_us
+        shrink = kind is ShrinkOp
+        if shrink:
+            fs = self._faults
+            result = () if fs is None else tuple(sorted(fs.crashed))
+            cost = shrink_cost(len(waiting), alpha)
+            self._acked_dead.update(result)
+            labels = {"dead": len(result)}
+        else:
+            ops = [procs[r].blocked_on for r in waiting]
+            words = max(op.words for op in ops)
+            lg = math.ceil(math.log2(max(len(waiting), 2)))
+            cost = 2 * lg * (alpha + (0.0 if m is None else m.beta_us_per_word) * words)
+            result = ops[0].value
+            for op in ops[1:]:
+                result = result + op.value
+            labels = {}
+        t = max(procs[r].clock for r in waiting) + cost
         obs = self._obs
+        name = kind.__name__.removesuffix("Op").lower()
         for r in waiting:
-            p = self._procs[r]
+            p = procs[r]
             if obs is not None:
-                obs.add_span("shrink", p.clock, t, track=r, cat="collective", dead=len(dead))
+                obs.add_span(name, p.clock, t, track=r, cat="collective", **labels)
             p.clock = t
             p.blocked_on = None
-            self._live -= p.mailbox.purge()
-            p.resume_value = dead
+            if shrink:
+                self._live -= p.mailbox.purge()
+            p.resume_value = result
             self._wake(r)
         if obs is not None:
-            obs.count("engine.shrinks", 1)
+            if shrink:
+                obs.count("engine.shrinks", 1)
+            else:
+                obs.count("engine.collectives", 1, kind=name)
         self._coll_blocked = 0
         self._coll_kinds.clear()
         # every participant resumes at t, so no future send arrives
         # before t + lookahead
-        if self._conservative and t + self._lookahead > self._horizon:
-            self._horizon = t + self._lookahead
-
-    def _complete_collective(self, kind: type, waiting: list[int]) -> None:
-        """Resolve a uniform collective all live ranks are blocked on."""
-        ops = {r: self._procs[r].blocked_on for r in waiting}
-        m = self.machine
-        results, cost = collective_outcome(
-            kind,
-            ops,
-            waiting,
-            0.0 if m is None else m.alpha_us,
-            0.0 if m is None else m.beta_us_per_word,
-        )
-        t = max(self._procs[r].clock for r in waiting) + cost
-        obs = self._obs
-        cname = kind.__name__.removesuffix("Op").lower() if obs is not None else ""
-        for r in waiting:
-            p = self._procs[r]
-            if obs is not None:
-                obs.add_span(cname, p.clock, t, track=r, cat="collective")
-            p.clock = t
-            p.blocked_on = None
-            p.resume_value = results[r]
-            self._wake(r)
-        if obs is not None:
-            obs.count("engine.collectives", 1, kind=cname)
-        self._coll_blocked = 0
-        self._coll_kinds.clear()
         if self._conservative and t + self._lookahead > self._horizon:
             self._horizon = t + self._lookahead
 
@@ -1207,7 +1075,7 @@ class SimMPI:
             except _RankCrashed:
                 self._kill_rank(rank, state, at=state.clock)
                 return
-            if isinstance(op, _RecvOp):
+            if isinstance(op, RecvOp):
                 # fix the deadline before matching: a message already
                 # queued but arriving (virtually) after the deadline
                 # must not satisfy this receive — it stays in the
@@ -1229,7 +1097,7 @@ class SimMPI:
                         state.held = held
                         heappush(self._held, (held, rank))
                 return
-            if isinstance(op, _COLLECTIVE_OPS):
+            if isinstance(op, (AllReduceOp, ShrinkOp)):
                 state.blocked_on = op
                 kind = type(op)
                 self._coll_blocked += 1
@@ -1237,7 +1105,7 @@ class SimMPI:
                 return
             raise SimMPIError(
                 f"rank {rank} yielded {op!r}; processes may only yield "
-                "comm.recv()/comm.barrier()/comm.allgather() operations"
+                "comm.recv()/comm.allreduce()/comm.shrink() operations"
             )
 
     def _pending_ops(self, alive: list[int]) -> list[PendingOp]:
@@ -1246,7 +1114,7 @@ class SimMPI:
         for r in alive:
             p = self._procs[r]
             op = p.blocked_on
-            if isinstance(op, _RecvOp):
+            if isinstance(op, RecvOp):
                 pending.append(
                     PendingOp(
                         rank=r,

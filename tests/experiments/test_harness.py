@@ -45,6 +45,18 @@ class TestInstanceCache:
         b = cache.matrix("cbuckle", 64)
         assert a is b
 
+    def test_a_raised_locality_is_a_different_matrix(self):
+        # the spread_blocks cap raises locality with K; a cache that has
+        # built K=32 must hand K=64 the matrix a fresh cache builds
+        cfg = ExperimentConfig(scale=0.02, spread_blocks=2)
+        assert effective_spec("cbuckle", 32, cfg) != effective_spec("cbuckle", 64, cfg)
+        shared = InstanceCache(cfg)
+        shared.matrix("cbuckle", 32)
+        a = shared.matrix("cbuckle", 64)
+        b = InstanceCache(cfg).matrix("cbuckle", 64)
+        assert (a != b).nnz == 0
+        assert shared.spec("cbuckle", 64) == effective_spec("cbuckle", 64, cfg)
+
     def test_partition_per_K(self):
         cache = InstanceCache(CFG)
         p32 = cache.partition("cbuckle", 32)

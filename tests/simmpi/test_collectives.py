@@ -1,54 +1,10 @@
-"""Unit tests for the extended collective/request API of the emulator."""
+"""Unit tests for the emulator's collectives: ``allreduce`` and ``shrink``."""
 
 import pytest
 
-from repro.errors import DeadlockError, SimMPIError
+from repro.errors import DeadlockError
 from repro.network import BGQ
 from repro.simmpi import run_spmd
-
-
-class TestRequests:
-    def test_isend_returns_complete_request(self):
-        def worker(comm):
-            if comm.rank == 0:
-                req = comm.isend(1, "x", words=1)
-                assert req.test()
-                return "sent"
-            _, _, v = yield comm.irecv()
-            return v
-
-        res = run_spmd(2, worker)
-        assert res.returns == ["sent", "x"]
-
-    def test_irecv_filters_like_recv(self):
-        def worker(comm):
-            if comm.rank == 0:
-                comm.send(1, "a", tag=1, words=1)
-                comm.send(1, "b", tag=2, words=1)
-                return None
-            _, _, v = yield comm.irecv(tag=2)
-            return v
-
-        assert run_spmd(2, worker).returns[1] == "b"
-
-    def test_sendrecv_exchange(self):
-        def worker(comm):
-            other = 1 - comm.rank
-            _, _, v = yield comm.sendrecv(other, comm.rank * 10, source=other, words=1)
-            return v
-
-        res = run_spmd(2, worker)
-        assert res.returns == [10, 0]
-
-    def test_sendrecv_ring(self):
-        def worker(comm):
-            right = (comm.rank + 1) % comm.size
-            left = (comm.rank - 1) % comm.size
-            _, _, v = yield comm.sendrecv(right, comm.rank, source=left, words=1)
-            return v
-
-        res = run_spmd(8, worker)
-        assert res.returns == [(r - 1) % 8 for r in range(8)]
 
 
 class TestAllReduce:
@@ -58,28 +14,13 @@ class TestAllReduce:
 
         assert run_spmd(4, worker).returns == [10] * 4
 
-    def test_max_min_prod(self):
-        def worker(comm):
-            mx = yield comm.allreduce(comm.rank, op="max")
-            mn = yield comm.allreduce(comm.rank, op="min")
-            pr = yield comm.allreduce(comm.rank + 1, op="prod")
-            return (mx, mn, pr)
-
-        assert run_spmd(3, worker).returns == [(2, 0, 6)] * 3
-
     def test_unknown_op(self):
+        # allreduce always sums: an op= is refused at the call site
+        # instead of being summed silently
         def worker(comm):
-            yield comm.allreduce(1, op="xor")
+            yield comm.allreduce(1, op="max")
 
-        with pytest.raises(SimMPIError):
-            run_spmd(2, worker)
-
-    def test_mismatched_ops_rejected(self):
-        def worker(comm):
-            op = "sum" if comm.rank == 0 else "max"
-            yield comm.allreduce(1, op=op)
-
-        with pytest.raises(SimMPIError):
+        with pytest.raises(TypeError, match="op"):
             run_spmd(2, worker)
 
     def test_costs_time(self):
@@ -91,86 +32,13 @@ class TestAllReduce:
         assert res.makespan_us > 0
 
 
-class TestReduce:
-    def test_result_only_at_root(self):
-        def worker(comm):
-            return (yield comm.reduce(comm.rank, root=2))
-
-        res = run_spmd(4, worker)
-        assert res.returns == [None, None, 6, None]
-
-    def test_bad_root(self):
-        def worker(comm):
-            yield comm.reduce(1, root=9)
-
-        with pytest.raises(SimMPIError):
-            run_spmd(2, worker)
-
-    def test_mismatched_roots_rejected(self):
-        def worker(comm):
-            yield comm.reduce(1, root=comm.rank)
-
-        with pytest.raises(SimMPIError):
-            run_spmd(2, worker)
-
-
-class TestAllToAll:
-    def test_transpose_semantics(self):
-        def worker(comm):
-            out = [comm.rank * 100 + j for j in range(comm.size)]
-            return (yield comm.alltoall(out))
-
-        res = run_spmd(3, worker)
-        for r in range(3):
-            assert res.returns[r] == [q * 100 + r for q in range(3)]
-
-    def test_wrong_length_rejected(self):
-        def worker(comm):
-            yield comm.alltoall([1, 2])
-
-        with pytest.raises(SimMPIError):
-            run_spmd(3, worker)
-
-    def test_cost_scales_with_K(self):
-        def worker(comm):
-            yield comm.alltoall([0] * comm.size, words=10)
-            return None
-
-        small = run_spmd(4, worker, machine=BGQ).makespan_us
-        large = run_spmd(16, worker, machine=BGQ).makespan_us
-        assert large > small
-
-
-class TestBcast:
-    def test_root_value_everywhere(self):
-        def worker(comm):
-            payload = "the-data" if comm.rank == 1 else None
-            return (yield comm.bcast(payload, root=1))
-
-        assert run_spmd(4, worker).returns == ["the-data"] * 4
-
-    def test_bad_root(self):
-        def worker(comm):
-            yield comm.bcast(1, root=-1)
-
-        with pytest.raises(SimMPIError):
-            run_spmd(2, worker)
-
-    def test_mismatched_roots_rejected(self):
-        def worker(comm):
-            yield comm.bcast(1, root=comm.rank % 2)
-
-        with pytest.raises(SimMPIError):
-            run_spmd(4, worker)
-
-
 class TestMixedPrograms:
     def test_pipeline_of_collectives_and_p2p(self):
         def worker(comm):
-            total = yield comm.allreduce(comm.rank, op="sum")
+            total = yield comm.allreduce(comm.rank)
             if comm.rank == 0:
                 comm.send(comm.size - 1, total * 2, words=1)
-            yield comm.barrier()
+            yield comm.allreduce(0)
             if comm.rank == comm.size - 1:
                 _, _, v = yield comm.recv(source=0)
                 return v
@@ -180,11 +48,12 @@ class TestMixedPrograms:
         assert res.returns == [6, 6, 6, 12]
 
     def test_collective_mismatch_is_deadlock(self):
+        # one rank in the allreduce, the other waiting for a message
         def worker(comm):
             if comm.rank == 0:
                 yield comm.allreduce(1)
             else:
-                yield comm.alltoall([0] * comm.size)
+                yield comm.recv(source=0)
 
         with pytest.raises(DeadlockError):
             run_spmd(2, worker)
@@ -202,47 +71,3 @@ class TestMixedPrograms:
 
         res = run_spmd(4, worker, machine=BGQ)
         assert len({round(c, 9) for c in res.clocks}) == 1
-
-
-class TestWaitall:
-    def test_mixed_requests_in_order(self):
-        def worker(comm):
-            if comm.rank == 0:
-                reqs = [
-                    comm.isend(1, "x", words=1),
-                    comm.isend(1, "y", tag=5, words=1),
-                ]
-                return (yield from comm.waitall(reqs))
-            out = yield from comm.waitall([comm.irecv(tag=5), comm.irecv(tag=0)])
-            return [v[2] for v in out]
-
-        res = run_spmd(2, worker)
-        assert res.returns[0] == [None, None]
-        assert res.returns[1] == ["y", "x"]
-
-    def test_empty_list(self):
-        def worker(comm):
-            out = yield from comm.waitall([])
-            return out
-
-        assert run_spmd(1, worker).returns == [[]]
-
-    def test_non_request_rejected(self):
-        def worker(comm):
-            yield from comm.waitall(["nope"])
-
-        with pytest.raises(SimMPIError):
-            run_spmd(1, worker)
-
-    def test_stage_style_exchange(self):
-        # the MPI idiom STFW codes use: post all irecvs, send, waitall
-        def worker(comm):
-            right = (comm.rank + 1) % comm.size
-            left = (comm.rank - 1) % comm.size
-            recvs = [comm.irecv(source=left)]
-            comm.isend(right, comm.rank, words=1)
-            (got,) = yield from comm.waitall(recvs)
-            return got[2]
-
-        res = run_spmd(8, worker)
-        assert res.returns == [(r - 1) % 8 for r in range(8)]

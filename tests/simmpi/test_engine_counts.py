@@ -384,7 +384,7 @@ def _timeouts_then_shrink(comm):
             break
         got.append(m)
     dead = yield comm.shrink()
-    total = yield comm.allreduce(len(got), op="sum")
+    total = yield comm.allreduce(len(got))
     return (first, got, dead, total)
 
 

@@ -390,16 +390,6 @@ class TestSendValidation:
         with pytest.raises(SimMPIError, match=r"rank 0: .*negative tag"):
             run_spmd(2, worker)
 
-    def test_isend_validates_too(self):
-        def worker(comm):
-            if comm.rank == 1:
-                comm.isend(9, "x", words=1)
-            return None
-            yield  # pragma: no cover
-
-        with pytest.raises(SimMPIError, match=r"rank 1: send to rank 9"):
-            run_spmd(2, worker)
-
 
 class TestFaultEventLog:
     def test_events_carry_link_and_size(self):

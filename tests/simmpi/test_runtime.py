@@ -186,15 +186,18 @@ class TestBasicSendRecv:
             run_spmd(2, worker)
 
     @pytest.mark.parametrize("words", [2.5, True, "3", np.float64(4.0)])
-    @pytest.mark.parametrize("call", ["send", "isend", "sendrecv"])
+    @pytest.mark.parametrize("call", ["send", "allreduce"])
     def test_non_integer_words_rejected_at_the_call_site(self, call, words):
         def worker(comm):
             if comm.rank == 1:
-                getattr(comm, call)(0, "x", words=words)
+                if call == "send":
+                    comm.send(0, "x", words=words)
+                else:
+                    comm.allreduce(0, words=words)
             return None
 
         with pytest.raises(
-            SimMPIError, match=rf"rank 1: send words= must be an int, got {type(words).__name__}"
+            SimMPIError, match=rf"rank 1: {call} words= must be an int, got {type(words).__name__}"
         ):
             run_spmd(2, worker)
 
@@ -247,11 +250,11 @@ class TestDeadlockDetection:
         with pytest.raises(DeadlockError):
             run_spmd(2, worker)
 
-    def test_partial_barrier_deadlocks(self):
+    def test_partial_allreduce_deadlocks(self):
         def worker(comm):
             if comm.rank == 0:
-                return None  # exits without the barrier
-            yield comm.barrier()
+                return None  # exits without the allreduce
+            yield comm.allreduce(1)
 
         with pytest.raises(DeadlockError) as err:
             run_spmd(2, worker)
@@ -260,38 +263,26 @@ class TestDeadlockDetection:
     def test_mixed_collectives_deadlock(self):
         def worker(comm):
             if comm.rank == 0:
-                yield comm.barrier()
+                yield comm.allreduce(1)
             else:
-                yield comm.allgather(1)
+                yield comm.shrink()
 
         with pytest.raises(DeadlockError):
             run_spmd(2, worker)
 
-    def test_deadlock_dump_names_allreduce_and_bcast(self):
+    def test_deadlock_dump_names_allreduce_and_shrink(self):
         def worker(comm):
             if comm.rank == 0:
-                yield comm.allreduce(1, op="max", words=3)
+                yield comm.allreduce(1, words=3)
             else:
-                yield comm.bcast(None, root=1, words=2)
+                yield comm.shrink()
 
         with pytest.raises(DeadlockError) as err:
             run_spmd(2, worker)
         text = str(err.value)
-        assert "rank 0: blocked on allreduce(op=max, words=3)" in text
-        assert "rank 1: blocked on bcast(root=1, words=2)" in text
-
-    def test_deadlock_dump_names_reduce_and_alltoall(self):
-        def worker(comm):
-            if comm.rank == 0:
-                yield comm.reduce(1, root=0, op="sum", words=1)
-            else:
-                yield comm.alltoall([0, 0], words=4)
-
-        with pytest.raises(DeadlockError) as err:
-            run_spmd(2, worker)
-        text = str(err.value)
-        assert "reduce(op=sum, root=0, words=1)" in text
-        assert "alltoall(words=4)" in text
+        assert "rank 0: blocked on allreduce(words=3)" in text
+        assert "rank 1: blocked on shrink" in text
+        assert [p.kind for p in err.value.pending] == ["allreduce", "shrink"]
 
     def test_deadlock_dump_recv_shows_wildcards(self):
         def worker(comm):
@@ -303,25 +294,9 @@ class TestDeadlockDetection:
 
 
 class TestCollectives:
-    def test_barrier_all_pass(self):
+    def test_allreduce_then_messages(self):
         def worker(comm):
-            yield comm.barrier()
-            return "done"
-
-        res = run_spmd(4, worker)
-        assert res.returns == ["done"] * 4
-
-    def test_allgather(self):
-        def worker(comm):
-            vals = yield comm.allgather(comm.rank**2)
-            return vals
-
-        res = run_spmd(4, worker)
-        assert res.returns == [[0, 1, 4, 9]] * 4
-
-    def test_barrier_then_messages(self):
-        def worker(comm):
-            yield comm.barrier()
+            yield comm.allreduce(0)
             if comm.rank == 0:
                 comm.send(1, "after", words=1)
                 return None
@@ -387,7 +362,7 @@ class TestVirtualTime:
         assert res.returns[1] == "last"
         assert res.clocks[1] >= res.clocks[0]
 
-    def test_barrier_aligns_clocks(self):
+    def test_allreduce_aligns_clocks_and_charges_its_cost(self):
         def worker(comm):
             if comm.rank == 0:
                 for _ in range(5):
@@ -395,11 +370,14 @@ class TestVirtualTime:
             if comm.rank == 1:
                 for _ in range(5):
                     yield comm.recv()
-            yield comm.barrier()
-            return None
+            before = comm.time
+            yield comm.allreduce(1, words=3)
+            return before
 
         res = run_spmd(4, worker, machine=BGQ)
-        assert len(set(round(c, 9) for c in res.clocks)) == 1
+        # a tree of 2 * ceil(lg 4) rounds on top of the latest clock
+        cost = 2 * 2 * (BGQ.alpha_us + BGQ.beta_us_per_word * 3)
+        assert res.clocks == [max(res.returns) + cost] * 4
 
     def test_makespan_is_max_clock(self):
         def worker(comm):
@@ -449,7 +427,12 @@ class TestDeterminism:
             rotated = (comm.rank + 1) % comm.size
             comm.send(rotated, comm.rank, words=1)
             _, _, v = yield comm.recv()
-            vals = yield comm.allgather(v)
+            for dest in range(comm.size):
+                comm.send(dest, v, words=1)
+            vals = []
+            for _ in range(comm.size):
+                _, _, w = yield comm.recv()
+                vals.append(w)
             return tuple(vals)
 
         a = run_spmd(16, worker, machine=BGQ, trace=True)
