@@ -20,6 +20,57 @@ from ..errors import PlanError
 
 __all__ = ["CommPattern", "PatternDelta", "PatternStats"]
 
+# ranks per _floyd_peers call: bounds its temporaries (~16 int64 words a
+# message) without moving the stream, which splits anywhere between ranks
+_FLOYD_RANKS = 1 << 14
+
+
+def _floyd_peers(rng: np.random.Generator, n: int, deg: np.ndarray) -> np.ndarray:
+    """``rng.choice(n, d, replace=False)`` for each ``d > 0`` of ``deg``, concatenated.
+
+    Valid while every ``d <= n // 50``: ``choice`` then samples by
+    Floyd's algorithm, ``d`` bounded draws on ``[0, j]`` for
+    ``j = n-d .. n-1`` where a value already taken becomes ``j``, and
+    shuffles the sample by Fisher-Yates, ``d - 1`` bounded draws on
+    ``[0, i]`` for ``i = d-1 .. 1``.  Each is the 32-bit Lemire draw
+    that ``rng.integers(0, high)`` makes for an array ``high``, so one
+    ``integers`` call over every rank's bounds in turn consumes the
+    stream exactly as the ``choice`` calls would; the rest is array work.
+    """
+    d = deg[deg > 0]
+    if d.size <= d.max(initial=0):
+        # fewer ranks than shuffle steps: the calls cost less than the steps
+        return np.concatenate(
+            [np.empty(0, dtype=np.int64)] + [rng.choice(n, x, replace=False) for x in d.tolist()]
+        )
+    # rank t's 2*d[t] - 1 draws: Floyd's d, then the shuffle's d - 1
+    seg = 2 * d - 1
+    pos = np.arange(seg.sum()) - np.repeat(np.cumsum(seg) - seg, seg)
+    dr = np.repeat(d, seg)
+    floyd = pos < dr
+    draw = rng.integers(0, np.where(floyd, n + 1 - dr + pos, 2 * dr - pos))
+    out = draw[floyd]
+    swap = draw[~floyd]
+    start = np.cumsum(d) - d
+    # Floyd's rule changes a rank's sample only if its draws repeat a value
+    rank = np.repeat(np.arange(d.size, dtype=np.int64), d)
+    key = np.sort(rank * (n + 1) + out)
+    for t in np.unique(key[1:][key[1:] == key[:-1]] // (n + 1)).tolist():
+        taken: set[int] = set()
+        for k in range(start[t], start[t] + d[t]):
+            v = int(out[k])
+            if v in taken:
+                v = n - start[t] - d[t] + k
+            taken.add(v)
+            out[k] = v
+    # one vectorized Fisher-Yates step per swap index, over the ranks it reaches
+    for i in range(int(d.max()) - 1, 0, -1):
+        t = np.flatnonzero(d > i)
+        a = start[t] + i
+        b = start[t] + swap[start[t] - t + d[t] - 1 - i]
+        out[a], out[b] = out[b], out[a]
+    return out
+
 
 @dataclass(frozen=True)
 class PatternStats:
@@ -211,28 +262,48 @@ class CommPattern:
         """Random sparse pattern, optionally with latency hot-spots.
 
         Each process sends to ``~avg_degree`` random peers; the first
-        ``hot_processes`` processes additionally send to ``hot_degree``
+        ``hot_processes`` processes instead send to ``hot_degree``
         peers (default ``K - 1``), mimicking the dense-row structure of
         the paper's latency-bound instances (Figure 1).
+
+        What a seed means: one ``np.random.default_rng(seed)`` draws the
+        degrees ``d = poisson(avg_degree, K).clip(0, K - 1)`` and then,
+        in rank order, rank ``r``'s peers as
+        ``rng.choice(K - 1, d[r], replace=False)`` with every value
+        ``>= r`` shifted up by one past ``r``.  Ranks with
+        ``d[r] <= (K - 1) // 50`` (on a large sparse pattern, all but
+        the hot spots) are drawn a run of ranks at a time by
+        :func:`_floyd_peers`, which consumes the stream exactly as their
+        ``choice`` calls would; the others call ``choice`` themselves,
+        between the runs.
         """
+        if K < 1:
+            raise PlanError(f"K={K} must be positive")
+        if not 0 <= avg_degree < np.inf:
+            raise PlanError(f"avg_degree={avg_degree} must be finite and non-negative")
+        if hot_processes < 0:
+            raise PlanError(f"hot_processes={hot_processes} must be non-negative")
+        if hot_degree is not None and hot_degree < 0:
+            raise PlanError(f"hot_degree={hot_degree} must be non-negative")
         rng = np.random.default_rng(seed)
-        srcs: list[np.ndarray] = []
-        dsts: list[np.ndarray] = []
         deg = rng.poisson(avg_degree, size=K).clip(0, K - 1)
         if hot_processes:
             hd = (K - 1) if hot_degree is None else min(int(hot_degree), K - 1)
             deg[:hot_processes] = hd
-        for i in range(K):
-            if deg[i] == 0:
-                continue
-            peers = rng.choice(K - 1, size=deg[i], replace=False).astype(np.int64)
-            peers[peers >= i] += 1  # skip self
-            srcs.append(np.full(deg[i], i, dtype=np.int64))
-            dsts.append(peers)
-        if not srcs:
-            return cls(K, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64))
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
+        n = K - 1
+        ptr = np.zeros(K + 1, dtype=np.int64)
+        np.cumsum(deg, out=ptr[1:])
+        src = np.repeat(np.arange(K, dtype=np.int64), deg)
+        dst = np.empty(src.size, dtype=np.int64)
+        lo = 0
+        for r in [*np.flatnonzero(deg > n // 50).tolist(), K]:
+            for a in range(lo, r, _FLOYD_RANKS):
+                b = min(a + _FLOYD_RANKS, r)
+                dst[ptr[a] : ptr[b]] = _floyd_peers(rng, n, deg[a:b])
+            if r < K:
+                dst[ptr[r] : ptr[r + 1]] = rng.choice(n, size=deg[r], replace=False)
+            lo = r + 1
+        dst += dst >= src  # skip self
         size = np.full(src.shape, int(words), dtype=np.int64)
         return cls(K, src, dst, size)
 
