@@ -36,13 +36,15 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import __version__
+from ._lazy import lazy_module
 from .core.pattern import CommPattern
 from .core.plan import CommPlan
 from .core.serialize import load_pattern, load_plan, save_pattern, save_plan
 from .partition.base import Partition
+
+sp = lazy_module("scipy.sparse")
 
 __all__ = [
     "ArtifactCache",

@@ -20,12 +20,13 @@ bound ``k_d - 1``, which is a property of the topology alone.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+from .._lazy import lazy_module
 from ..errors import PlanError
 from .pattern import CommPattern
 from .vpt import VirtualProcessTopology
+
+sp = lazy_module("scipy.sparse")
 
 __all__ = [
     "communication_matrix",
@@ -53,6 +54,8 @@ def locality_vpt_mapping(pattern: CommPattern) -> np.ndarray:
     process ``rank``; built from the RCM ordering of the communication
     graph.  Identity when the pattern is empty.
     """
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     K = pattern.K
     if pattern.num_messages == 0:
         return np.arange(K, dtype=np.int64)

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..arrayops import has_duplicates, read_only
+from ..arrayops import has_duplicates, read_only, sorted_unique
 from ..errors import PlanError
 
 __all__ = ["CommPattern", "PatternDelta", "PatternStats"]
@@ -55,7 +55,7 @@ def _floyd_peers(rng: np.random.Generator, n: int, deg: np.ndarray) -> np.ndarra
     # Floyd's rule changes a rank's sample only if its draws repeat a value
     rank = np.repeat(np.arange(d.size, dtype=np.int64), d)
     key = np.sort(rank * (n + 1) + out)
-    for t in np.unique(key[1:][key[1:] == key[:-1]] // (n + 1)).tolist():
+    for t in sorted_unique(key[1:][key[1:] == key[:-1]] // (n + 1)).tolist():
         taken: set[int] = set()
         for k in range(start[t], start[t] + d[t]):
             v = int(out[k])

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
+from .._lazy import lazy_module
 from ..cache import ArtifactCache
 from ..core.pattern import CommPattern
 from ..errors import ExperimentError
@@ -27,6 +27,8 @@ from ..partition.simple import balanced_blocks_from_order, block_partition, rand
 from ..spmv.driver import SpMVExperiment, run_spmv_schemes
 from ..spmv.pattern import spmv_pattern
 from .config import ExperimentConfig
+
+sp = lazy_module("scipy.sparse")
 
 __all__ = ["InstanceCache", "effective_spec", "paper_dim_selection"]
 

@@ -20,13 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
+from .._lazy import lazy_module
 from ..metrics.resilience import RecoveryStats, recovery_stats, recovery_table
 from ..network.machines import BGQ, Machine
 from ..simmpi import FaultPlan
 from ..spmv.driver import run_iterative_with_recovery
 from .config import ExperimentConfig, default_config
+
+sp = lazy_module("scipy.sparse")
 
 __all__ = ["RecoverResult", "run", "format_result", "K_PROCESSES", "ITERATIONS"]
 

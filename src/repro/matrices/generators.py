@@ -43,10 +43,12 @@ that preserve the latency-bound character the paper relies on.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
+from .._lazy import lazy_module
 from ..arrayops import sorted_unique, take_by_key
 from ..errors import MatrixGenerationError
+
+sp = lazy_module("scipy.sparse")
 
 __all__ = ["lognormal_degree_sequence", "configuration_matrix", "generate_matrix"]
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import os
 
-import scipy.io
-import scipy.sparse as sp
-
+from .._lazy import lazy_module
 from ..errors import MatrixGenerationError
+
+sio = lazy_module("scipy.io")
+sp = lazy_module("scipy.sparse")
 
 __all__ = ["read_matrix", "write_matrix"]
 
@@ -28,7 +29,7 @@ def read_matrix(path: str | os.PathLike) -> sp.csr_matrix:
     if not os.path.exists(path):
         raise MatrixGenerationError(f"no such file: {path}")
     try:
-        A = scipy.io.mmread(os.fspath(path))
+        A = sio.mmread(os.fspath(path))
     except Exception as exc:
         raise MatrixGenerationError(f"cannot parse MatrixMarket file {path}: {exc}") from exc
     A = sp.csr_matrix(A)
@@ -43,4 +44,4 @@ def read_matrix(path: str | os.PathLike) -> sp.csr_matrix:
 
 def write_matrix(path: str | os.PathLike, A: sp.spmatrix, *, comment: str = "") -> None:
     """Write ``A`` to a MatrixMarket file."""
-    scipy.io.mmwrite(os.fspath(path), sp.coo_matrix(A), comment=comment)
+    sio.mmwrite(os.fspath(path), sp.coo_matrix(A), comment=comment)

@@ -12,7 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+
+from .._lazy import lazy_module
+
+sp = lazy_module("scipy.sparse")
 
 __all__ = ["DegreeStats", "degree_stats", "row_degrees", "is_structurally_symmetric"]
 

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import scipy.sparse as sp
 
+from .._lazy import lazy_module
 from ..errors import MatrixGenerationError
 from .generators import generate_matrix
+
+sp = lazy_module("scipy.sparse")
 
 __all__ = ["MatrixSpec", "SUITE", "TOP15", "BOTTOM10", "generate_instance", "spec"]
 

@@ -14,10 +14,12 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
-import scipy.sparse as sp
 
+from .._lazy import lazy_module
 from ..errors import PartitionError
 from .base import Partition
+
+sp = lazy_module("scipy.sparse")
 
 __all__ = ["bisection_partition", "bisect_once"]
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
+from .._lazy import lazy_module
 from ..arrayops import sorted_unique
 from ..errors import PartitionError
 from .base import Partition
+
+sp = lazy_module("scipy.sparse")
 
 __all__ = ["edge_cut", "partition_quality", "connectivity_volume"]
 

@@ -23,10 +23,12 @@ projections are integer vectors.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
+from .._lazy import lazy_module
 from ..errors import PartitionError
 from .base import Partition
+
+sp = lazy_module("scipy.sparse")
 
 __all__ = ["multilevel_partition", "coarsen_graph", "refine_partition"]
 

@@ -13,12 +13,13 @@ attacks.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+from .._lazy import lazy_module
 from ..errors import PartitionError
 from .base import Partition
 from .simple import balanced_blocks_from_order
+
+sp = lazy_module("scipy.sparse")
 
 __all__ = ["rcm_partition", "rcm_order"]
 
@@ -33,6 +34,8 @@ def rcm_order(A: sp.spmatrix, *, dense_row_factor: float | None = 10.0) -> np.nd
     matter where it lands.  This mirrors how hypergraph partitioners
     treat dense rows/columns specially.  Pass ``None`` to disable.
     """
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     A = sp.csr_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise PartitionError("RCM ordering needs a square matrix")

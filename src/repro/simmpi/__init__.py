@@ -6,7 +6,7 @@ from .discovery import DISCOVERY_TAG, DiscoveryStats, nbx_discover
 from .engine import engine_names, resolve_engine
 from .faults import FaultEvent, FaultPlan, LinkOutage
 from .integrity import corrupt_draw, flip_array, flip_payload, payload_checksum
-from .message import ANY_SOURCE, ANY_TAG, TIMEOUT, Envelope, RunResult, TraceRecord
+from .message import ANY_SOURCE, ANY_TAG, TIMEOUT, RunResult, TraceRecord
 from .policy import ESCALATION_LADDER, CircuitBreaker, EscalationPolicy, PolicyConfig
 from .reliable import ReliableComm, ReliableStats, retry_jitter
 from .runtime import AllReduceOp, Comm, RecvOp, ShrinkOp, SimMPI, run_spmd
@@ -18,7 +18,6 @@ __all__ = [
     "engine_names",
     "resolve_engine",
     "RunResult",
-    "Envelope",
     "TraceRecord",
     "ANY_SOURCE",
     "ANY_TAG",

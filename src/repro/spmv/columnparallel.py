@@ -22,14 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
+from .._lazy import lazy_module
 from ..arrayops import sorted_unique
 from ..core.pattern import CommPattern
 from ..core.stfw import run_exchange
 from ..core.vpt import VirtualProcessTopology
 from ..errors import PlanError
 from ..partition.base import Partition
+
+sp = lazy_module("scipy.sparse")
 
 __all__ = ["columnparallel_pattern", "ColSpMVResult"]
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
+from .._lazy import lazy_module
 from ..core.pattern import CommPattern
 from ..core.stfw import run_exchange
 from ..core.vpt import VirtualProcessTopology
@@ -24,6 +24,8 @@ from ..errors import PlanError
 from ..partition.base import Partition
 from .local import local_spmv, split_matrix
 from .pattern import spmv_needed_entries, spmv_pattern
+
+sp = lazy_module("scipy.sparse")
 
 __all__ = ["DistributedSpMVResult", "distributed_spmv"]
 

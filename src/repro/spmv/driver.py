@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
+from .._lazy import lazy_module
 from ..core.dimensioning import make_vpt
 from ..core.pattern import CommPattern
 from ..core.plan import CommPlan, PlanBuilder, build_plan
@@ -35,6 +35,8 @@ from ..simmpi.message import TIMEOUT, RunResult
 from ..simmpi.reliable import ReliableComm
 from ..simmpi.runtime import run_spmd
 from .pattern import nnz_per_part, spmv_needed_entries, spmv_pattern
+
+sp = lazy_module("scipy.sparse")
 
 __all__ = [
     "SchemeResult",

@@ -12,11 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
+from .._lazy import lazy_module
 from ..errors import PlanError
 from ..partition.base import Partition
 from ..simmpi.integrity import corrupt_draw
+
+sp = lazy_module("scipy.sparse")
 
 __all__ = [
     "LocalBlock",

@@ -19,12 +19,14 @@ the (owner, needer) keys.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
+from .._lazy import lazy_module
 from ..arrayops import sorted_unique
 from ..core.pattern import CommPattern
 from ..errors import PlanError
 from ..partition.base import Partition
+
+sp = lazy_module("scipy.sparse")
 
 __all__ = ["spmv_pattern", "spmv_needed_entries", "nnz_per_part"]
 

@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as _dc_replace
 
 import numpy as np
-import scipy.sparse as sp
 
+from .._lazy import lazy_module
 from ..arrayops import sorted_unique
 from ..core.pattern import CommPattern, PatternDelta
 from ..core.plan import CommPlan, build_direct_plan, build_plan, plans_identical, repair_plan
@@ -53,6 +53,8 @@ from ..simmpi.policy import EscalationPolicy, PolicyConfig
 from ..simmpi.runtime import run_spmd
 from .local import abft_checksum, checked_spmv, local_spmv, split_matrix
 from .pattern import spmv_needed_entries, spmv_pattern
+
+sp = lazy_module("scipy.sparse")
 
 __all__ = ["EpochReport", "PersistentExchangeService", "PersistentSpMV"]
 
