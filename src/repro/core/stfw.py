@@ -944,8 +944,9 @@ def _default_payloads(pattern: CommPattern) -> EdgePayloads:
     delivered payload identifies its (source, destination) pair.  The
     table indexes like the list of ``{dst: payload}`` dicts an event
     engine reads (built on first use); the batch engine reads its
-    columns and builds none.  Payloads are non-overlapping views of one
-    int64 buffer: copy one before mutating it or keeping it for long.
+    columns and builds none.  The table stores one int64 key per
+    message, not per word; a payload is a read-only view that repeats
+    its key, and no two share memory: copy one before mutating it.
     """
     return EdgePayloads.synthetic(pattern.K, pattern.src, pattern.dst, pattern.size)
 

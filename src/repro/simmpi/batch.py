@@ -12,11 +12,13 @@ Python events:
   flat ``T_1``, is its one stage sent in SendSet order: the rows of the
   payload table);
 * payloads travel as an :class:`EdgePayloads` table — ``src``, ``dst``,
-  ``size`` columns and the payload objects or one flat buffer — so no
+  ``size`` columns and the payload objects or, for default payloads,
+  one int64 key per message (a payload is its key repeated ``size``
+  times: the cost model reads word counts, never words) — so no
   ``{dst: payload}`` dict is built or read unless the caller passed
-  dicts, and a default payload's view is made only for whoever reads
-  it as an object: the list form of the deliveries, or an event engine
-  that asks the table for dicts;
+  dicts, and a default payload's read-only view is made only for
+  whoever reads it as an object: the list form of the deliveries, or an
+  event engine that asks the table for dicts;
 * what every rank received comes back the same way, as one
   :class:`Deliveries` — CSR-by-receiver ``ptr``, origin ``src`` and
   table ``rows`` in delivery order — that reads like the event engine's
@@ -129,20 +131,22 @@ class EdgePayloads:
     in send order — a dict's insertion order, the order the event
     engine's process functions iterate ``send_data.items()``.  ``src``,
     ``dst`` and ``size`` (words) are int64 columns; the payloads are the
-    caller's objects (:meth:`from_dicts`) or slices of one flat buffer
-    (:meth:`synthetic`) that become views only when asked for:
-    :meth:`take` makes those of the rows it is given, ``table[rank]``
-    (what an event engine reads) builds all ``K`` ``{dst: payload}``
-    dicts on first use.  A view aliases the buffer: copy it to keep it.
-    :meth:`columns` reads payloads without making objects of them.
-    ``size`` is ``None`` for a table flattened from received payloads
-    (:meth:`Deliveries.from_lists`), which may not be sized at all.
+    caller's objects (:meth:`from_dicts`) or, for a synthetic table
+    (:meth:`synthetic`), one int64 key per row that becomes a payload
+    only when asked for: :meth:`take` makes those of the rows it is
+    given, ``table[rank]`` (what an event engine reads) builds all ``K``
+    ``{dst: payload}`` dicts on first use.  A synthetic payload is a
+    read-only view that repeats its key ``size`` times: copy it to
+    write to it.  :meth:`columns` reads payloads without making objects
+    of them.  ``size`` is ``None`` for a table flattened from received
+    payloads (:meth:`Deliveries.from_lists`), which may not be sized at
+    all.
     """
 
-    def __init__(self, K, src, dst, size, payload, ends=None, dicts=None):
+    def __init__(self, K, src, dst, size, payload, key=None, dicts=None):
         self.K, self.src, self.dst, self.size = K, src, dst, size
-        self._payload = payload  # object array, or the flat buffer cut at ``ends``
-        self._ends = ends
+        self._payload = payload  # object array, or None for a synthetic table
+        self._key = key  # a synthetic row's one word, repeated ``size`` times
         self._dicts = dicts
 
     @classmethod
@@ -172,15 +176,16 @@ class EdgePayloads:
         is stable, so a rank's rows keep the order given (a fill's dict order)."""
         order = np.lexsort(digits16(src, K))
         src, dst, size = src[order], dst[order], size[order]
-        return cls(K, src, dst, size, np.repeat(src * K + dst, size), np.cumsum(size))
+        return cls(K, src, dst, size, None, key=src * K + dst)
 
     def take(self, rows) -> Sequence[Any]:
         """The payload objects of ``rows``, in that order."""
-        if self._ends is None:
+        if self._key is None:
             return self._payload[rows]
-        ends = self._ends[rows]
-        buf = self._payload
-        return [buf[a:b] for a, b in zip((ends - self.size[rows]).tolist(), ends.tolist())]
+        key, size = self._key[rows], self.size[rows]
+        # row i repeats key[i] with stride 0: it shares no byte with another row
+        grid = np.broadcast_to(key[:, None], (key.size, size.max(initial=0)))
+        return [grid[i, :n] for i, n in enumerate(size.tolist())]
 
     def columns(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The payloads of ``rows`` by columns: ``(length, is_int64, words)``.
@@ -188,14 +193,12 @@ class EdgePayloads:
         ``length[i]`` is the word count of payload ``i`` (-1 unless it
         is one-dimensional), ``is_int64[i]`` whether its dtype is int64,
         and ``words`` the int64 payloads with a length, end to end in
-        row order.  Slices of the flat buffer cost no per-payload work;
-        caller objects are read once each through ``np.asarray``.
+        row order.  A synthetic table repeats its keys and makes no
+        payload; caller objects are read once each through ``np.asarray``.
         """
-        if self._ends is not None:
+        if self._key is not None:
             length = self.size[rows]
-            shift = self._ends[rows] - np.cumsum(length)  # buffer position minus output position
-            words = self._payload[np.repeat(shift, length) + np.arange(length.sum())]
-            return length, np.ones(length.size, dtype=bool), words
+            return length, np.ones(length.size, dtype=bool), np.repeat(self._key[rows], length)
         arrays = [np.asarray(p) for p in self._payload[rows]]
         n = len(arrays)
         length = np.fromiter((a.shape[0] if a.ndim == 1 else -1 for a in arrays), np.int64, count=n)
@@ -221,8 +224,10 @@ def _delivery_lists(
 
     ``rows`` are grouped by receiver, ranks ascending, each rank's rows
     in its delivery order: rank ``r`` owns ``rows[ptr[r]:ptr[r + 1]]``.
+    The deliveries from one origin share one ``int`` object.
     """
-    pairs = list(zip(src.tolist(), table.take(rows)))
+    origins = np.arange(len(table)).astype(object)[src].tolist()
+    pairs = list(zip(origins, table.take(rows)))
     ends = ptr.tolist()
     return [pairs[a:b] for a, b in zip(ends, ends[1:])]
 
@@ -236,8 +241,9 @@ class Deliveries(abc.Sequence):
     an event engine's ``returns`` is — ``deliveries[r]`` is rank ``r``'s
     ``[(origin, payload), ...]`` list — and builds all ``K`` lists, once,
     the first time one is read.  The payloads in them are the caller's
-    own objects or, for a synthetic table, views of its flat buffer:
-    copy a view to keep it.
+    own objects or, for a synthetic table, read-only views that repeat
+    each row's key: copy a view to change it.  The origins are one
+    shared ``int`` per rank.
     """
 
     def __init__(self, table: EdgePayloads, rows: np.ndarray, counts: np.ndarray, lists=None):

@@ -482,13 +482,15 @@ class TestPayloadContract:
         assert deep_eq(list(got), want)
 
     def test_delivered_default_payloads_do_not_overlap(self, pattern):
+        K = pattern.K
         out = run_exchange(pattern, dims=2, machine=BGQ, engine="batch")
         pairs = [(s, r, p) for r, msgs in enumerate(out.delivered) for s, p in msgs]
+        for s, r, p in pairs:
+            want = np.full(pattern.size[pattern.edge_rows([s], [r])[0]], s * K + r, dtype=np.int64)
+            assert p.dtype == np.int64 and np.array_equal(p, want)
+            assert not p.flags.writeable
         for i, (_, _, p) in enumerate(pairs):
-            p[:] = -1 - i
-        for i, (s, r, p) in enumerate(pairs):
-            assert p.size == pattern.size[pattern.edge_rows([s], [r])[0]]
-            assert (p == -1 - i).all()
+            assert not any(np.shares_memory(p, q) for _, _, q in pairs[i + 1:])
 
     def test_table_reads_as_the_same_dicts_before_and_after_a_batch_run(self, pattern):
         table = _default_payloads(pattern)

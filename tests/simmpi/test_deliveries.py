@@ -3,8 +3,8 @@ it replaced, and its flattening constructor.
 
 ``reference_delivery_lists`` is the eager builder every batch run used to
 end with.  The view a ``Deliveries`` builds on first read must be that
-structure exactly — same origins, the caller's own payload objects, or the
-same slices of the flat buffer for default payloads.
+structure: the same origins, and the caller's own payload objects or, for
+default payloads, read-only runs of each row's key with the same words.
 """
 
 import numpy as np
@@ -61,14 +61,18 @@ def assert_view_is_reference(pattern, out, payloads):
         for (s, p), (t, q) in zip(ref, msgs):
             assert type(t) is int and s == t
             if payloads is None:
-                buf = d.table._payload
-                # a slice of the one buffer (an empty slice shares no byte of it)
-                assert q.dtype == np.int64 and q.base is buf
-                assert np.shares_memory(q, buf) == (q.size > 0)
-                assert (address(q), q.shape) == (address(p), p.shape)
-                assert (q == s * pattern.K + r).all()
+                # the row's key, repeated with stride 0 and read-only
+                assert q.dtype == p.dtype == np.int64 and q.strides == (0,)
+                assert not q.flags.writeable
+                assert np.array_equal(q, np.full(p.size, s * pattern.K + r, dtype=np.int64))
+                assert np.array_equal(q, p)
             else:
                 assert q is p and q is payloads[s][r]
+    if payloads is None:
+        # one word of memory per payload, none shared: distinct addresses are disjoint
+        views = [q for msgs in got for _, q in msgs if q.size]
+        assert len({address(q) for q in views}) == len(views)
+        assert not any(np.shares_memory(a, b) for a, b in zip(views, views[1:]))
     # built once: reading again, by index or by iteration, hands out the same lists
     assert all(a is b for a, b in zip(got, d)) and all(d[r] is got[r] for r in range(len(d)))
     assert d[-1] is got[-1] and d[1:3] == got[1:3]
@@ -110,15 +114,27 @@ class TestListViewIsTheReferenceFormulation:
         out = run_exchange(pattern, machine=BGQ, engine="batch", **scheme)
         assert_view_is_reference(pattern, out, None)
 
-    def test_a_view_aliases_the_buffer_until_copied(self):
+    def test_a_view_is_read_only_until_copied(self):
         pattern = scenario(16, 4, seed=3, silent=0.0)
-        table = _default_payloads(pattern)
-        out = run_exchange(pattern, dims=2, machine=BGQ, engine="batch", payloads=table)
-        r = int(pattern.dst[0])
-        s, view = out.delivered[r][0]
+        out = run_exchange(pattern, dims=2, machine=BGQ, engine="batch")
+        r = int(pattern.dst[np.flatnonzero(pattern.size > 1)[0]])
+        s, view = next((s, v) for s, v in out.delivered[r] if v.size > 1)
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = -1
         kept = view.copy()
-        table._payload[:] = -1
-        assert (view == -1).all() and (kept == s * 16 + r).all()
+        assert kept.flags.writeable and kept.dtype == np.int64
+        assert np.array_equal(kept, view) and (kept == s * 16 + r).all()
+        kept[0] = -1  # one word of the copy, not the whole payload
+        assert kept[1:].tolist() == view[1:].tolist() and (view == s * 16 + r).all()
+
+    def test_deliveries_from_one_origin_share_one_int(self):
+        pattern = scenario(600, 5, seed=4, silent=0.0)  # ranks past CPython's cached small ints
+        origins = {}
+        for msgs in run_exchange(pattern, dims=2, machine=BGQ, engine="batch").delivered:
+            for s, _ in msgs:
+                assert type(s) is int
+                assert origins.setdefault(s, s) is s
+        assert max(origins) > 256
 
 
 class TestFlatteningConstructor:
@@ -159,6 +175,15 @@ class TestFlatteningConstructor:
         assert length.tolist() == [2, 3, 1, -1, -1, 0]
         assert is_int64.tolist() == [True, True, False, True, False, True]
         assert words.tolist() == [5, 6, 7, 8, 9] and words.dtype == np.int64
+
+    def test_a_synthetic_table_holds_one_key_per_message(self):
+        pattern = CommPattern.random(256, 6, words=16, seed=2)
+        table = _default_payloads(pattern)
+        arrays = [a for a in vars(table).values() if isinstance(a, np.ndarray)]
+        words = int(pattern.size.sum())
+        assert words > 6 * pattern.num_messages  # so a column of words would show
+        assert all(a.size <= pattern.num_messages for a in arrays)
+        assert sum(a.nbytes for a in arrays) <= 6 * 8 * pattern.num_messages
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(0, 40))

@@ -230,13 +230,29 @@ class TestColumnarResults:
         assert d._lists is None
         assert_same_verdict(Result(d), pat)
 
-    def test_flipped_word_in_the_buffer(self):
+    def test_flipped_key_of_a_synthetic_row(self):
         pat = random_pattern(24, seed=5)
         d = self.delivered(pat)
         row = int(np.flatnonzero(d.table.size > 0)[3])
-        d.table._payload[d.table._ends[row] - 1] ^= 4
+        d.table._key[row] ^= 4
         corrupt, missing, _, delivered = assert_same_verdict(Result(d), pat)
         assert corrupt == missing == ((int(d.table.src[row]), int(d.table.dst[row])),)
+        assert delivered == pat.num_messages - 1
+
+    def test_flipped_word_in_a_caller_payload(self):
+        # one word of many, through the object table's per-word comparison
+        pat = random_pattern(24, seed=5)
+        K = pat.K
+        payloads = [{} for _ in range(K)]
+        for s, t, w in zip(pat.src.tolist(), pat.dst.tolist(), pat.size.tolist()):
+            payloads[s][t] = np.full(w, s * K + t, dtype=np.int64)
+        i = int(np.flatnonzero(pat.size > 2)[3])
+        s, t = int(pat.src[i]), int(pat.dst[i])
+        payloads[s][t][1] ^= 4
+        d = run_exchange(pat, dims=2, machine=BGQ, engine="batch", payloads=payloads).delivered
+        assert d.table._key is None
+        corrupt, missing, _, delivered = assert_same_verdict(Result(d), pat)
+        assert corrupt == missing == ((s, t),)
         assert delivered == pat.num_messages - 1
 
     @pytest.mark.parametrize("kind", ["twice", "lost", "twice_and_lost"])
@@ -281,6 +297,6 @@ class TestColumnarResults:
             good = np.full(w, s * K + t, dtype=np.int64)
             payloads[s][t] = [good, good.astype(np.int32), good.tolist(), good + (w > 0)][i % 4]
         d = run_exchange(pat, dims=2, machine=BGQ, engine="batch", payloads=payloads).delivered
-        assert isinstance(d.table, EdgePayloads) and d.table._ends is None
+        assert isinstance(d.table, EdgePayloads) and d.table._key is None
         corrupt, _, _, _ = assert_same_verdict(Result(d), pat)
         assert corrupt  # the int32 copies, and the shifted ones that have a word
