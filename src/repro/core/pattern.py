@@ -148,9 +148,10 @@ class CommPattern:
         self._sendset_csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         # lazily-built sorted (src*K + dst) key index (edges())
         self._edge_index: tuple[np.ndarray, np.ndarray] | None = None
-        # stage arrays of the plans built for this pattern
-        # (PlanBuilder.of); they hold no reference back to the pattern
-        self._plan_memo: tuple[dict, dict, dict] | None = None
+        # stage arrays of the plans built for this pattern and the batch
+        # engine's schedules of them (PlanBuilder.of); they hold no
+        # reference back to the pattern
+        self._plan_memo: tuple[dict, dict, dict, dict] | None = None
 
     @classmethod
     def _trusted(

@@ -459,7 +459,9 @@ class PlanBuilder:
     :func:`build_plan` uses) reads and fills the memo the pattern
     itself keeps, so a pattern builds each stage once however many
     times its plans are asked for.  Memoized arrays are read-only and
-    are shared by every plan built from them.
+    are shared by every plan built from them.  The memo also
+    holds :attr:`schedules`, what the batch engine computed from this
+    pattern's plans (:mod:`repro.simmpi.batch`).
     Plans produced either way are identical — stage arrays, totals and
     occupancy — to a from-scratch build; the test suite pins this.
     """
@@ -473,6 +475,9 @@ class PlanBuilder:
         self._stages: dict[tuple[int, int, bool], tuple] = {}
         #: w_{d+1} -> per-process in-transit words after the stage
         self._occupancy: dict[int, np.ndarray] = {}
+        #: the batch engine's run schedules, one per (weights,
+        #: header_words, machine, mapping) key
+        self.schedules: dict[tuple, tuple] = {}
 
     @classmethod
     def of(cls, pattern: CommPattern) -> "PlanBuilder":
@@ -484,10 +489,10 @@ class PlanBuilder:
         """
         memo = pattern._plan_memo
         if memo is None:
-            memo = pattern._plan_memo = ({}, {}, {})
+            memo = pattern._plan_memo = ({}, {}, {}, {})
         builder = cls.__new__(cls)
         builder.pattern = pattern
-        builder._holders, builder._stages, builder._occupancy = memo
+        builder._holders, builder._stages, builder._occupancy, builder.schedules = memo
         return builder
 
     def _holder(self, w: int) -> np.ndarray:

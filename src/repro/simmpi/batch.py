@@ -30,7 +30,13 @@ Python events:
   stage arrays where the event engine calls them per message;
 * per-rank clocks advance by grouped segment sweeps: the ``j``-th send
   of every rank in one vector op (``t += cost``), the ``j``-th delivery
-  of every rank as one Lindley fold (``t = max(t, arrive) + recv_cost``).
+  of every rank as one Lindley fold (``t = max(t, arrive) + recv_cost``);
+* the sweeps and the routing replay depend on the plan, the machine,
+  the mapping and the order of the payload table's rows, not on the
+  payloads, so the first run of a pattern's plan pays for them and a
+  repeat run reuses their :class:`Schedule` from the pattern's plan
+  memo: it pays only the checks on its payloads and plan and the
+  assembly of its result (a traced run computes in full).
 
 **Bit-identity contract.**  For every supported scenario the engine
 reproduces the event engine's ``RunResult`` (returns, clocks, makespan,
@@ -76,18 +82,20 @@ finite floats — never silently mis-simulated.
 
 from __future__ import annotations
 
+import operator
 from collections import abc
 from itertools import chain
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from ..arrayops import read_only
 from ..errors import PlanError, SimMPIError
 from ..network.machines import Machine
 from .message import RunResult, TraceRecord
 from .runtime import SimMPI, trace_sort_key
 
-__all__ = ["BatchSimMPI", "Deliveries", "EdgePayloads"]
+__all__ = ["BatchSimMPI", "Deliveries", "EdgePayloads", "Schedule"]
 
 
 #: bit pattern of ``+inf``: every positive finite double is below it
@@ -173,9 +181,16 @@ class EdgePayloads:
     @classmethod
     def synthetic(cls, K: int, src: np.ndarray, dst: np.ndarray, size: np.ndarray) -> "EdgePayloads":
         """Message ``(s, t)`` carries the words ``[s * K + t] * size``; the sort
-        is stable, so a rank's rows keep the order given (a fill's dict order)."""
-        order = np.lexsort(digits16(src, K))
-        src, dst, size = src[order], dst[order], size[order]
+        is stable, so a rank's rows keep the order given (a fill's dict order).
+
+        Columns already grouped by source (every ``CommPattern.random``
+        output) are kept as given, unsorted and uncopied: pass arrays
+        nobody writes to, such as a pattern's read-only views, which an
+        in-place ``apply_delta`` replaces rather than writes.
+        """
+        if (src[1:] < src[:-1]).any():
+            order = np.lexsort(digits16(src, K))
+            src, dst, size = src[order], dst[order], size[order]
         return cls(K, src, dst, size, None, key=src * K + dst)
 
     def take(self, rows) -> Sequence[Any]:
@@ -183,8 +198,11 @@ class EdgePayloads:
         if self._key is None:
             return self._payload[rows]
         key, size = self._key[rows], self.size[rows]
+        width = size.max(initial=0)
         # row i repeats key[i] with stride 0: it shares no byte with another row
-        grid = np.broadcast_to(key[:, None], (key.size, size.max(initial=0)))
+        grid = np.broadcast_to(key[:, None], (key.size, width))
+        if (size == width).all():
+            return list(grid)  # one size: whole rows, a third of the time of cutting each
         return [grid[i, :n] for i, n in enumerate(size.tolist())]
 
     def columns(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -243,15 +261,15 @@ class Deliveries(abc.Sequence):
     the first time one is read.  The payloads in them are the caller's
     own objects or, for a synthetic table, read-only views that repeat
     each row's key: copy a view to change it.  The origins are one
-    shared ``int`` per rank.
+    shared ``int`` per rank.  ``rows``, ``ptr`` and ``src`` are
+    read-only: a repeat run of one plan shares them (:class:`Schedule`).
     """
 
     def __init__(self, table: EdgePayloads, rows: np.ndarray, counts: np.ndarray, lists=None):
         self.table = table
-        self.rows = rows
-        self.ptr = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.ptr[1:])
-        self.src = table.src[rows]
+        ptr = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=ptr[1:])
+        self.rows, self.ptr, self.src = read_only(rows, ptr, table.src[rows])
         self._lists = lists
 
     @classmethod
@@ -290,6 +308,32 @@ class Deliveries(abc.Sequence):
 
     def __iter__(self):
         return iter(self[:])  # one pass over the lists, not K index calls
+
+
+class Schedule(NamedTuple):
+    """What the sweeps and the routing replay of a planned STFW run compute.
+
+    They read the plan's stage arrays, the machine, the rank mapping and
+    the order of the payload table's rows, never the payloads, so the
+    pattern's plan memo keeps the result
+    (:attr:`repro.core.plan.PlanBuilder.schedules`): one entry per
+    ``(vpt.weights, header_words, machine, mapping)`` key, with the stage
+    arrays and the table-row order it was computed from.  A run with
+    that key reuses it only if its plan's stage arrays are those very
+    objects, its ``total_words`` (made per plan) are what a build
+    charges, payload plus ``header_words`` per submessage, and its table
+    rows come in the same order; anything else computes afresh and
+    replaces the entry.  A
+    ``trace=True`` run always computes: its trace needs every message's
+    times, which no entry keeps.  All arrays are read-only.
+    """
+
+    #: every rank's clock before stage 0, then after each stage
+    clocks: tuple[np.ndarray, ...]
+    #: the delivered table rows, grouped by receiver, in delivery order
+    rows: np.ndarray
+    #: deliveries per rank
+    counts: np.ndarray
 
 
 class BatchSimMPI(SimMPI):
@@ -546,6 +590,10 @@ class BatchSimMPI(SimMPI):
         ``RunResult`` of the event engine, its ``returns`` a
         :class:`Deliveries`: ``returns[r]`` is rank ``r``'s delivered
         ``(origin, payload)`` list.
+
+        A repeat run of a plan reuses the :class:`Schedule` of the first
+        instead of sweeping again; every check on the payloads and the
+        plan runs on every call.
         """
         K = self.K
         if vpt.K != K:
@@ -555,10 +603,8 @@ class BatchSimMPI(SimMPI):
                 f"engine='batch': the plan was built for the VPT {plan.vpt.dim_sizes}, "
                 f"not for {vpt.dim_sizes}; build the plan for the VPT it runs on"
             )
-        n = vpt.n
         table = EdgePayloads.from_dicts(payloads, K)
         esrc, edst, esize = table.src, table.dst, table.size
-        E = esrc.size
 
         # payloads must agree with the planned pattern — on any
         # mismatch the event engine would stall mid-exchange, so refuse
@@ -582,23 +628,94 @@ class BatchSimMPI(SimMPI):
         if stays.size:
             raise PlanError(f"rank {int(pat.src[stays[0]])} has a self message in its SendSet")
 
-        obs = self._obs
-        trace_on = self._trace_enabled
-        clocks = np.zeros(K, dtype=np.float64)
+        # the check's sort and the pattern's edge index pair pattern
+        # rows with table rows: the order payload dicts are enumerated in
+        table_row = np.empty(esrc.size, dtype=np.int64)
+        table_row[porder] = eorder
+
+        from ..core.plan import PlanBuilder  # repro.core imports this module
+
+        memo = PlanBuilder.of(pat).schedules
+        h = plan.header_words
+        key = (plan.vpt.weights, h, self.machine, self._mapping.tobytes())
+        arrays = [
+            a
+            for st in plan.stages
+            for a in (st.sender, st.receiver, st.nsub, st.payload_words, st.route_key, st.members)
+        ]
+        entry = None if self._trace_enabled else memo.get(key)
         trace_parts: list = []
-        total_sends = np.zeros(K, dtype=np.int64)
-        total_sent_words = np.zeros(K, dtype=np.float64)
-        total_recvs = np.zeros(K, dtype=np.int64)
-        total_recv_words = np.zeros(K, dtype=np.float64)
-        origin_words = np.zeros(K, dtype=np.float64)
-        forwarded_words = np.zeros(K, dtype=np.float64)
+        if (
+            entry is not None
+            and all(map(operator.is_, entry[0], arrays))
+            and np.array_equal(entry[1], table_row)
+            # a build's words, which a hand-made stage may not charge
+            and all(
+                np.array_equal(st.total_words, st.payload_words + h * st.nsub)
+                for st in plan.stages
+            )
+        ):
+            sched = entry[2]
+            for d, st in enumerate(plan.stages):
+                if st.num_messages:
+                    self._stage_routes(plan, d)  # the plan-structure refusals
+        else:
+            sched, trace_parts = self._schedule(plan, table_row)
+            memo[key] = (arrays, read_only(table_row)[0], sched)
+        if self._obs is not None:
+            self._observe(plan, sched.clocks)
+        delivered = Deliveries(table, sched.rows, sched.counts)
+        return self._finalize_run(delivered, sched.clocks[-1], trace_parts)
+
+    def _stage_routes(self, plan, d: int) -> tuple[np.ndarray, ...]:
+        """Stage ``d``'s messages and the pattern rows they carry.
+
+        Returns ``(snd, rcv, words, moving, carrier)``: the stage's
+        message arrays, the pattern rows that move in it and the message
+        that carries each.  Refuses a stage the sweeps cannot replay.
+        """
+        st = plan.stages[d]
+        K = self.K
+        snd = st.sender.astype(np.int64, copy=False)
+        rcv = st.receiver.astype(np.int64, copy=False)
+        words = st.total_words.astype(np.int64, copy=False)
+        # sweeps and replay rely on (sender, send order) order and one
+        # message per route: a route key names one message
+        mkey = snd * K + rcv
+        if not (mkey[1:] > mkey[:-1]).all():
+            raise SimMPIError(
+                f"engine='batch': stage {d} of the plan is not strictly "
+                "increasing in (sender, receiver) — a plan built with "
+                "coalesce=False repeats routes and cannot be replayed; "
+                "use build_plan(..., coalesce=True)"
+            )
+        members = plan.stage_members(d)
+        moving = np.flatnonzero(members >= 0)
+        carrier = members[moving]
+        if not np.array_equal(np.bincount(carrier, minlength=st.num_messages), st.nsub):
+            raise SimMPIError(
+                f"engine='batch': the messages of stage {d} do not carry "
+                "the submessages the plan counts (nsub); the plan does not "
+                "belong to its pattern"
+            )
+        return snd, rcv, words, moving, carrier
+
+    def _schedule(self, plan, table_row: np.ndarray) -> tuple[Schedule, list]:
+        """Sweep and route every stage of ``plan``: its :class:`Schedule`.
+
+        ``table_row[p]`` is the table row of pattern row ``p``.  Also
+        returns the per-stage trace arrays when the run is traced.
+        """
+        K, pat = self.K, plan.pattern
+        E = table_row.size
+        clocks = np.zeros(K, dtype=np.float64)
+        stage_clocks = [clocks.copy()]
+        trace_parts: list = []
 
         # routing by the plan: stage ``d`` carries pattern row ``p`` in
-        # message ``plan.stage_members(d)[p]`` (-1: the row stays put),
-        # and the payload check's sort and the pattern's edge index pair
-        # pattern rows with table rows.  Each row carries an *arrival
-        # key*: the global position at which it entered the forward
-        # buffer it is next sent from.
+        # message ``plan.stage_members(d)[p]`` (-1: the row stays put).
+        # Each row carries an *arrival key*: the global position at
+        # which it entered the forward buffer it is next sent from.
         # Setup uses the table row (payload dicts are enumerated in
         # rank/dict order before any stage runs); keys assigned during
         # the stages start at E and grow monotonically, so sorting a
@@ -608,8 +725,6 @@ class BatchSimMPI(SimMPI):
         # delivery order — without a per-message Python walk.  Arrival
         # keys are unique and below ``key_span``, so the pair is sorted
         # as one packed integer.
-        table_row = np.empty(E, dtype=np.int64)
-        table_row[porder] = eorder
         arrival = table_row.copy()
         key_span = E + sum(int(st.nsub.sum()) for st in plan.stages)
         if max((st.num_messages for st in plan.stages), default=0) * key_span >= 2**62:
@@ -621,63 +736,17 @@ class BatchSimMPI(SimMPI):
         del_rank_parts: list[np.ndarray] = []
         del_row_parts: list[np.ndarray] = []
 
-        for d in range(n):
-            st = plan.stages[d]
+        for d, st in enumerate(plan.stages):
             nm = st.num_messages
-            t0_clocks = clocks.copy() if obs is not None else None
             if nm == 0:
-                if obs is not None:
-                    cl = clocks.tolist()
-                    obs.add_span_batch(
-                        f"stfw.stage{d}", cl, cl, range(K),
-                        [(("expected", 0), ("stage", d))] * K, cat="stage",
-                    )
+                stage_clocks.append(stage_clocks[-1])
                 continue
-            snd = st.sender.astype(np.int64, copy=False)
-            rcv = st.receiver.astype(np.int64, copy=False)
-            words = st.total_words.astype(np.int64, copy=False)
-            # sweeps and replay rely on (sender, send order) order and one
-            # message per route: a route key names one message
-            mkey = snd * K + rcv
-            if not (mkey[1:] > mkey[:-1]).all():
-                raise SimMPIError(
-                    f"engine='batch': stage {d} of the plan is not strictly "
-                    "increasing in (sender, receiver) — a plan built with "
-                    "coalesce=False repeats routes and cannot be replayed; "
-                    "use build_plan(..., coalesce=True)"
-                )
-
-            members = plan.stage_members(d)
-            moving = np.flatnonzero(members >= 0)
-            carrier = members[moving]
-            if not np.array_equal(np.bincount(carrier, minlength=nm), st.nsub):
-                raise SimMPIError(
-                    f"engine='batch': the messages of stage {d} do not carry "
-                    "the submessages the plan counts (nsub); the plan does not "
-                    "belong to its pattern"
-                )
-
-            start, arrive, cnt_s = self._sweep_sends(clocks, snd, rcv, words)
-            dord, cnt_r = self._sweep_recvs(clocks, rcv, words, arrive)
-
-            if trace_on:
+            snd, rcv, words, moving, carrier = self._stage_routes(plan, d)
+            start, arrive, _ = self._sweep_sends(clocks, snd, rcv, words)
+            dord, _ = self._sweep_recvs(clocks, rcv, words, arrive)
+            stage_clocks.append(clocks.copy())
+            if self._trace_enabled:
                 trace_parts.append((snd, rcv, d, words, start, arrive))
-            if obs is not None:
-                total_sends += cnt_s
-                total_sent_words += np.bincount(snd, weights=words, minlength=K)
-                total_recvs += cnt_r
-                total_recv_words += np.bincount(rcv, weights=words, minlength=K)
-                obs.count("stfw.stage_messages", int(nm), stage=d)
-                obs.count("stfw.stage_words", int(words.sum()), stage=d)
-                h_snd = snd[carrier]
-                h_sz = pat.size[moving]
-                omask = h_snd == pat.src[moving]
-                origin_words += np.bincount(
-                    h_snd[omask], weights=h_sz[omask], minlength=K
-                )
-                forwarded_words += np.bincount(
-                    h_snd[~omask], weights=h_sz[~omask], minlength=K
-                )
 
             # ordered routing replay: sorting the stage's moving rows by
             # (delivery position of their message, arrival key) is exactly
@@ -695,15 +764,6 @@ class BatchSimMPI(SimMPI):
             del_rank_parts.append(pat.dst[ordered[fin]])
             del_row_parts.append(table_row[ordered[fin]])
 
-            if obs is not None:
-                frozen = [
-                    (("expected", c), ("stage", d)) for c in cnt_r.tolist()
-                ]
-                obs.add_span_batch(
-                    f"stfw.stage{d}", t0_clocks.tolist(), clocks.tolist(),
-                    range(K), frozen, cat="stage",
-                )
-
         # per-rank delivery lists: arrival keys grow monotonically across
         # stages, so concatenating the per-stage final hops (already in
         # delivery order) and grouping stably by receiver reproduces each
@@ -713,25 +773,67 @@ class BatchSimMPI(SimMPI):
         dr = np.concatenate(del_rank_parts or [empty])
         de = np.concatenate(del_row_parts or [empty])
         gord = np.argsort(dr, kind="stable")
-        delivered = Deliveries(table, de[gord], np.bincount(dr, minlength=K))
+        sched = Schedule(
+            read_only(*stage_clocks), *read_only(de[gord], np.bincount(dr, minlength=K))
+        )
+        return sched, trace_parts
 
-        if obs is not None:
-            r_o = np.nonzero(origin_words)[0]
-            obs.count_batch(
-                "stfw.origin_words",
-                r_o.tolist(),
-                origin_words[r_o].astype(np.int64).tolist(),
+    def _observe(self, plan, clocks: Sequence[np.ndarray]) -> None:
+        """Emit a planned run's stage spans and ``stfw.*``/``engine.*`` counters.
+
+        ``clocks[d]`` holds every rank's clock when stage ``d`` starts,
+        ``clocks[d + 1]`` when it ends.
+        """
+        obs, K, pat = self._obs, self.K, plan.pattern
+        total_sends = np.zeros(K, dtype=np.int64)
+        total_sent_words = np.zeros(K, dtype=np.float64)
+        total_recvs = np.zeros(K, dtype=np.int64)
+        total_recv_words = np.zeros(K, dtype=np.float64)
+        origin_words = np.zeros(K, dtype=np.float64)
+        forwarded_words = np.zeros(K, dtype=np.float64)
+        for d, st in enumerate(plan.stages):
+            nm = st.num_messages
+            if nm == 0:
+                cl = clocks[d].tolist()
+                obs.add_span_batch(
+                    f"stfw.stage{d}", cl, cl, range(K),
+                    [(("expected", 0), ("stage", d))] * K, cat="stage",
+                )
+                continue
+            snd, rcv, words, moving, carrier = self._stage_routes(plan, d)
+            cnt_r = np.bincount(rcv, minlength=K)
+            total_sends += np.bincount(snd, minlength=K)
+            total_sent_words += np.bincount(snd, weights=words, minlength=K)
+            total_recvs += cnt_r
+            total_recv_words += np.bincount(rcv, weights=words, minlength=K)
+            obs.count("stfw.stage_messages", int(nm), stage=d)
+            obs.count("stfw.stage_words", int(words.sum()), stage=d)
+            h_snd = snd[carrier]
+            h_sz = pat.size[moving]
+            omask = h_snd == pat.src[moving]
+            origin_words += np.bincount(h_snd[omask], weights=h_sz[omask], minlength=K)
+            forwarded_words += np.bincount(h_snd[~omask], weights=h_sz[~omask], minlength=K)
+            frozen = [(("expected", c), ("stage", d)) for c in cnt_r.tolist()]
+            obs.add_span_batch(
+                f"stfw.stage{d}", clocks[d].tolist(), clocks[d + 1].tolist(),
+                range(K), frozen, cat="stage",
             )
-            r_f = np.nonzero(forwarded_words)[0]
-            obs.count_batch(
-                "stfw.forwarded_words",
-                r_f.tolist(),
-                forwarded_words[r_f].astype(np.int64).tolist(),
-            )
+
+        r_o = np.nonzero(origin_words)[0]
+        obs.count_batch(
+            "stfw.origin_words",
+            r_o.tolist(),
+            origin_words[r_o].astype(np.int64).tolist(),
+        )
+        r_f = np.nonzero(forwarded_words)[0]
+        obs.count_batch(
+            "stfw.forwarded_words",
+            r_f.tolist(),
+            forwarded_words[r_f].astype(np.int64).tolist(),
+        )
         self._emit_engine_counters(
             total_sends, total_sent_words, total_recvs, total_recv_words
         )
-        return self._finalize_run(delivered, clocks, trace_parts)
 
     # ------------------------------------------------------------------
     # Planned flat (T_1, BL) exchange

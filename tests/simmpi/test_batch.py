@@ -502,6 +502,27 @@ class TestPayloadContract:
         for r, msgs in enumerate(out.delivered):
             assert all(np.array_equal(p, table[s][r]) for s, p in msgs)
 
+    @pytest.mark.parametrize("shuffled", [True, False])
+    def test_a_table_of_sorted_or_shuffled_rows_is_the_sorted_build(self, pattern, shuffled):
+        K = pattern.K
+        # rows grouped by source, as CommPattern.random draws them, or not
+        order = np.argsort(pattern.src, kind="stable")
+        if shuffled:
+            order = np.arange(pattern.num_messages)
+        pattern = CommPattern(K, pattern.src[order], pattern.dst[order], pattern.size[order])
+        by_src = np.argsort(pattern.src, kind="stable")
+        columns = [a[by_src] for a in (pattern.src, pattern.dst, pattern.size)]
+        want = [*columns, columns[0] * K + columns[1]]
+        table = _default_payloads(pattern)
+        got = [table.src, table.dst, table.size, table._key]
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+        assert np.shares_memory(table.src, pattern.src) is not shuffled  # sorted: kept, not copied
+        kept = [a.copy() for a in got]
+        pattern.apply_delta(PatternDelta.random(pattern, 0.5, seed=2), inplace=True)
+        assert not np.array_equal(pattern.src, kept[0]) or not np.array_equal(pattern.dst, kept[1])
+        assert all(np.array_equal(a, b) for a, b in zip(got, kept))
+
     def test_table_of_user_dicts_hands_back_the_users_objects(self):
         payloads = [{2: "ab", 1: (7,)}, {}, {0: [1, 2, 3]}]
         table = EdgePayloads.from_dicts(payloads, 3)

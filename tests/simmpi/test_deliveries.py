@@ -1,20 +1,27 @@
 """The batch engine's ``Deliveries``: its list view against the formulation
-it replaced, and its flattening constructor.
+it replaced, its flattening constructor, and a repeat run that reuses the
+schedule of the first.
 
 ``reference_delivery_lists`` is the eager builder every batch run used to
 end with.  The view a ``Deliveries`` builds on first read must be that
 structure: the same origins, and the caller's own payload objects or, for
 default payloads, read-only runs of each row's key with the same words.
+Each generated exchange runs twice, and the second run, which may reuse
+the first one's schedule, must equal it bit for bit.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CommPattern, run_exchange
+from repro.core import CommPattern, PatternDelta, PlanBuilder, make_vpt, run_exchange
 from repro.core.stfw import _default_payloads
+from repro.errors import SimMPIError
 from repro.network import BGQ
-from repro.simmpi.batch import Deliveries, EdgePayloads
+from repro.obs import Tracer, chrome_trace
+from repro.simmpi.batch import BatchSimMPI, Deliveries, EdgePayloads
 
 
 def reference_delivery_lists(table, order, counts):
@@ -24,14 +31,16 @@ def reference_delivery_lists(table, order, counts):
     return [pairs[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def scenario(K, degree, seed, silent=0.25):
-    """A pattern with sizes 0-39, shuffled rows, and ranks that send or receive nothing."""
+def scenario(K, degree, seed, silent=0.25, uniform=False):
+    """A pattern with sizes 0-39 (or all 7), shuffled rows, and ranks that send or
+    receive nothing."""
     rng = np.random.default_rng(seed)
     base = CommPattern.random(K, avg_degree=degree, seed=seed)
     quiet = rng.random(K) < silent
     keep = ~(quiet[base.src] & (rng.random(base.src.size) < 0.5)) & ~quiet[base.dst]
     order = rng.permutation(np.flatnonzero(keep))
-    return CommPattern(K, base.src[order], base.dst[order], rng.integers(0, 40, order.size))
+    size = np.full(order.size, 7) if uniform else rng.integers(0, 40, order.size)
+    return CommPattern(K, base.src[order], base.dst[order], size)
 
 
 def user_payloads(pattern, kind):
@@ -80,6 +89,39 @@ def assert_view_is_reference(pattern, out, payloads):
     assert received == sorted(zip(pattern.src.tolist(), pattern.dst.tolist()))
 
 
+def counters(tracer):
+    return sorted(
+        (name, -1 if track is None else track, sorted(labels.items()) if labels else [], value)
+        for name, track, labels, value in tracer.counter_rows()
+    )
+
+
+def run_twice(pattern, trace=False, **kw):
+    """One batch exchange run twice on one pattern, each run with its own tracer.
+
+    The first run computes its schedule and the second may reuse it: the
+    two must agree on the ``RunResult``, the ``Deliveries`` columns, the
+    obs counters and the chrome-trace bytes.  Returns the second run.
+    """
+    runs = []
+    for _ in range(2):
+        tracer = Tracer("twice")
+        out = run_exchange(pattern, machine=BGQ, engine="batch", trace=trace, tracer=tracer, **kw)
+        runs.append((out, counters(tracer), chrome_trace(tracer, run=out.run)))
+    (first, c1, doc1), (second, c2, doc2) = runs
+    a, b = first.run, second.run
+    assert b.clocks == a.clocks and b.makespan_us == a.makespan_us
+    assert b.trace == a.trace and b.crashed == a.crashed == [] and b.fault_events == []
+    for column in ("rows", "ptr", "src"):
+        x, y = getattr(a.returns, column), getattr(b.returns, column)
+        assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+    for msgs, again in zip(a.returns, b.returns):
+        assert len(msgs) == len(again)
+        assert all(s == t and np.array_equal(p, q) for (s, p), (t, q) in zip(msgs, again))
+    assert c2 == c1 and doc2 == doc1
+    return second
+
+
 class TestListViewIsTheReferenceFormulation:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -88,11 +130,13 @@ class TestListViewIsTheReferenceFormulation:
         scheme=st.sampled_from([{}, {"dims": 2}, {"dims": 3}]),
         kind=st.sampled_from(["default", "list", "ndarray"]),
         seed=st.integers(0, 10_000),
+        trace=st.booleans(),
+        uniform=st.booleans(),
     )
-    def test_generated_scenarios(self, K, degree, scheme, kind, seed):
-        pattern = scenario(K, degree, seed)
+    def test_generated_scenarios(self, K, degree, scheme, kind, seed, trace, uniform):
+        pattern = scenario(K, degree, seed, uniform=uniform)
         payloads = None if kind == "default" else user_payloads(pattern, kind)
-        out = run_exchange(pattern, machine=BGQ, engine="batch", payloads=payloads, **scheme)
+        out = run_twice(pattern, trace, payloads=payloads, **scheme)
         assert_view_is_reference(pattern, out, payloads)
 
     @pytest.mark.parametrize("scheme", [{}, {"dims": 2}])
@@ -111,7 +155,7 @@ class TestListViewIsTheReferenceFormulation:
         src = rng.choice(K, size=3000, replace=False)
         dst = (src + rng.integers(1, K, size=src.size)) % K
         pattern = CommPattern(K, src, dst, rng.integers(0, 40, src.size))
-        out = run_exchange(pattern, machine=BGQ, engine="batch", **scheme)
+        out = run_twice(pattern, **scheme)
         assert_view_is_reference(pattern, out, None)
 
     def test_a_view_is_read_only_until_copied(self):
@@ -199,3 +243,149 @@ class TestFlatteningConstructor:
         assert length.tolist() == [v.size for v in views] and is_int64.all()
         assert words.dtype == np.int64
         assert words.tolist() == [int(x) for v in views for x in v]
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The names of the batch engine's stage sweeps, once per call."""
+    calls = []
+    for name in ("_sweep_sends", "_sweep_recvs"):
+        def counted(self, *args, _sweep=getattr(BatchSimMPI, name), _name=name):
+            calls.append(_name)
+            return _sweep(self, *args)
+
+        monkeypatch.setattr(BatchSimMPI, name, counted)
+    return calls
+
+
+def reversed_dicts(pattern):
+    return pattern, {"payloads": [dict(reversed(d.items())) for d in _default_payloads(pattern)]}
+
+
+def slower_start(pattern):
+    return pattern, {"machine": BGQ.with_params(alpha_us=2 * BGQ.alpha_us)}
+
+
+def round_robin(pattern):
+    return pattern, {"mapping": np.arange(pattern.K) % 3}
+
+
+def headers(pattern):
+    return pattern, {"header_words": 2}
+
+
+def three_dims(pattern):
+    return pattern, {"dims": 3}
+
+
+def fresh_builder(pattern):
+    return pattern, {"plan": PlanBuilder(pattern).plan(make_vpt(pattern.K, 2))}
+
+
+def drifted_in_place(pattern):
+    return pattern.apply_delta(PatternDelta.random(pattern, 0.2, seed=1), inplace=True), {}
+
+
+def unpickled(pattern):
+    return pickle.loads(pickle.dumps(pattern)), {}
+
+
+class TestScheduleOnce:
+    """A repeat run of one plan reuses its schedule, and every per-run check still runs."""
+
+    @staticmethod
+    def pattern():
+        return scenario(36, 4, seed=7, silent=0.0)
+
+    @staticmethod
+    def run(pattern, **kw):
+        kw = {"dims": 2, "machine": BGQ, **kw}
+        return run_exchange(pattern, engine="batch", **kw)
+
+    def test_a_repeat_run_sweeps_nothing(self, sweeps):
+        pattern = self.pattern()
+        first = self.run(pattern)
+        assert sweeps.count("_sweep_sends") == sweeps.count("_sweep_recvs") == 2
+        sweeps.clear()
+        again = self.run(pattern)
+        assert sweeps == []
+        assert again.run.clocks == first.run.clocks
+        assert np.array_equal(again.delivered.rows, first.delivered.rows)
+        assert again.delivered.rows is first.delivered.rows  # the one memo entry's
+        assert len(PlanBuilder.of(pattern).schedules) == 1
+
+    def test_a_repeat_run_still_refuses_payloads_that_disagree(self, sweeps):
+        pattern = self.pattern()
+        self.run(pattern)
+        s, t = int(pattern.src[0]), int(pattern.dst[0])
+        resized = [dict(d) for d in _default_payloads(pattern)]
+        resized[s][t] = np.zeros(int(pattern.size[0]) + 1, dtype=np.int64)
+        elsewhere = [dict(d) for d in _default_payloads(pattern)]
+        u = next(u for u in range(pattern.K) if u != s and u not in elsewhere[s])
+        elsewhere[s][u] = elsewhere[s].pop(t)
+        for payloads in (resized, elsewhere):
+            with pytest.raises(SimMPIError, match="disagree with the planned pattern"):
+                self.run(pattern, payloads=payloads)
+        sweeps.clear()
+        self.run(pattern)
+        assert sweeps == []  # a refused run leaves the entry as it was
+
+    def test_a_repeat_run_still_refuses_a_plan_that_miscounts(self):
+        from dataclasses import replace
+
+        pattern = self.pattern()
+        plan = PlanBuilder.of(pattern).plan(make_vpt(pattern.K, 2))
+        self.run(pattern, plan=plan)
+        st0 = plan.stages[0]
+        forged = replace(plan, stages=[replace(st0, nsub=st0.nsub + 1), *plan.stages[1:]])
+        with pytest.raises(SimMPIError, match="stage 0 do not carry the submessages"):
+            self.run(pattern, plan=forged)
+
+    def test_a_stage_charged_other_words_misses(self, sweeps):
+        from dataclasses import replace
+
+        pattern = self.pattern()
+        plan = PlanBuilder.of(pattern).plan(make_vpt(pattern.K, 2))
+        first = self.run(pattern, plan=plan)
+        st0 = plan.stages[0]
+        heavier = replace(plan, stages=[replace(st0, total_words=st0.total_words + 5),
+                                        *plan.stages[1:]])
+        sweeps.clear()
+        got = self.run(pattern, plan=heavier)
+        assert sweeps and got.makespan_us > first.makespan_us
+
+    @pytest.mark.parametrize("change, entries", [
+        (reversed_dicts, 1), (slower_start, 2), (round_robin, 2), (headers, 2),
+        (three_dims, 2), (fresh_builder, 1), (drifted_in_place, 1), (unpickled, 1),
+    ])
+    def test_another_key_or_pattern_misses_and_matches_the_event_engine(
+        self, change, entries, sweeps
+    ):
+        pattern = self.pattern()
+        self.run(pattern)
+        pattern, kw = change(pattern)
+        sweeps.clear()
+        got = self.run(pattern, **kw)
+        assert sweeps, "the run reused a schedule computed for another key"
+        want = run_exchange(pattern, **{"dims": 2, "machine": BGQ, **kw})
+        assert got.run.clocks == want.run.clocks and got.makespan_us == want.makespan_us
+        for msgs, ref in zip(got.delivered, want.delivered):
+            assert [s for s, _ in msgs] == [s for s, _ in ref]
+            assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(msgs, ref))
+        assert len(PlanBuilder.of(pattern).schedules) == entries
+        sweeps.clear()
+        again = self.run(pattern, **kw)
+        assert sweeps == [] and again.run.clocks == got.run.clocks
+
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_delivery_columns_are_read_only(self, repeat):
+        pattern = self.pattern()
+        first = self.run(pattern)
+        out = self.run(pattern) if repeat else first
+        for column in ("rows", "ptr", "src"):
+            array = getattr(out.delivered, column)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = -1
+        again = self.run(pattern)
+        assert np.array_equal(again.delivered.rows, first.delivered.rows)
+        assert again.run.clocks == first.run.clocks
