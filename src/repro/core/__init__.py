@@ -53,7 +53,6 @@ from .stfw import (
     ExchangeResult,
     FaultPolicy,
     FTRankReport,
-    direct_process,
     recv_counts_from_plan,
     repair_side_tables,
     run_exchange,
@@ -93,7 +92,6 @@ __all__ = [
     "holder_after_stage",
     "holder_after_stage_array",
     "stfw_process",
-    "direct_process",
     "FaultPolicy",
     "recv_counts_from_plan",
     "SideTables",

@@ -60,8 +60,10 @@ The non-tolerant :func:`stfw_process` under the same
 ``"partial"`` / ``"tolerate"`` / a :class:`FaultPolicy`) are orthogonal
 arguments.  The plain and the tolerant process bodies are separate
 protocols — staged receive counts versus quiesce-terminated reliable
-hops — behind one engine call; over ``T_1`` each runs its one-stage
-direct form.
+hops — behind one engine call.  The plain exchange is Algorithm 1's
+stage loop over every topology, ``T_1`` included; only the tolerant
+protocol keeps a direct form over ``T_1``, where a hop ack already is
+the end-to-end receipt.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ from .vpt import VirtualProcessTopology
 
 __all__ = [
     "stfw_process",
-    "direct_process",
     "FaultPolicy",
     "recv_counts_from_plan",
     "SideTables",
@@ -485,45 +486,6 @@ def _exchange_counts(
         _, _, flag = yield comm.recv(tag=_COUNT_TAG_BASE + d)
         expect += flag
     return expect
-
-
-def direct_process(
-    comm: Comm,
-    send_data: Mapping[int, Any],
-    expect: int,
-    *,
-    header_words: int = 0,
-    out: list | None = None,
-    tracer=None,
-) -> Generator:
-    """Algorithm 1 over the flat ``T_1`` — the baseline (BL).
-
-    ``T_1`` has one stage and no forwarders, so the body needs no
-    forward buffers: each SendSet entry is one message, sent in
-    SendSet order and charged its payload plus ``header_words``, as
-    the ``T_1`` plan counts it.  ``expect`` is the rank's stage-0
-    receive count; ``out`` and ``tracer`` are as in
-    :func:`stfw_process`, and the counters and span are its stage-0 ones.
-    """
-    rank = comm.rank
-    obs = tracer if (tracer is not None and tracer.enabled) else None
-    t0 = comm.time
-    delivered: list[tuple[int, Any]] = [] if out is None else out
-    for dst, payload in send_data.items():
-        pw = _payload_words(payload)
-        comm.send(dst, payload, tag=0, words=pw + header_words)
-        if obs is not None:
-            obs.count("stfw.stage_messages", 1, stage=0)
-            obs.count("stfw.stage_words", pw + header_words, stage=0)
-            obs.count("stfw.origin_words", pw, track=rank)
-    recv = comm.recv(tag=0)
-    for _ in range(expect):
-        src, _, payload = yield recv
-        delivered.append((src, payload))
-    if obs is not None:
-        obs.add_span("stfw.stage0", t0, comm.time, track=rank,
-                     cat="stage", stage=0, expected=int(expect))
-    return delivered
 
 
 # ----------------------------------------------------------------------
@@ -990,7 +952,8 @@ def _resolve_vpt(
     if mode == "dynamic" and vpt.is_flat():
         raise PlanError(
             "mode='dynamic' does not apply to the flat topology T_1 (BL): "
-            "it has no stages to count"
+            "its count exchange would send K - 1 count messages per rank; "
+            "use mode='planned'"
         )
     return vpt
 
@@ -1050,12 +1013,13 @@ def run_exchange(
       formation, or the VPT of a held ``plan``; with none of them, the
       flat ``T_1``.  The baseline (BL) *is* ``T_1``: no topology,
       ``dims=1``, a flat ``vpt`` or a
-      :func:`~repro.core.plan.build_direct_plan` plan all run the same
-      one-stage direct body (:func:`direct_process`, or
-      ``BatchSimMPI.run_planned_direct``), which charges
-      ``header_words`` once per message as the ``T_1`` plan does and
-      sends in SendSet order.  ``mode="dynamic"`` over ``T_1`` is
-      refused by name.
+      :func:`~repro.core.plan.build_direct_plan` plan all run
+      Algorithm 1 over its one stage, as every topology does
+      (:func:`stfw_process`, or ``BatchSimMPI.run_planned_stfw``): each
+      rank sends in ascending destination order, whatever order its
+      payload dict was filled in, charged ``header_words`` once per
+      message as the ``T_1`` plan does.  ``mode="dynamic"`` over
+      ``T_1`` is refused by name.
     * **on_fault** — what to do when a ``fault_plan`` bites:
       ``"raise"`` propagates the :class:`~repro.errors.DeadlockError`
       a non-tolerant exchange produces; ``"partial"`` converts it into
@@ -1142,7 +1106,6 @@ def run_exchange(
     if fault_plan is not None and fault_plan.corrupt_forwarders:
         corrupt_fw = dict(fault_plan.corrupt_forwarders)
         flip_seed = fault_plan.seed
-    flat = vpt.is_flat()
     if plan is None and mode == "planned" and not tolerant:
         plan = build_plan(pattern, vpt, header_words=header_words)
 
@@ -1156,16 +1119,13 @@ def run_exchange(
             tracer=tracer,
             **engine_kwargs,
         )
-        if flat:
-            run = sim.run_planned_direct(payloads, plan)
-        else:
-            run = sim.run_planned_stfw(vpt, plan, payloads)
+        run = sim.run_planned_stfw(vpt, plan, payloads)
         return ExchangeResult(delivered=run.returns, run=run, plan=plan)
 
     # per-rank delivery sinks the plain bodies fill as they go: what a
     # salvaged deadlock's partial result is read from
     sinks: list[list[tuple[int, Any]]] = [[] for _ in range(pattern.K)]
-    if tolerant and flat:
+    if tolerant and vpt.is_flat():
         factory = lambda comm: _direct_ft_process(  # noqa: E731
             comm, payloads[comm.rank], policy, header_words=header_words, tracer=tracer
         )
@@ -1184,15 +1144,6 @@ def run_exchange(
         counts = None if plan is None else recv_counts_from_plan(plan)
 
         def factory(comm: Comm):
-            if flat:
-                return direct_process(
-                    comm,
-                    payloads[comm.rank],
-                    int(counts[0, comm.rank]),
-                    header_words=header_words,
-                    out=sinks[comm.rank],
-                    tracer=tracer,
-                )
             rc = None if counts is None else counts[:, comm.rank]
             return stfw_process(
                 comm,

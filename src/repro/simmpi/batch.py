@@ -9,8 +9,8 @@ Python events:
 
 * per-stage send/recv message arrays come straight from the
   :class:`~repro.core.plan.CommPlan`'s coalesced stage arrays (BL, the
-  flat ``T_1``, is its one stage sent in SendSet order: the rows of the
-  payload table);
+  flat ``T_1``, is its one stage, each rank sending in ascending
+  destination order as the event engine's stage loop does);
 * payloads travel as an :class:`EdgePayloads` table — ``src``, ``dst``,
   ``size`` columns and the payload objects or, for default payloads,
   one int64 key per message (a payload is its key repeated ``size``
@@ -323,9 +323,11 @@ class Schedule(NamedTuple):
     objects, its ``total_words`` (made per plan) are what a build
     charges, payload plus ``header_words`` per submessage, and its table
     rows come in the same order; anything else computes afresh and
-    replaces the entry.  A
-    ``trace=True`` run always computes: its trace needs every message's
-    times, which no entry keeps.  All arrays are read-only.
+    replaces the entry.  A reuse skips the plan-structure refusals of
+    ``_stage_routes``: those read-only stage arrays passed them when the
+    entry was made, and the memo goes when the pattern is mutated in
+    place.  A ``trace=True`` run always computes: its trace needs every
+    message's times, which no entry keeps.  All arrays are read-only.
     """
 
     #: every rank's clock before stage 0, then after each stage
@@ -438,11 +440,10 @@ class BatchSimMPI(SimMPI):
         """Advance sender clocks for one stage; return start/arrive/counts.
 
         ``snd`` must be sorted ascending with each sender's messages in
-        its program send order (true for plan stage arrays and for the
-        rows of an :class:`EdgePayloads`).  The ``j``-th send of every
-        rank is one vector op, so the per-element float sequence
-        ``start = clock; clock += cost`` matches the scalar engine (on
-        round-major prefix slices: :func:`rounds`).
+        its program send order (true for plan stage arrays).  The
+        ``j``-th send of every rank is one vector op, so the per-element
+        float sequence ``start = clock; clock += cost`` matches the
+        scalar engine (on round-major prefix slices: :func:`rounds`).
         """
         map_arr = self._mapping
         hops = self._topology.hops_array(map_arr[snd], map_arr[rcv])
@@ -592,8 +593,10 @@ class BatchSimMPI(SimMPI):
         ``(origin, payload)`` list.
 
         A repeat run of a plan reuses the :class:`Schedule` of the first
-        instead of sweeping again; every check on the payloads and the
-        plan runs on every call.
+        instead of sweeping again.  The payloads are checked against the
+        plan on every call; the plan-structure refusals run wherever a
+        schedule is computed, which a reused one already was, from the
+        same read-only stage arrays.
         """
         K = self.K
         if vpt.K != K:
@@ -655,10 +658,9 @@ class BatchSimMPI(SimMPI):
                 for st in plan.stages
             )
         ):
+            # the stage arrays passed _stage_routes' refusals when the entry
+            # was made, and they are read-only: no need to check them again
             sched = entry[2]
-            for d, st in enumerate(plan.stages):
-                if st.num_messages:
-                    self._stage_routes(plan, d)  # the plan-structure refusals
         else:
             sched, trace_parts = self._schedule(plan, table_row)
             memo[key] = (arrays, read_only(table_row)[0], sched)
@@ -835,74 +837,19 @@ class BatchSimMPI(SimMPI):
             total_sends, total_sent_words, total_recvs, total_recv_words
         )
 
-    # ------------------------------------------------------------------
-    # Planned flat (T_1, BL) exchange
-    # ------------------------------------------------------------------
-
     def run_planned_direct(
         self,
         payloads: Sequence[Mapping[int, Any]],
         plan,
     ) -> RunResult:
-        """Execute a planned exchange over the flat ``T_1`` as one sweep.
+        """Execute a :func:`~repro.core.plan.build_direct_plan` plan (BL).
 
-        ``plan`` is the :func:`~repro.core.plan.build_direct_plan`
-        output with the desired ``header_words``; each payload is one
-        message charged its size plus ``plan.header_words``, sent in
-        SendSet order (``direct_process``).  The plan's receive counts
-        must agree with the payload dicts — a mismatch would stall the
-        event engine, so it is refused by name.  Counters and span are
-        stage 0's, named as in :meth:`run_planned_stfw`.
+        BL is Algorithm 1 over ``T_1``, so this is :meth:`run_planned_stfw`
+        on the plan's flat VPT; a plan over any other VPT is refused.
         """
-        K = self.K
-        if plan.K != K or not plan.vpt.is_flat():
+        if plan.K != self.K or not plan.vpt.is_flat():
             raise SimMPIError(
-                f"engine='batch': run_planned_direct runs a T_1 plan over K={K}, "
+                f"engine='batch': run_planned_direct runs a T_1 plan over K={self.K}, "
                 f"got one for the VPT {plan.vpt.dim_sizes}"
             )
-        table = EdgePayloads.from_dicts(payloads, K)
-        snd, rcv, esize = table.src, table.dst, table.size
-        expected = plan.stages[0].recv_counts(K)
-        actual = np.bincount(rcv, minlength=K)
-        if not np.array_equal(actual, expected):
-            bad = int(np.nonzero(actual != expected)[0][0])
-            raise SimMPIError(
-                "engine='batch': direct-exchange receive counts disagree with "
-                f"the payload dicts (rank {bad} expects {int(expected[bad])} "
-                f"messages but the dicts send it {int(actual[bad])}); the "
-                "event engine would deadlock here"
-            )
-
-        obs = self._obs
-        clocks = np.zeros(K, dtype=np.float64)
-        dord, cnt_r = np.empty(0, dtype=np.int64), np.zeros(K, dtype=np.int64)
-        trace_parts: list = []
-        words = esize + plan.header_words
-        if snd.size:
-            start, arrive, cnt_s = self._sweep_sends(clocks, snd, rcv, words)
-            dord, cnt_r = self._sweep_recvs(clocks, rcv, words, arrive)
-            if self._trace_enabled:
-                trace_parts.append((snd, rcv, 0, words, start, arrive))
-            if obs is not None:
-                obs.count("stfw.stage_messages", int(snd.size), stage=0)
-                obs.count("stfw.stage_words", int(words.sum()), stage=0)
-                origin = np.bincount(snd, weights=esize, minlength=K)
-                r_o = np.nonzero(origin)[0]
-                obs.count_batch(
-                    "stfw.origin_words",
-                    r_o.tolist(),
-                    origin[r_o].astype(np.int64).tolist(),
-                )
-                self._emit_engine_counters(
-                    cnt_s,
-                    np.bincount(snd, weights=words, minlength=K),
-                    cnt_r,
-                    np.bincount(rcv, weights=words, minlength=K),
-                )
-        if obs is not None:
-            obs.add_span_batch(
-                "stfw.stage0", [0.0] * K, clocks.tolist(), range(K),
-                [(("expected", c), ("stage", 0)) for c in expected.tolist()],
-                cat="stage",
-            )
-        return self._finalize_run(Deliveries(table, dord, cnt_r), clocks, trace_parts)
+        return self.run_planned_stfw(plan.vpt, plan, payloads)

@@ -1,8 +1,9 @@
 """The baseline (BL) is the flat topology ``T_1``, however it is asked for.
 
 No topology, ``dims=1``, a flat ``vpt`` and a ``build_direct_plan``
-plan are one exchange: the one-stage direct body, on either engine,
-charging ``header_words`` once per message as the ``T_1`` plan does.
+plan are one exchange: Algorithm 1's stage loop over the one stage of
+``T_1``, on either engine, charging ``header_words`` once per message as
+the ``T_1`` plan does.
 """
 
 import numpy as np
@@ -38,6 +39,10 @@ def ways(pattern, header_words=0):
     }
 
 
+def delivered_lists(result):
+    return [[(src, np.asarray(p).tolist()) for src, p in msgs] for msgs in result.delivered]
+
+
 def observed(result, tracer):
     """What two runs of one exchange must agree on, engine-neutrally."""
     run = result.run
@@ -48,8 +53,7 @@ def observed(result, tracer):
         for s in tracer.spans
     )
     counters = [(n, str(t), sorted(lb.items()), v) for n, t, lb, v in tracer.counter_rows()]
-    delivered = [[(src, np.asarray(p).tolist()) for src, p in msgs] for msgs in result.delivered]
-    return run.clocks, run.makespan_us, run.trace, delivered, spans, counters
+    return run.clocks, run.makespan_us, run.trace, delivered_lists(result), spans, counters
 
 
 class TestRegularizerMovesItsPlan:
@@ -109,8 +113,8 @@ class TestEverySpellingIsOneExchange:
 
     @pytest.mark.parametrize("header_words", [0, 2])
     def test_ascending_sendsets_time_like_algorithm_1_over_t1(self, header_words):
-        """The direct body is Algorithm 1 over ``T_1`` when every SendSet
-        is in ascending order (the order the stage loop walks digits)."""
+        """BL is ``stfw_process`` over ``T_1``, run by hand or by
+        ``run_exchange``."""
         pattern = CommPattern.random(32, avg_degree=4, hot_processes=2, seed=3, words=2)
         payloads = [dict(sorted(d.items())) for d in _default_payloads(pattern)]
         plan = build_direct_plan(pattern, header_words=header_words)
@@ -129,17 +133,25 @@ class TestEverySpellingIsOneExchange:
         )
         assert flat.run.clocks == stfw.clocks and flat.run.trace == stfw.trace
 
-    def test_sends_follow_sendset_order_on_both_engines(self):
+    def test_sends_in_plan_order_on_both_engines(self):
+        """BL sends in the ``T_1`` plan's order, whatever order the dicts
+        were filled in: reversed dicts run as the default payloads do."""
         pattern = CommPattern.random(32, avg_degree=4, hot_processes=2, seed=3, words=2)
-        payloads = [dict(sorted(d.items(), reverse=True)) for d in _default_payloads(pattern)]
-        runs = [
-            run_exchange(pattern, payloads=payloads, machine=BGQ, trace=True, engine=engine)
+        stage = build_direct_plan(pattern).stages[0]
+        reversed_dicts = [dict(sorted(d.items(), reverse=True)) for d in _default_payloads(pattern)]
+        runs = {
+            (engine, fill): run_exchange(
+                pattern, payloads=payloads, machine=BGQ, trace=True, engine=engine
+            )
             for engine in ENGINES
-        ]
-        assert runs[0].run.clocks == runs[1].run.clocks
-        assert runs[0].run.trace == runs[1].run.trace
-        rank = int(np.argmax(pattern.sent_counts()))
-        sent = [rec.dest for rec in sorted(runs[0].run.trace, key=lambda r: r.send_time)
-                if rec.source == rank]
-        assert sent == list(payloads[rank])
-
+            for fill, payloads in (("default", None), ("reversed", reversed_dicts))
+        }
+        for key, res in runs.items():
+            trace = sorted(res.run.trace, key=lambda r: (r.source, r.send_time))
+            for rank in range(pattern.K):
+                sent = [rec.dest for rec in trace if rec.source == rank]
+                assert sent == stage.receiver[stage.sender == rank].tolist(), (key, rank)
+        ref = runs["event", "default"]
+        for key, res in runs.items():
+            assert res.run.clocks == ref.run.clocks, key
+            assert delivered_lists(res) == delivered_lists(ref), key

@@ -16,7 +16,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CommPattern, PatternDelta, build_plan, make_vpt, repair_plan, run_exchange
+from repro.core import (
+    CommPattern, PatternDelta, build_direct_plan, build_plan, make_vpt, repair_plan, run_exchange,
+)
 from repro.errors import PlanError, SimMPIError
 from repro.experiments import drift, faults
 from repro.network import BGQ, CRAY_XC40, CRAY_XK7
@@ -134,6 +136,21 @@ class TestExchangeEquivalence:
         assert sorted(map(span_key, base_tr.spans)) == sorted(
             map(span_key, got_tr.spans)
         )
+
+    def test_run_planned_direct_is_the_t1_exchange(self, pattern):
+        plan = build_direct_plan(pattern, header_words=1)
+        payloads = _default_payloads(pattern)
+        got = BatchSimMPI(64, machine=BGQ, trace=True).run_planned_direct(payloads, plan)
+        want = run_exchange(
+            pattern, dims=1, machine=BGQ, trace=True, header_words=1, engine="batch"
+        ).run
+        assert_same_result(want, got, "(run_planned_direct)")
+        for column in ("rows", "ptr", "src"):
+            assert np.array_equal(getattr(got.returns, column), getattr(want.returns, column))
+        with pytest.raises(SimMPIError, match="runs a T_1 plan.*VPT \\(8, 8\\)"):
+            BatchSimMPI(64, machine=BGQ).run_planned_direct(
+                payloads, build_plan(pattern, make_vpt(64, 2))
+            )
 
     def test_header_words_bit_identical(self, pattern):
         vpt = make_vpt(64, 2)

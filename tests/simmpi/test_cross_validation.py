@@ -18,6 +18,11 @@ seed paid for as spurious waiting — so every per-rank clock must come
 out **at most** the seed's.  The
 new engine's own clocks are pinned exactly (``NEW_CLOCKS_*``) so any
 future scheduler change that shifts virtual time fails loudly here.
+
+The seed sent BL (``direct``) in SendSet order; BL now runs Algorithm 1
+over ``T_1`` and sends in ascending destination order, a different
+schedule, so its per-rank seed clocks bound nothing and only its
+makespan is held to the seed's.
 """
 
 import numpy as np
@@ -81,8 +86,8 @@ NEW_CLOCKS_DYNAMIC = [
     45.6336, 45.704, 49.9744, 46.904, 45.6688, 47.4336, 47.4688, 46.1632,
 ]
 NEW_CLOCKS_DIRECT = [
-    13.4816, 14.6112, 19.4464, 19.4464, 12.8112, 24.3872, 16.4112, 19.4464,
-    18.8816, 20.6816, 19.552, 20.7872, 14.0464, 18.8816, 20.6816, 11.0112,
+    13.4816, 14.0464, 11.0112, 19.4464, 12.8112, 24.3872, 11.0112, 14.0464,
+    18.8816, 20.6816, 19.552, 20.7872, 17.6464, 20.6816, 20.6816, 20.6816,
 ]
 # fmt: on
 
@@ -121,6 +126,9 @@ class TestEngineCrossValidation:
         # spurious waiting, never add to it
         seed, _ = CASES[label]
         res = run_case(label)
+        if label == "direct":  # another send order: only the makespan compares
+            assert res.run.makespan_us <= max(seed) + 1e-9
+            return
         for r, (new_c, seed_c) in enumerate(zip(res.run.clocks, seed)):
             assert new_c <= seed_c + 1e-9, f"rank {r} slower than seed"
 

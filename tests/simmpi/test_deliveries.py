@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CommPattern, PatternDelta, PlanBuilder, make_vpt, run_exchange
+from repro.core import CommPattern, PatternDelta, PlanBuilder, build_plan, make_vpt, run_exchange
 from repro.core.stfw import _default_payloads
 from repro.errors import SimMPIError
 from repro.network import BGQ
@@ -313,6 +313,31 @@ class TestScheduleOnce:
         assert np.array_equal(again.delivered.rows, first.delivered.rows)
         assert again.delivered.rows is first.delivered.rows  # the one memo entry's
         assert len(PlanBuilder.of(pattern).schedules) == 1
+
+    def test_a_repeat_run_checks_no_stage_again(self, monkeypatch):
+        calls = []
+        stage_routes = BatchSimMPI._stage_routes
+
+        def counted(self, plan, d):
+            calls.append(d)
+            return stage_routes(self, plan, d)
+
+        monkeypatch.setattr(BatchSimMPI, "_stage_routes", counted)
+        pattern = self.pattern()
+        first = self.run(pattern)
+        assert calls == [0, 1]
+        calls.clear()
+        again = self.run(pattern)
+        assert calls == [] and again.run.clocks == first.run.clocks
+        # the memo holds an entry for this key, yet a plan with other stage
+        # arrays computes its schedule and meets the refusals on its first run
+        vpt = make_vpt(pattern.K, 2)
+        uncoalesced = build_plan(pattern, vpt, coalesce=False)
+        with pytest.raises(SimMPIError, match="stage 0.*coalesce=True"):
+            BatchSimMPI(pattern.K, machine=BGQ).run_planned_stfw(
+                vpt, uncoalesced, _default_payloads(pattern)
+            )
+        assert calls == [0]
 
     def test_a_repeat_run_still_refuses_payloads_that_disagree(self, sweeps):
         pattern = self.pattern()
