@@ -1,12 +1,17 @@
 """Content-addressed on-disk cache of experiment artifacts.
 
 The expensive steps of every experiment cell — matrix generation, row
-partitioning, pattern extraction, plan building — are pure functions of
-their inputs.  :class:`ArtifactCache` keys each artifact by the SHA-256
-of those inputs (plus the library version and a cache schema tag, so a
-code change invalidates everything it might have influenced) and stores
-it as a compressed ``.npz`` under ``<root>/<kind>/<key>.npz``, reusing
-the :mod:`repro.core.serialize` formats for patterns and plans.
+partitioning, pattern extraction — are pure functions of their inputs.
+:class:`ArtifactCache` keys each artifact by the SHA-256 of those
+inputs (plus the library version and a cache schema tag, so a code
+change invalidates everything it might have influenced) and stores it
+as a compressed ``.npz`` under ``<root>/<kind>/<key>.npz``, reusing the
+:mod:`repro.core.serialize` format for patterns.
+
+Plans are not stored: a plan is a cheap function of its pattern and
+VPT (:class:`~repro.core.plan.PlanBuilder` shares a pattern's stages
+across VPTs), so rebuilding one from a cached pattern costs less than
+loading it (EXPERIMENTS.md, "Warm cache, attributed").
 
 Correctness rules:
 
@@ -40,20 +45,12 @@ import numpy as np
 from . import __version__
 from ._lazy import lazy_module
 from .core.pattern import CommPattern
-from .core.plan import CommPlan
-from .core.serialize import load_pattern, load_plan, save_pattern, save_plan
+from .core.serialize import load_pattern, save_pattern
 from .partition.base import Partition
 
 sp = lazy_module("scipy.sparse")
 
-__all__ = [
-    "ArtifactCache",
-    "CacheStats",
-    "DeltaPlanKeys",
-    "default_cache_root",
-    "delta_digest",
-    "pattern_digest",
-]
+__all__ = ["ArtifactCache", "CacheStats", "default_cache_root"]
 
 #: bump to invalidate every existing cache entry on a format change
 _SCHEMA = "repro-cache-v1"
@@ -61,105 +58,11 @@ _SCHEMA = "repro-cache-v1"
 _MATRIX_MAGIC = "repro-matrix-v1"
 _PARTITION_MAGIC = "repro-partition-v1"
 
-#: artifact kinds, in pipeline order (also the on-disk subdirectories)
-_KINDS = ("matrix", "partition", "pattern", "plan")
-
 
 def default_cache_root() -> str:
     """The cache directory the CLI uses: ``$REPRO_CACHE_DIR`` or
     ``.repro-cache`` in the working directory."""
     return os.environ.get("REPRO_CACHE_DIR") or ".repro-cache"
-
-
-def _hash_array(h, arr: np.ndarray) -> None:
-    """Fold one array into a digest with dtype and length framing.
-
-    Raw ``tobytes()`` concatenation is ambiguous: an ``int32`` array
-    has the same byte stream as a half-length ``int64`` one, and
-    without a length prefix the boundary between consecutive arrays
-    can shift while the concatenation stays identical.  Tagging each
-    array with its dtype and byte length makes the encoding injective,
-    so two patterns collide only if they are the same pattern.
-    """
-    a = np.ascontiguousarray(arr)
-    tag = a.dtype.str.encode()
-    h.update(len(tag).to_bytes(8, "little"))
-    h.update(tag)
-    h.update(a.nbytes.to_bytes(8, "little"))
-    h.update(a.tobytes())
-
-
-def pattern_digest(pattern: CommPattern) -> str:
-    """Content hash of a pattern, for keying artifacts derived from it.
-
-    Plans depend on the pattern's exact messages, not on how the
-    pattern was produced — hashing the arrays keeps plan keys correct
-    regardless of provenance (generated, loaded, drifted via
-    :meth:`~repro.core.pattern.CommPattern.apply_delta`, or handed in
-    by a caller).  The pattern's full identity goes into the hash:
-    ``K``, and the ``src``/``dst``/``size`` (edge-weight) arrays each
-    with dtype + length framing (see :func:`_hash_array`).
-    """
-    h = hashlib.sha256()
-    h.update(b"repro-pattern-digest-v2\0")
-    h.update(int(pattern.K).to_bytes(8, "little"))
-    _hash_array(h, pattern.src)
-    _hash_array(h, pattern.dst)
-    _hash_array(h, pattern.size)
-    return h.hexdigest()
-
-
-def delta_digest(delta) -> str:
-    """Content hash of a :class:`~repro.core.pattern.PatternDelta`.
-
-    Lets a drift driver key *repaired* plans by
-    ``(base pattern digest, delta digest)`` instead of re-digesting the
-    drifted pattern's full arrays each epoch — the delta is usually
-    orders of magnitude smaller than the pattern it mutates.  Framed
-    exactly like :func:`pattern_digest`.
-    """
-    h = hashlib.sha256()
-    h.update(b"repro-delta-digest-v1\0")
-    h.update(int(delta.K).to_bytes(8, "little"))
-    for arr in (
-        delta.remove_src,
-        delta.remove_dst,
-        delta.add_src,
-        delta.add_dst,
-        delta.add_size,
-        delta.reweight_src,
-        delta.reweight_dst,
-        delta.reweight_size,
-    ):
-        _hash_array(h, arr)
-    return h.hexdigest()
-
-
-class DeltaPlanKeys:
-    """The :meth:`ArtifactCache.plan` keys along one drift history.
-
-    A plan repaired through a chain of deltas is keyed by the base
-    pattern's digest, the chain of delta digests, the topology and the
-    header size — never by the drifted pattern's own arrays — so a
-    service restarted on the same history replays its plans from disk.
-    """
-
-    def __init__(self, base: CommPattern, dim_sizes, header_words: int = 0):
-        self._base = pattern_digest(base)
-        self._chain: list[str] = []
-        self._dim_sizes = dim_sizes
-        self._header_words = header_words
-
-    def next(self, delta) -> dict[str, Any]:
-        """Extend the chain by ``delta``; the key of the plan it yields."""
-        self._chain.append(delta_digest(delta))
-        return {
-            "base_pattern": self._base,
-            "delta_chain": list(self._chain),
-            "dim_sizes": self._dim_sizes,
-            "header_words": self._header_words,
-            "repair": True,
-        }
 
 
 def _canonical(value: Any) -> Any:
@@ -294,10 +197,6 @@ class ArtifactCache:
         """A communication pattern (stored via :mod:`repro.core.serialize`)."""
         return self._fetch("pattern", inputs, build, save_pattern, load_pattern)
 
-    def plan(self, inputs: Mapping[str, Any], build: Callable[[], CommPlan]) -> CommPlan:
-        """A built plan (stored via :mod:`repro.core.serialize`)."""
-        return self._fetch("plan", inputs, build, save_plan, load_plan)
-
     # ------------------------------------------------------------------
     # Core machinery
     # ------------------------------------------------------------------
@@ -348,13 +247,19 @@ class ArtifactCache:
     # Maintenance
     # ------------------------------------------------------------------
 
+    def _kind_dirs(self) -> list[os.DirEntry]:
+        """Every kind subdirectory on disk, kinds this version no longer
+        writes (an older ``plan/``) included."""
+        if not os.path.isdir(self.root):
+            return []
+        with os.scandir(self.root) as it:
+            return sorted((e for e in it if e.is_dir()), key=lambda e: e.name)
+
     def stats(self) -> CacheStats:
         """Scan the cache directory and report entries, bytes, hits."""
         entries: dict[str, tuple[int, int]] = {}
-        for kind in _KINDS:
-            d = os.path.join(self.root, kind)
-            if not os.path.isdir(d):
-                continue
+        for kind in self._kind_dirs():
+            d = kind.path
             count = size = 0
             for fname in os.listdir(d):
                 if fname.endswith(".npz") and not fname.startswith(".tmp-"):
@@ -364,7 +269,7 @@ class ArtifactCache:
                     except OSError:
                         pass
             if count:
-                entries[kind] = (count, size)
+                entries[kind.name] = (count, size)
         return CacheStats(
             root=self.root,
             version=self.version,
@@ -377,10 +282,8 @@ class ArtifactCache:
         """Remove every entry (and stale temp file); returns the count
         of entries removed."""
         removed = 0
-        for kind in _KINDS:
-            d = os.path.join(self.root, kind)
-            if not os.path.isdir(d):
-                continue
+        for kind in self._kind_dirs():
+            d = kind.path
             for fname in os.listdir(d):
                 if not fname.endswith(".npz"):
                     continue

@@ -6,7 +6,7 @@ Examples::
     python -m repro figure8 --scale 0.5    # bigger matrices
     python -m repro table3 --cache         # persist on-disk artifacts
     python -m repro cache stats            # inspect the artifact cache
-    python -m repro drift --cache          # plan-repair drift benchmark
+    python -m repro drift                  # plan-repair drift benchmark
     python -m repro chaos --epochs 60      # self-healing service soak
     python -m repro corrupt --seed 11      # silent-data-corruption sweep
     python -m repro instances              # list the Table 1 registry
@@ -16,8 +16,8 @@ Process counts are always the paper's; ``--scale`` resizes only the
 synthetic matrices (communication-preserving, see DESIGN.md).
 Every sweep runs in one process, one cell after another, and reduces
 each cell before it makes the next; ``--cache`` persists generated
-artifacts (matrices, partitions, patterns, plans) across runs and
-leaves results byte-identical.
+matrices, partitions and patterns across runs (plans are rebuilt from
+the patterns) and leaves results byte-identical.
 Every emulator-backed command (``faults``, ``recover``, ``drift``,
 ``chaos``, ``corrupt``, ``trace``) runs on the event engine, the only
 one that runs faults, shrink recovery and NBX discovery; there is no
@@ -91,7 +91,8 @@ _FLAGS: dict[str, dict[str, Any]] = {
         metavar="DIR",
         nargs="?",
         const="",
-        help="persist artifacts in DIR (no DIR: $REPRO_CACHE_DIR or .repro-cache)",
+        help="persist matrices, partitions and patterns in DIR "
+        "(no DIR: $REPRO_CACHE_DIR or .repro-cache)",
     ),
     "--svg": dict(metavar="DIR", help="also write SVG chart(s) into DIR"),
     "--K": dict(type=int, help="process count"),
@@ -138,7 +139,6 @@ _KEYWORDS: dict[str, Callable[[Any], dict[str, Any]]] = {
     "--rates": _given("rates", tuple),
     "--rate": _given("drift_rate"),
     "--tail": _given("tail"),
-    "--cache": lambda d: {"artifacts": _artifact_cache(d)},
     "--no-validate": lambda off: {"validate": not off},
     "--no-service": lambda off: {"service": not off},
     "--corruption": lambda on: {"corruption": True} if on else {},
@@ -150,8 +150,8 @@ RESILIENCE: dict[str, tuple[str, tuple[str, ...], dict[str, dict]]] = {
     "drift": (
         "dynamic-exchange drift benchmark: incremental plan repair vs "
         "full rebuild, plus an NBX-discovery service smoke",
-        ("--K", "--degree", "--rates", "--epochs", "--seed", "--cache",
-         "--no-validate", "--no-service"),
+        ("--K", "--degree", "--rates", "--epochs", "--seed", "--no-validate",
+         "--no-service"),
         {"--epochs": dict(default=3)},
     ),
     "chaos": (
@@ -159,7 +159,7 @@ RESILIENCE: dict[str, tuple[str, tuple[str, ...], dict[str, dict]]] = {
         "under combined drift and fault streams; exits 1 unless it "
         "converges with zero full rebuilds",
         ("--K", "--degree", "--epochs", "--rate", "--tail", "--seed",
-         "--cache", "--no-validate", "--corruption"),
+         "--no-validate", "--corruption"),
         {},
     ),
     "corrupt": (

@@ -47,7 +47,7 @@ from .plan import (
     plans_for_dimensions,
     repair_plan,
 )
-from .serialize import load_pattern, load_plan, save_pattern, save_plan
+from .serialize import load_pattern, save_pattern
 from .routing import Hop, holder_after_stage, holder_after_stage_array, route, route_length
 from .stfw import (
     ExchangeResult,
@@ -84,8 +84,6 @@ __all__ = [
     "TradeoffPoint",
     "save_pattern",
     "load_pattern",
-    "save_plan",
-    "load_plan",
     "plans_for_dimensions",
     "route",
     "route_length",

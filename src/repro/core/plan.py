@@ -48,8 +48,8 @@ class StageSchedule:
     their total payload; ``total_words`` payload plus per-submessage
     header (destination id etc.) if the plan was built with one.
 
-    A coalesced build also carries two derived arrays — not serialized,
-    not compared: ``route_key``, the strictly increasing ``sender * K +
+    A coalesced build also carries two derived arrays, not compared:
+    ``route_key``, the strictly increasing ``sender * K +
     receiver`` keys the stage was aggregated on, which spares plan
     repair re-verifying them on every drift step, and ``members``, per
     pattern row the message that carries it in this stage (-1: the row
@@ -177,8 +177,8 @@ class CommPlan:
         return sum(st.num_messages for st in self.stages)
 
     def stage_members(self, d: int) -> np.ndarray:
-        """Stage ``d``'s ``members``; a repaired, deserialized or hand-built
-        plan derives the same array, looking each moving row's (holder
+        """Stage ``d``'s ``members``; a repaired or hand-built plan
+        derives the same array, looking each moving row's (holder
         before, holder after) up in the stage's route keys."""
         st = self.stages[d]
         if st.members is not None:
@@ -263,10 +263,10 @@ def _holder_of(src: np.ndarray, dst: np.ndarray, w: int) -> np.ndarray:
 def stage_route_key(st: StageSchedule, K: int, user: str) -> np.ndarray:
     """A stage's strictly increasing ``sender * K + receiver`` key array.
 
-    ``route_key`` when the stage carries it; for a deserialized or
-    hand-built stage it is derived and vetted here, and a stage that
-    repeats a route (a ``coalesce=False`` build) is refused in the name
-    of ``user``, what needed the keys.
+    ``route_key`` when the stage carries it; for a hand-built stage it
+    is derived and vetted here, and a stage that repeats a route (a
+    ``coalesce=False`` build) is refused in the name of ``user``, what
+    needed the keys.
     """
     key = st.route_key
     if key is None:
@@ -640,7 +640,7 @@ def repair_plan(plan: CommPlan, delta: PatternDelta) -> CommPlan:
     stages: list[StageSchedule] = []
     for d, st in enumerate(plan.stages):
         # the repaired stages carry the keys forward, so only the first
-        # repair of a deserialized or hand-built plan derives them
+        # repair of a hand-built plan derives them
         key = stage_route_key(st, K, "repair_plan")
         dkey, dn, dp = rows.stage_delta(K, weights[d], weights[d + 1])
         sender, receiver, nsub, payload, out_key = _merge_stage_arrays(
@@ -746,7 +746,7 @@ def plans_identical(p: CommPlan, q: CommPlan) -> bool:
 
     Covers every schedule array of every stage, the forward-occupancy
     matrix and the pattern arrays; ``route_key`` is derived metadata
-    (absent on deserialized plans) and is deliberately ignored.  The
+    (absent on hand-built plans) and is deliberately ignored.  The
     canonical cross-check used wherever an incrementally repaired plan
     is validated against a from-scratch rebuild.
     """

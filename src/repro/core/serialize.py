@@ -1,11 +1,12 @@
-"""Saving and loading patterns and plans (.npz).
+"""Saving and loading patterns (.npz).
 
 Real deployments compute the communication pattern once (it depends
 only on the partition) and reuse it across runs; these helpers persist
-a :class:`~repro.core.pattern.CommPattern` or a fully built
-:class:`~repro.core.plan.CommPlan` to a single compressed ``.npz``
-file and restore them bit-exactly.  The CLI's future ``pattern`` tools
-and the test suite's golden files build on this.
+a :class:`~repro.core.pattern.CommPattern` to a single compressed
+``.npz`` file and restore it bit-exactly.  The artifact cache
+(:mod:`repro.cache`) stores its patterns this way.  Plans have no file
+format: ``build_plan(load_pattern(path), vpt)`` rebuilds one faster
+than a stored copy loads.
 """
 
 from __future__ import annotations
@@ -16,13 +17,10 @@ import numpy as np
 
 from ..errors import PlanError
 from .pattern import CommPattern
-from .plan import CommPlan, StageSchedule
-from .vpt import VirtualProcessTopology
 
-__all__ = ["save_pattern", "load_pattern", "save_plan", "load_plan"]
+__all__ = ["save_pattern", "load_pattern"]
 
 _PATTERN_MAGIC = "repro-pattern-v1"
-_PLAN_MAGIC = "repro-plan-v1"
 
 
 def save_pattern(path: str | os.PathLike, pattern: CommPattern) -> None:
@@ -47,59 +45,4 @@ def load_pattern(path: str | os.PathLike) -> CommPattern:
             data["src"].copy(),
             data["dst"].copy(),
             data["size"].copy(),
-        )
-
-
-def save_plan(path: str | os.PathLike, plan: CommPlan) -> None:
-    """Write a built plan (topology, stages, occupancy, pattern) to npz."""
-    payload: dict[str, np.ndarray] = {
-        "magic": np.array(_PLAN_MAGIC),
-        "dim_sizes": np.array(plan.vpt.dim_sizes, dtype=np.int64),
-        "header_words": np.array(plan.header_words, dtype=np.int64),
-        "n_stages": np.array(plan.n_stages, dtype=np.int64),
-        "forward_occupancy": plan.forward_occupancy,
-        "pat_K": np.array(plan.pattern.K, dtype=np.int64),
-        "pat_src": plan.pattern.src,
-        "pat_dst": plan.pattern.dst,
-        "pat_size": plan.pattern.size,
-    }
-    for d, st in enumerate(plan.stages):
-        payload[f"s{d}_sender"] = st.sender
-        payload[f"s{d}_receiver"] = st.receiver
-        payload[f"s{d}_nsub"] = st.nsub
-        payload[f"s{d}_payload"] = st.payload_words
-        payload[f"s{d}_total"] = st.total_words
-    np.savez_compressed(os.fspath(path), **payload)
-
-
-def load_plan(path: str | os.PathLike) -> CommPlan:
-    """Read a plan written by :func:`save_plan`."""
-    with np.load(os.fspath(path), allow_pickle=False) as data:
-        if "magic" not in data or str(data["magic"]) != _PLAN_MAGIC:
-            raise PlanError(f"{path} is not a repro plan file")
-        vpt = VirtualProcessTopology(tuple(int(k) for k in data["dim_sizes"]))
-        pattern = CommPattern(
-            int(data["pat_K"]),
-            data["pat_src"].copy(),
-            data["pat_dst"].copy(),
-            data["pat_size"].copy(),
-        )
-        stages = []
-        for d in range(int(data["n_stages"])):
-            stages.append(
-                StageSchedule(
-                    stage=d,
-                    sender=data[f"s{d}_sender"].copy(),
-                    receiver=data[f"s{d}_receiver"].copy(),
-                    nsub=data[f"s{d}_nsub"].copy(),
-                    payload_words=data[f"s{d}_payload"].copy(),
-                    total_words=data[f"s{d}_total"].copy(),
-                )
-            )
-        return CommPlan(
-            vpt=vpt,
-            pattern=pattern,
-            stages=stages,
-            header_words=int(data["header_words"]),
-            forward_occupancy=data["forward_occupancy"].copy(),
         )

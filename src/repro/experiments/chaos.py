@@ -311,7 +311,6 @@ def run(
     policy: PolicyConfig | None = None,
     corruption: bool = False,
     validate: bool = True,
-    artifacts=None,
     tracer=None,
 ) -> ChaosResult:
     """Soak the self-healing service; return the degradation record.
@@ -363,7 +362,6 @@ def run(
         machine=machine,
         config=policy,
         validate=validate,
-        artifacts=artifacts,
         tracer=tracer,
     )
     # scale crash times off a fault-free probe of the initial pattern

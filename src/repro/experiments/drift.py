@@ -22,12 +22,6 @@ two mechanisms that make drift affordable:
   exchange runs on the engine, and its message trace is compared
   against an exchange driven by the from-scratch rebuild (the golden
   traces must match).
-
-With an :class:`~repro.cache.ArtifactCache` attached, repaired plans
-are additionally stored/fetched under **delta-keyed** content keys —
-``(base pattern digest, chain of delta digests, topology, header)`` —
-so a service restarted on the same drift history replays plans from
-disk instead of repairing again.
 """
 
 from __future__ import annotations
@@ -78,8 +72,6 @@ class DriftRateRow:
     rebuild_ms: float  # median per-epoch drift + full-rebuild latency
     speedup: float
     validated: int  # byte-identity cross-checks passed
-    cache_hits: int = 0
-    cache_misses: int = 0
 
 
 @dataclass
@@ -110,18 +102,9 @@ class DriftResult:
     validated: bool = True
 
 
-def _rate_row(
-    pattern, vpt, rate, seed, header, epochs, validate, artifacts, tracer
-) -> DriftRateRow:
+def _rate_row(pattern, vpt, rate, seed, header, epochs, validate, tracer) -> DriftRateRow:
     """Chain one drift rate's epochs from ``pattern``; returns the timing row."""
     K, dims = pattern.K, vpt.n
-    if artifacts is not None:
-        from ..cache import ArtifactCache, DeltaPlanKeys
-
-        # the same directory, with hit/miss counters of this rate's own
-        artifacts = ArtifactCache(artifacts.root, tracer=tracer)
-        keys = DeltaPlanKeys(pattern, vpt.dim_sizes, header)
-
     plan = build_plan(pattern, vpt, header_words=header)
     repairs: list[float] = []
     rebuilds: list[float] = []
@@ -145,13 +128,6 @@ def _rate_row(
                     f"{rate:g}, epoch={epoch} (K={K}, dims={dims})"
                 )
             validated += 1
-        if artifacts is not None:
-            cached = artifacts.plan(keys.next(delta), lambda: repaired)
-            if validate and not plans_identical(cached, repaired):
-                raise ExperimentError(
-                    f"delta-keyed cache returned a different plan at rate="
-                    f"{rate:g}, epoch={epoch}"
-                )
         plan = repaired
         if tracer is not None and getattr(tracer, "enabled", False):
             tracer.count("drift.epochs", 1)
@@ -164,8 +140,6 @@ def _rate_row(
         rebuild_ms=reb_ms,
         speedup=reb_ms / rep_ms if rep_ms > 0 else 0.0,
         validated=validated,
-        cache_hits=0 if artifacts is None else sum(artifacts.hits.values()),
-        cache_misses=0 if artifacts is None else sum(artifacts.misses.values()),
     )
 
 
@@ -278,7 +252,6 @@ def run(
     dims: int = 2,
     header_words: int = 0,
     machine: Machine = BGQ,
-    artifacts=None,
     validate: bool = True,
     service: bool = True,
     service_K: int = SERVICE_K,
@@ -287,15 +260,14 @@ def run(
 ) -> DriftResult:
     """Run the drift sweep (and service); deterministic in ``cfg.seed``.
 
-    ``artifacts`` (an :class:`~repro.cache.ArtifactCache`) turns on
-    delta-keyed plan reuse.  ``validate=False`` skips the byte-identity
-    cross-checks (timing-only runs).
+    ``validate=False`` skips the byte-identity cross-checks (timing-only
+    runs).
     """
     cfg = cfg or default_config()
     pattern = CommPattern.random(K, avg_degree=degree, seed=cfg.seed)
     vpt = make_vpt(K, dims)
     rows = [
-        _rate_row(pattern, vpt, rate, cfg.seed, header_words, epochs, validate, artifacts, tracer)
+        _rate_row(pattern, vpt, rate, cfg.seed, header_words, epochs, validate, tracer)
         for rate in rates
     ]
     summary = None

@@ -111,8 +111,8 @@ class InstanceCache:
         self.tracer = tracer
         self._obs = tracer if (tracer is not None and tracer.enabled) else None
         #: optional on-disk artifact cache; when present, matrices,
-        #: partitions, patterns and plans are fetched by content key
-        #: before being rebuilt
+        #: partitions and patterns are fetched by content key before
+        #: being rebuilt (plans are always built, from the pattern)
         self.artifacts = artifacts
         if artifacts is not None and artifacts.tracer is None:
             artifacts.tracer = tracer
@@ -252,7 +252,6 @@ class InstanceCache:
                 name=name,
                 partition=self.partition(name, K),
                 pattern=self.pattern(name, K),
-                artifacts=self.artifacts,
             )
 
     def cells(

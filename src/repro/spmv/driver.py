@@ -117,7 +117,6 @@ def run_spmv_schemes(
     header_words: int = 0,
     partition: Partition | None = None,
     pattern: CommPattern | None = None,
-    artifacts=None,
 ) -> SpMVExperiment:
     """Run BL + STFW schemes for one matrix at one process count.
 
@@ -137,10 +136,6 @@ def run_spmv_schemes(
     partition, pattern:
         Precomputed partition / pattern, letting callers amortize the
         expensive steps across machines and dimension sets.
-    artifacts:
-        Optional :class:`repro.cache.ArtifactCache`; per-dimension
-        plans are then fetched by content key (pattern digest + VPT
-        shape + header words) before being rebuilt.
     """
     A = sp.csr_matrix(A)
     if partition is None:
@@ -160,26 +155,11 @@ def run_spmv_schemes(
     # intermediates (holders, stage coalescing, occupancy) are shared
     # between VPTs and die with this cell's plans, not with the pattern
     builder = PlanBuilder(pattern)
-    digest = None
-    if artifacts is not None:
-        from ..cache import pattern_digest
-
-        digest = pattern_digest(pattern)
 
     results: dict[str, SchemeResult] = {}
     for n_dims in dims:
         vpt = make_vpt(K, int(n_dims))
-        if artifacts is not None:
-            plan = artifacts.plan(
-                {
-                    "pattern": digest,
-                    "dim_sizes": vpt.dim_sizes,
-                    "header_words": header_words,
-                },
-                lambda: builder.plan(vpt, header_words=header_words),
-            )
-        else:
-            plan = builder.plan(vpt, header_words=header_words)
+        plan = builder.plan(vpt, header_words=header_words)
         stats = collect_stats(plan)
         timing = time_plan(plan, machine)
         stats.comm_time_us = timing.total_us

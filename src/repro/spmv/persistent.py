@@ -139,10 +139,6 @@ class PersistentExchangeService:
         side tables via :func:`~repro.core.stfw.side_tables_from_plan`).
         The rebuild is a *check*, not the service's plan — it never
         feeds back, so ``full_rebuilds`` stays 0 either way.
-    artifacts:
-        Optional :class:`~repro.cache.ArtifactCache`; repaired plans
-        are stored/fetched under delta-keyed content keys so a service
-        restarted on the same drift history replays from disk.
     tracer:
         Optional :class:`repro.obs.Tracer`; epochs are mirrored into
         policy-labelled ``service.*`` counters.
@@ -156,7 +152,6 @@ class PersistentExchangeService:
         machine=None,
         config: PolicyConfig | None = None,
         validate: bool = True,
-        artifacts=None,
         tracer=None,
         engine: str = "event",
     ):
@@ -191,11 +186,6 @@ class PersistentExchangeService:
         self.detected_corruptions = 0
         #: epochs whose exchange routed around a quarantined forwarder
         self.quarantine_epochs = 0
-        self._artifacts = artifacts
-        if artifacts is not None:
-            from ..cache import DeltaPlanKeys
-
-            self._plan_keys = DeltaPlanKeys(pattern, vpt.dim_sizes)
         #: dead ∩ stage participants memo; None = recompute
         self._blocked: bool | None = False
 
@@ -287,15 +277,6 @@ class PersistentExchangeService:
                     f"recv_counts_from_plan recomputation at epoch {self.epoch}"
                 )
             self.side_table_checks += 1
-        if self._artifacts is not None:
-            cached = self._artifacts.plan(
-                self._plan_keys.next(delta), lambda: repaired
-            )
-            if self.validate and not plans_identical(cached, repaired):
-                raise PlanError(
-                    f"delta-keyed cache returned a different plan at "
-                    f"epoch {self.epoch}"
-                )
         self.plan = repaired
         self.tables = tables
         self.pattern = repaired.pattern

@@ -1,17 +1,9 @@
-"""Unit tests for pattern/plan serialization."""
+"""Unit tests for pattern serialization."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    CommPattern,
-    build_plan,
-    load_pattern,
-    load_plan,
-    make_vpt,
-    save_pattern,
-    save_plan,
-)
+from repro.core import CommPattern, load_pattern, save_pattern
 from repro.errors import PlanError
 
 
@@ -37,38 +29,3 @@ class TestPatternRoundtrip:
         np.savez(path, foo=np.arange(3))
         with pytest.raises(PlanError):
             load_pattern(path)
-
-
-class TestPlanRoundtrip:
-    def test_exact(self, tmp_path):
-        p = CommPattern.random(32, avg_degree=4, seed=2, words=3)
-        plan = build_plan(p, make_vpt(32, 3), header_words=2)
-        path = tmp_path / "plan.npz"
-        save_plan(path, plan)
-        q = load_plan(path)
-        assert q.vpt == plan.vpt
-        assert q.header_words == 2
-        assert q.n_stages == plan.n_stages
-        assert q.max_message_count == plan.max_message_count
-        assert q.total_volume == plan.total_volume
-        assert np.array_equal(q.forward_occupancy, plan.forward_occupancy)
-        for a, b in zip(q.stages, plan.stages):
-            assert np.array_equal(a.sender, b.sender)
-            assert np.array_equal(a.total_words, b.total_words)
-
-    def test_loaded_plan_usable_for_timing(self, tmp_path):
-        from repro.network import BGQ, time_plan
-
-        p = CommPattern.random(32, avg_degree=4, seed=3, words=5)
-        plan = build_plan(p, make_vpt(32, 2))
-        path = tmp_path / "t.npz"
-        save_plan(path, plan)
-        q = load_plan(path)
-        assert time_plan(q, BGQ).total_us == pytest.approx(time_plan(plan, BGQ).total_us)
-
-    def test_plan_magic_checked(self, tmp_path):
-        p = CommPattern.random(16, avg_degree=2, seed=0)
-        path = tmp_path / "pat.npz"
-        save_pattern(path, p)
-        with pytest.raises(PlanError):
-            load_plan(path)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.cache import ArtifactCache, default_cache_root, pattern_digest
-from repro.core import CommPattern, build_plan, make_vpt
+import repro.cache
+from repro.cache import ArtifactCache, default_cache_root
+from repro.core import CommPattern
 from repro.experiments.config import quick_config
 from repro.experiments.harness import InstanceCache
 from repro.network.machines import BGQ
@@ -51,9 +52,6 @@ class TestFetchOrBuild:
         pat = cache.pattern(
             {"k": "c"}, lambda: CommPattern.random(16, avg_degree=4, seed=3)
         )
-        plan = cache.plan(
-            {"k": "s"}, lambda: build_plan(pat, make_vpt(16, 2), header_words=1)
-        )
 
         warm = ArtifactCache(tmp_path)
         assert_matrices_equal(warm.matrix({"k": "m"}, _fail), A)
@@ -63,11 +61,6 @@ class TestFetchOrBuild:
         np.testing.assert_array_equal(got_pat.src, pat.src)
         np.testing.assert_array_equal(got_pat.dst, pat.dst)
         np.testing.assert_array_equal(got_pat.size, pat.size)
-        got_plan = warm.plan({"k": "s"}, _fail)
-        assert got_plan.header_words == plan.header_words
-        for sa, sb in zip(got_plan.stages, plan.stages):
-            np.testing.assert_array_equal(sa.sender, sb.sender)
-            np.testing.assert_array_equal(sa.total_words, sb.total_words)
         assert warm.misses == {}
 
     def test_key_depends_on_inputs(self, tmp_path):
@@ -113,6 +106,17 @@ class TestFetchOrBuild:
         assert cache.clear() == 2
         assert cache.stats().total_entries == 0
 
+    def test_stats_and_clear_read_every_kind_on_disk(self, tmp_path):
+        """A ``plan/`` directory an older version wrote is counted and
+        cleared like the kinds this version writes."""
+        for kind, name in (("plan", "a.npz"), ("matrix", "b.npz")):
+            (tmp_path / kind).mkdir()
+            (tmp_path / kind / name).write_bytes(b"x" * 10)
+        cache = ArtifactCache(tmp_path)
+        assert cache.stats().entries == {"matrix": (1, 10), "plan": (1, 10)}
+        assert cache.clear() == 2
+        assert cache.stats().total_entries == 0
+
 
 def _fail():  # a build hook that must not run on a warm cache
     raise AssertionError("cache missed when it should have hit")
@@ -124,144 +128,6 @@ class TestDefaultRoot:
         assert default_cache_root() == "/somewhere/else"
         monkeypatch.delenv("REPRO_CACHE_DIR")
         assert default_cache_root() == ".repro-cache"
-
-
-class TestPatternDigest:
-    def test_distinguishes_patterns(self):
-        a = CommPattern.random(16, avg_degree=4, seed=1)
-        b = CommPattern.random(16, avg_degree=4, seed=2)
-        assert pattern_digest(a) != pattern_digest(b)
-        assert pattern_digest(a) == pattern_digest(
-            CommPattern.random(16, avg_degree=4, seed=1)
-        )
-
-    def test_edge_weights_are_part_of_identity(self):
-        """Same edges, different sizes -> different digests."""
-        a = CommPattern.from_arrays(4, [0, 1], [1, 2], [10, 20])
-        b = CommPattern.from_arrays(4, [0, 1], [1, 2], [10, 21])
-        assert pattern_digest(a) != pattern_digest(b)
-
-    def test_dtype_is_part_of_identity(self):
-        """Collision regression: an int32 array is byte-identical to a
-        half-length int64 array; the digest frames each array with its
-        dtype so the two patterns cannot share a key.  The public
-        constructor normalizes to int64, but ``_trusted`` (the repair
-        hot path) skips that."""
-        src64 = np.array([0, 1], dtype=np.int64)
-        dst64 = np.array([1, 2], dtype=np.int64)
-        a = CommPattern._trusted(4, src64, dst64, np.array([3, 5], dtype=np.int64))
-        b = CommPattern._trusted(4, src64, dst64, np.array([3, 0, 5, 0], dtype=np.int32))
-        assert a.size.tobytes() == b.size.tobytes()  # the raw-bytes alias
-        assert pattern_digest(a) != pattern_digest(b)
-
-    def test_boundary_shift_cannot_collide(self):
-        """Collision regression: the digest length-frames each array, so
-        moving an element across the src/dst boundary changes the key
-        even though the concatenated bytes are identical."""
-        a = CommPattern._trusted(
-            8,
-            np.array([0, 1, 2], dtype=np.int64),
-            np.array([3, 4], dtype=np.int64),
-            np.array([1, 1], dtype=np.int64),
-        )
-        b = CommPattern._trusted(
-            8,
-            np.array([0, 1], dtype=np.int64),
-            np.array([2, 3, 4], dtype=np.int64),
-            np.array([1, 1], dtype=np.int64),
-        )
-        joined_a = a.src.tobytes() + a.dst.tobytes()
-        joined_b = b.src.tobytes() + b.dst.tobytes()
-        assert joined_a == joined_b  # the concatenation alias
-        assert pattern_digest(a) != pattern_digest(b)
-
-    def test_noncontiguous_arrays_digest_like_contiguous(self):
-        strided = np.arange(8, dtype=np.int64)[::2]
-        a = CommPattern._trusted(
-            16, strided, strided + 1, np.ones(4, dtype=np.int64)
-        )
-        b = CommPattern._trusted(
-            16,
-            np.ascontiguousarray(strided),
-            np.ascontiguousarray(strided + 1),
-            np.ones(4, dtype=np.int64),
-        )
-        assert pattern_digest(a) == pattern_digest(b)
-
-
-class TestDeltaDigest:
-    def test_distinguishes_deltas(self):
-        from repro.cache import delta_digest
-        from repro.core import PatternDelta
-
-        p = CommPattern.random(16, avg_degree=4, seed=0)
-        a = PatternDelta.random(p, 0.2, seed=1)
-        b = PatternDelta.random(p, 0.2, seed=2)
-        assert delta_digest(a) != delta_digest(b)
-        assert delta_digest(a) == delta_digest(PatternDelta.random(p, 0.2, seed=1))
-
-    def test_reweight_only_deltas_differ(self):
-        from repro.cache import delta_digest
-        from repro.core import PatternDelta
-
-        a = PatternDelta(8, reweight_src=[0], reweight_dst=[1], reweight_size=[5])
-        b = PatternDelta(8, reweight_src=[0], reweight_dst=[1], reweight_size=[6])
-        assert delta_digest(a) != delta_digest(b)
-
-    def test_section_boundaries_framed(self):
-        """An edge listed as a removal vs an addition must not collide."""
-        from repro.cache import delta_digest
-        from repro.core import PatternDelta
-
-        a = PatternDelta(8, remove_src=[0], remove_dst=[1])
-        b = PatternDelta(8, add_src=[0], add_dst=[1], add_size=[0])
-        assert delta_digest(a) != delta_digest(b)
-
-
-class TestDeltaKeyedPlans:
-    def test_repair_chain_replays_from_cache(self, tmp_path):
-        """The drift driver's delta-keyed plan reuse: a second run over
-        the same (base pattern, delta chain) must hit for every epoch and
-        return byte-identical plans."""
-        from repro.cache import delta_digest
-        from repro.core import PatternDelta, repair_plan
-
-        pattern = CommPattern.random(16, avg_degree=4, seed=3)
-        vpt = make_vpt(16, 2)
-        base = pattern_digest(pattern)
-
-        def chain(cache):
-            plan = build_plan(pattern, vpt)
-            digests = []
-            out = []
-            for epoch in range(3):
-                delta = PatternDelta.random(plan.pattern, 0.25, seed=epoch)
-                digests.append(delta_digest(delta))
-                repaired = repair_plan(plan, delta)
-                got = cache.plan(
-                    {
-                        "base_pattern": base,
-                        "delta_chain": list(digests),
-                        "dim_sizes": vpt.dim_sizes,
-                    },
-                    lambda: repaired,
-                )
-                out.append(got)
-                plan = repaired
-            return out
-
-        cold = ArtifactCache(tmp_path)
-        first = chain(cold)
-        assert sum(cold.misses.values()) == 3
-
-        warm = ArtifactCache(tmp_path)
-        second = chain(warm)
-        assert sum(warm.misses.values()) == 0
-        assert sum(warm.hits.values()) == 3
-        for p, q in zip(first, second):
-            for a, b in zip(p.stages, q.stages):
-                np.testing.assert_array_equal(a.sender, b.sender)
-                np.testing.assert_array_equal(a.total_words, b.total_words)
 
 
 class TestHarnessIntegration:
@@ -289,4 +155,34 @@ class TestHarnessIntegration:
         kinds = sorted(
             d for d in os.listdir(tmp_path) if os.path.isdir(tmp_path / d)
         )
-        assert kinds == ["matrix", "partition", "pattern", "plan"]
+        assert kinds == ["matrix", "partition", "pattern"]
+
+
+class TestWarmPaperRun:
+    def test_warm_table2_prints_the_pin_and_stores_no_plans(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``repro table2 --cache DIR`` twice: both runs print the pinned
+        bytes, the second loads every artifact, and no plan reaches disk."""
+        import hashlib
+
+        from repro.cli import main
+
+        from .test_experiments import PAPER_PINS
+
+        opened = []
+
+        class Recording(ArtifactCache):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(repro.cache, "ArtifactCache", Recording)
+        for _ in range(2):
+            assert main(["table2", "--scale", "0.03", "--cache", str(tmp_path)]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == PAPER_PINS["table2"]
+        cold, warm = opened
+        assert cold.misses and not cold.hits
+        assert warm.misses == {} and warm.hits == cold.misses
+        assert not (tmp_path / "plan").exists()

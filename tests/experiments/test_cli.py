@@ -124,11 +124,10 @@ class TestDriftCommand:
     def test_parse_full_flags(self):
         args = build_parser().parse_args(
             ["drift", "--K", "64", "--degree", "6", "--rates", "0.05", "0.25",
-             "--epochs", "2", "--cache", "--no-service"]
+             "--epochs", "2", "--no-service"]
         )
         assert args.K == 64
         assert args.rates == [0.05, 0.25]
-        assert args.cache == ""
         assert args.no_service
 
     def test_run_prints_the_latency_table(self, capsys):
@@ -165,6 +164,8 @@ class TestSubcommandFlags:
             ["recover", "--cache"],
             ["recover", "--svg", "x"],
             ["run", "figure9"],
+            ["drift", "--cache"],
+            ["chaos", "--cache"],
         ],
     )
     def test_flags_nothing_reads_are_usage_errors(self, argv, capsys):
@@ -200,9 +201,6 @@ class TestResilienceKeywords:
             monkeypatch.setattr(mod, "run", record)
             with pytest.raises(SystemExit):
                 main(argv)
-            artifacts = seen["kwargs"].get("artifacts")
-            if artifacts is not None:
-                seen["kwargs"]["artifacts"] = ("ArtifactCache", artifacts.root)
             return seen
 
         return run_cli
@@ -213,26 +211,23 @@ class TestResilienceKeywords:
             (
                 ["drift"],
                 0,
-                dict(epochs=3, artifacts=None, validate=True, service=True),
+                dict(epochs=3, validate=True, service=True),
             ),
             (
                 ["drift", "--K", "64", "--degree", "6", "--rates", "0.05", "0.25",
-                 "--epochs", "2", "--seed", "7", "--cache", "DIRX",
-                 "--no-validate", "--no-service"],
+                 "--epochs", "2", "--seed", "7", "--no-validate", "--no-service"],
                 7,
                 dict(K=64, degree=6.0, rates=(0.05, 0.25), epochs=2,
-                     artifacts=("ArtifactCache", "DIRX"), validate=False,
-                     service=False),
+                     validate=False, service=False),
             ),
-            (["chaos"], 0, dict(artifacts=None, validate=True)),
+            (["chaos"], 0, dict(validate=True)),
             (
                 ["chaos", "--K", "64", "--degree", "3", "--epochs", "40",
-                 "--rate", "0.05", "--tail", "6", "--seed", "5", "--cache",
-                 "DIRX", "--no-validate", "--corruption"],
+                 "--rate", "0.05", "--tail", "6", "--seed", "5",
+                 "--no-validate", "--corruption"],
                 5,
                 dict(K=64, degree=3.0, epochs=40, drift_rate=0.05, tail=6,
-                     artifacts=("ArtifactCache", "DIRX"), validate=False,
-                     corruption=True),
+                     validate=False, corruption=True),
             ),
             (["corrupt"], 0, {}),
             (

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cache import ArtifactCache
 from repro.core import CommPattern, PatternDelta, build_plan, make_vpt, repair_plan
 from repro.errors import ExperimentError
 from repro.experiments import drift
@@ -72,14 +71,6 @@ class TestRun:
         assert s.traces_matched == s.epochs == 2
         assert s.discovery_frames > 0
         assert s.makespan_us > 0
-
-    def test_cache_reuse(self, tmp_path):
-        first = tiny_run(artifacts=ArtifactCache(tmp_path))
-        assert all(row.cache_misses > 0 for row in first.rows)
-        second = tiny_run(artifacts=ArtifactCache(tmp_path))
-        for row in second.rows:
-            assert row.cache_misses == 0
-            assert row.cache_hits == row.epochs
 
     def test_format_result(self):
         text = drift.format_result(tiny_run())
