@@ -289,7 +289,7 @@ def _cmd_instances() -> str:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     """``repro cache stats|clear`` — artifact-cache maintenance."""
-    from .cache import ArtifactCache, default_cache_root
+    from .cache import _SCHEMA, ArtifactCache, default_cache_root
     from .metrics import Table
 
     cache = ArtifactCache(args.dir or default_cache_root())
@@ -300,7 +300,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     stats = cache.stats()
     t = Table(
         columns=("kind", "entries", "bytes"),
-        title=f"artifact cache — {stats.root} (schema {stats.version})",
+        title=f"artifact cache — {stats.root} (schema {_SCHEMA})",
     )
     for kind, (count, size) in sorted(stats.entries.items()):
         t.add_row(kind, count, size)
@@ -368,7 +368,8 @@ def _cmd_trace(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
         extras.append(t.render())
     else:
         with tracer.span(f"experiment.{args.target}", track="host", cat="experiment"):
-            _run_experiment(args.target, cfg, InstanceCache(cfg, tracer=tracer))
+            cache = InstanceCache(cfg, artifacts=_artifact_cache(args.cache), tracer=tracer)
+            _run_experiment(args.target, cfg, cache)
 
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, f"{args.target}.trace.json")

@@ -15,10 +15,9 @@ from .bounds import (
     max_message_count_bound,
     uniform_forward_volume,
 )
-from .collective_baseline import bruck_plan, dense_volume_blowup, sparse_bruck_plan
+from .collective_baseline import bruck_plan, sparse_bruck_plan
 from .dimensioning import (
     balanced_dim_sizes,
-    enumerate_factorizations,
     ilog2,
     is_power_of_two,
     make_vpt,
@@ -32,7 +31,6 @@ from .mapping import (
     average_hops,
     communication_matrix,
     locality_vpt_mapping,
-    refine_vpt_mapping,
     weighted_hop_volume,
 )
 from .pattern import CommPattern, PatternDelta, PatternStats
@@ -48,7 +46,7 @@ from .plan import (
     repair_plan,
 )
 from .serialize import load_pattern, save_pattern
-from .routing import Hop, holder_after_stage, holder_after_stage_array, route, route_length
+from .routing import Hop, holder_after_stage, holder_after_stage_array, route
 from .stfw import (
     ExchangeResult,
     FaultPolicy,
@@ -78,7 +76,6 @@ __all__ = [
     "build_direct_plan",
     "bruck_plan",
     "sparse_bruck_plan",
-    "dense_volume_blowup",
     "tradeoff_curve",
     "recommend_dimension",
     "TradeoffPoint",
@@ -86,7 +83,6 @@ __all__ = [
     "load_pattern",
     "plans_for_dimensions",
     "route",
-    "route_length",
     "holder_after_stage",
     "holder_after_stage_array",
     "stfw_process",
@@ -103,12 +99,10 @@ __all__ = [
     "communication_matrix",
     "average_hops",
     "weighted_hop_volume",
-    "refine_vpt_mapping",
     "make_vpt",
     "optimal_dim_sizes",
     "balanced_dim_sizes",
     "skewed_dim_sizes",
-    "enumerate_factorizations",
     "valid_dimensions",
     "max_message_count",
     "is_power_of_two",

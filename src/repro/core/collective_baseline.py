@@ -32,7 +32,7 @@ from .dimensioning import ilog2, make_vpt
 from .pattern import CommPattern
 from .plan import CommPlan, StageSchedule, build_plan
 
-__all__ = ["bruck_plan", "sparse_bruck_plan", "dense_volume_blowup"]
+__all__ = ["bruck_plan", "sparse_bruck_plan"]
 
 
 def bruck_plan(pattern: CommPattern, *, block_words: int | None = None) -> CommPlan:
@@ -98,18 +98,3 @@ def sparse_bruck_plan(pattern: CommPattern) -> CommPlan:
     """
     K = pattern.K
     return build_plan(pattern, make_vpt(K, ilog2(K)))
-
-
-def dense_volume_blowup(pattern: CommPattern) -> float:
-    """How many times more volume dense Bruck moves than sparse STFW.
-
-    The quantity behind the paper's "may not prove feasible": for a
-    pattern touching only a few peers per process, the dense collective
-    ships the empty blocks too.
-    """
-    dense = bruck_plan(pattern).total_volume
-    sparse = sparse_bruck_plan(pattern).total_volume
-    if sparse == 0:
-        return float("inf") if dense else 1.0
-    return dense / sparse
-

@@ -10,14 +10,12 @@ two, which minimizes the per-process message-count bound
 
 For completeness (the paper notes the method "can easily be extended")
 :func:`balanced_dim_sizes` also handles non-power-of-two ``K`` by
-balancing prime factors greedily, and :func:`enumerate_factorizations`
-enumerates every ordered power-of-two factorization for the
-dimension-size ablation study.
+balancing prime factors greedily.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from ..errors import TopologyError
 from .vpt import VirtualProcessTopology
@@ -29,7 +27,6 @@ __all__ = [
     "balanced_dim_sizes",
     "make_vpt",
     "valid_dimensions",
-    "enumerate_factorizations",
     "max_message_count",
     "skewed_dim_sizes",
 ]
@@ -122,29 +119,6 @@ def valid_dimensions(K: int) -> range:
     variants evaluated in the paper (``STFW2`` ... ``STFW{lg2 K}``).
     """
     return range(1, ilog2(K) + 1)
-
-
-def enumerate_factorizations(K: int, n: int) -> Iterator[tuple[int, ...]]:
-    """Every ordered power-of-two factorization of ``K`` into ``n`` sizes >= 2.
-
-    Used by the dimension-size ablation: at fixed ``n``, skewed
-    factorizations trade a worse message-count bound for fewer
-    forwarding hops.
-    """
-    lg = ilog2(K)
-    if not 1 <= n <= lg:
-        raise TopologyError(f"dimension n={n} outside [1, lg2({K})={lg}]")
-
-    def rec(remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            yield (2**remaining,)
-            return
-        # each slot takes at least one factor of two, leave >= slots-1 for the rest
-        for e in range(1, remaining - (slots - 1) + 1):
-            for rest in rec(remaining - e, slots - 1):
-                yield (2**e, *rest)
-
-    yield from rec(lg, n)
 
 
 def max_message_count(dim_sizes: Sequence[int]) -> int:

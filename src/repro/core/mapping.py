@@ -34,7 +34,6 @@ __all__ = [
     "apply_mapping",
     "average_hops",
     "weighted_hop_volume",
-    "refine_vpt_mapping",
 ]
 
 
@@ -108,74 +107,3 @@ def average_hops(pattern: CommPattern, vpt: VirtualProcessTopology) -> float:
     if total == 0:
         return 0.0
     return weighted_hop_volume(pattern, vpt) / total
-
-
-def refine_vpt_mapping(
-    pattern: CommPattern,
-    vpt: VirtualProcessTopology,
-    position: np.ndarray,
-    *,
-    passes: int = 2,
-    seed: int | None = 0,
-) -> np.ndarray:
-    """Improve a mapping by greedy pairwise slot swaps.
-
-    Starting from ``position`` (e.g. :func:`locality_vpt_mapping`'s
-    output), repeatedly propose swapping the VPT slots of two
-    processes — one endpoint of a heavy message and a random other —
-    and keep the swap iff the total Hamming-weighted volume drops.
-    Deterministic for a given seed; cost per pass is
-    O(messages_touched) per proposal.
-
-    Returns a new position array; the input is not modified.
-    """
-    position = np.asarray(position, dtype=np.int64).copy()
-    if position.shape != (pattern.K,):
-        raise PlanError(
-            f"mapping has shape {position.shape}, expected ({pattern.K},)"
-        )
-    if vpt.K != pattern.K:
-        raise PlanError(f"pattern K={pattern.K} != vpt K={vpt.K}")
-    if pattern.num_messages == 0:
-        return position
-
-    rng = np.random.default_rng(seed)
-    src, dst, size = pattern.src, pattern.dst, pattern.size
-    # messages touching each process, for O(degree) swap deltas
-    touching: list[list[int]] = [[] for _ in range(pattern.K)]
-    for m, (s, t) in enumerate(zip(src, dst)):
-        touching[int(s)].append(m)
-        touching[int(t)].append(m)
-
-    def local_cost(procs: tuple[int, ...], pos: np.ndarray) -> int:
-        msgs = set()
-        for p in procs:
-            msgs.update(touching[p])
-        idx = np.fromiter(msgs, dtype=np.int64, count=len(msgs))
-        if idx.size == 0:
-            return 0
-        hops = vpt.hamming_array(pos[src[idx]], pos[dst[idx]])
-        return int((hops * size[idx]).sum())
-
-    # heavy endpoints first: processes ordered by traffic
-    traffic = np.bincount(src, weights=size, minlength=pattern.K)
-    traffic += np.bincount(dst, weights=size, minlength=pattern.K)
-    hot = np.argsort(traffic)[::-1]
-
-    for _ in range(passes):
-        improved = False
-        partners = rng.integers(0, pattern.K, size=hot.size)
-        for a, b in zip(hot, partners):
-            a, b = int(a), int(b)
-            if a == b:
-                continue
-            before = local_cost((a, b), position)
-            position[a], position[b] = position[b], position[a]
-            after = local_cost((a, b), position)
-            if after < before:
-                improved = True
-            else:
-                position[a], position[b] = position[b], position[a]
-        if not improved:
-            break
-    return position

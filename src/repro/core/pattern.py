@@ -11,7 +11,7 @@ keeps million-message patterns cheap to build, slice and route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -214,26 +214,6 @@ class CommPattern:
             src = (uniq // K).astype(np.int64)
             dst = (uniq % K).astype(np.int64)
         return cls(K, src, dst, size)
-
-    @classmethod
-    def from_sendsets(
-        cls, sendsets: Sequence[Mapping[int, int]], *, drop_self: bool = False
-    ) -> "CommPattern":
-        """Build from one ``{dst: words}`` mapping per process.
-
-        ``sendsets[i]`` is the paper's ``SendSet(P_i)`` annotated with
-        message sizes; ``K = len(sendsets)``.
-        """
-        K = len(sendsets)
-        srcs: list[int] = []
-        dsts: list[int] = []
-        sizes: list[int] = []
-        for i, ss in enumerate(sendsets):
-            for j, words in ss.items():
-                srcs.append(i)
-                dsts.append(int(j))
-                sizes.append(int(words))
-        return cls.from_arrays(K, srcs, dsts, sizes, drop_self=drop_self)
 
     @classmethod
     def all_to_all(cls, K: int, words: int = 1) -> "CommPattern":
@@ -448,13 +428,6 @@ class CommPattern:
             vmax=int(sw.max(initial=0)),
             vavg=float(sw.mean()) if self._K else 0.0,
         )
-
-    def scaled(self, factor: float) -> "CommPattern":
-        """Copy with every message size multiplied by ``factor`` (>= 0)."""
-        if factor < 0:
-            raise PlanError("scale factor must be non-negative")
-        size = np.maximum((self._size * factor).astype(np.int64), 0)
-        return CommPattern(self._K, self._src.copy(), self._dst.copy(), size)
 
     # ------------------------------------------------------------------
     # Mutation (dynamic exchange)

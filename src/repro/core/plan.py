@@ -237,21 +237,6 @@ class CommPlan:
                     f"stage {d}: a process sends {worst} messages, bound is {limit}"
                 )
 
-    def stage_summary(self) -> list[dict[str, float]]:
-        """Per-stage summary rows (messages, words, max per-process sends)."""
-        rows = []
-        for d, st in enumerate(self.stages):
-            rows.append(
-                {
-                    "stage": d,
-                    "messages": st.num_messages,
-                    "words": int(st.total_words.sum()),
-                    "max_sent": int(st.sent_counts(self.K).max(initial=0)),
-                    "bound": self.vpt.dim_sizes[d] - 1,
-                }
-            )
-        return rows
-
 
 def _holder_of(src: np.ndarray, dst: np.ndarray, w: int) -> np.ndarray:
     """Vectorized dimension-ordered holder after a stage of weight ``w``."""

@@ -31,7 +31,7 @@ import numpy as np
 from ..errors import PlanError
 from ..metrics.collect import CommStats, collect_stats, scheme_name
 from .dimensioning import make_vpt, valid_dimensions
-from .mapping import apply_mapping, locality_vpt_mapping, refine_vpt_mapping
+from .mapping import apply_mapping, locality_vpt_mapping
 from .pattern import CommPattern
 from .plan import CommPlan, build_plan
 from .stfw import ExchangeResult, run_exchange
@@ -46,8 +46,7 @@ class Regularizer:
     Parameters
     ----------
     pattern:
-        The messages to deliver (a :class:`~repro.core.pattern.CommPattern`
-        or a per-process ``{dst: words}`` sequence).
+        The messages to deliver.
     dimension:
         VPT dimension ``n``; 1 reproduces the direct baseline.  Mutually
         exclusive with ``vpt``.
@@ -56,8 +55,7 @@ class Regularizer:
     remap:
         Apply the Section 8 volume-aware process-to-VPT mapping before
         planning: ``True`` or ``"rcm"`` uses the RCM-over-communication-
-        graph placement; ``"refined"`` additionally runs the greedy
-        swap refinement.  :attr:`position` records where each process
+        graph placement.  :attr:`position` records where each process
         sits.
     header_words:
         Per-submessage framing charge (see :func:`repro.core.plan.build_plan`).
@@ -65,15 +63,13 @@ class Regularizer:
 
     def __init__(
         self,
-        pattern: CommPattern | Sequence[Mapping[int, int]],
+        pattern: CommPattern,
         *,
         dimension: int | None = None,
         vpt: VirtualProcessTopology | None = None,
         remap: bool | str = False,
         header_words: int = 0,
     ):
-        if not isinstance(pattern, CommPattern):
-            pattern = CommPattern.from_sendsets(pattern)
         if (dimension is None) == (vpt is None):
             raise PlanError("give exactly one of dimension= or vpt=")
         if vpt is None:
@@ -84,11 +80,9 @@ class Regularizer:
         self.original_pattern = pattern
         self.vpt = vpt
         if remap:
-            if remap not in (True, "rcm", "refined"):
+            if remap not in (True, "rcm"):
                 raise PlanError(f"unknown remap mode {remap!r}")
             self.position = locality_vpt_mapping(pattern)
-            if remap == "refined":
-                self.position = refine_vpt_mapping(pattern, vpt, self.position)
             self.pattern = apply_mapping(pattern, self.position)
         else:
             self.position = np.arange(pattern.K, dtype=np.int64)

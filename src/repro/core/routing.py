@@ -25,7 +25,7 @@ import numpy as np
 from ..errors import RoutingError
 from .vpt import VirtualProcessTopology
 
-__all__ = ["Hop", "route", "holder_after_stage", "holder_after_stage_array", "route_length"]
+__all__ = ["Hop", "route", "holder_after_stage", "holder_after_stage_array"]
 
 
 @dataclass(frozen=True)
@@ -96,14 +96,3 @@ def route(vpt: VirtualProcessTopology, src: int, dst: int) -> list[Hop]:
     if holder != dst:  # pragma: no cover - defensive; cannot happen
         raise RoutingError(f"route from {src} did not reach {dst} (stopped at {holder})")
     return hops
-
-
-def route_length(vpt: VirtualProcessTopology, src: int, dst: int) -> int:
-    """Number of forwarding hops of the ``src -> dst`` submessage.
-
-    Equal to ``vpt.hamming(src, dst)``; provided for readability at
-    call sites that reason about routes rather than coordinates.
-    """
-    if not 0 <= src < vpt.K or not 0 <= dst < vpt.K:
-        raise RoutingError(f"src={src} or dst={dst} outside [0, {vpt.K})")
-    return vpt.hamming(src, dst)

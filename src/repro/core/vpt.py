@@ -28,7 +28,7 @@ so that plan-level simulation scales to tens of thousands of ranks.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -203,54 +203,6 @@ class VirtualProcessTopology:
         base = rank - own * w
         return [base + c * w for c in range(k) if c != own]
 
-    def group(self, rank: int, d: int) -> list[int]:
-        """All ``k_d`` ranks in ``rank``'s dimension-``d`` group (incl. itself)."""
-        self._check_rank(rank)
-        self._check_dim(d)
-        w = self._weights[d]
-        k = self._dim_sizes[d]
-        own = (rank // w) % k
-        base = rank - own * w
-        return [base + c * w for c in range(k)]
-
-    def group_id(self, rank: int, d: int) -> int:
-        """Index of ``rank``'s dimension-``d`` group in ``[0, K / k_d)``.
-
-        Two ranks share a dimension-``d`` group iff they have the same
-        group id, i.e. identical coordinates in every dimension != d.
-        """
-        self._check_rank(rank)
-        self._check_dim(d)
-        w = self._weights[d]
-        k = self._dim_sizes[d]
-        return (rank % w) + w * (rank // (w * k))
-
-    def group_id_array(self, ranks: np.ndarray, d: int) -> np.ndarray:
-        """Vectorized :meth:`group_id`."""
-        self._check_dim(d)
-        r = np.asarray(ranks, dtype=np.int64)
-        w = self._weights[d]
-        k = self._dim_sizes[d]
-        return (r % w) + w * (r // (w * k))
-
-    def num_groups(self, d: int) -> int:
-        """Number of dimension-``d`` groups (= ``K / k_d``)."""
-        self._check_dim(d)
-        return self._K // self._dim_sizes[d]
-
-    def are_neighbors(self, i: int, j: int) -> bool:
-        """True iff ``i`` and ``j`` differ in exactly one coordinate."""
-        self._check_rank(i)
-        self._check_rank(j)
-        return self.hamming(i, j) == 1
-
-    def neighbor_dim(self, i: int, j: int) -> int | None:
-        """Dimension in which ``i`` and ``j`` are neighbors, or ``None``."""
-        self._check_rank(i)
-        self._check_rank(j)
-        diff = [d for d in range(self.n) if self.digit(i, d) != self.digit(j, d)]
-        return diff[0] if len(diff) == 1 else None
-
     # ------------------------------------------------------------------
     # Distances
     # ------------------------------------------------------------------
@@ -293,37 +245,9 @@ class VirtualProcessTopology:
                 return d
         raise TopologyError(f"ranks are identical ({i}); no differing dimension")
 
-    def first_diff_dim_array(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`first_diff_dim`; identical pairs yield ``n``."""
-        s = np.asarray(src, dtype=np.int64)
-        t = np.asarray(dst, dtype=np.int64)
-        out = np.full(np.broadcast(s, t).shape, self.n, dtype=np.int64)
-        for d in range(self.n - 1, -1, -1):
-            differ = self.digit_array(s, d) != self.digit_array(t, d)
-            out = np.where(differ, d, out)
-        return out
-
     # ------------------------------------------------------------------
-    # Iteration helpers
+    # Shape
     # ------------------------------------------------------------------
-
-    def ranks(self) -> range:
-        """All ranks ``0..K-1``."""
-        return range(self._K)
-
-    def iter_groups(self, d: int) -> Iterator[list[int]]:
-        """Iterate over all dimension-``d`` groups, each a list of ranks."""
-        self._check_dim(d)
-        seen: set[int] = set()
-        for rank in range(self._K):
-            gid = self.group_id(rank, d)
-            if gid not in seen:
-                seen.add(gid)
-                yield self.group(rank, d)
-
-    def is_hypercube(self) -> bool:
-        """True iff every dimension has size 2 (``T_{lg2 K}(2,...,2)``)."""
-        return all(k == 2 for k in self._dim_sizes)
 
     def is_flat(self) -> bool:
         """True iff this is ``T_1`` — direct all-pairs communication (BL)."""

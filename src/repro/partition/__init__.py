@@ -1,8 +1,7 @@
-"""Row partitioners (PaToH stand-ins) and partition quality metrics."""
+"""Row partitioners (PaToH stand-ins)."""
 
 from .base import Partition, reassign_parts
 from .bisection import bisect_once, bisection_partition
-from .metrics import connectivity_volume, edge_cut, partition_quality
 from .multilevel import coarsen_graph, multilevel_partition, refine_partition
 from .rcm import rcm_order, rcm_partition
 from .simple import balanced_blocks_from_order, block_partition, random_partition
@@ -20,9 +19,6 @@ __all__ = [
     "multilevel_partition",
     "coarsen_graph",
     "refine_partition",
-    "edge_cut",
-    "connectivity_volume",
-    "partition_quality",
 ]
 
 #: partitioners by name, for experiment configs and the ablation bench

@@ -1,6 +1,5 @@
 """Deterministic discrete-event MPI emulator (the library's MPI substrate)."""
 
-from .analysis import RankSummary, rank_summary, stage_breakdown
 from .checkpoint import HEARTBEAT_TAG, CheckpointStore, RankCheckpoint, heartbeat_round
 from .discovery import DISCOVERY_TAG, DiscoveryStats, nbx_discover
 from .engine import engine_names, resolve_engine
@@ -46,7 +45,4 @@ __all__ = [
     "RankCheckpoint",
     "heartbeat_round",
     "HEARTBEAT_TAG",
-    "RankSummary",
-    "rank_summary",
-    "stage_breakdown",
 ]

@@ -1,12 +1,10 @@
 """Row-parallel SpMV: pattern extraction, emulated execution, cost driver."""
 
-from .columnparallel import ColSpMVResult, columnparallel_pattern
 from .distributed import DistributedSpMVResult, distributed_spmv
 from .driver import (
     IterativeRecoveryResult,
     SchemeResult,
     SpMVExperiment,
-    iterative_reference,
     partition_matrix,
     run_iterative_with_recovery,
     run_spmv_schemes,
@@ -39,9 +37,6 @@ __all__ = [
     "PersistentSpMV",
     "PersistentExchangeService",
     "EpochReport",
-    "columnparallel_pattern",
-    "ColSpMVResult",
     "IterativeRecoveryResult",
     "run_iterative_with_recovery",
-    "iterative_reference",
 ]

@@ -48,39 +48,17 @@ def distributed_spmv(
     vpt: VirtualProcessTopology | None = None,
     machine=None,
     verify: bool = True,
-    layout: str = "row",
     engine: str = "event",
-):
+) -> DistributedSpMVResult:
     """Run one distributed SpMV on the emulator.
 
     The communication phase is one :func:`~repro.core.stfw.run_exchange`
     call on ``vpt``, which defaults to the flat ``T_1`` of the baseline
     (direct sends); any other topology runs Algorithm 1 on it.  With
     ``verify=True`` the assembled result is checked against the
-    sequential product (raising on any mismatch).
-
-    ``layout`` selects the decomposition: ``"row"`` (the paper's
-    kernel; returns :class:`DistributedSpMVResult`) or ``"column"``
-    (the fold-phase dual; returns
-    :class:`~repro.spmv.columnparallel.ColSpMVResult` — the per-layout
-    result types are intentionally distinct, matching what each run
-    can report).  ``engine`` is forwarded to ``run_exchange`` (see
-    :mod:`repro.simmpi.engine`).
+    sequential product (raising on any mismatch).  ``engine`` is
+    forwarded to ``run_exchange`` (see :mod:`repro.simmpi.engine`).
     """
-    if layout == "column":
-        from .columnparallel import _colparallel_impl
-
-        return _colparallel_impl(
-            A,
-            partition,
-            x,
-            vpt=vpt,
-            machine=machine,
-            verify=verify,
-            engine=engine,
-        )
-    if layout != "row":
-        raise PlanError(f"unknown layout {layout!r}; use 'row' or 'column'")
     A = sp.csr_matrix(A)
     n = A.shape[0]
     K = partition.K

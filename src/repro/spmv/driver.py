@@ -45,7 +45,6 @@ __all__ = [
     "partition_matrix",
     "IterativeRecoveryResult",
     "run_iterative_with_recovery",
-    "iterative_reference",
 ]
 
 #: tag stride separating the stages of consecutive iterations; stays
@@ -181,34 +180,6 @@ def _inf_norm(A: sp.csr_matrix) -> float:
     if A.nnz == 0:
         return 0.0
     return float(np.abs(A).sum(axis=1).max())
-
-
-def iterative_reference(
-    A: sp.spmatrix,
-    x0: np.ndarray,
-    iterations: int,
-    *,
-    seed: int = 0,
-    noise_scale: float = 0.01,
-) -> np.ndarray:
-    """Host-side reference of the recoverable iteration.
-
-    One step is ``x <- s * (A @ x) + noise_scale * q_t`` with
-    ``s = 1 / max(1, ||A||_inf)`` (keeping the iteration bounded) and
-    ``q_t`` the stateless per-iteration noise stream seeded by
-    ``(seed, t)`` — stateless so a restarted run replays it from any
-    iteration without RNG state capture.  The distributed driver is
-    bit-identical to this loop because a CSR row slice computes the
-    exact same per-row dot products.
-    """
-    A = sp.csr_matrix(A)
-    n = A.shape[0]
-    s = 1.0 / max(1.0, _inf_norm(A))
-    x = np.asarray(x0, dtype=np.float64).copy()
-    for t in range(int(iterations)):
-        q = np.random.default_rng((seed, t)).standard_normal(n)
-        x = s * (A @ x) + noise_scale * q
-    return x
 
 
 class _EpochState:
@@ -517,7 +488,7 @@ def run_iterative_with_recovery(
     ``Comm.shrink()`` failure agreement, topology rebuild over the
     survivors (:func:`repro.core.recovery.build_recovery`), rollback to
     the newest complete checkpoint and bit-identical replay.  The final
-    vector equals :func:`iterative_reference` exactly — crashes move
+    vector equals the fault-free host iteration exactly — crashes move
     ownership of rows, never their values.
 
     ``n_dims=1`` selects the direct baseline exchange (``T_1``);

@@ -6,9 +6,8 @@ for BL) are set up once, and only the repeated exchange + multiply is measured.
 :class:`PersistentSpMV` mirrors that structure: construction does all
 amortizable work; :meth:`multiply` runs one verified iteration on the
 emulator (one :func:`~repro.core.stfw.run_exchange` call on the held
-plan, then the local multiplies); :meth:`average_time_us`
-reports the mean virtual time over several iterations (deterministic,
-but exercised through the full emulator path each time).
+plan, then the local multiplies) and returns its product and
+makespan.
 
 :class:`PersistentExchangeService` generalizes the amortized state into
 a **self-healing long-lived service**: the paper's static-pattern,
@@ -755,23 +754,3 @@ class PersistentSpMV:
             if not np.allclose(y, y_ref, rtol=1e-10, atol=1e-12):
                 raise PlanError("persistent SpMV result mismatch")
         return y, ex.makespan_us
-
-    def average_time_us(
-        self,
-        x: np.ndarray,
-        iterations: int = 5,
-        *,
-        fault_plan: FaultPlan | None = None,
-    ) -> float:
-        """Mean virtual time of ``iterations`` full multiply calls."""
-        if iterations < 1:
-            raise PlanError("iterations must be >= 1")
-        total = 0.0
-        y = np.asarray(x, dtype=np.float64)
-        for i in range(iterations):
-            y, t = self.multiply(y, fault_plan=fault_plan, iteration=i)
-            norm = np.linalg.norm(y)
-            if norm > 0:
-                y = y / norm  # keep the iterate bounded (power-iteration style)
-            total += t
-        return total / iterations

@@ -1,12 +1,12 @@
 """Unit tests for VPT formation (Section 5)."""
 
+import itertools
 import math
 
 import pytest
 
 from repro.core import (
     balanced_dim_sizes,
-    enumerate_factorizations,
     ilog2,
     is_power_of_two,
     make_vpt,
@@ -16,6 +16,17 @@ from repro.core import (
     valid_dimensions,
 )
 from repro.errors import TopologyError
+
+
+def enumerate_factorizations(K, n):
+    """Every ordered power-of-two factorization of ``K`` into ``n`` sizes >= 2:
+    the oracle ``test_optimality_of_message_count`` minimizes over."""
+    lg = ilog2(K)
+    return [
+        tuple(2**e for e in exps)
+        for exps in itertools.product(range(1, lg + 1), repeat=n)
+        if sum(exps) == lg
+    ]
 
 
 class TestPowerOfTwoHelpers:
@@ -107,7 +118,7 @@ class TestMakeVpt:
 
     def test_max_dimension_is_hypercube(self):
         vpt = make_vpt(64, 6)
-        assert vpt.is_hypercube()
+        assert set(vpt.dim_sizes) == {2}
 
     def test_valid_dimensions_range(self):
         assert list(valid_dimensions(64)) == [1, 2, 3, 4, 5, 6]

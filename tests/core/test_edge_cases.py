@@ -86,7 +86,7 @@ class TestExtremeDimensions:
     def test_vpt_weights_consistency_large(self):
         vpt = make_vpt(16384, 14)
         assert vpt.weights[-1] == 16384
-        assert vpt.is_hypercube()
+        assert set(vpt.dim_sizes) == {2}
 
 
 class TestRegularizerEdges:

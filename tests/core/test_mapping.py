@@ -142,61 +142,3 @@ class TestCoalescingAblation:
         plan = build_plan(p, make_vpt(16, 2), coalesce=False)
         for st in plan.stages:
             assert (st.nsub == 1).all()
-
-
-class TestRefineMapping:
-    def test_never_worse_than_start(self):
-        from repro.core import refine_vpt_mapping
-
-        p = clustered_pattern(seed=7)
-        vpt = make_vpt(64, 6)
-        start = locality_vpt_mapping(p)
-        refined = refine_vpt_mapping(p, vpt, start, passes=2)
-        v_start = weighted_hop_volume(apply_mapping(p, start), vpt)
-        v_refined = weighted_hop_volume(apply_mapping(p, refined), vpt)
-        assert v_refined <= v_start
-
-    def test_stays_a_permutation(self):
-        from repro.core import refine_vpt_mapping
-
-        p = clustered_pattern(seed=8)
-        vpt = make_vpt(64, 3)
-        refined = refine_vpt_mapping(p, vpt, locality_vpt_mapping(p), passes=3)
-        assert sorted(refined) == list(range(64))
-
-    def test_deterministic(self):
-        from repro.core import refine_vpt_mapping
-
-        p = clustered_pattern(seed=9)
-        vpt = make_vpt(64, 4)
-        start = locality_vpt_mapping(p)
-        a = refine_vpt_mapping(p, vpt, start, seed=5)
-        b = refine_vpt_mapping(p, vpt, start, seed=5)
-        assert np.array_equal(a, b)
-
-    def test_empty_pattern_identity(self):
-        from repro.core import refine_vpt_mapping
-
-        p = CommPattern.from_arrays(16, [], [], [])
-        vpt = make_vpt(16, 2)
-        out = refine_vpt_mapping(p, vpt, np.arange(16))
-        assert np.array_equal(out, np.arange(16))
-
-    def test_input_not_modified(self):
-        from repro.core import refine_vpt_mapping
-
-        p = clustered_pattern(seed=10)
-        vpt = make_vpt(64, 6)
-        start = locality_vpt_mapping(p)
-        snapshot = start.copy()
-        refine_vpt_mapping(p, vpt, start, passes=2)
-        assert np.array_equal(start, snapshot)
-
-    def test_validation(self):
-        from repro.core import refine_vpt_mapping
-
-        p = clustered_pattern()
-        with pytest.raises(PlanError):
-            refine_vpt_mapping(p, make_vpt(64, 2), np.arange(32))
-        with pytest.raises(PlanError):
-            refine_vpt_mapping(p, make_vpt(32, 2), np.arange(64))

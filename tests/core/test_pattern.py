@@ -52,13 +52,6 @@ class TestConstruction:
         assert p.num_messages == 0
         assert p.stats().mmax == 0
 
-    def test_from_sendsets(self):
-        p = CommPattern.from_sendsets([{1: 4, 2: 8}, {0: 2}, {}])
-        assert p.K == 3
-        assert p.sendset(0) == {1: 4, 2: 8}
-        assert p.sendset(1) == {0: 2}
-        assert p.sendset(2) == {}
-
     def test_arrays_are_readonly(self):
         p = CommPattern.from_arrays(4, [0], [1], [1])
         with pytest.raises(ValueError):
@@ -117,16 +110,6 @@ class TestQueries:
         p = CommPattern.all_to_all(4)
         with pytest.raises(PlanError):
             p.sendset(4)
-
-    def test_scaled(self):
-        p = CommPattern.from_arrays(3, [0], [1], [10])
-        assert p.scaled(2.5).total_words == 25
-        assert p.scaled(0).total_words == 0
-
-    def test_scaled_negative_rejected(self):
-        p = CommPattern.from_arrays(3, [0], [1], [10])
-        with pytest.raises(PlanError):
-            p.scaled(-1)
 
     def test_len(self):
         assert len(CommPattern.all_to_all(4)) == 12

@@ -30,11 +30,3 @@ class TestSendsetCSR:
         p = CommPattern(4, src=np.array([0]), dst=np.array([1]), size=np.array([3]))
         assert p.sendset(2) == {}
         assert p.sendset(0) == {1: 3}
-
-    def test_scaled_pattern_has_independent_index(self):
-        p = CommPattern.random(16, avg_degree=4, seed=8, words=2)
-        before = {r: p.sendset(r) for r in range(p.K)}  # build the CSR index
-        q = p.scaled(3.0)
-        for rank in range(q.K):
-            assert q.sendset(rank) == naive_sendset(q, rank)
-        assert {r: p.sendset(r) for r in range(p.K)} == before

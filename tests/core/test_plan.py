@@ -176,14 +176,6 @@ class TestPlanMetrics:
         assert plan.sent_counts().sum() == plan.recv_counts().sum()
         assert plan.sent_words().sum() == plan.recv_words().sum()
 
-    def test_stage_summary_shape(self):
-        p = CommPattern.all_to_all(16)
-        plan = build_plan(p, make_vpt(16, 4))
-        rows = plan.stage_summary()
-        assert len(rows) == 4
-        for row in rows:
-            assert row["max_sent"] <= row["bound"]
-
     def test_occupancy_bound_all_to_all(self):
         # Section 4: after any stage a process holds <= s(K-1) words
         K, s = 64, 3

@@ -8,7 +8,6 @@ from repro.core import (
     holder_after_stage,
     holder_after_stage_array,
     route,
-    route_length,
 )
 from repro.errors import RoutingError
 
@@ -79,7 +78,6 @@ class TestRoute:
         for _ in range(100):
             src, dst = (int(x) for x in rng.integers(0, vpt.K, 2))
             assert len(route(vpt, src, dst)) == vpt.hamming(src, dst)
-            assert route_length(vpt, src, dst) == vpt.hamming(src, dst)
 
     def test_stages_strictly_increase(self):
         vpt = VirtualProcessTopology((2, 2, 2, 2, 2))
@@ -92,8 +90,8 @@ class TestRoute:
         vpt = VirtualProcessTopology((4, 4, 4))
         for src, dst in [(0, 63), (13, 50), (1, 2)]:
             for h in route(vpt, src, dst):
-                assert vpt.are_neighbors(h.sender, h.receiver)
-                assert vpt.neighbor_dim(h.sender, h.receiver) == h.stage
+                s, r = vpt.coords(h.sender), vpt.coords(h.receiver)
+                assert [d for d in range(vpt.n) if s[d] != r[d]] == [h.stage]
 
     def test_hypercube_route_is_ecube(self):
         # in a hypercube the route flips differing bits low-to-high
@@ -107,11 +105,6 @@ class TestRoute:
         hops = route(vpt, 3, 12)
         assert len(hops) == 1
         assert (hops[0].sender, hops[0].receiver, hops[0].stage) == (3, 12, 0)
-
-    def test_route_length_bad_rank(self):
-        vpt = VirtualProcessTopology((4, 4))
-        with pytest.raises(RoutingError):
-            route_length(vpt, 0, 99)
 
     def test_paper_figure4_example(self):
         # T3(4,4,4) with paper coords (P^3,P^2,P^1) 1-based; ours are

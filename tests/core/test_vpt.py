@@ -7,6 +7,11 @@ from repro.core import VirtualProcessTopology
 from repro.errors import TopologyError
 
 
+def differing_dims(vpt, i, j):
+    """The dimensions in which ranks ``i`` and ``j`` differ."""
+    return [d for d, (a, b) in enumerate(zip(vpt.coords(i), vpt.coords(j))) if a != b]
+
+
 class TestConstruction:
     def test_basic_properties(self):
         vpt = VirtualProcessTopology((4, 4, 4))
@@ -25,10 +30,6 @@ class TestConstruction:
         assert vpt.is_flat()
         assert vpt.K == 16
         assert vpt.max_message_count_bound() == 15
-
-    def test_hypercube_detection(self):
-        assert VirtualProcessTopology((2, 2, 2)).is_hypercube()
-        assert not VirtualProcessTopology((4, 2)).is_hypercube()
 
     def test_empty_dims_rejected(self):
         with pytest.raises(TopologyError):
@@ -54,14 +55,14 @@ class TestConstruction:
 class TestCoordinates:
     def test_coords_roundtrip_all_ranks(self):
         vpt = VirtualProcessTopology((4, 2, 8))
-        for r in vpt.ranks():
+        for r in range(vpt.K):
             assert vpt.rank_of(vpt.coords(r)) == r
 
     def test_coords_array_matches_scalar(self):
         vpt = VirtualProcessTopology((4, 4, 4))
         ranks = np.arange(vpt.K)
         arr = vpt.coords_array(ranks)
-        for r in vpt.ranks():
+        for r in range(vpt.K):
             assert tuple(arr[r]) == vpt.coords(r)
 
     def test_rank_of_array_roundtrip(self):
@@ -116,7 +117,7 @@ class TestNeighborhood:
         for d in range(vpt.n):
             for nb in vpt.neighbors(r, d):
                 assert vpt.hamming(r, nb) == 1
-                assert vpt.neighbor_dim(r, nb) == d
+                assert differing_dims(vpt, r, nb) == [d]
 
     def test_neighborhood_is_symmetric(self):
         vpt = VirtualProcessTopology((4, 2, 4))
@@ -124,41 +125,6 @@ class TestNeighborhood:
             for d in range(vpt.n):
                 for nb in vpt.neighbors(r, d):
                     assert r in vpt.neighbors(nb, d)
-
-    def test_group_contains_self_and_neighbors(self):
-        vpt = VirtualProcessTopology((4, 4))
-        g = vpt.group(5, 0)
-        assert 5 in g
-        assert set(vpt.neighbors(5, 0)) == set(g) - {5}
-
-    def test_group_id_consistency(self):
-        vpt = VirtualProcessTopology((4, 2, 8))
-        for d in range(vpt.n):
-            for r in vpt.ranks():
-                gid = vpt.group_id(r, d)
-                for other in vpt.group(r, d):
-                    assert vpt.group_id(other, d) == gid
-
-    def test_group_id_array_matches_scalar(self):
-        vpt = VirtualProcessTopology((4, 2, 8))
-        ranks = np.arange(vpt.K)
-        for d in range(vpt.n):
-            expected = np.array([vpt.group_id(r, d) for r in ranks])
-            assert np.array_equal(vpt.group_id_array(ranks, d), expected)
-
-    def test_num_groups(self):
-        vpt = VirtualProcessTopology((8, 4, 2))
-        assert vpt.num_groups(0) == 8
-        assert vpt.num_groups(1) == 16
-        assert vpt.num_groups(2) == 32
-
-    def test_iter_groups_partitions_ranks(self):
-        vpt = VirtualProcessTopology((4, 4))
-        for d in range(vpt.n):
-            groups = list(vpt.iter_groups(d))
-            assert len(groups) == vpt.num_groups(d)
-            flat = sorted(r for g in groups for r in g)
-            assert flat == list(vpt.ranks())
 
     def test_flat_topology_everyone_is_neighbor(self):
         vpt = VirtualProcessTopology((8,))
@@ -177,9 +143,9 @@ class TestNeighborhood:
         p2 = vpt.rank_of((0, 1, 2))  # paper (3,2,1): differs in stage-1 dim
         p3 = vpt.rank_of((2, 1, 0))  # paper (1,2,3): differs in highest dim
         p4 = vpt.rank_of((2, 3, 2))  # paper (3,4,3): differs in middle dim
-        assert vpt.neighbor_dim(p1, p2) == 0
-        assert vpt.neighbor_dim(p1, p4) == 1
-        assert vpt.neighbor_dim(p1, p3) == 2
+        assert differing_dims(vpt, p1, p2) == [0]
+        assert differing_dims(vpt, p1, p4) == [1]
+        assert differing_dims(vpt, p1, p3) == [2]
 
 
 class TestDistances:
@@ -212,15 +178,3 @@ class TestDistances:
         vpt = VirtualProcessTopology((4, 4))
         with pytest.raises(TopologyError):
             vpt.first_diff_dim(3, 3)
-
-    def test_first_diff_dim_array(self):
-        vpt = VirtualProcessTopology((2, 4, 4))
-        rng = np.random.default_rng(1)
-        src = rng.integers(0, vpt.K, 64)
-        dst = rng.integers(0, vpt.K, 64)
-        out = vpt.first_diff_dim_array(src, dst)
-        for i, j, d in zip(src, dst, out):
-            if i == j:
-                assert d == vpt.n
-            else:
-                assert d == vpt.first_diff_dim(int(i), int(j))

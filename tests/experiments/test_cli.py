@@ -98,6 +98,16 @@ class TestCommands:
         assert doc["traceEvents"]
         assert (tmp_path / "exchange.events.jsonl").read_text().strip()
 
+    def test_trace_experiment_writes_the_cache(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        argv = ["trace", "figure1", "--scale", "0.03", "--cache", str(cache)]
+        assert main(argv + ["--out", str(tmp_path / "trace")]) == 0
+        assert {"matrix", "partition", "pattern"} <= {p.name for p in cache.iterdir()}
+
+    def test_cache_stats_titles_the_schema_tag(self, tmp_path, capsys):
+        assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
+        assert "(schema repro-cache-v1)" in capsys.readouterr().out
+
     def test_report_to_file(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0.02")
         # keep the report test fast: restrict to the two cheapest entries

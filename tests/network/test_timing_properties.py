@@ -1,5 +1,6 @@
 """Property-based tests for the timing model's monotonicities."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,7 +49,9 @@ class TestTimingMonotonicity:
     @given(patterns(), st.floats(1.5, 4.0))
     @settings(max_examples=20, deadline=None)
     def test_time_increases_with_message_sizes(self, pattern, factor):
-        bigger = pattern.scaled(factor)
+        bigger = CommPattern(
+            pattern.K, pattern.src, pattern.dst, (pattern.size * factor).astype(np.int64)
+        )
         vpt = make_vpt(pattern.K, 2)
         t_small = time_plan(build_plan(pattern, vpt), BGQ).total_us
         t_big = time_plan(build_plan(bigger, vpt), BGQ).total_us

@@ -8,12 +8,13 @@ from repro.errors import PartitionError
 from repro.matrices import generate_matrix
 from repro.partition import (
     coarsen_graph,
-    edge_cut,
     multilevel_partition,
     random_partition,
     rcm_partition,
     refine_partition,
 )
+
+from .oracles import edge_cut
 
 
 def structured(n=800, seed=0):

@@ -11,12 +11,12 @@ from repro.partition import (
     balanced_blocks_from_order,
     bisection_partition,
     block_partition,
-    edge_cut,
-    partition_quality,
     random_partition,
     rcm_order,
     rcm_partition,
 )
+
+from .oracles import connectivity_volume, edge_cut
 
 
 def banded(n=400, band=4, seed=0):
@@ -226,22 +226,10 @@ class TestMetrics:
         p = Partition(np.array([0, 0, 1]), 2)
         assert edge_cut(A, p) == 1
 
-    def test_quality_keys(self):
-        A = banded(n=100)
-        q = partition_quality(A, block_partition(100, 4))
-        assert set(q) == {"edge_cut", "cut_fraction", "row_imbalance", "nnz_imbalance"}
-        assert 0 <= q["cut_fraction"] <= 1
-
-    def test_size_mismatch(self):
-        A = banded(n=100)
-        with pytest.raises(PartitionError):
-            edge_cut(A, block_partition(50, 2))
-
 
 class TestConnectivityVolume:
     def test_equals_spmv_pattern_words(self):
         from repro.matrices import generate_matrix
-        from repro.partition import connectivity_volume
         from repro.spmv import spmv_pattern
 
         A = generate_matrix(400, 4800, 80, 1.2, seed=9)
@@ -251,22 +239,13 @@ class TestConnectivityVolume:
 
     def test_zero_for_single_part(self):
         from repro.matrices import generate_matrix
-        from repro.partition import connectivity_volume
 
         A = generate_matrix(100, 1200, 30, 0.8, seed=1)
         assert connectivity_volume(A, block_partition(100, 1)) == 0
 
-    def test_size_mismatch(self):
-        from repro.matrices import generate_matrix
-        from repro.partition import connectivity_volume
-
-        A = generate_matrix(100, 1200, 30, 0.8, seed=1)
-        with pytest.raises(PartitionError):
-            connectivity_volume(A, block_partition(50, 2))
-
     def test_better_partitioner_lower_connectivity(self):
         from repro.matrices import generate_matrix
-        from repro.partition import connectivity_volume, multilevel_partition
+        from repro.partition import multilevel_partition
 
         A = generate_matrix(600, 6000, 60, 0.6, locality=0.95, seed=5)
         good = connectivity_volume(A, multilevel_partition(A, 8, seed=0))

@@ -14,16 +14,33 @@ from repro.errors import ExperimentError, RecoveryError
 from repro.metrics import recovery_stats, recovery_table
 from repro.network import BGQ
 from repro.simmpi import FaultPlan
-from repro.spmv import (
-    iterative_reference,
-    partition_matrix,
-    run_iterative_with_recovery,
-)
+from repro.spmv import partition_matrix, run_iterative_with_recovery
 
 K = 64
 ITERATIONS = 56
 INTERVAL = 8
 SEED = 5
+
+
+def iterative_reference(A, x0, iterations, *, seed=0, noise_scale=0.01):
+    """Host-side reference of the recoverable iteration.
+
+    One step is ``x <- s * (A @ x) + noise_scale * q_t`` with
+    ``s = 1 / max(1, ||A||_inf)`` (keeping the iteration bounded) and
+    ``q_t`` the stateless per-iteration noise stream seeded by
+    ``(seed, t)``, so a restarted run replays it from any iteration.
+    The distributed driver is bit-identical to this loop because a CSR
+    row slice computes the exact same per-row dot products.
+    """
+    A = sp.csr_matrix(A)
+    n = A.shape[0]
+    norm = float(np.abs(A).sum(axis=1).max()) if A.nnz else 0.0
+    s = 1.0 / max(1.0, norm)
+    x = np.asarray(x0, dtype=np.float64).copy()
+    for t in range(int(iterations)):
+        q = np.random.default_rng((seed, t)).standard_normal(n)
+        x = s * (A @ x) + noise_scale * q
+    return x
 
 
 def make_matrix(n=640, nnz_per_row=5, seed=11):

@@ -47,12 +47,6 @@ class TestMultiply:
         _, t = spmv.multiply(x)
         assert t > 0
 
-    def test_average_time(self, case):
-        A, part, x = case
-        spmv = PersistentSpMV(A, part, vpt=make_vpt(16, 2), machine=BGQ)
-        avg = spmv.average_time_us(x, iterations=3)
-        assert avg > 0
-
     def test_setup_is_amortized(self, case):
         A, part, x = case
         spmv = PersistentSpMV(A, part, vpt=make_vpt(16, 3))
@@ -77,12 +71,6 @@ class TestValidation:
         spmv = PersistentSpMV(A, part)
         with pytest.raises(PlanError):
             spmv.multiply(np.zeros(3))
-
-    def test_bad_iterations(self, case):
-        A, part, x = case
-        spmv = PersistentSpMV(A, part)
-        with pytest.raises(PlanError):
-            spmv.average_time_us(x, iterations=0)
 
     def test_rectangular_rejected(self):
         with pytest.raises(PlanError):
