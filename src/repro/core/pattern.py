@@ -151,7 +151,7 @@ class CommPattern:
         # stage arrays of the plans built for this pattern and the batch
         # engine's schedules of them (PlanBuilder.of); they hold no
         # reference back to the pattern
-        self._plan_memo: tuple[dict, dict, dict, dict] | None = None
+        self._plan_memo: tuple[dict, dict, dict, dict, dict] | None = None
 
     @classmethod
     def _trusted(

@@ -444,7 +444,11 @@ class PlanBuilder:
     :func:`build_plan` uses) reads and fills the memo the pattern
     itself keeps, so a pattern builds each stage once however many
     times its plans are asked for.  Memoized arrays are read-only and
-    are shared by every plan built from them.  The memo also
+    are shared by every plan built from them: a stage's ``total_words``
+    is made once per ``header_words`` and the forward occupancy once per
+    topology, so a
+    repeat :meth:`plan` allocates no array, and the batch engine knows
+    a repeat plan by the identity of its arrays.  The memo also
     holds :attr:`schedules`, what the batch engine computed from this
     pattern's plans (:mod:`repro.simmpi.batch`).
     Plans produced either way are identical — stage arrays, totals and
@@ -460,6 +464,9 @@ class PlanBuilder:
         self._stages: dict[tuple[int, int, bool], tuple] = {}
         #: w_{d+1} -> per-process in-transit words after the stage
         self._occupancy: dict[int, np.ndarray] = {}
+        #: (weights, header_words, coalesce) -> (stages, occupancy): what
+        #: plan() hands out, each stage's total_words made once
+        self._plans: dict[tuple, tuple] = {}
         #: the batch engine's run schedules, one per (weights,
         #: header_words, machine, mapping) key
         self.schedules: dict[tuple, tuple] = {}
@@ -474,10 +481,11 @@ class PlanBuilder:
         """
         memo = pattern._plan_memo
         if memo is None:
-            memo = pattern._plan_memo = ({}, {}, {}, {})
+            memo = pattern._plan_memo = ({}, {}, {}, {}, {})
         builder = cls.__new__(cls)
         builder.pattern = pattern
-        builder._holders, builder._stages, builder._occupancy, builder.schedules = memo
+        (builder._holders, builder._stages, builder._occupancy, builder._plans,
+         builder.schedules) = memo
         return builder
 
     def _holder(self, w: int) -> np.ndarray:
@@ -567,13 +575,28 @@ class PlanBuilder:
         if header_words < 0:
             raise PlanError("header_words must be non-negative")
 
-        stages: list[StageSchedule] = []
-        occupancy = np.zeros((vpt.n, vpt.K), dtype=np.int64)
-        weights = vpt.weights
-        for d in range(vpt.n):
+        key = (vpt.weights, header_words, coalesce)
+        built = self._plans.get(key)
+        if built is None:
+            built = self._plans[key] = self._assemble(vpt.weights, header_words, coalesce)
+        stages, occupancy = built
+        return CommPlan(
+            vpt=vpt,
+            pattern=self.pattern,
+            stages=list(stages),
+            header_words=header_words,
+            forward_occupancy=occupancy,
+        )
+
+    def _assemble(self, weights: tuple[int, ...], header_words: int, coalesce: bool) -> tuple:
+        """The stages and the read-only occupancy of the plan over ``weights``."""
+        stages = []
+        occupancy = np.zeros((len(weights) - 1, self.pattern.K), dtype=np.int64)
+        for d in range(len(weights) - 1):
             sender, receiver, nsub, payload, route_key, members = self._stage_arrays(
                 weights[d], weights[d + 1], coalesce
             )
+            total = read_only(payload + header_words * nsub)[0]
             stages.append(
                 StageSchedule(
                     stage=d,
@@ -581,20 +604,13 @@ class PlanBuilder:
                     receiver=receiver,
                     nsub=nsub,
                     payload_words=payload,
-                    total_words=payload + header_words * nsub,
+                    total_words=total,
                     route_key=route_key,
                     members=members,
                 )
             )
             occupancy[d] = self._occupancy_row(weights[d + 1])
-
-        return CommPlan(
-            vpt=vpt,
-            pattern=self.pattern,
-            stages=stages,
-            header_words=header_words,
-            forward_occupancy=occupancy,
-        )
+        return tuple(stages), read_only(occupancy)[0]
 
 
 def repair_plan(plan: CommPlan, delta: PatternDelta) -> CommPlan:

@@ -87,6 +87,9 @@ class Regularizer:
         else:
             self.position = np.arange(pattern.K, dtype=np.int64)
             self.pattern = pattern
+        #: whether ranks are renumbered at all: payloads and deliveries
+        #: pass through untranslated when they are not
+        self._renumbered = not np.array_equal(self.position, np.arange(pattern.K))
         self._plan = build_plan(self.pattern, vpt, header_words=header_words)
         self._header_words = header_words
 
@@ -163,7 +166,7 @@ class Regularizer:
         An optional :class:`repro.obs.Tracer` collects stage spans and
         message counters for the run.
         """
-        if payloads is not None and self.position is not None:
+        if payloads is not None and self._renumbered:
             payloads = self._translate(payloads)
         result = run_exchange(
             self.pattern,
@@ -186,7 +189,7 @@ class Regularizer:
         return out
 
     def _untranslate(self, result: ExchangeResult) -> ExchangeResult:
-        if np.array_equal(self.position, np.arange(self.K)):
+        if not self._renumbered:
             return result
         inverse = np.empty(self.K, dtype=np.int64)
         inverse[self.position] = np.arange(self.K, dtype=np.int64)

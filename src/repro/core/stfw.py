@@ -907,8 +907,12 @@ def _default_payloads(pattern: CommPattern) -> EdgePayloads:
     table indexes like the list of ``{dst: payload}`` dicts an event
     engine reads (built on first use); the batch engine reads its
     columns and builds none.  The table stores one int64 key per
-    message, not per word; a payload is a read-only view that repeats
-    its key, and no two share memory: copy one before mutating it.
+    message, not per word, made when a payload is first read; a payload
+    is a read-only view that repeats its key, and no two share memory:
+    copy one before mutating it.  The table is cut from the pattern's
+    own columns and says so, so the batch engine pairs it with the
+    pattern's plan without sorting it (until an in-place
+    ``apply_delta`` replaces those columns).
     """
     return EdgePayloads.synthetic(pattern.K, pattern.src, pattern.dst, pattern.size)
 

@@ -84,6 +84,7 @@ from __future__ import annotations
 
 import operator
 from collections import abc
+from functools import cached_property
 from itertools import chain
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
@@ -100,6 +101,16 @@ __all__ = ["BatchSimMPI", "Deliveries", "EdgePayloads", "Schedule"]
 
 #: bit pattern of ``+inf``: every positive finite double is below it
 _INF_BITS = 0x7FF0_0000_0000_0000
+
+
+def _same_elements(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two views show the very same elements of one array."""
+
+    def place(x: np.ndarray) -> tuple:
+        return x.ctypes.data, x.shape, x.strides, x.dtype
+
+    owner_a, owner_b = (a if a.base is None else a.base), (b if b.base is None else b.base)
+    return owner_a is owner_b and place(a) == place(b)
 
 
 def digits16(x: np.ndarray, bound: int) -> list[np.ndarray]:
@@ -149,13 +160,23 @@ class EdgePayloads:
     of them.  ``size`` is ``None`` for a table flattened from received
     payloads (:meth:`Deliveries.from_lists`), which may not be sized at
     all.
+
+    A synthetic table also records where it came from: the columns it
+    was cut from and the order it put their rows in (``None``: as
+    given).  :meth:`rows_of` reads that record, so a batch run of the
+    pattern the table was cut from pairs its rows without sorting.
     """
 
-    def __init__(self, K, src, dst, size, payload, key=None, dicts=None):
+    def __init__(self, K, src, dst, size, payload, dicts=None, origin=None):
         self.K, self.src, self.dst, self.size = K, src, dst, size
         self._payload = payload  # object array, or None for a synthetic table
-        self._key = key  # a synthetic row's one word, repeated ``size`` times
         self._dicts = dicts
+        self._origin = origin  # a synthetic table's (src, dst, size, order)
+
+    @cached_property
+    def _key(self) -> np.ndarray | None:
+        """A synthetic row's one word, repeated ``size`` times (made on first read)."""
+        return None if self._payload is not None else self.src * self.K + self.dst
 
     @classmethod
     def from_dicts(cls, payloads: Sequence[Mapping[int, Any]], K: int) -> "EdgePayloads":
@@ -186,16 +207,62 @@ class EdgePayloads:
         Columns already grouped by source (every ``CommPattern.random``
         output) are kept as given, unsorted and uncopied: pass arrays
         nobody writes to, such as a pattern's read-only views, which an
-        in-place ``apply_delta`` replaces rather than writes.
+        in-place ``apply_delta`` replaces rather than writes.  The
+        table records those columns and its row order (the identity,
+        or the sort's) for :meth:`rows_of`; the keys are made when a
+        payload is first read.
         """
+        order = None
         if (src[1:] < src[:-1]).any():
             order = np.lexsort(digits16(src, K))
-            src, dst, size = src[order], dst[order], size[order]
-        return cls(K, src, dst, size, None, key=src * K + dst)
+        rows = (src, dst, size) if order is None else (src[order], dst[order], size[order])
+        return cls(K, *rows, None, origin=(src, dst, size, order))
+
+    def rows_of(self, pattern) -> np.ndarray | None:
+        """The table row of every row of ``pattern``; ``None`` when that is the row itself.
+
+        A synthetic table cut from the pattern's own columns (the very
+        arrays behind its views, which an in-place ``apply_delta``
+        replaces) answers from its record, without a sort.  Any other
+        table is sorted by ``(src, dst)`` key, stably, and compared with
+        the pattern's edge index; a table that disagrees with the
+        pattern is refused: the event engine would stall mid-exchange on
+        it, so refuse up front instead of mis-simulating.
+        """
+        origin = self._origin
+        if origin is not None and all(
+            map(_same_elements, origin[:3], (pattern.src, pattern.dst, pattern.size))
+        ):
+            order = origin[3]
+            if order is None:
+                return None
+            rows = np.empty(order.size, dtype=np.int64)
+            rows[order] = np.arange(order.size)
+            return rows
+        key = self.src * self.K + self.dst
+        eorder = np.argsort(key, kind="stable")
+        pkey, porder = pattern.edges()  # the pattern's sorted keys, kept with it
+        if not (
+            np.array_equal(key[eorder], pkey)
+            and np.array_equal(self.size[eorder], pattern.size[porder].astype(np.int64))
+        ):
+            raise SimMPIError(
+                "engine='batch': payload dicts disagree with the planned "
+                "pattern (missing/extra destinations or wrong payload sizes); "
+                "the event engine would deadlock here — fix the payloads or "
+                "rebuild the plan"
+            )
+        if np.array_equal(eorder, porder):
+            return None
+        # the sort and the pattern's edge index pair pattern rows with
+        # table rows: the order payload dicts are enumerated in
+        rows = np.empty(key.size, dtype=np.int64)
+        rows[porder] = eorder
+        return rows
 
     def take(self, rows) -> Sequence[Any]:
         """The payload objects of ``rows``, in that order."""
-        if self._key is None:
+        if self._payload is not None:
             return self._payload[rows]
         key, size = self._key[rows], self.size[rows]
         width = size.max(initial=0)
@@ -214,7 +281,7 @@ class EdgePayloads:
         row order.  A synthetic table repeats its keys and makes no
         payload; caller objects are read once each through ``np.asarray``.
         """
-        if self._key is not None:
+        if self._payload is None:
             length = self.size[rows]
             return length, np.ones(length.size, dtype=bool), np.repeat(self._key[rows], length)
         arrays = [np.asarray(p) for p in self._payload[rows]]
@@ -262,15 +329,21 @@ class Deliveries(abc.Sequence):
     own objects or, for a synthetic table, read-only views that repeat
     each row's key: copy a view to change it.  The origins are one
     shared ``int`` per rank.  ``rows``, ``ptr`` and ``src`` are
-    read-only: a repeat run of one plan shares them (:class:`Schedule`).
+    read-only: a repeat run of one plan shares ``rows``
+    (:class:`Schedule`), and ``src`` is gathered when first read.
     """
 
     def __init__(self, table: EdgePayloads, rows: np.ndarray, counts: np.ndarray, lists=None):
         self.table = table
         ptr = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=ptr[1:])
-        self.rows, self.ptr, self.src = read_only(rows, ptr, table.src[rows])
+        self.rows, self.ptr = read_only(rows, ptr)
         self._lists = lists
+
+    @cached_property
+    def src(self) -> np.ndarray:
+        """The origin of every delivery (made on first read)."""
+        return read_only(self.table.src[self.rows])[0]
 
     @classmethod
     def from_lists(cls, delivered: Sequence[Sequence[tuple[int, Any]] | None]) -> "Deliveries":
@@ -319,15 +392,16 @@ class Schedule(NamedTuple):
     (:attr:`repro.core.plan.PlanBuilder.schedules`): one entry per
     ``(vpt.weights, header_words, machine, mapping)`` key, with the stage
     arrays and the table-row order it was computed from.  A run with
-    that key reuses it only if its plan's stage arrays are those very
-    objects, its ``total_words`` (made per plan) are what a build
-    charges, payload plus ``header_words`` per submessage, and its table
-    rows come in the same order; anything else computes afresh and
-    replaces the entry.  A reuse skips the plan-structure refusals of
-    ``_stage_routes``: those read-only stage arrays passed them when the
-    entry was made, and the memo goes when the pattern is mutated in
-    place.  A ``trace=True`` run always computes: its trace needs every
-    message's times, which no entry keeps.  All arrays are read-only.
+    that key reuses it only if its plan's stage arrays, ``total_words``
+    included, are those very objects (a plan builder makes each once per
+    ``header_words`` and keeps it) and its table rows come in the same
+    order; anything else computes afresh and replaces the entry.  A
+    reuse skips the plan-structure refusals of ``_stage_routes`` and the
+    pattern's self-message scan: those read-only stage arrays and that
+    pattern passed them when the entry was made, and the memo goes when
+    the pattern is mutated in place.  A ``trace=True`` run always
+    computes: its trace needs every message's times, which no entry
+    keeps.  All arrays are read-only.
     """
 
     #: every rank's clock before stage 0, then after each stage
@@ -336,6 +410,11 @@ class Schedule(NamedTuple):
     rows: np.ndarray
     #: deliveries per rank
     counts: np.ndarray
+
+
+def _same_rows(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    """Whether two :meth:`EdgePayloads.rows_of` answers are one row order."""
+    return a is b or (a is not None and b is not None and np.array_equal(a, b))
 
 
 class BatchSimMPI(SimMPI):
@@ -396,6 +475,9 @@ class BatchSimMPI(SimMPI):
             jitter_seed=jitter_seed,
             tracer=tracer,
         )
+        # the default mapping is a function of K and the machine, which the
+        # schedule memo's key holds already: only a caller's mapping is copied
+        self._mapping_key = None if mapping is None else self._mapping.tobytes()
         if self._lookahead <= 0.0:
             raise SimMPIError(
                 "engine='batch' requires a machine with positive minimum "
@@ -561,11 +643,10 @@ class BatchSimMPI(SimMPI):
                 )
         trace.sort(key=trace_sort_key)
         self.trace = trace
-        clocks_list = clocks.tolist()
         return RunResult(
             returns=returns,
-            clocks=clocks_list,
-            makespan_us=max(clocks_list) if clocks_list else 0.0,
+            clocks=clocks.tolist(),
+            makespan_us=float(clocks.max()),
             trace=trace,
             crashed=[],
             fault_events=[],
@@ -594,9 +675,11 @@ class BatchSimMPI(SimMPI):
 
         A repeat run of a plan reuses the :class:`Schedule` of the first
         instead of sweeping again.  The payloads are checked against the
-        plan on every call; the plan-structure refusals run wherever a
-        schedule is computed, which a reused one already was, from the
-        same read-only stage arrays.
+        plan on every call (:meth:`EdgePayloads.rows_of`: a default table
+        of the plan's own pattern by its record, any other by a sort);
+        the plan-structure refusals run wherever a schedule is computed,
+        which a reused one already was, from the same read-only stage
+        arrays.
         """
         K = self.K
         if vpt.K != K:
@@ -607,61 +690,34 @@ class BatchSimMPI(SimMPI):
                 f"not for {vpt.dim_sizes}; build the plan for the VPT it runs on"
             )
         table = EdgePayloads.from_dicts(payloads, K)
-        esrc, edst, esize = table.src, table.dst, table.size
-
-        # payloads must agree with the planned pattern — on any
-        # mismatch the event engine would stall mid-exchange, so refuse
-        # up front instead of mis-simulating
         pat = plan.pattern
-        ekey = esrc * K + edst
-        eorder = np.argsort(ekey, kind="stable")
-        pkey, porder = pat.edges()  # the pattern's sorted keys, kept with it
-        if not (
-            np.array_equal(ekey[eorder], pkey)
-            and np.array_equal(esize[eorder], pat.size[porder].astype(np.int64))
-        ):
-            raise SimMPIError(
-                "engine='batch': payload dicts disagree with the planned "
-                "pattern (missing/extra destinations or wrong payload sizes); "
-                "the event engine would deadlock here — fix the payloads or "
-                "rebuild the plan"
-            )
-
-        stays = np.flatnonzero(pat.src == pat.dst)  # the rows that move in no stage
-        if stays.size:
-            raise PlanError(f"rank {int(pat.src[stays[0]])} has a self message in its SendSet")
-
-        # the check's sort and the pattern's edge index pair pattern
-        # rows with table rows: the order payload dicts are enumerated in
-        table_row = np.empty(esrc.size, dtype=np.int64)
-        table_row[porder] = eorder
+        # table_row[p]: the table row of pattern row p (None: row p itself)
+        table_row = table.rows_of(pat)
 
         from ..core.plan import PlanBuilder  # repro.core imports this module
 
         memo = PlanBuilder.of(pat).schedules
-        h = plan.header_words
-        key = (plan.vpt.weights, h, self.machine, self._mapping.tobytes())
+        key = (plan.vpt.weights, plan.header_words, self.machine, self._mapping_key)
         arrays = [
             a
             for st in plan.stages
-            for a in (st.sender, st.receiver, st.nsub, st.payload_words, st.route_key, st.members)
+            for a in (st.sender, st.receiver, st.nsub, st.payload_words, st.total_words,
+                      st.route_key, st.members)
         ]
         entry = None if self._trace_enabled else memo.get(key)
         trace_parts: list = []
         if (
             entry is not None
             and all(map(operator.is_, entry[0], arrays))
-            and np.array_equal(entry[1], table_row)
-            # a build's words, which a hand-made stage may not charge
-            and all(
-                np.array_equal(st.total_words, st.payload_words + h * st.nsub)
-                for st in plan.stages
-            )
+            and _same_rows(entry[1], table_row)
         ):
             # the stage arrays passed _stage_routes' refusals when the entry
             # was made, and they are read-only: no need to check them again
             sched = entry[2]
         else:
+            stays = np.flatnonzero(pat.src == pat.dst)  # the rows that move in no stage
+            if stays.size:
+                raise PlanError(f"rank {int(pat.src[stays[0]])} has a self message in its SendSet")
             sched, trace_parts = self._schedule(plan, table_row)
             memo[key] = (arrays, read_only(table_row)[0], sched)
         if self._obs is not None:
@@ -702,14 +758,17 @@ class BatchSimMPI(SimMPI):
             )
         return snd, rcv, words, moving, carrier
 
-    def _schedule(self, plan, table_row: np.ndarray) -> tuple[Schedule, list]:
+    def _schedule(self, plan, table_row: np.ndarray | None) -> tuple[Schedule, list]:
         """Sweep and route every stage of ``plan``: its :class:`Schedule`.
 
-        ``table_row[p]`` is the table row of pattern row ``p``.  Also
-        returns the per-stage trace arrays when the run is traced.
+        ``table_row[p]`` is the table row of pattern row ``p`` (``None``:
+        ``p`` itself).  Also returns the per-stage trace arrays when the
+        run is traced.
         """
         K, pat = self.K, plan.pattern
-        E = table_row.size
+        E = pat.num_messages
+        if table_row is None:
+            table_row = np.arange(E, dtype=np.int64)
         clocks = np.zeros(K, dtype=np.float64)
         stage_clocks = [clocks.copy()]
         trace_parts: list = []

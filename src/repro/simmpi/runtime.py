@@ -515,18 +515,19 @@ class SimMPI:
             if mapping is None:
                 mapping = block_mapping(K, machine.cores_per_node)
             self._mapping = validate_mapping(mapping, K, self._topology.num_nodes)
-            #: rank -> node as plain ints (skips per-send numpy scalar
-            #: boxing) and a source node -> hops-to-every-node memo: one
-            #: vector call per sending node instead of one scalar walk
-            #: per node pair (a sparse pattern sees each pair about once)
-            self._map_list: list[int] = self._mapping.tolist()
         else:
             if mapping is not None:
                 raise SimMPIError("mapping given without a machine")
             self._topology = None
             self._mapping = None
-            self._map_list = []
-        self._hop_rows: dict[int, bytes | list[int]] = {}
+        if not self.planned_only:
+            #: rank -> node as plain ints (skips per-send numpy scalar
+            #: boxing) and a source node -> hops-to-every-node memo: one
+            #: vector call per sending node instead of one scalar walk
+            #: per node pair (a sparse pattern sees each pair about once);
+            #: an engine that never sends one message at a time builds neither
+            self._map_list: list[int] = [] if self._mapping is None else self._mapping.tolist()
+            self._hop_rows: dict[int, bytes | list[int]] = {}
         self._procs: list[_ProcState] = []
         self._ready: deque[int] = deque()
         #: lazily invalidated min-heaps kept where a rank blocks or a post

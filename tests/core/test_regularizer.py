@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import CommPattern, Regularizer, VirtualProcessTopology, make_vpt
+from repro.core import run_exchange
 from repro.errors import PlanError
 from repro.network import BGQ
 
@@ -112,6 +113,24 @@ class TestExchange:
     def test_exchange_timed(self):
         res = Regularizer(hotspot(K=16), dimension=2).exchange(machine=BGQ)
         assert res.makespan_us > 0
+
+    def test_payloads_without_remap_are_not_translated(self, monkeypatch):
+        p = CommPattern.random(64, 4, seed=0)
+        payloads = [{t: [s, t] for t in p.sendset(s)} for s in range(p.K)]
+        calls = []
+        translate = Regularizer._translate
+
+        def spy(self, payloads):
+            calls.append(1)
+            return translate(self, payloads)
+
+        monkeypatch.setattr(Regularizer, "_translate", spy)
+        res = Regularizer(p, dimension=2).exchange(payloads, machine=BGQ)
+        assert calls == []
+        want = run_exchange(p, dims=2, payloads=payloads, machine=BGQ)
+        assert res.run.clocks == want.run.clocks
+        assert [list(m) for m in res.delivered] == [list(m) for m in want.delivered]
+        assert all(q is payloads[s][r] for r, msgs in enumerate(res.delivered) for s, q in msgs)
 
 
 class TestRefinedRemap:

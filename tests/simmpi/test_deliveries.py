@@ -1,6 +1,7 @@
 """The batch engine's ``Deliveries``: its list view against the formulation
-it replaced, its flattening constructor, and a repeat run that reuses the
-schedule of the first.
+it replaced, its flattening constructor, a repeat run that reuses the
+schedule of the first (and pairs a default table with the pattern it was
+cut from without a sort), and the columns made only when first read.
 
 ``reference_delivery_lists`` is the eager builder every batch run used to
 end with.  The view a ``Deliveries`` builds on first read must be that
@@ -290,12 +291,33 @@ def unpickled(pattern):
     return pickle.loads(pickle.dumps(pattern)), {}
 
 
+@pytest.fixture
+def key_sorts(monkeypatch):
+    """The sizes of the arrays ``np.argsort(..., kind="stable")`` sorts, once per call."""
+    sizes = []
+    argsort = np.argsort
+
+    def counted(a, *args, **kw):
+        if kw.get("kind") == "stable":
+            sizes.append(np.size(a))
+        return argsort(a, *args, **kw)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    return sizes
+
+
 class TestScheduleOnce:
     """A repeat run of one plan reuses its schedule, and every per-run check still runs."""
 
     @staticmethod
     def pattern():
         return scenario(36, 4, seed=7, silent=0.0)
+
+    @staticmethod
+    def grouped():
+        pattern = CommPattern.random(36, 4, seed=7)
+        assert (np.diff(pattern.src) >= 0).all()  # rows grouped by source: the table's own order
+        return pattern
 
     @staticmethod
     def run(pattern, **kw):
@@ -414,3 +436,113 @@ class TestScheduleOnce:
         again = self.run(pattern)
         assert np.array_equal(again.delivered.rows, first.delivered.rows)
         assert again.run.clocks == first.run.clocks
+
+    def test_a_repeat_run_with_default_payloads_sorts_no_table(self, key_sorts, sweeps):
+        pattern = self.grouped()
+        first = self.run(pattern)
+        key_sorts.clear()
+        sweeps.clear()
+        again = self.run(pattern)
+        assert key_sorts == [] and sweeps == []
+        assert again.run.clocks == first.run.clocks
+        # the same payloads as caller dicts take the sort, and land on the same entry
+        dicts = self.run(pattern, payloads=[dict(d) for d in _default_payloads(pattern)])
+        assert pattern.num_messages in key_sorts and sweeps == []
+        assert dicts.run.clocks == first.run.clocks
+        assert np.array_equal(dicts.delivered.rows, first.delivered.rows)
+
+    def test_a_lexsorted_table_hits_without_a_sort(self, key_sorts, sweeps):
+        pattern = self.pattern()
+        assert (np.diff(pattern.src) < 0).any()  # not grouped: the table sorts its rows
+        first = self.run(pattern)
+        key_sorts.clear()
+        sweeps.clear()
+        again = self.run(pattern)
+        assert key_sorts == [] and sweeps == []
+        want = run_exchange(pattern, dims=2, machine=BGQ)
+        for got in (first, again):
+            assert got.run.clocks == want.run.clocks and got.makespan_us == want.makespan_us
+            for msgs, ref in zip(got.delivered, want.delivered):
+                assert [s for s, _ in msgs] == [s for s, _ in ref]
+                assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(msgs, ref))
+        dicts = self.run(pattern, payloads=[dict(d) for d in _default_payloads(pattern)])
+        assert np.array_equal(dicts.delivered.rows, again.delivered.rows)
+        assert dicts.run.clocks == again.run.clocks
+
+    def test_a_default_table_of_another_pattern_is_refused(self, key_sorts):
+        pattern = self.grouped()
+        self.run(pattern)
+        # same K, same size column, other pairs
+        transposed = CommPattern(pattern.K, pattern.dst, pattern.src, pattern.size)
+        assert set(zip(transposed.src.tolist(), transposed.dst.tolist())) != set(
+            zip(pattern.src.tolist(), pattern.dst.tolist()))
+        with pytest.raises(SimMPIError, match="disagree with the planned pattern"):
+            self.run(pattern, payloads=_default_payloads(transposed))
+        # a copy holds the same messages in other arrays: it agrees, by the sort
+        copy = CommPattern(pattern.K, pattern.src.copy(), pattern.dst.copy(), pattern.size.copy())
+        key_sorts.clear()
+        got = self.run(pattern, payloads=_default_payloads(copy))
+        assert pattern.num_messages in key_sorts
+        assert got.run.clocks == self.run(pattern).run.clocks
+
+    def test_a_table_taken_before_an_in_place_delta_is_refused(self):
+        pattern = self.grouped()
+        stale = _default_payloads(pattern)
+        self.run(pattern, payloads=stale)
+        old = set(zip(pattern.src.tolist(), pattern.dst.tolist()))
+        pattern.apply_delta(PatternDelta.random(pattern, 0.2, seed=1), inplace=True)
+        assert set(zip(pattern.src.tolist(), pattern.dst.tolist())) != old
+        plan = build_plan(pattern, make_vpt(pattern.K, 2))
+        with pytest.raises(SimMPIError, match="disagree with the planned pattern"):
+            self.run(pattern, plan=plan, payloads=stale)
+        fresh = self.run(pattern, plan=plan)
+        assert fresh.run.clocks == run_exchange(pattern, dims=2, machine=BGQ).run.clocks
+
+    def test_a_stage_with_its_own_total_words_object_misses(self, sweeps):
+        from dataclasses import replace
+
+        pattern = self.grouped()
+        plan = PlanBuilder.of(pattern).plan(make_vpt(pattern.K, 2))
+        again = PlanBuilder.of(pattern).plan(plan.vpt)
+        assert all(a.total_words is b.total_words for a, b in zip(plan.stages, again.stages))
+        self.run(pattern, plan=plan)
+        st0 = plan.stages[0]
+        same_words = replace(plan, stages=[replace(st0, total_words=st0.total_words.copy()),
+                                           *plan.stages[1:]])
+        sweeps.clear()
+        got = self.run(pattern, plan=same_words)
+        assert sweeps
+        want = run_exchange(pattern, dims=2, machine=BGQ)
+        assert got.run.clocks == want.run.clocks and got.makespan_us == want.makespan_us
+
+
+class TestLazyColumns:
+    """Columns nobody reads are not made: ``Deliveries.src`` and a synthetic table's keys."""
+
+    def test_src_is_gathered_when_first_read(self):
+        pattern = scenario(36, 4, seed=7, silent=0.0)
+        run_exchange(pattern, dims=2, machine=BGQ, engine="batch")
+        d = run_exchange(pattern, dims=2, machine=BGQ, engine="batch").delivered  # a hit
+        assert "src" not in vars(d) and "_key" not in vars(d.table)
+        assert np.array_equal(d.src, d.table.src[d.rows]) and not d.src.flags.writeable
+        assert d.src is d.src
+        assert "_key" not in vars(d.table)  # origins read no payload
+        assert [s for msgs in d for s, _ in msgs] == d.src.tolist()
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_event_engine_dicts_hold_the_keyed_fill(self, shuffle):
+        pattern = CommPattern.random(40, 5, words=4, seed=3)
+        if shuffle:
+            order = np.random.default_rng(1).permutation(pattern.num_messages)
+            pattern = CommPattern(pattern.K, pattern.src[order], pattern.dst[order],
+                                  pattern.size[order])
+        K = pattern.K
+        table = _default_payloads(pattern)
+        assert "_key" not in vars(table)
+        for s in range(K):
+            assert list(table[s]) == list(pattern.sendset(s))  # the rank's own row order
+            for t, p in table[s].items():
+                assert np.array_equal(p, np.full(pattern.sendset(s)[t], s * K + t))
+        out = run_exchange(pattern, dims=2, machine=BGQ, payloads=table)
+        for r, msgs in enumerate(out.delivered):
+            assert all(np.array_equal(p, np.full(p.size, s * K + r)) for s, p in msgs)
