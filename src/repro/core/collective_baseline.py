@@ -71,11 +71,14 @@ def bruck_plan(pattern: CommPattern, *, block_words: int | None = None) -> CommP
         stages.append(
             StageSchedule(
                 stage=r,
+                K=K,
+                header_words=0,
                 sender=ranks.copy(),
                 receiver=partners,
                 nsub=nsub,
                 payload_words=words.copy(),
                 total_words=words,
+                route_key=ranks * K + partners,
             )
         )
     return CommPlan(

@@ -111,7 +111,8 @@ class CommPattern:
         :meth:`from_arrays`'s ``merge=True``).
     """
 
-    __slots__ = ("_K", "_src", "_dst", "_size", "_sendset_csr", "_edge_index", "_plan_memo")
+    __slots__ = ("_K", "_src", "_dst", "_size", "_sendset_csr", "_edge_index", "_grouped",
+                 "_plan_memo")
 
     def __init__(
         self,
@@ -148,6 +149,8 @@ class CommPattern:
         self._sendset_csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         # lazily-built sorted (src*K + dst) key index (edges())
         self._edge_index: tuple[np.ndarray, np.ndarray] | None = None
+        # whether src is non-decreasing (grouped_by_source)
+        self._grouped: bool | None = None
         # stage arrays of the plans built for this pattern and the batch
         # engine's schedules of them (PlanBuilder.of); they hold no
         # reference back to the pattern
@@ -173,6 +176,7 @@ class CommPattern:
         obj._size = size
         obj._sendset_csr = None
         obj._edge_index = None
+        obj._grouped = None
         obj._plan_memo = None
         return obj
 
@@ -399,6 +403,14 @@ class CommPattern:
             idx = self._edge_index = read_only(keys[order], order)
         return idx
 
+    @property
+    def grouped_by_source(self) -> bool:
+        """Whether the rows come grouped by source rank, ascending (kept
+        until the pattern is mutated in place)."""
+        if self._grouped is None:
+            self._grouped = not (self._src[1:] < self._src[:-1]).any()
+        return self._grouped
+
     def sent_counts(self) -> np.ndarray:
         """Messages sent per process under direct (BL) communication."""
         return np.bincount(self._src, minlength=self._K)
@@ -437,12 +449,13 @@ class CommPattern:
         """Drop derived caches after an in-place mutation.
 
         Every mutation path must route through here: the lazily-built
-        CSR sendset index, sorted edge index and plan memo (and any
-        future derived cache) would silently serve the pre-mutation
-        pattern otherwise.
+        CSR sendset index, sorted edge index, source grouping and plan
+        memo (and any future derived cache) would silently serve the
+        pre-mutation pattern otherwise.
         """
         self._sendset_csr = None
         self._edge_index = None
+        self._grouped = None
         self._plan_memo = None
 
     def apply_delta(

@@ -17,7 +17,7 @@ suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -39,72 +39,137 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+_STAGE_ARRAYS = ("sender", "receiver", "nsub", "payload_words", "total_words", "route_key")
+
+
+@dataclass(frozen=True, kw_only=True)
 class StageSchedule:
-    """All physical messages of one communication stage.
+    """All physical messages of one communication stage of a ``K``-process plan.
 
-    Parallel arrays, one entry per physical message.  ``nsub`` is the
-    number of submessages coalesced inside the message; ``payload_words``
-    their total payload; ``total_words`` payload plus per-submessage
-    header (destination id etc.) if the plan was built with one.
+    Parallel int64 arrays, one entry per physical message, ordered by
+    ``route_key = sender * K + receiver``.  ``nsub`` is the number of
+    submessages coalesced inside the message; ``payload_words`` their
+    total payload; ``total_words`` payload plus ``header_words`` per
+    submessage.  A builder's coalesced stage also carries ``members``,
+    per pattern row the message that carries it in this stage (-1: the
+    row does not move; :meth:`CommPlan.stage_members` derives it when
+    absent).
 
-    A coalesced build also carries two derived arrays, not compared:
-    ``route_key``, the strictly increasing ``sender * K +
-    receiver`` keys the stage was aggregated on, which spares plan
-    repair re-verifying them on every drift step, and ``members``, per
-    pattern row the message that carries it in this stage (-1: the row
-    does not move), which the batch engine routes by
-    (:meth:`CommPlan.stage_members` derives it when absent).
+    The constructor checks every invariant once and refuses a stage
+    that breaks one by name; it records in ``coalesced`` whether the
+    keys are strictly increasing (one message per route, which a
+    ``coalesce=False`` build need not have) and makes the arrays
+    read-only, so no consumer checks them again.
     """
 
     stage: int
+    K: int
+    header_words: int
     sender: np.ndarray
     receiver: np.ndarray
     nsub: np.ndarray
     payload_words: np.ndarray
     total_words: np.ndarray
-    route_key: np.ndarray | None = field(default=None, repr=False, compare=False)
+    route_key: np.ndarray = field(repr=False, compare=False)
     members: np.ndarray | None = field(default=None, repr=False, compare=False)
+    coalesced: bool = field(init=False)
+
+    def __post_init__(self):
+        d, m = self.stage, self.members
+        arrays = [getattr(self, name) for name in _STAGE_ARRAYS]
+        for name, a in zip((*_STAGE_ARRAYS, "members"), arrays + ([] if m is None else [m])):
+            if not (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype == np.int64):
+                raise PlanError(f"stage {d}: {name} must be a 1-D int64 array, got {a!r:.60}")
+        n = self.sender.size
+        if any(a.size != n for a in arrays):
+            raise PlanError(f"stage {d}: the message arrays differ in length")
+        key, routes = self.route_key, self.sender * np.int64(self.K)
+        routes += self.receiver
+        if not np.array_equal(key, routes):
+            raise PlanError(f"stage {d}: route_key is not sender * K + receiver")
+        step = int(np.subtract(key[1:], key[:-1], out=routes[:-1]).min(initial=1))  # no new array
+        if step < 0:
+            raise PlanError(f"stage {d}: the messages are not in (sender, receiver) order")
+        object.__setattr__(self, "coalesced", step > 0)
+        if n and (self.nsub.min() < 1 or self.payload_words.min() < 0):
+            raise PlanError(f"stage {d}: a message has nsub < 1 or payload_words < 0")
+        h, words = self.header_words, self.payload_words
+        if not np.array_equal(self.total_words, words if h == 0 else words + h * self.nsub):
+            raise PlanError(
+                f"stage {d}: total_words is not payload_words plus "
+                f"header_words={h} per submessage"
+            )
+        # one count of members + 1, whose slot 0 takes the rows that stay:
+        # on ~460k rows half the time of selecting the moving rows first
+        if m is not None and not np.array_equal(
+            np.bincount(np.maximum(m, -1) + 1, minlength=n + 1)[1:], self.nsub
+        ):
+            raise PlanError(
+                f"stage {d}: nsub disagrees with members, the pattern rows each message carries"
+            )
+        read_only(*arrays, m)
 
     @property
     def num_messages(self) -> int:
         """Number of physical messages in this stage."""
         return int(self.sender.size)
 
-    def sent_counts(self, K: int) -> np.ndarray:
+    def require_coalesced(self, user: str) -> None:
+        """Refuse, in the name of ``user``, a stage that repeats a route."""
+        if not self.coalesced:
+            raise PlanError(
+                f"{user} requires a coalesced plan: stage {self.stage} repeats a "
+                "(sender, receiver) route (coalesce=False); use build_plan(..., coalesce=True)"
+            )
+
+    def sent_counts(self) -> np.ndarray:
         """Physical messages sent per process in this stage."""
-        return np.bincount(self.sender, minlength=K)
+        return np.bincount(self.sender, minlength=self.K)
 
-    def recv_counts(self, K: int) -> np.ndarray:
+    def recv_counts(self) -> np.ndarray:
         """Physical messages received per process in this stage."""
-        return np.bincount(self.receiver, minlength=K)
+        return np.bincount(self.receiver, minlength=self.K)
 
-    def sent_words(self, K: int) -> np.ndarray:
+    def sent_words(self) -> np.ndarray:
         """Words sent per process in this stage (incl. headers)."""
-        return np.bincount(self.sender, weights=self.total_words, minlength=K).astype(np.int64)
+        return np.bincount(self.sender, weights=self.total_words, minlength=self.K).astype(np.int64)
 
-    def recv_words(self, K: int) -> np.ndarray:
+    def recv_words(self) -> np.ndarray:
         """Words received per process in this stage (incl. headers)."""
-        return np.bincount(self.receiver, weights=self.total_words, minlength=K).astype(np.int64)
+        return np.bincount(self.receiver, weights=self.total_words,
+                           minlength=self.K).astype(np.int64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CommPlan:
     """Complete stage-by-stage schedule of an STFW exchange.
 
     Produced by :func:`build_plan`.  All reported "message counts" are
     counts of *physical* messages (coalesced), matching the paper's
-    metrics; volumes are in words.
+    metrics; volumes are in words.  Frozen; its stages were checked when
+    they were made, so it checks only that stage ``d`` is one of its
+    ``K`` and ``header_words`` (O(stages): the builder makes one per call).
     """
 
     vpt: VirtualProcessTopology
     pattern: CommPattern
-    stages: list[StageSchedule]
+    stages: tuple[StageSchedule, ...]
     header_words: int
     #: words of submessages resident at each process after each stage,
     #: excluding submessages already at their final destination
     #: (shape ``(n, K)``); the store-and-forward buffer occupancy.
     forward_occupancy: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+
+    def __post_init__(self):
+        stages = tuple(self.stages)
+        object.__setattr__(self, "stages", stages)
+        K, h = self.vpt.K, self.header_words
+        if self.pattern.K != K:
+            raise PlanError(f"pattern has K={self.pattern.K} but VPT has K={K}")
+        for d, st in enumerate(stages):
+            if (st.stage, st.K, st.header_words) != (d, K, h):
+                raise PlanError(f"stage {d} of a K={K}, header_words={h} plan is stage "
+                                f"{st.stage} of a K={st.K}, header_words={st.header_words} one")
 
     # -- message-count metrics -----------------------------------------
 
@@ -122,28 +187,28 @@ class CommPlan:
         """Total physical messages sent per process over all stages."""
         out = np.zeros(self.K, dtype=np.int64)
         for st in self.stages:
-            out += st.sent_counts(self.K)
+            out += st.sent_counts()
         return out
 
     def recv_counts(self) -> np.ndarray:
         """Total physical messages received per process over all stages."""
         out = np.zeros(self.K, dtype=np.int64)
         for st in self.stages:
-            out += st.recv_counts(self.K)
+            out += st.recv_counts()
         return out
 
     def sent_words(self) -> np.ndarray:
         """Total words sent per process over all stages (incl. headers)."""
         out = np.zeros(self.K, dtype=np.int64)
         for st in self.stages:
-            out += st.sent_words(self.K)
+            out += st.sent_words()
         return out
 
     def recv_words(self) -> np.ndarray:
         """Total words received per process over all stages (incl. headers)."""
         out = np.zeros(self.K, dtype=np.int64)
         for st in self.stages:
-            out += st.recv_words(self.K)
+            out += st.recv_words()
         return out
 
     @property
@@ -177,21 +242,27 @@ class CommPlan:
         return sum(st.num_messages for st in self.stages)
 
     def stage_members(self, d: int) -> np.ndarray:
-        """Stage ``d``'s ``members``; a repaired or hand-built plan
-        derives the same array, looking each moving row's (holder
-        before, holder after) up in the stage's route keys."""
+        """Stage ``d``'s ``members``; a repaired or Bruck plan derives the
+        same array, looking each moving row's (holder before, holder
+        after) up in the stage's route keys, and refuses a stage whose
+        messages do not carry the rows it counts (``nsub``)."""
         st = self.stages[d]
+        st.require_coalesced("routing by the plan")
         if st.members is not None:
             return st.members
-        pat, w = self.pattern, self.vpt.weights
+        pat, w, key = self.pattern, self.vpt.weights, st.route_key
         h0 = _holder_of(pat.src, pat.dst, w[d])
         h1 = _holder_of(pat.src, pat.dst, w[d + 1])
         moved = np.flatnonzero(h0 != h1)
-        key = stage_route_key(st, self.K, "routing by the plan")
         hkey = h0[moved] * np.int64(self.K) + h1[moved]
         m = np.searchsorted(key, hkey)
         if moved.size and (key.size == 0 or (key[np.minimum(m, key.size - 1)] != hkey).any()):
             raise PlanError(f"stage {d} of the plan has no message for a submessage it routes")
+        if not np.array_equal(np.bincount(m, minlength=st.num_messages), st.nsub):
+            raise PlanError(
+                f"the messages of stage {d} do not carry the submessages the plan "
+                "counts (nsub); the plan does not belong to its pattern"
+            )
         members = np.full(pat.num_messages, -1, dtype=np.int64)
         members[moved] = m
         return members
@@ -215,7 +286,7 @@ class CommPlan:
             return base
         peak = np.zeros(self.K, dtype=np.int64)
         for d, st in enumerate(self.stages):
-            footprint = st.recv_words(self.K) + self.forward_occupancy[d]
+            footprint = st.recv_words() + self.forward_occupancy[d]
             np.maximum(peak, footprint, out=peak)
         return base + peak
 
@@ -230,7 +301,7 @@ class CommPlan:
         """Raise ``PlanError`` if any process exceeds ``k_d - 1`` sends in a stage."""
         for d, st in enumerate(self.stages):
             limit = self.vpt.dim_sizes[d] - 1
-            counts = st.sent_counts(self.K)
+            counts = st.sent_counts()
             worst = int(counts.max(initial=0))
             if worst > limit:
                 raise PlanError(
@@ -243,25 +314,6 @@ def _holder_of(src: np.ndarray, dst: np.ndarray, w: int) -> np.ndarray:
     if w == 1:
         return src
     return src - src % w + dst % w
-
-
-def stage_route_key(st: StageSchedule, K: int, user: str) -> np.ndarray:
-    """A stage's strictly increasing ``sender * K + receiver`` key array.
-
-    ``route_key`` when the stage carries it; for a hand-built stage it
-    is derived and vetted here, and a stage that repeats a route (a
-    ``coalesce=False`` build) is refused in the name of ``user``, what
-    needed the keys.
-    """
-    key = st.route_key
-    if key is None:
-        key = st.sender * np.int64(K) + st.receiver
-        if key.size > 1 and not (key[1:] > key[:-1]).all():
-            raise PlanError(
-                f"{user} requires a coalesced plan; this plan "
-                "repeats a (sender, receiver) route within a stage"
-            )
-    return key
 
 
 class _DeltaRows:
@@ -388,16 +440,12 @@ def _merge_stage_arrays(
     idx = pos[present]
     nsub2[idx] += dn[present]
     payload2[idx] += dp[present]
-    if nsub2.size and (nsub2.min(initial=0) < 0 or payload2.min(initial=0) < 0):
-        raise PlanError("stage repair drove a message negative; delta is inconsistent")
-    keep = nsub2 > 0
+    # only an emptied message goes: what a delta that does not apply
+    # leaves (a count below one, a negative payload) the stage refuses
+    keep = (nsub2 != 0) | (payload2 != 0)
     all_kept = bool(keep.all())
-    if not all_kept and payload2[~keep].any():
-        raise PlanError("stage repair left payload on an empty message; delta is inconsistent")
     new_key = dkey[~present]
     new_dn = dn[~present]
-    if (new_dn <= 0).any():
-        raise PlanError("stage repair removes a message the stage never had")
     if new_key.size == 0:
         if all_kept:
             return sender, receiver, nsub2, payload2, key
@@ -444,13 +492,15 @@ class PlanBuilder:
     :func:`build_plan` uses) reads and fills the memo the pattern
     itself keeps, so a pattern builds each stage once however many
     times its plans are asked for.  Memoized arrays are read-only and
-    are shared by every plan built from them: a stage's ``total_words``
-    is made once per ``header_words`` and the forward occupancy once per
-    topology, so a
-    repeat :meth:`plan` allocates no array, and the batch engine knows
-    a repeat plan by the identity of its arrays.  The memo also
-    holds :attr:`schedules`, what the batch engine computed from this
-    pattern's plans (:mod:`repro.simmpi.batch`).
+    are shared by every plan built from them.  Each plan's stages go
+    through the :class:`StageSchedule` constructor once per
+    ``(weights, header_words, coalesce)``, which makes their
+    ``total_words`` and checks them; the memo keeps the stage objects
+    and the forward occupancy, so a repeat :meth:`plan` allocates no
+    array and checks only its O(stages) :class:`CommPlan`, and the batch
+    engine knows a repeat plan by the identity of its stages.  The memo
+    also holds :attr:`schedules`, what the batch engine computed from
+    this pattern's plans (:mod:`repro.simmpi.batch`).
     Plans produced either way are identical — stage arrays, totals and
     occupancy — to a from-scratch build; the test suite pins this.
     """
@@ -465,7 +515,7 @@ class PlanBuilder:
         #: w_{d+1} -> per-process in-transit words after the stage
         self._occupancy: dict[int, np.ndarray] = {}
         #: (weights, header_words, coalesce) -> (stages, occupancy): what
-        #: plan() hands out, each stage's total_words made once
+        #: plan() hands out, each stage made and checked once
         self._plans: dict[tuple, tuple] = {}
         #: the batch engine's run schedules, one per (weights,
         #: header_words, machine, mapping) key
@@ -508,15 +558,16 @@ class PlanBuilder:
         receivers = nxt[moved]
         sizes = self.pattern.size[moved]
 
-        if senders.size and not coalesce:
-            order = np.argsort(senders * np.int64(K) + receivers, kind="stable")
+        mkey = senders * np.int64(K) + receivers
+        if not coalesce:
+            order = np.argsort(mkey, kind="stable")
             msg_sender = senders[order]
             msg_receiver = receivers[order]
             payload = sizes[order]
             nsub = np.ones(senders.size, dtype=np.int64)
-            route_key = members = None  # duplicate routes: not repairable in place
-        elif senders.size:
-            mkey = senders * np.int64(K) + receivers
+            route_key = mkey[order]
+            members = None  # duplicate routes: a route names no one message
+        else:
             # nothing below sees the order inside a run of equal keys
             order = np.argsort(mkey)
             key_sorted = mkey[order]
@@ -531,16 +582,9 @@ class PlanBuilder:
             route_key = uniq
             members = np.full(moved.size, -1, dtype=np.int64)
             members[moved] = inv
-        else:
-            nsub = np.empty(0, dtype=np.int64)
-            payload = np.empty(0, dtype=np.int64)
-            msg_sender = np.empty(0, dtype=np.int64)
-            msg_receiver = np.empty(0, dtype=np.int64)
-            route_key = np.empty(0, dtype=np.int64) if coalesce else None
-            members = np.full(moved.size, -1, dtype=np.int64) if coalesce else None
 
-        cached = read_only(msg_sender, msg_receiver, nsub, payload, route_key, members)
-        self._stages[key] = cached
+        # read-only once the first stage built from them checks them
+        cached = self._stages[key] = (msg_sender, msg_receiver, nsub, payload, route_key, members)
         return cached
 
     def _occupancy_row(self, w1: int) -> np.ndarray:
@@ -583,28 +627,30 @@ class PlanBuilder:
         return CommPlan(
             vpt=vpt,
             pattern=self.pattern,
-            stages=list(stages),
+            stages=stages,
             header_words=header_words,
             forward_occupancy=occupancy,
         )
 
     def _assemble(self, weights: tuple[int, ...], header_words: int, coalesce: bool) -> tuple:
         """The stages and the read-only occupancy of the plan over ``weights``."""
+        K = self.pattern.K
         stages = []
-        occupancy = np.zeros((len(weights) - 1, self.pattern.K), dtype=np.int64)
+        occupancy = np.zeros((len(weights) - 1, K), dtype=np.int64)
         for d in range(len(weights) - 1):
             sender, receiver, nsub, payload, route_key, members = self._stage_arrays(
                 weights[d], weights[d + 1], coalesce
             )
-            total = read_only(payload + header_words * nsub)[0]
             stages.append(
                 StageSchedule(
                     stage=d,
+                    K=K,
+                    header_words=header_words,
                     sender=sender,
                     receiver=receiver,
                     nsub=nsub,
                     payload_words=payload,
-                    total_words=total,
+                    total_words=payload + header_words * nsub,
                     route_key=route_key,
                     members=members,
                 )
@@ -630,8 +676,13 @@ def repair_plan(plan: CommPlan, delta: PatternDelta) -> CommPlan:
     Raises :class:`~repro.errors.PlanError` for plans built with
     ``coalesce=False`` (their per-submessage row order cannot be
     repaired in place — rebuild instead) and for deltas that do not
-    apply to the plan's pattern.
+    apply to the plan's pattern.  Each repaired stage goes through the
+    :class:`StageSchedule` constructor's checks; ``members`` is not
+    carried but derived on first use (:meth:`CommPlan.stage_members`),
+    so the repair stays O(changes) in the pattern's rows.
     """
+    for st in plan.stages:
+        st.require_coalesced("repair_plan")
     vpt = plan.vpt
     K = vpt.K
     rows = _DeltaRows(plan.pattern, delta)
@@ -640,24 +691,14 @@ def repair_plan(plan: CommPlan, delta: PatternDelta) -> CommPlan:
     header = plan.header_words
     stages: list[StageSchedule] = []
     for d, st in enumerate(plan.stages):
-        # the repaired stages carry the keys forward, so only the first
-        # repair of a hand-built plan derives them
-        key = stage_route_key(st, K, "repair_plan")
         dkey, dn, dp = rows.stage_delta(K, weights[d], weights[d + 1])
         sender, receiver, nsub, payload, out_key = _merge_stage_arrays(
-            K, key, st.sender, st.receiver, st.nsub, st.payload_words, dkey, dn, dp
+            K, st.route_key, st.sender, st.receiver, st.nsub, st.payload_words, dkey, dn, dp
         )
-        stages.append(
-            StageSchedule(
-                stage=d,
-                sender=sender,
-                receiver=receiver,
-                nsub=nsub,
-                payload_words=payload,
-                total_words=payload if header == 0 else payload + header * nsub,
-                route_key=out_key,
-            )
-        )
+        total = payload if header == 0 else payload + header * nsub
+        stages.append(replace(st, sender=sender, receiver=receiver, nsub=nsub,
+                              payload_words=payload, total_words=total, route_key=out_key,
+                              members=None))
     occupancy = plan.forward_occupancy.copy()
     for d in range(vpt.n):
         occupancy[d] += rows.occupancy_delta(K, weights[d + 1])
@@ -745,9 +786,9 @@ def plans_for_dimensions(
 def plans_identical(p: CommPlan, q: CommPlan) -> bool:
     """True iff two plans are byte-identical (values **and** dtypes).
 
-    Covers every schedule array of every stage, the forward-occupancy
-    matrix and the pattern arrays; ``route_key`` is derived metadata
-    (absent on hand-built plans) and is deliberately ignored.  The
+    Covers every schedule array of every stage, ``route_key``
+    included, the forward-occupancy matrix and the pattern arrays;
+    ``members`` is not compared (a repaired plan derives it).  The
     canonical cross-check used wherever an incrementally repaired plan
     is validated against a from-scratch rebuild.
     """
@@ -762,7 +803,7 @@ def plans_identical(p: CommPlan, q: CommPlan) -> bool:
     if not same(p.forward_occupancy, q.forward_occupancy):
         return False
     for a, b in zip(p.stages, q.stages):
-        for name in ("sender", "receiver", "nsub", "payload_words", "total_words"):
+        for name in _STAGE_ARRAYS:
             if not same(getattr(a, name), getattr(b, name)):
                 return False
     return (

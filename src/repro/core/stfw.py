@@ -82,7 +82,7 @@ from ..simmpi.message import TIMEOUT, RunResult
 from ..simmpi.reliable import ReliableComm
 from ..simmpi.runtime import Comm, run_spmd
 from .pattern import CommPattern, PatternDelta
-from .plan import CommPlan, build_plan, stage_route_key
+from .plan import CommPlan, build_plan
 from .vpt import VirtualProcessTopology
 
 __all__ = [
@@ -171,7 +171,7 @@ def recv_counts_from_plan(plan: CommPlan) -> np.ndarray:
     """
     out = np.zeros((plan.n_stages, plan.K), dtype=np.int64)
     for d, st in enumerate(plan.stages):
-        out[d] = st.recv_counts(plan.K)
+        out[d] = st.recv_counts()
     return out
 
 
@@ -263,10 +263,8 @@ def repair_side_tables(
         )
     recv = tables.recv_counts.copy()
     for d, (old_st, new_st) in enumerate(zip(plan.stages, repaired.stages)):
-        old_key = stage_route_key(old_st, K, "side-table repair")
-        new_key = stage_route_key(new_st, K, "side-table repair")
-        gone = _sorted_only_in(old_key, new_key)
-        born = _sorted_only_in(new_key, old_key)
+        gone = _sorted_only_in(old_st.route_key, new_st.route_key)
+        born = _sorted_only_in(new_st.route_key, old_st.route_key)
         if gone.size:
             recv[d] -= np.bincount(gone % K, minlength=K)
         if born.size:
@@ -914,7 +912,9 @@ def _default_payloads(pattern: CommPattern) -> EdgePayloads:
     pattern's plan without sorting it (until an in-place
     ``apply_delta`` replaces those columns).
     """
-    return EdgePayloads.synthetic(pattern.K, pattern.src, pattern.dst, pattern.size)
+    return EdgePayloads.synthetic(
+        pattern.K, pattern.src, pattern.dst, pattern.size, pattern.grouped_by_source
+    )
 
 
 def _resolve_vpt(
@@ -974,7 +974,8 @@ def _vet_plan(
 
     The plan must be a coalesced plan built for this very pattern
     object, this VPT and these ``header_words``, and the exchange must
-    be one that reads a plan: planned and not tolerant.
+    be one that reads a plan: planned and not tolerant.  Its stages
+    were checked when made: only their coalesced bit is read here.
     """
     if mode == "dynamic":
         raise PlanError("plan= does not apply with mode='dynamic': it counts without a plan")
@@ -987,7 +988,7 @@ def _vet_plan(
     if plan.header_words != header_words:
         raise PlanError(f"plan= was built with header_words={plan.header_words}")
     for st in plan.stages:
-        stage_route_key(st, pattern.K, "plan=")
+        st.require_coalesced("plan=")
 
 
 def run_exchange(
@@ -1040,8 +1041,9 @@ def run_exchange(
     :func:`~repro.core.plan.build_plan` (which memoizes per pattern, so
     a repeat build is cheap but not free).  It is refused by name for
     another pattern, VPT or ``header_words``, a ``coalesce=False``
-    plan, ``mode="dynamic"`` and a tolerant ``on_fault``.  A plan stays
-    valid as long as its pattern is not mutated in place.
+    plan, ``mode="dynamic"`` and a tolerant ``on_fault``; its stages,
+    checked when made, are not checked again.  A plan stays valid as
+    long as its pattern is not mutated in place.
 
     ``payloads`` is one ``{dst: payload}`` dict per rank, or an
     :class:`~repro.simmpi.batch.EdgePayloads` table; it defaults to the

@@ -200,21 +200,21 @@ class EdgePayloads:
         return cls(K, src, dst, size, objects, dicts=payloads)
 
     @classmethod
-    def synthetic(cls, K: int, src: np.ndarray, dst: np.ndarray, size: np.ndarray) -> "EdgePayloads":
+    def synthetic(
+        cls, K: int, src: np.ndarray, dst: np.ndarray, size: np.ndarray, grouped: bool
+    ) -> "EdgePayloads":
         """Message ``(s, t)`` carries the words ``[s * K + t] * size``; the sort
         is stable, so a rank's rows keep the order given (a fill's dict order).
 
-        Columns already grouped by source (every ``CommPattern.random``
-        output) are kept as given, unsorted and uncopied: pass arrays
+        Columns already ``grouped`` by source (a pattern's
+        ``grouped_by_source``) are kept as given, unsorted and uncopied: pass arrays
         nobody writes to, such as a pattern's read-only views, which an
         in-place ``apply_delta`` replaces rather than writes.  The
         table records those columns and its row order (the identity,
         or the sort's) for :meth:`rows_of`; the keys are made when a
         payload is first read.
         """
-        order = None
-        if (src[1:] < src[:-1]).any():
-            order = np.lexsort(digits16(src, K))
+        order = None if grouped else np.lexsort(digits16(src, K))
         rows = (src, dst, size) if order is None else (src[order], dst[order], size[order])
         return cls(K, *rows, None, origin=(src, dst, size, order))
 
@@ -390,18 +390,15 @@ class Schedule(NamedTuple):
     the order of the payload table's rows, never the payloads, so the
     pattern's plan memo keeps the result
     (:attr:`repro.core.plan.PlanBuilder.schedules`): one entry per
-    ``(vpt.weights, header_words, machine, mapping)`` key, with the stage
-    arrays and the table-row order it was computed from.  A run with
-    that key reuses it only if its plan's stage arrays, ``total_words``
-    included, are those very objects (a plan builder makes each once per
-    ``header_words`` and keeps it) and its table rows come in the same
-    order; anything else computes afresh and replaces the entry.  A
-    reuse skips the plan-structure refusals of ``_stage_routes`` and the
-    pattern's self-message scan: those read-only stage arrays and that
-    pattern passed them when the entry was made, and the memo goes when
-    the pattern is mutated in place.  A ``trace=True`` run always
-    computes: its trace needs every message's times, which no entry
-    keeps.  All arrays are read-only.
+    ``(vpt.weights, header_words, machine, mapping)`` key, with the plan's
+    stages and the table-row order it was computed from.  A run with
+    that key reuses it only if its plan's ``n`` stages are those very
+    objects (frozen, checked when made, and kept by the plan builder)
+    and its table rows come in the same order; anything else computes
+    afresh, meets ``_stage_routes``' refusals and replaces the entry.
+    The memo goes when the pattern is mutated in place.  A
+    ``trace=True`` run always computes: its trace needs every message's
+    times, which no entry keeps.  All arrays are read-only.
     """
 
     #: every rank's clock before stage 0, then after each stage
@@ -676,10 +673,11 @@ class BatchSimMPI(SimMPI):
         A repeat run of a plan reuses the :class:`Schedule` of the first
         instead of sweeping again.  The payloads are checked against the
         plan on every call (:meth:`EdgePayloads.rows_of`: a default table
-        of the plan's own pattern by its record, any other by a sort);
-        the plan-structure refusals run wherever a schedule is computed,
-        which a reused one already was, from the same read-only stage
-        arrays.
+        of the plan's own pattern by its record, any other by a sort).
+        The stages were checked when made; a computed schedule refuses,
+        with :meth:`~repro.core.plan.CommPlan.stage_members`'s
+        ``PlanError``, a stage that repeats a route and one whose derived
+        ``members`` disagree with ``nsub``.
         """
         K = self.K
         if vpt.K != K:
@@ -698,28 +696,17 @@ class BatchSimMPI(SimMPI):
 
         memo = PlanBuilder.of(pat).schedules
         key = (plan.vpt.weights, plan.header_words, self.machine, self._mapping_key)
-        arrays = [
-            a
-            for st in plan.stages
-            for a in (st.sender, st.receiver, st.nsub, st.payload_words, st.total_words,
-                      st.route_key, st.members)
-        ]
         entry = None if self._trace_enabled else memo.get(key)
         trace_parts: list = []
         if (
             entry is not None
-            and all(map(operator.is_, entry[0], arrays))
+            and all(map(operator.is_, entry[0], plan.stages))
             and _same_rows(entry[1], table_row)
         ):
-            # the stage arrays passed _stage_routes' refusals when the entry
-            # was made, and they are read-only: no need to check them again
             sched = entry[2]
         else:
-            stays = np.flatnonzero(pat.src == pat.dst)  # the rows that move in no stage
-            if stays.size:
-                raise PlanError(f"rank {int(pat.src[stays[0]])} has a self message in its SendSet")
             sched, trace_parts = self._schedule(plan, table_row)
-            memo[key] = (arrays, read_only(table_row)[0], sched)
+            memo[key] = (plan.stages, read_only(table_row)[0], sched)
         if self._obs is not None:
             self._observe(plan, sched.clocks)
         delivered = Deliveries(table, sched.rows, sched.counts)
@@ -733,30 +720,9 @@ class BatchSimMPI(SimMPI):
         that carries each.  Refuses a stage the sweeps cannot replay.
         """
         st = plan.stages[d]
-        K = self.K
-        snd = st.sender.astype(np.int64, copy=False)
-        rcv = st.receiver.astype(np.int64, copy=False)
-        words = st.total_words.astype(np.int64, copy=False)
-        # sweeps and replay rely on (sender, send order) order and one
-        # message per route: a route key names one message
-        mkey = snd * K + rcv
-        if not (mkey[1:] > mkey[:-1]).all():
-            raise SimMPIError(
-                f"engine='batch': stage {d} of the plan is not strictly "
-                "increasing in (sender, receiver) — a plan built with "
-                "coalesce=False repeats routes and cannot be replayed; "
-                "use build_plan(..., coalesce=True)"
-            )
-        members = plan.stage_members(d)
+        members = plan.stage_members(d)  # refuses a stage that repeats a route
         moving = np.flatnonzero(members >= 0)
-        carrier = members[moving]
-        if not np.array_equal(np.bincount(carrier, minlength=st.num_messages), st.nsub):
-            raise SimMPIError(
-                f"engine='batch': the messages of stage {d} do not carry "
-                "the submessages the plan counts (nsub); the plan does not "
-                "belong to its pattern"
-            )
-        return snd, rcv, words, moving, carrier
+        return st.sender, st.receiver, st.total_words, moving, members[moving]
 
     def _schedule(self, plan, table_row: np.ndarray | None) -> tuple[Schedule, list]:
         """Sweep and route every stage of ``plan``: its :class:`Schedule`.

@@ -28,7 +28,7 @@ class TestBruckPlan:
         assert plan.n_stages == 6
         for st in plan.stages:
             assert st.num_messages == p.K
-            assert set(st.sent_counts(p.K)) == {1}
+            assert set(st.sent_counts()) == {1}
 
     def test_round_partners_are_power_of_two_offsets(self):
         p = sparse_pattern(K=16)

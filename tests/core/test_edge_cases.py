@@ -72,7 +72,7 @@ class TestDegeneratePatterns:
         plan.check_stage_bounds()
         # the sink's incast is spread over stages: per-stage recv <= ...
         final_stage = plan.stages[-1]
-        assert final_stage.recv_counts(K)[7] <= 1  # hypercube: 1 neighbor/stage
+        assert final_stage.recv_counts()[7] <= 1  # hypercube: 1 neighbor/stage
 
 
 class TestExtremeDimensions:

@@ -1,5 +1,7 @@
 """Unit tests for plan-level STFW simulation (Algorithm 1 semantics)."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -77,7 +79,7 @@ class TestBuildPlan:
             assert plan.max_message_count == vpt.max_message_count_bound()
             # every process sends exactly k_d - 1 messages in stage d
             for d, st in enumerate(plan.stages):
-                counts = st.sent_counts(K)
+                counts = st.sent_counts()
                 assert counts.min() == counts.max() == vpt.dim_sizes[d] - 1
 
     def test_message_count_reduction_monotone_for_all_to_all(self):
@@ -200,6 +202,8 @@ class TestPlanMetrics:
         # construct an artificially broken plan by lying about the VPT
         p = CommPattern.all_to_all(8)
         plan = build_plan(p, make_vpt(8, 1))
-        plan.vpt = VirtualProcessTopology((2, 2, 2))  # wrong bound source
+        with pytest.raises(FrozenInstanceError):  # a plan is frozen: lie in a copy
+            plan.vpt = VirtualProcessTopology((2, 2, 2))
+        lying = replace(plan, vpt=VirtualProcessTopology((2, 2, 2)))  # wrong bound source
         with pytest.raises(PlanError):
-            plan.check_stage_bounds()
+            lying.check_stage_bounds()

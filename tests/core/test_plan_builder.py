@@ -143,9 +143,7 @@ class TestStageMembers:
         pattern = CommPattern.random(K, avg_degree=degree, hot_processes=hot, seed=seed, words=3)
         vpt = make_vpt(K, dims)
         plan = build_plan(pattern, vpt)
-        stripped = replace(
-            plan, stages=[replace(s, members=None, route_key=None) for s in plan.stages]
-        )
+        stripped = replace(plan, stages=[replace(s, members=None) for s in plan.stages])
         for d, stage in enumerate(plan.stages):
             want = stage.members
             assert want.dtype == np.int64 and want.shape == (pattern.num_messages,)
@@ -181,6 +179,17 @@ class TestStageMembers:
     def test_coalesce_false_has_no_members(self):
         pattern = CommPattern.random(16, avg_degree=3, seed=2)
         plan = build_plan(pattern, make_vpt(16, 2), coalesce=False)
-        assert all(s.members is None for s in plan.stages)
+        assert all(s.members is None and not s.coalesced for s in plan.stages)
         with pytest.raises(PlanError, match="requires a coalesced plan"):
             plan.stage_members(0)
+        # the members a coalesced stage would route by do not fit a split one
+        coalesced = build_plan(pattern, make_vpt(16, 2)).stages[0]
+        with pytest.raises(PlanError, match="nsub disagrees with members"):
+            replace(plan.stages[0], members=coalesced.members)
+
+    def test_a_stage_without_route_keys_cannot_be_made(self):
+        stage = build_plan(CommPattern.random(16, avg_degree=3, seed=2), make_vpt(16, 2)).stages[0]
+        with pytest.raises(PlanError, match="route_key must be a 1-D int64 array"):
+            replace(stage, members=None, route_key=None)
+        with pytest.raises(PlanError, match="route_key is not sender"):
+            replace(stage, route_key=stage.route_key[::-1].copy())

@@ -20,7 +20,7 @@ from repro.network import BGQ
 
 
 def assert_plans_byte_identical(p, q):
-    """Values AND dtypes on every array; route_key is derived metadata."""
+    """Values AND dtypes on every array, the route keys included."""
     assert p.vpt.dim_sizes == q.vpt.dim_sizes
     assert p.header_words == q.header_words
     assert len(p.stages) == len(q.stages)
@@ -31,7 +31,7 @@ def assert_plans_byte_identical(p, q):
 
     same(p.forward_occupancy, q.forward_occupancy, "forward_occupancy")
     for d, (a, b) in enumerate(zip(p.stages, q.stages)):
-        for name in ("sender", "receiver", "nsub", "payload_words", "total_words"):
+        for name in ("sender", "receiver", "nsub", "payload_words", "total_words", "route_key"):
             same(getattr(a, name), getattr(b, name), f"stage {d} {name}")
     same(p.pattern.src, q.pattern.src, "pattern.src")
     same(p.pattern.dst, q.pattern.dst, "pattern.dst")
@@ -100,6 +100,8 @@ class TestGoldenTraces:
 class TestRepairErrors:
     def test_repair_requires_coalesced_plan(self):
         """A plan whose stage repeats a route cannot be repaired."""
+        from dataclasses import replace
+
         vpt = VirtualProcessTopology((4, 4))
         pattern = CommPattern.random(16, avg_degree=3, seed=0)
         plan = build_plan(pattern, vpt)
@@ -107,25 +109,15 @@ class TestRepairErrors:
         if st.sender.size < 1:
             pytest.skip("empty stage")
         # forge a non-coalesced stage: duplicate the first route
-        from dataclasses import replace
-
-        forged = replace(
-            plan,
-            stages=[
-                replace(
-                    st,
-                    sender=np.repeat(st.sender[:1], 2),
-                    receiver=np.repeat(st.receiver[:1], 2),
-                    nsub=np.repeat(st.nsub[:1], 2),
-                    payload_words=np.repeat(st.payload_words[:1], 2),
-                    total_words=np.repeat(st.total_words[:1], 2),
-                    route_key=None,
-                ),
-                *plan.stages[1:],
-            ],
-        )
-        with pytest.raises(PlanError):
-            repair_plan(forged, PatternDelta(16))
+        dup = {
+            name: np.repeat(getattr(st, name)[:1], 2)
+            for name in ("sender", "receiver", "nsub", "payload_words", "total_words", "route_key")
+        }
+        forged = replace(plan, stages=[replace(st, members=None, **dup), *plan.stages[1:]])
+        assert not forged.stages[0].coalesced
+        for uncoalesced in (forged, build_plan(pattern, vpt, coalesce=False)):
+            with pytest.raises(PlanError, match="repair_plan requires a coalesced plan"):
+                repair_plan(uncoalesced, PatternDelta(16))
 
     def test_repair_rejects_K_mismatch(self):
         vpt = VirtualProcessTopology((4, 4))

@@ -26,13 +26,6 @@ def assert_tables_identical(got: SideTables, ref: SideTables):
     assert got.origin_counts.tobytes() == ref.origin_counts.tobytes()
 
 
-def drop_route_keys(plan):
-    """The same plan with every stage's cached route key stripped."""
-    return replace(
-        plan, stages=[replace(st, route_key=None) for st in plan.stages]
-    )
-
-
 class TestFromPlan:
     def test_matches_recv_counts_and_pattern(self):
         pattern = CommPattern.random(16, avg_degree=4, seed=3)
@@ -69,17 +62,17 @@ class TestRepair:
             assert_tables_identical(tables, side_tables_from_plan(repaired))
             plan = repaired
 
-    def test_route_key_less_plans_are_repairable(self):
-        """Stages without the cached key derive it from sender/receiver."""
+    def test_route_key_less_plans_cannot_be_made(self):
+        """Every stage carries its keys, so the repair reads them and derives none."""
         pattern = CommPattern.random(32, avg_degree=4, seed=5)
         vpt = make_vpt(32, 2)
         plan = build_plan(pattern, vpt)
         delta = PatternDelta.random(pattern, 0.10, seed=6)
         repaired = repair_plan(plan, delta)
-        tables = side_tables_from_plan(plan)
-        got = repair_side_tables(
-            tables, drop_route_keys(plan), drop_route_keys(repaired), delta
-        )
+        for p in (plan, repaired):
+            with pytest.raises(PlanError, match="stage 0: route_key must be a 1-D int64 array"):
+                replace(p, stages=[replace(st, route_key=None) for st in p.stages])
+        got = repair_side_tables(side_tables_from_plan(plan), plan, repaired, delta)
         assert_tables_identical(got, side_tables_from_plan(repaired))
 
     def test_input_tables_never_mutated(self):

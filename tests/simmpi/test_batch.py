@@ -236,7 +236,8 @@ class TestRoutingByThePlan:
     def run(plan, tracer=None):
         K, pattern = plan.K, plan.pattern
         sim = BatchSimMPI(K, machine=BGQ, trace=True, tracer=tracer)
-        table = EdgePayloads.synthetic(K, pattern.src, pattern.dst, pattern.size)
+        table = EdgePayloads.synthetic(K, pattern.src, pattern.dst, pattern.size,
+                                       pattern.grouped_by_source)
         return sim.run_planned_stfw(plan.vpt, plan, table)
 
     def assert_same_run(self, base, got):
@@ -258,15 +259,16 @@ class TestRoutingByThePlan:
             plan = repaired
 
     def test_deserialized_plan_runs_like_the_built_one(self):
-        """A plan whose stages lack the derived arrays (hand-built, or
-        made by code that keeps only the schedule) derives them."""
+        """A plan whose stages lack ``members`` (made by code that keeps
+        only the schedule) derives it; one without route keys is refused
+        when it is made."""
         from dataclasses import replace
 
         plan = build_plan(CommPattern.random(96, 5, seed=9, words=3), make_vpt(96, 2))
-        bare = replace(
-            plan, stages=[replace(st, route_key=None, members=None) for st in plan.stages]
-        )
-        assert all(st.members is not None and st.route_key is not None for st in plan.stages)
+        with pytest.raises(PlanError, match="route_key must be a 1-D int64 array"):
+            replace(plan.stages[0], route_key=None, members=None)
+        bare = replace(plan, stages=[replace(st, members=None) for st in plan.stages])
+        assert all(st.members is not None for st in plan.stages)
         base_tr, got_tr = Tracer("built"), Tracer("bare")
         self.assert_same_run(self.run(plan, base_tr), self.run(bare, got_tr))
         assert counter_keys(base_tr) == counter_keys(got_tr)
@@ -277,8 +279,14 @@ class TestRoutingByThePlan:
         pattern = CommPattern.random(64, 6, seed=1, words=2)
         plan = build_plan(pattern, make_vpt(64, 2))
         st0 = plan.stages[0]
-        forged = replace(plan, stages=[replace(st0, nsub=st0.nsub + 1), *plan.stages[1:]])
-        with pytest.raises(SimMPIError, match="stage 0 do not carry the submessages"):
+        # a stage that carries members is refused when made; one without
+        # (as repair makes them) when the run derives its members
+        with pytest.raises(PlanError, match="stage 0: nsub disagrees with members"):
+            replace(st0, nsub=st0.nsub + 1)
+        forged = replace(
+            plan, stages=[replace(st0, nsub=st0.nsub + 1, members=None), *plan.stages[1:]]
+        )
+        with pytest.raises(PlanError, match="stage 0 do not carry the submessages"):
             self.run(forged)
 
 
@@ -438,7 +446,7 @@ class TestEagerRefusals:
         pattern = CommPattern.random(64, 8, words=4, seed=1)
         vpt = make_vpt(64, 2)
         sim = BatchSimMPI(64, machine=BGQ)
-        with pytest.raises(SimMPIError, match="stage 0.*coalesce=True"):
+        with pytest.raises(PlanError, match="stage 0 repeats a .*coalesce=True"):
             sim.run_planned_stfw(
                 vpt, build_plan(pattern, vpt, coalesce=False), _default_payloads(pattern)
             )

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import CommPattern, PatternDelta, PlanBuilder, build_plan, make_vpt, run_exchange
 from repro.core.stfw import _default_payloads
-from repro.errors import SimMPIError
+from repro.errors import PlanError, SimMPIError
 from repro.network import BGQ
 from repro.obs import Tracer, chrome_trace
 from repro.simmpi.batch import BatchSimMPI, Deliveries, EdgePayloads
@@ -237,7 +237,9 @@ class TestFlatteningConstructor:
         K = 50
         keys = rng.choice(K * K, size=n, replace=False)
         keys = keys[keys // K != keys % K]
-        table = EdgePayloads.synthetic(K, keys // K, keys % K, rng.integers(0, 9, keys.size))
+        src = keys // K
+        table = EdgePayloads.synthetic(K, src, keys % K, rng.integers(0, 9, keys.size),
+                                       grouped=bool((np.diff(src) >= 0).all()))
         rows = rng.integers(0, max(keys.size, 1), size=rng.integers(0, 60) if keys.size else 0)
         length, is_int64, words = table.columns(rows)
         views = table.take(rows)
@@ -355,7 +357,7 @@ class TestScheduleOnce:
         # arrays computes its schedule and meets the refusals on its first run
         vpt = make_vpt(pattern.K, 2)
         uncoalesced = build_plan(pattern, vpt, coalesce=False)
-        with pytest.raises(SimMPIError, match="stage 0.*coalesce=True"):
+        with pytest.raises(PlanError, match="stage 0 repeats a .*coalesce=True"):
             BatchSimMPI(pattern.K, machine=BGQ).run_planned_stfw(
                 vpt, uncoalesced, _default_payloads(pattern)
             )
@@ -384,8 +386,13 @@ class TestScheduleOnce:
         plan = PlanBuilder.of(pattern).plan(make_vpt(pattern.K, 2))
         self.run(pattern, plan=plan)
         st0 = plan.stages[0]
-        forged = replace(plan, stages=[replace(st0, nsub=st0.nsub + 1), *plan.stages[1:]])
-        with pytest.raises(SimMPIError, match="stage 0 do not carry the submessages"):
+        # refused when made if the stage carries members, else when a run derives them
+        with pytest.raises(PlanError, match="stage 0: nsub disagrees with members"):
+            replace(st0, nsub=st0.nsub + 1)
+        forged = replace(
+            plan, stages=[replace(st0, nsub=st0.nsub + 1, members=None), *plan.stages[1:]]
+        )
+        with pytest.raises(PlanError, match="stage 0 do not carry the submessages"):
             self.run(pattern, plan=forged)
 
     def test_a_stage_charged_other_words_misses(self, sweeps):
@@ -395,11 +402,19 @@ class TestScheduleOnce:
         plan = PlanBuilder.of(pattern).plan(make_vpt(pattern.K, 2))
         first = self.run(pattern, plan=plan)
         st0 = plan.stages[0]
-        heavier = replace(plan, stages=[replace(st0, total_words=st0.total_words + 5),
-                                        *plan.stages[1:]])
+        with pytest.raises(PlanError, match="stage 0: total_words is not payload_words plus"):
+            replace(st0, total_words=st0.total_words + 5)
+        # other words come only with other header_words, which the entry's key holds
+        heavier = replace(plan, header_words=5, stages=[
+            replace(st, header_words=5, total_words=st.payload_words + 5 * st.nsub)
+            for st in plan.stages
+        ])
         sweeps.clear()
-        got = self.run(pattern, plan=heavier)
+        got = self.run(pattern, plan=heavier, header_words=5)
         assert sweeps and got.makespan_us > first.makespan_us
+        sweeps.clear()
+        built = self.run(pattern, header_words=5)  # the builder's own stages: other objects
+        assert sweeps and built.run.clocks == got.run.clocks
 
     @pytest.mark.parametrize("change, entries", [
         (reversed_dicts, 1), (slower_start, 2), (round_robin, 2), (headers, 2),
@@ -546,3 +561,46 @@ class TestLazyColumns:
         out = run_exchange(pattern, dims=2, machine=BGQ, payloads=table)
         for r, msgs in enumerate(out.delivered):
             assert all(np.array_equal(p, np.full(p.size, s * K + r)) for s, p in msgs)
+
+
+class _CountingLess(np.ndarray):
+    """An int64 column that counts the ``<`` comparisons made on it."""
+
+    calls = 0
+
+    def __lt__(self, other):
+        type(self).calls += 1
+        return super().__lt__(other)
+
+
+class TestSourceGrouping:
+    """Whether a pattern's rows are grouped by source is a fact the pattern keeps."""
+
+    def test_a_repeat_default_run_scans_no_column(self):
+        base = CommPattern.random(36, 4, seed=7)
+        pattern = CommPattern._trusted(base.K, base.src.copy().view(_CountingLess),
+                                       base.dst.copy(), base.size.copy())
+        first = run_exchange(pattern, dims=2, machine=BGQ, engine="batch")
+        _CountingLess.calls = 0
+        again = run_exchange(pattern, dims=2, machine=BGQ, engine="batch")
+        assert _CountingLess.calls == 0
+        assert again.run.clocks == first.run.clocks
+        assert np.array_equal(again.delivered.rows, first.delivered.rows)
+
+    def test_an_in_place_delta_that_ungroups_src_sorts_the_table(self):
+        pattern = CommPattern.random(36, 4, seed=7)
+        run_exchange(pattern, dims=2, machine=BGQ, engine="batch")
+        assert pattern.grouped_by_source
+        t = next(t for t in range(1, pattern.K) if t not in pattern.sendset(0))
+        # the added row of rank 0 lands after every other rank's rows
+        pattern.apply_delta(PatternDelta(pattern.K, add_src=[0], add_dst=[t], add_size=[3]),
+                            inplace=True)
+        assert not pattern.grouped_by_source and (np.diff(pattern.src) < 0).any()
+        table = _default_payloads(pattern)
+        assert (np.diff(table.src) >= 0).all()  # the lexsort's row order
+        got = run_exchange(pattern, dims=2, machine=BGQ, engine="batch", payloads=table)
+        want = run_exchange(pattern, dims=2, machine=BGQ)
+        assert got.run.clocks == want.run.clocks
+        for msgs, ref in zip(got.delivered, want.delivered):
+            assert [s for s, _ in msgs] == [s for s, _ in ref]
+            assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(msgs, ref))

@@ -38,6 +38,8 @@ REMOVED = {
     "repro.core.collective_baseline": ("dense_volume_blowup",),
     "repro.core.dimensioning": ("enumerate_factorizations",),
     "repro.core.routing": ("route_length",),
+    "repro.core.plan": ("stage_route_key",),
+    "repro.core.stfw": ("stage_route_key",),
     "repro.simmpi": ("RankSummary", "rank_summary", "stage_breakdown"),
     "repro.spmv": ("columnparallel_pattern", "ColSpMVResult", "iterative_reference"),
     "repro.spmv.driver": ("iterative_reference",),
