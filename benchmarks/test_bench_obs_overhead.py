@@ -30,6 +30,8 @@ import gc
 import os
 import time
 
+import numpy as np
+
 from repro.core import CommPattern, build_plan, make_vpt, recv_counts_from_plan, stfw_process
 from repro.obs import NULL_TRACER
 from repro.simmpi.runtime import SimMPI
@@ -143,5 +145,5 @@ def test_bench_disabled_tracer_overhead():
     )
     # identical results — the disabled tracer must not perturb the run
     assert _normalize(base_res.returns) == _normalize(null_res.returns)
-    assert base_res.clocks == null_res.clocks
+    assert np.array_equal(base_res.clocks, null_res.clocks)
     assert null_s < base_s * MAX_OVERHEAD + NOISE_FLOOR_S

@@ -159,6 +159,10 @@ class CommPlan:
     #: excluding submessages already at their final destination
     #: (shape ``(n, K)``); the store-and-forward buffer occupancy.
     forward_occupancy: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+    #: stage -> the ``members`` :meth:`stage_members` derived for it
+    _derived_members: dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         stages = tuple(self.stages)
@@ -242,14 +246,26 @@ class CommPlan:
         return sum(st.num_messages for st in self.stages)
 
     def stage_members(self, d: int) -> np.ndarray:
-        """Stage ``d``'s ``members``; a repaired or Bruck plan derives the
-        same array, looking each moving row's (holder before, holder
-        after) up in the stage's route keys, and refuses a stage whose
-        messages do not carry the rows it counts (``nsub``)."""
+        """Stage ``d``'s ``members`` (read-only).
+
+        A repaired or Bruck plan derives the same array the first time
+        it is asked for, looking each moving row's (holder before,
+        holder after) up in the stage's route keys, refuses a stage
+        whose messages do not carry the rows it counts (``nsub``), and
+        keeps it: the plan is frozen, and valid only as long as its
+        pattern is not mutated in place.
+        """
         st = self.stages[d]
         st.require_coalesced("routing by the plan")
         if st.members is not None:
             return st.members
+        members = self._derived_members.get(d)
+        if members is None:
+            members = self._derived_members[d] = read_only(self._derive_members(d))[0]
+        return members
+
+    def _derive_members(self, d: int) -> np.ndarray:
+        st = self.stages[d]
         pat, w, key = self.pattern, self.vpt.weights, st.route_key
         h0 = _holder_of(pat.src, pat.dst, w[d])
         h1 = _holder_of(pat.src, pat.dst, w[d + 1])

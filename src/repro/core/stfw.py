@@ -73,6 +73,7 @@ from typing import Any, Generator, Mapping, Sequence
 
 import numpy as np
 
+from ..arrayops import read_only
 from ..errors import DeadlockError, PendingOp, PlanError
 from ..simmpi.batch import EdgePayloads
 from ..simmpi.engine import resolve_engine
@@ -1177,11 +1178,11 @@ def run_exchange(
     except DeadlockError as exc:
         if on_fault != "partial":
             raise
-        clocks = list(exc.clocks) if exc.clocks else [0.0] * pattern.K
+        (clocks,) = read_only(np.array(exc.clocks or (0.0,) * pattern.K, dtype=np.float64))
         run = RunResult(
             returns=[None] * pattern.K,
             clocks=clocks,
-            makespan_us=max(clocks),
+            makespan_us=float(clocks.max()),
             crashed=list(exc.crashed),
         )
         return ExchangeResult(

@@ -10,7 +10,7 @@ from .links import (
     torus_route_links,
 )
 from .machines import BGQ, CRAY_XC40, CRAY_XK7, MACHINES, Machine
-from .mapping import block_mapping, random_mapping, round_robin_mapping, validate_mapping
+from .mapping import block_mapping, placement, random_mapping, round_robin_mapping, validate_mapping
 from .model import FlatTopology, Topology
 from .timing import CommTiming, StageTiming, spmv_compute_time, time_plan
 from .torus import TorusTopology, fit_torus_dims
@@ -30,6 +30,7 @@ __all__ = [
     "round_robin_mapping",
     "random_mapping",
     "validate_mapping",
+    "placement",
     "time_plan",
     "CommTiming",
     "StageTiming",

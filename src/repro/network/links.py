@@ -38,7 +38,7 @@ from ..core.plan import CommPlan
 from ..errors import NetworkModelError
 from .dragonfly import DragonflyTopology
 from .machines import Machine
-from .mapping import block_mapping, validate_mapping
+from .mapping import placement
 from .model import FlatTopology, Topology
 from .timing import CommTiming, StageTiming, time_plan
 from .torus import TorusTopology
@@ -133,10 +133,7 @@ def congestion_summary(
     plan: CommPlan, machine: Machine, *, mapping: np.ndarray | None = None
 ) -> list[CongestionSummary]:
     """Per-stage hot-link statistics of a plan on a machine."""
-    topo = machine.topology(plan.K)
-    if mapping is None:
-        mapping = block_mapping(plan.K, machine.cores_per_node)
-    mapping = validate_mapping(mapping, plan.K, topo.num_nodes)
+    topo, mapping = placement(machine, plan.K, mapping)
     out = []
     for st in plan.stages:
         loads = link_loads(st, topo, mapping)
@@ -171,10 +168,7 @@ def time_plan_links(
     everything scheduled over it.
     """
     port = time_plan(plan, machine, mapping=mapping, stage_sync=stage_sync)
-    topo = machine.topology(plan.K)
-    if mapping is None:
-        mapping = block_mapping(plan.K, machine.cores_per_node)
-    mapping = validate_mapping(mapping, plan.K, topo.num_nodes)
+    topo, mapping = placement(machine, plan.K, mapping)
 
     beta = machine.beta_us_per_word
     stages: list[StageTiming] = []

@@ -30,7 +30,7 @@ import numpy as np
 from ..core.plan import CommPlan
 from ..errors import NetworkModelError
 from .machines import Machine
-from .mapping import block_mapping, validate_mapping
+from .mapping import placement
 
 __all__ = [
     "StageTiming",
@@ -94,10 +94,7 @@ def time_plan(
         baseline's single stage.
     """
     K = plan.K
-    topo = machine.topology(K)
-    if mapping is None:
-        mapping = block_mapping(K, machine.cores_per_node)
-    mapping = validate_mapping(mapping, K, topo.num_nodes)
+    topo, mapping = placement(machine, K, mapping)
 
     sync_us = 0.0
     if stage_sync:

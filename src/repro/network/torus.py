@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..arrayops import read_only
 from ..errors import NetworkModelError
 from .model import Topology
 
@@ -65,7 +66,8 @@ class TorusTopology(Topology):
         self._num_nodes = _prod(dims)
         # per dimension, every node's coordinate (what hops_array gathers)
         nodes = np.arange(self._num_nodes)
-        self._coords = np.stack(np.unravel_index(nodes, dims, order="F")).astype(np.int32)
+        coords = np.stack(np.unravel_index(nodes, dims, order="F")).astype(np.int32)
+        self._coords = read_only(coords)[0]  # a machine's topology is shared (placement)
 
     @property
     def dims(self) -> tuple[int, ...]:

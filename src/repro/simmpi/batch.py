@@ -329,14 +329,12 @@ class Deliveries(abc.Sequence):
     own objects or, for a synthetic table, read-only views that repeat
     each row's key: copy a view to change it.  The origins are one
     shared ``int`` per rank.  ``rows``, ``ptr`` and ``src`` are
-    read-only: a repeat run of one plan shares ``rows``
+    read-only: a repeat run of one plan shares ``rows`` and ``ptr``
     (:class:`Schedule`), and ``src`` is gathered when first read.
     """
 
-    def __init__(self, table: EdgePayloads, rows: np.ndarray, counts: np.ndarray, lists=None):
+    def __init__(self, table: EdgePayloads, rows: np.ndarray, ptr: np.ndarray, lists=None):
         self.table = table
-        ptr = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
         self.rows, self.ptr = read_only(rows, ptr)
         self._lists = lists
 
@@ -358,13 +356,14 @@ class Deliveries(abc.Sequence):
             return delivered
         K = len(delivered)
         counts = np.fromiter((len(msgs or ()) for msgs in delivered), np.int64, count=K)
-        n = int(counts.sum())
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+        n = int(ptr[-1])
         pairs = [pair for msgs in delivered if msgs for pair in msgs]
         src = np.fromiter((s for s, _ in pairs), np.int64, count=n)
         objects = np.fromiter((p for _, p in pairs), object, count=n)
         dst = np.repeat(np.arange(K, dtype=np.int64), counts)
         table = EdgePayloads(K, src, dst, None, objects)
-        return cls(table, np.arange(n), counts, lists=delivered)
+        return cls(table, np.arange(n), ptr, lists=delivered)
 
     @property
     def dst(self) -> np.ndarray:
@@ -405,8 +404,10 @@ class Schedule(NamedTuple):
     clocks: tuple[np.ndarray, ...]
     #: the delivered table rows, grouped by receiver, in delivery order
     rows: np.ndarray
-    #: deliveries per rank
-    counts: np.ndarray
+    #: rank ``r`` received ``rows[ptr[r]:ptr[r + 1]]``
+    ptr: np.ndarray
+    #: the largest final clock
+    makespan_us: float
 
 
 def _same_rows(a: np.ndarray | None, b: np.ndarray | None) -> bool:
@@ -616,10 +617,11 @@ class BatchSimMPI(SimMPI):
     def _finalize_run(
         self,
         returns: Sequence[Any],
-        clocks: np.ndarray,
+        sched: Schedule,
         trace_parts: list[tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray, np.ndarray]],
     ) -> RunResult:
-        """Assemble the canonical ``RunResult`` (event-engine shape)."""
+        """Assemble the canonical ``RunResult`` (event-engine shape) on the
+        schedule's own read-only final clocks."""
         trace: list[TraceRecord] = []
         for snd, rcv, tag, words, start, arrive in trace_parts:
             snd_l = snd.tolist()
@@ -642,8 +644,8 @@ class BatchSimMPI(SimMPI):
         self.trace = trace
         return RunResult(
             returns=returns,
-            clocks=clocks.tolist(),
-            makespan_us=float(clocks.max()),
+            clocks=sched.clocks[-1],
+            makespan_us=sched.makespan_us,
             trace=trace,
             crashed=[],
             fault_events=[],
@@ -709,8 +711,8 @@ class BatchSimMPI(SimMPI):
             memo[key] = (plan.stages, read_only(table_row)[0], sched)
         if self._obs is not None:
             self._observe(plan, sched.clocks)
-        delivered = Deliveries(table, sched.rows, sched.counts)
-        return self._finalize_run(delivered, sched.clocks[-1], trace_parts)
+        delivered = Deliveries(table, sched.rows, sched.ptr)
+        return self._finalize_run(delivered, sched, trace_parts)
 
     def _stage_routes(self, plan, d: int) -> tuple[np.ndarray, ...]:
         """Stage ``d``'s messages and the pattern rows they carry.
@@ -800,8 +802,9 @@ class BatchSimMPI(SimMPI):
         dr = np.concatenate(del_rank_parts or [empty])
         de = np.concatenate(del_row_parts or [empty])
         gord = np.argsort(dr, kind="stable")
+        ptr = np.concatenate(([0], np.cumsum(np.bincount(dr, minlength=K))))
         sched = Schedule(
-            read_only(*stage_clocks), *read_only(de[gord], np.bincount(dr, minlength=K))
+            read_only(*stage_clocks), *read_only(de[gord], ptr), float(clocks.max())
         )
         return sched, trace_parts
 

@@ -34,9 +34,11 @@ increases, so one source's envelopes arrive in the order they were sent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from heapq import heapify, heappop, heappush
 from typing import Any
+
+import numpy as np
 
 __all__ = [
     "ANY_SOURCE",
@@ -207,7 +209,7 @@ class TraceRecord:
     arrive_time: float
 
 
-@dataclass
+@dataclass(eq=False)
 class RunResult:
     """Outcome of an SPMD run.
 
@@ -217,7 +219,9 @@ class RunResult:
         Per-rank return value of the process function (``None`` for a
         rank killed by fault injection).
     clocks:
-        Final virtual clock of each rank in microseconds.
+        Final virtual clock of each rank in microseconds: a read-only
+        float64 array (the batch engine's repeat runs share one; use
+        ``.tolist()`` for a list).
     makespan_us:
         Maximum final clock — the run's virtual wall time.
     trace:
@@ -234,12 +238,24 @@ class RunResult:
         :data:`repro.simmpi.runtime.ENGINE_STATS`).  Excluded from
         equality, so results still compare equal across backends; empty
         for the batch engine, which has no event loop.
+
+    Two results are ``==`` when every field but ``engine_stats`` is;
+    ``clocks`` compare by ``np.array_equal``, so they never make ``==``
+    raise, whatever their lengths.
     """
 
     returns: list[Any]
-    clocks: list[float]
+    clocks: np.ndarray
     makespan_us: float
     trace: list[TraceRecord] = field(default_factory=list)
     crashed: list[int] = field(default_factory=list)
     fault_events: list = field(default_factory=list)
     engine_stats: dict = field(default_factory=dict, compare=False)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = [f.name for f in fields(self) if f.compare and f.name != "clocks"]
+        return np.array_equal(self.clocks, other.clocks) and (
+            [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+        )

@@ -137,9 +137,10 @@ from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
 
+from ..arrayops import read_only
 from ..errors import DeadlockError, PendingOp, SimMPIError, format_pending
 from ..network.machines import Machine
-from ..network.mapping import block_mapping, validate_mapping
+from ..network.mapping import placement
 from .faults import FaultPlan, FaultState
 from .message import ANY_SOURCE, ANY_TAG, TIMEOUT, Mailbox, RunResult, TraceRecord
 
@@ -511,10 +512,7 @@ class SimMPI:
         self.tracer = tracer
         self._obs = tracer if (tracer is not None and tracer.enabled) else None
         if machine is not None:
-            self._topology = machine.topology(K)
-            if mapping is None:
-                mapping = block_mapping(K, machine.cores_per_node)
-            self._mapping = validate_mapping(mapping, K, self._topology.num_nodes)
+            self._topology, self._mapping = placement(machine, K, mapping)
         else:
             if mapping is not None:
                 raise SimMPIError("mapping given without a machine")
@@ -779,14 +777,14 @@ class SimMPI:
         the same events in different orders.
         """
         returns = [p.retval for p in self._procs]
-        clocks = [p.clock for p in self._procs]
+        (clocks,) = read_only(np.fromiter((p.clock for p in self._procs), np.float64, self.K))
         fs = self._faults
         trace = self.trace
         trace.sort(key=trace_sort_key)
         return RunResult(
             returns=returns,
             clocks=clocks,
-            makespan_us=max(clocks) if clocks else 0.0,
+            makespan_us=float(clocks.max()),
             trace=trace,
             crashed=[] if fs is None else sorted(fs.crashed),
             fault_events=[] if fs is None else sorted(fs.events, key=fault_sort_key),

@@ -32,12 +32,16 @@ __all__ = ["DistributedSpMVResult", "distributed_spmv"]
 
 @dataclass
 class DistributedSpMVResult:
-    """Outcome of an emulated distributed SpMV."""
+    """Outcome of an emulated distributed SpMV.
+
+    ``clocks`` is the exchange's ``RunResult.clocks``: every rank's final
+    virtual clock, a read-only float64 array (``.tolist()`` for a list).
+    """
 
     y: np.ndarray
     pattern: CommPattern
     makespan_us: float
-    clocks: list[float]
+    clocks: np.ndarray
 
 
 def distributed_spmv(

@@ -51,7 +51,7 @@ def test_plan_given_equals_plan_built(pattern, engine, header_words):
     implied = run_exchange(pattern, plan=plan, **kw)  # the plan supplies the VPT
     for res in (given, implied):
         assert res.plan is plan
-        assert res.run.clocks == own.run.clocks
+        assert np.array_equal(res.run.clocks, own.run.clocks)
         assert res.run.makespan_us == own.run.makespan_us
         assert res.run.trace == own.run.trace
         assert res.run.engine_stats == own.run.engine_stats
@@ -64,7 +64,7 @@ def test_plan_given_to_a_partial_exchange(pattern):
     own = run_exchange(pattern, vpt, machine=BGQ, on_fault="partial")
     given = run_exchange(pattern, vpt, machine=BGQ, on_fault="partial", plan=plan)
     assert given.plan is plan and given.completed
-    assert given.run.clocks == own.run.clocks
+    assert np.array_equal(given.run.clocks, own.run.clocks)
     assert same_deliveries(given.delivered, own.delivered)
 
 

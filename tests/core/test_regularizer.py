@@ -128,7 +128,7 @@ class TestExchange:
         res = Regularizer(p, dimension=2).exchange(payloads, machine=BGQ)
         assert calls == []
         want = run_exchange(p, dims=2, payloads=payloads, machine=BGQ)
-        assert res.run.clocks == want.run.clocks
+        assert np.array_equal(res.run.clocks, want.run.clocks)
         assert [list(m) for m in res.delivered] == [list(m) for m in want.delivered]
         assert all(q is payloads[s][r] for r, msgs in enumerate(res.delivered) for s, q in msgs)
 

@@ -259,7 +259,8 @@ class TestBucketSlots:
 
         got = run_spmd(K, now, machine=BGQ, trace=True)
         want = run_spmd(K, before, machine=BGQ, trace=True)
-        for part in ("clocks", "makespan_us", "trace", "engine_stats"):
+        assert np.array_equal(got.clocks, want.clocks)
+        for part in ("makespan_us", "trace", "engine_stats"):
             assert getattr(got, part) == getattr(want, part), part
         flips = 0
         for rank, (a, b) in enumerate(zip(got.returns, want.returns)):
@@ -281,7 +282,7 @@ class TestRunExchangeValidation:
     def test_no_topology_is_t1(self, pattern):
         res = run_exchange(pattern, machine=BGQ)
         assert res.plan.vpt.dim_sizes == (16,)
-        assert res.run.clocks == run_exchange(pattern, dims=1, machine=BGQ).run.clocks
+        assert np.array_equal(res.run.clocks, run_exchange(pattern, dims=1, machine=BGQ).run.clocks)
 
     def test_dims_selects_the_balanced_vpt(self, pattern, vpt):
         via_dims = run_exchange(pattern, dims=2, machine=BGQ)

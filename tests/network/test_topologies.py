@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from repro.errors import NetworkModelError
-from repro.network import DragonflyTopology, FlatTopology, TorusTopology, fit_torus_dims
+from repro.network import (
+    BGQ,
+    CRAY_XC40,
+    DragonflyTopology,
+    FlatTopology,
+    TorusTopology,
+    block_mapping,
+    fit_torus_dims,
+    placement,
+)
 
 
 class TestFlatTopology:
@@ -155,3 +164,26 @@ class TestDragonflyTopology:
     def test_invalid(self):
         with pytest.raises(NetworkModelError):
             DragonflyTopology(0, 2, 2)
+
+
+class TestPlacement:
+    def test_the_default_is_made_once_per_machine_and_K_and_is_read_only(self):
+        topology, mapping = placement(BGQ, 100)
+        again = placement(BGQ, 100)
+        assert again[0] is topology and again[1] is mapping
+        assert np.array_equal(mapping, block_mapping(100, BGQ.cores_per_node))
+        assert topology.num_nodes >= BGQ.num_nodes(100)
+        with pytest.raises(ValueError, match="read-only"):
+            mapping[0] = 1
+        assert placement(CRAY_XC40, 100)[1] is not mapping
+
+    def test_a_caller_mapping_is_validated_on_every_call(self):
+        topology, _ = placement(BGQ, 32)
+        mine = np.arange(32) % topology.num_nodes
+        got_topology, got = placement(BGQ, 32, mine)
+        assert got_topology is topology and np.array_equal(got, mine)
+        mine[3] = topology.num_nodes
+        with pytest.raises(NetworkModelError, match="outside"):
+            placement(BGQ, 32, mine)
+        with pytest.raises(NetworkModelError, match="shape"):
+            placement(BGQ, 32, mine[:-1])

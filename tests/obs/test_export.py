@@ -12,6 +12,7 @@ format change with::
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.core import CommPattern, make_vpt, run_exchange
@@ -131,8 +132,8 @@ class TestNoopPurity:
         base = run_exchange(pattern, vpt, machine=BGQ)
         nulled = run_exchange(pattern, vpt, machine=BGQ, tracer=NULL_TRACER)
         live = run_exchange(pattern, vpt, machine=BGQ, tracer=Tracer())
-        assert nulled.run.clocks == base.run.clocks
-        assert live.run.clocks == base.run.clocks
+        assert np.array_equal(nulled.run.clocks, base.run.clocks)
+        assert np.array_equal(live.run.clocks, base.run.clocks)
         assert nulled.run.makespan_us == base.run.makespan_us
         canon = _canon_delivered(base.delivered)
         assert _canon_delivered(nulled.delivered) == canon
@@ -144,7 +145,7 @@ class TestNoopPurity:
         nulled = run_exchange(
             pattern, machine=BGQ, tracer=NULL_TRACER
         )
-        assert nulled.run.clocks == base.run.clocks
+        assert np.array_equal(nulled.run.clocks, base.run.clocks)
         assert _canon_delivered(nulled.delivered) == _canon_delivered(base.delivered)
 
 

@@ -48,7 +48,7 @@ def assert_same_result(base, got, context=""):
     assert deep_eq(list(base.returns), list(got.returns)), f"returns diverge {context}"
     if isinstance(got.returns, Deliveries):
         assert_columns_flatten(base.returns, got.returns, context)
-    assert base.clocks == got.clocks, f"clocks diverge {context}"
+    assert np.array_equal(base.clocks, got.clocks), f"clocks diverge {context}"
     assert base.makespan_us == got.makespan_us, f"makespan diverges {context}"
     assert base.trace == got.trace, f"trace diverges {context}"
     assert base.crashed == got.crashed, f"crashed diverges {context}"
@@ -241,7 +241,7 @@ class TestRoutingByThePlan:
         return sim.run_planned_stfw(plan.vpt, plan, table)
 
     def assert_same_run(self, base, got):
-        assert base.clocks == got.clocks and base.makespan_us == got.makespan_us
+        assert np.array_equal(base.clocks, got.clocks) and base.makespan_us == got.makespan_us
         assert base.trace == got.trace
         for column in ("ptr", "src", "rows"):
             assert np.array_equal(getattr(base.returns, column), getattr(got.returns, column))
@@ -369,7 +369,7 @@ class TestSpMVEquivalence:
         got = distributed_spmv(A, part, x, vpt=vpt, machine=BGQ, engine="batch")
         assert np.array_equal(base.y, got.y)
         assert base.makespan_us == got.makespan_us
-        assert base.clocks == got.clocks
+        assert np.array_equal(base.clocks, got.clocks)
 
 
 class TestEagerRefusals:

@@ -138,6 +138,14 @@ class TestEngineCrossValidation:
         res = run_case(label)
         assert res.run.clocks == pytest.approx(new, rel=1e-12, abs=1e-9)
 
+    @pytest.mark.parametrize("label", ["planned", "dynamic", "direct"])
+    def test_clocks_are_a_read_only_float64_array(self, label):
+        _, new = CASES[label]
+        clocks = run_case(label).run.clocks
+        assert isinstance(clocks, np.ndarray) and clocks.dtype == np.float64
+        assert clocks.shape == (16,) and not clocks.flags.writeable
+        assert clocks.tolist() == pytest.approx(new, rel=1e-12, abs=1e-9)
+
     def test_planned_and_dynamic_agree_on_deliveries(self):
         assert normalize(run_case("planned").delivered) == normalize(
             run_case("dynamic").delivered

@@ -17,7 +17,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CommPattern, PatternDelta, PlanBuilder, build_plan, make_vpt, run_exchange
+from repro.core import (
+    CommPattern,
+    PatternDelta,
+    PlanBuilder,
+    build_plan,
+    make_vpt,
+    repair_plan,
+    run_exchange,
+)
+from repro.core.plan import CommPlan
 from repro.core.stfw import _default_payloads
 from repro.errors import PlanError, SimMPIError
 from repro.network import BGQ
@@ -111,7 +120,7 @@ def run_twice(pattern, trace=False, **kw):
         runs.append((out, counters(tracer), chrome_trace(tracer, run=out.run)))
     (first, c1, doc1), (second, c2, doc2) = runs
     a, b = first.run, second.run
-    assert b.clocks == a.clocks and b.makespan_us == a.makespan_us
+    assert np.array_equal(b.clocks, a.clocks) and b.makespan_us == a.makespan_us
     assert b.trace == a.trace and b.crashed == a.crashed == [] and b.fault_events == []
     for column in ("rows", "ptr", "src"):
         x, y = getattr(a.returns, column), getattr(b.returns, column)
@@ -333,10 +342,69 @@ class TestScheduleOnce:
         sweeps.clear()
         again = self.run(pattern)
         assert sweeps == []
-        assert again.run.clocks == first.run.clocks
+        assert np.array_equal(again.run.clocks, first.run.clocks)
         assert np.array_equal(again.delivered.rows, first.delivered.rows)
         assert again.delivered.rows is first.delivered.rows  # the one memo entry's
         assert len(PlanBuilder.of(pattern).schedules) == 1
+
+    def test_a_repeat_run_shares_read_only_clocks_and_ptr(self):
+        pattern = self.pattern()
+        first = self.run(pattern)
+        again = self.run(pattern)
+        assert again.run.clocks is first.run.clocks
+        assert again.delivered.ptr is first.delivered.ptr
+        for array in (again.run.clocks, again.delivered.ptr):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_a_repeat_run_places_no_rank(self, monkeypatch):
+        from repro.network import machines, mapping
+
+        pattern = self.pattern()
+        first = self.run(pattern)
+        calls = []
+        topology, block_mapping = machines.Machine.topology, mapping.block_mapping
+
+        def counted_topology(machine, K):
+            calls.append("topology")
+            return topology(machine, K)
+
+        def counted_block_mapping(K, cores_per_node):
+            calls.append("block_mapping")
+            return block_mapping(K, cores_per_node)
+
+        monkeypatch.setattr(machines.Machine, "topology", counted_topology)
+        monkeypatch.setattr(mapping, "block_mapping", counted_block_mapping)
+        again = self.run(pattern)
+        assert calls == [] and again.run.clocks is first.run.clocks
+        # a machine not placed before (no other test names it) is placed once
+        unseen = BGQ.with_params(name="a machine placed once")
+        for _ in range(2):
+            BatchSimMPI(pattern.K, machine=unseen)
+        assert calls == ["topology", "block_mapping"]
+
+    def test_a_traced_repaired_plan_derives_each_stage_once(self, monkeypatch):
+        calls = []
+        derive = CommPlan._derive_members
+
+        def counted(plan, d):
+            calls.append(d)
+            return derive(plan, d)
+
+        monkeypatch.setattr(CommPlan, "_derive_members", counted)
+        pattern = CommPattern.random(256, 6, seed=4)
+        built = build_plan(pattern, make_vpt(256, 3))
+        plan = repair_plan(built, PatternDelta.random(pattern, 0.1, seed=5))
+        assert all(st.members is None for st in plan.stages)
+        runs = [
+            self.run(plan.pattern, plan=plan, dims=3, trace=True, tracer=Tracer("repaired"))
+            for _ in range(3)
+        ]
+        assert sorted(calls) == [0, 1, 2]
+        assert all(np.array_equal(r.run.clocks, runs[0].run.clocks) for r in runs)
+        want = run_exchange(plan.pattern, dims=3, machine=BGQ, trace=True).run
+        assert np.array_equal(runs[0].run.clocks, want.clocks) and runs[0].run.trace == want.trace
 
     def test_a_repeat_run_checks_no_stage_again(self, monkeypatch):
         calls = []
@@ -352,7 +420,7 @@ class TestScheduleOnce:
         assert calls == [0, 1]
         calls.clear()
         again = self.run(pattern)
-        assert calls == [] and again.run.clocks == first.run.clocks
+        assert calls == [] and np.array_equal(again.run.clocks, first.run.clocks)
         # the memo holds an entry for this key, yet a plan with other stage
         # arrays computes its schedule and meets the refusals on its first run
         vpt = make_vpt(pattern.K, 2)
@@ -414,7 +482,7 @@ class TestScheduleOnce:
         assert sweeps and got.makespan_us > first.makespan_us
         sweeps.clear()
         built = self.run(pattern, header_words=5)  # the builder's own stages: other objects
-        assert sweeps and built.run.clocks == got.run.clocks
+        assert sweeps and np.array_equal(built.run.clocks, got.run.clocks)
 
     @pytest.mark.parametrize("change, entries", [
         (reversed_dicts, 1), (slower_start, 2), (round_robin, 2), (headers, 2),
@@ -430,14 +498,15 @@ class TestScheduleOnce:
         got = self.run(pattern, **kw)
         assert sweeps, "the run reused a schedule computed for another key"
         want = run_exchange(pattern, **{"dims": 2, "machine": BGQ, **kw})
-        assert got.run.clocks == want.run.clocks and got.makespan_us == want.makespan_us
+        assert np.array_equal(got.run.clocks, want.run.clocks)
+        assert got.makespan_us == want.makespan_us
         for msgs, ref in zip(got.delivered, want.delivered):
             assert [s for s, _ in msgs] == [s for s, _ in ref]
             assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(msgs, ref))
         assert len(PlanBuilder.of(pattern).schedules) == entries
         sweeps.clear()
         again = self.run(pattern, **kw)
-        assert sweeps == [] and again.run.clocks == got.run.clocks
+        assert sweeps == [] and np.array_equal(again.run.clocks, got.run.clocks)
 
     @pytest.mark.parametrize("repeat", [False, True])
     def test_delivery_columns_are_read_only(self, repeat):
@@ -450,7 +519,7 @@ class TestScheduleOnce:
                 array[0] = -1
         again = self.run(pattern)
         assert np.array_equal(again.delivered.rows, first.delivered.rows)
-        assert again.run.clocks == first.run.clocks
+        assert np.array_equal(again.run.clocks, first.run.clocks)
 
     def test_a_repeat_run_with_default_payloads_sorts_no_table(self, key_sorts, sweeps):
         pattern = self.grouped()
@@ -459,11 +528,11 @@ class TestScheduleOnce:
         sweeps.clear()
         again = self.run(pattern)
         assert key_sorts == [] and sweeps == []
-        assert again.run.clocks == first.run.clocks
+        assert np.array_equal(again.run.clocks, first.run.clocks)
         # the same payloads as caller dicts take the sort, and land on the same entry
         dicts = self.run(pattern, payloads=[dict(d) for d in _default_payloads(pattern)])
         assert pattern.num_messages in key_sorts and sweeps == []
-        assert dicts.run.clocks == first.run.clocks
+        assert np.array_equal(dicts.run.clocks, first.run.clocks)
         assert np.array_equal(dicts.delivered.rows, first.delivered.rows)
 
     def test_a_lexsorted_table_hits_without_a_sort(self, key_sorts, sweeps):
@@ -476,13 +545,14 @@ class TestScheduleOnce:
         assert key_sorts == [] and sweeps == []
         want = run_exchange(pattern, dims=2, machine=BGQ)
         for got in (first, again):
-            assert got.run.clocks == want.run.clocks and got.makespan_us == want.makespan_us
+            assert np.array_equal(got.run.clocks, want.run.clocks)
+            assert got.makespan_us == want.makespan_us
             for msgs, ref in zip(got.delivered, want.delivered):
                 assert [s for s, _ in msgs] == [s for s, _ in ref]
                 assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(msgs, ref))
         dicts = self.run(pattern, payloads=[dict(d) for d in _default_payloads(pattern)])
         assert np.array_equal(dicts.delivered.rows, again.delivered.rows)
-        assert dicts.run.clocks == again.run.clocks
+        assert np.array_equal(dicts.run.clocks, again.run.clocks)
 
     def test_a_default_table_of_another_pattern_is_refused(self, key_sorts):
         pattern = self.grouped()
@@ -498,7 +568,7 @@ class TestScheduleOnce:
         key_sorts.clear()
         got = self.run(pattern, payloads=_default_payloads(copy))
         assert pattern.num_messages in key_sorts
-        assert got.run.clocks == self.run(pattern).run.clocks
+        assert np.array_equal(got.run.clocks, self.run(pattern).run.clocks)
 
     def test_a_table_taken_before_an_in_place_delta_is_refused(self):
         pattern = self.grouped()
@@ -511,7 +581,8 @@ class TestScheduleOnce:
         with pytest.raises(SimMPIError, match="disagree with the planned pattern"):
             self.run(pattern, plan=plan, payloads=stale)
         fresh = self.run(pattern, plan=plan)
-        assert fresh.run.clocks == run_exchange(pattern, dims=2, machine=BGQ).run.clocks
+        want = run_exchange(pattern, dims=2, machine=BGQ)
+        assert np.array_equal(fresh.run.clocks, want.run.clocks)
 
     def test_a_stage_with_its_own_total_words_object_misses(self, sweeps):
         from dataclasses import replace
@@ -528,7 +599,8 @@ class TestScheduleOnce:
         got = self.run(pattern, plan=same_words)
         assert sweeps
         want = run_exchange(pattern, dims=2, machine=BGQ)
-        assert got.run.clocks == want.run.clocks and got.makespan_us == want.makespan_us
+        assert np.array_equal(got.run.clocks, want.run.clocks)
+        assert got.makespan_us == want.makespan_us
 
 
 class TestLazyColumns:
@@ -584,7 +656,7 @@ class TestSourceGrouping:
         _CountingLess.calls = 0
         again = run_exchange(pattern, dims=2, machine=BGQ, engine="batch")
         assert _CountingLess.calls == 0
-        assert again.run.clocks == first.run.clocks
+        assert np.array_equal(again.run.clocks, first.run.clocks)
         assert np.array_equal(again.delivered.rows, first.delivered.rows)
 
     def test_an_in_place_delta_that_ungroups_src_sorts_the_table(self):
@@ -600,7 +672,7 @@ class TestSourceGrouping:
         assert (np.diff(table.src) >= 0).all()  # the lexsort's row order
         got = run_exchange(pattern, dims=2, machine=BGQ, engine="batch", payloads=table)
         want = run_exchange(pattern, dims=2, machine=BGQ)
-        assert got.run.clocks == want.run.clocks
+        assert np.array_equal(got.run.clocks, want.run.clocks)
         for msgs, ref in zip(got.delivered, want.delivered):
             assert [s for s, _ in msgs] == [s for s, _ in ref]
             assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(msgs, ref))

@@ -307,7 +307,7 @@ class TestMixedReceivesPin:
             K, program = mixed_receives(seed)
             run = run_spmd(K, program, machine=BGQ)
             assert_mailboxes_empty(engines[-1])
-            doc.append([run.clocks, run.returns])
+            doc.append([run.clocks.tolist(), run.returns])
         assert "timeout" in str(doc)  # some timed receive did time out
         assert hashlib.sha256(json.dumps(canon(doc)).encode()).hexdigest() == self.DIGEST
 
@@ -336,7 +336,7 @@ class TestEventEqualsBatch:
         kw = dict(dims=dims, machine=MACHINES[machine])
         event = run_exchange(pattern, engine="event", **kw)
         batch = run_exchange(pattern, engine="batch", **kw)
-        assert event.run.clocks == batch.run.clocks
+        assert np.array_equal(event.run.clocks, batch.run.clocks)
         assert event.makespan_us == batch.makespan_us
         assert len(event.delivered) == len(batch.delivered)
         for got, want in zip(batch.delivered, event.delivered):
@@ -367,7 +367,7 @@ def canon(x):
 
 
 def run_digest(run):
-    doc = canon([run.returns, run.clocks, run.fault_events, run.crashed])
+    doc = canon([run.returns, run.clocks.tolist(), run.fault_events, run.crashed])
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 

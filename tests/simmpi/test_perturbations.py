@@ -21,7 +21,7 @@ class TestJitter:
     def test_zero_jitter_is_baseline(self):
         a = run_spmd(2, pingpong, machine=BGQ)
         b = run_spmd(2, pingpong, machine=BGQ, jitter=0.0)
-        assert a.clocks == b.clocks
+        assert np.array_equal(a.clocks, b.clocks)
 
     def test_jitter_slows_but_preserves_semantics(self):
         base = run_spmd(2, pingpong, machine=BGQ)
@@ -33,8 +33,8 @@ class TestJitter:
         a = run_spmd(2, pingpong, machine=BGQ, jitter=0.3, jitter_seed=7)
         b = run_spmd(2, pingpong, machine=BGQ, jitter=0.3, jitter_seed=7)
         c = run_spmd(2, pingpong, machine=BGQ, jitter=0.3, jitter_seed=8)
-        assert a.clocks == b.clocks
-        assert a.clocks != c.clocks
+        assert np.array_equal(a.clocks, b.clocks)
+        assert not np.array_equal(a.clocks, c.clocks)
 
     def test_repeated_runs_on_one_engine_are_identically_seeded(self):
         sim = SimMPI(2, machine=BGQ, jitter=0.5, jitter_seed=3)

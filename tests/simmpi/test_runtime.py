@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.errors import DeadlockError, SimMPIError
+from repro.errors import DeadlockError, NetworkModelError, SimMPIError
 from repro.network import BGQ, DragonflyTopology, FlatTopology, TorusTopology
 from repro.simmpi import ANY_SOURCE, ANY_TAG, SimMPI, run_spmd
+from repro.simmpi.batch import BatchSimMPI
 
 
 class TestBasicSendRecv:
@@ -377,7 +378,7 @@ class TestVirtualTime:
         res = run_spmd(4, worker, machine=BGQ)
         # a tree of 2 * ceil(lg 4) rounds on top of the latest clock
         cost = 2 * 2 * (BGQ.alpha_us + BGQ.beta_us_per_word * 3)
-        assert res.clocks == [max(res.returns) + cost] * 4
+        assert res.clocks.tolist() == [max(res.returns) + cost] * 4
 
     def test_makespan_is_max_clock(self):
         def worker(comm):
@@ -420,6 +421,17 @@ class TestTracing:
         with pytest.raises(SimMPIError):
             SimMPI(4, mapping=[0, 0, 0, 0])
 
+    @pytest.mark.parametrize("engine", [SimMPI, BatchSimMPI])
+    def test_a_mapping_outside_the_nodes_is_refused_after_the_default_is_kept(self, engine):
+        engine(64, machine=BGQ)  # the default placement of (BGQ, 64), made once and kept
+        nodes = BGQ.topology(64).num_nodes
+        for bad in (nodes, -1):
+            mapping = np.zeros(64, dtype=np.int64)
+            mapping[5] = bad
+            with pytest.raises(NetworkModelError, match=rf"outside \[0, {nodes}\)"):
+                engine(64, machine=BGQ, mapping=mapping)
+        engine(64, machine=BGQ, mapping=np.full(64, nodes - 1))
+
 
 class TestDeterminism:
     def test_identical_runs(self):
@@ -438,8 +450,17 @@ class TestDeterminism:
         a = run_spmd(16, worker, machine=BGQ, trace=True)
         b = run_spmd(16, worker, machine=BGQ, trace=True)
         assert a.returns == b.returns
-        assert a.clocks == b.clocks
+        assert np.array_equal(a.clocks, b.clocks)
         assert a.trace == b.trace
+        # results compare by value, clocks as arrays, and one changed clock tells them apart
+        assert a == b and a.clocks is not b.clocks
+        clocks = b.clocks.copy()
+        clocks[3] += 1.0
+        assert replace(b, clocks=clocks) != a
+        assert replace(b, clocks=clocks[:-1]) != a  # another length: unequal, no error
+        assert replace(b, makespan_us=0.0) != a and replace(b, engine_stats={}) == a
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
 
 
 class TestRecvDeadline:

@@ -268,7 +268,8 @@ class TestColumnarResults:
         if "twice" in kind:
             rows.insert(a, rows[a])
             counts[r] += 1
-        damaged = Deliveries(d.table, np.asarray(rows, dtype=np.int64), counts)
+        ptr = np.concatenate([[0], np.cumsum(counts)])
+        damaged = Deliveries(d.table, np.asarray(rows, dtype=np.int64), ptr)
         corrupt, missing, _, _ = assert_same_verdict(Result(damaged), pat)
         assert not corrupt and len(missing) == ("lost" in kind)
 
