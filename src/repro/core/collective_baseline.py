@@ -62,25 +62,15 @@ def bruck_plan(pattern: CommPattern, *, block_words: int | None = None) -> CommP
 
     vpt = make_vpt(K, max(lg, 1))
     ranks = np.arange(K, dtype=np.int64)
-    stages: list[StageSchedule] = []
     slots_per_round = K // 2  # half the (rotated) blocks move each round
-    for r in range(lg):
-        partners = (ranks + (1 << r)) % K
-        words = np.full(K, slots_per_round * block_words, dtype=np.int64)
-        nsub = np.full(K, slots_per_round, dtype=np.int64)
-        stages.append(
-            StageSchedule(
-                stage=r,
-                K=K,
-                header_words=0,
-                sender=ranks.copy(),
-                receiver=partners,
-                nsub=nsub,
-                payload_words=words.copy(),
-                total_words=words,
-                route_key=ranks * K + partners,
-            )
-        )
+    words = np.full(K, slots_per_round * block_words, dtype=np.int64)
+    nsub = np.full(K, slots_per_round, dtype=np.int64)
+    # every round sends the same counts from every rank: one array each
+    stages = [
+        StageSchedule(stage=(1 << r, 2 << r), K=K, header_words=0, sender=ranks,
+                      receiver=(ranks + (1 << r)) % K, nsub=nsub, payload_words=words)
+        for r in range(lg)
+    ]
     return CommPlan(
         vpt=vpt,
         pattern=pattern,

@@ -39,7 +39,8 @@ __all__ = [
 ]
 
 
-_STAGE_ARRAYS = ("sender", "receiver", "nsub", "payload_words", "total_words", "route_key")
+#: what a stage stores per message; ``route_key`` and ``total_words`` are derived
+_STAGE_ARRAYS = ("sender", "receiver", "nsub", "payload_words")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -49,11 +50,13 @@ class StageSchedule:
     Parallel int64 arrays, one entry per physical message, ordered by
     ``route_key = sender * K + receiver``.  ``nsub`` is the number of
     submessages coalesced inside the message; ``payload_words`` their
-    total payload; ``total_words`` payload plus ``header_words`` per
-    submessage.  A builder's coalesced stage also carries ``members``,
+    total payload.  A builder's coalesced stage also carries ``members``,
     per pattern row the message that carries it in this stage (-1: the
     row does not move; :meth:`CommPlan.stage_members` derives it when
-    absent).
+    absent).  ``stage`` is the weight pair ``(w_d, w_{d+1})`` the
+    messages depend on, so one stage serves every plan whose weights
+    contain the pair.  ``route_key`` and ``total_words`` are derived,
+    not stored.
 
     The constructor checks every invariant once and refuses a stage
     that breaks one by name; it records in ``coalesced`` whether the
@@ -62,20 +65,18 @@ class StageSchedule:
     read-only, so no consumer checks them again.
     """
 
-    stage: int
+    stage: tuple[int, int]
     K: int
     header_words: int
     sender: np.ndarray
     receiver: np.ndarray
     nsub: np.ndarray
     payload_words: np.ndarray
-    total_words: np.ndarray
-    route_key: np.ndarray = field(repr=False, compare=False)
     members: np.ndarray | None = field(default=None, repr=False, compare=False)
     coalesced: bool = field(init=False)
 
     def __post_init__(self):
-        d, m = self.stage, self.members
+        d, m = "{}->{}".format(*self.stage), self.members
         arrays = [getattr(self, name) for name in _STAGE_ARRAYS]
         for name, a in zip((*_STAGE_ARRAYS, "members"), arrays + ([] if m is None else [m])):
             if not (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype == np.int64):
@@ -83,31 +84,41 @@ class StageSchedule:
         n = self.sender.size
         if any(a.size != n for a in arrays):
             raise PlanError(f"stage {d}: the message arrays differ in length")
-        key, routes = self.route_key, self.sender * np.int64(self.K)
-        routes += self.receiver
-        if not np.array_equal(key, routes):
-            raise PlanError(f"stage {d}: route_key is not sender * K + receiver")
-        step = int(np.subtract(key[1:], key[:-1], out=routes[:-1]).min(initial=1))  # no new array
-        if step < 0:
+        key = self.route_key
+        later, earlier = key[1:], key[:-1]
+        if (later < earlier).any():
             raise PlanError(f"stage {d}: the messages are not in (sender, receiver) order")
-        object.__setattr__(self, "coalesced", step > 0)
+        object.__setattr__(self, "coalesced", not (later == earlier).any())
         if n and (self.nsub.min() < 1 or self.payload_words.min() < 0):
             raise PlanError(f"stage {d}: a message has nsub < 1 or payload_words < 0")
-        h, words = self.header_words, self.payload_words
-        if not np.array_equal(self.total_words, words if h == 0 else words + h * self.nsub):
-            raise PlanError(
-                f"stage {d}: total_words is not payload_words plus "
-                f"header_words={h} per submessage"
-            )
-        # one count of members + 1, whose slot 0 takes the rows that stay:
-        # on ~460k rows half the time of selecting the moving rows first
+        # one count of members + 1 (taken into one scratch array), whose slot 0
+        # takes the rows that stay: on ~460k rows half the time of selecting
+        # the moving rows first
         if m is not None and not np.array_equal(
-            np.bincount(np.maximum(m, -1) + 1, minlength=n + 1)[1:], self.nsub
+            np.bincount(np.maximum(slot := m + 1, 0, out=slot), minlength=n + 1)[1:], self.nsub
         ):
             raise PlanError(
                 f"stage {d}: nsub disagrees with members, the pattern rows each message carries"
             )
         read_only(*arrays, m)
+
+    @property
+    def route_key(self) -> np.ndarray:
+        """``sender * K + receiver`` per message, the stage's sort key (read-only,
+        made on each read)."""
+        key = self.sender * np.int64(self.K)
+        key += self.receiver
+        return read_only(key)[0]
+
+    @property
+    def total_words(self) -> np.ndarray:
+        """Payload plus ``header_words`` per submessage, per message (read-only).
+
+        At ``header_words == 0`` it is ``payload_words`` itself; otherwise
+        it is made on each read.
+        """
+        h = self.header_words
+        return self.payload_words if h == 0 else read_only(self.payload_words + h * self.nsub)[0]
 
     @property
     def num_messages(self) -> int:
@@ -117,10 +128,9 @@ class StageSchedule:
     def require_coalesced(self, user: str) -> None:
         """Refuse, in the name of ``user``, a stage that repeats a route."""
         if not self.coalesced:
-            raise PlanError(
-                f"{user} requires a coalesced plan: stage {self.stage} repeats a "
-                "(sender, receiver) route (coalesce=False); use build_plan(..., coalesce=True)"
-            )
+            raise PlanError(f"{user} requires a coalesced plan: stage {self.stage[0]}->"
+                            f"{self.stage[1]} repeats a (sender, receiver) route (coalesce=False); "
+                            "use build_plan(..., coalesce=True)")
 
     def sent_counts(self) -> np.ndarray:
         """Physical messages sent per process in this stage."""
@@ -147,8 +157,9 @@ class CommPlan:
     Produced by :func:`build_plan`.  All reported "message counts" are
     counts of *physical* messages (coalesced), matching the paper's
     metrics; volumes are in words.  Frozen; its stages were checked when
-    they were made, so it checks only that stage ``d`` is one of its
-    ``K`` and ``header_words`` (O(stages): the builder makes one per call).
+    they were made, so it checks only that stage ``d`` is the one of its
+    weight pair ``(w_d, w_{d+1})``, ``K`` and ``header_words`` (O(stages):
+    the builder makes one per call).
     """
 
     vpt: VirtualProcessTopology
@@ -167,13 +178,18 @@ class CommPlan:
     def __post_init__(self):
         stages = tuple(self.stages)
         object.__setattr__(self, "stages", stages)
-        K, h = self.vpt.K, self.header_words
+        K, h, w = self.vpt.K, self.header_words, self.vpt.weights
         if self.pattern.K != K:
             raise PlanError(f"pattern has K={self.pattern.K} but VPT has K={K}")
+        if len(stages) >= len(w):
+            raise PlanError(f"a {len(w) - 1}-stage VPT has no room for {len(stages)} stages")
         for d, st in enumerate(stages):
-            if (st.stage, st.K, st.header_words) != (d, K, h):
-                raise PlanError(f"stage {d} of a K={K}, header_words={h} plan is stage "
-                                f"{st.stage} of a K={st.K}, header_words={st.header_words} one")
+            if st.stage != w[d:d + 2] or st.K != K or st.header_words != h:
+                raise PlanError(
+                    f"stage {d} of a K={K}, header_words={h} plan over weights {w[d]}->{w[d + 1]} "
+                    f"is a stage {st.stage[0]}->{st.stage[1]} of a K={st.K}, "
+                    f"header_words={st.header_words} one"
+                )
 
     # -- message-count metrics -----------------------------------------
 
@@ -266,9 +282,9 @@ class CommPlan:
 
     def _derive_members(self, d: int) -> np.ndarray:
         st = self.stages[d]
-        pat, w, key = self.pattern, self.vpt.weights, st.route_key
-        h0 = _holder_of(pat.src, pat.dst, w[d])
-        h1 = _holder_of(pat.src, pat.dst, w[d + 1])
+        pat, (w0, w1), key = self.pattern, st.stage, st.route_key
+        h0 = _holder_of(pat.src, pat.dst, w0)
+        h1 = _holder_of(pat.src, pat.dst, w1)
         moved = np.flatnonzero(h0 != h1)
         hkey = h0[moved] * np.int64(self.K) + h1[moved]
         m = np.searchsorted(key, hkey)
@@ -424,71 +440,58 @@ class _DeltaRows:
 
 
 def _merge_stage_arrays(
-    K: int,
-    key: np.ndarray,
-    sender: np.ndarray,
-    receiver: np.ndarray,
-    nsub: np.ndarray,
-    payload: np.ndarray,
-    dkey: np.ndarray,
-    dn: np.ndarray,
-    dp: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fold an aggregated stage delta into coalesced stage arrays.
+    st: StageSchedule, dkey: np.ndarray, dn: np.ndarray, dp: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fold an aggregated stage delta into a coalesced stage's four lanes.
 
-    ``key`` is the stage's ``sender * K + receiver`` array, which must
-    be strictly increasing — canonical coalesced form, exactly what
-    ``np.unique`` produces in the full build — so the merged result is
-    byte-identical to rebuilding the stage from the drifted pattern.
-    Returns ``(sender, receiver, nsub, payload, key)`` with the merged
-    key array kept for the next repair round.
+    The stage's keys are strictly increasing — canonical coalesced form,
+    exactly what ``np.unique`` produces in the full build — and ``dkey``
+    sorted and unique, so the merged result is byte-identical to
+    rebuilding the stage from the drifted pattern.  The keys are made
+    once, to place the delta; returns ``(sender, receiver, nsub,
+    payload)``.
     """
+    lanes = (st.sender, st.receiver, st.nsub, st.payload_words)
     if dkey.size == 0:
-        return sender, receiver, nsub, payload, key
+        return lanes
+    key = st.route_key
+    pos = np.searchsorted(key, dkey)
     if key.size:
-        pos = np.searchsorted(key, dkey)
         present = key[np.minimum(pos, key.size - 1)] == dkey
     else:
-        pos = np.zeros(dkey.size, dtype=np.int64)
         present = np.zeros(dkey.size, dtype=bool)
-    nsub2 = nsub.copy()
-    payload2 = payload.copy()
+    nsub = st.nsub.copy()
+    payload = st.payload_words.copy()
     idx = pos[present]
-    nsub2[idx] += dn[present]
-    payload2[idx] += dp[present]
+    nsub[idx] += dn[present]
+    payload[idx] += dp[present]
     # only an emptied message goes: what a delta that does not apply
     # leaves (a count below one, a negative payload) the stage refuses
-    keep = (nsub2 != 0) | (payload2 != 0)
-    all_kept = bool(keep.all())
-    new_key = dkey[~present]
-    new_dn = dn[~present]
-    if new_key.size == 0:
-        if all_kept:
-            return sender, receiver, nsub2, payload2, key
-        return sender[keep], receiver[keep], nsub2[keep], payload2[keep], key[keep]
+    gone = idx[(nsub[idx] == 0) & (payload[idx] == 0)]
+    lanes = (st.sender, st.receiver, nsub, payload)
+    if gone.size:
+        keep = np.ones(key.size, dtype=bool)
+        keep[gone] = False
+        lanes = tuple(a[keep] for a in lanes)
+    new = ~present
+    if not new.any():
+        return lanes
     # linear merge of two sorted runs (new keys are never present in
-    # the base, so tie handling does not arise); sender/receiver are
-    # merged directly so only the small inserted run pays a divmod
-    base_key = key if all_kept else key[keep]
-    ins = np.searchsorted(base_key, new_key)
-    slot = np.zeros(base_key.size + new_key.size, dtype=bool)
-    slot[ins + np.arange(new_key.size)] = True
-    out_key = np.empty(slot.size, dtype=np.int64)
-    out_sender = np.empty(slot.size, dtype=np.int64)
-    out_receiver = np.empty(slot.size, dtype=np.int64)
-    out_nsub = np.empty(slot.size, dtype=np.int64)
-    out_payload = np.empty(slot.size, dtype=np.int64)
-    out_key[slot] = new_key
-    out_key[~slot] = base_key
-    out_sender[slot] = new_key // K
-    out_sender[~slot] = sender if all_kept else sender[keep]
-    out_receiver[slot] = new_key % K
-    out_receiver[~slot] = receiver if all_kept else receiver[keep]
-    out_nsub[slot] = new_dn
-    out_nsub[~slot] = nsub2 if all_kept else nsub2[keep]
-    out_payload[slot] = dp[~present]
-    out_payload[~slot] = payload2 if all_kept else payload2[keep]
-    return out_sender, out_receiver, out_nsub, out_payload, out_key
+    # the base, so tie handling does not arise); only the small inserted
+    # run pays a divmod, and its slots come from where it would go among
+    # the old keys less the emptied messages before it
+    at = pos[new]
+    at -= np.searchsorted(gone, at)
+    slot = np.zeros(lanes[0].size + at.size, dtype=bool)
+    slot[at + np.arange(at.size)] = True
+    rest = ~slot
+    merged = []
+    for base, ins in zip(lanes, (*np.divmod(dkey[new], st.K), dn[new], dp[new])):
+        out = np.empty(slot.size, dtype=np.int64)
+        out[slot] = ins
+        out[rest] = base
+        merged.append(out)
+    return tuple(merged)
 
 
 class PlanBuilder:
@@ -508,13 +511,14 @@ class PlanBuilder:
     :func:`build_plan` uses) reads and fills the memo the pattern
     itself keeps, so a pattern builds each stage once however many
     times its plans are asked for.  Memoized arrays are read-only and
-    are shared by every plan built from them.  Each plan's stages go
-    through the :class:`StageSchedule` constructor once per
-    ``(weights, header_words, coalesce)``, which makes their
-    ``total_words`` and checks them; the memo keeps the stage objects
-    and the forward occupancy, so a repeat :meth:`plan` allocates no
-    array and checks only its O(stages) :class:`CommPlan`, and the batch
-    engine knows a repeat plan by the identity of its stages.  The memo
+    are shared by every plan built from them.  A stage goes through the
+    :class:`StageSchedule` constructor once per ``(w_d, w_{d+1},
+    header_words, coalesce)`` and the memo keeps the checked object,
+    which every plan whose weights contain the pair shares; it also
+    keeps each plan's stage tuple and forward occupancy, so a repeat
+    :meth:`plan` allocates no array and checks only its O(stages)
+    :class:`CommPlan`, and the batch engine knows a repeat plan by the
+    identity of its stages.  The memo
     also holds :attr:`schedules`, what the batch engine computed from
     this pattern's plans (:mod:`repro.simmpi.batch`).
     Plans produced either way are identical — stage arrays, totals and
@@ -525,9 +529,8 @@ class PlanBuilder:
         self.pattern = pattern
         #: weight -> holder array after any stage with that weight
         self._holders: dict[int, np.ndarray] = {}
-        #: (w_d, w_{d+1}, coalesce) -> (sender, receiver, nsub, payload,
-        #: route_key, members)
-        self._stages: dict[tuple[int, int, bool], tuple] = {}
+        #: (w_d, w_{d+1}, header_words, coalesce) -> the checked stage
+        self._stages: dict[tuple[int, int, int, bool], StageSchedule] = {}
         #: w_{d+1} -> per-process in-transit words after the stage
         self._occupancy: dict[int, np.ndarray] = {}
         #: (weights, header_words, coalesce) -> (stages, occupancy): what
@@ -561,11 +564,15 @@ class PlanBuilder:
             read_only(arr)
         return arr
 
-    def _stage_arrays(self, w0: int, w1: int, coalesce: bool) -> tuple:
-        key = (w0, w1, coalesce)
-        cached = self._stages.get(key)
-        if cached is not None:
-            return cached
+    def _stage(self, w0: int, w1: int, header_words: int, coalesce: bool) -> StageSchedule:
+        key = (w0, w1, header_words, coalesce)
+        st = self._stages.get(key)
+        if st is not None:
+            return st
+        if header_words:  # the header-free stage's arrays, charged headers
+            st = replace(self._stage(w0, w1, 0, coalesce), header_words=header_words)
+            self._stages[key] = st
+            return st
         K = self.pattern.K
         holder = self._holder(w0)
         nxt = self._holder(w1)
@@ -581,7 +588,6 @@ class PlanBuilder:
             msg_receiver = receivers[order]
             payload = sizes[order]
             nsub = np.ones(senders.size, dtype=np.int64)
-            route_key = mkey[order]
             members = None  # duplicate routes: a route names no one message
         else:
             # nothing below sees the order inside a run of equal keys
@@ -591,17 +597,17 @@ class PlanBuilder:
             uniq = key_sorted[first]
             inv = np.empty(mkey.size, dtype=np.int64)
             inv[order] = np.cumsum(first) - 1
-            nsub = np.bincount(inv, minlength=uniq.size).astype(np.int64)
+            nsub = np.bincount(inv, minlength=uniq.size).astype(np.int64, copy=False)
             payload = np.bincount(inv, weights=sizes, minlength=uniq.size).astype(np.int64)
-            msg_sender = (uniq // K).astype(np.int64)
-            msg_receiver = (uniq % K).astype(np.int64)
-            route_key = uniq
+            msg_sender, msg_receiver = np.divmod(uniq, K)
             members = np.full(moved.size, -1, dtype=np.int64)
             members[moved] = inv
 
-        # read-only once the first stage built from them checks them
-        cached = self._stages[key] = (msg_sender, msg_receiver, nsub, payload, route_key, members)
-        return cached
+        st = self._stages[key] = StageSchedule(
+            stage=(w0, w1), K=K, header_words=0, sender=msg_sender, receiver=msg_receiver,
+            nsub=nsub, payload_words=payload, members=members,
+        )
+        return st
 
     def _occupancy_row(self, w1: int) -> np.ndarray:
         row = self._occupancy.get(w1)
@@ -637,8 +643,12 @@ class PlanBuilder:
 
         key = (vpt.weights, header_words, coalesce)
         built = self._plans.get(key)
-        if built is None:
-            built = self._plans[key] = self._assemble(vpt.weights, header_words, coalesce)
+        if built is None:  # the stages, and the read-only occupancy after each
+            pairs = list(zip(vpt.weights, vpt.weights[1:]))
+            built = self._plans[key] = (
+                tuple(self._stage(w0, w1, header_words, coalesce) for w0, w1 in pairs),
+                read_only(np.array([self._occupancy_row(w1) for _, w1 in pairs]))[0],
+            )
         stages, occupancy = built
         return CommPlan(
             vpt=vpt,
@@ -647,32 +657,6 @@ class PlanBuilder:
             header_words=header_words,
             forward_occupancy=occupancy,
         )
-
-    def _assemble(self, weights: tuple[int, ...], header_words: int, coalesce: bool) -> tuple:
-        """The stages and the read-only occupancy of the plan over ``weights``."""
-        K = self.pattern.K
-        stages = []
-        occupancy = np.zeros((len(weights) - 1, K), dtype=np.int64)
-        for d in range(len(weights) - 1):
-            sender, receiver, nsub, payload, route_key, members = self._stage_arrays(
-                weights[d], weights[d + 1], coalesce
-            )
-            stages.append(
-                StageSchedule(
-                    stage=d,
-                    K=K,
-                    header_words=header_words,
-                    sender=sender,
-                    receiver=receiver,
-                    nsub=nsub,
-                    payload_words=payload,
-                    total_words=payload + header_words * nsub,
-                    route_key=route_key,
-                    members=members,
-                )
-            )
-            occupancy[d] = self._occupancy_row(weights[d + 1])
-        return tuple(stages), read_only(occupancy)[0]
 
 
 def repair_plan(plan: CommPlan, delta: PatternDelta) -> CommPlan:
@@ -703,26 +687,19 @@ def repair_plan(plan: CommPlan, delta: PatternDelta) -> CommPlan:
     K = vpt.K
     rows = _DeltaRows(plan.pattern, delta)
     new_pattern = plan.pattern.apply_delta(delta, _rows=(rows.rem_rows, rows.rw_rows))
-    weights = vpt.weights
-    header = plan.header_words
     stages: list[StageSchedule] = []
-    for d, st in enumerate(plan.stages):
-        dkey, dn, dp = rows.stage_delta(K, weights[d], weights[d + 1])
-        sender, receiver, nsub, payload, out_key = _merge_stage_arrays(
-            K, st.route_key, st.sender, st.receiver, st.nsub, st.payload_words, dkey, dn, dp
-        )
-        total = payload if header == 0 else payload + header * nsub
+    for st in plan.stages:
+        sender, receiver, nsub, payload = _merge_stage_arrays(st, *rows.stage_delta(K, *st.stage))
         stages.append(replace(st, sender=sender, receiver=receiver, nsub=nsub,
-                              payload_words=payload, total_words=total, route_key=out_key,
-                              members=None))
+                              payload_words=payload, members=None))
     occupancy = plan.forward_occupancy.copy()
     for d in range(vpt.n):
-        occupancy[d] += rows.occupancy_delta(K, weights[d + 1])
+        occupancy[d] += rows.occupancy_delta(K, vpt.weights[d + 1])
     return CommPlan(
         vpt=vpt,
         pattern=new_pattern,
         stages=stages,
-        header_words=header,
+        header_words=plan.header_words,
         forward_occupancy=occupancy,
     )
 
@@ -802,9 +779,10 @@ def plans_for_dimensions(
 def plans_identical(p: CommPlan, q: CommPlan) -> bool:
     """True iff two plans are byte-identical (values **and** dtypes).
 
-    Covers every schedule array of every stage, ``route_key``
-    included, the forward-occupancy matrix and the pattern arrays;
-    ``members`` is not compared (a repaired plan derives it).  The
+    Covers every stored array of every stage (``route_key`` and
+    ``total_words`` follow from them) and its weight pair, the
+    forward-occupancy matrix and the pattern arrays; ``members`` is not
+    compared (a repaired plan derives it).  The
     canonical cross-check used wherever an incrementally repaired plan
     is validated against a from-scratch rebuild.
     """
@@ -819,9 +797,8 @@ def plans_identical(p: CommPlan, q: CommPlan) -> bool:
     if not same(p.forward_occupancy, q.forward_occupancy):
         return False
     for a, b in zip(p.stages, q.stages):
-        for name in _STAGE_ARRAYS:
-            if not same(getattr(a, name), getattr(b, name)):
-                return False
+        if a.stage != b.stage or not all(same(getattr(a, n), getattr(b, n)) for n in _STAGE_ARRAYS):
+            return False
     return (
         same(p.pattern.src, q.pattern.src)
         and same(p.pattern.dst, q.pattern.dst)

@@ -264,8 +264,8 @@ def repair_side_tables(
         )
     recv = tables.recv_counts.copy()
     for d, (old_st, new_st) in enumerate(zip(plan.stages, repaired.stages)):
-        gone = _sorted_only_in(old_st.route_key, new_st.route_key)
-        born = _sorted_only_in(new_st.route_key, old_st.route_key)
+        old_key, new_key = old_st.route_key, new_st.route_key
+        gone, born = _sorted_only_in(old_key, new_key), _sorted_only_in(new_key, old_key)
         if gone.size:
             recv[d] -= np.bincount(gone % K, minlength=K)
         if born.size:

@@ -135,20 +135,20 @@ def congestion_summary(
     """Per-stage hot-link statistics of a plan on a machine."""
     topo, mapping = placement(machine, plan.K, mapping)
     out = []
-    for st in plan.stages:
+    for d, st in enumerate(plan.stages):
         loads = link_loads(st, topo, mapping)
         if loads:
             vals = list(loads.values())
             out.append(
                 CongestionSummary(
-                    stage=st.stage,
+                    stage=d,
                     num_links=len(vals),
                     max_load=max(vals),
                     mean_load=sum(vals) / len(vals),
                 )
             )
         else:
-            out.append(CongestionSummary(stage=st.stage, num_links=0,
+            out.append(CongestionSummary(stage=d, num_links=0,
                                          max_load=0, mean_load=0.0))
     return out
 

@@ -104,10 +104,10 @@ def time_plan(
 
     stage_timings: list[StageTiming] = []
     total = 0.0
-    for st in plan.stages:
+    for d, st in enumerate(plan.stages):
         if st.num_messages == 0:
             stage_timings.append(
-                StageTiming(stage=st.stage, time_us=0.0, max_send_us=0.0,
+                StageTiming(stage=d, time_us=0.0, max_send_us=0.0,
                             max_recv_us=0.0, bottleneck_rank=-1)
             )
             continue
@@ -120,7 +120,7 @@ def time_plan(
         t = float(port_cost[bottleneck]) + sync_us
         stage_timings.append(
             StageTiming(
-                stage=st.stage,
+                stage=d,
                 time_us=t,
                 max_send_us=float(send_cost.max()),
                 max_recv_us=float(recv_cost.max()),

@@ -34,6 +34,7 @@ increases, so one source's envelopes arrive in the order they were sent.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from heapq import heapify, heappop, heappush
 from typing import Any
@@ -241,7 +242,10 @@ class RunResult:
 
     Two results are ``==`` when every field but ``engine_stats`` is;
     ``clocks`` compare by ``np.array_equal``, so they never make ``==``
-    raise, whatever their lengths.
+    raise, whatever their lengths.  Two delivery sequences (per rank a
+    list of ``(origin, payload)`` pairs: an exchange's event ``returns``,
+    or a batch :class:`~repro.simmpi.batch.Deliveries`) compare pair by
+    pair, array payloads by dtype and ``np.array_equal``.
     """
 
     returns: list[Any]
@@ -255,7 +259,34 @@ class RunResult:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        names = [f.name for f in fields(self) if f.compare and f.name != "clocks"]
-        return np.array_equal(self.clocks, other.clocks) and (
-            [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+        names = [f.name for f in fields(self) if f.compare and f.name not in ("clocks", "returns")]
+        return (
+            np.array_equal(self.clocks, other.clocks)
+            and _same_returns(self.returns, other.returns)
+            and [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
         )
+
+
+def _is_deliveries(returns) -> bool:
+    """Per rank a list of ``(origin, payload)`` pairs, or ``None`` (the rank returned nothing)."""
+    return isinstance(returns, Sequence) and all(
+        r is None or isinstance(r, list) and all(type(m) is tuple and len(m) == 2 for m in r)
+        for r in returns
+    )
+
+
+def _same_returns(a, b) -> bool:
+    if not (_is_deliveries(a) and _is_deliveries(b)):
+        return a == b
+    return len(a) == len(b) and all(
+        x == y if x is None or y is None else len(x) == len(y) and all(map(_same_pair, x, y))
+        for x, y in zip(a, b)
+    )
+
+
+def _same_pair(x: tuple, y: tuple) -> bool:
+    (o, p), (q, r) = x, y
+    if isinstance(p, np.ndarray) or isinstance(r, np.ndarray):
+        arrays = isinstance(p, np.ndarray) and isinstance(r, np.ndarray)
+        return o == q and arrays and p.dtype == r.dtype and np.array_equal(p, r)
+    return o == q and bool(p == r)

@@ -204,6 +204,8 @@ class TestPlanMetrics:
         plan = build_plan(p, make_vpt(8, 1))
         with pytest.raises(FrozenInstanceError):  # a plan is frozen: lie in a copy
             plan.vpt = VirtualProcessTopology((2, 2, 2))
-        lying = replace(plan, vpt=VirtualProcessTopology((2, 2, 2)))  # wrong bound source
+        # wrong bound source: BL's one stage, relabelled as the first stage of T_3(2)
+        lying = replace(plan, vpt=VirtualProcessTopology((2, 2, 2)),
+                        stages=[replace(plan.stages[0], stage=(1, 2))])
         with pytest.raises(PlanError):
             lying.check_stage_bounds()

@@ -66,7 +66,8 @@ class TestPlanBuilder:
                 np.bincount(inv, weights=p.size[moved], minlength=uniq.size).astype(np.int64),
                 uniq,
             )
-            got = builder._stage_arrays(w0, w1, True)
+            st = builder._stage(w0, w1, 0, True)
+            got = (st.sender, st.receiver, st.nsub, st.payload_words, st.route_key)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
@@ -189,7 +190,10 @@ class TestStageMembers:
 
     def test_a_stage_without_route_keys_cannot_be_made(self):
         stage = build_plan(CommPattern.random(16, avg_degree=3, seed=2), make_vpt(16, 2)).stages[0]
-        with pytest.raises(PlanError, match="route_key must be a 1-D int64 array"):
-            replace(stage, members=None, route_key=None)
-        with pytest.raises(PlanError, match="route_key is not sender"):
-            replace(stage, route_key=stage.route_key[::-1].copy())
+        for name in ("route_key", "total_words"):
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+                replace(stage, members=None, **{name: None})
+        # keys that go down come only from routes that do
+        with pytest.raises(PlanError, match="not in \\(sender, receiver\\) order"):
+            replace(stage, members=None, sender=stage.sender[::-1].copy(),
+                    receiver=stage.receiver[::-1].copy())

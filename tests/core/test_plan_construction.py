@@ -25,15 +25,16 @@ from repro.core import (
 from repro.core.plan import PlanBuilder, plans_identical
 from repro.errors import PlanError
 
-_ARRAYS = ("sender", "receiver", "nsub", "payload_words", "total_words", "route_key")
+_STORED = ("sender", "receiver", "nsub", "payload_words")
+_ARRAYS = (*_STORED, "total_words", "route_key")
 
 
 def assert_valid_stages(plan):
     """The constructor's invariants, checked from scratch on every stage."""
-    K, h = plan.K, plan.header_words
+    K, h, w = plan.K, plan.header_words, plan.vpt.weights
     assert isinstance(plan.stages, tuple)
     for d, stage in enumerate(plan.stages):
-        assert (stage.stage, stage.K, stage.header_words) == (d, K, h)
+        assert (stage.stage, stage.K, stage.header_words) == ((w[d], w[d + 1]), K, h)
         n = stage.num_messages
         for name in _ARRAYS:
             a = getattr(stage, name)
@@ -93,7 +94,7 @@ def stage():
 
 class TestNamedRefusals:
     def test_a_repeated_route_is_refused_where_a_route_must_name_one_message(self, stage):
-        dup = {name: np.repeat(getattr(stage, name)[:1], 2) for name in _ARRAYS}
+        dup = {name: np.repeat(getattr(stage, name)[:1], 2) for name in _STORED}
         split = replace(stage, members=None, **dup)
         assert stage.coalesced and not split.coalesced
         with pytest.raises(FrozenInstanceError):
@@ -102,7 +103,7 @@ class TestNamedRefusals:
         forged = replace(plan, stages=[split, *plan.stages[1:]])
         for use, user in ((lambda: forged.stage_members(0), "routing by the plan"),
                           (lambda: repair_plan(forged, PatternDelta(64)), "repair_plan")):
-            with pytest.raises(PlanError, match=f"{user} requires a coalesced plan: stage 0"):
+            with pytest.raises(PlanError, match=f"{user} requires a coalesced plan: stage 1->8"):
                 use()
 
     def test_a_split_build_that_repeats_no_route_is_coalesced(self):
@@ -122,7 +123,7 @@ class TestNamedRefusals:
         assert PlanBuilder.of(pattern)._stages == {}
 
     def test_nsub_that_disagrees_with_members(self, stage):
-        with pytest.raises(PlanError, match="stage 0: nsub disagrees with members"):
+        with pytest.raises(PlanError, match="stage 1->8: nsub disagrees with members"):
             replace(stage, nsub=stage.nsub + 1)
         members = stage.members.copy()
         members[np.flatnonzero(members >= 0)[0]] = -1  # a moving row dropped
@@ -130,21 +131,25 @@ class TestNamedRefusals:
             replace(stage, members=members)
 
     def test_total_words_other_than_payload_plus_headers(self, stage):
-        with pytest.raises(PlanError, match="total_words is not payload_words plus header_words=0"):
+        # derived, so no other can be given
+        with pytest.raises(TypeError, match="unexpected keyword argument 'total_words'"):
             replace(stage, total_words=stage.total_words + 1)
-        with pytest.raises(PlanError, match="header_words=2"):
-            replace(stage, header_words=2)
-        assert replace(stage, header_words=2, total_words=stage.payload_words + 2 * stage.nsub)
+        framed = replace(stage, header_words=2)
+        assert np.array_equal(framed.total_words, stage.payload_words + 2 * stage.nsub)
 
     @pytest.mark.parametrize("name", [*_ARRAYS, "members"])
     def test_a_non_int64_array(self, stage, name):
-        with pytest.raises(PlanError, match=f"stage 0: {name} must be a 1-D int64 array"):
+        if name not in (*_STORED, "members"):  # derived from the int64 sender and payload
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+                replace(stage, **{name: getattr(stage, name).astype(np.int32)})
+            return
+        with pytest.raises(PlanError, match=f"stage 1->8: {name} must be a 1-D int64 array"):
             replace(stage, **{name: getattr(stage, name).astype(np.int32)})
 
     def test_keys_that_are_not_the_routes_or_go_down(self, stage):
-        with pytest.raises(PlanError, match="route_key is not sender"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'route_key'"):
             replace(stage, route_key=stage.route_key + 1)
-        flipped = {name: getattr(stage, name)[::-1].copy() for name in _ARRAYS}
+        flipped = {name: getattr(stage, name)[::-1].copy() for name in _STORED}
         with pytest.raises(PlanError, match="not in \\(sender, receiver\\) order"):
             replace(stage, members=None, **flipped)
 
@@ -154,15 +159,17 @@ class TestNamedRefusals:
         with pytest.raises(PlanError, match="nsub < 1"):
             replace(stage, members=None, nsub=stage.nsub * 0)
         with pytest.raises(PlanError, match="payload_words < 0"):
-            replace(stage, payload_words=-stage.payload_words, total_words=-stage.total_words)
+            replace(stage, payload_words=-stage.payload_words)
 
     def test_a_plan_of_stages_from_another_plan(self):
         pattern = CommPattern.random(16, avg_degree=3, seed=2)
         plan = build_plan(pattern, make_vpt(16, 2))
         with pytest.raises(PlanError, match="stage 0 of a K=16, header_words=2 plan"):
             replace(plan, header_words=2)
-        with pytest.raises(PlanError, match="is stage 1"):
+        with pytest.raises(PlanError, match="over weights 1->4 is a stage 4->16 of"):
             replace(plan, stages=plan.stages[::-1])
+        with pytest.raises(PlanError, match="a 2-stage VPT has no room for 3 stages"):
+            replace(plan, stages=[*plan.stages, plan.stages[-1]])
 
 
 class TestFrozen:
@@ -177,6 +184,5 @@ class TestFrozen:
                 getattr(stage, name)[0] = 0
         mine = np.array([0, 1], dtype=np.int64)
         made = replace(stage, sender=mine, receiver=mine[::-1].copy(), nsub=np.ones(2, np.int64),
-                       payload_words=mine, total_words=mine, route_key=np.array([1, 64]),
-                       members=None)
+                       payload_words=mine, members=None)
         assert not mine.flags.writeable and made.sender is mine  # checked, kept, not copied

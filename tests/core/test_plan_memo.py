@@ -10,14 +10,16 @@ pickle.
 import gc
 import pickle
 import weakref
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
-from repro.core import CommPattern, PatternDelta, build_plan, make_vpt
-from repro.core.plan import PlanBuilder, plans_identical
+from repro.core import CommPattern, PatternDelta, build_plan, make_vpt, plans_for_dimensions
+from repro.core.plan import PlanBuilder, StageSchedule, plans_identical
+from repro.errors import PlanError
 
-_MEMOIZED = ("sender", "receiver", "nsub", "payload_words", "route_key", "members")
+_MEMOIZED = ("sender", "receiver", "nsub", "payload_words", "members")
 
 
 class TestPlanMemo:
@@ -27,6 +29,7 @@ class TestPlanMemo:
             vpt = make_vpt(p.K, n)
             first, second = build_plan(p, vpt), build_plan(p, vpt)
             for a, b in zip(first.stages, second.stages):
+                assert a is b
                 for name in _MEMOIZED:
                     assert getattr(a, name) is getattr(b, name), name
             fresh = PlanBuilder(p).plan(vpt)
@@ -78,6 +81,55 @@ class TestPlanMemo:
             keys[0] = 0
         with pytest.raises(ValueError, match="read-only"):
             order[0] = 0
+
+
+class TestOneStagePerWeightPair:
+    """A stage stores what determines it and is made once per weight pair."""
+
+    def test_plans_of_every_dimension_share_one_stage_per_weight_pair(self, monkeypatch):
+        made = []
+        check = StageSchedule.__post_init__
+        monkeypatch.setattr(StageSchedule, "__post_init__",
+                            lambda st: (made.append(st.stage), check(st))[1])
+        p = CommPattern.random(256, avg_degree=6, seed=5, words=3)
+        plans = plans_for_dimensions(p, range(2, 9))
+        stages = [st for plan in plans.values() for st in plan.stages]
+        assert len(stages) == 35 and len(made) == len(set(made)) == 16
+        assert len({id(st) for st in stages}) == 16
+        by_pair = {st.stage: st for st in stages}
+        for plan in plans.values():
+            w = plan.vpt.weights
+            assert all(st is by_pair[pair] for st, pair in zip(plan.stages, zip(w, w[1:])))
+
+    def test_a_stage_keeps_only_its_five_stored_arrays(self):
+        p = CommPattern.random(128, avg_degree=6, hot_processes=2, seed=4, words=3)
+        for n in (1, 2, 3):
+            build_plan(p, make_vpt(p.K, n), header_words=2)
+        stages = PlanBuilder.of(p)._stages.values()
+        assert {st.header_words for st in stages} == {0, 2}
+        for st in stages:
+            kept = {k: v for k, v in vars(st).items() if isinstance(v, np.ndarray)}
+            assert set(kept) == set(_MEMOIZED)
+            n = st.num_messages
+            assert sum(a.nbytes for a in kept.values()) == 4 * 8 * n + 8 * p.num_messages
+
+    def test_derived_keys_and_totals(self):
+        p = CommPattern.random(64, avg_degree=5, seed=9, words=2)
+        vpt = make_vpt(64, 3)
+        bare, framed = build_plan(p, vpt), build_plan(p, vpt, header_words=2)
+        for st, fr in zip(bare.stages, framed.stages):
+            assert st.total_words is st.payload_words
+            key = st.route_key
+            assert key.dtype == np.int64 and np.array_equal(key, st.sender * 64 + st.receiver)
+            assert not key.flags.writeable and key is not st.route_key  # made on each read
+            with pytest.raises(FrozenInstanceError):
+                st.route_key = key
+            assert fr.payload_words is st.payload_words and fr.sender is st.sender
+            assert not fr.total_words.flags.writeable
+            assert fr.total_words.tolist() == [w + 2 * n for w, n in
+                                               zip(st.payload_words.tolist(), st.nsub.tolist())]
+        with pytest.raises(PlanError, match="over weights 1->4 is a stage 16->64"):
+            replace(bare, stages=bare.stages[::-1])
 
 
 class TestPatternPickle:

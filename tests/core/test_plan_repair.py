@@ -111,7 +111,7 @@ class TestRepairErrors:
         # forge a non-coalesced stage: duplicate the first route
         dup = {
             name: np.repeat(getattr(st, name)[:1], 2)
-            for name in ("sender", "receiver", "nsub", "payload_words", "total_words", "route_key")
+            for name in ("sender", "receiver", "nsub", "payload_words")
         }
         forged = replace(plan, stages=[replace(st, members=None, **dup), *plan.stages[1:]])
         assert not forged.stages[0].coalesced

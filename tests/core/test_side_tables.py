@@ -63,14 +63,14 @@ class TestRepair:
             plan = repaired
 
     def test_route_key_less_plans_cannot_be_made(self):
-        """Every stage carries its keys, so the repair reads them and derives none."""
+        """A stage's keys are ``sender * K + receiver``, derived, so none can be left out."""
         pattern = CommPattern.random(32, avg_degree=4, seed=5)
         vpt = make_vpt(32, 2)
         plan = build_plan(pattern, vpt)
         delta = PatternDelta.random(pattern, 0.10, seed=6)
         repaired = repair_plan(plan, delta)
         for p in (plan, repaired):
-            with pytest.raises(PlanError, match="stage 0: route_key must be a 1-D int64 array"):
+            with pytest.raises(TypeError, match="unexpected keyword argument 'route_key'"):
                 replace(p, stages=[replace(st, route_key=None) for st in p.stages])
         got = repair_side_tables(side_tables_from_plan(plan), plan, repaired, delta)
         assert_tables_identical(got, side_tables_from_plan(repaired))

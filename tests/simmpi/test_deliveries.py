@@ -425,7 +425,7 @@ class TestScheduleOnce:
         # arrays computes its schedule and meets the refusals on its first run
         vpt = make_vpt(pattern.K, 2)
         uncoalesced = build_plan(pattern, vpt, coalesce=False)
-        with pytest.raises(PlanError, match="stage 0 repeats a .*coalesce=True"):
+        with pytest.raises(PlanError, match="stage 1->6 repeats a .*coalesce=True"):
             BatchSimMPI(pattern.K, machine=BGQ).run_planned_stfw(
                 vpt, uncoalesced, _default_payloads(pattern)
             )
@@ -455,7 +455,7 @@ class TestScheduleOnce:
         self.run(pattern, plan=plan)
         st0 = plan.stages[0]
         # refused when made if the stage carries members, else when a run derives them
-        with pytest.raises(PlanError, match="stage 0: nsub disagrees with members"):
+        with pytest.raises(PlanError, match="stage 1->6: nsub disagrees with members"):
             replace(st0, nsub=st0.nsub + 1)
         forged = replace(
             plan, stages=[replace(st0, nsub=st0.nsub + 1, members=None), *plan.stages[1:]]
@@ -470,12 +470,11 @@ class TestScheduleOnce:
         plan = PlanBuilder.of(pattern).plan(make_vpt(pattern.K, 2))
         first = self.run(pattern, plan=plan)
         st0 = plan.stages[0]
-        with pytest.raises(PlanError, match="stage 0: total_words is not payload_words plus"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'total_words'"):
             replace(st0, total_words=st0.total_words + 5)
         # other words come only with other header_words, which the entry's key holds
         heavier = replace(plan, header_words=5, stages=[
-            replace(st, header_words=5, total_words=st.payload_words + 5 * st.nsub)
-            for st in plan.stages
+            replace(st, header_words=5) for st in plan.stages
         ])
         sweeps.clear()
         got = self.run(pattern, plan=heavier, header_words=5)
@@ -593,7 +592,8 @@ class TestScheduleOnce:
         assert all(a.total_words is b.total_words for a, b in zip(plan.stages, again.stages))
         self.run(pattern, plan=plan)
         st0 = plan.stages[0]
-        same_words = replace(plan, stages=[replace(st0, total_words=st0.total_words.copy()),
+        # at header_words=0 a stage's total_words is its payload_words
+        same_words = replace(plan, stages=[replace(st0, payload_words=st0.payload_words.copy()),
                                            *plan.stages[1:]])
         sweeps.clear()
         got = self.run(pattern, plan=same_words)
@@ -601,6 +601,31 @@ class TestScheduleOnce:
         want = run_exchange(pattern, dims=2, machine=BGQ)
         assert np.array_equal(got.run.clocks, want.run.clocks)
         assert got.makespan_us == want.makespan_us
+
+
+class TestResultsCompareAcrossEngines:
+    """``RunResult ==`` compares delivery sequences per rank and pair, payloads as arrays."""
+
+    def test_event_and_batch_runs_compare_by_value(self):
+        from dataclasses import replace
+
+        pattern = CommPattern.random(16, 3, seed=1, words=4)
+        one, two = (run_exchange(pattern, dims=2, machine=BGQ).run for _ in range(2))
+        batch = run_exchange(pattern, dims=2, machine=BGQ, engine="batch").run
+        assert isinstance(batch.returns, Deliveries) and isinstance(one.returns, list)
+        assert one == two and one == batch and batch == one
+        rank = next(r for r, msgs in enumerate(one.returns) if msgs)
+        origin, payload = one.returns[rank][0]
+        changed = payload.copy()
+        changed[-1] += 1
+        for other in (changed, payload.astype(np.int32), payload.tolist()):
+            returns = [list(msgs) for msgs in one.returns]
+            returns[rank][0] = (origin, other)
+            damaged = replace(one, returns=returns)
+            assert damaged != two and damaged != batch and batch != damaged
+        returns = [list(msgs) for msgs in one.returns]
+        returns[rank] = returns[rank][1:]
+        assert replace(one, returns=returns) != batch
 
 
 class TestLazyColumns:
